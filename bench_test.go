@@ -810,17 +810,15 @@ func BenchmarkIngestSnapshotLoad(b *testing.B) {
 
 var (
 	ingestXLOnce  sync.Once
-	ingestXLV1    string // v1-format .simx path
-	ingestXLV2    string // v2-format .simx path
+	ingestXLSnap  string // .simx path
 	ingestXLHash  [32]byte
 	ingestXLTrans int
 	ingestXLNodes int
 )
 
 // ingestXLCorpus materializes the E6-XL scale point (chip:32,10 — 100k+
-// nodes, ~182k transistors) once, persisted in both snapshot formats so
-// BENCH_7 compares mmap ingest against the v1 heap decoder on identical
-// content.
+// nodes, ~182k transistors) once, persisted as a .simx file so both ways
+// of handing its bytes to the decoder load identical content.
 func ingestXLCorpus(b *testing.B) {
 	b.Helper()
 	ingestXLOnce.Do(func() {
@@ -844,29 +842,18 @@ func ingestXLCorpus(b *testing.B) {
 		if err != nil {
 			panic(err)
 		}
-		ingestXLV1 = filepath.Join(dir, "xl.v1.simx")
-		ingestXLV2 = filepath.Join(dir, "xl.v2.simx")
-		f, err := os.Create(ingestXLV1)
-		if err != nil {
-			panic(err)
-		}
-		if err := netlist.WriteSnapshotV1(f, parsed, ingestXLHash); err != nil {
-			panic(err)
-		}
-		if err := f.Close(); err != nil {
-			panic(err)
-		}
-		if err := netlist.WriteSnapshotFile(ingestXLV2, parsed, ingestXLHash); err != nil {
+		ingestXLSnap = filepath.Join(dir, "xl.simx")
+		if err := netlist.WriteSnapshotFile(ingestXLSnap, parsed, ingestXLHash); err != nil {
 			panic(err)
 		}
 	})
 }
 
-// BenchmarkIngestXL is the BENCH_7 load comparison on the 100k+ node
-// chip: the mmap + slice-cast v2 path against heap decodes of both
-// formats. Each iteration performs a complete cold load from disk —
-// open/read, validate (both CRCs), build the Network — and discards it;
-// scripts/bench.sh records mmap-vs-v1decode as the BENCH_7 speedup.
+// BenchmarkIngestXL is the snapshot load on the 100k+ node chip through
+// both byte sources of the one decoder: mapped, and read into the heap.
+// Each iteration performs a complete cold load from disk — map or read,
+// validate (both CRCs), build the Network — and discards it. (BENCH_7's
+// third arm, the version-1 decode, went with that format.)
 func BenchmarkIngestXL(b *testing.B) {
 	ingestXLCorpus(b)
 	p := tech.NMOS4()
@@ -901,7 +888,7 @@ func BenchmarkIngestXL(b *testing.B) {
 		}
 		for i := 0; i < b.N; i++ {
 			quiesce(b)
-			m, err := netlist.OpenMapped(ingestXLV2, p)
+			m, err := netlist.OpenMapped(ingestXLSnap, p)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -915,26 +902,21 @@ func BenchmarkIngestXL(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ingestXLNodes), "ns/node")
 	})
-	for _, arm := range []struct{ name, path string }{
-		{"v1decode", ingestXLV1},
-		{"v2decode", ingestXLV2},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				quiesce(b)
-				data, err := os.ReadFile(arm.path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				nw, hash, err := netlist.ReadSnapshot(bytes.NewReader(data), p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				check(b, nw, hash)
+	b.Run("v2decode", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			quiesce(b)
+			data, err := os.ReadFile(ingestXLSnap)
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ingestXLNodes), "ns/node")
-		})
-	}
+			nw, hash, err := netlist.ReadSnapshot(bytes.NewReader(data), p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			check(b, nw, hash)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ingestXLNodes), "ns/node")
+	})
 }
 
 // --- Microbenchmarks of the analysis hot paths ------------------------------

@@ -9,7 +9,7 @@
 //
 //	crystald [-addr :8653] [-max-sessions 16] [-workers 0]
 //	         [-reorder on] [-drain-timeout 30s] [-snapshot-dir DIR]
-//	         [-netarena on] [-job-workers 2] [-job-queue 32]
+//	         [-job-workers 2] [-job-queue 32]
 //	         [-chaos-job-delay 0] [-chaos-job-fail-every 0]
 //
 // Long requests (a chip-scale analyze, a big edit script) can be
@@ -23,12 +23,11 @@
 // .simx snapshot keyed by its network identity (source hash + tech +
 // report name), and a POST over identical content — including after a
 // daemon restart — loads the snapshot instead of re-parsing the .sim
-// text. Where the platform supports mmap, warm loads additionally go
-// through the shared network arena: every session of the same chip
-// aliases one read-only mapped view, with copy-on-edit detach onto a
-// private heap copy at the first edit barrier (see docs/PERFORMANCE.md
-// "Ingest" and docs/SERVER.md on RSS accounting). -netarena off keeps
-// the snapshot cache but gives every session its own heap copy.
+// text. Where the platform supports mmap, warm loads go through the
+// shared network arena: every session of the same chip aliases one
+// read-only mapped view, with copy-on-edit detach onto a private heap
+// copy at the first edit barrier (see docs/PERFORMANCE.md "Ingest" and
+// docs/SERVER.md on RSS accounting).
 //
 // The API is documented in docs/SERVER.md. On SIGTERM/SIGINT the daemon
 // drains gracefully: the listener closes immediately, in-flight requests
@@ -64,6 +63,10 @@ import (
 	"repro/internal/server"
 )
 
+// readHeaderTimeout is how long a connection may take to deliver its
+// request headers before the daemon drops it (slow-loris bound).
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	addr := flag.String("addr", ":8653", "listen address")
 	maxSessions := flag.Int("max-sessions", 16, "LRU session cache bound (memory knob)")
@@ -73,7 +76,6 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this second address (empty = disabled; bind to localhost)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown grace period")
 	snapshotDir := flag.String("snapshot-dir", "", "persist .simx session snapshots here for warm starts (empty = disabled)")
-	netarena := flag.String("netarena", "on", "share one read-only mapped network view across sessions of the same chip: on or off (off = a private heap copy per session)")
 	jobWorkers := flag.Int("job-workers", 2, "async job plane worker-pool size (concurrent {\"async\":true} analyzes/edit scripts)")
 	jobQueue := flag.Int("job-queue", 32, "async job queue bound; a full queue answers 429 + Retry-After")
 	chaosJobDelay := flag.Duration("chaos-job-delay", 0, "fault injection: stretch every async job execution by this much (load/chaos harness only)")
@@ -81,10 +83,6 @@ func main() {
 	flag.Parse()
 	if *reorder != "on" && *reorder != "off" {
 		fmt.Fprintf(os.Stderr, "crystald: -reorder: want on or off, got %q\n", *reorder)
-		os.Exit(1)
-	}
-	if *netarena != "on" && *netarena != "off" {
-		fmt.Fprintf(os.Stderr, "crystald: -netarena: want on or off, got %q\n", *netarena)
 		os.Exit(1)
 	}
 	if *hier != "on" && *hier != "off" {
@@ -98,7 +96,6 @@ func main() {
 		NoReorder:      *reorder == "off",
 		Hier:           *hier == "on",
 		SnapshotDir:    *snapshotDir,
-		NoSharedViews:  *netarena == "off",
 		JobWorkers:     *jobWorkers,
 		JobQueueDepth:  *jobQueue,
 		JobDelay:       *chaosJobDelay,
@@ -111,7 +108,9 @@ func main() {
 	mux.Handle("/", sv)
 	mux.Handle("/debug/vars", expvar.Handler())
 
-	httpSrv := &http.Server{Addr: *addr, Handler: mux}
+	// Request bodies are bounded inside the handlers (server.MaxBodyBytes);
+	// the header timeout bounds what a client can hold open before one.
+	httpSrv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("crystald: listening on %s (max %d sessions)", *addr, *maxSessions)

@@ -47,39 +47,23 @@ func blockSnapshotKey(name string, p *tech.Params) [32]byte {
 	return sha256.Sum256([]byte("gen-block:" + name + ":" + p.Name + ":v1"))
 }
 
-// loadBlockNet materializes one block's network, via the snapshot cache
-// when enabled.
+// loadBlockNet materializes one block's network, labeled with the block
+// name, through netlist.LoadCached — over the block's cache file when
+// SnapshotDir is set and usable. The mapping behind a hit lives for the
+// process (delaycmp is a one-shot CLI; node names alias the mapped
+// pages).
 func loadBlockNet(name string, p *tech.Params, build func() (*netlist.Network, error)) (*netlist.Network, error) {
-	if SnapshotDir == "" {
-		return build()
+	var path string
+	if SnapshotDir != "" && os.MkdirAll(SnapshotDir, 0o755) == nil {
+		path = filepath.Join(SnapshotDir, name+"-"+p.Name+".simx")
 	}
-	key := blockSnapshotKey(name, p)
-	path := filepath.Join(SnapshotDir, name+"-"+p.Name+".simx")
-	// Prefer the zero-copy mapped view; the mapping lives for the process
-	// (delaycmp is a one-shot CLI, node names alias the mapped pages).
-	if m, merr := netlist.OpenMapped(path, p); merr == nil {
-		if m.SourceHash == key {
-			return m.Net, nil
-		}
-		m.Close() // stale: the network never escaped
-	}
-	if f, err := os.Open(path); err == nil {
-		nw, gotKey, rerr := netlist.ReadSnapshot(f, p)
-		f.Close()
-		if rerr == nil && gotKey == key {
-			return nw, nil
-		}
-	}
-	nw, err := build()
-	if err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(SnapshotDir, 0o755); err == nil {
+	nw, _, err := netlist.LoadCached(path, name, p, blockSnapshotKey(name, p), build)
+	if nw != nil {
 		// Best effort: a failed cache write only costs the next run a
 		// regeneration.
-		netlist.WriteSnapshotFile(path, nw, key)
+		return nw, nil
 	}
-	return nw, nil
+	return nil, err
 }
 
 // StandardBlocks generates the E6/E7 circuit set for technology p. Sizes

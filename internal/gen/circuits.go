@@ -482,7 +482,7 @@ func PLA(p *tech.Params, inputs, products, outputs int, seed uint64) (*netlist.N
 			}
 		}
 		if len(terms) == 0 {
-			terms = append(terms, in[int(next())%inputs])
+			terms = append(terms, in[next()%uint64(inputs)])
 		}
 		l.Nor(prod[t], terms...)
 	}
@@ -496,7 +496,7 @@ func PLA(p *tech.Params, inputs, products, outputs int, seed uint64) (*netlist.N
 			}
 		}
 		if len(terms) == 0 {
-			terms = append(terms, prod[int(next())%products])
+			terms = append(terms, prod[next()%uint64(products)])
 		}
 		norOut := l.Fresh("onor")
 		l.Nor(norOut, terms...)

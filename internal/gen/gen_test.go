@@ -285,6 +285,25 @@ func TestPLADeterminism(t *testing.T) {
 	})
 }
 
+// TestPLASeedSweep: every seed must build. The fallback that gives an
+// empty product or output row one term picks it with a draw modulo the
+// row count, and a signed modulus went negative on about half of all
+// draws (pla:12,40,12,7 indexed [-2]).
+func TestPLASeedSweep(t *testing.T) {
+	both(t, func(t *testing.T, p *tech.Params) {
+		for _, shape := range []string{"12,40,12", "3,5,2"} {
+			for seed := 0; seed < 64; seed++ {
+				spec := fmt.Sprintf("pla:%s,%d", shape, seed)
+				nw, err := Build(spec, p)
+				if err != nil {
+					t.Fatalf("%s: %v", spec, err)
+				}
+				checkNet(t, nw)
+			}
+		}
+	})
+}
+
 func TestGeneratorErrors(t *testing.T) {
 	p := tech.NMOS4()
 	if _, err := InverterChain(p, 0, 0); err == nil {

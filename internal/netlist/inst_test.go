@@ -1,11 +1,11 @@
 // Instance annotation coverage: the @ inst .sim directive (serial and
-// parallel parsers, identical errors), the optional v2 snapshot sections
-// (round trip, byte-compatibility for instance-free files, corruption),
-// the v1 format's deliberate lossiness, and Import's instance recording.
+// parallel parsers, identical errors), the optional snapshot sections
+// (round trip, byte-compatibility for instance-free files; their
+// corruption classes sit in TestSnapshotRejects), and Import's instance
+// recording.
 package netlist
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"strings"
@@ -26,7 +26,7 @@ d out Vdd out 8 2
 `
 
 // instNetwork returns a checked network carrying instance annotations.
-func instNetwork(t *testing.T, p *tech.Params) *Network {
+func instNetwork(t testing.TB, p *tech.Params) *Network {
 	t.Helper()
 	nw, err := ReadSim("inst", p, strings.NewReader(instSampleSim))
 	if err != nil {
@@ -114,45 +114,33 @@ func TestSimInstanceErrors(t *testing.T) {
 	}
 }
 
-// TestSnapshotV2InstanceRoundTrip: instances survive the v2 snapshot
-// through both the heap decoder and the mapped loader.
-func TestSnapshotV2InstanceRoundTrip(t *testing.T) {
+// TestSnapshotInstanceRoundTrip: instances survive the snapshot through
+// both byte sources.
+func TestSnapshotInstanceRoundTrip(t *testing.T) {
 	p := tech.NMOS4()
 	nw := instNetwork(t, p)
 	hash := sha256.Sum256([]byte(instSampleSim))
-	var buf bytes.Buffer
-	if err := WriteSnapshotV2(&buf, nw, hash); err != nil {
-		t.Fatal(err)
-	}
-	got, gotHash, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotHash != hash {
-		t.Fatal("hash mangled")
-	}
-	if derr := DiffNetworks(nw, got); derr != nil {
-		t.Fatal(derr)
-	}
-	if !MmapSupported {
-		t.Skip("no mmap on this platform")
-	}
-	m, err := OpenMapped(writeTemp(t, buf.Bytes()), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if derr := DiffNetworks(nw, m.Net); derr != nil {
-		t.Fatal(derr)
-	}
+	data := snapshotBytes(t, nw, hash)
+	bothSources(t, func(t *testing.T, load loadFunc) {
+		got, gotHash, err := load(data, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gotHash != hash {
+			t.Fatal("hash mangled")
+		}
+		if derr := DiffNetworks(nw, got); derr != nil {
+			t.Fatal(derr)
+		}
+	})
 }
 
-// TestSnapshotV2InstanceFreeBytes: a network without instances must write
+// TestSnapshotInstanceFreeBytes: a network without instances must write
 // exactly the ten fixed sections — the instance sections may not appear,
 // so instance-free files stay byte-compatible with earlier readers.
-func TestSnapshotV2InstanceFreeBytes(t *testing.T) {
+func TestSnapshotInstanceFreeBytes(t *testing.T) {
 	p := tech.NMOS4()
-	data, _, _ := sampleV2Bytes(t, p)
+	data, _, _ := sampleBytes(t, p)
 	count := binary.LittleEndian.Uint32(data[12:16])
 	if count != 10 {
 		t.Fatalf("instance-free file has %d sections, want 10", count)
@@ -161,109 +149,6 @@ func TestSnapshotV2InstanceFreeBytes(t *testing.T) {
 		id := binary.LittleEndian.Uint32(data[v2HeaderSize+i*v2SectionSize:])
 		if id == secInst || id == secInstPath {
 			t.Fatalf("instance-free file emitted section %d", id)
-		}
-	}
-}
-
-// TestSnapshotV1DropsInstances documents the deliberate v1 lossiness:
-// the legacy format has no instance section, so a v1 round trip of an
-// instance-bearing network yields the same electrical network with the
-// annotations stripped.
-func TestSnapshotV1DropsInstances(t *testing.T) {
-	p := tech.NMOS4()
-	nw := instNetwork(t, p)
-	var buf bytes.Buffer
-	if err := WriteSnapshotV1(&buf, nw, [32]byte{1}); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Instances) != 0 {
-		t.Fatalf("v1 round trip produced %d instances, want 0", len(got.Instances))
-	}
-	got.Instances = append([]Instance(nil), nw.Instances...)
-	if derr := DiffNetworks(nw, got); derr != nil {
-		t.Fatalf("v1 lost more than the annotations: %v", derr)
-	}
-}
-
-// instSectionEntry locates the section-table entry for id in a v2 image.
-func instSectionEntry(t *testing.T, b []byte, id uint32) []byte {
-	t.Helper()
-	count := binary.LittleEndian.Uint32(b[12:16])
-	for i := 0; i < int(count); i++ {
-		ent := b[v2HeaderSize+i*v2SectionSize:][:v2SectionSize]
-		if binary.LittleEndian.Uint32(ent[0:4]) == id {
-			return ent
-		}
-	}
-	t.Fatalf("section %d not in table", id)
-	return nil
-}
-
-// TestSnapshotV2InstanceCorruption: every malformed-instance-section
-// class the decoder must reject, with CRCs refreshed so the targeted
-// bounds check — not the checksum — does the rejecting.
-func TestSnapshotV2InstanceCorruption(t *testing.T) {
-	p := tech.NMOS4()
-	nw := instNetwork(t, p)
-	var buf bytes.Buffer
-	if err := WriteSnapshotV2(&buf, nw, sha256.Sum256([]byte(instSampleSim))); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-
-	mutate := func(name string, f func(b []byte)) {
-		b := bytes.Clone(data)
-		f(b)
-		refreshV2CRCs(b)
-		if _, _, err := ReadSnapshot(bytes.NewReader(b), p); err == nil {
-			t.Errorf("%s: heap load accepted corrupt instance section", name)
-		} else if MmapSupported {
-			if _, merr := OpenMapped(writeTemp(t, b), p); merr == nil {
-				t.Errorf("%s: mapped load accepted corrupt instance section", name)
-			}
-		}
-	}
-
-	instOff := func(b []byte) int {
-		return int(binary.LittleEndian.Uint64(instSectionEntry(t, b, secInst)[8:16]))
-	}
-	mutate("range past transistor count", func(b []byte) {
-		binary.LittleEndian.PutUint32(b[instOff(b)+4:], uint32(len(nw.Trans)+1))
-	})
-	mutate("inverted transistor range", func(b []byte) {
-		r := b[instOff(b):]
-		binary.LittleEndian.PutUint32(r[0:4], 3)
-		binary.LittleEndian.PutUint32(r[4:8], 1)
-	})
-	mutate("path end past payload", func(b []byte) {
-		binary.LittleEndian.PutUint32(b[instOff(b)+12:], 1<<20)
-	})
-	mutate("inverted path range", func(b []byte) {
-		r := b[instOff(b):]
-		binary.LittleEndian.PutUint32(r[8:12], 4)
-		binary.LittleEndian.PutUint32(r[12:16], 1)
-	})
-	mutate("ragged record size", func(b []byte) {
-		ent := instSectionEntry(t, b, secInst)
-		length := binary.LittleEndian.Uint64(ent[16:24])
-		binary.LittleEndian.PutUint64(ent[16:24], length-1)
-	})
-	mutate("missing path section", func(b []byte) {
-		// Retag instPath as an unknown id: PathEnd then exceeds the
-		// (now empty) path payload.
-		ent := instSectionEntry(t, b, secInstPath)
-		binary.LittleEndian.PutUint32(ent[0:4], 63)
-	})
-
-	// Truncating the file anywhere in the new sections must still fail
-	// cleanly (fileSize/CRC guard the tail like every other section).
-	for cut := instOff(data); cut < len(data); cut += 3 {
-		if _, _, err := ReadSnapshot(bytes.NewReader(data[:cut]), p); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
 }

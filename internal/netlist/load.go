@@ -1,17 +1,17 @@
-// File-level ingest with snapshot caching: the one entry point the
-// command-line tools use to turn a .sim path into a Network. The cache
-// protocol is deliberately simple — one .simx file per .sim file, keyed
-// by content hash, validated on every load:
+// Network loading through the snapshot cache. The cache protocol is
+// deliberately simple — one .simx file per source, keyed by a content
+// hash, validated on every load — and it is written down once, in
+// LoadCached:
 //
-//	hash := SHA-256(sim bytes)
-//	snapshot exists && snapshot.hash == hash && snapshot.tech == tech
-//	    → load snapshot (no parsing)
+//	snapshot opens && snapshot.hash == hash && snapshot.tech == tech
+//	    → serve the snapshot (no build, no Check), relabeled to name
 //	otherwise
-//	    → parse (parallel), then rewrite the snapshot atomically
+//	    → build, Check, then rewrite the snapshot atomically
 //
-// Editing the .sim file, switching technologies, corrupting the
-// snapshot, or bumping the format version all change or fail one of the
-// checks and fall back to a parse; a stale snapshot can never be served.
+// Editing the source, switching technologies, corrupting or truncating
+// the snapshot, or finding a file in a format this build does not read
+// all fail one of the checks and fall back to a build; a stale snapshot
+// can never be served, and the rewrite heals the file.
 package netlist
 
 import (
@@ -33,24 +33,20 @@ type LoadOptions struct {
 	// load from when fresh and rewrite after a parse. Empty disables
 	// caching.
 	Snapshot string
-	// NoMmap disables the memory-mapped snapshot fast path; fresh v2
-	// snapshots are then heap-decoded like v1 ones. Used by benchmarks
-	// and fallback tests; production callers leave it false.
-	NoMmap bool
 }
 
-// Load sources, in decreasing order of preference.
+// Load sources.
 const (
-	// SourceMmap: a fresh v2 snapshot served as a zero-copy mapped view.
+	// SourceMmap: a fresh snapshot served as a memory-mapped view.
 	SourceMmap = "mmap"
-	// SourceSnapshot: a fresh snapshot heap-decoded (v1 file, NoMmap,
-	// or a platform without mmap).
+	// SourceSnapshot: a fresh snapshot read into the heap, on a platform
+	// without mmap.
 	SourceSnapshot = "snapshot"
-	// SourceParse: no usable snapshot; the .sim text was parsed.
+	// SourceParse: no usable snapshot; the network was built.
 	SourceParse = "parse"
 )
 
-// LoadResult describes how LoadSimFile obtained the network.
+// LoadResult describes how LoadCached obtained the network.
 type LoadResult struct {
 	// Source is SourceMmap, SourceSnapshot or SourceParse.
 	Source string
@@ -61,79 +57,87 @@ type LoadResult struct {
 	Mapped *Mapped
 }
 
-// FromCache reports whether the parse was skipped (either cached path).
+// FromCache reports whether the build was skipped.
 func (r LoadResult) FromCache() bool { return r.Source != SourceParse }
 
-// LoadSimFile reads the .sim netlist at path into a checked Network
-// named name, via the snapshot cache when one is configured and fresh.
-// A fresh v2 snapshot is served as a zero-copy memory-mapped view
-// (res.Source == SourceMmap) where the platform supports it; v1 files
-// and mmap failures fall back to the heap decoder, and any snapshot
-// failure at all falls back to a parse. The parse path runs
-// Network.Check before the snapshot is written, so a snapshot hit skips
-// both the parse and the structural check — a .simx file never holds a
-// network that did not pass. A snapshot that fails to load for any
-// reason is treated as a miss, and a snapshot write failure is returned
-// as an error only after the network itself loaded — callers that only
-// care about the network may ignore it, but silently losing the cache
-// forever is worse than saying so.
-func LoadSimFile(name, path string, p *tech.Params, opt LoadOptions) (nw *Network, res LoadResult, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, res, err
-	}
-	hash := sha256.Sum256(data)
-	if opt.Snapshot != "" {
-		if snap, res, ok := loadFreshSnapshot(opt.Snapshot, name, p, hash, opt.NoMmap); ok {
-			return snap, res, nil
+// LoadCached returns the network that build produces, labeled name, via
+// the .simx cache file at snapshot when that is non-empty. A snapshot
+// that opens in technology p and records hash is served in place of
+// building — mapped where the platform can (SourceMmap), read into the
+// heap elsewhere (SourceSnapshot). Anything else is a miss: build runs,
+// the result must pass Network.Check, and the snapshot is rewritten, so
+// a hit skips both the build and the structural check — a .simx file
+// never holds a network that did not pass.
+//
+// The name is a caller-chosen label, not part of the structure the hash
+// pins, so a hit is relabeled; this lets a snapshot emitted by
+// `benchgen -snapshot` serve `crystal -sim f.sim`, whose name (the file
+// path) benchgen cannot know.
+//
+// A snapshot write failure is returned with the network, which itself
+// loaded — callers that only care about the network may ignore the
+// error, but silently losing the cache forever is worse than saying so.
+func LoadCached(snapshot, name string, p *tech.Params, hash [32]byte, build func() (*Network, error)) (*Network, LoadResult, error) {
+	if snapshot != "" {
+		if nw, res, ok := openFresh(snapshot, p, hash); ok {
+			nw.Name = name
+			return nw, res, nil
 		}
 	}
-	res = LoadResult{Source: SourceParse}
-	nw, err = ReadSimParallel(name, p, bytes.NewReader(data), opt.Workers)
+	res := LoadResult{Source: SourceParse}
+	nw, err := build()
 	if err != nil {
 		return nil, res, err
 	}
+	nw.Name = name
 	if err := nw.Check(); err != nil {
 		return nil, res, err
 	}
-	if opt.Snapshot != "" {
-		if werr := WriteSnapshotFile(opt.Snapshot, nw, hash); werr != nil {
-			return nw, res, fmt.Errorf("writing snapshot: %w", werr)
+	if snapshot != "" {
+		if err := WriteSnapshotFile(snapshot, nw, hash); err != nil {
+			return nw, res, fmt.Errorf("writing snapshot: %w", err)
 		}
 	}
 	return nw, res, nil
 }
 
-// loadFreshSnapshot loads path and reports whether it matches the
-// wanted source hash and technology. Any failure — missing file,
-// version skew, checksum, staleness — is a cache miss. The network name
-// is a caller-chosen label, not part of the structure the hash pins, so
-// a hit is relabeled to the requested name; this lets a snapshot
-// emitted by `benchgen -snapshot` serve `crystal -sim f.sim`, whose
-// name (the file path) benchgen cannot know.
-func loadFreshSnapshot(path, name string, p *tech.Params, hash [32]byte, noMmap bool) (*Network, LoadResult, bool) {
-	if mmapSupported && !noMmap {
-		if m, err := OpenMapped(path, p); err == nil {
-			if m.SourceHash == hash {
-				m.Net.Name = name
-				return m.Net, LoadResult{Source: SourceMmap, Mapped: m}, true
-			}
-			m.Close() // stale: the network never escaped, unmapping is safe
+// openFresh opens the snapshot at path and reports whether it decodes
+// in technology p and records hash.
+func openFresh(path string, p *tech.Params, hash [32]byte) (*Network, LoadResult, bool) {
+	if mmapSupported {
+		m, err := OpenMapped(path, p)
+		if err != nil {
+			return nil, LoadResult{}, false
 		}
-		// Any mapped-path failure (v1 file, platform quirk) falls through
-		// to the heap decoder, which accepts both versions.
+		if m.SourceHash != hash {
+			m.Close() // stale: the network never escaped, unmapping is safe
+			return nil, LoadResult{}, false
+		}
+		return m.Net, LoadResult{Source: SourceMmap, Mapped: m}, true
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, LoadResult{}, false
 	}
 	defer f.Close()
-	nw, gotHash, err := ReadSnapshot(f, p)
-	if err != nil || gotHash != hash {
+	nw, got, err := ReadSnapshot(f, p)
+	if err != nil || got != hash {
 		return nil, LoadResult{}, false
 	}
-	nw.Name = name
 	return nw, LoadResult{Source: SourceSnapshot}, true
+}
+
+// LoadSimFile reads the .sim netlist at path into a checked Network
+// named name: LoadCached keyed by the SHA-256 of the file's bytes, the
+// build being a parse with opt.Workers workers.
+func LoadSimFile(name, path string, p *tech.Params, opt LoadOptions) (*Network, LoadResult, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, LoadResult{}, err
+	}
+	return LoadCached(opt.Snapshot, name, p, sha256.Sum256(data), func() (*Network, error) {
+		return ReadSimParallel(name, p, bytes.NewReader(data), opt.Workers)
+	})
 }
 
 // WriteSnapshotFile writes nw as a .simx snapshot at path, atomically:

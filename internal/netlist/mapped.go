@@ -1,9 +1,7 @@
-// Memory-mapped snapshot loading: the zero-copy half of the v2 format.
-// OpenMapped maps a .simx v2 file read-only, validates it (header and
-// payload CRCs, bounds-checked section table), and builds a Network
-// whose node names are string views straight into the mapping — no file
-// read, no payload copy, no per-record decode, and no eager name-index
-// build (see Network.ensureByName). The mapping is shared (MAP_SHARED,
+// Memory-mapped snapshot loading. OpenMapped maps a .simx file
+// read-only and hands the mapping to decodeSnapshot, so the Network's
+// node names are string views straight into the mapped pages — no file
+// read and no payload copy. The mapping is shared (MAP_SHARED,
 // PROT_READ), so every mapping of the same file — across sessions or
 // across processes — aliases one set of physical page-cache pages: the
 // RSS cost of the name payload is paid once per machine, not per load.
@@ -26,13 +24,12 @@ import (
 	"repro/internal/tech"
 )
 
-// MmapSupported reports whether this platform has the memory-mapped
-// fast path; when false OpenMapped always errors and every caller's
-// heap fallback serves instead.
+// MmapSupported reports whether this platform can map snapshots; when
+// false OpenMapped always errors and LoadCached reads the file instead.
 const MmapSupported = mmapSupported
 
 // Mapped is a Network backed by a read-only memory mapping of a .simx
-// v2 file.
+// file.
 type Mapped struct {
 	// Net is the materialized network. Its node Name strings alias the
 	// mapping; see the package comment on lifetime.
@@ -62,14 +59,10 @@ func (m *Mapped) Close() error {
 	return m.closeErr
 }
 
-// OpenMapped maps the .simx v2 file at path and builds its zero-copy
-// Network view. Any failure — unsupported platform, v1 file, corrupt or
-// truncated image — is an error; callers fall back to ReadSnapshot,
-// which handles both versions on the heap.
+// OpenMapped maps the .simx file at path and decodes the mapping in
+// place. Any failure — unsupported platform, unreadable, corrupt,
+// truncated or foreign image — is an error, and nothing stays mapped.
 func OpenMapped(path string, p *tech.Params) (*Mapped, error) {
-	if !mmapSupported {
-		return nil, fmt.Errorf("simx: mmap not supported on this platform")
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -80,38 +73,17 @@ func OpenMapped(path string, p *tech.Params) (*Mapped, error) {
 		return nil, err
 	}
 	size := st.Size()
-	if !st.Mode().IsRegular() || size < v2HeaderSize || size > int64(int(^uint(0)>>1)) {
+	if !st.Mode().IsRegular() || size > int64(int(^uint(0)>>1)) {
 		return nil, fmt.Errorf("simx: not a mappable snapshot file")
 	}
 	data, err := mmapFile(f, int(size))
 	if err != nil {
 		return nil, fmt.Errorf("simx: mmap: %w", err)
 	}
-	m := &Mapped{data: data}
-	v, err := parseV2(data)
+	nw, hash, err := decodeSnapshot(data, p)
 	if err != nil {
-		m.Close()
+		munmapFile(data) // every decode pass has finished; nothing escaped
 		return nil, err
 	}
-	// Payload checksum and network build overlap: the checksum walks
-	// every payload byte once, the build is bounds-checked against the
-	// (header-CRC-protected) section table and never trusts payload
-	// contents for safety, so neither needs the other to finish first.
-	// Both must complete before any Close — unmapping under a live pass
-	// would fault — and the checksum verdict wins, so a corrupt file
-	// reports "payload checksum mismatch" whether or not the build also
-	// tripped over the damage.
-	crcErr := make(chan error, 1)
-	go func() { crcErr <- v.verifyPayload() }()
-	nw, hash, buildErr := buildV2(v, p, true)
-	if err := <-crcErr; err != nil {
-		m.Close()
-		return nil, err
-	}
-	if buildErr != nil {
-		m.Close()
-		return nil, buildErr
-	}
-	m.Net, m.SourceHash = nw, hash
-	return m, nil
+	return &Mapped{Net: nw, SourceHash: hash, data: data}, nil
 }

@@ -9,8 +9,8 @@ import (
 
 const mmapSupported = false
 
-var errNoMmap = errors.New("simx: mmap not supported on this platform")
+var errMmapUnsupported = errors.New("simx: mmap not supported on this platform")
 
-func mmapFile(f *os.File, size int) ([]byte, error) { return nil, errNoMmap }
+func mmapFile(f *os.File, size int) ([]byte, error) { return nil, errMmapUnsupported }
 
 func munmapFile(b []byte) error { return nil }

@@ -7,8 +7,8 @@ import (
 	"syscall"
 )
 
-// mmapSupported gates the memory-mapped snapshot fast path; platforms
-// without it fall back to the heap decoder transparently.
+// mmapSupported reports that snapshots can be mapped; where they cannot,
+// LoadCached reads them into the heap instead.
 const mmapSupported = true
 
 // mmapFile maps the file read-only and shared: pages are backed by the

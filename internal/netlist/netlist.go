@@ -224,10 +224,10 @@ type Network struct {
 	Instances []Instance
 
 	// byName is the name index. Construction paths build it eagerly; the
-	// memory-mapped .simx loader leaves it nil and nameOnce materializes
-	// it on the first Lookup/Node call — analysis touches nodes by index
-	// only, so a mapped load never pays the map build (and concurrent
-	// sessions aliasing one read-only view race-safely share the build).
+	// .simx decoder leaves it nil and nameOnce materializes it on the
+	// first Lookup/Node call — analysis touches nodes by index only, so
+	// a snapshot load never pays the map build (and concurrent sessions
+	// aliasing one read-only view race-safely share the build).
 	byName   map[string]*Node
 	nameOnce sync.Once
 	vdd      *Node

@@ -58,29 +58,38 @@ func newNetArena() *netArena {
 	return &netArena{entries: make(map[arenaKey]*arenaEntry)}
 }
 
-// acquire returns the shared view for key, mapping the snapshot at path
-// on first use. A false return means no usable mapping (missing/stale/
-// corrupt file, v1 format, platform without mmap) and the caller falls
-// back to its own heap load. The mapping stage holds the arena lock:
-// concurrent creates of the same chip serialize here rather than racing
-// to build duplicate mappings.
-func (a *netArena) acquire(path string, key arenaKey, p *tech.Params) (*netlist.Network, bool) {
+// load returns the network for key: the resident shared view when one
+// exists, else whatever netlist.LoadCached makes of the snapshot file at
+// path (empty = no cache) and build — and when that is a fresh mapping
+// it becomes the resident view. res.Mapped is non-nil exactly when the
+// caller now holds an arena reference to release. The lock is not held
+// across the load, so a cold parse of one chip never stalls creates of
+// another; two creates racing to map the same chip both succeed and the
+// later one adopts the earlier's view.
+func (a *netArena) load(path string, key arenaKey, p *tech.Params, build func() (*netlist.Network, error)) (*netlist.Network, netlist.LoadResult, error) {
+	a.mu.Lock()
+	e, ok := a.entries[key]
+	if ok {
+		e.refs++
+	}
+	a.mu.Unlock()
+	if ok {
+		return e.m.Net, netlist.LoadResult{Source: netlist.SourceMmap, Mapped: e.m}, nil
+	}
+	nw, res, err := netlist.LoadCached(path, key.name, p, key.simHash, build)
+	if res.Mapped == nil {
+		return nw, res, err
+	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if e, ok := a.entries[key]; ok {
+		res.Mapped.Close() // lost the race: our view never escaped, unmapping is safe
 		e.refs++
-		return e.m.Net, true
+		res.Mapped = e.m
+		return e.m.Net, res, nil
 	}
-	m, err := netlist.OpenMapped(path, p)
-	if err != nil {
-		return nil, false
-	}
-	if m.SourceHash != key.simHash || m.Net.Name != key.name {
-		m.Close() // wrong content: the view never escaped, unmapping is safe
-		return nil, false
-	}
-	a.entries[key] = &arenaEntry{m: m, refs: 1}
-	return m.Net, true
+	a.entries[key] = &arenaEntry{m: res.Mapped, refs: 1}
+	return nw, res, nil
 }
 
 // release drops one session's reference. The entry (and mapping) stays
@@ -115,9 +124,6 @@ type ArenaStats struct {
 }
 
 func (a *netArena) stats() ArenaStats {
-	if a == nil {
-		return ArenaStats{}
-	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	st := ArenaStats{Detaches: a.detaches.Load()}

@@ -1,8 +1,8 @@
 // Shared network arena coverage: gauge accounting, copy-on-edit
-// detach, per-session-copy fallback, and the bit-identity contract —
-// analysis over the shared mapped view must match analysis over a
-// private heap copy at any worker count, before and after an
-// edit-triggered detach.
+// detach, and the bit-identity contract — analysis over the shared
+// mapped view must match analysis over a privately parsed network (a
+// daemon with no snapshot directory: no cache, no decoder, no arena) at
+// any worker count, before and after an edit-triggered detach.
 package server
 
 import (
@@ -37,18 +37,11 @@ func TestArenaSharedViews(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	// Reference arm: per-session heap copies over the same snapshot
-	// directory, exercised first so its cold create seeds the cache.
-	heap := newTestClient(t, Options{SnapshotDir: dir, NoSharedViews: true})
-	if resp := heap.create(withTop(t, 3)); resp.Source != "parse" {
-		t.Fatalf("heap cold source = %q, want parse", resp.Source)
-	}
+	// Reference arm: every session parses its own network.
+	heap := newTestClient(t, Options{})
 	heapSess := heap.create(withTop(t, 4))
-	if heapSess.Source != "snapshot" {
-		t.Fatalf("heap warm source = %q, want snapshot (NoSharedViews)", heapSess.Source)
-	}
 	if st := heap.metrics().NetArena; st != (ArenaStats{}) {
-		t.Fatalf("netarena gauges moved with shared views disabled: %+v", st)
+		t.Fatalf("netarena gauges moved without a snapshot directory: %+v", st)
 	}
 	heapW1 := heap.analyze(heapSess.Session, 1).Report
 	heapW8 := heap.analyze(heapSess.Session, 8).Report
@@ -56,9 +49,12 @@ func TestArenaSharedViews(t *testing.T) {
 		t.Fatal("heap arm: workers-identity violated")
 	}
 
-	// Shared arm: three sessions with distinct analysis directives all
-	// alias one mapping.
+	// Shared arm: a cold create seeds the cache, then three sessions
+	// with distinct analysis directives all alias one mapping.
 	c := newTestClient(t, Options{SnapshotDir: dir})
+	if resp := c.create(withTop(t, 3)); resp.Source != "parse" {
+		t.Fatalf("cold source = %q, want parse", resp.Source)
+	}
 	sessions := make([]createResponse, 0, 3)
 	for top := 4; top <= 6; top++ {
 		resp := c.create(withTop(t, top))
@@ -135,15 +131,17 @@ func TestArenaConcurrentDetach(t *testing.T) {
 	dir := t.TempDir()
 	script := "cap out 2e-14\nrun\nresize 2 6e-6 2e-6\nrun\n"
 
-	// Heap control: the expected post-edit report with no arena involved.
-	heap := newTestClient(t, Options{SnapshotDir: dir, NoSharedViews: true})
+	// Heap control: the expected post-edit report with no cache and no
+	// arena involved.
+	heap := newTestClient(t, Options{})
 	heapSess := heap.create(withTop(t, 3))
 	heap.analyze(heapSess.Session, 1)
 	heapEdited := lastBarrierReport(t, heap.edits(heapSess.Session, script))
 
-	// Shared arm: two sessions over one mapping, analyzed, then edited
-	// from two goroutines at once.
+	// Shared arm: a cold create seeds the cache, then two sessions over
+	// one mapping, analyzed, then edited from two goroutines at once.
 	c := newTestClient(t, Options{SnapshotDir: dir})
+	c.create(withTop(t, 5))
 	a := c.create(withTop(t, 3))
 	b := c.create(withTop(t, 4))
 	if a.Source != "mmap" || b.Source != "mmap" {
@@ -175,5 +173,38 @@ func TestArenaConcurrentDetach(t *testing.T) {
 	st := c.metrics().NetArena
 	if st.Mappings != 1 || st.SharedSessions != 0 || st.Detaches != 2 {
 		t.Fatalf("after concurrent detaches: %+v", st)
+	}
+}
+
+// TestArenaConcurrentCreates races warm creates of one chip on a daemon
+// whose arena is still empty: the load runs outside the arena lock, so
+// several of them may map the file at once. Every one must come back
+// aliasing the single resident view — the losers adopt the winner's and
+// unmap their own.
+func TestArenaConcurrentCreates(t *testing.T) {
+	if !netlist.MmapSupported {
+		t.Skip("no mmap on this platform")
+	}
+	dir := t.TempDir()
+	newTestClient(t, Options{SnapshotDir: dir}).create(withTop(t, 3)) // seed the cache
+	c := newTestClient(t, Options{SnapshotDir: dir})
+	const n = 8
+	var wg sync.WaitGroup
+	sources := make([]string, n)
+	for i := range sources {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sources[i] = c.create(withTop(t, 10+i)).Source
+		}()
+	}
+	wg.Wait()
+	for i, s := range sources {
+		if s != "mmap" {
+			t.Errorf("create %d source = %q, want mmap", i, s)
+		}
+	}
+	if st := c.metrics().NetArena; st.Mappings != 1 || st.SharedSessions != n {
+		t.Fatalf("after %d concurrent creates: %+v", n, st)
 	}
 }

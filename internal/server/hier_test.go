@@ -21,9 +21,14 @@ import (
 // sharing the opcode bus) as .sim text with its @ inst annotations, plus
 // the fixed-address and register-feedback directives every tile needs.
 func gridConfig(t *testing.T) (SessionConfig, *netlist.Network) {
+	return tilesConfig(t, 3)
+}
+
+// tilesConfig is gridConfig at any tile count.
+func tilesConfig(t *testing.T, tiles int) (SessionConfig, *netlist.Network) {
 	t.Helper()
 	p := tech.NMOS4()
-	nw, err := gen.ChipGrid(p, 8, 3)
+	nw, err := gen.ChipGrid(p, 8, tiles)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +36,7 @@ func gridConfig(t *testing.T) (SessionConfig, *netlist.Network) {
 	if err := netlist.WriteSim(&sim, nw); err != nil {
 		t.Fatal(err)
 	}
-	fixed, loopBreak := gen.ChipGridDirectives(8, 3)
+	fixed, loopBreak := gen.ChipGridDirectives(8, tiles)
 	return SessionConfig{
 		Name: "grid", Sim: sim.String(),
 		Tech: "nmos-4u", Model: "slope", Tables: "analytic",

@@ -201,6 +201,9 @@ func (p *jobPlane) exec(j *job) {
 	}
 
 	p.mu.Lock()
+	// The closure holds the session — network, analyzer, stage DB — and
+	// the job record outlives it by up to jobRetention completions.
+	j.run = nil
 	j.status = status
 	j.result = body
 	j.finished = time.Now()

@@ -504,3 +504,39 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 		t.Fatalf("job queue latency count = %d", m.LatencyNs.JobQueue.Count)
 	}
 }
+
+// TestFinishedJobsReleaseSessions: a completed job stays in the
+// retention ring for up to jobRetention later completions, and must not
+// keep its session — network, analyzer, stage DB — alive with it. Run
+// the same create → analyze → delete cycles synchronously and
+// asynchronously; with the servers still up (so the ring is live), the
+// async arm may hold the job records' result bodies more than the
+// control, not the deleted sessions.
+func TestFinishedJobsReleaseSessions(t *testing.T) {
+	cfg, _ := tilesConfig(t, 1)
+	const cycles = 4
+	run := func(async bool) uint64 {
+		c := newTestClient(t, Options{})
+		for i := 0; i < cycles; i++ {
+			s := c.create(cfg)
+			if async {
+				acc := c.submitAsync("/v1/sessions/"+s.Session+"/analyze", analyzeRequest{Workers: 1, Async: true})
+				if j := c.pollJob(acc.Job, time.Minute); j.State != jobDone {
+					t.Fatalf("cycle %d: job %s", i, j.State)
+				}
+			} else {
+				c.analyze(s.Session, 1)
+			}
+			if st := c.do("DELETE", "/v1/sessions/"+s.Session, nil, nil); st != http.StatusOK {
+				t.Fatalf("cycle %d: delete status %d", i, st)
+			}
+		}
+		return liveHeap()
+	}
+	control := run(false)
+	got := run(true)
+	t.Logf("live heap after %d cycles: sync %d bytes, then async %d bytes", cycles, control, got)
+	if got > 2*control {
+		t.Fatalf("live heap after %d async analyze/delete cycles is %d bytes, over twice the synchronous control's %d: finished jobs pin their sessions", cycles, got, control)
+	}
+}

@@ -1,6 +1,7 @@
-// BENCH_7's RSS-vs-session-count curves: per-session memory for N
+// BENCH_7's RSS-vs-session-count curve: per-session memory for N
 // concurrent sessions of the E6-XL chip (chip:32,10 — 100k+ nodes,
-// ~182k transistors), shared-arena versus per-session-copy. The
+// ~182k transistors) aliasing one arena view. (BENCH_7 also recorded a
+// per-session-copy arm; the option that selected it is gone.) The
 // benchmark is memory-shaped, not time-shaped: run it with
 // -benchtime 1x and read the reported metrics —
 //
@@ -8,9 +9,8 @@
 //	mappedMB         the arena's resident mapped bytes (paid once)
 //	totalMB          heap delta + mapped bytes for the whole fleet
 //
-// The shared arm's totalMB should be near-flat in N (one mapping plus
-// per-session bookkeeping); the copy arm's grows by a full ~30 MB
-// network graph per session.
+// totalMB should be near-flat in N: one mapping plus per-session
+// bookkeeping.
 package server
 
 import (
@@ -100,48 +100,36 @@ func BenchmarkSessionRSS(b *testing.B) {
 		b.Skip("no mmap on this platform")
 	}
 	rssCorpus(b)
-	for _, arm := range []struct {
-		name     string
-		noShared bool
-		source   string
-	}{
-		{"shared", false, "mmap"},
-		{"copy", true, "snapshot"},
-	} {
-		for _, n := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/%d", arm.name, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					srv := httptest.NewServer(New(Options{
-						SnapshotDir:   rssDir,
-						NoSharedViews: arm.noShared,
-					}))
-					before := liveHeap()
-					for k := 0; k < n; k++ {
-						if resp := rssCreate(srv, rssSim, 3+k); resp.Source != arm.source {
-							b.Fatalf("session %d source = %q, want %q", k, resp.Source, arm.source)
-						}
+	for _, n := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("shared/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				srv := httptest.NewServer(New(Options{SnapshotDir: rssDir}))
+				before := liveHeap()
+				for k := 0; k < n; k++ {
+					if resp := rssCreate(srv, rssSim, 3+k); resp.Source != "mmap" {
+						b.Fatalf("session %d source = %q, want mmap", k, resp.Source)
 					}
-					after := liveHeap()
-					var heapDelta float64
-					if after > before {
-						heapDelta = float64(after - before)
-					}
-					var m MetricsSnapshot
-					mresp, err := srv.Client().Get(srv.URL + "/metrics")
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
-						b.Fatal(err)
-					}
-					mresp.Body.Close()
-					mapped := float64(m.NetArena.ResidentBytes)
-					b.ReportMetric(heapDelta/float64(n)/1e6, "heapMB/session")
-					b.ReportMetric(mapped/1e6, "mappedMB")
-					b.ReportMetric((heapDelta+mapped)/1e6, "totalMB")
-					srv.Close()
 				}
-			})
-		}
+				after := liveHeap()
+				var heapDelta float64
+				if after > before {
+					heapDelta = float64(after - before)
+				}
+				var m MetricsSnapshot
+				mresp, err := srv.Client().Get(srv.URL + "/metrics")
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
+					b.Fatal(err)
+				}
+				mresp.Body.Close()
+				mapped := float64(m.NetArena.ResidentBytes)
+				b.ReportMetric(heapDelta/float64(n)/1e6, "heapMB/session")
+				b.ReportMetric(mapped/1e6, "mappedMB")
+				b.ReportMetric((heapDelta+mapped)/1e6, "totalMB")
+				srv.Close()
+			}
+		})
 	}
 }

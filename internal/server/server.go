@@ -24,6 +24,7 @@ package server
 import (
 	"container/list"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -35,6 +36,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/incremental"
+	"repro/internal/netlist"
 )
 
 // Options tunes the server.
@@ -65,11 +67,6 @@ type Options struct {
 	// different analysis directives — loads the binary snapshot instead
 	// of re-parsing. The directory is created if missing.
 	SnapshotDir string
-	// NoSharedViews disables the shared network arena: warm loads then
-	// heap-decode a private copy per session ("snapshot" source) instead
-	// of aliasing one read-only mapped view ("mmap" source). The arena
-	// requires SnapshotDir; cmd/crystald exposes this as -netarena.
-	NoSharedViews bool
 	// JobWorkers is the async job plane's worker-pool size (default 2):
 	// how many {"async": true} analyzes/edit scripts execute
 	// concurrently. Jobs of one session always serialize regardless.
@@ -106,8 +103,13 @@ type Server struct {
 	mux  *http.ServeMux
 	m    metrics
 
+	// maxBody is MaxBodyBytes; a field so tests can exercise the limit
+	// without quarter-gigabyte bodies.
+	maxBody int64
+
 	// arena shares read-only mapped network views across sessions of
-	// the same chip; nil when disabled (no snapshot dir, NoSharedViews).
+	// the same chip. Views come from snapshot files, so without a
+	// SnapshotDir it stays empty.
 	arena *netArena
 
 	// jobs is the async job plane: bounded worker-pool queue behind
@@ -131,16 +133,13 @@ func New(opts Options) *Server {
 		}
 	}
 	sv := &Server{
-		opts:   opts,
-		mux:    http.NewServeMux(),
-		byID:   make(map[string]*list.Element),
-		byHash: make(map[string]*list.Element),
-		lru:    list.New(),
-	}
-	if opts.SnapshotDir != "" && !opts.NoSharedViews {
-		// On platforms without mmap every acquire fails and sessions use
-		// the heap decoder; the arena then just never fills.
-		sv.arena = newNetArena()
+		opts:    opts,
+		mux:     http.NewServeMux(),
+		byID:    make(map[string]*list.Element),
+		byHash:  make(map[string]*list.Element),
+		lru:     list.New(),
+		maxBody: MaxBodyBytes,
+		arena:   newNetArena(),
 	}
 	sv.jobs = newJobPlane(opts.JobWorkers, opts.JobQueueDepth, opts.JobDelay, opts.JobFailEvery, &sv.m)
 	sv.mux.HandleFunc("POST /v1/sessions", sv.handleCreate)
@@ -161,8 +160,18 @@ func New(opts Options) *Server {
 	return sv
 }
 
+// MaxBodyBytes bounds every request body. The largest body the daemon
+// is meant to take is a create carrying the .sim text of the largest
+// supported chip — chip:64,40 is 189 MB of text, a few percent more
+// once JSON-escaped — so the limit is that with headroom; anything
+// longer is answered 413 instead of being buffered.
+const MaxBodyBytes = 256 << 20
+
 // ServeHTTP implements http.Handler.
-func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { sv.mux.ServeHTTP(w, r) }
+func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, sv.maxBody)
+	sv.mux.ServeHTTP(w, r)
+}
 
 // MetricsSnapshot returns the current metrics document (also served at
 // /metrics; cmd/crystald publishes it through expvar).
@@ -258,10 +267,11 @@ func (sv *Server) markEdited(s *session) {
 type createResponse struct {
 	Session string `json:"session"`
 	Cached  bool   `json:"cached"`
-	// Source reports how the network was obtained: "parse", "snapshot"
-	// (heap-decoded from the .simx warm-start cache, no parsing), or
-	// "mmap" (aliasing the shared arena's read-only mapped view).
-	// Empty when the snapshot cache is disabled.
+	// Source reports how the network was obtained: "parse", or from the
+	// .simx warm-start cache without parsing — "mmap" (aliasing the
+	// shared arena's read-only mapped view) where netlist.MmapSupported,
+	// "snapshot" (a private heap copy) elsewhere. Empty when the
+	// snapshot cache is disabled.
 	Source      string `json:"source,omitempty"`
 	Name        string `json:"name"`
 	Tech        string `json:"tech"`
@@ -273,8 +283,7 @@ type createResponse struct {
 
 func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var cfg SessionConfig
-	if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !readJSON(w, r, &cfg, false) {
 		return
 	}
 	if err := cfg.fill(); err != nil {
@@ -308,7 +317,7 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if sv.opts.SnapshotDir != "" {
-		if s.source != "parse" { // "snapshot" or "mmap": the cache served
+		if s.source != netlist.SourceParse { // the cache served
 			sv.m.snapshotHits.Add(1)
 		} else {
 			sv.m.snapshotMisses.Add(1)
@@ -432,8 +441,7 @@ func (sv *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req analyzeRequest
-	if err := decodeOptional(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !readJSON(w, r, &req, true) {
 		return
 	}
 	if req.Async {
@@ -532,8 +540,7 @@ func (sv *Server) handleEdits(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req editsRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !readJSON(w, r, &req, false) {
 		return
 	}
 	if strings.TrimSpace(req.Script) == "" {
@@ -669,11 +676,19 @@ func (sv *Server) handleCritical(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeOptional decodes a JSON body, tolerating an empty one.
-func decodeOptional(r *http.Request, v any) error {
+// readJSON decodes the request body into v and reports whether it
+// could; when not, it has answered — 413 for a body past the limit, 400
+// for anything else. An empty body is fine where optional.
+func readJSON(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
 	err := json.NewDecoder(r.Body).Decode(v)
-	if err == nil || err == io.EOF {
-		return nil
+	if err == nil || (optional && err == io.EOF) {
+		return true
 	}
-	return err
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+	} else {
+		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
 }

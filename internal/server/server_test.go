@@ -546,3 +546,57 @@ func TestRequestErrors(t *testing.T) {
 		t.Errorf("bad n: %d", st)
 	}
 }
+
+// TestBodyLimit: every body-reading endpoint answers 413 to a body past
+// the limit and still serves one exactly at it. The limit is shrunk for
+// the test (the real one, MaxBodyBytes, is sized for a chip's .sim
+// text); the enforcement is the same code.
+func TestBodyLimit(t *testing.T) {
+	c := newTestClient(t, Options{})
+	id := c.create(dlatchConfig(t)).Session
+	c.analyze(id, 1)
+
+	// pad stretches a JSON object body to exactly n bytes with trailing
+	// spaces inside the braces, which the decoder must read through.
+	pad := func(body string, n int) string {
+		if len(body) > n || body[len(body)-1] != '}' {
+			t.Fatalf("cannot pad %q to %d bytes", body, n)
+		}
+		return body[:len(body)-1] + strings.Repeat(" ", n-len(body)) + "}"
+	}
+	createBody, err := json.Marshal(withTop(t, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := len(createBody) + 64
+	serverOf(c).maxBody = int64(limit)
+
+	for _, ep := range []struct {
+		name, path, body string
+		ok               int
+	}{
+		{"create", "/v1/sessions", string(createBody), http.StatusCreated},
+		{"analyze", "/v1/sessions/" + id + "/analyze", `{"force":true}`, http.StatusOK},
+		{"edits", "/v1/sessions/" + id + "/edits", `{"script":"cap out 2e-14\nrun\n"}`, http.StatusOK},
+		{"simulate", "/v1/sessions/" + id + "/simulate", `{"inputs":["wr","d"],"vectors":["11"]}`, http.StatusOK},
+	} {
+		post := func(body string) (int, string) {
+			resp, err := c.srv.Client().Post(c.srv.URL+ep.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, _ := io.ReadAll(resp.Body)
+			return resp.StatusCode, string(raw)
+		}
+		if st, raw := post(pad(ep.body, limit+1)); st != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: one byte past the limit: status %d (%s), want 413", ep.name, st, raw)
+		}
+		if st, raw := post(pad(ep.body, limit)); st != ep.ok {
+			t.Errorf("%s: exactly at the limit: status %d (%s), want %d", ep.name, st, raw, ep.ok)
+		}
+	}
+	if MaxBodyBytes < 200<<20 {
+		t.Errorf("MaxBodyBytes = %d: below the 189 MB .sim text of chip:64,40", MaxBodyBytes)
+	}
+}

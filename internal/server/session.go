@@ -17,7 +17,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -169,10 +168,11 @@ type session struct {
 	hash string
 	cfg  SessionConfig
 
-	// source records how the network was obtained: "parse" (the .sim
-	// text went through ReadSimParallel), "snapshot" (a fresh .simx
-	// cache entry was heap-decoded), or "mmap" (the session aliases a
-	// shared read-only mapped view from the network arena).
+	// source records how the network was obtained, a netlist.Source*
+	// value: "parse" (the .sim text went through ReadSimParallel),
+	// "mmap" (the session aliases a shared read-only mapped view from
+	// the network arena) or, on a platform without mmap, "snapshot" (a
+	// fresh .simx cache entry was read into a private heap copy).
 	source string
 	// snapWrote reports that this load persisted a new snapshot.
 	snapWrote bool
@@ -218,23 +218,20 @@ func (s *session) batchEngine() (b *switchsim.Batch, compiled bool) {
 	return s.batch, compiled
 }
 
-// newSession loads the network — preferably as a shared mapped view
-// from the arena, else from the .simx snapshot cache when snapDir holds
-// a fresh entry, otherwise by parsing the source with `workers`
-// tokenizer workers — and prepares (but does not run) the analysis.
+// newSession loads the network through the arena — the resident shared
+// view of this chip if there is one, else netlist.LoadCached over the
+// snapshot file in snapDir (none when snapDir is empty), the build being
+// a parse with `workers` tokenizer workers — and prepares (but does not
+// run) the analysis.
 //
 // Snapshot entries are keyed by the network identity (SHA-256 of the
 // .sim text, plus technology and name — the fields that determine the
 // network's structure), NOT the full session content hash: two configs
 // that differ only in analysis directives (model, seeds, top-N) load
 // the same network, so they share one snapshot file and, through the
-// arena, one mapped view. The embedded source hash, technology and name
-// are re-validated on every load, and any mismatch or decode failure
-// falls back to a parse. A snapshot is only ever written after the
-// parsed network passed Check, so a snapshot hit skips both the parse
-// and the structural check.
+// arena, one mapped view.
 func newSession(id string, cfg SessionConfig, snapDir string, workers int, noReorder, hier bool, arena *netArena) (*session, error) {
-	s := &session{id: id, hash: cfg.hash(), cfg: cfg, source: "parse", noReorder: noReorder, hier: hier}
+	s := &session{id: id, hash: cfg.hash(), cfg: cfg, noReorder: noReorder, hier: hier}
 	// The retained config drops the .sim source text: it is only needed
 	// below (identity hash + cold parse), and for a chip-scale netlist
 	// the text is tens of megabytes — cached per session, it would
@@ -266,38 +263,23 @@ func newSession(id string, cfg SessionConfig, snapDir string, workers int, noReo
 		return nil, err
 	}
 	s.model = m
+	key := arenaKey{simHash: sha256.Sum256([]byte(cfg.Sim)), tech: s.params.Name, name: cfg.Name}
 	var snapPath string
-	simHash := sha256.Sum256([]byte(cfg.Sim))
-	key := arenaKey{simHash: simHash, tech: s.params.Name, name: cfg.Name}
 	if snapDir != "" {
 		snapPath = filepath.Join(snapDir, networkFileKey(key)+".simx")
-		if arena != nil {
-			if nw, ok := arena.acquire(snapPath, key, s.params); ok {
-				s.nw, s.source = nw, "mmap"
-				s.shared, s.akey = true, key
-				return s, nil
-			}
-		}
-		if nw, ok := loadSessionSnapshot(snapPath, cfg.Name, s.params, simHash); ok {
-			s.nw, s.source = nw, "snapshot"
-			return s, nil
-		}
 	}
-	nw, err := netlist.ReadSimParallel(cfg.Name, s.params, strings.NewReader(cfg.Sim), workers)
-	if err != nil {
+	nw, res, err := arena.load(snapPath, key, s.params, func() (*netlist.Network, error) {
+		return netlist.ReadSimParallel(cfg.Name, s.params, strings.NewReader(cfg.Sim), workers)
+	})
+	if nw == nil {
 		return nil, err
 	}
-	if err := nw.Check(); err != nil {
-		return nil, err
-	}
-	s.nw = nw
-	if snapPath != "" {
-		// Cache write is best effort: a full snapshot directory or
-		// permission problem must not fail the load.
-		if err := netlist.WriteSnapshotFile(snapPath, nw, simHash); err == nil {
-			s.snapWrote = true
-		}
-	}
+	// With a network in hand the only possible error is the cache write,
+	// which is best effort: a full snapshot directory or permission
+	// problem must not fail the load.
+	s.nw, s.source = nw, res.Source
+	s.shared, s.akey = res.Mapped != nil, key
+	s.snapWrote = snapPath != "" && !res.FromCache() && err == nil
 	return s, nil
 }
 
@@ -307,22 +289,6 @@ func networkFileKey(key arenaKey) string {
 	h.Write([]byte("simx-net:" + key.tech + ":" + key.name + ":"))
 	h.Write(key.simHash[:])
 	return hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-// loadSessionSnapshot loads a .simx file and validates it against the
-// wanted network name, technology and source hash. Any failure is a
-// cache miss.
-func loadSessionSnapshot(path, name string, p *tech.Params, simHash [32]byte) (*netlist.Network, bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, false
-	}
-	defer f.Close()
-	nw, gotHash, err := netlist.ReadSnapshot(f, p)
-	if err != nil || gotHash != simHash || nw.Name != name {
-		return nil, false
-	}
-	return nw, true
 }
 
 // buildAnalyzer constructs a fresh analyzer over the session's current

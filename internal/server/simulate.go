@@ -58,8 +58,7 @@ func (sv *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req simulateRequest
-	if err := decodeOptional(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !readJSON(w, r, &req, true) {
 		return
 	}
 	if len(req.Vectors) == 0 {

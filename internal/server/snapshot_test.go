@@ -1,11 +1,12 @@
 // Warm-start cache coverage: a daemon with a snapshot directory must
 // parse a given netlist exactly once across its own lifetime *and*
-// across restarts, serve warm loads from the .simx cache (memory-mapped
-// where the platform allows, heap-decoded otherwise) with identical
-// analysis results, and fall back to parsing whenever the cache is
-// stale or corrupt. Snapshot files are keyed by network identity
-// (source hash + tech + name), so configs that differ only in analysis
-// directives share one file and one mapped view.
+// across restarts and serve warm loads from the .simx cache with
+// identical analysis results. The cache protocol itself — what is a hit,
+// what is a miss, how a miss heals the file — is netlist.LoadCached's
+// and is tested there; what is the server's own is the file naming
+// (network identity: source hash + tech + name, so configs that differ
+// only in analysis directives share one file and one mapped view), the
+// source field and the snapshots.* counters.
 package server
 
 import (
@@ -28,7 +29,7 @@ func snapshotFiles(t *testing.T, dir string) []string {
 }
 
 // warmSource is the expected create source for a cache hit: the shared
-// mmap view where the platform supports it, the heap decoder otherwise.
+// mmap view where the platform supports it, a heap copy otherwise.
 func warmSource() string {
 	if netlist.MmapSupported {
 		return "mmap"
@@ -133,9 +134,8 @@ func TestSnapshotCorruptFallsBack(t *testing.T) {
 	if len(files) != 1 {
 		t.Fatalf("snapshot files: %v", files)
 	}
-	// Flip one payload byte: the CRC must reject it — in both the mmap
-	// loader and the heap decoder — and the load must quietly parse
-	// (and rewrite the snapshot).
+	// Flip one payload byte: the load must go through LoadCached's miss
+	// path — parse, and rewrite the snapshot.
 	raw, err := os.ReadFile(files[0])
 	if err != nil {
 		t.Fatal(err)
