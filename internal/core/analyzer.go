@@ -83,7 +83,9 @@ type Options struct {
 	NoStaticPruning bool
 	// LoopBreak lists nodes whose events are recorded but not propagated
 	// further — the user directive Crystal required to cut combinational
-	// feedback (latch internals) out of the worst-case iteration.
+	// feedback (latch internals) out of the worst-case iteration. New reads
+	// the nodes' indexes and keeps nothing of the slice (Analyzer.Opts holds
+	// nil here), so one Options value may configure any number of analyzers.
 	LoopBreak []*netlist.Node
 	// NoReorder disables the cache-conscious RCM row layout of the
 	// compiled network (netlist.CompileWith) and keeps construction order.
@@ -159,7 +161,8 @@ type Analyzer struct {
 	seeded       []seedEvent
 	fixed        map[int]switchsim.Value
 	initial      []switchsim.Value // pre-settle stored values (clocked analyses)
-	loopBreak    []bool
+	loopBreakIdx []int             // Options.LoopBreak by node index
+	loopBreak    []bool            // the same as a per-row mask
 	cachedOracle stage.Oracle
 	queue        sched.Queue
 	queued       [][2]bool // per (node, transition): live entry in the queue
@@ -318,7 +321,7 @@ func (a *Analyzer) resetHistArena() {
 }
 
 type seedEvent struct {
-	node  *netlist.Node
+	node  int // by index: seeds outlive the network generation they were set on
 	tr    tech.Transition
 	t     float64
 	slope float64
@@ -341,12 +344,17 @@ type qkey struct {
 
 // New creates an analyzer for the network using the given delay model.
 func New(nw *netlist.Network, m delay.Model, opts Options) *Analyzer {
-	return &Analyzer{
+	a := &Analyzer{
 		Net:   nw,
 		Model: m,
 		Opts:  opts.fill(),
 		fixed: make(map[int]switchsim.Value),
 	}
+	for _, n := range opts.LoopBreak {
+		a.loopBreakIdx = append(a.loopBreakIdx, n.Index)
+	}
+	a.Opts.LoopBreak = nil
+	return a
 }
 
 // SetFixed pins a node to a constant logic value for sensitization (e.g. a
@@ -365,7 +373,7 @@ func (a *Analyzer) SetInputEvent(n *netlist.Node, tr tech.Transition, t, slope f
 	if slope <= 0 {
 		slope = a.Opts.DefaultSlope
 	}
-	a.seeded = append(a.seeded, seedEvent{n, tr, t, slope})
+	a.seeded = append(a.seeded, seedEvent{n.Index, tr, t, slope})
 	return nil
 }
 
@@ -434,13 +442,7 @@ func (a *Analyzer) Run() error {
 		return fmt.Errorf("core: no input events seeded")
 	}
 	nw := a.Net
-	a.events = make([][2]Event, len(nw.Nodes))
-	a.count = make([][2]int, len(nw.Nodes))
-	a.hist = make([][2]nodeHist, len(nw.Nodes))
-	a.resetHistArena()
-	a.queued = make([][2]bool, len(nw.Nodes))
-	a.queue.Reset()
-	a.queue.Grow(4 * len(nw.Nodes))
+	a.resetDrain()
 	a.buildGates()
 
 	if err := a.settleStatic(); err != nil {
@@ -479,14 +481,27 @@ func (a *Analyzer) Run() error {
 	return nil
 }
 
+// resetDrain empties every per-node drain array, the history arena and the
+// queue for a from-scratch drain over the current a.Net generation.
+func (a *Analyzer) resetDrain() {
+	n := len(a.Net.Nodes)
+	a.events = make([][2]Event, n)
+	a.count = make([][2]int, n)
+	a.hist = make([][2]nodeHist, n)
+	a.resetHistArena()
+	a.queued = make([][2]bool, n)
+	a.queue.Reset()
+	a.Unbounded = nil
+}
+
 // buildGates recompiles the structure-of-arrays network view and the
 // loop-break mask for the current a.Net generation.
 func (a *Analyzer) buildGates() {
 	nw := a.Net
 	a.cnet = netlist.CompileWith(nw, netlist.CompileOptions{Reorder: !a.Opts.NoReorder})
 	a.loopBreak = make([]bool, len(nw.Nodes))
-	for _, n := range a.Opts.LoopBreak {
-		a.loopBreak[a.cnet.Perm[n.Index]] = true
+	for _, idx := range a.loopBreakIdx {
+		a.loopBreak[a.cnet.Perm[idx]] = true
 	}
 }
 
@@ -530,10 +545,11 @@ func (a *Analyzer) settleStatic() error {
 	// Nodes downstream of event inputs cannot be trusted as static: the
 	// seeded inputs toggle. Re-settle with those inputs at X.
 	for _, s := range a.seeded {
-		if _, isFixed := a.fixed[s.node.Index]; isFixed {
-			return fmt.Errorf("core: node %s both fixed and seeded", s.node.Name)
+		n := nw.Nodes[s.node]
+		if _, isFixed := a.fixed[s.node]; isFixed {
+			return fmt.Errorf("core: node %s both fixed and seeded", n.Name)
 		}
-		if err := a.sim.SetInput(s.node, switchsim.VX); err != nil {
+		if err := a.sim.SetInput(n, switchsim.VX); err != nil {
 			return err
 		}
 	}
@@ -545,7 +561,7 @@ func (a *Analyzer) settleStatic() error {
 // seedAll applies every seeded input event.
 func (a *Analyzer) seedAll() {
 	for _, s := range a.seeded {
-		a.improve(s.node.Index, s.tr, Event{
+		a.improve(s.node, s.tr, Event{
 			T: s.t, Slope: s.slope, Valid: true, FromNode: -1,
 		})
 	}
@@ -576,7 +592,7 @@ func (a *Analyzer) drainReplay(replays []replayItem) {
 			!sched.Less(a.queue.Peek(), sched.Item{T: replays[ri].t, Node: int32(replays[ri].node), Tr: uint8(replays[ri].tr)})) {
 			r := replays[ri]
 			ri++
-			a.propagateEvent(r.node, r.tr, Event{T: r.t, Slope: r.slope, Valid: true})
+			a.fanout(r.node, r.tr, Event{T: r.t, Slope: r.slope, Valid: true}, nil)
 			continue
 		}
 		// Pop the earliest pending event: processing in time order makes
@@ -603,7 +619,7 @@ func (a *Analyzer) drainReplay(replays []replayItem) {
 			continue
 		}
 		a.hist[row][tr].propagated = true
-		a.propagate(node, tr)
+		a.fanout(node, tr, a.events[row][tr], nil)
 	}
 }
 
@@ -684,16 +700,22 @@ func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
 	return true
 }
 
-// propagate fans the node's current event out to its consequences.
-func (a *Analyzer) propagate(node int, tr tech.Transition) {
-	a.propagateEvent(node, tr, a.events[a.row(node)][tr])
-}
+// transitions is both target transitions in consequence order.
+var transitions = [2]tech.Transition{tech.Rise, tech.Fall}
 
-// propagateEvent fans an explicit event out to its consequences. The event
-// is usually the node's current arrival (propagate), but incremental replay
+// fanout evaluates every stage the event ev at (node, tr) triggers. The
+// event is usually the node's current arrival, but incremental replay
 // passes historical ones: superseded events whose steeper slopes a full run
 // propagated before they were overwritten.
-func (a *Analyzer) propagateEvent(node int, tr tech.Transition, ev Event) {
+//
+// With s == nil each candidate arrival goes straight to improve — the
+// serial drain, and the commit side of the parallel one when it has to
+// re-propagate. With a frontier slot the candidates are only recorded in
+// s.cands for the commit to apply: that form runs on pool workers and reads
+// nothing the drain writes (the compiled network, the stage database, the
+// static sensitization snapshot and the delay tables are frozen; database
+// slots and stage constants publish atomically).
+func (a *Analyzer) fanout(node int, tr tech.Transition, ev Event, s *specItem) {
 	row := a.row(node)
 	if a.loopBreak[row] {
 		return // user directive: record the arrival, cut the fanout
@@ -705,32 +727,29 @@ func (a *Analyzer) propagateEvent(node int, tr tech.Transition, ev Event) {
 		return // stamped member interior: timing arrives by stamping
 	}
 
-	// 1. Gate consequences, via the database's compiled consequence lists:
-	// a turn-on evaluates every stage through the device (both target
-	// transitions); a turn-off releases every node channel-connected to the
-	// device — which may now drift toward its remaining drivers (the NAND
-	// output released by a mid-stack input sits several hops from the
-	// device itself) — with paths through the off device already filtered
-	// out. The lists preserve the nested enumeration order (through: Rise
-	// then Fall; release: group order, Rise before Fall per member), so the
-	// candidate sequence improve sees is unchanged.
+	// 1. Gate consequences, read straight off the database's slabs. A
+	// turn-on evaluates every stage through the device, Rise targets then
+	// Fall. A turn-off releases every node channel-connected to the device
+	// — which may now drift toward its remaining drivers (the NAND output
+	// released by a mid-stack input sits several hops from the device
+	// itself): the release stages of each group member in group order, Rise
+	// before Fall, minus the paths that died with the device.
 	cn := a.cnet
 	for _, ref := range cn.GateRef[cn.GateStart[row]:cn.GateStart[row+1]] {
 		ti, on1 := netlist.UnpackGateRef(ref)
 		if a.hierSkipTrans != nil && int(ti) < len(a.hierSkipTrans) && a.hierSkipTrans[ti] {
 			continue // stamped member device
 		}
-		turnsOn := (tr == tech.Rise) == on1
-		var stages []*stage.Stage
-		var trunc bool
-		if turnsOn {
-			stages, trunc = a.db.TurnOnIdx(ti)
+		if (tr == tech.Rise) == on1 {
+			for _, to := range transitions {
+				a.applySlab(a.db.Through(int(ti), to), -1, node, tr, ev, s)
+			}
 		} else {
-			stages, trunc = a.db.TurnOffIdx(ti)
-		}
-		a.Truncated = a.Truncated || trunc
-		for _, st := range stages {
-			a.applyStage(st, node, tr, ev)
+			for _, m := range a.db.Group(int(ti)) {
+				for _, to := range transitions {
+					a.applySlab(a.db.Release(int(m), to), int(ti), node, tr, ev, s)
+				}
+			}
 		}
 	}
 
@@ -741,11 +760,26 @@ func (a *Analyzer) propagateEvent(node int, tr tech.Transition, ev Event) {
 	// the driven group, and re-propagating would bounce arrivals back
 	// and forth across channel-connected pairs forever.
 	if cn.IsInput[row] && cn.HasTerms[row] {
-		stages, trunc := a.db.From(a.Net.Nodes[node], tr)
-		a.Truncated = a.Truncated || trunc
-		for _, st := range stages {
-			a.applyStage(st, node, tr, ev)
+		a.applySlab(a.db.From(node, tr), -1, node, tr, ev, s)
+	}
+}
+
+// applySlab applies every stage of one enumeration result, skipping those
+// whose path runs through transistor `without` (-1: none).
+func (a *Analyzer) applySlab(sl *stage.Slab, without, fromNode int, fromTr tech.Transition, ev Event, s *specItem) {
+	if sl.Truncated {
+		if s != nil {
+			s.trunc = true
+		} else {
+			a.Truncated = true
 		}
+	}
+	for i := range sl.Stages {
+		st := &sl.Stages[i]
+		if without >= 0 && st.UsesTrans(without) {
+			continue
+		}
+		a.applyStage(st, fromNode, fromTr, ev, s)
 	}
 }
 
@@ -774,16 +808,16 @@ func (a *Analyzer) stageStamp() string {
 	return b.String()
 }
 
-// applyStage evaluates one stage against the triggering event and records
-// the resulting arrival at the stage target.
-func (a *Analyzer) applyStage(st *stage.Stage, fromNode int, fromTr tech.Transition, ev Event) {
+// applyStage evaluates one stage against the triggering event and offers
+// the resulting arrival to the stage target: improved at once, or recorded
+// on the frontier slot s (see fanout).
+func (a *Analyzer) applyStage(st *stage.Stage, fromNode int, fromTr tech.Transition, ev Event, s *specItem) {
+	target := int(st.Target)
+	if a.hierSkipNode != nil && target < len(a.hierSkipNode) && a.hierSkipNode[target] {
+		return // stamped member interior: boundary fan-in is replayed by the representative
+	}
 	// Source validity: an input-fed stage needs the source to plausibly
 	// hold the driving value; rails were filtered by the enumerator.
-	if a.hierSkipNode != nil {
-		if t := st.Target.Index; t < len(a.hierSkipNode) && a.hierSkipNode[t] {
-			return // stamped member interior: boundary fan-in is replayed by the representative
-		}
-	}
 	if si := st.SourceInputIndex(); si >= 0 && !a.Opts.NoStaticPruning {
 		sv := a.static[si]
 		want := switchsim.V1
@@ -794,12 +828,20 @@ func (a *Analyzer) applyStage(st *stage.Stage, fromNode int, fromTr tech.Transit
 			return
 		}
 	}
-	a.stageEv++
+	if s != nil {
+		s.evals++
+	} else {
+		a.stageEv++
+	}
 	r := a.Model.Evaluate(a.Net, st, ev.Slope)
 	if math.IsNaN(r.Delay) || r.Delay < 0 {
 		return
 	}
-	a.improve(st.Target.Index, st.Transition, Event{
+	if s != nil {
+		s.cands = append(s.cands, specCand{st: st, t: ev.T + r.Delay, slope: r.Slope})
+		return
+	}
+	a.improve(target, st.Transition, Event{
 		T:        ev.T + r.Delay,
 		Slope:    r.Slope,
 		Valid:    true,

@@ -25,7 +25,7 @@ func sameEvent(a, b Event) bool {
 // TestConcurrentSharedDB runs several analyzers at once over one network,
 // all sharing one stage database, and checks every arrival is bit-identical
 // to a strict-serial baseline. Run under -race this exercises the database's
-// once-per-entry construction: the "cold" case starts from an empty DB so
+// compare-and-swap slot install: the "cold" case starts from an empty DB so
 // the concurrent analyzers race to build each entry.
 func TestConcurrentSharedDB(t *testing.T) {
 	p := tech.NMOS4()
@@ -71,7 +71,7 @@ func TestConcurrentSharedDB(t *testing.T) {
 	}
 
 	// A cold database with the matching stamp: nothing built yet, so the
-	// concurrent runs below contend on every entry's sync.Once.
+	// concurrent runs below race to install every slot.
 	cold := stage.NewDB(nw, stage.Options{Oracle: base.oracle()})
 	cold.Stamp = warm.Stamp
 
@@ -261,4 +261,68 @@ func TestSharedDBStampMismatch(t *testing.T) {
 	if a.StageDB() == stale {
 		t.Error("analyzer accepted a database with a mismatched stamp")
 	}
+}
+
+// TestSharedOptionsReanalyze builds two analyzers from one Options value —
+// one LoopBreak slice — and edits both at once. An analyzer keeps its loop
+// breaks by node index, so neither re-analysis touches the caller's slice
+// or the other analyzer; under -race this fails if rebind ever writes
+// through Options.LoopBreak again.
+func TestSharedOptionsReanalyze(t *testing.T) {
+	p := tech.NMOS4()
+	nw, err := gen.Chip(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed, lb := gen.ChipDirectives(4)
+	m := delay.NewSlope(delay.AnalyticTables(p))
+	opts := Options{Workers: 1}
+	for _, name := range lb {
+		opts.LoopBreak = append(opts.LoopBreak, nw.Lookup(name))
+	}
+	given := append([]*netlist.Node(nil), opts.LoopBreak...)
+
+	analyzers := make([]*Analyzer, 2)
+	for i := range analyzers {
+		a := New(nw, m, opts)
+		for name, v := range fixed {
+			a.SetFixed(nw.Lookup(name), switchsim.FromBool(v == "1"))
+		}
+		for _, in := range nw.Inputs() {
+			if _, ok := fixed[in.Name]; !ok {
+				a.SetInputEvent(in, tech.Rise, 0, 0)
+				a.SetInputEvent(in, tech.Fall, 0, 0)
+			}
+		}
+		if err := a.Run(); err != nil {
+			t.Fatal(err)
+		}
+		analyzers[i] = a
+	}
+
+	var wg sync.WaitGroup
+	errs := make([]error, len(analyzers))
+	for i, a := range analyzers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for epoch := 0; epoch < 3 && errs[i] == nil; epoch++ {
+				_, errs[i] = a.Reanalyze([]incremental.Edit{
+					{Kind: incremental.AddCap, Node: lb[0], Cap: 5e-15},
+				})
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("analyzer %d: %v", i, err)
+		}
+	}
+	for i, n := range opts.LoopBreak {
+		if n != given[i] {
+			t.Fatalf("Reanalyze rewrote the caller's LoopBreak[%d]", i)
+		}
+	}
+	requireIdentical(t, "same edits, shared options", analyzers[0], analyzers[1], false)
 }

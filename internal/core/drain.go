@@ -32,8 +32,8 @@
 // throughput heuristic only — correctness rests on the commit-time checks.
 //
 // Every structure speculation reads concurrently is safe by construction:
-// stage-database entries build under sync.Once, evaluation memos install
-// via atomic pointers (duplicate builds produce identical values), and the
+// stage-database slots install by compare-and-swap, stage constants publish
+// under an atomic key (one writer, identical values whoever wins), and the
 // network, sensitization snapshot and delay tables are immutable during
 // the drain. With Workers <= 1 none of this runs — the analyzer takes the
 // plain serial loop in drainReplay.
@@ -44,10 +44,8 @@ import (
 	"math"
 	"runtime/pprof"
 
-	"repro/internal/netlist"
 	"repro/internal/sched"
 	"repro/internal/stage"
-	"repro/internal/switchsim"
 	"repro/internal/tech"
 )
 
@@ -234,71 +232,14 @@ func (a *Analyzer) fillSpec(s *specItem, it sched.Item) {
 	*s = specItem{key: it, ev: ev, live: live, cands: s.cands}
 }
 
-// speculate evaluates one frontier slot's consequences into s.cands —
-// the same enumeration and evaluation propagateEvent performs, minus the
-// improve calls. Runs on pool workers; reads only drain-frozen state.
+// speculate evaluates one frontier slot's consequences into s.cands: the
+// enumeration and evaluation of fanout, minus the improve calls. Runs on
+// pool workers.
 func (a *Analyzer) speculate(s *specItem) {
 	s.cands = s.cands[:0]
 	s.evals = 0
 	s.trunc = false
-	node, tr := int(s.key.Node), tech.Transition(s.key.Tr)
-	row := a.row(node)
-	if a.loopBreak[row] || !s.ev.Valid {
-		return
-	}
-	if a.hierSkipNode != nil && node < len(a.hierSkipNode) && a.hierSkipNode[node] {
-		return // stamped member interior: timing arrives by stamping
-	}
-	cn := a.cnet
-	for _, ref := range cn.GateRef[cn.GateStart[row]:cn.GateStart[row+1]] {
-		ti, on1 := netlist.UnpackGateRef(ref)
-		if a.hierSkipTrans != nil && int(ti) < len(a.hierSkipTrans) && a.hierSkipTrans[ti] {
-			continue // stamped member device
-		}
-		var stages []*stage.Stage
-		var trunc bool
-		if (tr == tech.Rise) == on1 {
-			stages, trunc = a.db.TurnOnIdx(ti)
-		} else {
-			stages, trunc = a.db.TurnOffIdx(ti)
-		}
-		s.trunc = s.trunc || trunc
-		for _, st := range stages {
-			a.specStage(s, st)
-		}
-	}
-	if cn.IsInput[row] && cn.HasTerms[row] {
-		stages, trunc := a.db.From(a.Net.Nodes[node], tr)
-		s.trunc = s.trunc || trunc
-		for _, st := range stages {
-			a.specStage(s, st)
-		}
-	}
-}
-
-// specStage is applyStage without the improve: filter, evaluate, record.
-func (a *Analyzer) specStage(s *specItem, st *stage.Stage) {
-	if a.hierSkipNode != nil {
-		if t := st.Target.Index; t < len(a.hierSkipNode) && a.hierSkipNode[t] {
-			return // stamped member interior: boundary fan-in is replayed by the representative
-		}
-	}
-	if si := st.SourceInputIndex(); si >= 0 && !a.Opts.NoStaticPruning {
-		sv := a.static[si]
-		want := switchsim.V1
-		if st.Transition == tech.Fall {
-			want = switchsim.V0
-		}
-		if sv != switchsim.VX && sv != want {
-			return
-		}
-	}
-	s.evals++
-	r := a.Model.Evaluate(a.Net, st, s.ev.Slope)
-	if math.IsNaN(r.Delay) || r.Delay < 0 {
-		return
-	}
-	s.cands = append(s.cands, specCand{st: st, t: s.ev.T + r.Delay, slope: r.Slope})
+	a.fanout(int(s.key.Node), tech.Transition(s.key.Tr), s.ev, s)
 }
 
 // commitBatch replays the frontier in strict queue order against live
@@ -335,7 +276,7 @@ func (a *Analyzer) commitBatch(replays []replayItem, ri *int, nb int) {
 					// Payload changed under the speculation (equal-time
 					// tie-break) or the slot was stale at formation and a
 					// tie-break revived it: re-propagate from live state.
-					a.propagateEvent(node, tr, a.events[row][tr])
+					a.fanout(node, tr, a.events[row][tr], nil)
 				}
 			}
 		}
@@ -366,12 +307,12 @@ func (a *Analyzer) applySpec(s *specItem) {
 	for i := range s.cands {
 		c := &s.cands[i]
 		if d := c.t - s.ev.T; d > 0 {
-			if r := a.cnet.Region[c.st.Target.Index]; d < a.minDelayR[r] {
+			if r := a.cnet.Region[c.st.Target]; d < a.minDelayR[r] {
 				a.minDelayR[r] = d
 				a.spans[r] = 0.5 * d
 			}
 		}
-		a.improve(c.st.Target.Index, c.st.Transition, Event{
+		a.improve(int(c.st.Target), c.st.Transition, Event{
 			T: c.t, Slope: c.slope, Valid: true,
 			FromNode: node, FromTr: tr, Via: c.st,
 		})

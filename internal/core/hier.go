@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/hier"
 	"repro/internal/incremental"
-	"repro/internal/netlist"
 	"repro/internal/stage"
 	"repro/internal/tech"
 )
@@ -73,13 +72,14 @@ type hierState struct {
 	skipTrans []bool
 
 	// Via provenance of stamped events points into the representative's
-	// stages from the generation the stamp was taken in. stampTrans pins
-	// that generation's transistor slice and stampLo the per-instance
-	// range starts at stamp time, so lazy remapping can translate a
-	// stage's (stamp-generation) device indexes into the member's devices
-	// even after later edit batches have shifted current indexes.
-	stampTrans []*netlist.Trans
-	stampLo    []int
+	// stages from the generation the stamp was taken in. stampLo holds the
+	// per-instance range starts at stamp time, so lazy remapping can place
+	// a stage's (stamp-generation) device indexes within the
+	// representative's range and land them in the member's current one even
+	// after later edit batches have moved ranges. viaCache holds
+	// translations into the current generation's indexes; hierReanalyze
+	// empties it.
+	stampLo []int
 
 	viaMu    sync.Mutex
 	viaCache map[viaKey]*stage.Stage
@@ -155,7 +155,7 @@ func (a *Analyzer) setupHier() {
 	}
 	seedsByNode := map[int][]seedEvent{}
 	for _, s := range a.seeded {
-		seedsByNode[s.node.Index] = append(seedsByNode[s.node.Index], s)
+		seedsByNode[s.node] = append(seedsByNode[s.node], s)
 	}
 	for _, class := range plan.Classes {
 		if len(class) < 2 {
@@ -269,15 +269,7 @@ func (a *Analyzer) drainAndStamp() {
 		}
 		// Guard hit inside an active class: rare, and the simple correct
 		// path is a clean re-drain with the class unmasked.
-		nw := a.Net
-		a.events = make([][2]Event, len(nw.Nodes))
-		a.count = make([][2]int, len(nw.Nodes))
-		a.hist = make([][2]nodeHist, len(nw.Nodes))
-		a.resetHistArena()
-		a.queued = make([][2]bool, len(nw.Nodes))
-		a.queue.Reset()
-		a.queue.Grow(4 * len(nw.Nodes))
-		a.Unbounded = nil
+		a.resetDrain()
 	}
 	a.stampMembers()
 }
@@ -340,7 +332,6 @@ func (a *Analyzer) stampMembers() {
 	if hs == nil || len(hs.classes) == 0 {
 		return
 	}
-	hs.stampTrans = a.Net.Trans
 	for i := range hs.plan.Instances {
 		hs.stampLo[i] = hs.plan.Instances[i].TransLo
 	}
@@ -384,8 +375,10 @@ func (a *Analyzer) eventAt(node int, tr tech.Transition) Event {
 }
 
 // remapVia translates a representative-space provenance stage into member
-// space: interior nodes by rank, devices by position within the instance
-// range at stamp time, shared boundary nodes unchanged. Results are
+// space: interior nodes by rank, devices by position within the
+// representative's range at stamp time (a stamped member's own range is
+// intact by definition, so the same offset from its current start is the
+// corresponding device), shared boundary nodes unchanged. Results are
 // cached per (instance, stage) — a handful of stages dominate any traced
 // path, so the cache stays tiny relative to eager remapping of every
 // stamped stage.
@@ -407,16 +400,15 @@ func (hs *hierState) remapVia(a *Analyzer, node int, via *stage.Stage) *stage.St
 	mem := &hs.plan.Instances[mi]
 	repLo := hs.stampLo[repID]
 	repHi := repLo + (hs.plan.Instances[repID].TransHi - hs.plan.Instances[repID].TransLo)
-	memLo := hs.stampLo[mi]
-	nodeFn := func(n *netlist.Node) *netlist.Node {
-		if rank := hs.plan.Rank(repID, int32(n.Index)); rank >= 0 {
-			return a.Net.Nodes[mem.Interior[rank]]
+	nodeFn := func(n int32) int32 {
+		if rank := hs.plan.Rank(repID, n); rank >= 0 {
+			return mem.Interior[rank]
 		}
 		return n
 	}
-	transFn := func(t *netlist.Trans) *netlist.Trans {
-		if t.Index >= repLo && t.Index < repHi {
-			return hs.stampTrans[memLo+(t.Index-repLo)]
+	transFn := func(t int32) int32 {
+		if int(t) >= repLo && int(t) < repHi {
+			return int32(mem.TransLo + (int(t) - repLo))
 		}
 		return t
 	}
@@ -442,6 +434,9 @@ func (a *Analyzer) hierReanalyze(res *incremental.Result, plan *incremental.Plan
 	if hs == nil {
 		return
 	}
+	hs.viaMu.Lock()
+	clear(hs.viaCache) // translations name the previous generation's indexes
+	hs.viaMu.Unlock()
 	// Remap instance ranges: per instance, the image of its old range must
 	// be exactly one contiguous run of surviving devices.
 	type span struct{ min, max, count int }

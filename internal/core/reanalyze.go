@@ -158,19 +158,13 @@ func (a *Analyzer) dirtyTouchesUnbounded(plan *incremental.Plan) bool {
 
 // rebind repoints the analyzer at the next network generation. Node
 // indexes are stable across edits, so index-keyed state (fixed values,
-// initial values) carries over untouched; node pointers must be remapped,
-// and the ROW-indexed drain state re-permuted: recompiling yields a new
+// initial values, seeds, loop breaks) carries over untouched; only the
+// ROW-indexed drain state must be re-permuted: recompiling yields a new
 // RCM layout (added nodes and devices shift the whole walk), so every
 // per-row array is rewritten old-row → node index → new-row. History
 // chunk indexes are arena-flat and survive unchanged.
 func (a *Analyzer) rebind(nw *netlist.Network) {
 	a.Net = nw
-	for i := range a.seeded {
-		a.seeded[i].node = nw.Nodes[a.seeded[i].node.Index]
-	}
-	for i, n := range a.Opts.LoopBreak {
-		a.Opts.LoopBreak[i] = nw.Nodes[n.Index]
-	}
 	a.Opts.DB = nil // a caller-shared DB describes the old generation
 	old := a.cnet
 	a.buildGates()
@@ -196,15 +190,7 @@ func (a *Analyzer) rebind(nw *netlist.Network) {
 // runFull redoes the analysis from scratch over the current generation
 // (the stage database is already bound).
 func (a *Analyzer) runFull() {
-	nw := a.Net
-	a.events = make([][2]Event, len(nw.Nodes))
-	a.count = make([][2]int, len(nw.Nodes))
-	a.hist = make([][2]nodeHist, len(nw.Nodes))
-	a.resetHistArena()
-	a.queued = make([][2]bool, len(nw.Nodes))
-	a.queue.Reset()
-	a.queue.Grow(4 * len(nw.Nodes))
-	a.Unbounded = nil
+	a.resetDrain()
 	if w := Workers(a.Opts.Workers, 0); w > 1 {
 		a.db.Prewarm(w)
 	}
@@ -312,8 +298,8 @@ func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
 	// but re-applying is cheap and covers any seed landing on a node the
 	// batch created or perturbed.
 	for _, s := range a.seeded {
-		if plan.NodeDirty(s.node.Index) {
-			a.improve(s.node.Index, s.tr, Event{
+		if plan.NodeDirty(s.node) {
+			a.improve(s.node, s.tr, Event{
 				T: s.t, Slope: s.slope, Valid: true, FromNode: -1,
 			})
 		}

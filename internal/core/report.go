@@ -50,7 +50,7 @@ func (a *Analyzer) WriteReport(w io.Writer, k int) error {
 				continue
 			}
 			fmt.Fprintf(w, "  %-20s %-4s %-10s via %s\n",
-				h.Node.Name, h.Tr, timeUnit(h.Event.T), h.Event.Via)
+				h.Node.Name, h.Tr, timeUnit(h.Event.T), h.Event.Via.Format(a.Net))
 		}
 	}
 	return nil

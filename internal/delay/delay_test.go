@@ -1,6 +1,7 @@
 package delay
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -210,8 +211,12 @@ func TestFastElmoreMatchesTree(t *testing.T) {
 	tb := AnalyticTables(p)
 	m := NewRC(tb)
 	for _, st := range res.Stages {
-		for _, rscale := range [][]float64{nil, scaleAt(len(st.Path), 0, 2.5), scaleAt(len(st.Path), len(st.Path)-1, 0.4)} {
-			fast := m.elmore(nw, st, rscale)
+		for _, sc := range []struct {
+			at   int
+			mult float64
+		}{{-1, 1}, {0, 2.5}, {len(st.Path) - 1, 0.4}} {
+			rscale := scaleAt(len(st.Path), sc.at, sc.mult)
+			fast := m.elmoreAt(nw, st, sc.at, sc.mult)
 			tree, idx := stageTree(tb, nw, st, rscale)
 			ref := tree.Elmore(idx[len(idx)-1])
 			if math.Abs(fast-ref) > 1e-12*ref+1e-20 {
@@ -260,5 +265,88 @@ func TestResultSlopesPositive(t *testing.T) {
 		if r.Delay <= 0 || r.Slope <= 0 {
 			t.Errorf("%s: non-positive result %+v", m.Name(), r)
 		}
+	}
+}
+
+// constsNet is a pass chain off an input with a side branch on every other
+// node: through-stages of its devices put the driver anywhere from the
+// source to past the split-replay limit.
+func constsNet(n int) *netlist.Network {
+	p := tech.NMOS4()
+	nw := netlist.New("consts", p)
+	in, ctl := nw.Node("in"), nw.Node("ctl")
+	nw.MarkInput(in)
+	nw.MarkInput(ctl)
+	prev := in
+	for i := 0; i < n; i++ {
+		next := nw.Node(fmt.Sprintf("c%d", i))
+		nw.AddTrans(tech.NEnh, ctl, prev, next, 0, 0)
+		if i%2 == 0 {
+			side := nw.Node(fmt.Sprintf("s%d", i))
+			nw.AddTrans(tech.NDep, side, next, side, 0, 0)
+			nw.AddCap(side, 30e-15)
+		}
+		prev = next
+	}
+	return nw
+}
+
+// TestConstsMatchUncachedWalk pins the inline constants to the walks they
+// replace: a stage evaluated from its record's constants and the same stage
+// evaluated by the uncached walk agree bit for bit, for every model, at
+// every driver depth (including past stage.MaxLow, where the slope model
+// cannot replay and walks twice) and across input slopes. The uncached arm
+// is reached the way an analysis reaches it: the record already holds the
+// constants of a different table set.
+func TestConstsMatchUncachedWalk(t *testing.T) {
+	p := tech.NMOS4()
+	nw := constsNet(stage.MaxLow + 4)
+	tb := AnalyticTables(p)
+	other := AnalyticTables(p)
+	other.RSquare[tech.NEnh][tech.Rise] *= 1.5
+	other.RSquare[tech.NEnh][tech.Fall] *= 0.75
+	if tb.key() == other.key() {
+		t.Fatal("different tables share a key")
+	}
+	if twin := AnalyticTables(p); twin.key() != tb.key() {
+		t.Fatal("equal tables have different keys")
+	}
+	slopes := []float64{0, 1e-12, 3e-10, 1e-9, 4e-8}
+	deepest := 0
+	for _, trig := range nw.Trans {
+		for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
+			// Two enumerations of the same stages: one keeps tb's constants,
+			// the other is claimed by the other tables first.
+			cached := stage.Through(nw, trig, tr, stage.Options{}).Stages
+			walked := stage.Through(nw, trig, tr, stage.Options{}).Stages
+			for i, st := range cached {
+				deepest = max(deepest, st.Driver())
+				NewRC(other).Evaluate(nw, walked[i], 0)
+				if walked[i].Consts(tb.key()) != nil || walked[i].Consts(other.key()) == nil {
+					t.Fatal("record does not hold the first evaluator's constants")
+				}
+				for _, m := range All(tb) {
+					for _, in := range slopes {
+						first := m.Evaluate(nw, st, in) // computes and publishes, or replays
+						again := m.Evaluate(nw, st, in) // replays
+						want := m.Evaluate(nw, walked[i], in)
+						if first != want || again != want {
+							t.Fatalf("%s, %s slope %g: constants %+v then %+v, uncached walk %+v",
+								st.Format(nw), m.Name(), in, first, again, want)
+						}
+					}
+				}
+				if st.Consts(tb.key()) == nil {
+					t.Fatalf("%s: constants not published", st.Format(nw))
+				}
+				// A distinct Tables value with the same contents replays them.
+				if got, want := NewSlope(AnalyticTables(p)).Evaluate(nw, st, 1e-9), NewSlope(tb).Evaluate(nw, st, 1e-9); got != want {
+					t.Fatalf("%s: equal tables disagree: %+v vs %+v", st.Format(nw), got, want)
+				}
+			}
+		}
+	}
+	if deepest <= stage.MaxLow {
+		t.Fatalf("deepest driver %d never passed the replay limit %d", deepest, stage.MaxLow)
 	}
 }

@@ -56,21 +56,17 @@ func (m *Lumped) Name() string { return "lumped" }
 
 // Evaluate implements Model: delay = ΣR × ΣC.
 func (m *Lumped) Evaluate(nw *netlist.Network, st *stage.Stage, _ float64) Result {
-	if memo := memoFor(m.T, nw, st); memo != nil {
-		return memo.lumpedResult()
+	if c := constsFor(m.T, nw, st); c != nil {
+		d := c.RSum * c.CSum
+		return Result{Delay: d, Slope: c.TF0 * d}
 	}
 	r := 0.0
 	for _, e := range st.Path {
-		r += elemR(m.T, e.Trans, st.Transition)
+		r += elemR(m.T, nw.Trans[e.Trans], st.Transition)
 	}
-	c := st.TotalC(nw)
-	d := r * c
-	// Output transition estimate: single-pole shape over the lumped τ.
-	tf := math.Log(9)
-	if drv := driverElement(st); drv >= 0 {
-		tf = m.T.Curve(st.Path[drv].Trans.Type, st.Transition).TFactorAt(0)
-	}
-	return Result{Delay: d, Slope: tf * d}
+	d := r * st.TotalC()
+	// Output transition estimate: the driver's shape over the lumped τ.
+	return Result{Delay: d, Slope: tf0(m.T, st) * d}
 }
 
 // RC is the paper's second model: the stage as a distributed RC tree, with
@@ -89,98 +85,42 @@ func (m *RC) Name() string { return "rc" }
 
 // Evaluate implements Model.
 func (m *RC) Evaluate(nw *netlist.Network, st *stage.Stage, _ float64) Result {
-	if memo := memoFor(m.T, nw, st); memo != nil {
-		return memo.rcResult()
+	if c := constsFor(m.T, nw, st); c != nil {
+		return Result{Delay: c.TauStep, Slope: c.TF0 * c.TauStep}
 	}
 	d := m.elmoreAt(nw, st, -1, 1)
-	tf := math.Log(9)
-	if drv := driverElement(st); drv >= 0 {
-		tf = m.T.Curve(st.Path[drv].Trans.Type, st.Transition).TFactorAt(0)
-	}
-	return Result{Delay: d, Slope: tf * d}
+	return Result{Delay: d, Slope: tf0(m.T, st) * d}
 }
 
-// elmore computes the Elmore delay of the stage target with this model's
-// effective resistances, path-element resistances optionally scaled by
-// rscale. Because the target lies on the main path, side-branch
-// resistances never enter its Elmore sum — each path element contributes
-// R·(all capacitance at or beyond it, side loads included) — so a single
-// backwards pass suffices and no tree is built. stageTree remains the
-// reference implementation (the equivalence is pinned by a test).
-func (m *RC) elmore(nw *netlist.Network, st *stage.Stage, rscale []float64) float64 {
-	n := len(st.Path)
-	if n == 0 {
-		return 0
-	}
-	// Capacitance hanging at each path position i (1-based element i
-	// ends at node i): the node's own cap plus side loads attached there.
-	capAt := make([]float64, n+1)
-	for i := 1; i <= n; i++ {
-		if st.PathCap != nil {
-			capAt[i] = st.PathCap[i-1]
-		} else {
-			capAt[i] = nw.NodeCap(st.Path[i-1].To)
-		}
-	}
-	for _, sl := range st.Side {
-		if sl.Attach >= 1 {
-			capAt[sl.Attach] += sl.C
-		}
-		// Attach 0 hangs at the ideal source: invisible to the target.
-	}
-	sum := 0.0
-	acc := 0.0
-	for i := n; i >= 1; i-- {
-		acc += capAt[i]
-		e := st.Path[i-1]
-		r := elemR(m.T, e.Trans, st.Transition)
-		if rscale != nil && rscale[i-1] > 0 {
-			r *= rscale[i-1]
-		}
-		sum += r * acc
-	}
-	return sum
+// tf0 is the output-transition factor of the stage's driver at slope
+// ratio 0 — the step-input shape the slope-blind models report.
+func tf0(tb *Tables, st *stage.Stage) float64 {
+	return tb.Curve(st.DriverType(), st.Transition).TFactorAt(0)
 }
 
-// elmoreAt is the allocation-free form of elmore used on the analysis hot
-// path: at most one path element (index at; -1 for none) has its
-// resistance scaled by mult, and the side loads — sorted by attach
-// position at stage construction — are merged into the single backwards
-// walk instead of being scattered into a scratch array. Falls back to
-// elmore for hand-assembled stages whose side loads are unsorted.
+// elmoreAt computes the Elmore delay of the stage target with this model's
+// effective resistances, at most one path element (index at; -1 for none)
+// having its resistance scaled by mult. Because the target lies on the main
+// path, side-branch resistances never enter its Elmore sum — each path
+// element contributes R·(all capacitance at or beyond it, side loads
+// included) — so a single backwards pass suffices and no tree is built;
+// the side loads, sorted by attach position at stage construction, merge
+// into the walk. stageTree remains the reference implementation (the
+// equivalence is pinned by a test).
 func (m *RC) elmoreAt(nw *netlist.Network, st *stage.Stage, at int, mult float64) float64 {
 	n := len(st.Path)
-	if n == 0 {
-		return 0
-	}
-	if !st.SideSorted() && len(st.Side) > 0 {
-		var rscale []float64
-		if at >= 0 {
-			rscale = make([]float64, n)
-			for i := range rscale {
-				rscale[i] = 1
-			}
-			rscale[at] = mult
-		}
-		return m.elmore(nw, st, rscale)
-	}
 	sum, acc := 0.0, 0.0
 	si := len(st.Side) - 1
 	for i := n; i >= 1; i-- {
-		if st.PathCap != nil {
-			acc += st.PathCap[i-1]
-		} else {
-			acc += nw.NodeCap(st.Path[i-1].To)
-		}
+		acc += st.PathCap[i-1]
 		// Side loads attached at or beyond this position are downstream
 		// of element i and charge through it. Attach 0 hangs at the
 		// ideal source and never enters (the loop stops at i=1).
-		for si >= 0 && st.Side[si].Attach >= i {
+		for si >= 0 && int(st.Side[si].Attach) >= i {
 			acc += st.Side[si].C
 			si--
 		}
-		e := st.Path[i-1]
-		r := elemR(m.T, e.Trans, st.Transition)
+		r := elemR(m.T, nw.Trans[st.Path[i-1].Trans], st.Transition)
 		if i-1 == at {
 			r *= mult
 		}
@@ -196,24 +136,18 @@ func (m *RC) elmoreAt(nw *netlist.Network, st *stage.Stage, at int, mult float64
 // capacitance at it, and records the terms visited after it in
 // low[0:at]. Folding high + (rAt·mult)·accAt + low[at-1 …0] repeats the
 // adds of elmoreAt(at, mult) in the identical order, so the replayed
-// result is bit-exact without a second walk. Requires sorted side loads
-// (st.SideSorted() or no side loads).
+// result is bit-exact without a second walk.
 func (m *RC) elmoreSplit(nw *netlist.Network, st *stage.Stage, at int, low []float64) (tau, high, rAt, accAt float64) {
 	n := len(st.Path)
 	acc := 0.0
 	si := len(st.Side) - 1
 	for i := n; i >= 1; i-- {
-		if st.PathCap != nil {
-			acc += st.PathCap[i-1]
-		} else {
-			acc += nw.NodeCap(st.Path[i-1].To)
-		}
-		for si >= 0 && st.Side[si].Attach >= i {
+		acc += st.PathCap[i-1]
+		for si >= 0 && int(st.Side[si].Attach) >= i {
 			acc += st.Side[si].C
 			si--
 		}
-		e := st.Path[i-1]
-		r := elemR(m.T, e.Trans, st.Transition)
+		r := elemR(m.T, nw.Trans[st.Path[i-1].Trans], st.Transition)
 		p := r * acc
 		switch {
 		case i-1 > at:
@@ -236,7 +170,7 @@ var treePool = sync.Pool{New: func() any { return rctree.New(0, "") }}
 // raw technology numbers), so characterized tables flow through every
 // model identically.
 func stageTree(tb *Tables, nw *netlist.Network, st *stage.Stage, rscale []float64) (*rctree.Tree, []int) {
-	return stageTreeInto(rctree.New(0, st.Source.Name), tb, nw, st, rscale)
+	return stageTreeInto(rctree.New(0, nw.Nodes[st.Source].Name), tb, nw, st, rscale)
 }
 
 // stageTreeInto is stageTree over a caller-supplied (possibly recycled)
@@ -244,41 +178,21 @@ func stageTree(tb *Tables, nw *netlist.Network, st *stage.Stage, rscale []float6
 func stageTreeInto(t *rctree.Tree, tb *Tables, nw *netlist.Network, st *stage.Stage, rscale []float64) (*rctree.Tree, []int) {
 	idx := make([]int, len(st.Path)+1)
 	for i, e := range st.Path {
-		r := elemR(tb, e.Trans, st.Transition)
+		r := elemR(tb, nw.Trans[e.Trans], st.Transition)
 		if rscale != nil && rscale[i] > 0 {
 			r *= rscale[i]
 		}
-		idx[i+1] = t.Add(idx[i], r, nw.NodeCap(e.To), e.To.Name)
+		to := nw.Nodes[e.To]
+		idx[i+1] = t.Add(idx[i], r, nw.NodeCap(to), to.Name)
 	}
 	for _, sl := range st.Side {
 		if sl.R <= 0 {
 			t.AddCap(idx[sl.Attach], sl.C)
 			continue
 		}
-		t.Add(idx[sl.Attach], sl.R, sl.C, sl.Node.Name)
+		t.Add(idx[sl.Attach], sl.R, sl.C, nw.Nodes[sl.Node].Name)
 	}
 	return t, idx
-}
-
-// driverElement picks the path element whose slope curve governs the
-// stage: the trigger if it lies on the path, otherwise the element
-// adjacent to the source (the driver — e.g. the depletion pullup of a
-// release stage).
-func driverElement(st *stage.Stage) int {
-	if i, ok := st.Driver(); ok {
-		return i
-	}
-	if st.Trigger != nil {
-		for i, e := range st.Path {
-			if e.Trans == st.Trigger {
-				return i
-			}
-		}
-	}
-	if len(st.Path) > 0 {
-		return 0
-	}
-	return -1
 }
 
 // Slope is the paper's headline model. The effective resistance of the
@@ -307,28 +221,27 @@ func (m *Slope) Name() string { return "slope" }
 // intrinsic Elmore pass records its per-element terms, and the scaled
 // delay (driver resistance × slope multiplier) is replayed from them.
 func (m *Slope) Evaluate(nw *netlist.Network, st *stage.Stage, inSlope float64) Result {
-	if memo := memoFor(m.T, nw, st); memo != nil {
-		if res, ok := memo.slopeResult(inSlope); ok {
+	if c := constsFor(m.T, nw, st); c != nil {
+		if res, ok := slopeResult(m.T, st, c, inSlope); ok {
 			return res
 		}
 	}
 	rcModel := RC{T: m.T}
-	drv := driverElement(st)
+	drv := st.Driver()
 	// The driver is usually at or near the source, so only a handful of
 	// terms below it ever need buffering for the bit-exact replay.
-	var buf [16]float64
-	fused := drv >= 0 && drv <= len(buf) && (st.SideSorted() || len(st.Side) == 0)
+	var buf [stage.MaxLow]float64
+	fused := drv <= len(buf)
 	var tauStep, high, rDrv, accDrv float64
 	if fused {
 		tauStep, high, rDrv, accDrv = rcModel.elmoreSplit(nw, st, drv, buf[:])
 	} else {
 		tauStep = rcModel.elmoreAt(nw, st, -1, 1)
 	}
-	if drv < 0 || tauStep <= 0 {
+	if tauStep <= 0 {
 		return Result{Delay: tauStep, Slope: math.Log(9) * tauStep}
 	}
-	dev := st.Path[drv].Trans.Type
-	curve := m.T.Curve(dev, st.Transition)
+	curve := m.T.Curve(st.DriverType(), st.Transition)
 	ratio := 0.0
 	if inSlope > 0 {
 		ratio = inSlope / tauStep
@@ -372,7 +285,7 @@ func (m *Bounded) Bounds(nw *netlist.Network, st *stage.Stage) (lo, hi float64, 
 	}
 	t := treePool.Get().(*rctree.Tree)
 	defer treePool.Put(t)
-	t.Reset(0, st.Source.Name)
+	t.Reset(0, nw.Nodes[st.Source].Name)
 	t, idx := stageTreeInto(t, m.T, nw, st, nil)
 	if err := t.Validate(); err != nil {
 		return 0, 0, fmt.Errorf("stage tree: %w", err)

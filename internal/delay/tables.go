@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/tech"
 )
@@ -156,6 +157,46 @@ type Tables struct {
 	RSquare [4][2]float64
 	// Curves[d][tr] is the slope curve for device d driving transition tr.
 	Curves [4][2]Curve
+
+	// contentKey caches key(); 0 until first computed.
+	contentKey atomic.Uint64
+}
+
+// key fingerprints the numbers in the tables (FNV-1a over RSquare and every
+// curve sample), so per-stage constants computed under one Tables value
+// serve every other with the same contents. It is taken on the first
+// evaluation: tables must not be modified once a model has used them.
+func (tb *Tables) key() uint64 {
+	if k := tb.contentKey.Load(); k != 0 {
+		return k
+	}
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h = (h ^ (v & 0xff)) * 1099511628211
+			v >>= 8
+		}
+	}
+	floats := func(xs []float64) {
+		mix(uint64(len(xs)))
+		for _, x := range xs {
+			mix(math.Float64bits(x))
+		}
+	}
+	for d := range tb.RSquare {
+		floats(tb.RSquare[d][:])
+		for tr := range tb.Curves[d] {
+			c := &tb.Curves[d][tr]
+			floats(c.Ratio)
+			floats(c.RMult)
+			floats(c.TFactor)
+		}
+	}
+	if h < 2 {
+		h += 2 // 0 and 1 are the stage record's "empty" and "claimed"
+	}
+	tb.contentKey.Store(h)
+	return h
 }
 
 // R returns the step-input effective resistance in ohms of a device of

@@ -204,10 +204,10 @@ func checkRatios(nw *netlist.Network, opt Options) []Finding {
 		best := 0.0
 		var bestStage *stage.Stage
 		for _, st := range falls.Stages {
-			if st.Source.Kind != netlist.KindGnd {
+			if nw.Nodes[st.Source].Kind != netlist.KindGnd {
 				continue
 			}
-			r := st.SeriesR(nw.Tech)
+			r := st.SeriesR(nw)
 			if bestStage == nil || r < best {
 				best, bestStage = r, st
 			}
@@ -220,7 +220,7 @@ func checkRatios(nw *netlist.Network, opt Options) []Finding {
 			out = append(out, Finding{
 				Rule: "ratio", Severity: Warning, Node: n,
 				Detail: fmt.Sprintf("pullup/pulldown ratio %.2f < %.2f (pullup %.0fΩ, strongest pulldown %.0fΩ via %s)",
-					ratio, opt.MinRatio, rUp, best, bestStage),
+					ratio, opt.MinRatio, rUp, best, bestStage.Format(nw)),
 			})
 		}
 	}
@@ -237,7 +237,7 @@ func degradedHigh(nw *netlist.Network, n *netlist.Node, opt Options) bool {
 	for _, st := range rises.Stages {
 		clean := true
 		for _, e := range st.Path {
-			if e.Trans.Type == tech.NEnh {
+			if nw.Trans[e.Trans].Type == tech.NEnh {
 				clean = false
 				break
 			}

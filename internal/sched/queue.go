@@ -12,6 +12,8 @@
 // commit order is the queue order.
 package sched
 
+import "math"
+
 // Item is one pending propagation: the (node, transition) pair becomes
 // ready at time T. The scheduler does not interpret T beyond ordering;
 // staleness (a fresher arrival superseding a queued one) is the caller's
@@ -41,12 +43,50 @@ func Less(a, b Item) bool {
 // empty queue ready for use. Not safe for concurrent use — the analyzer
 // owns it from the serial commit side of the drain.
 //
-// Internally a 4-ary implicit heap on a value slice: items are moved, not
-// boxed, and the four children of a node share a cache line (an Item is 16
-// bytes), so sift-down — the cost center of a pop-heavy workload — touches
-// half the levels of a binary heap.
+// Internally a 4-ary implicit heap of packed keys: an item is stored as two
+// integers whose lexicographic order is Less, so a comparison is two
+// integer compares instead of a float compare plus two tie-break branches,
+// and the four children of a node share a cache line (a key is 16 bytes).
+// Pop sifts bottom-up: the hole at the root descends along least children
+// to a leaf without consulting the displaced last element — which nearly
+// always belongs near the bottom — and that element then rises from the
+// leaf, usually by zero levels. The pop sequence is a function of the push
+// multiset alone either way.
 type Queue struct {
-	s []Item
+	s []key
+}
+
+// key is an Item packed order-preservingly: t is the arrival time's bits
+// mapped so unsigned order equals float order, nt is node<<8 | transition.
+type key struct {
+	t, nt uint64
+}
+
+func (a key) less(b key) bool {
+	return a.t < b.t || (a.t == b.t && a.nt < b.nt)
+}
+
+// pack encodes it. Adding zero folds -0 into +0, which Less ties too;
+// flipping the sign bit of non-negative floats and every bit of negative
+// ones makes the bit patterns ascend with the values.
+func pack(it Item) key {
+	b := math.Float64bits(it.T + 0)
+	if b>>63 != 0 {
+		b = ^b
+	} else {
+		b |= 1 << 63
+	}
+	return key{b, uint64(uint32(it.Node))<<8 | uint64(it.Tr)}
+}
+
+func (k key) item() Item {
+	b := k.t
+	if b>>63 != 0 {
+		b &^= 1 << 63
+	} else {
+		b = ^b
+	}
+	return Item{T: math.Float64frombits(b), Node: int32(k.nt >> 8), Tr: uint8(k.nt)}
 }
 
 // Len returns the number of queued items (including any stale ones the
@@ -55,33 +95,26 @@ func (q *Queue) Len() int { return len(q.s) }
 
 // Peek returns the minimum item without removing it. The queue must be
 // non-empty.
-func (q *Queue) Peek() Item { return q.s[0] }
+func (q *Queue) Peek() Item { return q.s[0].item() }
 
 // Reset empties the queue, keeping its storage for reuse.
 func (q *Queue) Reset() { q.s = q.s[:0] }
 
-// Grow ensures capacity for at least n additional items.
-func (q *Queue) Grow(n int) {
-	if cap(q.s)-len(q.s) < n {
-		next := make([]Item, len(q.s), len(q.s)+n)
-		copy(next, q.s)
-		q.s = next
-	}
-}
-
 // Push inserts an item.
 func (q *Queue) Push(it Item) {
-	q.s = append(q.s, it)
+	k := pack(it)
+	q.s = append(q.s, k)
 	s := q.s
 	i := len(s) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !Less(s[i], s[p]) {
+		if !k.less(s[p]) {
 			break
 		}
-		s[p], s[i] = s[i], s[p]
+		s[i] = s[p]
 		i = p
 	}
+	s[i] = k
 }
 
 // Pop removes and returns the minimum item. The queue must be non-empty.
@@ -89,31 +122,38 @@ func (q *Queue) Pop() Item {
 	s := q.s
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
+	last := s[n]
 	s = s[:n]
 	q.s = s
+	if n == 0 {
+		return top.item()
+	}
+	// Walk the hole down to a leaf along the least of up to four children.
 	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		// Select the least of up to four children.
+	for c := 1; c < n; c = 4*i + 1 {
 		end := c + 4
 		if end > n {
 			end = n
 		}
 		min := c
 		for j := c + 1; j < end; j++ {
-			if Less(s[j], s[min]) {
+			if s[j].less(s[min]) {
 				min = j
 			}
 		}
-		if !Less(s[min], s[i]) {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
+		s[i] = s[min]
 		i = min
 	}
-	return top
+	// Drop the displaced last element in, raising it while it precedes
+	// its parent.
+	for i > 0 {
+		p := (i - 1) / 4
+		if !last.less(s[p]) {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = last
+	return top.item()
 }

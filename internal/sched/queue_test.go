@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -210,4 +211,33 @@ func FuzzQueueOrder(f *testing.F) {
 			prev = it
 		}
 	})
+}
+
+// TestQueuePackedKeyOrder pins the packed key to Less where the encoding
+// could plausibly differ: negative times, both zeros (which tie on time, so
+// the node decides), denormals and infinities — and checks a popped item
+// carries back exactly what was pushed.
+func TestQueuePackedKeyOrder(t *testing.T) {
+	times := []float64{math.Inf(-1), -3.5, -1e-300, math.Copysign(0, -1), 0,
+		5e-324, 1e-12, 1e-12 + 1e-28, 2, math.MaxFloat64, math.Inf(1)}
+	var q Queue
+	var ref []Item
+	for i, tm := range times {
+		for _, node := range []int32{0, int32(len(times) - i), math.MaxInt32} {
+			for tr := uint8(0); tr < 2; tr++ {
+				it := Item{T: tm, Node: node, Tr: tr}
+				q.Push(it)
+				ref = append(ref, it)
+			}
+		}
+	}
+	sort.SliceStable(ref, func(i, j int) bool { return Less(ref[i], ref[j]) })
+	for i, want := range ref {
+		if got := q.Peek(); got != want {
+			t.Fatalf("peek %d = %+v, want %+v", i, got, want)
+		}
+		if got := q.Pop(); got != want {
+			t.Fatalf("pop %d = %+v, want %+v", i, got, want)
+		}
+	}
 }

@@ -386,7 +386,7 @@ func (s *session) buildSnapshot() *Snapshot {
 		for _, h := range p.Hops {
 			hop := PathHop{Node: h.Node.Name, Tr: h.Tr.String(), T: h.Event.T, Slope: h.Event.Slope}
 			if h.Event.Via != nil {
-				hop.Via = h.Event.Via.String()
+				hop.Via = h.Event.Via.Format(a.Net)
 			}
 			pj.Hops = append(pj.Hops, hop)
 		}

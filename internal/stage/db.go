@@ -1,17 +1,18 @@
-// The stage database: a precomputed, shareable index of every stage the
-// analyzer can ask for over one (network, sensitization) pair. Stage
-// enumeration is static during an analysis — a trigger's stages never
-// change — so the enumeration results are memoized here, slice-indexed by
-// (element index, transition) instead of hashed, and built at most once
-// per key under a sync.Once so any number of concurrent analyses can
-// share one database without rebuilding or locking on the hot path.
+// The stage database: a shareable index of every stage the analyzer can
+// ask for over one (network, sensitization) pair. Stage enumeration is
+// static during an analysis — a trigger's stages never change — so the
+// results are memoized here, slice-indexed by (element index, transition)
+// instead of hashed. A slot is one atomic pointer: nil until some analysis
+// first asks, then the immutable Slab installed by compare-and-swap, so any
+// number of concurrent analyses share one database without locking on the
+// hot path.
 //
-// Databases are generational: an edit epoch never resets entries in
-// place. Derive builds the next generation over the edited network,
-// sharing the entry objects of untouched channel-connected groups and
-// allocating fresh ones only for the dirty indexes, so analyzers still
-// reading the previous generation — whose network is never mutated —
-// always finish on a consistent snapshot.
+// Databases are generational: an edit epoch never resets a slot in place.
+// Derive builds the next generation over the edited network by copying the
+// slot pointers of untouched channel-connected groups and leaving the
+// dirty ones nil. Slabs hold indexes, not pointers into a network, so a
+// superseded generation — database and network — is collectable as soon as
+// its readers finish, whatever it shares with its successors.
 package stage
 
 import (
@@ -41,22 +42,10 @@ type DB struct {
 	// comes from each generation owning its own immutable network.
 	Epoch uint64
 
-	through []*dbEntry    // (trans, transition) → stages through the device
-	release []*dbEntry    // (node, transition) → stages driving the node
-	from    []*dbEntry    // (node, transition) → stages fanning out of the node
-	groups  []*groupEntry // trans → channel-connected group
-
-	// turnOn / turnOff are the compiled consequence lists the event loop
-	// consumes: per transistor, the full flat sequence of stages a
-	// turn-on (through-stages, both transitions) or a turn-off (release
-	// stages of every group member, paths through the device filtered
-	// out) triggers, in exactly the order the nested per-entry iteration
-	// produces. One slice walk replaces a group walk plus four memoized
-	// lookups plus a per-stage membership filter per event. Always
-	// rebuilt fresh by Derive (they are cheap concatenations of the
-	// underlying — possibly shared — entries).
-	turnOn  []*dbEntry // trans → compiled turn-on stages
-	turnOff []*dbEntry // trans → compiled turn-off stages
+	through []atomic.Pointer[Slab]    // 2·trans+transition → stages through the device
+	release []atomic.Pointer[Slab]    // 2·node+transition → stages driving the node
+	from    []atomic.Pointer[Slab]    // 2·node+transition → stages fanning out of the node
+	groups  []atomic.Pointer[[]int32] // trans → channel-connected group (node indexes)
 
 	// capsOnce/caps snapshot NodeCap over the whole (immutable) network on
 	// first enumeration, so stage construction — which reads node loading
@@ -69,52 +58,16 @@ type DB struct {
 	truncated atomic.Bool
 }
 
-// dbEntry is one memoized enumeration result.
-type dbEntry struct {
-	once   sync.Once
-	stages []*Stage
-	trunc  bool
-}
-
-// groupEntry is one memoized channel group.
-type groupEntry struct {
-	once  sync.Once
-	nodes []*netlist.Node
-}
-
-// newEntries allocates n entries in one backing array and returns the
-// pointer slice the database indexes (pointers, not values, so Derive can
-// share individual entries across generations).
-func newEntries(n int) []*dbEntry {
-	backing := make([]dbEntry, n)
-	ptrs := make([]*dbEntry, n)
-	for i := range backing {
-		ptrs[i] = &backing[i]
-	}
-	return ptrs
-}
-
-func newGroupEntries(n int) []*groupEntry {
-	backing := make([]groupEntry, n)
-	ptrs := make([]*groupEntry, n)
-	for i := range backing {
-		ptrs[i] = &backing[i]
-	}
-	return ptrs
-}
-
 // NewDB creates an empty database for the network. opt.Oracle fixes the
 // sensitization for every enumeration the database will ever perform.
 func NewDB(nw *netlist.Network, opt Options) *DB {
 	return &DB{
 		nw:      nw,
 		opt:     opt.fill(),
-		through: newEntries(2 * len(nw.Trans)),
-		release: newEntries(2 * len(nw.Nodes)),
-		from:    newEntries(2 * len(nw.Nodes)),
-		groups:  newGroupEntries(len(nw.Trans)),
-		turnOn:  newEntries(len(nw.Trans)),
-		turnOff: newEntries(len(nw.Trans)),
+		through: make([]atomic.Pointer[Slab], 2*len(nw.Trans)),
+		release: make([]atomic.Pointer[Slab], 2*len(nw.Nodes)),
+		from:    make([]atomic.Pointer[Slab], 2*len(nw.Nodes)),
+		groups:  make([]atomic.Pointer[[]int32], len(nw.Trans)),
 	}
 }
 
@@ -142,146 +95,83 @@ func (db *DB) enumOpt() Options {
 	return o
 }
 
-// Through returns the stages created when transistor t becomes conducting,
-// targeting transition tr, plus whether that enumeration was truncated.
-func (db *DB) Through(t *netlist.Trans, tr tech.Transition) ([]*Stage, bool) {
-	e := db.through[2*t.Index+int(tr)]
-	e.once.Do(func() {
-		res := Through(db.nw, t, tr, db.enumOpt())
-		e.stages, e.trunc = res.Stages, res.Truncated
-		if res.Truncated {
-			db.truncated.Store(true)
-		}
-	})
-	return e.stages, e.trunc
+// install publishes a freshly enumerated slab in slot, or adopts the one a
+// concurrent caller got there first with (the two are equal by value;
+// everyone must agree on one so provenance pointers compare).
+func (db *DB) install(slot *atomic.Pointer[Slab], s *Slab) *Slab {
+	if s.Truncated {
+		db.truncated.Store(true)
+	}
+	if slot.CompareAndSwap(nil, s) {
+		return s
+	}
+	return slot.Load()
 }
 
-// Release returns the stages that could drive node n with transition tr
-// (the paths a released node may move along), plus truncation.
-func (db *DB) Release(n *netlist.Node, tr tech.Transition) ([]*Stage, bool) {
-	e := db.release[2*n.Index+int(tr)]
-	e.once.Do(func() {
-		res := ToNode(db.nw, n, tr, db.enumOpt())
-		e.stages, e.trunc = res.Stages, res.Truncated
-		if res.Truncated {
-			db.truncated.Store(true)
-		}
-	})
-	return e.stages, e.trunc
+// Through returns the stages created when transistor ti becomes
+// conducting, targeting transition tr.
+func (db *DB) Through(ti int, tr tech.Transition) *Slab {
+	slot := &db.through[2*ti+int(tr)]
+	if s := slot.Load(); s != nil {
+		return s
+	}
+	return db.install(slot, through(db.nw, db.nw.Trans[ti], tr, db.enumOpt()))
 }
 
-// From returns the stages created when node n itself transitions (an input
-// event riding through conducting pass devices), plus truncation.
-func (db *DB) From(n *netlist.Node, tr tech.Transition) ([]*Stage, bool) {
-	e := db.from[2*n.Index+int(tr)]
-	e.once.Do(func() {
-		res := FromNode(db.nw, n, tr, db.enumOpt())
-		e.stages, e.trunc = res.Stages, res.Truncated
-		if res.Truncated {
-			db.truncated.Store(true)
-		}
-	})
-	return e.stages, e.trunc
+// Release returns the stages that could drive node ni with transition tr
+// (the paths a released node may move along).
+func (db *DB) Release(ni int, tr tech.Transition) *Slab {
+	slot := &db.release[2*ni+int(tr)]
+	if s := slot.Load(); s != nil {
+		return s
+	}
+	return db.install(slot, toNode(db.nw, db.nw.Nodes[ni], tr, db.enumOpt()))
 }
 
-// TurnOn returns the compiled turn-on consequence list of transistor t:
-// the stages created when t becomes conducting, for both target
-// transitions (Rise stages first), in the order the underlying Through
-// entries enumerate them, plus cumulative truncation.
-func (db *DB) TurnOn(t *netlist.Trans) ([]*Stage, bool) {
-	return db.TurnOnIdx(t.Index)
+// From returns the stages created when node ni itself transitions (an
+// input event riding through conducting pass devices).
+func (db *DB) From(ni int, tr tech.Transition) *Slab {
+	slot := &db.from[2*ni+int(tr)]
+	if s := slot.Load(); s != nil {
+		return s
+	}
+	return db.install(slot, fromNode(db.nw, db.nw.Nodes[ni], tr, db.enumOpt()))
 }
 
-// TurnOnIdx is TurnOn by transistor index (the compiled-network hot path).
+// TurnOnIdx lists the stages created when transistor ti becomes conducting,
+// for both target transitions (Rise stages first), plus truncation — the
+// consequence list of a turn-on, materialized for tools that want to hold
+// stages; the analyzer walks the two Through slabs directly.
 func (db *DB) TurnOnIdx(ti int) ([]*Stage, bool) {
-	e := db.turnOn[ti]
-	e.once.Do(func() {
-		t := db.nw.Trans[ti]
-		rise, tr1 := db.Through(t, tech.Rise)
-		fall, tr2 := db.Through(t, tech.Fall)
-		e.trunc = tr1 || tr2
-		if len(fall) == 0 {
-			e.stages = rise // share the underlying entry's slice
-		} else if len(rise) == 0 {
-			e.stages = fall
-		} else {
-			e.stages = make([]*Stage, 0, len(rise)+len(fall))
-			e.stages = append(e.stages, rise...)
-			e.stages = append(e.stages, fall...)
-		}
-	})
-	return e.stages, e.trunc
+	rise, fall := db.Through(ti, tech.Rise), db.Through(ti, tech.Fall)
+	return append(rise.result().Stages, fall.result().Stages...), rise.Truncated || fall.Truncated
 }
 
-// TurnOff returns the compiled turn-off consequence list of transistor t:
-// for every node the turn-off releases (the channel group), the stages
-// that could still drive it — paths through t itself filtered out — in
-// group order, Rise before Fall per member, plus cumulative truncation.
-func (db *DB) TurnOff(t *netlist.Trans) ([]*Stage, bool) {
-	return db.TurnOffIdx(t.Index)
-}
-
-// TurnOffIdx is TurnOff by transistor index.
-func (db *DB) TurnOffIdx(ti int) ([]*Stage, bool) {
-	e := db.turnOff[ti]
-	e.once.Do(func() {
-		t := db.nw.Trans[ti]
-		group := db.Group(t)
-		// Count first, then fill exactly: these lists are the largest
-		// compiled structure in the database, and append-doubling across
-		// tens of thousands of transistors wastes real memory.
-		n := 0
-		for _, m := range group {
-			for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
-				stages, trunc := db.Release(m, tr)
-				e.trunc = e.trunc || trunc
-				for _, st := range stages {
-					if !st.UsesTrans(t) {
-						n++
-					}
-				}
-			}
-		}
-		if n == 0 {
-			return
-		}
-		out := make([]*Stage, 0, n)
-		for _, m := range group {
-			for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
-				stages, _ := db.Release(m, tr)
-				for _, st := range stages {
-					if st.UsesTrans(t) {
-						continue // that path died with the device
-					}
-					out = append(out, st)
-				}
-			}
-		}
-		e.stages = out
-	})
-	return e.stages, e.trunc
-}
-
-// Group returns the non-source nodes channel-connected to either terminal
-// of t through possibly-conducting transistors (t itself excluded),
-// without expanding through strong sources — the set of nodes a turn-off
-// of t releases.
-func (db *DB) Group(t *netlist.Trans) []*netlist.Node {
-	e := db.groups[t.Index]
-	e.once.Do(func() {
-		e.nodes = channelGroup(db.nw, t, db.opt.Oracle)
-	})
-	return e.nodes
+// Group returns the indexes of the non-source nodes channel-connected to
+// either terminal of transistor ti through possibly-conducting transistors
+// (ti itself excluded), without expanding through strong sources — the set
+// of nodes a turn-off of ti releases. A turn-off's consequence list is the
+// Release slabs of these nodes in order, Rise before Fall, minus the stages
+// whose path runs through ti (those died with the device).
+func (db *DB) Group(ti int) []int32 {
+	slot := &db.groups[ti]
+	if g := slot.Load(); g != nil {
+		return *g
+	}
+	g := channelGroup(db.nw, db.nw.Trans[ti], db.opt.Oracle)
+	if !slot.CompareAndSwap(nil, &g) {
+		g = *slot.Load()
+	}
+	return g
 }
 
 // Derive builds the next-generation database over the edited network nw
 // (a distinct object from this database's network — edits never mutate a
-// generation an analysis has seen). Entries of untouched indexes are
-// shared with this database: a shared entry already built keeps its
-// stages; one still unbuilt is enumerated later by whichever generation
-// first asks, and because the clean channel-connected groups are
-// structurally identical in both networks the resulting stage values are
-// the same either way. Dirty indexes get fresh, empty entries.
+// generation an analysis has seen). Slots of untouched indexes are copied
+// from this database: one already built keeps its slab; one still unbuilt
+// is enumerated by whichever generation asks, and because the clean
+// channel-connected groups are structurally identical in both networks the
+// resulting stage values are the same either way. Dirty indexes stay nil.
 //
 //   - opt supplies the new generation's sensitization oracle (the caller
 //     re-settles statics after the edit) and must keep the same
@@ -294,20 +184,10 @@ func (db *DB) Group(t *netlist.Trans) []*netlist.Node {
 //     beyond the old range.
 //
 // The caller sets Stamp. Concurrent readers of the receiver are
-// unaffected: Derive only copies entry pointers.
+// unaffected: Derive only loads slot pointers.
 func (db *DB) Derive(nw *netlist.Network, opt Options, dirtyTrans, dirtyNode []bool, oldTrans []int) *DB {
-	opt = opt.fill()
-	next := &DB{
-		nw:      nw,
-		opt:     opt,
-		Epoch:   db.Epoch + 1,
-		through: newEntries(2 * len(nw.Trans)),
-		release: newEntries(2 * len(nw.Nodes)),
-		from:    newEntries(2 * len(nw.Nodes)),
-		groups:  newGroupEntries(len(nw.Trans)),
-		turnOn:  newEntries(len(nw.Trans)),
-		turnOff: newEntries(len(nw.Trans)),
-	}
+	next := NewDB(nw, opt)
+	next.Epoch = db.Epoch + 1
 	// Conservative: a truncated enumeration in a shared entry stays
 	// truncated in the new generation.
 	if db.truncated.Load() {
@@ -319,66 +199,55 @@ func (db *DB) Derive(nw *netlist.Network, opt Options, dirtyTrans, dirtyNode []b
 			old = oldTrans[j]
 		}
 		if old < 0 || (j < len(dirtyTrans) && dirtyTrans[j]) {
-			continue // keep the fresh entries
+			continue
 		}
-		next.through[2*j] = db.through[2*old]
-		next.through[2*j+1] = db.through[2*old+1]
-		next.groups[j] = db.groups[old]
-		// The compiled turn-on list depends only on the two through
-		// entries, so it shares under the same condition. The turn-off
-		// list also depends on the release entries of every group member,
-		// whose dirtiness this loop cannot see — it is rebuilt lazily in
-		// the new generation (a cheap concatenation of entries that are
-		// themselves shared when clean).
-		next.turnOn[j] = db.turnOn[old]
+		next.through[2*j].Store(db.through[2*old].Load())
+		next.through[2*j+1].Store(db.through[2*old+1].Load())
+		next.groups[j].Store(db.groups[old].Load())
 	}
 	oldNodes := len(db.nw.Nodes)
 	for j := range nw.Nodes {
 		if j >= oldNodes || (j < len(dirtyNode) && dirtyNode[j]) {
 			continue
 		}
-		next.release[2*j] = db.release[2*j]
-		next.release[2*j+1] = db.release[2*j+1]
-		next.from[2*j] = db.from[2*j]
-		next.from[2*j+1] = db.from[2*j+1]
+		for k := 2 * j; k < 2*j+2; k++ {
+			next.release[k].Store(db.release[k].Load())
+			next.from[k].Store(db.from[k].Load())
+		}
 	}
 	return next
 }
 
-// seenPool recycles the visited-marks scratch of channelGroup; on a
-// chip-scale network a fresh per-call slice is tens of kilobytes times
-// tens of thousands of groups, all garbage.
-var seenPool sync.Pool
+// groupScratch is the recycled working set of channelGroup: visited marks
+// and the BFS queue. On a chip-scale network fresh per-call slices are tens
+// of kilobytes times tens of thousands of groups, all garbage.
+type groupScratch struct {
+	seen []bool
+	q    []int32
+}
+
+var groupPool sync.Pool
 
 // channelGroup walks the channel graph from t's terminals.
-func channelGroup(nw *netlist.Network, t *netlist.Trans, oracle Oracle) []*netlist.Node {
-	var seen []bool
-	if v := seenPool.Get(); v != nil {
-		seen = v.([]bool)
+func channelGroup(nw *netlist.Network, t *netlist.Trans, oracle Oracle) []int32 {
+	s, _ := groupPool.Get().(*groupScratch)
+	if s == nil {
+		s = &groupScratch{}
 	}
-	if len(seen) < len(nw.Nodes) {
-		seen = make([]bool, len(nw.Nodes))
+	if len(s.seen) < len(nw.Nodes) {
+		s.seen = make([]bool, len(nw.Nodes))
 	}
-	var out []*netlist.Node
-	var q []*netlist.Node
-	defer func() {
-		// The true marks are exactly the group members: clear those and
-		// recycle, far cheaper than zeroing the whole slice.
-		for _, n := range out {
-			seen[n.Index] = false
-		}
-		seenPool.Put(seen)
-	}()
+	seen, q := s.seen, s.q[:0]
 	for _, m := range []*netlist.Node{t.A, t.B} {
 		if m != nil && !m.IsSource() && !seen[m.Index] {
 			seen[m.Index] = true
-			out = append(out, m)
-			q = append(q, m)
+			q = append(q, int32(m.Index))
 		}
 	}
-	for len(q) > 0 {
-		n := q[0]
-		q = q[1:]
+	// The queue is never consumed, only walked: it ends up holding the
+	// members in visit order, which is the group.
+	for qi := 0; qi < len(q); qi++ {
+		n := nw.Nodes[q[qi]]
 		for _, tr := range n.Terms {
 			if tr == t {
 				continue
@@ -391,10 +260,17 @@ func channelGroup(nw *netlist.Network, t *netlist.Trans, oracle Oracle) []*netli
 				continue
 			}
 			seen[o.Index] = true
-			out = append(out, o)
-			q = append(q, o)
+			q = append(q, int32(o.Index))
 		}
 	}
+	// The true marks are exactly the group members: clear those and
+	// recycle, far cheaper than zeroing the whole slice.
+	for _, i := range q {
+		seen[i] = false
+	}
+	out := append(make([]int32, 0, len(q)), q...)
+	s.q = q
+	groupPool.Put(s)
 	return out
 }
 
@@ -411,8 +287,8 @@ func (db *DB) Prewarm(workers int) {
 // PrewarmMasked is Prewarm with a skip mask: transistors with
 // skipTrans[i] true and inputs with skipNode[idx] true are left unbuilt.
 // The hierarchical analyzer passes the devices and member-local inputs of
-// stamped instances — their consequence lists are never consulted during
-// a stamped drain, and on chip-scale grids they are the bulk of the
+// stamped instances — their consequences are never consulted during a
+// stamped drain, and on chip-scale grids they are the bulk of the
 // enumeration cost and memory. Skipped entries still build lazily if an
 // instance later detaches to flat analysis.
 func (db *DB) PrewarmMasked(workers int, skipTrans, skipNode []bool) {
@@ -425,6 +301,7 @@ func (db *DB) PrewarmMasked(workers int, skipTrans, skipNode []bool) {
 	if workers < 1 {
 		workers = 1
 	}
+	transitions := [2]tech.Transition{tech.Rise, tech.Fall}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -439,12 +316,17 @@ func (db *DB) PrewarmMasked(workers int, skipTrans, skipNode []bool) {
 				if skipTrans != nil && skipTrans[i] {
 					continue
 				}
-				t := db.nw.Trans[i]
-				if t.AlwaysOn() {
+				if db.nw.Trans[i].AlwaysOn() {
 					continue
 				}
-				db.TurnOnIdx(i)  // builds both Through entries
-				db.TurnOffIdx(i) // builds the group and its Release entries
+				for _, tr := range transitions {
+					db.Through(i, tr)
+				}
+				for _, m := range db.Group(i) {
+					for _, tr := range transitions {
+						db.Release(int(m), tr)
+					}
+				}
 			}
 		}()
 	}
@@ -454,8 +336,8 @@ func (db *DB) PrewarmMasked(workers int, skipTrans, skipNode []bool) {
 			continue
 		}
 		if len(n.Terms) > 0 {
-			for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
-				db.From(n, tr)
+			for _, tr := range transitions {
+				db.From(n.Index, tr)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 package stage
 
 import (
-	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -11,20 +11,17 @@ import (
 
 // stageKey is a structural fingerprint for comparing stages produced by
 // independent enumerations (pointer identity cannot hold across them).
-func stageKey(st *Stage) string {
-	s := fmt.Sprintf("%s>%s/%v:", st.Source.Name, st.Target.Name, st.Transition)
-	for _, e := range st.Path {
-		s += e.Trans.Gate.Name + ","
-	}
-	return s
+func stageKey(nw *netlist.Network, st *Stage) string {
+	return nw.Nodes[st.Target].Name + "<" + st.Format(nw)
 }
 
-func sameStages(a, b []*Stage) bool {
-	if len(a) != len(b) {
+// sameStages compares a slab's records with an independent enumeration.
+func sameStages(nw *netlist.Network, a *Slab, b Result) bool {
+	if len(a.Stages) != len(b.Stages) || a.Truncated != b.Truncated {
 		return false
 	}
-	for i := range a {
-		if stageKey(a[i]) != stageKey(b[i]) {
+	for i := range a.Stages {
+		if stageKey(nw, &a.Stages[i]) != stageKey(nw, b.Stages[i]) {
 			return false
 		}
 	}
@@ -50,85 +47,103 @@ func passNet() (*netlist.Network, *netlist.Node, *netlist.Node) {
 
 // TestDBMatchesDirectEnumeration pins the database to the plain package
 // functions: every accessor must return exactly what Through/ToNode/FromNode
-// return for the same key, and cached calls must return the same slice.
+// return for the same key, and a second call must return the same slab.
 func TestDBMatchesDirectEnumeration(t *testing.T) {
 	nw, in, out := passNet()
 	db := NewDB(nw, Options{})
 	for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
 		for _, tx := range nw.Trans {
-			got, trunc := db.Through(tx, tr)
-			want := Through(nw, tx, tr, Options{})
-			if trunc != want.Truncated || !sameStages(got, want.Stages) {
+			if !sameStages(nw, db.Through(tx.Index, tr), Through(nw, tx, tr, Options{})) {
 				t.Errorf("Through(%s,%v): db disagrees with direct enumeration", tx.Gate.Name, tr)
 			}
 		}
 		for _, n := range []*netlist.Node{in, out, nw.Lookup("mid")} {
-			got, trunc := db.Release(n, tr)
-			want := ToNode(nw, n, tr, Options{})
-			if trunc != want.Truncated || !sameStages(got, want.Stages) {
+			if !sameStages(nw, db.Release(n.Index, tr), ToNode(nw, n, tr, Options{})) {
 				t.Errorf("Release(%s,%v): db disagrees with direct enumeration", n.Name, tr)
 			}
-			gotF, truncF := db.From(n, tr)
-			wantF := FromNode(nw, n, tr, Options{})
-			if truncF != wantF.Truncated || !sameStages(gotF, wantF.Stages) {
+			if !sameStages(nw, db.From(n.Index, tr), FromNode(nw, n, tr, Options{})) {
 				t.Errorf("From(%s,%v): db disagrees with direct enumeration", n.Name, tr)
 			}
 		}
 	}
-	// Cached: the second call must hand back the identical slice, not a
-	// re-enumeration.
-	first, _ := db.Release(out, tech.Fall)
-	second, _ := db.Release(out, tech.Fall)
-	if len(first) > 0 && &first[0] != &second[0] {
-		t.Error("Release re-enumerated a cached entry")
+	if first := db.Release(out.Index, tech.Fall); len(first.Stages) == 0 || first != db.Release(out.Index, tech.Fall) {
+		t.Error("Release re-enumerated a built entry")
 	}
 }
 
-// TestDBCompiledConsequenceLists pins the compiled TurnOn/TurnOff lists to
-// the reference nested enumeration the event loop used to perform inline:
-// turn-on is Through(t, Rise) then Through(t, Fall); turn-off walks the
-// released group in order, Rise before Fall per member, with paths through
-// the device itself filtered out. The lists exist so the drain does one
-// slice walk per gate event — but the order of candidates (which fixes
-// tie-breaking and therefore provenance) must be exactly the reference's.
-func TestDBCompiledConsequenceLists(t *testing.T) {
+// TestDBLazyEntries pins the lifetime rule of a slot: nil until asked,
+// then one slab for everyone; an enumeration that finds nothing costs no
+// allocation of its own.
+func TestDBLazyEntries(t *testing.T) {
+	nw, in, out := passNet()
+	db := NewDB(nw, Options{})
+	for i := range db.through {
+		if db.through[i].Load() != nil {
+			t.Fatal("fresh database holds a built entry")
+		}
+	}
+	db.Release(out.Index, tech.Fall)
+	built := 0
+	for i := range db.release {
+		if db.release[i].Load() != nil {
+			built++
+		}
+	}
+	if built != 1 {
+		t.Errorf("one Release built %d entries", built)
+	}
+	// Nothing can drive a strong source: the shared empty slab.
+	if got := db.Release(in.Index, tech.Rise); got != emptySlab {
+		t.Errorf("empty enumeration allocated a slab: %+v", got)
+	}
+}
+
+// TestDBTurnOn pins the materialized turn-on list to the two Through slabs
+// it is read from: the very records, Rise targets first.
+func TestDBTurnOn(t *testing.T) {
 	nw, _, _ := passNet()
 	db := NewDB(nw, Options{})
 	for _, tx := range nw.Trans {
-		gotOn, truncOn := db.TurnOn(tx)
-		rise, tr1 := db.Through(tx, tech.Rise)
-		fall, tr2 := db.Through(tx, tech.Fall)
-		wantOn := append(append([]*Stage{}, rise...), fall...)
-		if truncOn != (tr1 || tr2) || !sameStages(gotOn, wantOn) {
-			t.Errorf("TurnOn(%s): compiled list disagrees with Through enumeration", tx.Gate.Name)
+		got, trunc := db.TurnOnIdx(tx.Index)
+		rise, fall := db.Through(tx.Index, tech.Rise), db.Through(tx.Index, tech.Fall)
+		if trunc != (rise.Truncated || fall.Truncated) || len(got) != len(rise.Stages)+len(fall.Stages) {
+			t.Fatalf("TurnOnIdx(%s): %d stages, want %d+%d", tx.Gate.Name, len(got), len(rise.Stages), len(fall.Stages))
 		}
+		for i, st := range got {
+			want := &rise.Stages[0]
+			if i < len(rise.Stages) {
+				want = &rise.Stages[i]
+			} else {
+				want = &fall.Stages[i-len(rise.Stages)]
+			}
+			if st != want {
+				t.Errorf("TurnOnIdx(%s)[%d] is not the slab's record", tx.Gate.Name, i)
+			}
+		}
+	}
+}
 
-		gotOff, _ := db.TurnOff(tx)
-		var wantOff []*Stage
-		for _, m := range db.Group(tx) {
-			for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
-				stages, _ := db.Release(m, tr)
-				for _, st := range stages {
-					if !st.UsesTrans(tx) {
-						wantOff = append(wantOff, st)
+// TestUsesTrans checks the filter the turn-off walk applies to release
+// slabs against a plain scan of the path.
+func TestUsesTrans(t *testing.T) {
+	nw, _, _ := passNet()
+	db := NewDB(nw, Options{})
+	for _, n := range nw.Nodes {
+		for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
+			sl := db.Release(n.Index, tr)
+			for i := range sl.Stages {
+				st := &sl.Stages[i]
+				for ti := -1; ti < len(nw.Trans)+70; ti++ {
+					want := false
+					for _, e := range st.Path {
+						want = want || int(e.Trans) == ti
+					}
+					if st.UsesTrans(ti) != want {
+						t.Errorf("%s: UsesTrans(%d) = %v", st, ti, !want)
 					}
 				}
 			}
 		}
-		if !sameStages(gotOff, wantOff) {
-			t.Errorf("TurnOff(%s): compiled list disagrees with group/Release enumeration", tx.Gate.Name)
-		}
-		for _, st := range gotOff {
-			if st.UsesTrans(tx) {
-				t.Errorf("TurnOff(%s): list contains a path through the off device", tx.Gate.Name)
-			}
-		}
-	}
-	// Cached: repeated calls hand back the identical slices.
-	first, _ := db.TurnOffIdx(0)
-	second, _ := db.TurnOffIdx(0)
-	if len(first) > 0 && &first[0] != &second[0] {
-		t.Error("TurnOffIdx re-built a cached list")
 	}
 }
 
@@ -141,56 +156,135 @@ func TestDBGroup(t *testing.T) {
 			pass = tx
 		}
 	}
-	g := db.Group(pass)
+	g := db.Group(pass.Index)
 	found := map[string]bool{}
-	for _, n := range g {
-		found[n.Name] = true
+	for _, i := range g {
+		found[nw.Nodes[i].Name] = true
 	}
 	// Both channel terminals are non-source and must be in the group; the
 	// rails must never be.
 	if !found["mid"] || !found[out.Name] {
 		t.Errorf("group of pass gate = %v, want mid and out", found)
 	}
-	for _, n := range g {
-		if n.IsSource() {
+	for _, i := range g {
+		if n := nw.Nodes[i]; n.IsSource() {
 			t.Errorf("group contains source node %s", n.Name)
 		}
 	}
 }
 
+// TestDeriveSharesCleanSlots checks the generation step: clean slots carry
+// the predecessor's slabs (built or not), dirty ones start empty, and the
+// predecessor is untouched.
+func TestDeriveSharesCleanSlots(t *testing.T) {
+	nw, _, out := passNet()
+	db := NewDB(nw, Options{})
+	db.Prewarm(1)
+	next := nw.Clone()
+	oldTrans := make([]int, len(nw.Trans))
+	dirtyTrans := make([]bool, len(nw.Trans))
+	for i := range oldTrans {
+		oldTrans[i] = i
+	}
+	dirtyTrans[3] = true
+	dirtyNode := make([]bool, len(nw.Nodes))
+	dirtyNode[out.Index] = true
+	d := db.Derive(next, Options{}, dirtyTrans, dirtyNode, oldTrans)
+	if d.Epoch != db.Epoch+1 || d.Network() != next {
+		t.Fatalf("derived epoch %d over %p", d.Epoch, d.Network())
+	}
+	for i := range d.through {
+		got, old := d.through[i].Load(), db.through[i].Load()
+		if dirty := i/2 == 3; dirty && got != nil || !dirty && got != old {
+			t.Errorf("through slot %d: %p, predecessor holds %p", i, got, old)
+		}
+	}
+	for i := range d.release {
+		got, old := d.release[i].Load(), db.release[i].Load()
+		if dirty := i/2 == out.Index; dirty && got != nil || !dirty && got != old {
+			t.Errorf("release slot %d: %p, predecessor holds %p", i, got, old)
+		}
+	}
+	if d.groups[3].Load() != nil || d.groups[2].Load() != db.groups[2].Load() {
+		t.Error("group slots not split by dirtiness")
+	}
+	if !sameStages(next, d.Release(out.Index, tech.Fall), ToNode(next, out, tech.Fall, Options{})) {
+		t.Error("re-enumerated dirty entry disagrees with direct enumeration")
+	}
+}
+
+// TestRecordsHoldNoNetworkPointers walks the types a database keeps per
+// entry: a pointer into a network anywhere in them would let one surviving
+// slab pin a whole superseded generation.
+func TestRecordsHoldNoNetworkPointers(t *testing.T) {
+	banned := map[reflect.Type]bool{
+		reflect.TypeOf(netlist.Node{}):    true,
+		reflect.TypeOf(netlist.Trans{}):   true,
+		reflect.TypeOf(netlist.Network{}): true,
+	}
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		if banned[ty] {
+			t.Errorf("%s reaches %s", path, ty)
+		}
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(path, ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Interface, reflect.Map, reflect.Func, reflect.Chan, reflect.UnsafePointer:
+			t.Errorf("%s is a %s: cannot be shown network-free", path, ty.Kind())
+		}
+	}
+	walk("Slab", reflect.TypeOf(Slab{}))
+	walk("group", reflect.TypeOf([]int32(nil)))
+}
+
 // TestDBConcurrentAccess hammers every accessor from several goroutines;
-// meaningful under -race, where it proves the once-per-entry construction
-// publishes safely.
+// meaningful under -race, where it proves the compare-and-swap install
+// publishes safely, and checks every goroutine was handed the same slab.
 func TestDBConcurrentAccess(t *testing.T) {
 	nw, in, out := passNet()
 	db := NewDB(nw, Options{})
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	got := make([]*Slab, 8)
+	for w := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
-				db.Release(out, tr)
-				db.From(in, tr)
+				got[w] = db.Release(out.Index, tr)
+				db.From(in.Index, tr)
 				for _, tx := range nw.Trans {
-					db.Through(tx, tr)
-					db.Group(tx)
+					db.Through(tx.Index, tr)
+					db.Group(tx.Index)
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	for w := range got {
+		if got[w] != got[0] {
+			t.Fatal("goroutines were handed different slabs for one key")
+		}
+	}
 }
 
 // TestDBPrewarm checks prewarming builds the same entries lazy access
-// would (same slices afterwards — Prewarm must not rebuild).
+// would.
 func TestDBPrewarm(t *testing.T) {
 	nw, _, out := passNet()
 	db := NewDB(nw, Options{})
 	db.Prewarm(4)
-	warm, _ := db.Release(out, tech.Fall)
-	want := ToNode(nw, out, tech.Fall, Options{})
-	if !sameStages(warm, want.Stages) {
+	warm := db.release[2*out.Index+int(tech.Fall)].Load()
+	if warm == nil || !sameStages(nw, warm, ToNode(nw, out, tech.Fall, Options{})) {
 		t.Error("prewarmed Release disagrees with direct enumeration")
 	}
 }

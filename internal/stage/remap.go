@@ -1,4 +1,4 @@
-// Stage remapping: rebuild an enumerated stage over structurally
+// Stage remapping: rebuild an enumerated stage over the structurally
 // corresponding nodes and devices of another instance. The hierarchical
 // analyzer stamps a representative's timing onto its class members and
 // keeps provenance pointers into the representative's stages; when a
@@ -6,36 +6,34 @@
 // correspondence so the reported path names the member's own nets.
 package stage
 
-import "repro/internal/netlist"
-
-// Remap returns a copy of the stage with every node reference passed
-// through nodeFn and every transistor reference through transFn. Both
-// functions must return their argument unchanged for references outside
-// the remapped region (rails, shared boundary nodes). Derived loading
-// (PathCap, side R/C, driver, ordering flags) is copied, not recomputed:
-// the caller guarantees the image is structurally identical, which is
-// exactly the condition under which the derived values are equal. The
-// path bloom and cached source-input index are recomputed because they
-// encode indexes, and the evaluation memo starts empty (models key their
-// memos by stage identity).
-func (s *Stage) Remap(nodeFn func(*netlist.Node) *netlist.Node, transFn func(*netlist.Trans) *netlist.Trans) *Stage {
+// Remap returns a copy of the stage with every node index passed through
+// nodeFn and every transistor index through transFn. Both functions must
+// return their argument unchanged for indexes outside the remapped region
+// (rails, shared boundary nodes). Derived loading (PathCap, side R/C,
+// driver) is copied, not recomputed: the caller guarantees the image is
+// structurally identical, which is exactly the condition under which the
+// derived values are equal. The path bloom and cached source-input index
+// are recomputed because they encode indexes, and the delay constants
+// start unpublished.
+func (s *Stage) Remap(nodeFn, transFn func(int32) int32) *Stage {
 	out := &Stage{
 		Source:     nodeFn(s.Source),
 		Target:     nodeFn(s.Target),
+		Trigger:    NoTrans,
 		Transition: s.Transition,
-		sideSorted: s.sideSorted,
 		driver:     s.driver,
-		driverSet:  s.driverSet,
+		driverType: s.driverType,
 		PathCap:    s.PathCap, // immutable, index-aligned with Path either way
+		low:        make([]float64, len(s.low)),
 	}
-	if s.Trigger != nil {
+	if s.Trigger != NoTrans {
 		out.Trigger = transFn(s.Trigger)
 	}
 	out.Path = make([]Element, len(s.Path))
 	for i, e := range s.Path {
 		t := transFn(e.Trans)
 		out.Path[i] = Element{Trans: t, From: nodeFn(e.From), To: nodeFn(e.To)}
-		out.pathBloom |= 1 << (uint(t.Index) & 63)
+		out.pathBloom |= 1 << (uint(t) & 63)
 	}
 	if len(s.Side) > 0 {
 		out.Side = make([]SideLoad, len(s.Side))
@@ -43,8 +41,8 @@ func (s *Stage) Remap(nodeFn func(*netlist.Node) *netlist.Node, transFn func(*ne
 			out.Side[i] = SideLoad{Node: nodeFn(sl.Node), Attach: sl.Attach, R: sl.R, C: sl.C}
 		}
 	}
-	if out.Source.Kind == netlist.KindInput {
-		out.srcInput = int32(out.Source.Index) + 1
+	if s.srcInput > 0 {
+		out.srcInput = out.Source + 1
 	}
 	return out
 }

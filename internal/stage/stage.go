@@ -5,14 +5,18 @@
 // path must charge or discharge, including side branches hanging off the
 // path. Every delay model in this repository evaluates stages; the timing
 // verifier enumerates them.
+//
+// A stage record holds node and transistor *indexes*, never pointers into
+// a network: the edit engine keeps indexes stable across generations for
+// every channel group it leaves clean, so one record serves every
+// generation that shares it and pins none of them. Names and device
+// geometry are read through whichever network the caller currently holds.
 package stage
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/netlist"
@@ -40,20 +44,24 @@ type Oracle func(t *netlist.Trans) Conduction
 // worstCase is the nil-oracle behaviour.
 func worstCase(*netlist.Trans) Conduction { return Maybe }
 
-// Element is one transistor hop on a stage path, oriented source→target.
+// NoTrans is the Trigger of a stage no path transistor initiates.
+const NoTrans = -1
+
+// Element is one transistor hop on a stage path, oriented source→target,
+// as indexes into Network.Trans and Network.Nodes.
 type Element struct {
-	Trans *netlist.Trans
+	Trans int32
 	// From is the terminal nearer the stage's source; To nearer the target.
-	From, To *netlist.Node
+	From, To int32
 }
 
 // SideLoad is capacitance hanging off the path: a node reachable from a
 // path node through conducting side transistors.
 type SideLoad struct {
-	Node *netlist.Node
+	Node int32
 	// Attach indexes the path position the branch hangs from: 0 attaches
 	// at the source node, i>0 at Path[i-1].To.
-	Attach int
+	Attach int32
 	// R is the accumulated side-branch resistance from the attach point
 	// to Node, in ohms, for the stage's transition direction.
 	R float64
@@ -61,143 +69,150 @@ type SideLoad struct {
 	C float64
 }
 
-// Stage is a driving path plus its loading.
-type Stage struct {
-	// Source is the strong node supplying the transition (rail or input).
-	Source *netlist.Node
-	// Target is the node whose transition this stage times.
-	Target *netlist.Node
-	// Trigger is the path transistor whose gate transition initiates the
-	// stage, or nil when the stage is initiated by a channel-side event
-	// (an input transition propagating through already-on devices) or by
-	// another device turning off (load pullup stages).
-	Trigger *netlist.Trans
-	// Path runs source→target; never empty.
-	Path []Element
-	// Side holds off-path capacitive loading.
-	Side []SideLoad
-	// PathCap caches the total capacitance of each path node (index
-	// aligned with Path: PathCap[i] loads Path[i].To), precomputed at
-	// construction so delay models avoid re-walking adjacency lists.
-	PathCap []float64
-	// Transition is the direction Target moves (Rise when Source is high).
-	Transition tech.Transition
+// MaxLow bounds the split-replay terms a stage reserves room for (see
+// Consts): the driver sits at or near the source, so positions below it
+// are few. Stages with a deeper driver are evaluated by the two-walk path.
+const MaxLow = 16
 
-	// pathBloom is a 64-bit bloom of the path transistors' indices; a
-	// clear bit proves a transistor is not on the path, so UsesTrans can
-	// reject without scanning. Zero means "not computed" (hand-built
-	// stages), which falls back to the scan.
-	pathBloom uint64
-	// sideSorted records that Side is ordered by ascending Attach, the
-	// invariant the delay models' allocation-free Elmore merge relies on.
-	sideSorted bool
-	// driver caches the path index of the element whose device governs
-	// the stage's slope behaviour (the trigger if on the path, else the
-	// source-adjacent element); driverSet distinguishes a computed 0 from
-	// a hand-built stage.
-	driver    int
-	driverSet bool
-	// srcInput caches Source.Index+1 when the source is a chip input, 0
-	// otherwise (or on hand-built stages, which fall back to the pointer).
-	// The analyzer's per-evaluation source-validity check reads this
-	// instead of dereferencing Source.
-	srcInput int32
-
-	// memo is an opaque slot for delay-model evaluation constants. An
-	// enumerated stage is immutable (finish freezes its loading into
-	// PathCap/Side), so everything a model derives from it other than the
-	// input slope is a per-stage constant; models stash those here keyed
-	// by their own table identity. Concurrent stores race benignly: the
-	// value is a pure function of the (stage, tables) pair, so every
-	// writer stores identical contents.
-	memo atomic.Pointer[any]
+// Consts are the constants a delay model derives from one (stage, tables)
+// pair: everything an evaluation needs other than the input slope. An
+// enumerated stage is immutable, so they are computed on first evaluation
+// and kept inline in the record; package delay defines their meaning.
+type Consts struct {
+	// TauStep is the intrinsic (step-input) Elmore delay.
+	TauStep float64
+	// Split-walk replay terms, valid when Fused: the delay at driver
+	// multiplier m is High + (RDrv·m)·AccDrv + Σ Low()[j], j = driver-1 … 0.
+	High, RDrv, AccDrv float64
+	Fused              bool
+	// TF0 is the output-transition factor at slope ratio 0.
+	TF0 float64
+	// Lumped: delay = RSum × CSum.
+	RSum, CSum float64
 }
 
-// Memo returns the cached evaluation constants stored by SetMemo, or nil.
-// Callers must validate the value's key (e.g. a table pointer) themselves.
-func (s *Stage) Memo() any {
-	if p := s.memo.Load(); p != nil {
-		return *p
+// Stage is a driving path plus its loading. Path, Side and PathCap alias
+// the packed arrays of the enumeration result the stage belongs to.
+type Stage struct {
+	// The fields an evaluation from published constants reads come first, so
+	// the drain's walk over a slab touches the head of each record only.
+
+	// Target is the node whose transition this stage times.
+	Target int32
+	// srcInput is Source+1 when the source is a chip input, 0 otherwise:
+	// the analyzer's per-evaluation source-validity check.
+	srcInput int32
+	// Transition is the direction Target moves (Rise when Source is high).
+	Transition tech.Transition
+	// pathBloom is a 64-bit bloom of the path transistors' indexes; a clear
+	// bit proves a transistor is not on the path.
+	pathBloom uint64
+	// constsKey guards consts: 0 empty, 1 claimed by a writer, anything
+	// else the key the constants were published under. A published record
+	// is never rewritten, so readers that saw their key read plain fields.
+	constsKey atomic.Uint64
+	consts    Consts
+	// low is the room for Consts' split-replay terms: driver slots beside
+	// the path caps (none when the driver sits deeper than MaxLow).
+	low []float64
+	// driver is the path index of the element whose device governs the
+	// stage's slope behaviour (the trigger if on the path, else the
+	// source-adjacent element) and driverType that device's type.
+	driverType tech.Device
+	driver     int32
+
+	// Source is the strong node supplying the transition (rail or input).
+	Source int32
+	// Trigger is the path transistor whose gate transition initiates the
+	// stage, or NoTrans when the stage is initiated by a channel-side event
+	// (an input transition propagating through already-on devices) or by
+	// another device turning off (load pullup stages).
+	Trigger int32
+
+	// Path runs source→target; never empty.
+	Path []Element
+	// Side holds off-path capacitive loading, ordered by ascending Attach —
+	// the invariant the delay models' allocation-free Elmore merge relies on.
+	Side []SideLoad
+	// PathCap is the total capacitance of each path node (PathCap[i] loads
+	// Path[i].To), so delay models never re-walk adjacency lists.
+	PathCap []float64
+}
+
+// Consts returns the constants published under key, or nil.
+func (s *Stage) Consts(key uint64) *Consts {
+	if s.constsKey.Load() == key {
+		return &s.consts
 	}
 	return nil
 }
 
-// SetMemo stores evaluation constants for Memo to return. Safe for
-// concurrent use.
-func (s *Stage) SetMemo(m any) { s.memo.Store(&m) }
-
-// finish computes the derived loading fields (side loads, path caps).
-func (s *Stage) finish(nw *netlist.Network, opt Options) {
-	s.Side = sideLoads(nw, s, opt)
-	// Sorting the side loads by attach position lets evaluators merge
-	// them into a single backwards path walk with no scratch allocation.
-	sort.Slice(s.Side, func(i, j int) bool { return s.Side[i].Attach < s.Side[j].Attach })
-	s.sideSorted = true
-	s.PathCap = make([]float64, len(s.Path))
-	for i, e := range s.Path {
-		s.PathCap[i] = opt.nodeCap(nw, e.To)
-		s.pathBloom |= 1 << (uint(e.Trans.Index) & 63)
+// ClaimConsts hands the unpublished constants to exactly one caller to
+// fill in (with Low); everyone else gets nil and evaluates without them.
+func (s *Stage) ClaimConsts() *Consts {
+	if s.constsKey.CompareAndSwap(0, 1) {
+		return &s.consts
 	}
-	s.driver = 0
-	if s.Trigger != nil {
-		for i, e := range s.Path {
-			if e.Trans == s.Trigger {
-				s.driver = i
-				break
-			}
-		}
-	}
-	s.driverSet = true
-	if s.Source.Kind == netlist.KindInput {
-		s.srcInput = int32(s.Source.Index) + 1
-	}
+	return nil
 }
 
-// Driver returns the precomputed driver element index and whether it was
-// computed (false for hand-assembled stages, which must derive it).
-func (s *Stage) Driver() (int, bool) { return s.driver, s.driverSet }
+// PublishConsts makes the constants the claimant filled in visible under
+// key (which must not be 0 or 1).
+func (s *Stage) PublishConsts(key uint64) { s.constsKey.Store(key) }
 
-// SideSorted reports whether Side is sorted by ascending Attach (true for
-// every enumerated stage; hand-assembled stages may not be).
-func (s *Stage) SideSorted() bool { return s.sideSorted }
+// Low returns the split-replay slots; written only between ClaimConsts and
+// PublishConsts.
+func (s *Stage) Low() []float64 { return s.low }
+
+// Driver returns the path index of the element whose slope curve governs
+// the stage.
+func (s *Stage) Driver() int { return int(s.driver) }
+
+// DriverType returns the device type of the driver element.
+func (s *Stage) DriverType() tech.Device { return s.driverType }
 
 // SourceInputIndex returns the node index of the stage's source when that
-// source is a chip input, and -1 otherwise. Enumerated stages answer from
-// a cached field; hand-assembled ones fall back to the source node.
-func (s *Stage) SourceInputIndex() int {
-	if s.srcInput > 0 {
-		return int(s.srcInput) - 1
-	}
-	if !s.driverSet && s.Source != nil && s.Source.Kind == netlist.KindInput {
-		return s.Source.Index
-	}
-	return -1
-}
+// source is a chip input, and -1 otherwise.
+func (s *Stage) SourceInputIndex() int { return int(s.srcInput) - 1 }
 
-// UsesTrans reports whether the stage's path runs through transistor t.
-// The bloom filter rejects most queries without touching the path.
-// Identity is by index, not pointer: a stage memoized in a previous edit
-// generation of the network describes the same device under the same
-// index (the incremental engine re-enumerates any group whose indexes
-// were disturbed), so cross-generation queries still answer correctly.
-func (s *Stage) UsesTrans(t *netlist.Trans) bool {
-	if s.pathBloom != 0 && s.pathBloom&(1<<(uint(t.Index)&63)) == 0 {
+// UsesTrans reports whether the stage's path runs through the transistor
+// with index ti. The bloom filter rejects most queries without touching
+// the path. A stage memoized in a previous edit generation describes the
+// same device under the same index (the incremental engine re-enumerates
+// any group whose indexes were disturbed), so cross-generation queries
+// still answer correctly.
+func (s *Stage) UsesTrans(ti int) bool {
+	if s.pathBloom&(1<<(uint(ti)&63)) == 0 {
 		return false
 	}
 	for _, e := range s.Path {
-		if e.Trans.Index == t.Index {
+		if int(e.Trans) == ti {
 			return true
 		}
 	}
 	return false
 }
 
-// String renders the stage compactly: "Vdd -(d:out)-> out [rise]".
+// String renders the stage by index: "n0 -(t3)-> n7 [rise]". Format names
+// the nets.
 func (s *Stage) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s", s.Source.Name)
+	fmt.Fprintf(&b, "n%d", s.Source)
 	for _, e := range s.Path {
-		fmt.Fprintf(&b, " -(%s g=%s)-> %s", e.Trans.Type, e.Trans.Gate.Name, e.To.Name)
+		fmt.Fprintf(&b, " -(t%d)-> n%d", e.Trans, e.To)
+	}
+	fmt.Fprintf(&b, " [%s]", s.Transition)
+	return b.String()
+}
+
+// Format renders the stage through nw's names:
+// "Vdd -(d g=out)-> out [rise]".
+func (s *Stage) Format(nw *netlist.Network) string {
+	var b strings.Builder
+	b.WriteString(nw.Nodes[s.Source].Name)
+	for _, e := range s.Path {
+		t := nw.Trans[e.Trans]
+		fmt.Fprintf(&b, " -(%s g=%s)-> %s", t.Type, t.Gate.Name, nw.Nodes[e.To].Name)
 	}
 	fmt.Fprintf(&b, " [%s]", s.Transition)
 	return b.String()
@@ -216,26 +231,20 @@ func elementR(p *tech.Params, t *netlist.Trans, tr tech.Transition) float64 {
 // SeriesR returns the total series resistance of the path in ohms for the
 // stage's transition, using the technology's step-input effective
 // resistances (callers with calibrated tables scale per element).
-func (s *Stage) SeriesR(p *tech.Params) float64 {
+func (s *Stage) SeriesR(nw *netlist.Network) float64 {
 	r := 0.0
-	for _, e := range s.Path {
-		r += elementR(p, e.Trans, s.Transition)
+	for i := range s.Path {
+		r += s.ElementR(nw, i)
 	}
 	return r
 }
 
 // TotalC returns the total capacitance the stage drives: every path node
 // after the source, plus all side loads.
-func (s *Stage) TotalC(nw *netlist.Network) float64 {
+func (s *Stage) TotalC() float64 {
 	c := 0.0
-	if s.PathCap != nil {
-		for _, pc := range s.PathCap {
-			c += pc
-		}
-	} else {
-		for _, e := range s.Path {
-			c += nw.NodeCap(e.To)
-		}
+	for _, pc := range s.PathCap {
+		c += pc
 	}
 	for _, sl := range s.Side {
 		c += sl.C
@@ -245,8 +254,7 @@ func (s *Stage) TotalC(nw *netlist.Network) float64 {
 
 // ElementR returns the step-input effective resistance of path element i.
 func (s *Stage) ElementR(nw *netlist.Network, i int) float64 {
-	e := s.Path[i]
-	return elementR(nw.Tech, e.Trans, s.Transition)
+	return elementR(nw.Tech, nw.Trans[s.Path[i].Trans], s.Transition)
 }
 
 // Tree builds the RC tree of the stage: root at the source, a chain of
@@ -256,7 +264,7 @@ func (s *Stage) ElementR(nw *netlist.Network, i int) float64 {
 // map path positions to tree nodes: treeIdx[0] is the source/root,
 // treeIdx[i] is Path[i-1].To, so treeIdx[len(Path)] is the target.
 func (s *Stage) Tree(nw *netlist.Network, rscale []float64) (*rctree.Tree, []int) {
-	t := rctree.New(0, s.Source.Name) // source: driven rail, no cap charge needed
+	t := rctree.New(0, nw.Nodes[s.Source].Name) // source: driven rail, no cap charge needed
 	treeIdx := make([]int, len(s.Path)+1)
 	treeIdx[0] = 0
 	for i, e := range s.Path {
@@ -264,7 +272,8 @@ func (s *Stage) Tree(nw *netlist.Network, rscale []float64) (*rctree.Tree, []int
 		if rscale != nil && rscale[i] > 0 {
 			r *= rscale[i]
 		}
-		treeIdx[i+1] = t.Add(treeIdx[i], r, nw.NodeCap(e.To), e.To.Name)
+		to := nw.Nodes[e.To]
+		treeIdx[i+1] = t.Add(treeIdx[i], r, nw.NodeCap(to), to.Name)
 	}
 	for _, sl := range s.Side {
 		r := sl.R
@@ -274,463 +283,28 @@ func (s *Stage) Tree(nw *netlist.Network, rscale []float64) (*rctree.Tree, []int
 			t.AddCap(treeIdx[sl.Attach], sl.C)
 			continue
 		}
-		t.Add(treeIdx[sl.Attach], r, sl.C, sl.Node.Name)
+		t.Add(treeIdx[sl.Attach], r, sl.C, nw.Nodes[sl.Node].Name)
 	}
 	return t, treeIdx
-}
-
-// Options bounds stage enumeration.
-type Options struct {
-	// Oracle supplies conduction; nil = worst case (everything Maybe).
-	Oracle Oracle
-	// MaxDepth bounds path length in transistors (default 64).
-	MaxDepth int
-	// MaxPaths bounds the number of source paths enumerated per query
-	// (default 256). Overflow is reported via Truncated.
-	MaxPaths int
-
-	// caps, when non-nil, is a node-index-keyed snapshot of NodeCap over
-	// the (immutable) network being enumerated. The database installs it so
-	// stage construction reads a float instead of re-walking adjacency
-	// lists per node; direct enumeration calls leave it nil and fall back.
-	caps []float64
-}
-
-// nodeCap returns the total capacitance loading n, from the snapshot when
-// one is installed.
-func (o *Options) nodeCap(nw *netlist.Network, n *netlist.Node) float64 {
-	if o.caps != nil {
-		return o.caps[n.Index]
-	}
-	return nw.NodeCap(n)
-}
-
-// Fill returns the options with defaults applied (the exported form, used
-// by callers that need to know the effective bounds, e.g. for cache keys).
-func (o Options) Fill() Options { return o.fill() }
-
-func (o Options) fill() Options {
-	if o.Oracle == nil {
-		o.Oracle = worstCase
-	}
-	if o.MaxDepth <= 0 {
-		o.MaxDepth = 64
-	}
-	if o.MaxPaths <= 0 {
-		o.MaxPaths = 256
-	}
-	return o
-}
-
-// Result carries enumerated stages plus enumeration diagnostics.
-type Result struct {
-	Stages []*Stage
-	// Truncated is true if MaxPaths or MaxDepth pruned the enumeration.
-	Truncated bool
-}
-
-// sourceWanted reports whether node n can source the given target
-// transition: Vdd and high inputs source rises, GND and low inputs source
-// falls. Inputs source both (their own transition direction is decided by
-// the caller), so they are accepted for either.
-func sourceWanted(n *netlist.Node, tr tech.Transition) bool {
-	switch n.Kind {
-	case netlist.KindVdd:
-		return tr == tech.Rise
-	case netlist.KindGnd:
-		return tr == tech.Fall
-	case netlist.KindInput:
-		return true
-	}
-	return false
-}
-
-// ToNode enumerates all stages that could drive target with transition tr:
-// every acyclic path from an appropriate strong source to target through
-// transistors the oracle does not rule out, respecting flow hints. Side
-// loading is computed per stage.
-func ToNode(nw *netlist.Network, target *netlist.Node, tr tech.Transition, opt Options) Result {
-	opt = opt.fill()
-	var res Result
-	if target.IsSource() {
-		return res
-	}
-	// DFS backward from target toward sources. Paths are built
-	// target→source then reversed.
-	onPath := make(map[*netlist.Node]bool)
-	var rev []Element // elements target→source orientation (From/To in final orientation)
-	var dfs func(n *netlist.Node, depth int)
-	dfs = func(n *netlist.Node, depth int) {
-		if len(res.Stages) >= opt.MaxPaths {
-			res.Truncated = true
-			return
-		}
-		if depth > opt.MaxDepth {
-			res.Truncated = true
-			return
-		}
-		onPath[n] = true
-		defer delete(onPath, n)
-		for _, t := range n.Terms {
-			if opt.Oracle(t) == Off {
-				continue
-			}
-			o := t.Other(n)
-			if o == nil || onPath[o] {
-				continue
-			}
-			// Final orientation is source→target, so the signal flows
-			// o→n here; check the flow hint in that direction.
-			if !t.CanFlow(o) {
-				continue
-			}
-			rev = append(rev, Element{Trans: t, From: o, To: n})
-			if o.IsSource() {
-				if sourceWanted(o, tr) {
-					res.Stages = append(res.Stages, buildStage(nw, o, target, rev, tr, opt))
-				}
-			} else {
-				dfs(o, depth+1)
-			}
-			rev = rev[:len(rev)-1]
-		}
-	}
-	dfs(target, 0)
-	return res
-}
-
-// buildStage reverses the collected path and computes side loading.
-func buildStage(nw *netlist.Network, source, target *netlist.Node, rev []Element, tr tech.Transition, opt Options) *Stage {
-	path := make([]Element, len(rev))
-	for i, e := range rev {
-		path[len(rev)-1-i] = e
-	}
-	st := &Stage{Source: source, Target: target, Path: path, Transition: tr}
-	st.finish(nw, opt)
-	return st
-}
-
-// slQent is one pending BFS visit of the side-load walk.
-type slQent struct {
-	n      *netlist.Node
-	attach int
-	r      float64
-}
-
-// slScratch is the recycled working set of sideLoads: epoch-stamped marks
-// keyed by node/transistor index instead of per-call maps. sideLoads runs
-// once per enumerated stage — hundreds of thousands of times on a chip —
-// and two fresh maps per call (visited nodes, path membership) dominated
-// the whole enumeration in both time and garbage. A stamp match replaces
-// the map hit; bumping the stamp replaces clearing.
-type slScratch struct {
-	stamp     uint32
-	nodeStamp []uint32 // node index → stamp when last visited
-	transOn   []uint32 // trans index → stamp when on the current path
-	q         []slQent
-}
-
-var slPool sync.Pool
-
-// next readies the scratch for one sideLoads call over nw.
-func (s *slScratch) next(nw *netlist.Network) {
-	if len(s.nodeStamp) < len(nw.Nodes) {
-		s.nodeStamp = make([]uint32, len(nw.Nodes))
-	}
-	if len(s.transOn) < len(nw.Trans) {
-		s.transOn = make([]uint32, len(nw.Trans))
-	}
-	s.stamp++
-	if s.stamp == 0 { // wrapped: marks are ambiguous, start over
-		clear(s.nodeStamp)
-		clear(s.transOn)
-		s.stamp = 1
-	}
-	s.q = s.q[:0]
-}
-
-// sideLoads walks outward from every path node through conducting
-// transistors (per the oracle), collecting the capacitance of off-path
-// nodes. Each off-path node is attributed to the first path node that
-// reaches it (shortest-hop via BFS from the whole path at once), with the
-// accumulated branch resistance.
-func sideLoads(nw *netlist.Network, st *Stage, opt Options) []SideLoad {
-	s, _ := slPool.Get().(*slScratch)
-	if s == nil {
-		s = &slScratch{}
-	}
-	s.next(nw)
-	defer slPool.Put(s)
-	// Seed with path nodes (and source) at zero resistance. Attachment
-	// point and branch resistance ride in the queue entries; only the
-	// visited marks live in the stamped arrays.
-	s.nodeStamp[st.Source.Index] = s.stamp
-	s.q = append(s.q, slQent{st.Source, 0, 0})
-	for i, e := range st.Path {
-		s.nodeStamp[e.To.Index] = s.stamp
-		s.q = append(s.q, slQent{e.To, i + 1, 0})
-		s.transOn[e.Trans.Index] = s.stamp
-	}
-	var out []SideLoad
-	for qi := 0; qi < len(s.q); qi++ {
-		cur := s.q[qi]
-		if cur.n.IsSource() {
-			// Ideal sources absorb: nothing behind a rail or input
-			// loads the stage, and expansion must not pass through.
-			continue
-		}
-		for _, t := range cur.n.Terms {
-			if opt.Oracle(t) == Off {
-				continue
-			}
-			// Skip path elements themselves.
-			if s.transOn[t.Index] == s.stamp {
-				continue
-			}
-			o := t.Other(cur.n)
-			if o == nil {
-				continue
-			}
-			if !t.CanFlow(cur.n) {
-				continue
-			}
-			if s.nodeStamp[o.Index] == s.stamp {
-				continue
-			}
-			r := cur.r + elementR(nw.Tech, t, st.Transition)
-			s.nodeStamp[o.Index] = s.stamp
-			// A strong node absorbs the branch: it contributes no
-			// capacitance (it is a rail/input) and stops expansion.
-			if o.IsSource() {
-				continue
-			}
-			out = append(out, SideLoad{Node: o, Attach: cur.attach, R: r, C: opt.nodeCap(nw, o)})
-			s.q = append(s.q, slQent{o, cur.attach, r})
-		}
-	}
-	return out
-}
-
-// Through enumerates the stages created when transistor trig becomes
-// conducting: every stage whose path passes through trig, targeting each
-// node reachable on the far side (including trig's own far terminal).
-// Source-side paths are enumerated exhaustively (bounded by MaxPaths);
-// the far side is expanded as a spanning tree, one stage per reached node.
-func Through(nw *netlist.Network, trig *netlist.Trans, tr tech.Transition, opt Options) Result {
-	opt = opt.fill()
-	var res Result
-	// For each orientation of the trigger (A→B and B→A), find source
-	// paths ending at the near terminal, then extend to far-side nodes.
-	for _, orient := range [2]struct{ near, far *netlist.Node }{
-		{trig.A, trig.B}, {trig.B, trig.A},
-	} {
-		if !trig.CanFlow(orient.near) || orient.near == orient.far {
-			continue
-		}
-		srcPaths := pathsToNode(nw, orient.near, tr, opt, trig)
-		if srcPaths.Truncated {
-			res.Truncated = true
-		}
-		if len(srcPaths.paths) == 0 && orient.near.IsSource() && sourceWanted(orient.near, tr) {
-			// The near terminal is itself a source: the trivial path.
-			srcPaths.paths = append(srcPaths.paths, nil)
-		}
-		for _, sp := range srcPaths.paths {
-			exts := spanningExtensions(nw, orient.far, orient.near, sp, trig, opt)
-			for _, ext := range exts {
-				if len(sp)+1+len(ext) > opt.MaxDepth {
-					res.Truncated = true
-					continue
-				}
-				full := make([]Element, 0, len(sp)+1+len(ext))
-				full = append(full, sp...)
-				full = append(full, Element{Trans: trig, From: orient.near, To: orient.far})
-				full = append(full, ext...)
-				src := orient.near
-				if len(sp) > 0 {
-					src = sp[0].From
-				}
-				target := full[len(full)-1].To
-				st := &Stage{
-					Source:     src,
-					Target:     target,
-					Trigger:    trig,
-					Path:       full,
-					Transition: tr,
-				}
-				st.finish(nw, opt)
-				res.Stages = append(res.Stages, st)
-				if len(res.Stages) >= opt.MaxPaths {
-					res.Truncated = true
-					return res
-				}
-			}
-		}
-	}
-	return res
-}
-
-type pathSet struct {
-	paths     [][]Element // each source→near orientation
-	Truncated bool
-}
-
-// pathsToNode enumerates acyclic source→end paths not using `exclude`.
-func pathsToNode(nw *netlist.Network, end *netlist.Node, tr tech.Transition, opt Options, exclude *netlist.Trans) pathSet {
-	var ps pathSet
-	if end.IsSource() {
-		return ps
-	}
-	onPath := map[*netlist.Node]bool{}
-	var rev []Element
-	var dfs func(n *netlist.Node, depth int)
-	dfs = func(n *netlist.Node, depth int) {
-		if len(ps.paths) >= opt.MaxPaths || depth > opt.MaxDepth {
-			ps.Truncated = true
-			return
-		}
-		onPath[n] = true
-		defer delete(onPath, n)
-		for _, t := range n.Terms {
-			if t == exclude || opt.Oracle(t) == Off {
-				continue
-			}
-			o := t.Other(n)
-			if o == nil || onPath[o] || !t.CanFlow(o) {
-				continue
-			}
-			rev = append(rev, Element{Trans: t, From: o, To: n})
-			if o.IsSource() {
-				if sourceWanted(o, tr) {
-					p := make([]Element, len(rev))
-					for i, e := range rev {
-						p[len(rev)-1-i] = e
-					}
-					ps.paths = append(ps.paths, p)
-				}
-			} else {
-				dfs(o, depth+1)
-			}
-			rev = rev[:len(rev)-1]
-		}
-	}
-	dfs(end, 0)
-	return ps
-}
-
-// spanningExtensions returns, for every node reachable from `from` through
-// conducting transistors without touching the source path, the tree path
-// to it (as a list of elements from `from` outward). The empty extension
-// (targeting `from` itself) is always first.
-func spanningExtensions(nw *netlist.Network, from, near *netlist.Node, srcPath []Element, trig *netlist.Trans, opt Options) [][]Element {
-	blocked := map[*netlist.Node]bool{near: true}
-	for _, e := range srcPath {
-		blocked[e.From] = true
-		blocked[e.To] = true
-	}
-	exts := [][]Element{nil}
-	if from.IsSource() {
-		return exts
-	}
-	type item struct {
-		n    *netlist.Node
-		path []Element
-	}
-	seen := map[*netlist.Node]bool{from: true}
-	q := []item{{from, nil}}
-	for len(q) > 0 {
-		cur := q[0]
-		q = q[1:]
-		if len(cur.path) >= opt.MaxDepth {
-			continue
-		}
-		for _, t := range cur.n.Terms {
-			if t == trig || opt.Oracle(t) == Off {
-				continue
-			}
-			o := t.Other(cur.n)
-			if o == nil || seen[o] || blocked[o] || !t.CanFlow(cur.n) {
-				continue
-			}
-			seen[o] = true
-			if o.IsSource() {
-				continue
-			}
-			np := make([]Element, len(cur.path)+1)
-			copy(np, cur.path)
-			np[len(cur.path)] = Element{Trans: t, From: cur.n, To: o}
-			exts = append(exts, np)
-			q = append(q, item{o, np})
-		}
-	}
-	return exts
-}
-
-// FromNode enumerates the stages created when node src itself transitions
-// (an externally timed event, e.g. a chip input feeding pass transistors):
-// a spanning tree of the conducting channel graph rooted at src, one stage
-// per reachable node, each with Source = src and no trigger.
-func FromNode(nw *netlist.Network, src *netlist.Node, tr tech.Transition, opt Options) Result {
-	opt = opt.fill()
-	var res Result
-	type item struct {
-		n    *netlist.Node
-		path []Element
-	}
-	seen := map[*netlist.Node]bool{src: true}
-	q := []item{{src, nil}}
-	for len(q) > 0 {
-		cur := q[0]
-		q = q[1:]
-		if len(cur.path) >= opt.MaxDepth {
-			res.Truncated = true
-			continue
-		}
-		for _, t := range cur.n.Terms {
-			if opt.Oracle(t) == Off {
-				continue
-			}
-			o := t.Other(cur.n)
-			if o == nil || seen[o] || !t.CanFlow(cur.n) {
-				continue
-			}
-			seen[o] = true
-			if o.IsSource() {
-				continue
-			}
-			np := make([]Element, len(cur.path)+1)
-			copy(np, cur.path)
-			np[len(cur.path)] = Element{Trans: t, From: cur.n, To: o}
-			st := &Stage{Source: src, Target: o, Path: np, Transition: tr}
-			st.finish(nw, opt)
-			res.Stages = append(res.Stages, st)
-			if len(res.Stages) >= opt.MaxPaths {
-				res.Truncated = true
-				return res
-			}
-			q = append(q, item{o, np})
-		}
-	}
-	return res
 }
 
 // WorstRC returns the lumped time constant (series R × total C) of the
 // stage, a convenience several reports use.
 func (s *Stage) WorstRC(nw *netlist.Network) float64 {
-	return s.SeriesR(nw.Tech) * s.TotalC(nw)
+	return s.SeriesR(nw) * s.TotalC()
 }
 
 // Validate checks structural sanity of a stage: non-empty contiguous path
-// from source to target with positive geometry.
+// from source to target with sane loading.
 func (s *Stage) Validate() error {
 	if len(s.Path) == 0 {
 		return fmt.Errorf("stage: empty path")
 	}
 	if s.Path[0].From != s.Source {
-		return fmt.Errorf("stage: path starts at %s, source is %s", s.Path[0].From, s.Source)
+		return fmt.Errorf("stage: path starts at n%d, source is n%d", s.Path[0].From, s.Source)
 	}
 	if s.Path[len(s.Path)-1].To != s.Target {
-		return fmt.Errorf("stage: path ends at %s, target is %s", s.Path[len(s.Path)-1].To, s.Target)
+		return fmt.Errorf("stage: path ends at n%d, target is n%d", s.Path[len(s.Path)-1].To, s.Target)
 	}
 	for i := 1; i < len(s.Path); i++ {
 		if s.Path[i].From != s.Path[i-1].To {
@@ -738,11 +312,11 @@ func (s *Stage) Validate() error {
 		}
 	}
 	for _, sl := range s.Side {
-		if sl.Attach < 0 || sl.Attach > len(s.Path) {
+		if sl.Attach < 0 || int(sl.Attach) > len(s.Path) {
 			return fmt.Errorf("stage: side load attach %d out of range", sl.Attach)
 		}
 		if sl.C < 0 || sl.R < 0 || math.IsNaN(sl.C) || math.IsNaN(sl.R) {
-			return fmt.Errorf("stage: bad side load on %s", sl.Node)
+			return fmt.Errorf("stage: bad side load on n%d", sl.Node)
 		}
 	}
 	return nil

@@ -8,6 +8,9 @@ import (
 	"repro/internal/tech"
 )
 
+// idx is a node's index as stage records hold it.
+func idx(n *netlist.Node) int32 { return int32(n.Index) }
+
 // invNet builds an nMOS inverter and returns (net, in, out).
 func invNet() (*netlist.Network, *netlist.Node, *netlist.Node) {
 	p := tech.NMOS4()
@@ -26,7 +29,7 @@ func TestToNodeInverter(t *testing.T) {
 		t.Fatalf("fall stages = %d, want 1", len(fall.Stages))
 	}
 	st := fall.Stages[0]
-	if st.Source != nw.GND() || st.Target != out || len(st.Path) != 1 {
+	if st.Source != idx(nw.GND()) || st.Target != idx(out) || len(st.Path) != 1 {
 		t.Errorf("bad fall stage: %v", st)
 	}
 	if err := st.Validate(); err != nil {
@@ -36,10 +39,10 @@ func TestToNodeInverter(t *testing.T) {
 	if len(rise.Stages) != 1 {
 		t.Fatalf("rise stages = %d, want 1", len(rise.Stages))
 	}
-	if rise.Stages[0].Source != nw.Vdd() {
+	if rise.Stages[0].Source != idx(nw.Vdd()) {
 		t.Errorf("rise source = %v, want Vdd", rise.Stages[0].Source)
 	}
-	if rise.Stages[0].Path[0].Trans.Type != tech.NDep {
+	if nw.Trans[rise.Stages[0].Path[0].Trans].Type != tech.NDep {
 		t.Error("rise should go through the depletion load")
 	}
 }
@@ -81,10 +84,10 @@ func TestThroughStack(t *testing.T) {
 	// Expect at least a stage targeting out (GND→mid→out) with trigger ta.
 	var found *Stage
 	for _, st := range res.Stages {
-		if st.Target == out && st.Source == nw.GND() {
+		if st.Target == idx(out) && st.Source == idx(nw.GND()) {
 			found = st
 		}
-		if st.Trigger != ta {
+		if int(st.Trigger) != ta.Index {
 			t.Errorf("stage %v has wrong trigger", st)
 		}
 		if err := st.Validate(); err != nil {
@@ -123,7 +126,7 @@ func TestFromNodePassChain(t *testing.T) {
 		t.Fatalf("stages = %d, want 2 (n1 and n2)", len(res.Stages))
 	}
 	for _, st := range res.Stages {
-		if st.Source != in || st.Trigger != nil {
+		if st.Source != idx(in) || st.Trigger != NoTrans {
 			t.Errorf("bad channel stage: %v", st)
 		}
 		if err := st.Validate(); err != nil {
@@ -132,7 +135,7 @@ func TestFromNodePassChain(t *testing.T) {
 	}
 	// Farthest stage has two elements.
 	last := res.Stages[len(res.Stages)-1]
-	if last.Target != n2 || len(last.Path) != 2 {
+	if last.Target != idx(n2) || len(last.Path) != 2 {
 		t.Errorf("last stage should reach n2 in 2 hops: %v", last)
 	}
 }
@@ -151,7 +154,7 @@ func TestSideLoadsCollectFanout(t *testing.T) {
 		t.Fatalf("stages = %d, want 1", len(res.Stages))
 	}
 	st := res.Stages[0]
-	if len(st.Side) != 1 || st.Side[0].Node != side {
+	if len(st.Side) != 1 || st.Side[0].Node != idx(side) {
 		t.Fatalf("side loads = %v, want [side]", st.Side)
 	}
 	if st.Side[0].Attach != 1 {
@@ -166,7 +169,7 @@ func TestSideLoadsCollectFanout(t *testing.T) {
 	}
 	// TotalC = out + side.
 	want := nw.NodeCap(out) + wantC
-	if got := st.TotalC(nw); math.Abs(got-want) > 1e-21 {
+	if got := st.TotalC(); math.Abs(got-want) > 1e-21 {
 		t.Errorf("TotalC = %g, want %g", got, want)
 	}
 }
@@ -182,7 +185,7 @@ func TestSideLoadsStopAtSources(t *testing.T) {
 	res := ToNode(nw, out, tech.Fall, Options{})
 	st := res.Stages[0]
 	for _, sl := range st.Side {
-		if sl.Node == other {
+		if sl.Node == idx(other) {
 			t.Error("side loading leaked through the GND rail")
 		}
 	}
@@ -193,18 +196,18 @@ func TestTreeConstruction(t *testing.T) {
 	res := Through(nw, ta, tech.Fall, Options{})
 	var st *Stage
 	for _, s := range res.Stages {
-		if s.Target == out {
+		if s.Target == idx(out) {
 			st = s
 		}
 	}
 	if st == nil {
 		t.Fatal("no stage to out")
 	}
-	tree, idx := st.Tree(nw, nil)
+	tree, tidx := st.Tree(nw, nil)
 	if tree.Len() < 3 {
 		t.Fatalf("tree too small: %d nodes", tree.Len())
 	}
-	if idx[0] != 0 {
+	if tidx[0] != 0 {
 		t.Error("source should map to tree root")
 	}
 	if err := tree.Validate(); err != nil {
@@ -213,7 +216,7 @@ func TestTreeConstruction(t *testing.T) {
 	// Scaling the trigger element doubles its resistance in the tree.
 	var trigIdx int
 	for i, e := range st.Path {
-		if e.Trans == ta {
+		if int(e.Trans) == ta.Index {
 			trigIdx = i
 		}
 	}
@@ -223,7 +226,7 @@ func TestTreeConstruction(t *testing.T) {
 	}
 	scale[trigIdx] = 2
 	t2, idx2 := st.Tree(nw, scale)
-	if got, want := t2.R(idx2[trigIdx+1]), 2*tree.R(idx[trigIdx+1]); math.Abs(got-want) > 1e-9 {
+	if got, want := t2.R(idx2[trigIdx+1]), 2*tree.R(tidx[trigIdx+1]); math.Abs(got-want) > 1e-9 {
 		t.Errorf("scaled R = %g, want %g", got, want)
 	}
 }
@@ -232,10 +235,10 @@ func TestSeriesRAndWorstRC(t *testing.T) {
 	nw, ta, out := stackNet()
 	res := Through(nw, ta, tech.Fall, Options{})
 	for _, st := range res.Stages {
-		if st.Target != out {
+		if st.Target != idx(out) {
 			continue
 		}
-		r := st.SeriesR(nw.Tech)
+		r := st.SeriesR(nw)
 		want := 2 * nw.Tech.RSquare(tech.NEnh, tech.Fall)
 		if math.Abs(r-want) > 1e-9 {
 			t.Errorf("SeriesR = %g, want %g", r, want)
@@ -279,17 +282,49 @@ func TestValidateCatchesBrokenStages(t *testing.T) {
 		t.Error("empty path should fail validation")
 	}
 	bad2 := &Stage{Source: st.Source, Target: st.Target, Transition: st.Transition,
-		Path: st.Path, Side: []SideLoad{{Node: out, Attach: 99, C: 1}}}
+		Path: st.Path, Side: []SideLoad{{Node: idx(out), Attach: 99, C: 1}}}
 	if bad2.Validate() == nil {
 		t.Error("bad attach should fail validation")
 	}
 }
 
-func TestStageString(t *testing.T) {
+func TestStageStringAndFormat(t *testing.T) {
 	nw, _, out := invNet()
-	res := ToNode(nw, out, tech.Fall, Options{})
-	s := res.Stages[0].String()
-	if s == "" || len(s) < 10 {
-		t.Errorf("String too short: %q", s)
+	st := ToNode(nw, out, tech.Fall, Options{}).Stages[0]
+	if got, want := st.String(), "n1 -(t0)-> n3 [fall]"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+	if got, want := st.Format(nw), "GND -(e g=in)-> out [fall]"; got != want {
+		t.Errorf("Format = %q, want %q", got, want)
+	}
+}
+
+// TestRemap translates a stage through index maps: structure and loading
+// carry over, indexes (and what is derived from them) follow the maps.
+func TestRemap(t *testing.T) {
+	nw, ta, out := stackNet()
+	var st *Stage
+	for _, s := range Through(nw, ta, tech.Fall, Options{}).Stages {
+		if s.Target == idx(out) {
+			st = s
+		}
+	}
+	got := st.Remap(func(n int32) int32 { return n + 100 }, func(t int32) int32 { return t + 10 })
+	if got.Source != st.Source+100 || got.Target != st.Target+100 || got.Trigger != st.Trigger+10 {
+		t.Errorf("remapped identity = %d/%d/%d", got.Source, got.Target, got.Trigger)
+	}
+	if err := got.Validate(); err != nil {
+		t.Error(err)
+	}
+	for i, e := range got.Path {
+		if e.Trans != st.Path[i].Trans+10 || !got.UsesTrans(int(e.Trans)) {
+			t.Errorf("path element %d = %+v", i, e)
+		}
+	}
+	if got.UsesTrans(int(st.Path[0].Trans)) && st.Path[0].Trans+10 != st.Path[1].Trans {
+		t.Error("remapped stage still claims the original device")
+	}
+	if got.Driver() != st.Driver() || got.TotalC() != st.TotalC() || len(got.Low()) != len(st.Low()) {
+		t.Error("derived loading changed under Remap")
 	}
 }
