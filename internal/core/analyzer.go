@@ -111,6 +111,7 @@ func (o Options) fill() Options {
 	if o.MaxEventsPerNode <= 0 {
 		o.MaxEventsPerNode = 150
 	}
+	o.MaxEventsPerNode = min(o.MaxEventsPerNode, math.MaxInt32-1) // rounds are counted in 32 bits
 	if o.DefaultSlope <= 0 {
 		o.DefaultSlope = 1e-9
 	}
@@ -127,7 +128,6 @@ type Analyzer struct {
 	Model delay.Model
 	Opts  Options
 
-	sim    *switchsim.Sim
 	static []switchsim.Value // settled values under fixed inputs
 
 	// Per-node drain state, indexed by COMPILED ROW (a.cnet.Perm[node]),
@@ -137,7 +137,7 @@ type Analyzer struct {
 	// reported indexes — stays in node-index space; only array addressing
 	// goes through the permutation (see row).
 	events [][2]Event    // per row: [Rise, Fall]
-	count  [][2]int      // improvement counters
+	count  [][2]int32    // propagation rounds, at most MaxEventsPerNode+1
 	hist   [][2]nodeHist // superseded-but-propagated events (incremental replay)
 
 	// histBlocks backs every nodeHist chain: fixed-size blocks of chunks
@@ -163,6 +163,11 @@ type Analyzer struct {
 	initial      []switchsim.Value // pre-settle stored values (clocked analyses)
 	loopBreakIdx []int             // Options.LoopBreak by node index
 	loopBreak    []bool            // the same as a per-row mask
+	// triggers marks the rows whose events can trigger a stage: the node
+	// gates a device or is an input with channel terminals, and no loop
+	// break cuts its fanout. fanout is a no-op everywhere else, so only
+	// these rows record replay history (see improve).
+	triggers     []bool
 	cachedOracle stage.Oracle
 	queue        sched.Queue
 	queued       [][2]bool // per (node, transition): live entry in the queue
@@ -190,10 +195,11 @@ type Analyzer struct {
 	cnet *netlist.Compact
 
 	// Hierarchical analysis state (nil when Options.Hier is off or nothing
-	// was detected). The masks alias hier's current masks and are checked
-	// in the hot loops; both are nil whenever nothing is stamped, so the
-	// flat path costs one nil check. Indexed by node / transistor index
-	// (not compiled row) — instance geometry lives in index space.
+	// was detected). The masks mark stamped members' interiors and devices
+	// (hierState.buildMasks) and are checked in the hot loops; both are nil
+	// whenever nothing is stamped, so the flat path costs one nil check.
+	// Indexed by node / transistor index (not compiled row) — instance
+	// geometry lives in index space.
 	hier          *hierState
 	hierSkipNode  []bool
 	hierSkipTrans []bool
@@ -386,12 +392,16 @@ func (a *Analyzer) SetInputEventName(name string, tr tech.Transition, t, slope f
 	return a.SetInputEvent(n, tr, t, slope)
 }
 
-// Arrival returns the worst-case event for node n and transition tr.
+// Arrival returns the worst-case event for node n and transition tr. It
+// reads one record and allocates nothing. For a node carrying stamped
+// timing (hierarchical analysis) Via is the class representative's stage,
+// in the representative's index space; Trace translates the hops it
+// returns into the node's own instance.
 func (a *Analyzer) Arrival(n *netlist.Node, tr tech.Transition) Event {
 	if a.events == nil {
 		return Event{}
 	}
-	return a.eventAt(n.Index, tr)
+	return a.events[a.row(n.Index)][tr]
 }
 
 // StagesEvaluated reports how many stage/model evaluations Run performed —
@@ -486,7 +496,7 @@ func (a *Analyzer) Run() error {
 func (a *Analyzer) resetDrain() {
 	n := len(a.Net.Nodes)
 	a.events = make([][2]Event, n)
-	a.count = make([][2]int, n)
+	a.count = make([][2]int32, n)
 	a.hist = make([][2]nodeHist, n)
 	a.resetHistArena()
 	a.queued = make([][2]bool, n)
@@ -495,13 +505,19 @@ func (a *Analyzer) resetDrain() {
 }
 
 // buildGates recompiles the structure-of-arrays network view and the
-// loop-break mask for the current a.Net generation.
+// loop-break and trigger masks for the current a.Net generation.
 func (a *Analyzer) buildGates() {
 	nw := a.Net
 	a.cnet = netlist.CompileWith(nw, netlist.CompileOptions{Reorder: !a.Opts.NoReorder})
 	a.loopBreak = make([]bool, len(nw.Nodes))
 	for _, idx := range a.loopBreakIdx {
 		a.loopBreak[a.cnet.Perm[idx]] = true
+	}
+	cn := a.cnet
+	a.triggers = make([]bool, len(nw.Nodes))
+	for row := range a.triggers {
+		a.triggers[row] = !a.loopBreak[row] &&
+			(cn.GateStart[row+1] > cn.GateStart[row] || (cn.IsInput[row] && cn.HasTerms[row]))
 	}
 }
 
@@ -514,13 +530,14 @@ func (a *Analyzer) row(node int) int { return int(a.cnet.Perm[node]) }
 // settleStatic computes the static sensitization snapshot for the current
 // a.Net generation: settle the network with fixed values; nodes that
 // receive events are left at X (they change during analysis). It replaces
-// a.sim, a.static and invalidates the cached oracle.
+// a.static and invalidates the cached oracle; the simulator itself does not
+// outlive the call.
 func (a *Analyzer) settleStatic() error {
 	nw := a.Net
 	a.cachedOracle = nil
-	a.sim = switchsim.New(nw)
+	sim := switchsim.New(nw)
 	for idx, v := range a.fixed {
-		if err := a.sim.SetInput(nw.Nodes[idx], v); err != nil {
+		if err := sim.SetInput(nw.Nodes[idx], v); err != nil {
 			return err
 		}
 	}
@@ -535,13 +552,13 @@ func (a *Analyzer) settleStatic() error {
 			if _, isFixed := a.fixed[idx]; isFixed {
 				continue
 			}
-			if err := a.sim.SetValue(n, v); err != nil {
+			if err := sim.SetValue(n, v); err != nil {
 				return err
 			}
 		}
 	}
-	a.sim.Settle()
-	a.static = a.sim.Snapshot()
+	sim.Settle()
+	a.static = sim.Snapshot()
 	// Nodes downstream of event inputs cannot be trusted as static: the
 	// seeded inputs toggle. Re-settle with those inputs at X.
 	for _, s := range a.seeded {
@@ -549,12 +566,12 @@ func (a *Analyzer) settleStatic() error {
 		if _, isFixed := a.fixed[s.node]; isFixed {
 			return fmt.Errorf("core: node %s both fixed and seeded", n.Name)
 		}
-		if err := a.sim.SetInput(n, switchsim.VX); err != nil {
+		if err := sim.SetInput(n, switchsim.VX); err != nil {
 			return err
 		}
 	}
-	a.sim.Settle()
-	a.static = a.sim.Snapshot()
+	sim.Settle()
+	a.static = sim.Snapshot()
 	return nil
 }
 
@@ -576,9 +593,6 @@ type replayItem struct {
 	t     float64
 	slope float64
 }
-
-// drain runs the event loop until the queue empties.
-func (a *Analyzer) drain() { a.drainReplay(nil) }
 
 // drainReplay runs the event loop, interleaving the given replay items
 // (sorted by time) with the heap in time order. Replays re-propagate the
@@ -608,19 +622,28 @@ func (a *Analyzer) drainReplay(replays []replayItem) {
 			continue // stale: a fresher entry is in the queue
 		}
 		a.queued[row][tr] = false
-		// Feedback guard: counts propagation rounds, not improvements,
-		// so deep longest-path relaxation is unaffected while true
-		// cycles (which re-queue forever) are cut off.
-		a.count[row][tr]++
-		if a.count[row][tr] > a.Opts.MaxEventsPerNode {
-			if a.count[row][tr] == a.Opts.MaxEventsPerNode+1 {
-				a.Unbounded = append(a.Unbounded, a.Net.Nodes[node])
-			}
+		if a.guarded(node, row, tr) {
 			continue
 		}
 		a.hist[row][tr].propagated = true
 		a.fanout(node, tr, a.events[row][tr], nil)
 	}
+}
+
+// guarded counts one propagation round of (node, tr) and reports whether the
+// feedback guard cuts it off, listing the node in Unbounded the first time.
+// The guard counts rounds, not improvements, so deep longest-path relaxation
+// is unaffected while true cycles (which re-queue forever) are cut off.
+func (a *Analyzer) guarded(node, row int, tr tech.Transition) bool {
+	c := &a.count[row][tr]
+	if int(*c) <= a.Opts.MaxEventsPerNode {
+		*c++
+		if int(*c) <= a.Opts.MaxEventsPerNode {
+			return false
+		}
+		a.Unbounded = append(a.Unbounded, a.Net.Nodes[node])
+	}
+	return true
 }
 
 // tieBetter orders candidates that arrive at exactly the same time, so the
@@ -678,10 +701,13 @@ func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
 	// of the chip actually saw. Record every propagated-superseded event,
 	// unpruned (see nodeHist), so an incremental re-analysis replays
 	// exactly the stream a full run propagated — including its length,
-	// which downstream feedback-guard counts depend on.
+	// which downstream feedback-guard counts depend on. Only a trigger row
+	// records: propagating any other node's event evaluates nothing, so
+	// nothing downstream ever saw it and no replay will ask for it (a node
+	// an edit later turns into a trigger is re-derived, see Reanalyze).
 	if cur.Valid {
 		h := &a.hist[row][tr]
-		if h.propagated {
+		if h.propagated && a.triggers[row] {
 			a.appendHist(h, cur.T, cur.Slope)
 		}
 		h.propagated = false
@@ -717,23 +743,22 @@ var transitions = [2]tech.Transition{tech.Rise, tech.Fall}
 // slots and stage constants publish atomically).
 func (a *Analyzer) fanout(node int, tr tech.Transition, ev Event, s *specItem) {
 	row := a.row(node)
-	if a.loopBreak[row] {
-		return // user directive: record the arrival, cut the fanout
-	}
-	if !ev.Valid {
+	if !a.triggers[row] || !ev.Valid {
+		// Nothing to evaluate — or a loop break, the user directive to
+		// record the arrival and cut the fanout.
 		return
 	}
 	if a.hierSkipNode != nil && node < len(a.hierSkipNode) && a.hierSkipNode[node] {
 		return // stamped member interior: timing arrives by stamping
 	}
 
-	// 1. Gate consequences, read straight off the database's slabs. A
-	// turn-on evaluates every stage through the device, Rise targets then
-	// Fall. A turn-off releases every node channel-connected to the device
-	// — which may now drift toward its remaining drivers (the NAND output
-	// released by a mid-stack input sits several hops from the device
-	// itself): the release stages of each group member in group order, Rise
-	// before Fall, minus the paths that died with the device.
+	// 1. Gate consequences, read straight off the database's slabs (each
+	// lists its Rise targets, then its Fall targets). A turn-on evaluates
+	// every stage through the device. A turn-off releases every node
+	// channel-connected to the device — which may now drift toward its
+	// remaining drivers (the NAND output released by a mid-stack input sits
+	// several hops from the device itself): the release stages of each group
+	// member in group order, minus the paths that died with the device.
 	cn := a.cnet
 	for _, ref := range cn.GateRef[cn.GateStart[row]:cn.GateStart[row+1]] {
 		ti, on1 := netlist.UnpackGateRef(ref)
@@ -741,14 +766,10 @@ func (a *Analyzer) fanout(node int, tr tech.Transition, ev Event, s *specItem) {
 			continue // stamped member device
 		}
 		if (tr == tech.Rise) == on1 {
-			for _, to := range transitions {
-				a.applySlab(a.db.Through(int(ti), to), -1, node, tr, ev, s)
-			}
+			a.applySlab(a.db.Through(int(ti)), -1, node, tr, ev, s)
 		} else {
 			for _, m := range a.db.Group(int(ti)) {
-				for _, to := range transitions {
-					a.applySlab(a.db.Release(int(m), to), int(ti), node, tr, ev, s)
-				}
+				a.applySlab(a.db.Release(int(m)), int(ti), node, tr, ev, s)
 			}
 		}
 	}
@@ -821,7 +842,7 @@ func (a *Analyzer) applyStage(st *stage.Stage, fromNode int, fromTr tech.Transit
 	if si := st.SourceInputIndex(); si >= 0 && !a.Opts.NoStaticPruning {
 		sv := a.static[si]
 		want := switchsim.V1
-		if st.Transition == tech.Fall {
+		if st.Transition() == tech.Fall {
 			want = switchsim.V0
 		}
 		if sv != switchsim.VX && sv != want {
@@ -841,7 +862,7 @@ func (a *Analyzer) applyStage(st *stage.Stage, fromNode int, fromTr tech.Transit
 		s.cands = append(s.cands, specCand{st: st, t: ev.T + r.Delay, slope: r.Slope})
 		return
 	}
-	a.improve(target, st.Transition, Event{
+	a.improve(target, st.Transition(), Event{
 		T:        ev.T + r.Delay,
 		Slope:    r.Slope,
 		Valid:    true,
@@ -868,7 +889,8 @@ type Path struct {
 func (p *Path) End() Hop { return p.Hops[len(p.Hops)-1] }
 
 // Trace reconstructs the worst-case path ending at (n, tr), or nil if the
-// node has no arrival.
+// node has no arrival. Every hop's Via names the hop node's own nets and
+// devices, stamped or not.
 func (a *Analyzer) Trace(n *netlist.Node, tr tech.Transition) *Path {
 	ev := a.Arrival(n, tr)
 	if !ev.Valid {
@@ -885,7 +907,10 @@ func (a *Analyzer) Trace(n *netlist.Node, tr tech.Transition) *Path {
 			break
 		}
 		seen[k] = true
-		e := a.eventAt(node, t)
+		e := a.events[a.row(node)][t]
+		if a.hier != nil && e.Via != nil {
+			e.Via = a.hier.remapVia(node, e.Via)
+		}
 		rev = append(rev, Hop{a.Net.Nodes[node], t, e})
 		if e.FromNode < 0 {
 			break

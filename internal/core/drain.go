@@ -262,11 +262,7 @@ func (a *Analyzer) commitBatch(replays []replayItem, ri *int, nb int) {
 				continue // stale: a fresher entry is in the queue
 			default:
 				a.queued[row][tr] = false
-				a.count[row][tr]++
-				if a.count[row][tr] > a.Opts.MaxEventsPerNode {
-					if a.count[row][tr] == a.Opts.MaxEventsPerNode+1 {
-						a.Unbounded = append(a.Unbounded, a.Net.Nodes[node])
-					}
+				if a.guarded(node, row, tr) {
 					continue
 				}
 				a.hist[row][tr].propagated = true
@@ -312,7 +308,7 @@ func (a *Analyzer) applySpec(s *specItem) {
 				a.spans[r] = 0.5 * d
 			}
 		}
-		a.improve(int(c.st.Target), c.st.Transition, Event{
+		a.improve(int(c.st.Target), c.st.Transition(), Event{
 			T: c.t, Slope: c.slope, Valid: true,
 			FromNode: node, FromTr: tr, Via: c.st,
 		})

@@ -27,12 +27,11 @@
 package core
 
 import (
-	"sync"
+	"slices"
 
 	"repro/internal/hier"
 	"repro/internal/incremental"
 	"repro/internal/stage"
-	"repro/internal/tech"
 )
 
 // HierStats is the provenance summary of a hierarchical analysis:
@@ -66,28 +65,13 @@ type hierState struct {
 	stamped []bool
 	reason  []string
 
-	// skipNode / skipTrans are the drain masks (node- and transistor-index
-	// spaces); nil when nothing is stamped. Rebuilt per generation.
-	skipNode  []bool
-	skipTrans []bool
-
 	// Via provenance of stamped events points into the representative's
 	// stages from the generation the stamp was taken in. stampLo holds the
-	// per-instance range starts at stamp time, so lazy remapping can place
-	// a stage's (stamp-generation) device indexes within the
-	// representative's range and land them in the member's current one even
-	// after later edit batches have moved ranges. viaCache holds
-	// translations into the current generation's indexes; hierReanalyze
-	// empties it.
+	// per-instance range starts at stamp time, so Trace can place a stage's
+	// (stamp-generation) device indexes within the representative's range
+	// and land them in the member's current one even after later edit
+	// batches have moved ranges.
 	stampLo []int
-
-	viaMu    sync.Mutex
-	viaCache map[viaKey]*stage.Stage
-}
-
-type viaKey struct {
-	inst int
-	st   *stage.Stage
 }
 
 // AnalyzeHierarchical is Run with hierarchical stamping enabled: detect
@@ -142,12 +126,11 @@ func (a *Analyzer) HierInstances() []HierInstance {
 func (a *Analyzer) setupHier() {
 	plan := hier.Detect(a.Net)
 	hs := &hierState{
-		plan:     plan,
-		repOf:    make([]int, len(plan.Instances)),
-		stamped:  make([]bool, len(plan.Instances)),
-		reason:   make([]string, len(plan.Instances)),
-		stampLo:  make([]int, len(plan.Instances)),
-		viaCache: map[viaKey]*stage.Stage{},
+		plan:    plan,
+		repOf:   make([]int, len(plan.Instances)),
+		stamped: make([]bool, len(plan.Instances)),
+		reason:  make([]string, len(plan.Instances)),
+		stampLo: make([]int, len(plan.Instances)),
 	}
 	for i := range plan.Instances {
 		hs.repOf[i] = -1
@@ -217,36 +200,28 @@ func (a *Analyzer) hierContextMismatch(p *hier.Plan, rep, m int, seeds map[int][
 	return ""
 }
 
-// buildMasks rebuilds the drain masks from the currently stamped set,
-// sized for the current generation.
+// buildMasks rebuilds the analyzer's drain masks (hierSkipNode,
+// hierSkipTrans) from the currently stamped set, sized for the current
+// generation; nil when nothing is stamped.
 func (hs *hierState) buildMasks(a *Analyzer) {
-	any := false
-	for _, s := range hs.stamped {
-		if s {
-			any = true
-			break
-		}
-	}
-	if !any {
-		hs.skipNode, hs.skipTrans = nil, nil
-		a.hierSkipNode, a.hierSkipTrans = nil, nil
+	a.hierSkipNode, a.hierSkipTrans = nil, nil
+	if !slices.Contains(hs.stamped, true) {
 		return
 	}
-	hs.skipNode = make([]bool, len(a.Net.Nodes))
-	hs.skipTrans = make([]bool, len(a.Net.Trans))
+	a.hierSkipNode = make([]bool, len(a.Net.Nodes))
+	a.hierSkipTrans = make([]bool, len(a.Net.Trans))
 	for m, s := range hs.stamped {
 		if !s {
 			continue
 		}
 		inst := &hs.plan.Instances[m]
 		for _, idx := range inst.Interior {
-			hs.skipNode[idx] = true
+			a.hierSkipNode[idx] = true
 		}
 		for ti := inst.TransLo; ti < inst.TransHi; ti++ {
-			hs.skipTrans[ti] = true
+			a.hierSkipTrans[ti] = true
 		}
 	}
-	a.hierSkipNode, a.hierSkipTrans = hs.skipNode, hs.skipTrans
 }
 
 // dropHier abandons hierarchical analysis (full re-analysis fallback: the
@@ -323,8 +298,8 @@ func (a *Analyzer) hierGuardUnstamp() bool {
 // stampMembers copies each representative's interior events onto its
 // stamped members: times, slopes, validity and propagation counts verbatim
 // (they are isomorphic, see the package comment), predecessor node indexes
-// rank-remapped, provenance stages left pointing at the representative for
-// lazy translation. Member history stays empty — stamped interiors are
+// rank-remapped, provenance stages left pointing at the representative
+// (Trace translates the hops it reports). Member history stays empty — stamped interiors are
 // widened wholesale if an edit ever dirties them, so their replay streams
 // are never consulted.
 func (a *Analyzer) stampMembers() {
@@ -363,38 +338,20 @@ func (a *Analyzer) stampMembers() {
 	}
 }
 
-// eventAt returns the recorded event for (node, tr) with its provenance
-// stage translated into the node's own instance when the node carries
-// stamped timing. Everything reported to callers goes through here.
-func (a *Analyzer) eventAt(node int, tr tech.Transition) Event {
-	ev := a.events[a.row(node)][tr]
-	if a.hier != nil && ev.Via != nil {
-		ev.Via = a.hier.remapVia(a, node, ev.Via)
-	}
-	return ev
-}
-
 // remapVia translates a representative-space provenance stage into member
 // space: interior nodes by rank, devices by position within the
 // representative's range at stamp time (a stamped member's own range is
 // intact by definition, so the same offset from its current start is the
-// corresponding device), shared boundary nodes unchanged. Results are
-// cached per (instance, stage) — a handful of stages dominate any traced
-// path, so the cache stays tiny relative to eager remapping of every
-// stamped stage.
-func (hs *hierState) remapVia(a *Analyzer, node int, via *stage.Stage) *stage.Stage {
+// corresponding device), shared boundary nodes unchanged. Only Trace calls
+// it, for the tens of hops of a reported path; arrivals keep the
+// representative's stage by reference.
+func (hs *hierState) remapVia(node int, via *stage.Stage) *stage.Stage {
 	if node >= len(hs.plan.MemberOf) {
 		return via
 	}
 	mi := int(hs.plan.MemberOf[node]) - 1
 	if mi < 0 || !hs.stamped[mi] {
 		return via
-	}
-	hs.viaMu.Lock()
-	defer hs.viaMu.Unlock()
-	k := viaKey{mi, via}
-	if st, ok := hs.viaCache[k]; ok {
-		return st
 	}
 	repID := hs.repOf[mi]
 	mem := &hs.plan.Instances[mi]
@@ -412,9 +369,7 @@ func (hs *hierState) remapVia(a *Analyzer, node int, via *stage.Stage) *stage.St
 		}
 		return t
 	}
-	st := via.Remap(nodeFn, transFn)
-	hs.viaCache[k] = st
-	return st
+	return via.Remap(nodeFn, transFn)
 }
 
 // hierReanalyze reconciles the hierarchical state with an applied edit
@@ -434,9 +389,6 @@ func (a *Analyzer) hierReanalyze(res *incremental.Result, plan *incremental.Plan
 	if hs == nil {
 		return
 	}
-	hs.viaMu.Lock()
-	clear(hs.viaCache) // translations name the previous generation's indexes
-	hs.viaMu.Unlock()
 	// Remap instance ranges: per instance, the image of its old range must
 	// be exactly one contiguous run of surviving devices.
 	type span struct{ min, max, count int }
@@ -527,7 +479,7 @@ func (a *Analyzer) hierReanalyze(res *incremental.Result, plan *incremental.Plan
 	if len(widen) > 0 {
 		plan.Widen(widen)
 	}
-	if changed || len(a.Net.Nodes) != len(hs.skipNode) {
+	if changed || len(a.Net.Nodes) != len(a.hierSkipNode) {
 		hs.buildMasks(a)
 	}
 }

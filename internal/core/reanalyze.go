@@ -59,11 +59,15 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	if err != nil {
 		return nil, err
 	}
-	a.rebind(res.Net)
+	fresh := a.rebind(res.Net)
 	if err := a.settleStatic(); err != nil {
 		return nil, err
 	}
 	plan := res.Plan(oldStatic, a.static)
+	// A node the batch just made a trigger (its first gate connection) would
+	// be replayed into the edited group, but it never recorded a stream:
+	// re-derive its arrivals instead — the rule stamped members follow.
+	plan.Widen(fresh)
 	if a.hier != nil && !plan.ForceFull {
 		// Detach stamped instances the batch reaches (widening the plan to
 		// cover their interiors) before the incremental/full decision reads
@@ -162,18 +166,20 @@ func (a *Analyzer) dirtyTouchesUnbounded(plan *incremental.Plan) bool {
 // ROW-indexed drain state must be re-permuted: recompiling yields a new
 // RCM layout (added nodes and devices shift the whole walk), so every
 // per-row array is rewritten old-row → node index → new-row. History
-// chunk indexes are arena-flat and survive unchanged.
-func (a *Analyzer) rebind(nw *netlist.Network) {
+// chunk indexes are arena-flat and survive unchanged. A node that stopped
+// being a trigger gives its history back; the nodes that became triggers
+// in this generation — and so have no history to replay — are returned.
+func (a *Analyzer) rebind(nw *netlist.Network) (fresh []int) {
 	a.Net = nw
 	a.Opts.DB = nil // a caller-shared DB describes the old generation
-	old := a.cnet
+	old, wasTrigger := a.cnet, a.triggers
 	a.buildGates()
 	if a.events == nil || old == nil {
-		return
+		return nil
 	}
 	n := len(nw.Nodes)
 	events := make([][2]Event, n)
-	count := make([][2]int, n)
+	count := make([][2]int32, n)
 	hist := make([][2]nodeHist, n)
 	queued := make([][2]bool, n)
 	for oldRow := range a.events {
@@ -183,8 +189,16 @@ func (a *Analyzer) rebind(nw *netlist.Network) {
 		count[nr] = a.count[oldRow]
 		hist[nr] = a.hist[oldRow]
 		queued[nr] = a.queued[oldRow]
+		switch {
+		case a.triggers[nr] && !wasTrigger[oldRow]:
+			fresh = append(fresh, int(orig))
+		case !a.triggers[nr]:
+			a.freeHist(&hist[nr][tech.Rise])
+			a.freeHist(&hist[nr][tech.Fall])
+		}
 	}
 	a.events, a.count, a.hist, a.queued = events, count, hist, queued
+	return fresh
 }
 
 // runFull redoes the analysis from scratch over the current generation
@@ -222,7 +236,7 @@ func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
 		if plan.NodeDirty(i) {
 			row := a.row(i)
 			a.events[row] = [2]Event{}
-			a.count[row] = [2]int{}
+			a.count[row] = [2]int32{}
 			for tr := range a.hist[row] {
 				a.freeHist(&a.hist[row][tr])
 			}

@@ -1,0 +1,340 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"slices"
+	"testing"
+	"unsafe"
+
+	"repro/internal/delay"
+	"repro/internal/gen"
+	"repro/internal/incremental"
+	"repro/internal/netlist"
+	"repro/internal/stage"
+	"repro/internal/tech"
+)
+
+// requireHistoryOnTriggersOnly asserts the history rule: a replay stream is
+// kept only for a node whose events can trigger a stage — it gates a device
+// or is an input with channel terminals, and no loop break cuts its fanout.
+// The condition is spelled out from the compiled network, not read from the
+// analyzer's own mask. It returns how many (node, transition) streams exist.
+func requireHistoryOnTriggersOnly(t *testing.T, label string, a *Analyzer) (owned int) {
+	t.Helper()
+	cn := a.cnet
+	for i, n := range a.Net.Nodes {
+		row := a.row(i)
+		trigger := !a.loopBreak[row] &&
+			(len(cn.Gates(i)) > 0 || (cn.IsInput[row] && cn.HasTerms[row]))
+		for tr := range a.hist[row] {
+			if a.hist[row][tr].head == 0 {
+				continue
+			}
+			owned++
+			if !trigger {
+				t.Fatalf("%s: %s/%s owns replay history but can trigger nothing (loop break %v)",
+					label, n.Name, tech.Transition(tr), a.loopBreak[row])
+			}
+		}
+	}
+	return owned
+}
+
+// histStream returns the recorded replay stream of (node, tr) in order.
+func (a *Analyzer) histStream(node int, tr tech.Transition) (out []histEvent) {
+	h := a.hist[a.row(node)][tr]
+	for ci := h.head; ci != 0; ci = a.histChunkAt(ci).next {
+		c := a.histChunkAt(ci)
+		out = append(out, c.ev[:c.n]...)
+	}
+	return out
+}
+
+// requireMatchesFresh compares a re-analyzed analyzer with a from-scratch
+// analysis of the same network: every node × transition's arrival — time,
+// slope, provenance — its propagation count and its recorded replay stream
+// (what the next Reanalyze will start from), and the feedback-guard
+// verdicts.
+func requireMatchesFresh(t *testing.T, label string, got, fresh *Analyzer) {
+	t.Helper()
+	for i, n := range fresh.Net.Nodes {
+		for _, tr := range transitions {
+			if w, g := fresh.Arrival(n, tr), got.Arrival(n, tr); !sameEvent(w, g) {
+				t.Fatalf("%s: arrival %s/%s = %+v, from scratch %+v", label, n.Name, tr, g, w)
+			}
+			if w, g := fresh.count[fresh.row(i)][tr], got.count[got.row(i)][tr]; w != g {
+				t.Fatalf("%s: %s/%s propagated %d times, from scratch %d", label, n.Name, tr, g, w)
+			}
+			if w, g := fresh.histStream(i, tr), got.histStream(i, tr); !slices.Equal(w, g) {
+				t.Fatalf("%s: %s/%s replay stream %v, from scratch %v", label, n.Name, tr, g, w)
+			}
+		}
+	}
+	if len(got.Unbounded) != len(fresh.Unbounded) {
+		t.Fatalf("%s: %d unbounded nodes, from scratch %d", label, len(got.Unbounded), len(fresh.Unbounded))
+	}
+	for i := range fresh.Unbounded {
+		if got.Unbounded[i].Index != fresh.Unbounded[i].Index {
+			t.Fatalf("%s: unbounded[%d] = %s, from scratch %s", label,
+				i, got.Unbounded[i].Name, fresh.Unbounded[i].Name)
+		}
+	}
+}
+
+// TestReanalyzeSinkBecomesTrigger pins the second half of the history rule.
+// A node that gates nothing records no replay stream; when an edit gives it
+// its first gate connection it would be replayed into the edited group, so
+// Reanalyze must re-derive it instead (widening it into the dirty set), and
+// the inverse edit must return to the original answer.
+func TestReanalyzeSinkBecomesTrigger(t *testing.T) {
+	p := tech.NMOS4()
+	m := delay.NewSlope(delay.AnalyticTables(p))
+	chipFix, chipLB := gen.ChipDirectives(8)
+	for _, fam := range []struct {
+		name  string
+		build func() (*netlist.Network, error)
+		fix   map[string]string
+		lb    []string
+	}{
+		{"chip8", func() (*netlist.Network, error) { return gen.Chip(p, 8) }, chipFix, chipLB},
+		// The carry chain of a Manchester adder is a pass chain.
+		{"passchain", func() (*netlist.Network, error) { return gen.ManchesterAdder(p, 8) }, nil, nil},
+	} {
+		t.Run(fam.name, func(t *testing.T) {
+			build := func(nw *netlist.Network) *Analyzer {
+				a := buildAnalyzer(t, nw, m, fam.fix, fam.lb, Options{Workers: 1})
+				if err := a.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return a
+			}
+			nw, err := fam.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := build(nw)
+			if requireHistoryOnTriggersOnly(t, "after Run", base) == 0 {
+				t.Fatal("no node recorded any history: the ownership check proves nothing")
+			}
+
+			// Sinks whose arrival was superseded after propagating — the
+			// nodes that would have a stream to replay if they recorded one
+			// — each paired with a victim its new device pulls down. Victims
+			// are taken from the end of the netlist, where forward cones are
+			// small enough for the incremental path.
+			var sinks, victims []*netlist.Node
+			for i, n := range nw.Nodes {
+				if n.IsSource() {
+					continue
+				}
+				if c := base.count[base.row(i)]; len(n.Gates) == 0 && c[0]+c[1] > 2 {
+					sinks = append(sinks, n)
+				} else if len(n.Gates) > 0 && base.Arrival(n, tech.Fall).Valid {
+					victims = append(victims, n)
+				}
+			}
+			if len(sinks) == 0 || len(victims) < 8 {
+				t.Fatalf("%d sinks, %d victims", len(sinks), len(victims))
+			}
+			incrementals := 0
+			for k := 0; k < 8; k++ {
+				sink := sinks[k*len(sinks)/8]
+				victim := victims[len(victims)-1-k*len(victims)/16]
+				label := fmt.Sprintf("%s gates a pulldown on %s", sink.Name, victim.Name)
+				add := []incremental.Edit{{Kind: incremental.AddTrans, Dev: tech.NEnh,
+					Gate: sink.Name, A: victim.Name, B: "gnd", W: 8e-6, L: 2e-6}}
+				res, err := incremental.Apply(nw, add)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if fresh := build(nw).rebind(res.Net); !slices.Equal(fresh, []int{sink.Index}) {
+					t.Fatalf("%s: rebind reports new triggers %v, want [%d]", label, fresh, sink.Index)
+				}
+				a := build(nw)
+				st, err := a.Reanalyze(add)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !st.Full {
+					incrementals++
+				}
+				requireMatchesFresh(t, label, a, build(a.Net))
+				requireHistoryOnTriggersOnly(t, label, a)
+
+				if _, err := a.Reanalyze([]incremental.Edit{
+					{Kind: incremental.RemoveTrans, Index: len(a.Net.Trans) - 1}}); err != nil {
+					t.Fatalf("%s, undone: %v", label, err)
+				}
+				requireMatchesFresh(t, label+", undone", a, base)
+				requireHistoryOnTriggersOnly(t, label+", undone", a)
+			}
+			if incrementals < 2 {
+				t.Errorf("%d of 8 batches took the incremental path, want at least 2", incrementals)
+			}
+		})
+	}
+}
+
+// TestReanalyzeWidensFreshTrigger reaches Reanalyze's widening with a node
+// that is NOT already dirty. No edit kind produces one today — Apply seeds
+// the gate node of every device it adds — so the state is staged by hand: a
+// clean boundary node that gates into the edited group has its trigger mark
+// and its replay stream taken away before the batch, as if it had never
+// recorded. rebind must report it, the plan must grow by its cone, and the
+// result must still be the from-scratch one; replaying the node's current
+// event alone, with no stream behind it, would not be.
+func TestReanalyzeWidensFreshTrigger(t *testing.T) {
+	p := tech.NMOS4()
+	m := delay.NewSlope(delay.AnalyticTables(p))
+	nw, err := gen.Chip(p, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fix, lb := gen.ChipDirectives(8)
+	build := func(nw *netlist.Network) *Analyzer {
+		a := buildAnalyzer(t, nw, m, fix, lb, Options{Workers: 1})
+		if err := a.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	base := build(nw)
+	tried := 0
+	for ti := len(nw.Trans) - 1; ti >= 0 && tried < 4; ti-- {
+		tn := nw.Trans[ti]
+		x, v := tn.Gate, tn.A
+		if x == nil || x.IsSource() || v.IsSource() || len(base.histStream(x.Index, tech.Rise)) == 0 {
+			continue
+		}
+		// The batch only loads v: its group is re-derived, x stays clean.
+		batch := []incremental.Edit{{Kind: incremental.AddCap, Node: v.Name, Cap: 5e-15}}
+		res, err := incremental.Apply(nw, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := res.Plan(base.static, base.static)
+		if plan.ForceFull || plan.NodeDirty(x.Index) || !plan.NodeDirty(v.Index) {
+			continue
+		}
+		tried++
+		label := fmt.Sprintf("%s loaded, %s staged as a fresh trigger", v.Name, x.Name)
+		a := build(nw)
+		row := a.row(x.Index)
+		a.triggers[row] = false
+		for tr := range a.hist[row] {
+			a.freeHist(&a.hist[row][tr])
+		}
+		st, err := a.Reanalyze(batch)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if st.DirtyNodes <= plan.DirtyNodes {
+			t.Fatalf("%s: %d dirty nodes, the unwidened plan has %d", label, st.DirtyNodes, plan.DirtyNodes)
+		}
+		requireMatchesFresh(t, label, a, build(a.Net))
+		requireHistoryOnTriggersOnly(t, label, a)
+	}
+	if tried == 0 {
+		t.Fatal("no clean boundary node with a replay stream gates into an editable group")
+	}
+}
+
+// TestArrivalAllocatesNothing: reading the arrival of a node with stamped
+// timing is one record load — no provenance stage is translated, cached or
+// copied on the way.
+func TestArrivalAllocatesNothing(t *testing.T) {
+	p := tech.NMOS4()
+	fix, lb := gen.ChipGridDirectives(8, 3)
+	nw, err := gen.ChipGrid(p, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := buildAnalyzer(t, nw, delay.NewSlope(delay.AnalyticTables(p)), fix, lb, Options{Workers: 1, Hier: true})
+	if err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var stamped []*netlist.Node
+	for i, n := range nw.Nodes {
+		if a.hierSkipNode != nil && a.hierSkipNode[i] {
+			stamped = append(stamped, n)
+		}
+	}
+	if len(stamped) == 0 {
+		t.Fatal("nothing stamped")
+	}
+	vias := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		vias = 0
+		for _, n := range stamped {
+			for _, tr := range transitions {
+				if a.Arrival(n, tr).Via != nil {
+					vias++
+				}
+			}
+		}
+	})
+	if vias == 0 {
+		t.Fatal("no stamped arrival carries provenance")
+	}
+	if allocs != 0 {
+		t.Errorf("reading %d stamped arrivals (%d with provenance) allocated %.0f times, want 0",
+			2*len(stamped), vias, allocs)
+	}
+}
+
+// TestResidentFootprint measures what an analysis keeps resident — after
+// Run, after every arrival has been read, after a collection — in bytes per
+// transistor, and holds it and the stage record size under a ceiling: the
+// tripwire for a change that makes resident analysis state fatter. The
+// ceilings are 1.15× the values measured when they were set (go1.24,
+// linux/amd64: 1,267 and 987; the commit before measured 1,794 and 1,380
+// with a 216-byte record). Run with -v for the table.
+func TestResidentFootprint(t *testing.T) {
+	size := unsafe.Sizeof(stage.Stage{})
+	if size > 128 {
+		t.Errorf("stage.Stage is %d bytes, want <= 128 (two cache lines)", size)
+	}
+	p := tech.NMOS4()
+	m := delay.NewSlope(delay.AnalyticTables(p))
+	t.Logf("stage record: %d bytes", size)
+	t.Logf("%-14s %11s %10s %12s %8s", "analysis", "transistors", "live bytes", "B/transistor", "ceiling")
+	for _, c := range []struct {
+		name    string
+		tiles   int
+		hier    bool
+		ceiling float64
+	}{
+		{"chip:8 flat", 1, false, 1457},
+		{"chip:8,3 hier", 3, true, 1135},
+	} {
+		before := liveHeap()
+		fix, lb := gen.ChipGridDirectives(8, c.tiles)
+		nw, err := gen.ChipGrid(p, 8, c.tiles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := buildAnalyzer(t, nw, m, fix, lb, Options{Workers: 1, Hier: c.hier})
+		if err := a.Run(); err != nil {
+			t.Fatal(err)
+		}
+		valid := 0
+		for _, n := range nw.Nodes {
+			for _, tr := range transitions {
+				if a.Arrival(n, tr).Valid {
+					valid++
+				}
+			}
+		}
+		if valid == 0 || c.hier != (a.HierStats().Stamped > 0) {
+			t.Fatalf("%s: %d arrivals, %+v", c.name, valid, a.HierStats())
+		}
+		live := liveHeap() - before
+		per := float64(live) / float64(len(nw.Trans))
+		t.Logf("%-14s %11d %10d %12.0f %8.0f", c.name, len(nw.Trans), live, per, c.ceiling)
+		if per > c.ceiling {
+			t.Errorf("%s: %.0f live bytes per transistor, ceiling %.0f", c.name, per, c.ceiling)
+		}
+		runtime.KeepAlive(a)
+	}
+}

@@ -39,14 +39,10 @@ func constsFor(tb *Tables, nw *netlist.Network, st *stage.Stage) *stage.Consts {
 		return nil
 	}
 	rc := RC{T: tb}
-	for _, e := range st.Path {
-		c.RSum += elemR(tb, nw.Trans[e.Trans], st.Transition)
-	}
-	c.CSum = st.TotalC()
-	c.TF0 = tb.Curve(st.DriverType(), st.Transition).TFactorAt(0)
-	if drv, low := st.Driver(), st.Low(); len(low) == drv {
-		c.Fused = true
-		c.TauStep, c.High, c.RDrv, c.AccDrv = rc.elmoreSplit(nw, st, drv, low)
+	c.Lumped = seriesR(tb, nw, st) * st.TotalC()
+	c.TF0 = tf0(tb, st)
+	if st.Fused() {
+		c.TauStep, c.High, c.RDrv, c.AccDrv = rc.elmoreSplit(nw, st, st.Driver(), st.Low())
 	} else {
 		c.TauStep = rc.elmoreAt(nw, st, -1, 1)
 	}
@@ -61,14 +57,14 @@ func slopeResult(tb *Tables, st *stage.Stage, c *stage.Consts, inSlope float64) 
 	if c.TauStep <= 0 {
 		return Result{Delay: c.TauStep, Slope: math.Log(9) * c.TauStep}, true
 	}
-	if !c.Fused {
+	if !st.Fused() {
 		return Result{}, false
 	}
 	ratio := 0.0
 	if inSlope > 0 {
 		ratio = inSlope / c.TauStep
 	}
-	mult, tfactor := tb.Curve(st.DriverType(), st.Transition).At(ratio)
+	mult, tfactor := tb.Curve(st.DriverType(), st.Transition()).At(ratio)
 	d := c.High + (c.RDrv*mult)*c.AccDrv
 	low := st.Low()
 	for j := len(low) - 1; j >= 0; j-- {

@@ -214,8 +214,8 @@ func TestFastElmoreMatchesTree(t *testing.T) {
 		for _, sc := range []struct {
 			at   int
 			mult float64
-		}{{-1, 1}, {0, 2.5}, {len(st.Path) - 1, 0.4}} {
-			rscale := scaleAt(len(st.Path), sc.at, sc.mult)
+		}{{-1, 1}, {0, 2.5}, {len(st.Path()) - 1, 0.4}} {
+			rscale := scaleAt(len(st.Path()), sc.at, sc.mult)
 			fast := m.elmoreAt(nw, st, sc.at, sc.mult)
 			tree, idx := stageTree(tb, nw, st, rscale)
 			ref := tree.Elmore(idx[len(idx)-1])

@@ -57,16 +57,20 @@ func (m *Lumped) Name() string { return "lumped" }
 // Evaluate implements Model: delay = ΣR × ΣC.
 func (m *Lumped) Evaluate(nw *netlist.Network, st *stage.Stage, _ float64) Result {
 	if c := constsFor(m.T, nw, st); c != nil {
-		d := c.RSum * c.CSum
-		return Result{Delay: d, Slope: c.TF0 * d}
+		return Result{Delay: c.Lumped, Slope: c.TF0 * c.Lumped}
 	}
-	r := 0.0
-	for _, e := range st.Path {
-		r += elemR(m.T, nw.Trans[e.Trans], st.Transition)
-	}
-	d := r * st.TotalC()
+	d := seriesR(m.T, nw, st) * st.TotalC()
 	// Output transition estimate: the driver's shape over the lumped τ.
 	return Result{Delay: d, Slope: tf0(m.T, st) * d}
+}
+
+// seriesR is the path's total effective resistance under tb.
+func seriesR(tb *Tables, nw *netlist.Network, st *stage.Stage) float64 {
+	r, tr := 0.0, st.Transition()
+	for _, e := range st.Path() {
+		r += elemR(tb, nw.Trans[e.Trans], tr)
+	}
+	return r
 }
 
 // RC is the paper's second model: the stage as a distributed RC tree, with
@@ -95,7 +99,7 @@ func (m *RC) Evaluate(nw *netlist.Network, st *stage.Stage, _ float64) Result {
 // tf0 is the output-transition factor of the stage's driver at slope
 // ratio 0 — the step-input shape the slope-blind models report.
 func tf0(tb *Tables, st *stage.Stage) float64 {
-	return tb.Curve(st.DriverType(), st.Transition).TFactorAt(0)
+	return tb.Curve(st.DriverType(), st.Transition()).TFactorAt(0)
 }
 
 // elmoreAt computes the Elmore delay of the stage target with this model's
@@ -108,19 +112,19 @@ func tf0(tb *Tables, st *stage.Stage) float64 {
 // into the walk. stageTree remains the reference implementation (the
 // equivalence is pinned by a test).
 func (m *RC) elmoreAt(nw *netlist.Network, st *stage.Stage, at int, mult float64) float64 {
-	n := len(st.Path)
+	path, side, pathCap, tr := st.Path(), st.Side(), st.PathCap(), st.Transition()
 	sum, acc := 0.0, 0.0
-	si := len(st.Side) - 1
-	for i := n; i >= 1; i-- {
-		acc += st.PathCap[i-1]
+	si := len(side) - 1
+	for i := len(path); i >= 1; i-- {
+		acc += pathCap[i-1]
 		// Side loads attached at or beyond this position are downstream
 		// of element i and charge through it. Attach 0 hangs at the
 		// ideal source and never enters (the loop stops at i=1).
-		for si >= 0 && int(st.Side[si].Attach) >= i {
-			acc += st.Side[si].C
+		for si >= 0 && int(side[si].Attach) >= i {
+			acc += side[si].C
 			si--
 		}
-		r := elemR(m.T, nw.Trans[st.Path[i-1].Trans], st.Transition)
+		r := elemR(m.T, nw.Trans[path[i-1].Trans], tr)
 		if i-1 == at {
 			r *= mult
 		}
@@ -138,16 +142,16 @@ func (m *RC) elmoreAt(nw *netlist.Network, st *stage.Stage, at int, mult float64
 // adds of elmoreAt(at, mult) in the identical order, so the replayed
 // result is bit-exact without a second walk.
 func (m *RC) elmoreSplit(nw *netlist.Network, st *stage.Stage, at int, low []float64) (tau, high, rAt, accAt float64) {
-	n := len(st.Path)
+	path, side, pathCap, tr := st.Path(), st.Side(), st.PathCap(), st.Transition()
 	acc := 0.0
-	si := len(st.Side) - 1
-	for i := n; i >= 1; i-- {
-		acc += st.PathCap[i-1]
-		for si >= 0 && int(st.Side[si].Attach) >= i {
-			acc += st.Side[si].C
+	si := len(side) - 1
+	for i := len(path); i >= 1; i-- {
+		acc += pathCap[i-1]
+		for si >= 0 && int(side[si].Attach) >= i {
+			acc += side[si].C
 			si--
 		}
-		r := elemR(m.T, nw.Trans[st.Path[i-1].Trans], st.Transition)
+		r := elemR(m.T, nw.Trans[path[i-1].Trans], tr)
 		p := r * acc
 		switch {
 		case i-1 > at:
@@ -176,16 +180,17 @@ func stageTree(tb *Tables, nw *netlist.Network, st *stage.Stage, rscale []float6
 // stageTreeInto is stageTree over a caller-supplied (possibly recycled)
 // tree, which must already be reset to a bare root.
 func stageTreeInto(t *rctree.Tree, tb *Tables, nw *netlist.Network, st *stage.Stage, rscale []float64) (*rctree.Tree, []int) {
-	idx := make([]int, len(st.Path)+1)
-	for i, e := range st.Path {
-		r := elemR(tb, nw.Trans[e.Trans], st.Transition)
+	path := st.Path()
+	idx := make([]int, len(path)+1)
+	for i, e := range path {
+		r := elemR(tb, nw.Trans[e.Trans], st.Transition())
 		if rscale != nil && rscale[i] > 0 {
 			r *= rscale[i]
 		}
 		to := nw.Nodes[e.To]
 		idx[i+1] = t.Add(idx[i], r, nw.NodeCap(to), to.Name)
 	}
-	for _, sl := range st.Side {
+	for _, sl := range st.Side() {
 		if sl.R <= 0 {
 			t.AddCap(idx[sl.Attach], sl.C)
 			continue
@@ -231,7 +236,7 @@ func (m *Slope) Evaluate(nw *netlist.Network, st *stage.Stage, inSlope float64) 
 	// The driver is usually at or near the source, so only a handful of
 	// terms below it ever need buffering for the bit-exact replay.
 	var buf [stage.MaxLow]float64
-	fused := drv <= len(buf)
+	fused := st.Fused()
 	var tauStep, high, rDrv, accDrv float64
 	if fused {
 		tauStep, high, rDrv, accDrv = rcModel.elmoreSplit(nw, st, drv, buf[:])
@@ -241,7 +246,7 @@ func (m *Slope) Evaluate(nw *netlist.Network, st *stage.Stage, inSlope float64) 
 	if tauStep <= 0 {
 		return Result{Delay: tauStep, Slope: math.Log(9) * tauStep}
 	}
-	curve := m.T.Curve(st.DriverType(), st.Transition)
+	curve := m.T.Curve(st.DriverType(), st.Transition())
 	ratio := 0.0
 	if inSlope > 0 {
 		ratio = inSlope / tauStep

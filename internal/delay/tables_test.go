@@ -66,8 +66,8 @@ func TestModelsOnSingleElementStage(t *testing.T) {
 		t.Fatal("no stage through the pulldown")
 	}
 	st := res.Stages[0]
-	if len(st.Path) != 1 {
-		t.Fatalf("expected single-element path, got %d", len(st.Path))
+	if len(st.Path()) != 1 {
+		t.Fatalf("expected single-element path, got %d", len(st.Path()))
 	}
 	tb := AnalyticTables(p)
 	for _, m := range All(tb) {

@@ -236,7 +236,7 @@ func degradedHigh(nw *netlist.Network, n *netlist.Node, opt Options) bool {
 	}
 	for _, st := range rises.Stages {
 		clean := true
-		for _, e := range st.Path {
+		for _, e := range st.Path() {
 			if nw.Trans[e.Trans].Type == tech.NEnh {
 				clean = false
 				break

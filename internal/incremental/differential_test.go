@@ -334,6 +334,10 @@ func FuzzIncremental(f *testing.F) {
 	f.Add([]byte{3, 1, 11, 6, 2, 5, 2, 200, 1})
 	f.Add([]byte{4, 4, 0, 0, 20, 2, 9, 3, 3, 2, 120, 6, 1, 2, 3, 9})
 	f.Add([]byte{5, 3, 8, 4, 5, 77, 0, 1, 14, 2, 10, 0})
+	// A sink becomes a trigger and back: on the ripple adder, add a pulldown
+	// on cout gated by c1_nd_22 (a stack-internal node that gates nothing and
+	// therefore records no replay history), then remove it again.
+	f.Add([]byte{2, 0, 6, 1, 28, 33, 1, 6, 0, 9, 74})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

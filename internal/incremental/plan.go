@@ -104,56 +104,24 @@ func (r *Result) Plan(oldStatic, newStatic []switchsim.Value) *Plan {
 	// bordering one — a stage enumerated inside a db-dirty group can
 	// target the adjacent source (pass paths may end at an input), so its
 	// arrival may move even though the source itself was not edited.
-	queue := make([]int, 0, p.nComp)
-	mark := func(c int) {
-		if c >= 0 && !p.timeDirty[c] {
-			p.timeDirty[c] = true
-			queue = append(queue, c)
-		}
-	}
+	var seeds []int
 	for c := range p.dbDirty {
 		if p.dbDirty[c] {
-			mark(c)
+			seeds = append(seeds, c)
 		}
 	}
 	for _, t := range nw.Trans {
 		ca, cb := p.comp[t.A.Index], p.comp[t.B.Index]
 		if (ca >= 0 && p.dbDirty[ca]) || (cb >= 0 && p.dbDirty[cb]) {
 			if t.A.IsSource() && !t.A.IsRail() {
-				mark(ca)
+				seeds = append(seeds, ca)
 			}
 			if t.B.IsSource() && !t.B.IsRail() {
-				mark(cb)
+				seeds = append(seeds, cb)
 			}
 		}
 	}
-
-	// Downstream closure: arrivals in a component gated by a dirty
-	// component's node may move (in either direction), and so on
-	// transitively; a dirty source additionally fans out through its
-	// channel terminals (its own transition rides through pass devices
-	// into the neighbouring groups). Components are never dirtied
-	// "backwards" — there are no timing edges from a component into its
-	// gating nodes.
-	members := p.memberLists()
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		for _, idx := range members[c] {
-			n := nw.Nodes[idx]
-			for _, t := range n.Gates {
-				mark(p.comp[t.A.Index])
-				mark(p.comp[t.B.Index])
-			}
-			if n.IsSource() {
-				for _, t := range n.Terms {
-					if o := t.Other(n); o != nil {
-						mark(p.comp[o.Index])
-					}
-				}
-			}
-		}
-	}
+	p.spread(seeds)
 
 	// Per-index maps.
 	p.DirtyTrans = make([]bool, len(nw.Trans))
@@ -170,7 +138,6 @@ func (r *Result) Plan(oldStatic, newStatic []switchsim.Value) *Plan {
 	}
 	p.DBDirtyNode = make([]bool, len(nw.Nodes))
 	p.dirtyNode = make([]bool, len(nw.Nodes))
-	nonRail := 0
 	for _, n := range nw.Nodes {
 		c := p.comp[n.Index]
 		if n.IsSource() {
@@ -187,24 +154,11 @@ func (r *Result) Plan(oldStatic, newStatic []switchsim.Value) *Plan {
 				}
 			}
 		}
-		if c < 0 {
-			continue // rail: arrivals never change
-		}
-		nonRail++
-		if p.dbDirty[c] || n.Index >= r.oldNodes {
+		if c >= 0 && (p.dbDirty[c] || n.Index >= r.oldNodes) {
 			p.DBDirtyNode[n.Index] = true
 		}
-		if p.timeDirty[c] || n.Index >= r.oldNodes {
-			p.dirtyNode[n.Index] = true
-			p.DirtyNodes++
-		}
 	}
-	if nonRail > 0 {
-		p.Frac = float64(p.DirtyNodes) / float64(nonRail)
-	}
-	if p.ForceFull {
-		p.Frac = 1
-	}
+	p.refresh()
 	return p
 }
 
@@ -217,6 +171,26 @@ func (r *Result) Plan(oldStatic, newStatic []switchsim.Value) *Plan {
 // so its whole interior re-enters the dirty set even when the edit only
 // grazed it.
 func (p *Plan) Widen(nodeIdxs []int) {
+	var seeds []int
+	for _, idx := range nodeIdxs {
+		if idx >= 0 && idx < len(p.comp) {
+			seeds = append(seeds, p.comp[idx])
+		}
+	}
+	if p.spread(seeds) {
+		p.refresh()
+	}
+}
+
+// spread marks the given components (-1 entries ignored) time-dirty and
+// closes the set downstream, reporting whether it grew: arrivals in a
+// component gated by a dirty component's node may move (in either
+// direction), and so on transitively; a dirty source additionally fans out
+// through its channel terminals (its own transition rides through pass
+// devices into the neighbouring groups). Components are never dirtied
+// "backwards" — there are no timing edges from a component into its gating
+// nodes.
+func (p *Plan) spread(seeds []int) bool {
 	nw := p.res.Net
 	var queue []int
 	mark := func(c int) {
@@ -225,16 +199,12 @@ func (p *Plan) Widen(nodeIdxs []int) {
 			queue = append(queue, c)
 		}
 	}
-	for _, idx := range nodeIdxs {
-		if idx >= 0 && idx < len(p.comp) {
-			mark(p.comp[idx])
-		}
+	for _, c := range seeds {
+		mark(c)
 	}
 	if len(queue) == 0 {
-		return
+		return false
 	}
-	// Same downstream closure as Plan: dirty arrivals propagate through
-	// gate fanout, and through source channels.
 	members := p.memberLists()
 	for len(queue) > 0 {
 		c := queue[0]
@@ -254,19 +224,22 @@ func (p *Plan) Widen(nodeIdxs []int) {
 			}
 		}
 	}
-	// Refresh the per-node view from the widened component set.
+	return true
+}
+
+// refresh rebuilds the analyzer-facing view — dirtyNode, DirtyNodes, Frac —
+// from the time-dirty components; nodes new in this generation are dirty
+// whatever their component.
+func (p *Plan) refresh() {
 	nonRail := 0
 	p.DirtyNodes = 0
-	for _, n := range nw.Nodes {
-		c := p.comp[n.Index]
+	for i, c := range p.comp {
 		if c < 0 {
-			continue
+			continue // rail: arrivals never change
 		}
 		nonRail++
-		if p.timeDirty[c] || n.Index >= p.res.oldNodes {
-			p.dirtyNode[n.Index] = true
-		}
-		if p.dirtyNode[n.Index] {
+		if p.timeDirty[c] || i >= p.res.oldNodes {
+			p.dirtyNode[i] = true
 			p.DirtyNodes++
 		}
 	}

@@ -229,8 +229,10 @@ func TestJobPerSessionSerialization(t *testing.T) {
 	// While j1 has not finished, j2 must never be dispatched — the free
 	// workers may not bypass the per-session queue.
 	for {
-		a := c.pollJobState(j1.Job)
+		// j2 first: a j1 still running when j2 has already been seen
+		// dispatched is then a real overlap, not j1 finishing between polls.
 		b := c.pollJobState(j2.Job)
+		a := c.pollJobState(j1.Job)
 		if b == jobRunning || b == jobDone || b == jobFailed {
 			if a != jobDone && a != jobFailed {
 				t.Fatalf("job2 %s while job1 still %s", b, a)

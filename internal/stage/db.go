@@ -1,8 +1,8 @@
 // The stage database: a shareable index of every stage the analyzer can
 // ask for over one (network, sensitization) pair. Stage enumeration is
 // static during an analysis — a trigger's stages never change — so the
-// results are memoized here, slice-indexed by (element index, transition)
-// instead of hashed. A slot is one atomic pointer: nil until some analysis
+// results are memoized here, slice-indexed by element index instead of
+// hashed. A slot is one atomic pointer: nil until some analysis
 // first asks, then the immutable Slab installed by compare-and-swap, so any
 // number of concurrent analyses share one database without locking on the
 // hot path.
@@ -42,8 +42,10 @@ type DB struct {
 	// comes from each generation owning its own immutable network.
 	Epoch uint64
 
-	through []atomic.Pointer[Slab]    // 2·trans+transition → stages through the device
-	release []atomic.Pointer[Slab]    // 2·node+transition → stages driving the node
+	// A device's or a node's consequences are always consulted for both
+	// target transitions, so each is one slab, Rise stages then Fall.
+	through []atomic.Pointer[Slab]    // trans → stages through the device
+	release []atomic.Pointer[Slab]    // node → stages driving the node
 	from    []atomic.Pointer[Slab]    // 2·node+transition → stages fanning out of the node
 	groups  []atomic.Pointer[[]int32] // trans → channel-connected group (node indexes)
 
@@ -63,9 +65,9 @@ type DB struct {
 func NewDB(nw *netlist.Network, opt Options) *DB {
 	return &DB{
 		nw:      nw,
-		opt:     opt.fill(),
-		through: make([]atomic.Pointer[Slab], 2*len(nw.Trans)),
-		release: make([]atomic.Pointer[Slab], 2*len(nw.Nodes)),
+		opt:     opt.Fill(),
+		through: make([]atomic.Pointer[Slab], len(nw.Trans)),
+		release: make([]atomic.Pointer[Slab], len(nw.Nodes)),
 		from:    make([]atomic.Pointer[Slab], 2*len(nw.Nodes)),
 		groups:  make([]atomic.Pointer[[]int32], len(nw.Trans)),
 	}
@@ -109,23 +111,23 @@ func (db *DB) install(slot *atomic.Pointer[Slab], s *Slab) *Slab {
 }
 
 // Through returns the stages created when transistor ti becomes
-// conducting, targeting transition tr.
-func (db *DB) Through(ti int, tr tech.Transition) *Slab {
-	slot := &db.through[2*ti+int(tr)]
+// conducting: those targeting Rise, then those targeting Fall.
+func (db *DB) Through(ti int) *Slab {
+	slot := &db.through[ti]
 	if s := slot.Load(); s != nil {
 		return s
 	}
-	return db.install(slot, through(db.nw, db.nw.Trans[ti], tr, db.enumOpt()))
+	return db.install(slot, through(db.nw, db.nw.Trans[ti], db.enumOpt(), tech.Rise, tech.Fall))
 }
 
-// Release returns the stages that could drive node ni with transition tr
-// (the paths a released node may move along).
-func (db *DB) Release(ni int, tr tech.Transition) *Slab {
-	slot := &db.release[2*ni+int(tr)]
+// Release returns the stages that could drive node ni (the paths a
+// released node may move along): those raising it, then those lowering it.
+func (db *DB) Release(ni int) *Slab {
+	slot := &db.release[ni]
 	if s := slot.Load(); s != nil {
 		return s
 	}
-	return db.install(slot, toNode(db.nw, db.nw.Nodes[ni], tr, db.enumOpt()))
+	return db.install(slot, toNode(db.nw, db.nw.Nodes[ni], db.enumOpt(), tech.Rise, tech.Fall))
 }
 
 // From returns the stages created when node ni itself transitions (an
@@ -141,18 +143,18 @@ func (db *DB) From(ni int, tr tech.Transition) *Slab {
 // TurnOnIdx lists the stages created when transistor ti becomes conducting,
 // for both target transitions (Rise stages first), plus truncation — the
 // consequence list of a turn-on, materialized for tools that want to hold
-// stages; the analyzer walks the two Through slabs directly.
+// stages; the analyzer walks the Through slab directly.
 func (db *DB) TurnOnIdx(ti int) ([]*Stage, bool) {
-	rise, fall := db.Through(ti, tech.Rise), db.Through(ti, tech.Fall)
-	return append(rise.result().Stages, fall.result().Stages...), rise.Truncated || fall.Truncated
+	res := db.Through(ti).result()
+	return res.Stages, res.Truncated
 }
 
 // Group returns the indexes of the non-source nodes channel-connected to
 // either terminal of transistor ti through possibly-conducting transistors
 // (ti itself excluded), without expanding through strong sources — the set
 // of nodes a turn-off of ti releases. A turn-off's consequence list is the
-// Release slabs of these nodes in order, Rise before Fall, minus the stages
-// whose path runs through ti (those died with the device).
+// Release slabs of these nodes in order, minus the stages whose path runs
+// through ti (those died with the device).
 func (db *DB) Group(ti int) []int32 {
 	slot := &db.groups[ti]
 	if g := slot.Load(); g != nil {
@@ -201,8 +203,7 @@ func (db *DB) Derive(nw *netlist.Network, opt Options, dirtyTrans, dirtyNode []b
 		if old < 0 || (j < len(dirtyTrans) && dirtyTrans[j]) {
 			continue
 		}
-		next.through[2*j].Store(db.through[2*old].Load())
-		next.through[2*j+1].Store(db.through[2*old+1].Load())
+		next.through[j].Store(db.through[old].Load())
 		next.groups[j].Store(db.groups[old].Load())
 	}
 	oldNodes := len(db.nw.Nodes)
@@ -210,10 +211,9 @@ func (db *DB) Derive(nw *netlist.Network, opt Options, dirtyTrans, dirtyNode []b
 		if j >= oldNodes || (j < len(dirtyNode) && dirtyNode[j]) {
 			continue
 		}
-		for k := 2 * j; k < 2*j+2; k++ {
-			next.release[k].Store(db.release[k].Load())
-			next.from[k].Store(db.from[k].Load())
-		}
+		next.release[j].Store(db.release[j].Load())
+		next.from[2*j].Store(db.from[2*j].Load())
+		next.from[2*j+1].Store(db.from[2*j+1].Load())
 	}
 	return next
 }
@@ -319,13 +319,9 @@ func (db *DB) PrewarmMasked(workers int, skipTrans, skipNode []bool) {
 				if db.nw.Trans[i].AlwaysOn() {
 					continue
 				}
-				for _, tr := range transitions {
-					db.Through(i, tr)
-				}
+				db.Through(i)
 				for _, m := range db.Group(i) {
-					for _, tr := range transitions {
-						db.Release(int(m), tr)
-					}
+					db.Release(int(m))
 				}
 			}
 		}()

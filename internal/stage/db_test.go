@@ -15,8 +15,14 @@ func stageKey(nw *netlist.Network, st *Stage) string {
 	return nw.Nodes[st.Target].Name + "<" + st.Format(nw)
 }
 
-// sameStages compares a slab's records with an independent enumeration.
-func sameStages(nw *netlist.Network, a *Slab, b Result) bool {
+// sameStages compares a slab's records with independent enumerations, one
+// per target transition the slab covers, in order.
+func sameStages(nw *netlist.Network, a *Slab, parts ...Result) bool {
+	var b Result
+	for _, p := range parts {
+		b.Stages = append(b.Stages, p.Stages...)
+		b.Truncated = b.Truncated || p.Truncated
+	}
 	if len(a.Stages) != len(b.Stages) || a.Truncated != b.Truncated {
 		return false
 	}
@@ -51,22 +57,24 @@ func passNet() (*netlist.Network, *netlist.Node, *netlist.Node) {
 func TestDBMatchesDirectEnumeration(t *testing.T) {
 	nw, in, out := passNet()
 	db := NewDB(nw, Options{})
-	for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
-		for _, tx := range nw.Trans {
-			if !sameStages(nw, db.Through(tx.Index, tr), Through(nw, tx, tr, Options{})) {
-				t.Errorf("Through(%s,%v): db disagrees with direct enumeration", tx.Gate.Name, tr)
-			}
+	for _, tx := range nw.Trans {
+		if !sameStages(nw, db.Through(tx.Index),
+			Through(nw, tx, tech.Rise, Options{}), Through(nw, tx, tech.Fall, Options{})) {
+			t.Errorf("Through(%s): db disagrees with direct enumeration", tx.Gate.Name)
 		}
-		for _, n := range []*netlist.Node{in, out, nw.Lookup("mid")} {
-			if !sameStages(nw, db.Release(n.Index, tr), ToNode(nw, n, tr, Options{})) {
-				t.Errorf("Release(%s,%v): db disagrees with direct enumeration", n.Name, tr)
-			}
+	}
+	for _, n := range []*netlist.Node{in, out, nw.Lookup("mid")} {
+		if !sameStages(nw, db.Release(n.Index),
+			ToNode(nw, n, tech.Rise, Options{}), ToNode(nw, n, tech.Fall, Options{})) {
+			t.Errorf("Release(%s): db disagrees with direct enumeration", n.Name)
+		}
+		for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
 			if !sameStages(nw, db.From(n.Index, tr), FromNode(nw, n, tr, Options{})) {
 				t.Errorf("From(%s,%v): db disagrees with direct enumeration", n.Name, tr)
 			}
 		}
 	}
-	if first := db.Release(out.Index, tech.Fall); len(first.Stages) == 0 || first != db.Release(out.Index, tech.Fall) {
+	if first := db.Release(out.Index); len(first.Stages) == 0 || first != db.Release(out.Index) {
 		t.Error("Release re-enumerated a built entry")
 	}
 }
@@ -82,7 +90,7 @@ func TestDBLazyEntries(t *testing.T) {
 			t.Fatal("fresh database holds a built entry")
 		}
 	}
-	db.Release(out.Index, tech.Fall)
+	db.Release(out.Index)
 	built := 0
 	for i := range db.release {
 		if db.release[i].Load() != nil {
@@ -93,31 +101,28 @@ func TestDBLazyEntries(t *testing.T) {
 		t.Errorf("one Release built %d entries", built)
 	}
 	// Nothing can drive a strong source: the shared empty slab.
-	if got := db.Release(in.Index, tech.Rise); got != emptySlab {
+	if got := db.Release(in.Index); got != emptySlab {
 		t.Errorf("empty enumeration allocated a slab: %+v", got)
 	}
 }
 
-// TestDBTurnOn pins the materialized turn-on list to the two Through slabs
-// it is read from: the very records, Rise targets first.
+// TestDBTurnOn pins the materialized turn-on list to the Through slab it is
+// read from: the very records, Rise targets first.
 func TestDBTurnOn(t *testing.T) {
 	nw, _, _ := passNet()
 	db := NewDB(nw, Options{})
 	for _, tx := range nw.Trans {
 		got, trunc := db.TurnOnIdx(tx.Index)
-		rise, fall := db.Through(tx.Index, tech.Rise), db.Through(tx.Index, tech.Fall)
-		if trunc != (rise.Truncated || fall.Truncated) || len(got) != len(rise.Stages)+len(fall.Stages) {
-			t.Fatalf("TurnOnIdx(%s): %d stages, want %d+%d", tx.Gate.Name, len(got), len(rise.Stages), len(fall.Stages))
+		sl := db.Through(tx.Index)
+		if trunc != sl.Truncated || len(got) != len(sl.Stages) {
+			t.Fatalf("TurnOnIdx(%s): %d stages, want %d", tx.Gate.Name, len(got), len(sl.Stages))
 		}
 		for i, st := range got {
-			want := &rise.Stages[0]
-			if i < len(rise.Stages) {
-				want = &rise.Stages[i]
-			} else {
-				want = &fall.Stages[i-len(rise.Stages)]
-			}
-			if st != want {
+			if st != &sl.Stages[i] {
 				t.Errorf("TurnOnIdx(%s)[%d] is not the slab's record", tx.Gate.Name, i)
+			}
+			if i > 0 && st.Transition() < got[i-1].Transition() {
+				t.Errorf("TurnOnIdx(%s)[%d]: a Rise target after a Fall target", tx.Gate.Name, i)
 			}
 		}
 	}
@@ -129,18 +134,16 @@ func TestUsesTrans(t *testing.T) {
 	nw, _, _ := passNet()
 	db := NewDB(nw, Options{})
 	for _, n := range nw.Nodes {
-		for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
-			sl := db.Release(n.Index, tr)
-			for i := range sl.Stages {
-				st := &sl.Stages[i]
-				for ti := -1; ti < len(nw.Trans)+70; ti++ {
-					want := false
-					for _, e := range st.Path {
-						want = want || int(e.Trans) == ti
-					}
-					if st.UsesTrans(ti) != want {
-						t.Errorf("%s: UsesTrans(%d) = %v", st, ti, !want)
-					}
+		sl := db.Release(n.Index)
+		for i := range sl.Stages {
+			st := &sl.Stages[i]
+			for ti := -1; ti < len(nw.Trans)+70; ti++ {
+				want := false
+				for _, e := range st.Path() {
+					want = want || int(e.Trans) == ti
+				}
+				if st.UsesTrans(ti) != want {
+					t.Errorf("%s: UsesTrans(%d) = %v", st, ti, !want)
 				}
 			}
 		}
@@ -195,20 +198,21 @@ func TestDeriveSharesCleanSlots(t *testing.T) {
 	}
 	for i := range d.through {
 		got, old := d.through[i].Load(), db.through[i].Load()
-		if dirty := i/2 == 3; dirty && got != nil || !dirty && got != old {
+		if dirty := i == 3; dirty && got != nil || !dirty && got != old {
 			t.Errorf("through slot %d: %p, predecessor holds %p", i, got, old)
 		}
 	}
 	for i := range d.release {
 		got, old := d.release[i].Load(), db.release[i].Load()
-		if dirty := i/2 == out.Index; dirty && got != nil || !dirty && got != old {
+		if dirty := i == out.Index; dirty && got != nil || !dirty && got != old {
 			t.Errorf("release slot %d: %p, predecessor holds %p", i, got, old)
 		}
 	}
 	if d.groups[3].Load() != nil || d.groups[2].Load() != db.groups[2].Load() {
 		t.Error("group slots not split by dirtiness")
 	}
-	if !sameStages(next, d.Release(out.Index, tech.Fall), ToNode(next, out, tech.Fall, Options{})) {
+	if !sameStages(next, d.Release(out.Index),
+		ToNode(next, out, tech.Rise, Options{}), ToNode(next, out, tech.Fall, Options{})) {
 		t.Error("re-enumerated dirty entry disagrees with direct enumeration")
 	}
 }
@@ -259,13 +263,13 @@ func TestDBConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			got[w] = db.Release(out.Index)
 			for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
-				got[w] = db.Release(out.Index, tr)
 				db.From(in.Index, tr)
-				for _, tx := range nw.Trans {
-					db.Through(tx.Index, tr)
-					db.Group(tx.Index)
-				}
+			}
+			for _, tx := range nw.Trans {
+				db.Through(tx.Index)
+				db.Group(tx.Index)
 			}
 		}()
 	}
@@ -283,8 +287,9 @@ func TestDBPrewarm(t *testing.T) {
 	nw, _, out := passNet()
 	db := NewDB(nw, Options{})
 	db.Prewarm(4)
-	warm := db.release[2*out.Index+int(tech.Fall)].Load()
-	if warm == nil || !sameStages(nw, warm, ToNode(nw, out, tech.Fall, Options{})) {
+	warm := db.release[out.Index].Load()
+	if warm == nil || !sameStages(nw, warm,
+		ToNode(nw, out, tech.Rise, Options{}), ToNode(nw, out, tech.Fall, Options{})) {
 		t.Error("prewarmed Release disagrees with direct enumeration")
 	}
 }

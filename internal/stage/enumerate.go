@@ -5,6 +5,7 @@
 package stage
 
 import (
+	"math"
 	"sort"
 	"sync"
 
@@ -29,17 +30,18 @@ type Options struct {
 	caps []float64
 }
 
-// Fill returns the options with defaults applied (the exported form, used
-// by callers that need to know the effective bounds, e.g. for cache keys).
-func (o Options) Fill() Options { return o.fill() }
-
-func (o Options) fill() Options {
+// Fill returns the options with defaults applied (exported for callers
+// that need to know the effective bounds, e.g. for cache keys).
+func (o Options) Fill() Options {
 	if o.Oracle == nil {
 		o.Oracle = worstCase
 	}
 	if o.MaxDepth <= 0 {
 		o.MaxDepth = 64
 	}
+	// A record keeps its path length in 16 bits, and a path toward a node
+	// may run one element past MaxDepth.
+	o.MaxDepth = min(o.MaxDepth, math.MaxUint16-1)
 	if o.MaxPaths <= 0 {
 		o.MaxPaths = 256
 	}
@@ -53,6 +55,13 @@ type Slab struct {
 	Stages []Stage
 	// Truncated is true if MaxPaths or MaxDepth pruned the enumeration.
 	Truncated bool
+
+	// What the records' offsets index: every path element, every side load,
+	// and per stage its path capacitances followed by its split-replay
+	// slots.
+	path []Element
+	side []SideLoad
+	f    []float64
 }
 
 // emptySlab is every untruncated enumeration that found nothing.
@@ -82,6 +91,7 @@ func (s *Slab) result() Result {
 type rec struct {
 	source, target, trigger int32
 	nPath, nSide            int32
+	tr                      tech.Transition
 }
 
 // slQent is one pending BFS visit of the side-load walk.
@@ -99,7 +109,10 @@ type slQent struct {
 type builder struct {
 	nw  *netlist.Network
 	opt Options
-	tr  tech.Transition
+	// tr is the target transition of the pass in progress and base the
+	// number of stages earlier passes recorded (MaxPaths bounds each pass).
+	tr   tech.Transition
+	base int
 
 	recs  []rec
 	path  []Element
@@ -116,14 +129,15 @@ type builder struct {
 
 var builderPool sync.Pool
 
-// newBuilder readies a (recycled) builder for one enumeration over nw
-// toward transition tr; opt must already be filled.
-func newBuilder(nw *netlist.Network, tr tech.Transition, opt Options) *builder {
+// newBuilder readies a (recycled) builder for one enumeration over nw; opt
+// must already be filled. Each target transition is one pass, opened with
+// begin.
+func newBuilder(nw *netlist.Network, opt Options) *builder {
 	b, _ := builderPool.Get().(*builder)
 	if b == nil {
 		b = &builder{}
 	}
-	b.nw, b.opt, b.tr = nw, opt, tr
+	b.nw, b.opt = nw, opt
 	b.recs, b.path, b.side, b.caps = b.recs[:0], b.path[:0], b.side[:0], b.caps[:0]
 	b.trunc = false
 	if len(b.nodeStamp) < len(nw.Nodes) {
@@ -134,6 +148,12 @@ func newBuilder(nw *netlist.Network, tr tech.Transition, opt Options) *builder {
 	}
 	return b
 }
+
+// begin opens the pass toward transition tr.
+func (b *builder) begin(tr tech.Transition) { b.tr, b.base = tr, len(b.recs) }
+
+// full reports whether the pass in progress has recorded MaxPaths stages.
+func (b *builder) full() bool { return len(b.recs)-b.base >= b.opt.MaxPaths }
 
 // nodeCap returns the total capacitance loading node idx, from the
 // snapshot when one is installed.
@@ -156,7 +176,7 @@ func (b *builder) add(source, target, trigger int32, path []Element) {
 	for _, e := range path {
 		b.caps = append(b.caps, b.nodeCap(e.To))
 	}
-	b.recs = append(b.recs, rec{source, target, trigger, int32(len(path)), int32(len(side))})
+	b.recs = append(b.recs, rec{source, target, trigger, int32(len(path)), int32(len(side)), b.tr})
 }
 
 // sideLoads walks outward from every path node through conducting
@@ -236,45 +256,47 @@ func (b *builder) slab() *Slab {
 		return emptySlab
 	}
 	nw := b.nw
-	s := &Slab{Stages: make([]Stage, len(b.recs)), Truncated: b.trunc}
 	// Fresh arrays, not slices.Clone: cloning an empty scratch slice would
 	// alias the pooled array.
-	path := append(make([]Element, 0, len(b.path)), b.path...)
-	side := append(make([]SideLoad, 0, len(b.side)), b.side...)
-	nf := len(b.caps)
+	s := &Slab{
+		Stages:    make([]Stage, len(b.recs)),
+		Truncated: b.trunc,
+		path:      append(make([]Element, 0, len(b.path)), b.path...),
+		side:      append(make([]SideLoad, 0, len(b.side)), b.side...),
+	}
+	var pathOff, sideOff, nf uint32
 	for i := range s.Stages {
 		st, r := &s.Stages[i], &b.recs[i]
-		st.Source, st.Target, st.Trigger, st.Transition = r.source, r.target, r.trigger, b.tr
-		st.Path, path = path[:r.nPath:r.nPath], path[r.nPath:]
-		st.Side, side = side[:r.nSide:r.nSide], side[r.nSide:]
-		for _, e := range st.Path {
+		st.slab = s
+		st.Source, st.Target, st.Trigger, st.transition = r.source, r.target, r.trigger, uint8(r.tr)
+		st.pathOff, st.nPath = pathOff, uint16(r.nPath)
+		st.sideOff, st.nSide = sideOff, uint32(r.nSide)
+		st.capOff = nf
+		pathOff += uint32(r.nPath)
+		sideOff += uint32(r.nSide)
+		path := st.Path()
+		for _, e := range path {
 			st.pathBloom |= 1 << (uint(e.Trans) & 63)
 		}
-		for j, e := range st.Path {
+		for j, e := range path {
 			if e.Trans == r.trigger {
-				st.driver = int32(j)
+				st.driver = uint16(j)
 				break
 			}
 		}
-		st.driverType = nw.Trans[st.Path[st.driver].Trans].Type
+		st.driverType = uint8(nw.Trans[path[st.driver].Trans].Type)
 		if nw.Nodes[r.source].Kind == netlist.KindInput {
 			st.srcInput = r.source + 1
 		}
-		if st.driver <= MaxLow {
-			nf += int(st.driver)
+		nf += uint32(r.nPath)
+		if st.Fused() {
+			nf += uint32(st.driver)
 		}
 	}
-	f := make([]float64, nf)
+	s.f = make([]float64, nf)
 	caps := b.caps
 	for i := range s.Stages {
-		st := &s.Stages[i]
-		n := len(st.Path)
-		st.PathCap, f = f[:n:n], f[n:]
-		copy(st.PathCap, caps)
-		caps = caps[n:]
-		if d := int(st.driver); d <= MaxLow {
-			st.low, f = f[:d:d], f[d:]
-		}
+		caps = caps[copy(s.Stages[i].PathCap(), caps):]
 	}
 	return s
 }
@@ -313,57 +335,28 @@ func reversed(dst, rev []Element) []Element {
 // transistors the oracle does not rule out, respecting flow hints. Side
 // loading is computed per stage.
 func ToNode(nw *netlist.Network, target *netlist.Node, tr tech.Transition, opt Options) Result {
-	return toNode(nw, target, tr, opt.fill()).result()
+	return toNode(nw, target, opt.Fill(), tr).result()
 }
 
-func toNode(nw *netlist.Network, target *netlist.Node, tr tech.Transition, opt Options) *Slab {
+// toNode runs one pass per transition of trs, in order, into one slab.
+func toNode(nw *netlist.Network, target *netlist.Node, opt Options, trs ...tech.Transition) *Slab {
 	if target.IsSource() {
 		return emptySlab
 	}
-	b := newBuilder(nw, tr, opt)
-	// DFS backward from target toward sources. Paths are built
-	// target→source then reversed.
-	onPath := make(map[*netlist.Node]bool)
-	var rev []Element // elements target→source order (From/To in final orientation)
-	var dfs func(n *netlist.Node, depth int)
-	dfs = func(n *netlist.Node, depth int) {
-		if len(b.recs) >= opt.MaxPaths {
-			b.trunc = true
-			return
-		}
-		if depth > opt.MaxDepth {
-			b.trunc = true
-			return
-		}
-		onPath[n] = true
-		defer delete(onPath, n)
-		for _, t := range n.Terms {
-			if opt.Oracle(t) == Off {
-				continue
-			}
-			o := t.Other(n)
-			if o == nil || onPath[o] {
-				continue
-			}
-			// Final orientation is source→target, so the signal flows
-			// o→n here; check the flow hint in that direction.
-			if !t.CanFlow(o) {
-				continue
-			}
-			rev = append(rev, hop(t, o, n))
-			if o.IsSource() {
-				if sourceWanted(o, tr) {
-					b.tmp = reversed(b.tmp[:0], rev)
-					b.add(int32(o.Index), int32(target.Index), NoTrans, b.tmp)
-				}
-			} else {
-				dfs(o, depth+1)
-			}
-			rev = rev[:len(rev)-1]
-		}
+	b := newBuilder(nw, opt)
+	for _, tr := range trs {
+		b.begin(tr)
+		b.toNode(target)
 	}
-	dfs(target, 0)
 	return b.slab()
+}
+
+func (b *builder) toNode(target *netlist.Node) {
+	ps := pathsToNode(target, b.tr, b.opt, nil)
+	b.trunc = b.trunc || ps.Truncated
+	for _, p := range ps.paths {
+		b.add(p[0].From, int32(target.Index), NoTrans, p)
+	}
 }
 
 // Through enumerates the stages created when transistor trig becomes
@@ -372,11 +365,21 @@ func toNode(nw *netlist.Network, target *netlist.Node, tr tech.Transition, opt O
 // Source-side paths are enumerated exhaustively (bounded by MaxPaths);
 // the far side is expanded as a spanning tree, one stage per reached node.
 func Through(nw *netlist.Network, trig *netlist.Trans, tr tech.Transition, opt Options) Result {
-	return through(nw, trig, tr, opt.fill()).result()
+	return through(nw, trig, opt.Fill(), tr).result()
 }
 
-func through(nw *netlist.Network, trig *netlist.Trans, tr tech.Transition, opt Options) *Slab {
-	b := newBuilder(nw, tr, opt)
+// through runs one pass per transition of trs, in order, into one slab.
+func through(nw *netlist.Network, trig *netlist.Trans, opt Options, trs ...tech.Transition) *Slab {
+	b := newBuilder(nw, opt)
+	for _, tr := range trs {
+		b.begin(tr)
+		b.through(trig)
+	}
+	return b.slab()
+}
+
+func (b *builder) through(trig *netlist.Trans) {
+	opt, tr := b.opt, b.tr
 	// For each orientation of the trigger (A→B and B→A), find source
 	// paths ending at the near terminal, then extend to far-side nodes.
 	for _, orient := range [2]struct{ near, far *netlist.Node }{
@@ -405,14 +408,13 @@ func through(nw *netlist.Network, trig *netlist.Trans, tr tech.Transition, opt O
 				full = append(full, ext...)
 				b.tmp = full
 				b.add(full[0].From, full[len(full)-1].To, int32(trig.Index), full)
-				if len(b.recs) >= opt.MaxPaths {
+				if b.full() {
 					b.trunc = true
-					return b.slab()
+					return
 				}
 			}
 		}
 	}
-	return b.slab()
 }
 
 type pathSet struct {
@@ -420,7 +422,8 @@ type pathSet struct {
 	Truncated bool
 }
 
-// pathsToNode enumerates acyclic source→end paths not using `exclude`.
+// pathsToNode enumerates acyclic source→end paths not using `exclude` (nil:
+// any device may be used).
 func pathsToNode(end *netlist.Node, tr tech.Transition, opt Options, exclude *netlist.Trans) pathSet {
 	var ps pathSet
 	if end.IsSource() {
@@ -512,11 +515,12 @@ func spanningExtensions(from, near *netlist.Node, srcPath []Element, trig *netli
 // a spanning tree of the conducting channel graph rooted at src, one stage
 // per reachable node, each with Source = src and no trigger.
 func FromNode(nw *netlist.Network, src *netlist.Node, tr tech.Transition, opt Options) Result {
-	return fromNode(nw, src, tr, opt.fill()).result()
+	return fromNode(nw, src, tr, opt.Fill()).result()
 }
 
 func fromNode(nw *netlist.Network, src *netlist.Node, tr tech.Transition, opt Options) *Slab {
-	b := newBuilder(nw, tr, opt)
+	b := newBuilder(nw, opt)
+	b.begin(tr)
 	type item struct {
 		n    *netlist.Node
 		path []Element
@@ -546,7 +550,7 @@ func fromNode(nw *netlist.Network, src *netlist.Node, tr tech.Transition, opt Op
 			copy(np, cur.path)
 			np[len(cur.path)] = hop(t, cur.n, o)
 			b.add(int32(src.Index), int32(o.Index), NoTrans, np)
-			if len(b.recs) >= opt.MaxPaths {
+			if b.full() {
 				b.trunc = true
 				return b.slab()
 			}

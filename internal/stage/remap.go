@@ -16,31 +16,29 @@ package stage
 // are recomputed because they encode indexes, and the delay constants
 // start unpublished.
 func (s *Stage) Remap(nodeFn, transFn func(int32) int32) *Stage {
-	out := &Stage{
-		Source:     nodeFn(s.Source),
-		Target:     nodeFn(s.Target),
-		Trigger:    NoTrans,
-		Transition: s.Transition,
-		driver:     s.driver,
-		driverType: s.driverType,
-		PathCap:    s.PathCap, // immutable, index-aligned with Path either way
-		low:        make([]float64, len(s.low)),
+	sl := &Slab{
+		Stages: make([]Stage, 1),
+		path:   make([]Element, s.nPath),
+		side:   make([]SideLoad, s.nSide),
+		f:      make([]float64, int(s.nPath)+len(s.Low())),
 	}
+	out := &sl.Stages[0]
+	out.slab = sl
+	out.Source, out.Target, out.Trigger = nodeFn(s.Source), nodeFn(s.Target), NoTrans
+	out.nPath, out.nSide = s.nPath, s.nSide
+	out.driver, out.driverType, out.transition = s.driver, s.driverType, s.transition
 	if s.Trigger != NoTrans {
 		out.Trigger = transFn(s.Trigger)
 	}
-	out.Path = make([]Element, len(s.Path))
-	for i, e := range s.Path {
+	for i, e := range s.Path() {
 		t := transFn(e.Trans)
-		out.Path[i] = Element{Trans: t, From: nodeFn(e.From), To: nodeFn(e.To)}
+		sl.path[i] = Element{Trans: t, From: nodeFn(e.From), To: nodeFn(e.To)}
 		out.pathBloom |= 1 << (uint(t) & 63)
 	}
-	if len(s.Side) > 0 {
-		out.Side = make([]SideLoad, len(s.Side))
-		for i, sl := range s.Side {
-			out.Side[i] = SideLoad{Node: nodeFn(sl.Node), Attach: sl.Attach, R: sl.R, C: sl.C}
-		}
+	for i, l := range s.Side() {
+		sl.side[i] = SideLoad{Node: nodeFn(l.Node), Attach: l.Attach, R: l.R, C: l.C}
 	}
+	copy(sl.f, s.PathCap())
 	if s.srcInput > 0 {
 		out.srcInput = out.Source + 1
 	}

@@ -26,7 +26,7 @@ import (
 
 // Conduction is the three-valued answer to "does this transistor's channel
 // conduct?" supplied by the sensitization oracle.
-type Conduction int
+type Conduction uint8
 
 const (
 	// Off: the channel definitely does not conduct; paths may not use it.
@@ -81,18 +81,20 @@ const MaxLow = 16
 type Consts struct {
 	// TauStep is the intrinsic (step-input) Elmore delay.
 	TauStep float64
-	// Split-walk replay terms, valid when Fused: the delay at driver
-	// multiplier m is High + (RDrv·m)·AccDrv + Σ Low()[j], j = driver-1 … 0.
+	// Split-walk replay terms, valid when the stage is Fused: the delay at
+	// driver multiplier m is High + (RDrv·m)·AccDrv + Σ Low()[j],
+	// j = driver-1 … 0.
 	High, RDrv, AccDrv float64
-	Fused              bool
 	// TF0 is the output-transition factor at slope ratio 0.
 	TF0 float64
-	// Lumped: delay = RSum × CSum.
-	RSum, CSum float64
+	// Lumped is the lumped model's delay: series R × total C.
+	Lumped float64
 }
 
-// Stage is a driving path plus its loading. Path, Side and PathCap alias
-// the packed arrays of the enumeration result the stage belongs to.
+// Stage is a driving path plus its loading: one fixed-size record of an
+// enumeration result. The variable-length parts — Path, Side, PathCap and
+// the split-replay slots — live in the packed arrays of the Slab the record
+// belongs to, addressed by offset.
 type Stage struct {
 	// The fields an evaluation from published constants reads come first, so
 	// the drain's walk over a slab touches the head of each record only.
@@ -102,8 +104,6 @@ type Stage struct {
 	// srcInput is Source+1 when the source is a chip input, 0 otherwise:
 	// the analyzer's per-evaluation source-validity check.
 	srcInput int32
-	// Transition is the direction Target moves (Rise when Source is high).
-	Transition tech.Transition
 	// pathBloom is a 64-bit bloom of the path transistors' indexes; a clear
 	// bit proves a transistor is not on the path.
 	pathBloom uint64
@@ -112,14 +112,19 @@ type Stage struct {
 	// is never rewritten, so readers that saw their key read plain fields.
 	constsKey atomic.Uint64
 	consts    Consts
-	// low is the room for Consts' split-replay terms: driver slots beside
-	// the path caps (none when the driver sits deeper than MaxLow).
-	low []float64
+	// slab owns the arrays the record's variable-length parts live in: in
+	// slab.f from capOff the nPath path capacitances, then — when the stage
+	// is Fused — driver split-replay slots; nPath elements of slab.path from
+	// pathOff; nSide side loads of slab.side from sideOff.
+	slab                            *Slab
+	capOff, pathOff, sideOff, nSide uint32
+	nPath                           uint16
 	// driver is the path index of the element whose device governs the
 	// stage's slope behaviour (the trigger if on the path, else the
-	// source-adjacent element) and driverType that device's type.
-	driverType tech.Device
-	driver     int32
+	// source-adjacent element), driverType that device's type and
+	// transition the direction Target moves (Rise when Source is high).
+	driver                 uint16
+	driverType, transition uint8
 
 	// Source is the strong node supplying the transition (rail or input).
 	Source int32
@@ -128,16 +133,31 @@ type Stage struct {
 	// (an input transition propagating through already-on devices) or by
 	// another device turning off (load pullup stages).
 	Trigger int32
-
-	// Path runs source→target; never empty.
-	Path []Element
-	// Side holds off-path capacitive loading, ordered by ascending Attach —
-	// the invariant the delay models' allocation-free Elmore merge relies on.
-	Side []SideLoad
-	// PathCap is the total capacitance of each path node (PathCap[i] loads
-	// Path[i].To), so delay models never re-walk adjacency lists.
-	PathCap []float64
 }
+
+// Path runs source→target; never empty.
+func (s *Stage) Path() []Element {
+	return s.slab.path[s.pathOff : s.pathOff+uint32(s.nPath)]
+}
+
+// Side holds off-path capacitive loading, ordered by ascending Attach —
+// the invariant the delay models' allocation-free Elmore merge relies on.
+func (s *Stage) Side() []SideLoad {
+	return s.slab.side[s.sideOff : s.sideOff+s.nSide]
+}
+
+// PathCap is the total capacitance of each path node (PathCap()[i] loads
+// Path()[i].To), so delay models never re-walk adjacency lists.
+func (s *Stage) PathCap() []float64 {
+	return s.slab.f[s.capOff : s.capOff+uint32(s.nPath)]
+}
+
+// Transition is the direction Target moves.
+func (s *Stage) Transition() tech.Transition { return tech.Transition(s.transition) }
+
+// Fused reports whether the record reserves split-replay slots: the driver
+// sits within MaxLow of the source. Other stages are evaluated by two walks.
+func (s *Stage) Fused() bool { return s.driver <= MaxLow }
 
 // Consts returns the constants published under key, or nil.
 func (s *Stage) Consts(key uint64) *Consts {
@@ -160,16 +180,22 @@ func (s *Stage) ClaimConsts() *Consts {
 // key (which must not be 0 or 1).
 func (s *Stage) PublishConsts(key uint64) { s.constsKey.Store(key) }
 
-// Low returns the split-replay slots; written only between ClaimConsts and
-// PublishConsts.
-func (s *Stage) Low() []float64 { return s.low }
+// Low returns the split-replay slots (Driver of them when the stage is
+// Fused, else none); written only between ClaimConsts and PublishConsts.
+func (s *Stage) Low() []float64 {
+	if s.driver == 0 || !s.Fused() {
+		return nil // the common case: the driver is the source-adjacent element
+	}
+	lo := s.capOff + uint32(s.nPath)
+	return s.slab.f[lo : lo+uint32(s.driver)]
+}
 
 // Driver returns the path index of the element whose slope curve governs
 // the stage.
 func (s *Stage) Driver() int { return int(s.driver) }
 
 // DriverType returns the device type of the driver element.
-func (s *Stage) DriverType() tech.Device { return s.driverType }
+func (s *Stage) DriverType() tech.Device { return tech.Device(s.driverType) }
 
 // SourceInputIndex returns the node index of the stage's source when that
 // source is a chip input, and -1 otherwise.
@@ -185,7 +211,7 @@ func (s *Stage) UsesTrans(ti int) bool {
 	if s.pathBloom&(1<<(uint(ti)&63)) == 0 {
 		return false
 	}
-	for _, e := range s.Path {
+	for _, e := range s.Path() {
 		if int(e.Trans) == ti {
 			return true
 		}
@@ -198,10 +224,10 @@ func (s *Stage) UsesTrans(ti int) bool {
 func (s *Stage) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "n%d", s.Source)
-	for _, e := range s.Path {
+	for _, e := range s.Path() {
 		fmt.Fprintf(&b, " -(t%d)-> n%d", e.Trans, e.To)
 	}
-	fmt.Fprintf(&b, " [%s]", s.Transition)
+	fmt.Fprintf(&b, " [%s]", s.Transition())
 	return b.String()
 }
 
@@ -210,11 +236,11 @@ func (s *Stage) String() string {
 func (s *Stage) Format(nw *netlist.Network) string {
 	var b strings.Builder
 	b.WriteString(nw.Nodes[s.Source].Name)
-	for _, e := range s.Path {
+	for _, e := range s.Path() {
 		t := nw.Trans[e.Trans]
 		fmt.Fprintf(&b, " -(%s g=%s)-> %s", t.Type, t.Gate.Name, nw.Nodes[e.To].Name)
 	}
-	fmt.Fprintf(&b, " [%s]", s.Transition)
+	fmt.Fprintf(&b, " [%s]", s.Transition())
 	return b.String()
 }
 
@@ -233,7 +259,7 @@ func elementR(p *tech.Params, t *netlist.Trans, tr tech.Transition) float64 {
 // resistances (callers with calibrated tables scale per element).
 func (s *Stage) SeriesR(nw *netlist.Network) float64 {
 	r := 0.0
-	for i := range s.Path {
+	for i := range s.Path() {
 		r += s.ElementR(nw, i)
 	}
 	return r
@@ -243,10 +269,10 @@ func (s *Stage) SeriesR(nw *netlist.Network) float64 {
 // after the source, plus all side loads.
 func (s *Stage) TotalC() float64 {
 	c := 0.0
-	for _, pc := range s.PathCap {
+	for _, pc := range s.PathCap() {
 		c += pc
 	}
-	for _, sl := range s.Side {
+	for _, sl := range s.Side() {
 		c += sl.C
 	}
 	return c
@@ -254,7 +280,7 @@ func (s *Stage) TotalC() float64 {
 
 // ElementR returns the step-input effective resistance of path element i.
 func (s *Stage) ElementR(nw *netlist.Network, i int) float64 {
-	return elementR(nw.Tech, nw.Trans[s.Path[i].Trans], s.Transition)
+	return elementR(nw.Tech, nw.Trans[s.Path()[i].Trans], s.Transition())
 }
 
 // Tree builds the RC tree of the stage: root at the source, a chain of
@@ -262,12 +288,13 @@ func (s *Stage) ElementR(nw *netlist.Network, i int) float64 {
 // optionally multiplies the resistance of individual path elements
 // (index-aligned with Path); nil applies no scaling. The returned indexes
 // map path positions to tree nodes: treeIdx[0] is the source/root,
-// treeIdx[i] is Path[i-1].To, so treeIdx[len(Path)] is the target.
+// treeIdx[i] is Path()[i-1].To, so treeIdx[len(Path())] is the target.
 func (s *Stage) Tree(nw *netlist.Network, rscale []float64) (*rctree.Tree, []int) {
 	t := rctree.New(0, nw.Nodes[s.Source].Name) // source: driven rail, no cap charge needed
-	treeIdx := make([]int, len(s.Path)+1)
+	path := s.Path()
+	treeIdx := make([]int, len(path)+1)
 	treeIdx[0] = 0
-	for i, e := range s.Path {
+	for i, e := range path {
 		r := s.ElementR(nw, i)
 		if rscale != nil && rscale[i] > 0 {
 			r *= rscale[i]
@@ -275,7 +302,7 @@ func (s *Stage) Tree(nw *netlist.Network, rscale []float64) (*rctree.Tree, []int
 		to := nw.Nodes[e.To]
 		treeIdx[i+1] = t.Add(treeIdx[i], r, nw.NodeCap(to), to.Name)
 	}
-	for _, sl := range s.Side {
+	for _, sl := range s.Side() {
 		r := sl.R
 		if r <= 0 {
 			// A zero-resistance side branch (directly attached cap)
@@ -297,22 +324,23 @@ func (s *Stage) WorstRC(nw *netlist.Network) float64 {
 // Validate checks structural sanity of a stage: non-empty contiguous path
 // from source to target with sane loading.
 func (s *Stage) Validate() error {
-	if len(s.Path) == 0 {
+	path := s.Path()
+	if len(path) == 0 {
 		return fmt.Errorf("stage: empty path")
 	}
-	if s.Path[0].From != s.Source {
-		return fmt.Errorf("stage: path starts at n%d, source is n%d", s.Path[0].From, s.Source)
+	if path[0].From != s.Source {
+		return fmt.Errorf("stage: path starts at n%d, source is n%d", path[0].From, s.Source)
 	}
-	if s.Path[len(s.Path)-1].To != s.Target {
-		return fmt.Errorf("stage: path ends at n%d, target is n%d", s.Path[len(s.Path)-1].To, s.Target)
+	if path[len(path)-1].To != s.Target {
+		return fmt.Errorf("stage: path ends at n%d, target is n%d", path[len(path)-1].To, s.Target)
 	}
-	for i := 1; i < len(s.Path); i++ {
-		if s.Path[i].From != s.Path[i-1].To {
+	for i := 1; i < len(path); i++ {
+		if path[i].From != path[i-1].To {
 			return fmt.Errorf("stage: discontinuity at element %d", i)
 		}
 	}
-	for _, sl := range s.Side {
-		if sl.Attach < 0 || int(sl.Attach) > len(s.Path) {
+	for _, sl := range s.Side() {
+		if sl.Attach < 0 || int(sl.Attach) > len(path) {
 			return fmt.Errorf("stage: side load attach %d out of range", sl.Attach)
 		}
 		if sl.C < 0 || sl.R < 0 || math.IsNaN(sl.C) || math.IsNaN(sl.R) {

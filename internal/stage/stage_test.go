@@ -2,6 +2,7 @@ package stage
 
 import (
 	"math"
+	"strconv"
 	"testing"
 
 	"repro/internal/netlist"
@@ -29,7 +30,7 @@ func TestToNodeInverter(t *testing.T) {
 		t.Fatalf("fall stages = %d, want 1", len(fall.Stages))
 	}
 	st := fall.Stages[0]
-	if st.Source != idx(nw.GND()) || st.Target != idx(out) || len(st.Path) != 1 {
+	if st.Source != idx(nw.GND()) || st.Target != idx(out) || len(st.Path()) != 1 {
 		t.Errorf("bad fall stage: %v", st)
 	}
 	if err := st.Validate(); err != nil {
@@ -42,7 +43,7 @@ func TestToNodeInverter(t *testing.T) {
 	if rise.Stages[0].Source != idx(nw.Vdd()) {
 		t.Errorf("rise source = %v, want Vdd", rise.Stages[0].Source)
 	}
-	if nw.Trans[rise.Stages[0].Path[0].Trans].Type != tech.NDep {
+	if nw.Trans[rise.Stages[0].Path()[0].Trans].Type != tech.NDep {
 		t.Error("rise should go through the depletion load")
 	}
 }
@@ -97,8 +98,8 @@ func TestThroughStack(t *testing.T) {
 	if found == nil {
 		t.Fatalf("no GND→out stage among %d stages", len(res.Stages))
 	}
-	if len(found.Path) != 2 {
-		t.Errorf("GND→out path length = %d, want 2", len(found.Path))
+	if len(found.Path()) != 2 {
+		t.Errorf("GND→out path length = %d, want 2", len(found.Path()))
 	}
 }
 
@@ -106,9 +107,38 @@ func TestThroughRespectsDepthCap(t *testing.T) {
 	nw, ta, _ := stackNet()
 	res := Through(nw, ta, tech.Fall, Options{MaxDepth: 1})
 	for _, st := range res.Stages {
-		if len(st.Path) > 1 {
+		if len(st.Path()) > 1 {
 			t.Errorf("stage exceeds depth cap: %v", st)
 		}
+	}
+}
+
+// A record keeps its path length in 16 bits: the longest path any MaxDepth
+// admits must still fit, and a longer one must be cut, not wrapped.
+func TestDepthCapFitsRecord(t *testing.T) {
+	nw := netlist.New("chain", tech.NMOS4())
+	g := nw.Node("g")
+	nw.MarkInput(g)
+	prev := nw.GND()
+	var at [2]*netlist.Node // the nodes math.MaxUint16 and math.MaxUint16+1 devices from GND
+	for i := 1; i <= math.MaxUint16+1; i++ {
+		n := nw.Node("n" + strconv.Itoa(i))
+		nw.AddTrans(tech.NEnh, g, prev, n, 0, 0)
+		if i >= math.MaxUint16 {
+			at[i-math.MaxUint16] = n
+		}
+		prev = n
+	}
+	opt := Options{MaxDepth: 1 << 20}
+	res := ToNode(nw, at[0], tech.Fall, opt)
+	if len(res.Stages) != 1 || len(res.Stages[0].Path()) != math.MaxUint16 || len(res.Stages[0].PathCap()) != math.MaxUint16 {
+		t.Fatalf("longest admissible path: %d stages", len(res.Stages))
+	}
+	if err := res.Stages[0].Validate(); err != nil {
+		t.Error(err)
+	}
+	if res := ToNode(nw, at[1], tech.Fall, opt); len(res.Stages) != 0 || !res.Truncated {
+		t.Errorf("path of %d elements: %d stages, truncated %v", math.MaxUint16+1, len(res.Stages), res.Truncated)
 	}
 }
 
@@ -135,7 +165,7 @@ func TestFromNodePassChain(t *testing.T) {
 	}
 	// Farthest stage has two elements.
 	last := res.Stages[len(res.Stages)-1]
-	if last.Target != idx(n2) || len(last.Path) != 2 {
+	if last.Target != idx(n2) || len(last.Path()) != 2 {
 		t.Errorf("last stage should reach n2 in 2 hops: %v", last)
 	}
 }
@@ -154,18 +184,18 @@ func TestSideLoadsCollectFanout(t *testing.T) {
 		t.Fatalf("stages = %d, want 1", len(res.Stages))
 	}
 	st := res.Stages[0]
-	if len(st.Side) != 1 || st.Side[0].Node != idx(side) {
-		t.Fatalf("side loads = %v, want [side]", st.Side)
+	if len(st.Side()) != 1 || st.Side()[0].Node != idx(side) {
+		t.Fatalf("side loads = %v, want [side]", st.Side())
 	}
-	if st.Side[0].Attach != 1 {
-		t.Errorf("side load attaches at %d, want 1 (the output)", st.Side[0].Attach)
+	if st.Side()[0].Attach != 1 {
+		t.Errorf("side load attaches at %d, want 1 (the output)", st.Side()[0].Attach)
 	}
 	wantC := nw.NodeCap(side)
-	if math.Abs(st.Side[0].C-wantC) > 1e-21 {
-		t.Errorf("side load C = %g, want %g", st.Side[0].C, wantC)
+	if math.Abs(st.Side()[0].C-wantC) > 1e-21 {
+		t.Errorf("side load C = %g, want %g", st.Side()[0].C, wantC)
 	}
-	if st.Side[0].R != p.R(tech.NEnh, tech.Fall, p.MinW, p.MinL) {
-		t.Errorf("side load R = %g", st.Side[0].R)
+	if st.Side()[0].R != p.R(tech.NEnh, tech.Fall, p.MinW, p.MinL) {
+		t.Errorf("side load R = %g", st.Side()[0].R)
 	}
 	// TotalC = out + side.
 	want := nw.NodeCap(out) + wantC
@@ -184,7 +214,7 @@ func TestSideLoadsStopAtSources(t *testing.T) {
 	nw.AddTrans(tech.NEnh, g2, other, nw.GND(), 0, 0)
 	res := ToNode(nw, out, tech.Fall, Options{})
 	st := res.Stages[0]
-	for _, sl := range st.Side {
+	for _, sl := range st.Side() {
 		if sl.Node == idx(other) {
 			t.Error("side loading leaked through the GND rail")
 		}
@@ -215,12 +245,12 @@ func TestTreeConstruction(t *testing.T) {
 	}
 	// Scaling the trigger element doubles its resistance in the tree.
 	var trigIdx int
-	for i, e := range st.Path {
+	for i, e := range st.Path() {
 		if int(e.Trans) == ta.Index {
 			trigIdx = i
 		}
 	}
-	scale := make([]float64, len(st.Path))
+	scale := make([]float64, len(st.Path()))
 	for i := range scale {
 		scale[i] = 1
 	}
@@ -277,13 +307,18 @@ func TestValidateCatchesBrokenStages(t *testing.T) {
 	nw, _, out := invNet()
 	res := ToNode(nw, out, tech.Fall, Options{})
 	st := res.Stages[0]
-	bad := &Stage{Source: st.Source, Target: st.Target, Transition: st.Transition}
-	if bad.Validate() == nil {
+	// broken hand-assembles a one-record slab with st's identity.
+	broken := func(path []Element, side []SideLoad) *Stage {
+		sl := &Slab{Stages: make([]Stage, 1), path: path, side: side}
+		b := &sl.Stages[0]
+		b.slab, b.Source, b.Target, b.transition = sl, st.Source, st.Target, st.transition
+		b.nPath, b.nSide = uint16(len(path)), uint32(len(side))
+		return b
+	}
+	if broken(nil, nil).Validate() == nil {
 		t.Error("empty path should fail validation")
 	}
-	bad2 := &Stage{Source: st.Source, Target: st.Target, Transition: st.Transition,
-		Path: st.Path, Side: []SideLoad{{Node: idx(out), Attach: 99, C: 1}}}
-	if bad2.Validate() == nil {
+	if broken(st.Path(), []SideLoad{{Node: idx(out), Attach: 99, C: 1}}).Validate() == nil {
 		t.Error("bad attach should fail validation")
 	}
 }
@@ -316,12 +351,12 @@ func TestRemap(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Error(err)
 	}
-	for i, e := range got.Path {
-		if e.Trans != st.Path[i].Trans+10 || !got.UsesTrans(int(e.Trans)) {
+	for i, e := range got.Path() {
+		if e.Trans != st.Path()[i].Trans+10 || !got.UsesTrans(int(e.Trans)) {
 			t.Errorf("path element %d = %+v", i, e)
 		}
 	}
-	if got.UsesTrans(int(st.Path[0].Trans)) && st.Path[0].Trans+10 != st.Path[1].Trans {
+	if got.UsesTrans(int(st.Path()[0].Trans)) && st.Path()[0].Trans+10 != st.Path()[1].Trans {
 		t.Error("remapped stage still claims the original device")
 	}
 	if got.Driver() != st.Driver() || got.TotalC() != st.TotalC() || len(got.Low()) != len(st.Low()) {
