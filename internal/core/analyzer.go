@@ -191,7 +191,10 @@ type Analyzer struct {
 
 	// cnet is the compiled structure-of-arrays view of a.Net (CSR gate
 	// adjacency, per-node flags) — the only network representation the
-	// event loop reads. Rebuilt per generation by buildGates.
+	// event loop reads. Rebuilt per generation by buildGates; the row layout
+	// is computed once, by the first compile, and every later generation
+	// extends it (nodes an edit creates take the next rows), so the per-row
+	// arrays above never move.
 	cnet *netlist.Compact
 
 	// Hierarchical analysis state (nil when Options.Hier is off or nothing
@@ -505,10 +508,11 @@ func (a *Analyzer) resetDrain() {
 }
 
 // buildGates recompiles the structure-of-arrays network view and the
-// loop-break and trigger masks for the current a.Net generation.
+// loop-break and trigger masks for the current a.Net generation, keeping
+// the row layout of the previous compile if there was one.
 func (a *Analyzer) buildGates() {
 	nw := a.Net
-	a.cnet = netlist.CompileWith(nw, netlist.CompileOptions{Reorder: !a.Opts.NoReorder})
+	a.cnet = netlist.CompileWith(nw, netlist.CompileOptions{Reorder: !a.Opts.NoReorder, Prev: a.cnet})
 	a.loopBreak = make([]bool, len(nw.Nodes))
 	for _, idx := range a.loopBreakIdx {
 		a.loopBreak[a.cnet.Perm[idx]] = true
@@ -528,10 +532,10 @@ func (a *Analyzer) buildGates() {
 func (a *Analyzer) row(node int) int { return int(a.cnet.Perm[node]) }
 
 // settleStatic computes the static sensitization snapshot for the current
-// a.Net generation: settle the network with fixed values; nodes that
-// receive events are left at X (they change during analysis). It replaces
-// a.static and invalidates the cached oracle; the simulator itself does not
-// outlive the call.
+// a.Net generation, from power-on: settle the network with fixed values;
+// nodes that receive events are left at X (they change during analysis). It
+// replaces a.static and invalidates the cached oracle; the simulator itself
+// does not outlive the call.
 func (a *Analyzer) settleStatic() error {
 	nw := a.Net
 	a.cachedOracle = nil

@@ -118,7 +118,7 @@ func (a *Analyzer) drainParallel(replays []replayItem, workers int) {
 	a.spec = a.spec[:batchMax]
 	// Per-region fence state for this generation's partition: spans start
 	// unfenced (no committed delay yet) and tighten as commits land.
-	nr := a.cnet.NumRegions
+	region, nr := a.cnet.Regions()
 	if cap(a.minDelayR) < nr {
 		a.minDelayR = make([]float64, nr)
 		a.spans = make([]float64, nr)
@@ -129,7 +129,7 @@ func (a *Analyzer) drainParallel(replays []replayItem, workers int) {
 		a.minDelayR[i] = math.Inf(1)
 		a.spans[i] = 0
 	}
-	a.fence.Region = a.cnet.Region
+	a.fence.Region = region
 	a.fence.Span = a.spans
 	a.fence.Reset(nr)
 	a.stats.Regions = nr
@@ -303,7 +303,7 @@ func (a *Analyzer) applySpec(s *specItem) {
 	for i := range s.cands {
 		c := &s.cands[i]
 		if d := c.t - s.ev.T; d > 0 {
-			if r := a.cnet.Region[c.st.Target]; d < a.minDelayR[r] {
+			if r := a.fence.Region[c.st.Target]; d < a.minDelayR[r] {
 				a.minDelayR[r] = d
 				a.spans[r] = 0.5 * d
 			}

@@ -11,6 +11,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/incremental"
 	"repro/internal/netlist"
@@ -36,6 +37,22 @@ type ReanalyzeStats struct {
 	// StagesEvaluated counts model evaluations this call performed (the
 	// same metric StagesEvaluated reports cumulatively).
 	StagesEvaluated int
+
+	// StaticCarried reports that the batch changed nothing the switch-level
+	// lattice reads, so the previous generation's sensitization snapshot
+	// was kept instead of settling the network again.
+	StaticCarried bool
+	// Phases is where the call's wall time went.
+	Phases ReanalyzePhases
+}
+
+// ReanalyzePhases splits one Reanalyze call's wall time by step: Apply
+// clones the network and applies the batch, Bind recompiles it and repoints
+// the analyzer, Settle computes the static sensitization snapshot (zero
+// when it was carried), Plan computes the invalidation, Derive builds the
+// next stage-database generation, Drain resets and re-propagates.
+type ReanalyzePhases struct {
+	Apply, Bind, Settle, Plan, Derive, Drain time.Duration
 }
 
 // Reanalyze applies the edit batch and brings the analysis up to date.
@@ -52,17 +69,32 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	if a.events == nil {
 		return nil, fmt.Errorf("core: Reanalyze before Run")
 	}
-	oldStatic := a.static
-	oldDB := a.db
+	stats := &ReanalyzeStats{}
+	mark := time.Now()
+	lap := func(d *time.Duration) {
+		*d = time.Since(mark)
+		mark = mark.Add(*d)
+	}
+	oldNet, oldStatic, oldDB := a.Net, a.static, a.db
 
 	res, err := incremental.Apply(a.Net, edits)
 	if err != nil {
 		return nil, err
 	}
+	lap(&stats.Phases.Apply)
 	fresh := a.rebind(res.Net)
-	if err := a.settleStatic(); err != nil {
-		return nil, err
+	lap(&stats.Phases.Bind)
+	// The snapshot (and the oracle cached over it) is carried when the batch
+	// left the lattice's inputs alone. Anything else settles from power-on:
+	// re-settling from the previous generation's charge state would not be
+	// bit-identical to what a fresh Run of the edited network computes.
+	stats.StaticCarried = res.KeepsStatic(oldNet)
+	if !stats.StaticCarried {
+		if err := a.settleStatic(); err != nil {
+			return nil, err
+		}
 	}
+	lap(&stats.Phases.Settle)
 	plan := res.Plan(oldStatic, a.static)
 	// A node the batch just made a trigger (its first gate connection) would
 	// be replayed into the edited group, but it never recorded a stream:
@@ -74,16 +106,7 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 		// the dirty fraction.
 		a.hierReanalyze(res, plan)
 	}
-
-	stats := &ReanalyzeStats{
-		DirtyNodes: plan.DirtyNodes,
-		DirtyFrac:  plan.Frac,
-	}
-	for _, n := range a.Net.Nodes {
-		if !n.IsSource() {
-			stats.TotalNodes++
-		}
-	}
+	stats.DirtyNodes, stats.TotalNodes, stats.DirtyFrac = plan.DirtyNodes, plan.TotalNodes, plan.Frac
 	switch {
 	case plan.ForceFull:
 		stats.Full, stats.Reason = true, "retype changed the strong-source set"
@@ -104,6 +127,7 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 		// stays stamped, so hierarchical state would only misreport.
 		a.dropHier()
 	}
+	lap(&stats.Phases.Plan)
 
 	// Next stage-database generation. A full fallback still derives when
 	// it can: the entries are valid either way, only the arrivals need
@@ -111,7 +135,6 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	// enumerator's feet, so nothing old is trustworthy.
 	opt := a.Opts.Stage
 	opt.Oracle = a.oracle()
-	stamp := a.stageStamp()
 	if plan.ForceFull || oldDB == nil {
 		a.db = stage.NewDB(a.Net, opt)
 		if oldDB != nil {
@@ -120,8 +143,14 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	} else {
 		a.db = oldDB.Derive(a.Net, opt, plan.DirtyTrans, plan.DBDirtyNode, res.OldTrans)
 	}
-	a.db.Stamp = stamp
+	// The stamp spells out the snapshot; a carried snapshot keeps its stamp.
+	if stats.StaticCarried && oldDB != nil {
+		a.db.Stamp = oldDB.Stamp
+	} else {
+		a.db.Stamp = a.stageStamp()
+	}
 	stats.Epoch = a.db.Epoch
+	lap(&stats.Phases.Derive)
 
 	evBefore := a.stageEv
 	if stats.Full {
@@ -142,6 +171,7 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	}
 	a.Truncated = a.Truncated || a.db.Truncated()
 	stats.StagesEvaluated = a.stageEv - evBefore
+	lap(&stats.Phases.Drain)
 	return stats, nil
 }
 
@@ -162,42 +192,35 @@ func (a *Analyzer) dirtyTouchesUnbounded(plan *incremental.Plan) bool {
 
 // rebind repoints the analyzer at the next network generation. Node
 // indexes are stable across edits, so index-keyed state (fixed values,
-// initial values, seeds, loop breaks) carries over untouched; only the
-// ROW-indexed drain state must be re-permuted: recompiling yields a new
-// RCM layout (added nodes and devices shift the whole walk), so every
-// per-row array is rewritten old-row → node index → new-row. History
-// chunk indexes are arena-flat and survive unchanged. A node that stopped
-// being a trigger gives its history back; the nodes that became triggers
-// in this generation — and so have no history to replay — are returned.
+// initial values, seeds, loop breaks) carries over untouched, and so does
+// the ROW-indexed drain state: the recompile keeps the layout (see
+// buildGates), so the per-row arrays only grow by the nodes the batch
+// created. A node that stopped being a trigger gives its history back; the
+// nodes that became triggers in this generation — and so have no history to
+// replay — are returned.
 func (a *Analyzer) rebind(nw *netlist.Network) (fresh []int) {
 	a.Net = nw
 	a.Opts.DB = nil // a caller-shared DB describes the old generation
-	old, wasTrigger := a.cnet, a.triggers
+	wasTrigger := a.triggers
 	a.buildGates()
-	if a.events == nil || old == nil {
+	if a.events == nil || wasTrigger == nil {
 		return nil
 	}
-	n := len(nw.Nodes)
-	events := make([][2]Event, n)
-	count := make([][2]int32, n)
-	hist := make([][2]nodeHist, n)
-	queued := make([][2]bool, n)
-	for oldRow := range a.events {
-		orig := old.InvPerm[oldRow]
-		nr := a.cnet.Perm[orig]
-		events[nr] = a.events[oldRow]
-		count[nr] = a.count[oldRow]
-		hist[nr] = a.hist[oldRow]
-		queued[nr] = a.queued[oldRow]
-		switch {
-		case a.triggers[nr] && !wasTrigger[oldRow]:
-			fresh = append(fresh, int(orig))
-		case !a.triggers[nr]:
-			a.freeHist(&hist[nr][tech.Rise])
-			a.freeHist(&hist[nr][tech.Fall])
+	if grow := len(nw.Nodes) - len(a.events); grow > 0 {
+		a.events = append(a.events, make([][2]Event, grow)...)
+		a.count = append(a.count, make([][2]int32, grow)...)
+		a.hist = append(a.hist, make([][2]nodeHist, grow)...)
+		a.queued = append(a.queued, make([][2]bool, grow)...)
+	}
+	for row, was := range wasTrigger {
+		switch now := a.triggers[row]; {
+		case now && !was:
+			fresh = append(fresh, int(a.cnet.InvPerm[row]))
+		case was && !now:
+			a.freeHist(&a.hist[row][tech.Rise])
+			a.freeHist(&a.hist[row][tech.Fall])
 		}
 	}
-	a.events, a.count, a.hist, a.queued = events, count, hist, queued
 	return fresh
 }
 
@@ -230,18 +253,16 @@ func (a *Analyzer) runFull() {
 // any new ones appear).
 func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
 	nw := a.Net
-	// rebind already re-permuted the per-row state to this generation's
-	// layout (new nodes hold zero rows); only the dirty resets remain.
-	for i := range nw.Nodes {
-		if plan.NodeDirty(i) {
-			row := a.row(i)
-			a.events[row] = [2]Event{}
-			a.count[row] = [2]int32{}
-			for tr := range a.hist[row] {
-				a.freeHist(&a.hist[row][tr])
-			}
-			a.queued[row] = [2]bool{}
+	// rebind already grew the per-row state to this generation's node count
+	// (new nodes hold zero rows); only the dirty resets remain.
+	for _, i := range plan.Dirty {
+		row := a.row(i)
+		a.events[row] = [2]Event{}
+		a.count[row] = [2]int32{}
+		for tr := range a.hist[row] {
+			a.freeHist(&a.hist[row][tr])
 		}
+		a.queued[row] = [2]bool{}
 	}
 	a.queue.Reset()
 	// Carry over guard hits outside the dirty cone (remapped to the new
@@ -266,24 +287,7 @@ func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
 	// dirty nodes (see above), so clean state — including propagation counts
 	// and history — is never touched.
 	var replays []replayItem
-	for i, n := range nw.Nodes {
-		if plan.NodeDirty(i) {
-			continue
-		}
-		touches := false
-		for _, ref := range a.cnet.Gates(i) {
-			ti, _ := netlist.UnpackGateRef(ref)
-			if plan.TransTouchesDirty(nw.Trans[ti]) {
-				touches = true
-				break
-			}
-		}
-		if !touches && n.Kind == netlist.KindInput && len(n.Terms) > 0 {
-			touches = plan.SourceTouchesDirty(n)
-		}
-		if !touches {
-			continue
-		}
+	for _, i := range plan.Boundary() {
 		row := a.row(i)
 		for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
 			h := &a.hist[row][tr]

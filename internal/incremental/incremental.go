@@ -27,6 +27,7 @@ import (
 	"fmt"
 
 	"repro/internal/netlist"
+	"repro/internal/switchsim"
 	"repro/internal/tech"
 )
 
@@ -104,10 +105,11 @@ type Result struct {
 	// stable across every edit kind, so nodes need no map.
 	OldTrans []int
 
-	seedNodes map[int]bool // new-generation node indexes the batch touched
-	seedTrans map[int]bool // new-generation transistor indexes to force-dirty
-	forceFull bool         // a Retype was applied
-	oldNodes  int          // node count of the previous generation
+	seedNodes  []int // new-generation node indexes the batch touched (repeats allowed)
+	seedTrans  []int // new-generation transistor indexes to force-dirty (repeats allowed)
+	forceFull  bool  // a Retype was applied
+	structural bool  // a device was added or removed
+	oldNodes   int   // node count of the previous generation
 }
 
 // Apply clones nw, applies the edits in order, and returns the new
@@ -115,11 +117,9 @@ type Result struct {
 // unmodified.
 func Apply(nw *netlist.Network, edits []Edit) (*Result, error) {
 	res := &Result{
-		Net:       nw.Clone(),
-		OldTrans:  make([]int, len(nw.Trans)),
-		seedNodes: make(map[int]bool),
-		seedTrans: make(map[int]bool),
-		oldNodes:  len(nw.Nodes),
+		Net:      nw.Clone(),
+		OldTrans: make([]int, len(nw.Trans)),
+		oldNodes: len(nw.Nodes),
 	}
 	for i := range res.OldTrans {
 		res.OldTrans[i] = i
@@ -134,10 +134,20 @@ func Apply(nw *netlist.Network, edits []Edit) (*Result, error) {
 
 // seedTransistor marks a device and its terminals perturbed.
 func (r *Result) seedTransistor(t *netlist.Trans) {
-	r.seedTrans[t.Index] = true
-	r.seedNodes[t.Gate.Index] = true
-	r.seedNodes[t.A.Index] = true
-	r.seedNodes[t.B.Index] = true
+	r.seedTrans = append(r.seedTrans, t.Index)
+	r.seedNodes = append(r.seedNodes, t.Gate.Index, t.A.Index, t.B.Index)
+}
+
+// KeepsStatic reports whether the batch left everything the switch-level
+// lattice reads exactly as it is in prev, the network Apply was given: no
+// device or node added or removed, no kind changed, and every node whose
+// capacitance moved still in its K1/K2 size class (switchsim.SizesKept).
+// A settle of the new generation under the same inputs then reproduces the
+// previous generation's snapshot value for value, so the caller may keep
+// that snapshot instead of settling again.
+func (r *Result) KeepsStatic(prev *netlist.Network) bool {
+	return !r.structural && !r.forceFull && len(r.Net.Nodes) == r.oldNodes &&
+		switchsim.SizesKept(prev, r.Net, r.seedNodes)
 }
 
 func (r *Result) apply(e Edit) error {
@@ -172,16 +182,15 @@ func (r *Result) apply(e Edit) error {
 			t = nw.AddTrans(e.Dev, gate, a, b, e.W, e.L)
 		}
 		r.OldTrans = append(r.OldTrans, -1)
+		r.structural = true
 		r.seedTransistor(t)
 	case RemoveTrans:
 		if e.Index < 0 || e.Index >= len(nw.Trans) {
 			return fmt.Errorf("transistor index %d out of range [0,%d)", e.Index, len(nw.Trans))
 		}
 		t := nw.Trans[e.Index]
-		r.seedTrans[e.Index] = true // the index now names whatever moves in
-		r.seedNodes[t.Gate.Index] = true
-		r.seedNodes[t.A.Index] = true
-		r.seedNodes[t.B.Index] = true
+		r.structural = true
+		r.seedTransistor(t) // the index now names whatever moves in
 		moved := nw.RemoveTrans(t)
 		last := len(nw.Trans) // index the moved device vacated
 		if moved != nil {
@@ -215,7 +224,7 @@ func (r *Result) apply(e Edit) error {
 		if n.Cap < 0 {
 			n.Cap = 0
 		}
-		r.seedNodes[n.Index] = true
+		r.seedNodes = append(r.seedNodes, n.Index)
 	case Retype:
 		if e.Node == "" {
 			return fmt.Errorf("missing node name")
@@ -233,7 +242,7 @@ func (r *Result) apply(e Edit) error {
 		default:
 			return fmt.Errorf("bad node kind %v", e.NodeKind)
 		}
-		r.seedNodes[n.Index] = true
+		r.seedNodes = append(r.seedNodes, n.Index)
 		r.forceFull = true
 	default:
 		return fmt.Errorf("unknown edit kind %v", e.Kind)

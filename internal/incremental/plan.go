@@ -5,6 +5,8 @@
 package incremental
 
 import (
+	"slices"
+
 	"repro/internal/netlist"
 	"repro/internal/switchsim"
 )
@@ -16,14 +18,20 @@ import (
 // Inputs need components of their own because they are not inert the way
 // rails are — a pass path can drive an input node (the analyzer improves
 // any non-rail node), and an input's own arrival fans out through both its
-// gate connections and its channel terminals. Rails stay outside (comp -1):
-// their "arrival" can never change.
+// gate connections and its channel terminals. Rails stay outside: their
+// "arrival" can never change.
+//
+// Components are labelled on demand, outward from the batch's seeds and
+// along the gate-fanout closure, so a plan costs what the batch dirties: a
+// node no walk reached has no label and is by construction not dirty.
 type Plan struct {
 	res *Result
 
-	// comp[i] is the component of node i, -1 for rails.
-	comp  []int
-	nComp int
+	// comp[i] is 1 + the component of node i, 0 while unlabelled (rails
+	// stay so). Component c's members are memb[start[c]:start[c+1]].
+	comp  []int32
+	memb  []int32
+	start []int32
 
 	dbDirty   []bool // per component: stage enumerations stale
 	timeDirty []bool // per component: arrival times stale (downstream closure)
@@ -35,11 +43,16 @@ type Plan struct {
 
 	// dirtyNode marks nodes whose arrivals the analyzer must reset: the
 	// members of time-dirty components plus nodes new in this generation.
+	// Dirty lists them, in no particular order.
 	dirtyNode []bool
+	Dirty     []int
 
-	// DirtyNodes counts dirtyNode entries; Frac is DirtyNodes over the
-	// non-rail node count (the fallback-threshold metric).
+	// DirtyNodes is len(Dirty); Frac is DirtyNodes over the non-rail node
+	// count (the fallback-threshold metric). TotalNodes counts the
+	// non-source nodes of the new generation.
 	DirtyNodes int
+	TotalNodes int
+	nonRail    int
 	Frac       float64
 
 	// ForceFull reports that the batch cannot be applied incrementally
@@ -55,11 +68,23 @@ type Plan struct {
 // sensitization), in which case only structural seeds apply.
 func (r *Result) Plan(oldStatic, newStatic []switchsim.Value) *Plan {
 	nw := r.Net
-	p := &Plan{res: r, ForceFull: r.forceFull}
-	p.components()
-
-	p.dbDirty = make([]bool, p.nComp)
-	p.timeDirty = make([]bool, p.nComp)
+	p := &Plan{
+		res:         r,
+		ForceFull:   r.forceFull,
+		comp:        make([]int32, len(nw.Nodes)),
+		start:       []int32{0},
+		DirtyTrans:  make([]bool, len(nw.Trans)),
+		DBDirtyNode: make([]bool, len(nw.Nodes)),
+		dirtyNode:   make([]bool, len(nw.Nodes)),
+	}
+	for _, n := range nw.Nodes {
+		if !n.IsRail() {
+			p.nonRail++
+			if !n.IsSource() {
+				p.TotalNodes++
+			}
+		}
+	}
 
 	// Structural seeds from the batch. An edit touching a non-rail source
 	// (capacitance on an input, a device terminal on one) also perturbs
@@ -68,7 +93,7 @@ func (r *Result) Plan(oldStatic, newStatic []switchsim.Value) *Plan {
 	// enumeration never extends through a rail, so an edit at a rail
 	// terminal only perturbs the component holding the edited element
 	// itself — which its other seeds already cover.
-	for idx := range r.seedNodes {
+	for _, idx := range r.seedNodes {
 		n := nw.Nodes[idx]
 		p.dirtyComp(n)
 		if n.IsSource() && !n.IsRail() {
@@ -83,11 +108,7 @@ func (r *Result) Plan(oldStatic, newStatic []switchsim.Value) *Plan {
 	// the conduction oracle for every device it gates, wherever that
 	// device's channel lives.
 	if oldStatic != nil && newStatic != nil {
-		limit := len(oldStatic)
-		if len(newStatic) < limit {
-			limit = len(newStatic)
-		}
-		for i := 0; i < limit; i++ {
+		for i := range min(len(oldStatic), len(newStatic)) {
 			if oldStatic[i] == newStatic[i] {
 				continue
 			}
@@ -100,71 +121,54 @@ func (r *Result) Plan(oldStatic, newStatic []switchsim.Value) *Plan {
 		}
 	}
 
-	// Time-dirty seeds: every db-dirty component, plus non-rail sources
-	// bordering one — a stage enumerated inside a db-dirty group can
-	// target the adjacent source (pass paths may end at an input), so its
-	// arrival may move even though the source itself was not edited.
+	// The maps Derive takes, filled from the members of the db-dirty
+	// components: every device with a channel terminal in one, every member,
+	// and every source bordering one — a source's fan-out enumerations (From
+	// entries) read the structure and sensitization of each adjacent
+	// component. The same walk collects the time-dirty seeds: every db-dirty
+	// component, plus the non-rail sources bordering one — a stage
+	// enumerated inside a db-dirty group can target the adjacent source
+	// (pass paths may end at an input), so its arrival may move even though
+	// the source itself was not edited. Components labelled during the walk
+	// are clean.
 	var seeds []int
-	for c := range p.dbDirty {
-		if p.dbDirty[c] {
-			seeds = append(seeds, c)
+	for c := 0; c < len(p.dbDirty); c++ {
+		if !p.dbDirty[c] {
+			continue
 		}
-	}
-	for _, t := range nw.Trans {
-		ca, cb := p.comp[t.A.Index], p.comp[t.B.Index]
-		if (ca >= 0 && p.dbDirty[ca]) || (cb >= 0 && p.dbDirty[cb]) {
-			if t.A.IsSource() && !t.A.IsRail() {
-				seeds = append(seeds, ca)
+		seeds = append(seeds, c)
+		for _, i := range p.members(c) {
+			n := nw.Nodes[i]
+			p.DBDirtyNode[i] = true
+			for _, t := range n.Terms {
+				p.DirtyTrans[t.Index] = true
+				if o := t.Other(n); o != nil && o.IsSource() {
+					p.DBDirtyNode[o.Index] = true
+					if !o.IsRail() {
+						seeds = append(seeds, p.compOf(o))
+					}
+				}
 			}
-			if t.B.IsSource() && !t.B.IsRail() {
-				seeds = append(seeds, cb)
-			}
 		}
 	}
-	p.spread(seeds)
-
-	// Per-index maps.
-	p.DirtyTrans = make([]bool, len(nw.Trans))
-	for _, t := range nw.Trans {
-		if (p.comp[t.A.Index] >= 0 && p.dbDirty[p.comp[t.A.Index]]) ||
-			(p.comp[t.B.Index] >= 0 && p.dbDirty[p.comp[t.B.Index]]) {
-			p.DirtyTrans[t.Index] = true
-		}
-	}
-	for idx := range r.seedTrans {
+	for _, idx := range r.seedTrans {
 		if idx < len(p.DirtyTrans) {
 			p.DirtyTrans[idx] = true
 		}
 	}
-	p.DBDirtyNode = make([]bool, len(nw.Nodes))
-	p.dirtyNode = make([]bool, len(nw.Nodes))
-	for _, n := range nw.Nodes {
-		c := p.comp[n.Index]
-		if n.IsSource() {
-			// A source's fan-out enumerations (From entries) read the
-			// structure and sensitization of every adjacent component.
-			for _, t := range n.Terms {
-				o := t.Other(n)
-				if o == nil {
-					continue
-				}
-				if oc := p.comp[o.Index]; oc >= 0 && p.dbDirty[oc] {
-					p.DBDirtyNode[n.Index] = true
-					break
-				}
-			}
-		}
-		if c >= 0 && (p.dbDirty[c] || n.Index >= r.oldNodes) {
-			p.DBDirtyNode[n.Index] = true
-		}
+	// Nodes new in this generation are dirty whatever their component.
+	for i := r.oldNodes; i < len(nw.Nodes); i++ {
+		p.DBDirtyNode[i] = true
+		p.markNode(i)
 	}
+	p.spread(seeds)
 	p.refresh()
 	return p
 }
 
 // Widen marks the components containing the given node indexes time-dirty
 // and re-closes the downstream closure, growing the analyzer-facing dirty
-// maps (dirtyNode, DirtyNodes, Frac). DB dirtiness is deliberately
+// set (Dirty, DirtyNodes, Frac). DB dirtiness is deliberately
 // untouched: the caller widens regions whose structure is intact but whose
 // recorded timing must be recomputed from scratch — a hierarchically
 // stamped instance detaching to flat analysis carries no replay history,
@@ -174,7 +178,7 @@ func (p *Plan) Widen(nodeIdxs []int) {
 	var seeds []int
 	for _, idx := range nodeIdxs {
 		if idx >= 0 && idx < len(p.comp) {
-			seeds = append(seeds, p.comp[idx])
+			seeds = append(seeds, p.compOf(p.res.Net.Nodes[idx]))
 		}
 	}
 	if p.spread(seeds) {
@@ -197,54 +201,49 @@ func (p *Plan) spread(seeds []int) bool {
 		if c >= 0 && !p.timeDirty[c] {
 			p.timeDirty[c] = true
 			queue = append(queue, c)
+			for _, i := range p.members(c) {
+				p.markNode(int(i))
+			}
 		}
 	}
 	for _, c := range seeds {
 		mark(c)
 	}
-	if len(queue) == 0 {
-		return false
-	}
-	members := p.memberLists()
+	grew := len(queue) > 0
 	for len(queue) > 0 {
 		c := queue[0]
 		queue = queue[1:]
-		for _, idx := range members[c] {
+		for _, idx := range p.members(c) {
 			n := nw.Nodes[idx]
 			for _, t := range n.Gates {
-				mark(p.comp[t.A.Index])
-				mark(p.comp[t.B.Index])
+				mark(p.compOf(t.A))
+				mark(p.compOf(t.B))
 			}
 			if n.IsSource() {
 				for _, t := range n.Terms {
 					if o := t.Other(n); o != nil {
-						mark(p.comp[o.Index])
+						mark(p.compOf(o))
 					}
 				}
 			}
 		}
 	}
-	return true
+	return grew
 }
 
-// refresh rebuilds the analyzer-facing view — dirtyNode, DirtyNodes, Frac —
-// from the time-dirty components; nodes new in this generation are dirty
-// whatever their component.
-func (p *Plan) refresh() {
-	nonRail := 0
-	p.DirtyNodes = 0
-	for i, c := range p.comp {
-		if c < 0 {
-			continue // rail: arrivals never change
-		}
-		nonRail++
-		if p.timeDirty[c] || i >= p.res.oldNodes {
-			p.dirtyNode[i] = true
-			p.DirtyNodes++
-		}
+// markNode adds node i to the analyzer-facing dirty set.
+func (p *Plan) markNode(i int) {
+	if !p.dirtyNode[i] {
+		p.dirtyNode[i] = true
+		p.Dirty = append(p.Dirty, i)
 	}
-	if nonRail > 0 {
-		p.Frac = float64(p.DirtyNodes) / float64(nonRail)
+}
+
+// refresh recomputes the dirty count and fraction from the dirty set.
+func (p *Plan) refresh() {
+	p.DirtyNodes = len(p.Dirty)
+	if p.nonRail > 0 {
+		p.Frac = float64(p.DirtyNodes) / float64(p.nonRail)
 	}
 	if p.ForceFull {
 		p.Frac = 1
@@ -253,63 +252,50 @@ func (p *Plan) refresh() {
 
 // dirtyComp marks the component containing n db-dirty (no-op for rails).
 func (p *Plan) dirtyComp(n *netlist.Node) {
-	if c := p.comp[n.Index]; c >= 0 {
+	if c := p.compOf(n); c >= 0 {
 		p.dbDirty[c] = true
 	}
 }
 
-// components labels the plan's components: maximal sets of non-source
-// nodes joined by transistor channels, plus a singleton per non-rail
-// source. Every device kind connects (even FlowOff and definitely-off
-// devices — their geometry still loads their terminals), which makes the
-// components a conservative superset of any oracle's conduction graph,
-// exactly what invalidation needs.
-func (p *Plan) components() {
-	nw := p.res.Net
-	p.comp = make([]int, len(nw.Nodes))
-	for i := range p.comp {
-		p.comp[i] = -1
+// members lists the node indexes of component c.
+func (p *Plan) members(c int) []int32 { return p.memb[p.start[c]:p.start[c+1]] }
+
+// compOf returns the component of n (-1 for a rail), labelling it first if
+// no walk has reached it yet: the maximal set of non-source nodes joined to
+// n by transistor channels, or n alone when it is a non-rail source. Every
+// device kind connects (even FlowOff and definitely-off devices — their
+// geometry still loads their terminals), which makes the components a
+// conservative superset of any oracle's conduction graph, exactly what
+// invalidation needs.
+func (p *Plan) compOf(n *netlist.Node) int {
+	if c := p.comp[n.Index]; c != 0 {
+		return int(c) - 1
 	}
-	var q []*netlist.Node
-	for _, n := range nw.Nodes {
-		if p.comp[n.Index] >= 0 {
-			continue
-		}
-		if n.IsSource() {
-			if !n.IsRail() {
-				p.comp[n.Index] = p.nComp
-				p.nComp++
-			}
-			continue
-		}
-		c := p.nComp
-		p.nComp++
-		p.comp[n.Index] = c
-		q = append(q[:0], n)
-		for len(q) > 0 {
-			cur := q[0]
-			q = q[1:]
+	if n.IsRail() {
+		return -1
+	}
+	nw := p.res.Net
+	label := int32(len(p.dbDirty) + 1)
+	p.comp[n.Index] = label
+	first := len(p.memb)
+	p.memb = append(p.memb, int32(n.Index))
+	if !n.IsSource() {
+		for qi := first; qi < len(p.memb); qi++ {
+			cur := nw.Nodes[p.memb[qi]]
 			for _, t := range cur.Terms {
 				o := t.Other(cur)
-				if o == nil || o.IsSource() || p.comp[o.Index] >= 0 {
+				if o == nil || o.IsSource() || p.comp[o.Index] != 0 {
 					continue
 				}
-				p.comp[o.Index] = c
-				q = append(q, o)
+				p.comp[o.Index] = label
+				p.memb = append(p.memb, int32(o.Index))
 			}
 		}
 	}
-}
-
-// memberLists groups node indexes by component.
-func (p *Plan) memberLists() [][]int {
-	members := make([][]int, p.nComp)
-	for i, c := range p.comp {
-		if c >= 0 {
-			members[c] = append(members[c], i)
-		}
-	}
-	return members
+	p.start = append(p.start, int32(len(p.memb)))
+	p.dbDirty = append(p.dbDirty, false)
+	p.timeDirty = append(p.timeDirty, false)
+	return int(label) - 1
 }
 
 // NodeDirty reports whether node index i needs its arrival reset.
@@ -317,30 +303,29 @@ func (p *Plan) NodeDirty(i int) bool {
 	return i < len(p.dirtyNode) && p.dirtyNode[i]
 }
 
-// TransTouchesDirty reports whether either channel terminal of t lies in
-// a time-dirty component — i.e. whether a gate event on t can change any
-// stale arrival.
-func (p *Plan) TransTouchesDirty(t *netlist.Trans) bool {
-	if c := p.comp[t.A.Index]; c >= 0 && p.timeDirty[c] {
-		return true
-	}
-	if c := p.comp[t.B.Index]; c >= 0 && p.timeDirty[c] {
-		return true
-	}
-	return false
-}
-
-// SourceTouchesDirty reports whether strong-source node n channels
-// directly into a time-dirty component (its From stages must re-apply).
-func (p *Plan) SourceTouchesDirty(n *netlist.Node) bool {
-	for _, t := range n.Terms {
-		o := t.Other(n)
-		if o == nil {
+// Boundary lists, in index order, the clean nodes whose events reach into
+// the dirty region: a node gating a device (one that responds to its gate)
+// with a channel terminal in a time-dirty component, or a chip input whose
+// channel leads directly into one — its From stages must re-apply.
+func (p *Plan) Boundary() []int {
+	nw := p.res.Net
+	var out []int
+	for c, dirty := range p.timeDirty {
+		if !dirty {
 			continue
 		}
-		if c := p.comp[o.Index]; c >= 0 && p.timeDirty[c] {
-			return true
+		for _, i := range p.members(c) {
+			n := nw.Nodes[i]
+			for _, t := range n.Terms {
+				if !t.AlwaysOn() && !p.NodeDirty(t.Gate.Index) {
+					out = append(out, t.Gate.Index)
+				}
+				if o := t.Other(n); o != nil && o.Kind == netlist.KindInput && !p.NodeDirty(o.Index) {
+					out = append(out, o.Index)
+				}
+			}
 		}
 	}
-	return false
+	slices.Sort(out)
+	return slices.Compact(out)
 }

@@ -10,64 +10,73 @@ package netlist
 
 // Clone returns a deep copy of the network: same node and transistor
 // indexes, same adjacency-list order, independent storage. The technology
-// parameters are shared (they are immutable by convention).
+// parameters are shared (they are immutable by convention), and so is the
+// name index, if nw has built one, until either side creates a node.
+//
+// The copy is three allocations, not one per object: every node lives in
+// one slab, every transistor in a second, and every Gates/Terms list is
+// carved out of a third with its capacity clipped to its length, so an
+// AddTrans on the clone reallocates the list it appends to instead of
+// writing into the neighbouring one. The price is that one retained *Node
+// or *Trans keeps its generation's whole slab alive.
 func (nw *Network) Clone() *Network {
 	c := &Network{
-		Name:   nw.Name,
-		Tech:   nw.Tech,
-		Nodes:  make([]*Node, len(nw.Nodes)),
-		Trans:  make([]*Trans, len(nw.Trans)),
-		byName: make(map[string]*Node, len(nw.Nodes)),
+		Name:  nw.Name,
+		Tech:  nw.Tech,
+		Nodes: make([]*Node, len(nw.Nodes)),
+		Trans: make([]*Trans, len(nw.Trans)),
 	}
-	for i, n := range nw.Nodes {
-		cn := &Node{
-			Index:      n.Index,
-			Name:       n.Name,
-			Kind:       n.Kind,
-			Cap:        n.Cap,
-			Precharged: n.Precharged,
+	// An index that exists is shared and, from here on, nobody's to add to.
+	// One that was never asked for stays unbuilt on both sides: a decoded
+	// network serving many sessions does not grow a map because one of them
+	// edits.
+	if idx := nw.names.Load(); idx != nil {
+		if idx.owner != nil {
+			idx = &nameIndex{m: idx.m}
+			nw.names.Store(idx)
 		}
-		c.Nodes[i] = cn
-		c.byName[cn.Name] = cn
+		c.names.Store(idx)
 	}
-	c.vdd = c.Nodes[nw.vdd.Index]
-	c.gnd = c.Nodes[nw.gnd.Index]
 	if len(nw.Instances) > 0 {
 		c.Instances = make([]Instance, len(nw.Instances))
 		copy(c.Instances, nw.Instances)
 	}
+	trans := make([]Trans, len(nw.Trans))
 	for i, t := range nw.Trans {
-		ct := &Trans{
-			Index:     t.Index,
-			Type:      t.Type,
-			Gate:      c.Nodes[t.Gate.Index],
-			A:         c.Nodes[t.A.Index],
-			B:         c.Nodes[t.B.Index],
-			W:         t.W,
-			L:         t.L,
-			Flow:      t.Flow,
-			ROverride: t.ROverride,
-		}
-		c.Trans[i] = ct
+		trans[i] = *t
+		c.Trans[i] = &trans[i]
 	}
-	// Adjacency lists are rebuilt element-for-element from the originals,
+	refs := 0
+	for _, n := range nw.Nodes {
+		refs += len(n.Gates) + len(n.Terms)
+	}
+	nodes := make([]Node, len(nw.Nodes))
+	lists := make([]*Trans, refs)
+	// Adjacency lists are copied element-for-element from the originals,
 	// not re-derived, so any insertion order (including the post-removal
 	// order left by RemoveTrans) survives the copy exactly.
-	for i, n := range nw.Nodes {
-		cn := c.Nodes[i]
-		if len(n.Gates) > 0 {
-			cn.Gates = make([]*Trans, len(n.Gates))
-			for j, t := range n.Gates {
-				cn.Gates[j] = c.Trans[t.Index]
-			}
+	carve := func(src []*Trans) []*Trans {
+		if len(src) == 0 {
+			return nil
 		}
-		if len(n.Terms) > 0 {
-			cn.Terms = make([]*Trans, len(n.Terms))
-			for j, t := range n.Terms {
-				cn.Terms[j] = c.Trans[t.Index]
-			}
+		dst := lists[:len(src):len(src)]
+		lists = lists[len(src):]
+		for j, t := range src {
+			dst[j] = c.Trans[t.Index]
 		}
+		return dst
 	}
+	for i, n := range nw.Nodes {
+		nodes[i] = *n
+		nodes[i].Gates, nodes[i].Terms = carve(n.Gates), carve(n.Terms)
+		c.Nodes[i] = &nodes[i]
+	}
+	for i := range trans {
+		t := &trans[i]
+		t.Gate, t.A, t.B = c.Nodes[t.Gate.Index], c.Nodes[t.A.Index], c.Nodes[t.B.Index]
+	}
+	c.vdd = c.Nodes[nw.vdd.Index]
+	c.gnd = c.Nodes[nw.gnd.Index]
 	return c
 }
 

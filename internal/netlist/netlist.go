@@ -10,8 +10,10 @@ package netlist
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/tech"
 )
@@ -223,31 +225,42 @@ type Network struct {
 	// Import.
 	Instances []Instance
 
-	// byName is the name index. Construction paths build it eagerly; the
-	// .simx decoder leaves it nil and nameOnce materializes it on the
-	// first Lookup/Node call — analysis touches nodes by index only, so
-	// a snapshot load never pays the map build (and concurrent sessions
-	// aliasing one read-only view race-safely share the build).
-	byName   map[string]*Node
+	// names is the name index. Construction paths build it eagerly; the
+	// .simx decoder leaves it nil and nameOnce materializes it on the first
+	// Lookup/Node call — analysis touches nodes by index only, so a snapshot
+	// load never pays the map build (and concurrent sessions aliasing one
+	// read-only view race-safely share the build). Node indexes are stable
+	// across edit generations, so Clone shares an index that exists instead
+	// of rebuilding it.
+	names    atomic.Pointer[nameIndex]
 	nameOnce sync.Once
 	vdd      *Node
 	gnd      *Node
 }
 
-// ensureByName materializes the lazy name index. Safe for concurrent use
-// on an otherwise immutable network (the Once fast path is one atomic
-// load); a no-op when the index was built eagerly at construction.
-func (nw *Network) ensureByName() {
+// nameIndex maps node names to node indexes. Only owner may add to m; a
+// network sharing the index with another generation (owner nil, or some
+// other network) copies it first.
+type nameIndex struct {
+	m     map[string]int32
+	owner *Network
+}
+
+// nameIndex returns the name index, materializing the lazy one. Safe for
+// concurrent use on an otherwise immutable network (the fast path is one
+// atomic load).
+func (nw *Network) nameIndex() *nameIndex {
+	if idx := nw.names.Load(); idx != nil {
+		return idx
+	}
 	nw.nameOnce.Do(func() {
-		if nw.byName != nil {
-			return
+		m := make(map[string]int32, len(nw.Nodes))
+		for i, n := range nw.Nodes {
+			m[n.Name] = int32(i)
 		}
-		m := make(map[string]*Node, len(nw.Nodes))
-		for _, n := range nw.Nodes {
-			m[n.Name] = n
-		}
-		nw.byName = m
+		nw.names.Store(&nameIndex{m, nw})
 	})
+	return nw.names.Load()
 }
 
 // New creates an empty network in the given technology. The rails "Vdd"
@@ -256,7 +269,8 @@ func New(name string, p *tech.Params) *Network {
 	if p == nil {
 		panic("netlist: nil tech.Params")
 	}
-	nw := &Network{Name: name, Tech: p, byName: make(map[string]*Node)}
+	nw := &Network{Name: name, Tech: p}
+	nw.names.Store(&nameIndex{make(map[string]int32), nw})
 	nw.vdd = nw.Node("Vdd")
 	nw.vdd.Kind = KindVdd
 	nw.gnd = nw.Node("GND")
@@ -284,21 +298,27 @@ func (nw *Network) Node(name string) *Node {
 	case "Gnd", "gnd", "VSS", "Vss", "vss":
 		name = "GND"
 	}
-	nw.ensureByName()
-	if n, ok := nw.byName[name]; ok {
-		return n
+	idx := nw.nameIndex()
+	if i, ok := idx.m[name]; ok {
+		return nw.Nodes[i]
+	}
+	if idx.owner != nw {
+		idx = &nameIndex{maps.Clone(idx.m), nw}
+		nw.names.Store(idx)
 	}
 	n := &Node{Index: len(nw.Nodes), Name: name, Cap: nw.Tech.CWire}
 	nw.Nodes = append(nw.Nodes, n)
-	nw.byName[name] = n
+	idx.m[name] = int32(n.Index)
 	return n
 }
 
 // Lookup returns the node with the given name, or nil if absent. Unlike
 // Node it never creates.
 func (nw *Network) Lookup(name string) *Node {
-	nw.ensureByName()
-	return nw.byName[name]
+	if i, ok := nw.nameIndex().m[name]; ok {
+		return nw.Nodes[i]
+	}
+	return nil
 }
 
 // AddTrans adds a transistor of type d with the given terminals and

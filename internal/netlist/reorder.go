@@ -1,5 +1,4 @@
-// Cache-conscious node reordering and region partitioning for the
-// compiled network.
+// Cache-conscious node reordering for the compiled network.
 //
 // The drain loop's per-event working set is a handful of dense per-node
 // arrays (the CSR gate adjacency, the flag vectors, the analyzer's arrival
@@ -11,44 +10,29 @@
 // (members of one channel-connected group and their gating nodes) receive
 // neighbouring rows, so one event's loads prefetch its consequences'.
 //
-// The same connectivity walk yields the drain's region partition: the
-// weakly-connected components of the gate graph with rails and
-// input-driven gate edges removed. Every consequence of an event at an
-// internal node lands in the node's own component (a stage's target is
-// channel-connected to the triggering device, and the trigger's gate node
-// is joined to that group), so components are the natural fence domains
-// for the speculative drain: activity in one region cannot invalidate
-// speculation in another. Input-gated edges are cut because chip inputs
-// (clocks above all) fan out across the whole die and would collapse the
-// partition into one region; their events are the batch head at t≈0 and
-// are bounded by commit-time validation like everything else.
+// The walk runs once per layout: a compile handed an earlier generation's
+// Compact (CompileOptions.Prev) extends that layout instead of walking
+// again. The drain's fence partition lives in compact.go (Regions).
 package netlist
 
-// compactOrder is the result of one reordering/partitioning walk.
-type compactOrder struct {
-	perm    []int32 // orig node index -> compact row
-	inv     []int32 // compact row -> orig node index
-	region  []int32 // orig node index -> region id
-	regions int
-}
-
-// buildOrder computes the RCM permutation (identity when reorder is
-// false) and the region partition of nw. Both are deterministic functions
-// of the network: BFS sources and neighbour visits are ordered by
-// (degree, index), so renaming-invariance suites see the same layout on
-// every run.
-func buildOrder(nw *Network, reorder bool) compactOrder {
+// buildOrder computes the row layout of nw: the RCM permutation, or the
+// identity when reorder is false. It is a deterministic function of the
+// network: BFS sources and neighbour visits are ordered by (degree, index),
+// so renaming-invariance suites see the same layout on every run.
+func buildOrder(nw *Network, reorder bool) (perm, inv []int32) {
 	n := len(nw.Nodes)
-	o := compactOrder{
-		perm:   make([]int32, n),
-		inv:    make([]int32, n),
-		region: make([]int32, n),
+	perm, inv = make([]int32, n), make([]int32, n)
+	if !reorder {
+		for i := range perm {
+			perm[i] = int32(i)
+			inv[i] = int32(i)
+		}
+		return perm, inv
 	}
 
 	// Locality adjacency in CSR form: for every device, gate-A, gate-B
 	// and A-B edges, rails excluded (they touch everything and carry no
-	// locality signal). Built once, shared by the RCM walk; the region
-	// walk reuses it minus input-gated edges.
+	// locality signal).
 	deg := make([]int32, n)
 	addDeg := func(a, b *Node) {
 		if a.IsRail() || b.IsRail() || a == b {
@@ -84,23 +68,31 @@ func buildOrder(nw *Network, reorder bool) compactOrder {
 		addEdge(t.A, t.B)
 	}
 
-	o.assignRegions(nw, start, adj)
-	if !reorder {
-		for i := range o.perm {
-			o.perm[i] = int32(i)
-			o.inv[i] = int32(i)
-		}
-		return o
+	rcm(nw, start, adj, deg, perm, inv)
+	return perm, inv
+}
+
+// extendOrder returns a layout map (Perm or InvPerm) of an earlier
+// generation grown to n nodes: the nodes created since take the next rows
+// in index order, so the new entries are the identity in both directions.
+// With nothing new the earlier slice itself is returned — layouts are
+// immutable and may be shared between compiles.
+func extendOrder(prev []int32, n int) []int32 {
+	if len(prev) == n {
+		return prev
 	}
-	o.rcm(nw, start, adj, deg)
-	return o
+	out := make([]int32, n)
+	for i := copy(out, prev); i < n; i++ {
+		out[i] = int32(i)
+	}
+	return out
 }
 
 // rcm fills perm/inv with the reverse Cuthill–McKee ordering: per
 // component, breadth-first from a minimum-degree source with neighbours
 // visited in (degree, index) order, the whole sequence reversed; rails
 // are pinned to the last rows (their entries are dead in the hot loop).
-func (o *compactOrder) rcm(nw *Network, start, adj []int32, deg []int32) {
+func rcm(nw *Network, start, adj, deg, perm, inv []int32) {
 	n := len(nw.Nodes)
 	// Sources in (degree, index) order; a simple index sort over a
 	// degree-bucketed permutation keeps this O(n log n) worst case.
@@ -148,75 +140,9 @@ func (o *compactOrder) rcm(nw *Network, start, adj []int32, deg []int32) {
 		}
 	}
 	for row, orig := range order {
-		o.perm[orig] = int32(row)
-		o.inv[row] = int32(orig)
+		perm[orig] = int32(row)
+		inv[row] = int32(orig)
 	}
-}
-
-// assignRegions labels each node with its fence region: connected
-// components of the adjacency minus gate edges driven by chip inputs.
-// Rails and isolated nodes get singleton regions.
-func (o *compactOrder) assignRegions(nw *Network, start, adj []int32) {
-	n := len(nw.Nodes)
-	for i := range o.region {
-		o.region[i] = -1
-	}
-	// The region walk cannot reuse adj directly (it must skip edges whose
-	// gate end is an input), so collect the joinable pairs: channel edges
-	// always join; gate edges join unless the gate is an input. An edge
-	// that exists both ways (a gate node also channel-connected to the
-	// same pair) joins.
-	key := func(a, b int32) int64 {
-		if a > b {
-			a, b = b, a
-		}
-		return int64(a)<<32 | int64(b)
-	}
-	joined := make(map[int64]bool)
-	for _, t := range nw.Trans {
-		g, a, b := t.Gate, t.A, t.B
-		if !a.IsRail() && !b.IsRail() && a != b {
-			joined[key(int32(a.Index), int32(b.Index))] = true
-		}
-		if g.Kind != KindInput {
-			for _, ch := range [2]*Node{a, b} {
-				if g.IsRail() || ch.IsRail() || g == ch {
-					continue
-				}
-				joined[key(int32(g.Index), int32(ch.Index))] = true
-			}
-		}
-	}
-	next := int32(0)
-	stack := make([]int32, 0, 64)
-	for i := 0; i < n; i++ {
-		if o.region[i] != -1 {
-			continue
-		}
-		if nw.Nodes[i].IsRail() {
-			o.region[i] = next
-			next++
-			continue
-		}
-		o.region[i] = next
-		stack = append(stack[:0], int32(i))
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, v := range adj[start[u]:start[u+1]] {
-				if o.region[v] != -1 {
-					continue
-				}
-				if !joined[key(u, v)] {
-					continue
-				}
-				o.region[v] = next
-				stack = append(stack, v)
-			}
-		}
-		next++
-	}
-	o.regions = int(next)
 }
 
 // sortByDegreeIndex sorts node ids by (degree, id) — insertion sort for

@@ -157,17 +157,19 @@ func TestReorderRegions(t *testing.T) {
 		t.Run(nw.Name, func(t *testing.T) {
 			off := CompileWith(nw, CompileOptions{})
 			on := CompileWith(nw, CompileOptions{Reorder: true})
-			if off.NumRegions != on.NumRegions {
-				t.Fatalf("NumRegions %d reordered vs %d identity", on.NumRegions, off.NumRegions)
+			offRegion, offRegions := off.Regions()
+			onRegion, onRegions := on.Regions()
+			if offRegions != onRegions {
+				t.Fatalf("NumRegions %d reordered vs %d identity", onRegions, offRegions)
 			}
-			count := make([]int, on.NumRegions)
+			count := make([]int, onRegions)
 			for i := range nw.Nodes {
-				if on.Region[i] != off.Region[i] {
-					t.Fatalf("node %d: region %d reordered vs %d identity", i, on.Region[i], off.Region[i])
+				if onRegion[i] != offRegion[i] {
+					t.Fatalf("node %d: region %d reordered vs %d identity", i, onRegion[i], offRegion[i])
 				}
-				r := int(on.Region[i])
-				if r < 0 || r >= on.NumRegions {
-					t.Fatalf("node %d: region %d out of [0,%d)", i, r, on.NumRegions)
+				r := int(onRegion[i])
+				if r < 0 || r >= onRegions {
+					t.Fatalf("node %d: region %d out of [0,%d)", i, r, onRegions)
 				}
 				count[r]++
 			}
@@ -177,9 +179,9 @@ func TestReorderRegions(t *testing.T) {
 				}
 			}
 			for _, nd := range nw.Nodes {
-				if nd.IsRail() && count[on.Region[nd.Index]] != 1 {
+				if nd.IsRail() && count[onRegion[nd.Index]] != 1 {
 					t.Errorf("rail %s shares region %d with %d other nodes",
-						nd.Name, on.Region[nd.Index], count[on.Region[nd.Index]]-1)
+						nd.Name, onRegion[nd.Index], count[onRegion[nd.Index]]-1)
 				}
 			}
 			for _, tx := range nw.Trans {
@@ -187,9 +189,9 @@ func TestReorderRegions(t *testing.T) {
 				if a.IsRail() || b.IsRail() || a == b {
 					continue
 				}
-				if on.Region[a.Index] != on.Region[b.Index] {
+				if onRegion[a.Index] != onRegion[b.Index] {
 					t.Errorf("channel edge %s-%s crosses regions %d/%d",
-						a.Name, b.Name, on.Region[a.Index], on.Region[b.Index])
+						a.Name, b.Name, onRegion[a.Index], onRegion[b.Index])
 				}
 			}
 		})

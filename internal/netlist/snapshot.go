@@ -449,7 +449,7 @@ func decodeSnapshot(data []byte, p *tech.Params) (*Network, [32]byte, error) {
 // fused scan: each record is read once, its Trans fields and all three
 // adjacency placements done while it is hot, then a single node loop
 // sets headers and rails. The name index is left to lazy construction
-// (Network.ensureByName). It validates every index it consumes, so a
+// (Network.nameIndex). It validates every index it consumes, so a
 // payload whose checksum is still being computed can produce an error
 // here but never an out-of-range access.
 func (v *v2File) build(p *tech.Params) (*Network, error) {

@@ -3,7 +3,7 @@ package sched
 // RegionFence supplies per-region admission clocks to PopFrontierFenced.
 // The caller partitions nodes into regions (for the analyzer: the
 // weakly-connected components of the compiled gate graph, see
-// netlist.Compact.Region) and maintains a span per region — half the
+// netlist.Compact.Regions) and maintains a span per region — half the
 // smallest stage delay committed INTO that region. A frontier item opens
 // its region's clock at its own time; later items of the same region are
 // admitted while they stay within the region's span of that clock. Items

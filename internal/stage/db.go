@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/netlist"
 	"repro/internal/tech"
@@ -44,10 +45,10 @@ type DB struct {
 
 	// A device's or a node's consequences are always consulted for both
 	// target transitions, so each is one slab, Rise stages then Fall.
-	through []atomic.Pointer[Slab]    // trans → stages through the device
-	release []atomic.Pointer[Slab]    // node → stages driving the node
-	from    []atomic.Pointer[Slab]    // 2·node+transition → stages fanning out of the node
-	groups  []atomic.Pointer[[]int32] // trans → channel-connected group (node indexes)
+	through []slot[Slab]    // trans → stages through the device
+	release []slot[Slab]    // node → stages driving the node
+	from    []slot[Slab]    // 2·node+transition → stages fanning out of the node
+	groups  []slot[[]int32] // trans → channel-connected group (node indexes)
 
 	// capsOnce/caps snapshot NodeCap over the whole (immutable) network on
 	// first enumeration, so stage construction — which reads node loading
@@ -60,16 +61,30 @@ type DB struct {
 	truncated atomic.Bool
 }
 
+// slot is one lazily filled database entry: nil until some analysis first
+// asks, then an immutable value installed by compare-and-swap — an
+// atomic.Pointer, plus init: a plain store for Derive, which fills the slot
+// tables of a database no other goroutine can see yet.
+type slot[T any] struct{ p unsafe.Pointer }
+
+func (s *slot[T]) Load() *T { return (*T)(atomic.LoadPointer(&s.p)) }
+
+func (s *slot[T]) CompareAndSwap(old, new *T) bool {
+	return atomic.CompareAndSwapPointer(&s.p, unsafe.Pointer(old), unsafe.Pointer(new))
+}
+
+func (s *slot[T]) init(v *T) { s.p = unsafe.Pointer(v) }
+
 // NewDB creates an empty database for the network. opt.Oracle fixes the
 // sensitization for every enumeration the database will ever perform.
 func NewDB(nw *netlist.Network, opt Options) *DB {
 	return &DB{
 		nw:      nw,
 		opt:     opt.Fill(),
-		through: make([]atomic.Pointer[Slab], len(nw.Trans)),
-		release: make([]atomic.Pointer[Slab], len(nw.Nodes)),
-		from:    make([]atomic.Pointer[Slab], 2*len(nw.Nodes)),
-		groups:  make([]atomic.Pointer[[]int32], len(nw.Trans)),
+		through: make([]slot[Slab], len(nw.Trans)),
+		release: make([]slot[Slab], len(nw.Nodes)),
+		from:    make([]slot[Slab], 2*len(nw.Nodes)),
+		groups:  make([]slot[[]int32], len(nw.Trans)),
 	}
 }
 
@@ -100,7 +115,7 @@ func (db *DB) enumOpt() Options {
 // install publishes a freshly enumerated slab in slot, or adopts the one a
 // concurrent caller got there first with (the two are equal by value;
 // everyone must agree on one so provenance pointers compare).
-func (db *DB) install(slot *atomic.Pointer[Slab], s *Slab) *Slab {
+func (db *DB) install(slot *slot[Slab], s *Slab) *Slab {
 	if s.Truncated {
 		db.truncated.Store(true)
 	}
@@ -186,7 +201,9 @@ func (db *DB) Group(ti int) []int32 {
 //     beyond the old range.
 //
 // The caller sets Stamp. Concurrent readers of the receiver are
-// unaffected: Derive only loads slot pointers.
+// unaffected: Derive only loads slot pointers (atomically — they may be
+// installing), and stores them plainly into the new database, which nobody
+// else can see until Derive returns.
 func (db *DB) Derive(nw *netlist.Network, opt Options, dirtyTrans, dirtyNode []bool, oldTrans []int) *DB {
 	next := NewDB(nw, opt)
 	next.Epoch = db.Epoch + 1
@@ -203,17 +220,17 @@ func (db *DB) Derive(nw *netlist.Network, opt Options, dirtyTrans, dirtyNode []b
 		if old < 0 || (j < len(dirtyTrans) && dirtyTrans[j]) {
 			continue
 		}
-		next.through[j].Store(db.through[old].Load())
-		next.groups[j].Store(db.groups[old].Load())
+		next.through[j].init(db.through[old].Load())
+		next.groups[j].init(db.groups[old].Load())
 	}
 	oldNodes := len(db.nw.Nodes)
 	for j := range nw.Nodes {
 		if j >= oldNodes || (j < len(dirtyNode) && dirtyNode[j]) {
 			continue
 		}
-		next.release[j].Store(db.release[j].Load())
-		next.from[2*j].Store(db.from[2*j].Load())
-		next.from[2*j+1].Store(db.from[2*j+1].Load())
+		next.release[j].init(db.release[j].Load())
+		next.from[2*j].init(db.from[2*j].Load())
+		next.from[2*j+1].init(db.from[2*j+1].Load())
 	}
 	return next
 }

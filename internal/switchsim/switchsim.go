@@ -124,16 +124,36 @@ const K2CapFloor = 100e-15
 func NodeSizes(nw *netlist.Network) []Strength {
 	sizes := make([]Strength, len(nw.Nodes))
 	for _, n := range nw.Nodes {
-		switch {
-		case n.IsRail() || n.Kind == netlist.KindInput:
-			sizes[n.Index] = SOmega
-		case n.Precharged || nw.NodeCap(n) >= K2CapFloor:
-			sizes[n.Index] = SK2
-		default:
-			sizes[n.Index] = SK1
-		}
+		sizes[n.Index] = nodeSize(nw, n)
 	}
 	return sizes
+}
+
+func nodeSize(nw *netlist.Network, n *netlist.Node) Strength {
+	switch {
+	case n.IsRail() || n.Kind == netlist.KindInput:
+		return SOmega
+	case n.Precharged || nw.NodeCap(n) >= K2CapFloor:
+		return SK2
+	}
+	return SK1
+}
+
+// SizesKept reports whether each of the given nodes (by index) has the same
+// size in next as in prev, two generations of one network. Capacitance and
+// device geometry reach the lattice only through a node's size — through
+// NodeCap against K2CapFloor — so an edit batch that adds and removes
+// nothing, retypes nothing, and keeps the size of every node whose
+// capacitance it changed (the gate and both terminals of a resized device
+// included: NodeCap reads W·L) settles to exactly the values the previous
+// generation settled to.
+func SizesKept(prev, next *netlist.Network, nodes []int) bool {
+	for _, i := range nodes {
+		if i >= len(prev.Nodes) || nodeSize(prev, prev.Nodes[i]) != nodeSize(next, next.Nodes[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // DeviceStrength returns the maximum strength a signal retains after
@@ -194,8 +214,21 @@ type Sim struct {
 	// scratch reused across Settle calls
 	dirty      []bool
 	queue      []int
+	work       []int // the queue of the sweep being resolved
+	seeds      []int
+	stack      []int
 	groupID    []int // epoch stamp per node; == groupEpoch means visited this sweep
 	groupEpoch int
+
+	// Dense resolution scratch: sigs[i] is node i's state in the group being
+	// resolved, valid while sigID[i] == sigEpoch (one epoch per group, so
+	// nothing is cleared between groups); group and changed are the member
+	// list and the proposed changes, rebuilt per group and per sweep.
+	sigs     []nodeSig
+	sigID    []int
+	sigEpoch int
+	group    []int
+	changed  []change
 }
 
 // New creates a simulator with rails at their fixed values and every other
@@ -209,6 +242,8 @@ func New(nw *netlist.Network) *Sim {
 		osc:     make([]bool, len(nw.Nodes)),
 		dirty:   make([]bool, len(nw.Nodes)),
 		groupID: make([]int, len(nw.Nodes)),
+		sigs:    make([]nodeSig, len(nw.Nodes)),
+		sigID:   make([]int, len(nw.Nodes)),
 	}
 	s.Reset()
 	return s
@@ -381,10 +416,9 @@ func (s *Sim) Settle() int {
 		// through the device's other terminal, so only that side seeds.
 		// Seeding the rail instead would re-scan the rail's entire
 		// terminal list, which is nearly the whole chip, every sweep.
-		work := s.queue
-		s.queue = nil
-		seeds := make([]int, 0, 2*len(work))
-		for _, idx := range work {
+		s.work, s.queue = s.queue, s.work[:0]
+		seeds := s.seeds[:0]
+		for _, idx := range s.work {
 			s.dirty[idx] = false
 			seeds = append(seeds, idx)
 			for _, t := range s.nw.Nodes[idx].Gates {
@@ -397,6 +431,7 @@ func (s *Sim) Settle() int {
 				}
 			}
 		}
+		s.seeds = seeds
 		for _, ch := range s.resolveGroups(seeds) {
 			nv := ch.v
 			if xmode && !s.fixed[ch.idx] {
@@ -420,13 +455,14 @@ func (s *Sim) Settle() int {
 // resolveGroups collects the channel-connected groups containing the seed
 // nodes (through non-off transistors), resolves each against the frozen
 // sweep state, and returns the proposed value changes. Nothing is written
-// back here — the caller commits after the whole sweep resolves.
+// back here — the caller commits after the whole sweep resolves. The
+// returned slice is the simulator's own and is rewritten by the next call.
 func (s *Sim) resolveGroups(seeds []int) []change {
 	// Visited marks are epoch-stamped: bumping the epoch invalidates every
 	// mark from the previous sweep in O(1), where clearing the array would
 	// cost a full-network scan per sweep.
 	s.groupEpoch++
-	var changed []change
+	s.changed = s.changed[:0]
 	for _, seed := range seeds {
 		n := s.nw.Nodes[seed]
 		if n.IsRail() || s.fixed[seed] {
@@ -439,27 +475,26 @@ func (s *Sim) resolveGroups(seeds []int) []change {
 					o.IsRail() || s.fixed[o.Index] {
 					continue
 				}
-				group := s.collectGroup(o.Index)
-				changed = append(changed, s.resolveGroup(group)...)
+				s.resolveGroup(s.collectGroup(o.Index))
 			}
 			continue
 		}
 		if s.groupID[seed] == s.groupEpoch {
 			continue
 		}
-		group := s.collectGroup(seed)
-		changed = append(changed, s.resolveGroup(group)...)
+		s.resolveGroup(s.collectGroup(seed))
 	}
-	return changed
+	return s.changed
 }
 
 // collectGroup gathers the channel-connected component of seed through
 // transistors that are not definitely off, stamping members with the
 // current epoch so overlapping seeds resolve each group once per sweep.
+// The member list is the simulator's own and is rewritten by the next call.
 func (s *Sim) collectGroup(seed int) []int {
-	stack := []int{seed}
+	stack := append(s.stack[:0], seed)
 	s.groupID[seed] = s.groupEpoch
-	var group []int
+	group := s.group[:0]
 	for len(stack) > 0 {
 		idx := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -482,6 +517,7 @@ func (s *Sim) collectGroup(seed int) []int {
 			stack = append(stack, o.Index)
 		}
 	}
+	s.stack, s.group = stack, group
 	return group
 }
 
@@ -553,9 +589,13 @@ func maxStrength(a, b Strength) Strength {
 // relaxed again. Because the join is monotone the staging never changes
 // the result — the least fixed point is unique — but it mirrors the
 // standard presentation and lets charge sharing be read directly off the
-// second pass. Returns proposed changes; the caller commits them.
-func (s *Sim) resolveGroup(group []int) []change {
-	sigs := make(map[int]nodeSig, len(group))
+// second pass. Proposed changes are appended to s.changed; the caller
+// commits them.
+func (s *Sim) resolveGroup(group []int) {
+	// A fresh epoch per group: a member's entry in s.sigs is this group's,
+	// anything else is a neighbour outside it.
+	s.sigEpoch++
+	sigs := s.sigs
 	// Pass 1 — driven: only sources contribute their base signals; every
 	// storage node starts empty and receives drive through the graph.
 	for _, idx := range group {
@@ -564,8 +604,9 @@ func (s *Sim) resolveGroup(group []int) []change {
 			base = nodeSig{def: sig{SNone, VX}}
 		}
 		sigs[idx] = base
+		s.sigID[idx] = s.sigEpoch
 	}
-	s.relaxGroup(group, sigs)
+	s.relaxGroup(group)
 	// Pass 2 — charged: join each storage node's stored charge (at its
 	// size) into the driven solution and relax to the full fixed point.
 	for _, idx := range group {
@@ -579,25 +620,24 @@ func (s *Sim) resolveGroup(group []int) []change {
 		cur.potLo = maxStrength(cur.potLo, base.potLo)
 		sigs[idx] = cur
 	}
-	s.relaxGroup(group, sigs)
-	var changed []change
+	s.relaxGroup(group)
 	for _, idx := range group {
 		ns := sigs[idx]
 		if ns.source {
 			continue
 		}
 		if nv := ns.value(); nv != s.val[idx] {
-			changed = append(changed, change{idx, nv})
+			s.changed = append(s.changed, change{idx, nv})
 		}
 	}
-	return changed
 }
 
 // relaxGroup runs the monotone relaxation to its fixed point: each pass
 // joins every node's current state with its neighbors' contributions,
 // attenuated by the connecting device's strength. Each pass propagates at
 // least one transistor hop, so the group size bounds the iteration count.
-func (s *Sim) relaxGroup(group []int, sigs map[int]nodeSig) {
+func (s *Sim) relaxGroup(group []int) {
+	sigs := s.sigs
 	for pass := 0; pass <= len(group)+1; pass++ {
 		anyChange := false
 		for _, idx := range group {
@@ -616,8 +656,8 @@ func (s *Sim) relaxGroup(group []int, sigs map[int]nodeSig) {
 				if o == nil {
 					continue
 				}
-				src, ok := sigs[o.Index]
-				if !ok {
+				src := sigs[o.Index]
+				if s.sigID[o.Index] != s.sigEpoch {
 					// Neighbor outside the group (beyond a source
 					// boundary, or another component).
 					src = s.baseSig(o.Index)
