@@ -28,6 +28,7 @@ import (
 	"strings"
 
 	"repro/internal/delay"
+	"repro/internal/incremental"
 	"repro/internal/netlist"
 	"repro/internal/sched"
 	"repro/internal/stage"
@@ -206,6 +207,10 @@ type Analyzer struct {
 	hier          *hierState
 	hierSkipNode  []bool
 	hierSkipTrans []bool
+
+	// incDirty is the plan while an incremental drain runs (nil otherwise):
+	// a stage whose target it left clean is skipped, not evaluated.
+	incDirty *incremental.Plan
 }
 
 // histEvent is one superseded event that was propagated before being
@@ -341,15 +346,13 @@ type qkey struct {
 	tr   tech.Transition
 }
 
-// The pending-propagation queue is sched.Queue: a value-slice priority
-// queue under the strict total order sched.Less (arrival time, then node,
-// then transition). A mere partial order on time would let the pop order
-// of tied events depend on the queue's internal arrangement — i.e. on
-// every unrelated event ever pushed — which makes feedback-guard cutoffs
-// irreproducible between a full run and an incremental one. Node indexes
-// are stable across incremental edits, so this order is canonical for a
-// given event set. Entries are stamped with the arrival time they were
-// queued at; stale ones (superseded by a re-push) are skipped at pop.
+// The pending-propagation queue is sched.Queue, under the strict total order
+// sched.Less (arrival time, then node, then transition): a mere partial
+// order on time would let the pop order of tied events depend on every
+// unrelated event ever pushed, and feedback-guard cutoffs would differ
+// between a full run and an incremental one. Node indexes are stable across
+// edits, so the order is canonical for a given event set. Entries carry the
+// arrival time they were queued at; stale ones are skipped at pop.
 
 // New creates an analyzer for the network using the given delay model.
 func New(nw *netlist.Network, m delay.Model, opts Options) *Analyzer {
@@ -491,6 +494,7 @@ func (a *Analyzer) Run() error {
 		a.seedAll()
 		a.drainRouted(nil)
 	}
+	a.queue = sched.Queue{} // release tens of thousands of entries; an edit's re-drain needs hundreds
 	return nil
 }
 
@@ -589,7 +593,7 @@ func (a *Analyzer) seedAll() {
 }
 
 // replayItem is one historical boundary event re-injected during
-// incremental re-analysis, merged with the heap in trigger-time order so
+// incremental re-analysis, merged with the queue in trigger-time order so
 // candidate generation follows the same global order as a full run.
 type replayItem struct {
 	node  int
@@ -598,16 +602,19 @@ type replayItem struct {
 	slope float64
 }
 
+func (r *replayItem) key() sched.Item {
+	return sched.Item{T: r.t, Node: int32(r.node), Tr: uint8(r.tr)}
+}
+
 // drainReplay runs the event loop, interleaving the given replay items
-// (sorted by time) with the heap in time order. Replays re-propagate the
+// (sorted by time) with the queue in time order. Replays re-propagate the
 // recorded events of clean boundary nodes; they bypass the improvement
 // counters because the counts already include those rounds from the run
 // that recorded them.
 func (a *Analyzer) drainReplay(replays []replayItem) {
 	ri := 0
 	for a.queue.Len() > 0 || ri < len(replays) {
-		if ri < len(replays) && (a.queue.Len() == 0 ||
-			!sched.Less(a.queue.Peek(), sched.Item{T: replays[ri].t, Node: int32(replays[ri].node), Tr: uint8(replays[ri].tr)})) {
+		if a.replayDue(replays, ri) {
 			r := replays[ri]
 			ri++
 			a.fanout(r.node, r.tr, Event{T: r.t, Slope: r.slope, Valid: true}, nil)
@@ -619,10 +626,13 @@ func (a *Analyzer) drainReplay(replays []replayItem) {
 		// cycles re-queue. The queue holds stale entries (an improvement
 		// re-pushes with the new time); only an entry matching the
 		// node's current arrival is live.
+		a.stats.Pops++
+		a.stats.MaxQueue = max(a.stats.MaxQueue, int64(a.queue.Len()))
 		it := a.queue.Pop()
 		node, tr := int(it.Node), tech.Transition(it.Tr)
 		row := a.row(node)
 		if !a.queued[row][tr] || it.T != a.events[row][tr].T {
+			a.stats.StalePops++
 			continue // stale: a fresher entry is in the queue
 		}
 		a.queued[row][tr] = false
@@ -632,6 +642,16 @@ func (a *Analyzer) drainReplay(replays []replayItem) {
 		a.hist[row][tr].propagated = true
 		a.fanout(node, tr, a.events[row][tr], nil)
 	}
+}
+
+// replayDue reports whether the next pending replay goes before the queue's
+// head: replays merge with the queue in trigger-time order and win ties.
+// (Peek leaves the queue's floor at the last pop, at or before the replay.)
+func (a *Analyzer) replayDue(replays []replayItem, ri int) bool {
+	if ri >= len(replays) {
+		return false
+	}
+	return a.queue.Len() == 0 || !sched.Less(a.queue.Peek(), replays[ri].key())
 }
 
 // guarded counts one propagation round of (node, tr) and reports whether the
@@ -675,13 +695,16 @@ func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
 	cur := &a.events[row][tr]
 	if cur.Valid {
 		if ev.T < cur.T {
+			a.stats.Earlier++
 			return false
 		}
 		if ev.T == cur.T && !tieBetter(ev, *cur) {
+			a.stats.TieLost++
 			return false
 		}
 	}
 	if a.cnet.IsRail[row] {
+		a.stats.Pruned++
 		return false
 	}
 	// Static pruning: a node pinned at a definite value cannot complete
@@ -694,9 +717,11 @@ func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
 			want = switchsim.V0
 		}
 		if sv != switchsim.VX && sv != want && !a.cnet.Precharged[row] {
+			a.stats.Pruned++
 			return false
 		}
 	}
+	a.stats.Improved++
 	// History: a superseded event that already propagated may still matter
 	// downstream — a steeper slope can yield a later consequence than the
 	// final (later, shallower) event does, and on a feedback-guarded node
@@ -840,6 +865,9 @@ func (a *Analyzer) applyStage(st *stage.Stage, fromNode int, fromTr tech.Transit
 	target := int(st.Target)
 	if a.hierSkipNode != nil && target < len(a.hierSkipNode) && a.hierSkipNode[target] {
 		return // stamped member interior: boundary fan-in is replayed by the representative
+	}
+	if a.incDirty != nil && !a.incDirty.NodeDirty(target) {
+		return // incremental drain, clean target: already at its fixpoint (see runIncremental)
 	}
 	// Source validity: an input-fed stage needs the source to plausibly
 	// hold the driving value; rails were filtered by the enumerator.

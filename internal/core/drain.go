@@ -74,23 +74,58 @@ type specItem struct {
 	cands  []specCand
 }
 
-// DrainStats are cumulative counters of the speculative drain's behaviour
-// for one analyzer (the Run plus any Reanalyze calls). All zeros when the
-// analysis ran serially (Workers <= 1). They are the observability story
-// for fence tuning: mean frontier batch size (BatchItems/Batches) says how
-// far the fences let the drain read ahead, FenceStalls how often a region
-// clock cut a batch short, SpecUsed/SpecLive how much speculated work
-// survived commit validation, and CommitDepth the deepest pending-commit
-// backlog. Exported by crystald as the /metrics drain.* fields.
+// DrainStats are cumulative counters of the drains of one analyzer (the Run
+// plus any Reanalyze calls), exported by crystald as the /metrics drain.*
+// fields. Every drain counts its queue traffic and the outcome of each
+// candidate arrival it offered a node: Pops − StalePops is the number of
+// propagation rounds (guard cut-offs included); Improved + Earlier + TieLost
+// + Pruned is the number of candidates, one per stage evaluation that
+// produced a delay plus the seeds, and TieLost the evaluations that
+// recomputed an arrival the node already held. The fields from Batches on
+// describe the speculative drain only (zero at Workers <= 1): BatchItems /
+// Batches says how far the fences let it read ahead, FenceStalls how often
+// a region clock cut a batch short, SpecUsed/SpecLive how much speculated
+// work survived commit validation.
 type DrainStats struct {
-	Batches     int64 // frontiers formed
-	BatchItems  int64 // total frontier slots (mean batch size = BatchItems/Batches)
-	FenceStalls int64 // batches cut short by a region fence
-	Preempts    int64 // commits that preempted the rest of their batch
-	SpecLive    int64 // slots speculated (live at formation)
-	SpecUsed    int64 // speculations committed unchanged (occupancy = SpecUsed/SpecLive)
-	CommitDepth int64 // max commit-queue length observed at batch formation
-	Regions     int   // fence regions in the compiled network
+	Pops      int64 `json:"pops"`       // queue entries popped
+	StalePops int64 `json:"stale_pops"` // of those, superseded by a later entry for the same (node, transition)
+	MaxQueue  int64 `json:"max_queue"`  // most entries the queue held at a pop of the serial drain
+
+	Improved int64 `json:"improved"` // candidates that became the node's arrival
+	Earlier  int64 `json:"earlier"`  // candidates earlier than the arrival already held
+	TieLost  int64 `json:"tie_lost"` // candidates at exactly the held time that lost the tie-break
+	Pruned   int64 `json:"pruned"`   // candidates for a rail, or for a level the static snapshot rules out
+
+	Batches     int64 `json:"batches"`      // frontiers formed
+	BatchItems  int64 `json:"-"`            // total frontier slots (mean batch size = BatchItems/Batches)
+	FenceStalls int64 `json:"fence_stalls"` // batches cut short by a region fence
+	Preempts    int64 `json:"preempts"`     // commits that preempted the rest of their batch
+	SpecLive    int64 `json:"spec_live"`    // slots speculated (live at formation)
+	SpecUsed    int64 `json:"spec_used"`    // speculations committed unchanged (occupancy = SpecUsed/SpecLive)
+	CommitDepth int64 `json:"commit_depth"` // max commit-queue length observed at batch formation
+	Regions     int   `json:"regions"`      // fence regions in the compiled network
+}
+
+// Accumulate folds into d what one analyzer did between two readings of its
+// counters; high-water marks and the region count are the later reading's.
+func (d *DrainStats) Accumulate(before, after DrainStats) {
+	d.Pops += after.Pops - before.Pops
+	d.StalePops += after.StalePops - before.StalePops
+	d.Improved += after.Improved - before.Improved
+	d.Earlier += after.Earlier - before.Earlier
+	d.TieLost += after.TieLost - before.TieLost
+	d.Pruned += after.Pruned - before.Pruned
+	d.Batches += after.Batches - before.Batches
+	d.BatchItems += after.BatchItems - before.BatchItems
+	d.FenceStalls += after.FenceStalls - before.FenceStalls
+	d.Preempts += after.Preempts - before.Preempts
+	d.SpecLive += after.SpecLive - before.SpecLive
+	d.SpecUsed += after.SpecUsed - before.SpecUsed
+	d.MaxQueue = max(d.MaxQueue, after.MaxQueue)
+	d.CommitDepth = max(d.CommitDepth, after.CommitDepth)
+	if after.Regions > 0 {
+		d.Regions = after.Regions
+	}
 }
 
 // DrainStats returns the drain counters accumulated so far.
@@ -171,7 +206,7 @@ func (a *Analyzer) drainParallel(replays []replayItem, workers int) {
 // batchMax counts as a stall.
 func (a *Analyzer) formBatch(replays []replayItem, ri *int, batchMax int) int {
 	if *ri >= len(replays) {
-		// Pure-queue frontier: one fenced pass over the heap.
+		// Pure-queue frontier: one fenced pass over the queue.
 		var stalled bool
 		a.fbuf, stalled = a.queue.PopFrontierFenced(a.fbuf[:0], batchMax, &a.fence)
 		if stalled {
@@ -186,13 +221,10 @@ func (a *Analyzer) formBatch(replays []replayItem, ri *int, batchMax int) int {
 	a.fence.Begin()
 	for nb < batchMax && (a.queue.Len() > 0 || *ri < len(replays)) {
 		var key sched.Item
-		useReplay := false
-		if *ri < len(replays) {
-			r := replays[*ri]
-			key = sched.Item{T: r.t, Node: int32(r.node), Tr: uint8(r.tr)}
-			useReplay = a.queue.Len() == 0 || !sched.Less(a.queue.Peek(), key)
-		}
-		if !useReplay {
+		useReplay := a.replayDue(replays, *ri)
+		if useReplay {
+			key = replays[*ri].key()
+		} else {
 			key = a.queue.Peek()
 		}
 		if !a.fence.Admit(key) {
@@ -257,8 +289,10 @@ func (a *Analyzer) commitBatch(replays []replayItem, ri *int, nb int) {
 		} else {
 			node, tr := int(s.key.Node), tech.Transition(s.key.Tr)
 			row := a.row(node)
+			a.stats.Pops++
 			switch {
 			case !a.queued[row][tr] || s.key.T != a.events[row][tr].T:
+				a.stats.StalePops++
 				continue // stale: a fresher entry is in the queue
 			default:
 				a.queued[row][tr] = false

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/incremental"
 	"repro/internal/netlist"
+	"repro/internal/sched"
 	"repro/internal/stage"
 	"repro/internal/tech"
 )
@@ -233,6 +234,7 @@ func (a *Analyzer) runFull() {
 	}
 	a.seedAll()
 	a.drainRouted(nil)
+	a.queue = sched.Queue{} // as Run does
 }
 
 // runIncremental resets only the dirty arrivals and re-propagates from the
@@ -267,7 +269,7 @@ func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
 	a.queue.Reset()
 	// Carry over guard hits outside the dirty cone (remapped to the new
 	// generation — node indexes are stable). Clean nodes never re-enter the
-	// heap, so they cannot re-report themselves; dropping them would make
+	// queue, so they cannot re-report themselves; dropping them would make
 	// Unbounded diverge from what a fresh full run reports.
 	carried := a.Unbounded[:0:0]
 	for _, n := range a.Unbounded {
@@ -302,15 +304,8 @@ func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
 			}
 		}
 	}
-	slices.SortFunc(replays, func(x, y replayItem) int {
-		switch {
-		case x.t != y.t:
-			return cmp.Compare(x.t, y.t)
-		case x.node != y.node:
-			return cmp.Compare(x.node, y.node)
-		default:
-			return cmp.Compare(x.tr, y.tr)
-		}
+	slices.SortFunc(replays, func(x, y replayItem) int { // sched.Less on the replays' keys
+		return cmp.Or(cmp.Compare(x.t, y.t), cmp.Compare(x.node, y.node), cmp.Compare(x.tr, y.tr))
 	})
 	// Seeds on dirty nodes: an input is a strong source and never dirty,
 	// but re-applying is cheap and covers any seed landing on a node the
@@ -322,6 +317,8 @@ func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
 			})
 		}
 	}
+	a.incDirty = plan // nothing offered to a clean node can land (see above): skip those stages
 	a.drainRouted(replays)
+	a.incDirty = nil
 	return len(carried)
 }

@@ -6,11 +6,9 @@
 //
 // Concurrency contract, audited for torn reads under concurrent scrape +
 // update (TestMetricsScrapeUnderLoad runs the audit under -race): every
-// counter in the metrics struct is an atomic.Int64 (including max-tracking
-// ones like drainCommitDepth, which uses a CAS loop, and drainRegions,
-// which is a Store — both single 8-byte words, never read-modify-write
-// without atomicity); the latency rings are mutex-guarded because an
-// observation writes three fields; and gauges owned by other subsystems
+// counter in the metrics struct is an atomic.Int64; the latency rings and
+// the drain counters are mutex-guarded because one observation writes
+// several fields; and gauges owned by other subsystems
 // (session-cache size, arena refcounts, job-queue depth) are read under
 // their owners' locks at snapshot time and passed in by value. A snapshot
 // is therefore internally torn only *across* fields (counters advance
@@ -76,8 +74,8 @@ func (l *latencyRecorder) stats() LatencyStats {
 	return st
 }
 
-// metrics is the server's counter set. All fields are updated with atomics
-// so handlers never serialize on a stats lock.
+// metrics is the server's counter set. The per-request counters are
+// atomics, so handlers never serialize on a stats lock.
 type metrics struct {
 	sessionsCreated atomic.Int64
 	sessionsDeduped atomic.Int64 // content-hash cache hits on POST /v1/sessions
@@ -116,36 +114,18 @@ type metrics struct {
 	simulateLatency latencyRecorder // one simulate batch (compile + settle)
 	jobQueueLatency latencyRecorder // async job queue wait (submit → dispatch)
 
-	// Speculative-drain counters, aggregated across every parallel drain
-	// any session ran (serial drains contribute zeros). See
-	// core.DrainStats for semantics.
-	drainBatches     atomic.Int64
-	drainBatchItems  atomic.Int64
-	drainFenceStalls atomic.Int64
-	drainPreempts    atomic.Int64
-	drainSpecLive    atomic.Int64
-	drainSpecUsed    atomic.Int64
-	drainCommitDepth atomic.Int64 // max observed across drains
-	drainRegions     atomic.Int64 // last compiled fence-partition size
+	// Drain counters, aggregated across every drain any session ran (see
+	// core.DrainStats).
+	drainMu sync.Mutex
+	drain   core.DrainStats
 }
 
-// observeDrain folds one drain's counter delta into the aggregate.
-func (m *metrics) observeDrain(d core.DrainStats) {
-	m.drainBatches.Add(d.Batches)
-	m.drainBatchItems.Add(d.BatchItems)
-	m.drainFenceStalls.Add(d.FenceStalls)
-	m.drainPreempts.Add(d.Preempts)
-	m.drainSpecLive.Add(d.SpecLive)
-	m.drainSpecUsed.Add(d.SpecUsed)
-	for {
-		cur := m.drainCommitDepth.Load()
-		if d.CommitDepth <= cur || m.drainCommitDepth.CompareAndSwap(cur, d.CommitDepth) {
-			break
-		}
-	}
-	if d.Regions > 0 {
-		m.drainRegions.Store(int64(d.Regions))
-	}
+// observeDrain folds what one analyzer's drains did between two readings of
+// its counters into the aggregate.
+func (m *metrics) observeDrain(before, after core.DrainStats) {
+	m.drainMu.Lock()
+	m.drain.Accumulate(before, after)
+	m.drainMu.Unlock()
 }
 
 // MetricsSnapshot is the externally visible metrics document.
@@ -206,15 +186,9 @@ type MetricsSnapshot struct {
 	// the arena is disabled.
 	NetArena ArenaStats `json:"netarena"`
 	Drain    struct {
-		Batches     int64   `json:"batches"`
-		BatchSize   float64 `json:"batch_size"` // mean frontier batch size
-		FenceStalls int64   `json:"fence_stalls"`
-		Preempts    int64   `json:"preempts"`
-		SpecLive    int64   `json:"spec_live"`
-		SpecUsed    int64   `json:"spec_used"`
-		Occupancy   float64 `json:"occupancy"`    // SpecUsed / SpecLive
-		CommitDepth int64   `json:"commit_depth"` // max commit-queue depth observed
-		Regions     int64   `json:"regions"`
+		core.DrainStats
+		BatchSize float64 `json:"batch_size"` // mean frontier batch size
+		Occupancy float64 `json:"occupancy"`  // SpecUsed / SpecLive
 	} `json:"drain"`
 	LatencyNs struct {
 		Analyze     LatencyStats `json:"analyze"`
@@ -270,19 +244,15 @@ func (m *metrics) snapshot(live int, arena ArenaStats, jobs jobGauges) MetricsSn
 	s.Sim.Sweeps = m.simSweeps.Load()
 	s.Sim.Oscillations = m.simOscillations.Load()
 	s.Sim.Compiles = m.simCompiles.Load()
-	s.Drain.Batches = m.drainBatches.Load()
-	if items := m.drainBatchItems.Load(); s.Drain.Batches > 0 {
-		s.Drain.BatchSize = float64(items) / float64(s.Drain.Batches)
+	m.drainMu.Lock()
+	s.Drain.DrainStats = m.drain
+	m.drainMu.Unlock()
+	if s.Drain.Batches > 0 {
+		s.Drain.BatchSize = float64(s.Drain.BatchItems) / float64(s.Drain.Batches)
 	}
-	s.Drain.FenceStalls = m.drainFenceStalls.Load()
-	s.Drain.Preempts = m.drainPreempts.Load()
-	s.Drain.SpecLive = m.drainSpecLive.Load()
-	s.Drain.SpecUsed = m.drainSpecUsed.Load()
 	if s.Drain.SpecLive > 0 {
 		s.Drain.Occupancy = float64(s.Drain.SpecUsed) / float64(s.Drain.SpecLive)
 	}
-	s.Drain.CommitDepth = m.drainCommitDepth.Load()
-	s.Drain.Regions = m.drainRegions.Load()
 	s.LatencyNs.Analyze = m.analyzeLatency.stats()
 	s.LatencyNs.EditBarrier = m.editLatency.stats()
 	s.LatencyNs.Simulate = m.simulateLatency.stats()

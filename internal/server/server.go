@@ -492,7 +492,7 @@ func (sv *Server) analyzeSession(s *session, req analyzeRequest) (int, any) {
 	}
 	sv.m.analyzesFull.Add(1)
 	sv.m.analyzeLatency.observe(dur)
-	sv.m.observeDrain(a.DrainStats()) // fresh analyzer: stats are this run's
+	sv.m.observeDrain(core.DrainStats{}, a.DrainStats()) // fresh analyzer: stats are this run's
 	return http.StatusOK, analyzeResponse{
 		Snapshot: snap, Workers: workers, DurationNs: dur.Nanoseconds(),
 	}
@@ -579,17 +579,7 @@ func (sv *Server) editsSession(s *session, req editsRequest) (int, any) {
 				return err
 			}
 			dur := time.Since(start)
-			after := s.a.DrainStats()
-			sv.m.observeDrain(core.DrainStats{
-				Batches:     after.Batches - before.Batches,
-				BatchItems:  after.BatchItems - before.BatchItems,
-				FenceStalls: after.FenceStalls - before.FenceStalls,
-				Preempts:    after.Preempts - before.Preempts,
-				SpecLive:    after.SpecLive - before.SpecLive,
-				SpecUsed:    after.SpecUsed - before.SpecUsed,
-				CommitDepth: after.CommitDepth,
-				Regions:     after.Regions,
-			})
+			sv.m.observeDrain(before, s.a.DrainStats())
 			s.edited = true
 			s.barriers++
 			sv.m.editBatches.Add(1)
