@@ -25,9 +25,9 @@ race:
 bench:
 	./scripts/bench.sh
 
-# Scaling + locality records only (BENCH_3/4/5): the worker sweeps, the
-# ingest throughput sweep, and the interleaved reorder A/B with fence
-# counters. Refuses single-CPU runners unless BENCH_ALLOW_SINGLE_CPU=1.
+# Scaling + locality records only (BENCH_4/5): the ingest throughput
+# sweep over parser workers and the interleaved reorder A/B. Refuses
+# single-CPU runners unless BENCH_ALLOW_SINGLE_CPU=1.
 bench-scaling:
 	BENCH_ONLY=scaling ./scripts/bench.sh
 

@@ -232,31 +232,13 @@ func BenchmarkE6Capacity(b *testing.B) {
 // processor datapath (register file + ALU + shifter + multiplier +
 // address adder + control PLA) analyzed with the same directives a
 // Crystal user would supply — the reproduction stand-in for the paper's
-// real-chip case studies. The headline benchmark pins the strict-serial
-// drain (workers = 1) so its history stays comparable across machines;
-// BenchmarkE6ChipScaleWorkers sweeps the parallel drain.
-func BenchmarkE6ChipScale(b *testing.B) { benchE6Chip(b, 1) }
-
-// BenchmarkE6ChipScaleWorkers runs the same whole-chip analysis under the
-// speculative parallel drain at increasing worker counts (results are
-// bit-identical at every setting — the sweep measures single-run scaling,
-// recorded by scripts/bench.sh into BENCH_3.json).
-func BenchmarkE6ChipScaleWorkers(b *testing.B) {
-	counts := []int{1, 2, 4}
-	if g := runtime.GOMAXPROCS(0); g != 1 && g != 2 && g != 4 {
-		counts = append(counts, g)
-	}
-	for _, w := range counts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { benchE6Chip(b, w) })
-	}
-}
-
-func benchE6Chip(b *testing.B, workers int) {
+// real-chip case studies. It pins workers = 1 (no prewarm goroutines) so
+// its history stays comparable across machines.
+func BenchmarkE6ChipScale(b *testing.B) {
 	p := tech.NMOS4()
 	tb := delay.AnalyticTables(p)
 	var trans, stages int
 	var crit float64
-	var drain core.DrainStats
 	for i := 0; i < b.N; i++ {
 		nw, err := gen.Chip(p, 32)
 		if err != nil {
@@ -264,7 +246,7 @@ func benchE6Chip(b *testing.B, workers int) {
 		}
 		trans = nw.Stats().Trans
 		fixed, loopBreak := gen.ChipDirectives(32)
-		opts := core.Options{Workers: workers}
+		opts := core.Options{Workers: 1}
 		for _, name := range loopBreak {
 			if n := nw.Lookup(name); n != nil {
 				opts.LoopBreak = append(opts.LoopBreak, n)
@@ -294,23 +276,11 @@ func benchE6Chip(b *testing.B, workers int) {
 		}
 		crit = ev.T
 		stages = a.StagesEvaluated()
-		drain = a.DrainStats()
 	}
 	b.ReportMetric(float64(trans), "transistors")
 	b.ReportMetric(float64(stages), "stages")
 	b.ReportMetric(crit*1e9, "ns-crit")
 	b.ReportMetric(float64(trans)/b.Elapsed().Seconds()*float64(b.N), "trans/s")
-	// Parallel drains publish their fence counters so bench.sh can record
-	// them (BENCH_5) even when the scaling itself is degenerate.
-	if workers > 1 && drain.Batches > 0 {
-		b.ReportMetric(float64(drain.BatchItems)/float64(drain.Batches), "batch-size")
-		b.ReportMetric(float64(drain.FenceStalls), "fence-stalls")
-		b.ReportMetric(float64(drain.CommitDepth), "commit-depth")
-		if drain.SpecLive > 0 {
-			b.ReportMetric(float64(drain.SpecUsed)/float64(drain.SpecLive), "occupancy")
-		}
-		b.ReportMetric(float64(drain.Regions), "regions")
-	}
 }
 
 // BenchmarkE6ReorderAB is the interleaved locality A/B: per iteration it
@@ -503,11 +473,11 @@ func BenchmarkE6HierAB(b *testing.B) {
 
 // BenchmarkHierXL is the BENCH_9 scale point: the chip:64,40 grid (~2.4M
 // transistors, 40 tile instances) analyzed once with hierarchical
-// stamping at full drain parallelism. Flat analysis at this scale is
-// minutes of wall time, so only the hier arm runs; the recorded metrics
-// are the wall time, the live heap after the run (the RSS-sublinearity
-// evidence: stamped interiors carry copied events but no stage
-// enumerations or history), and the provenance counts.
+// stamping, the stage database prewarmed on every core. Flat analysis at
+// this scale is minutes of wall time, so only the hier arm runs; the
+// recorded metrics are the wall time, the live heap after the run (the
+// RSS-sublinearity evidence: stamped interiors carry copied events but no
+// stage enumerations or history), and the provenance counts.
 func BenchmarkHierXL(b *testing.B) {
 	const gridW, gridTiles = 64, 40
 	p := tech.NMOS4()

@@ -70,7 +70,7 @@ const readHeaderTimeout = 10 * time.Second
 func main() {
 	addr := flag.String("addr", ":8653", "listen address")
 	maxSessions := flag.Int("max-sessions", 16, "LRU session cache bound (memory knob)")
-	workers := flag.Int("workers", 0, "default drain parallelism per analysis (0 = all cores)")
+	workers := flag.Int("workers", 0, "default goroutines per session load (.sim parse) and full analysis (stage-database prewarm) (0 = all cores)")
 	reorder := flag.String("reorder", "on", "cache-conscious node reordering of compiled networks: on or off (results are bit-identical either way)")
 	hier := flag.String("hier", "off", "hierarchical macromodel analysis over instance annotations: on or off (results are bit-identical either way)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this second address (empty = disabled; bind to localhost)")

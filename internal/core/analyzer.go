@@ -61,14 +61,13 @@ type Options struct {
 	// time but never correctness. Obtain one from Analyzer.StageDB after
 	// a Run. Safe to share across concurrent analyzers.
 	DB *stage.DB
-	// Workers sets the parallelism of one analysis (0 selects GOMAXPROCS).
-	// With more than one worker the stage database is prewarmed
-	// concurrently and the event loop itself runs the speculative
-	// parallel drain (see drain.go): frontiers of upcoming events are
-	// evaluated on a worker pool and committed serially in strict queue
-	// order, so arrival times, slopes, provenance and feedback-guard
-	// verdicts are bit-identical at every worker count. Workers = 1 is
-	// the strict no-goroutine mode running the plain serial loop.
+	// Workers bounds the goroutines one analysis may start (0 selects
+	// GOMAXPROCS): with more than one the stage database is prewarmed
+	// concurrently before the drain, and the clocked analyses run their
+	// phases side by side (phases.go). The event loop itself is always the
+	// one serial drain, so results are bit-identical at every setting;
+	// Workers = 1 is the strict no-goroutine mode, which builds the
+	// database lazily as the drain asks for stages.
 	Workers int
 	// MaxEventsPerNode guards against combinational feedback: after this
 	// many propagation rounds from one node's arrival the analyzer stops
@@ -173,17 +172,7 @@ type Analyzer struct {
 	queue        sched.Queue
 	queued       [][2]bool // per (node, transition): live entry in the queue
 	stageEv      int       // stages evaluated (cost metric)
-
-	// Parallel-drain scratch (see drain.go): frontier slots, the frontier
-	// buffer, the per-region fence (each region's span tracks half the
-	// smallest stage delay committed into it, in minDelayR), and the
-	// cumulative drain counters.
-	spec      []specItem
-	fbuf      []sched.Item
-	fence     sched.RegionFence
-	minDelayR []float64
-	spans     []float64
-	stats     DrainStats
+	stats        DrainStats
 
 	// db memoizes stage enumeration: sensitization is static during Run,
 	// so a trigger's stages never change. Either a private database or
@@ -492,7 +481,7 @@ func (a *Analyzer) Run() error {
 		a.drainAndStamp()
 	} else {
 		a.seedAll()
-		a.drainRouted(nil)
+		a.drainReplay(nil)
 	}
 	a.queue = sched.Queue{} // release tens of thousands of entries; an edit's re-drain needs hundreds
 	return nil
@@ -606,18 +595,19 @@ func (r *replayItem) key() sched.Item {
 	return sched.Item{T: r.t, Node: int32(r.node), Tr: uint8(r.tr)}
 }
 
-// drainReplay runs the event loop, interleaving the given replay items
-// (sorted by time) with the queue in time order. Replays re-propagate the
-// recorded events of clean boundary nodes; they bypass the improvement
-// counters because the counts already include those rounds from the run
-// that recorded them.
+// drainReplay is the event loop — the only one: every from-scratch,
+// hierarchical and incremental analysis drains here. It interleaves the
+// given replay items (sorted by time; nil outside Reanalyze) with the queue
+// in time order. Replays re-propagate the recorded events of clean boundary
+// nodes; they bypass the improvement counters because the counts already
+// include those rounds from the run that recorded them.
 func (a *Analyzer) drainReplay(replays []replayItem) {
 	ri := 0
 	for a.queue.Len() > 0 || ri < len(replays) {
 		if a.replayDue(replays, ri) {
 			r := replays[ri]
 			ri++
-			a.fanout(r.node, r.tr, Event{T: r.t, Slope: r.slope, Valid: true}, nil)
+			a.fanout(r.node, r.tr, Event{T: r.t, Slope: r.slope, Valid: true})
 			continue
 		}
 		// Pop the earliest pending event: processing in time order makes
@@ -640,7 +630,7 @@ func (a *Analyzer) drainReplay(replays []replayItem) {
 			continue
 		}
 		a.hist[row][tr].propagated = true
-		a.fanout(node, tr, a.events[row][tr], nil)
+		a.fanout(node, tr, a.events[row][tr])
 	}
 }
 
@@ -762,15 +752,7 @@ var transitions = [2]tech.Transition{tech.Rise, tech.Fall}
 // event is usually the node's current arrival, but incremental replay
 // passes historical ones: superseded events whose steeper slopes a full run
 // propagated before they were overwritten.
-//
-// With s == nil each candidate arrival goes straight to improve — the
-// serial drain, and the commit side of the parallel one when it has to
-// re-propagate. With a frontier slot the candidates are only recorded in
-// s.cands for the commit to apply: that form runs on pool workers and reads
-// nothing the drain writes (the compiled network, the stage database, the
-// static sensitization snapshot and the delay tables are frozen; database
-// slots and stage constants publish atomically).
-func (a *Analyzer) fanout(node int, tr tech.Transition, ev Event, s *specItem) {
+func (a *Analyzer) fanout(node int, tr tech.Transition, ev Event) {
 	row := a.row(node)
 	if !a.triggers[row] || !ev.Valid {
 		// Nothing to evaluate — or a loop break, the user directive to
@@ -795,10 +777,10 @@ func (a *Analyzer) fanout(node int, tr tech.Transition, ev Event, s *specItem) {
 			continue // stamped member device
 		}
 		if (tr == tech.Rise) == on1 {
-			a.applySlab(a.db.Through(int(ti)), -1, node, tr, ev, s)
+			a.applySlab(a.db.Through(int(ti)), -1, node, tr, ev)
 		} else {
 			for _, m := range a.db.Group(int(ti)) {
-				a.applySlab(a.db.Release(int(m)), int(ti), node, tr, ev, s)
+				a.applySlab(a.db.Release(int(m)), int(ti), node, tr, ev)
 			}
 		}
 	}
@@ -810,26 +792,22 @@ func (a *Analyzer) fanout(node int, tr tech.Transition, ev Event, s *specItem) {
 	// the driven group, and re-propagating would bounce arrivals back
 	// and forth across channel-connected pairs forever.
 	if cn.IsInput[row] && cn.HasTerms[row] {
-		a.applySlab(a.db.From(node, tr), -1, node, tr, ev, s)
+		a.applySlab(a.db.From(node, tr), -1, node, tr, ev)
 	}
 }
 
 // applySlab applies every stage of one enumeration result, skipping those
 // whose path runs through transistor `without` (-1: none).
-func (a *Analyzer) applySlab(sl *stage.Slab, without, fromNode int, fromTr tech.Transition, ev Event, s *specItem) {
+func (a *Analyzer) applySlab(sl *stage.Slab, without, fromNode int, fromTr tech.Transition, ev Event) {
 	if sl.Truncated {
-		if s != nil {
-			s.trunc = true
-		} else {
-			a.Truncated = true
-		}
+		a.Truncated = true
 	}
 	for i := range sl.Stages {
 		st := &sl.Stages[i]
 		if without >= 0 && st.UsesTrans(without) {
 			continue
 		}
-		a.applyStage(st, fromNode, fromTr, ev, s)
+		a.applyStage(st, fromNode, fromTr, ev)
 	}
 }
 
@@ -859,9 +837,8 @@ func (a *Analyzer) stageStamp() string {
 }
 
 // applyStage evaluates one stage against the triggering event and offers
-// the resulting arrival to the stage target: improved at once, or recorded
-// on the frontier slot s (see fanout).
-func (a *Analyzer) applyStage(st *stage.Stage, fromNode int, fromTr tech.Transition, ev Event, s *specItem) {
+// the resulting arrival to the stage target.
+func (a *Analyzer) applyStage(st *stage.Stage, fromNode int, fromTr tech.Transition, ev Event) {
 	target := int(st.Target)
 	if a.hierSkipNode != nil && target < len(a.hierSkipNode) && a.hierSkipNode[target] {
 		return // stamped member interior: boundary fan-in is replayed by the representative
@@ -881,17 +858,9 @@ func (a *Analyzer) applyStage(st *stage.Stage, fromNode int, fromTr tech.Transit
 			return
 		}
 	}
-	if s != nil {
-		s.evals++
-	} else {
-		a.stageEv++
-	}
+	a.stageEv++
 	r := a.Model.Evaluate(a.Net, st, ev.Slope)
 	if math.IsNaN(r.Delay) || r.Delay < 0 {
-		return
-	}
-	if s != nil {
-		s.cands = append(s.cands, specCand{st: st, t: ev.T + r.Delay, slope: r.Slope})
 		return
 	}
 	a.improve(target, st.Transition(), Event{

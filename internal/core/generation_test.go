@@ -262,8 +262,8 @@ func TestCarriedStaticMatchesFreshSettle(t *testing.T) {
 // trailing rows, the per-row arrays stay where they are unless a node was
 // added, replay history stays on trigger rows, and every arrival equals a
 // fresh analyzer's — which walks its own RCM layout, so the identity holds
-// across two different layouts. A second analyzer drains the same stream on
-// two workers, which computes each generation's fence regions on demand.
+// across two different layouts. A second analyzer, configured with two
+// workers, takes the same stream and must stay identical to the first.
 func TestReanalyzeKeepsLayout(t *testing.T) {
 	p := tech.NMOS4()
 	m := delay.NewSlope(delay.AnalyticTables(p))
@@ -287,7 +287,6 @@ func TestReanalyzeKeepsLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var undo []incremental.Edit
 	var incrementals, layoutsDiffer int
-	var lastRegions []int32
 	for g := 0; g < 40; g++ {
 		var batch []incremental.Edit
 		label := fmt.Sprintf("generation %d", g)
@@ -349,14 +348,6 @@ func TestReanalyzeKeepsLayout(t *testing.T) {
 			t.Fatalf("%s: stats diverge: serial %+v, two workers %+v", label, st, ps)
 		}
 		requireIdentical(t, label+", two workers", a, par, false)
-		region, n := par.cnet.Regions()
-		if len(region) != len(par.Net.Nodes) || n <= 0 {
-			t.Fatalf("%s: %d regions over %d of %d nodes", label, n, len(region), len(par.Net.Nodes))
-		}
-		if lastRegions != nil && &region[0] == &lastRegions[0] {
-			t.Fatalf("%s: the fence partition is the previous generation's", label)
-		}
-		lastRegions = region
 	}
 	if incrementals < 10 {
 		t.Errorf("%d of 40 batches took the incremental path, want at least 10", incrementals)

@@ -238,7 +238,7 @@ func (a *Analyzer) dropHier() {
 func (a *Analyzer) drainAndStamp() {
 	for {
 		a.seedAll()
-		a.drainRouted(nil)
+		a.drainReplay(nil)
 		if !a.hierGuardUnstamp() {
 			break
 		}

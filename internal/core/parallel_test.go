@@ -12,7 +12,7 @@ import (
 	"repro/internal/tech"
 )
 
-// parallelFamilies are the circuit families the drain-identity tests sweep:
+// parallelFamilies are the circuit families the worker-count identity tests sweep:
 // gate-load dominated (ALU), deep carry relaxation (RippleAdder), pass-
 // transistor channels (PassChain), precharged dynamic logic (PrechargedBus),
 // the chip-scale mix with loop-break directives, and the same chip without
@@ -107,11 +107,14 @@ func requireIdentical(t *testing.T, label string, want, got *Analyzer, sameDB bo
 	}
 }
 
-// TestParallelDrainIdentity pins the tentpole guarantee: the speculative
-// parallel drain produces bit-identical results to the strict serial loop
-// at every worker count, across every circuit family. The shared-database
-// variant also requires identical Via provenance pointers — the parallel
-// commit must apply the exact stage objects the serial run applies.
+// TestParallelDrainIdentity pins that Options.Workers never changes a result:
+// a stage database prewarmed concurrently (Workers > 1) and one built lazily
+// by the drain (Workers = 1) give bit-identical arrivals, provenance,
+// Unbounded order, Truncated and StagesEvaluated, across every circuit
+// family. The shared-database variant also requires identical Via provenance
+// pointers — a second analyzer over a shared database must apply the exact
+// stage objects the first one installed. (The name dates from a parallel
+// drain that is gone; it is kept because the suite is tracked by name.)
 func TestParallelDrainIdentity(t *testing.T) {
 	p := tech.NMOS4()
 	m := delay.NewSlope(delay.AnalyticTables(p))
@@ -141,9 +144,10 @@ func TestParallelDrainIdentity(t *testing.T) {
 	}
 }
 
-// TestParallelDrainIdentityAllModels sweeps the three delay models at one
-// worker count — the speculation path evaluates the model concurrently, so
-// each model's memoization must be race-free and value-identical.
+// TestParallelDrainIdentityAllModels sweeps the three delay models over a
+// concurrently prewarmed database: stage constants publish atomically during
+// the prewarm, and each model must read the same values from them as from a
+// lazily built one.
 func TestParallelDrainIdentityAllModels(t *testing.T) {
 	p := tech.NMOS4()
 	tb := delay.AnalyticTables(p)
@@ -174,9 +178,9 @@ func TestParallelDrainIdentityAllModels(t *testing.T) {
 }
 
 // TestParallelDrainIdentityChipScale runs the full E6 experiment circuit
-// (Chip at width 32, the benchmark workload) through the parallel drain —
-// the scale where frontier batches actually fill up and preemption and
-// staleness churn occur in volume.
+// (Chip at width 32, the benchmark workload) over a database another
+// analyzer built — the scale where staleness churn and guard cut-offs occur
+// in volume.
 func TestParallelDrainIdentityChipScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chip-scale identity sweep skipped in -short")
@@ -199,11 +203,10 @@ func TestParallelDrainIdentityChipScale(t *testing.T) {
 	requireIdentical(t, "workers=8 shared", base, a, true)
 }
 
-// TestParallelReanalyzeIdentity drains incremental re-analysis through the
-// parallel scheduler: boundary replay items are merged into the frontier,
-// so their candidate generation must follow the same global order as the
-// serial merge. Each edit epoch is checked against a serial analyzer
-// applying the same batch.
+// TestParallelReanalyzeIdentity runs incremental re-analysis on an analyzer
+// configured with several workers (prewarmed database, and a prewarm again
+// whenever Reanalyze falls back to a full run): each edit epoch is checked
+// against a one-worker analyzer applying the same batch.
 func TestParallelReanalyzeIdentity(t *testing.T) {
 	p := tech.NMOS4()
 	m := delay.NewSlope(delay.AnalyticTables(p))

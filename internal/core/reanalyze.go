@@ -233,7 +233,7 @@ func (a *Analyzer) runFull() {
 		a.db.Prewarm(w)
 	}
 	a.seedAll()
-	a.drainRouted(nil)
+	a.drainReplay(nil)
 	a.queue = sched.Queue{} // as Run does
 }
 
@@ -318,7 +318,7 @@ func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
 		}
 	}
 	a.incDirty = plan // nothing offered to a clean node can land (see above): skip those stages
-	a.drainRouted(replays)
+	a.drainReplay(replays)
 	a.incDirty = nil
 	return len(carried)
 }

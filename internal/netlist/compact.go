@@ -1,7 +1,5 @@
 package netlist
 
-import "sync"
-
 // Compact is the compiled structure-of-arrays form of a network: the
 // fields the analyzer's event loop reads per event, flattened into dense
 // index-keyed arrays. The pointer graph (Node/Trans structs) is the
@@ -10,7 +8,6 @@ import "sync"
 // pointers per event costs more cache misses than the arithmetic it feeds.
 // A Compact is a snapshot: compile it after the network is fully built,
 // and recompile after edits (generations never mutate a compiled network).
-// It holds a sync.Once and must not be copied.
 type Compact struct {
 	// GateStart/GateRef are the CSR adjacency of gate connections:
 	// GateRef[GateStart[r]:GateStart[r+1]] lists the gated devices of the
@@ -63,11 +60,6 @@ type Compact struct {
 	InvPerm []int32
 	// Reordered reports whether Perm is a non-identity RCM layout.
 	Reordered bool
-
-	// The fence partition, computed on first use (see Regions).
-	regionOnce sync.Once
-	region     []int32
-	numRegions int
 }
 
 // CompileOptions configures compilation.
@@ -194,65 +186,3 @@ func (c *Compact) Terms(n int) []int32 {
 
 // Row returns the compiled row of node index n.
 func (c *Compact) Row(n int) int { return int(c.Perm[n]) }
-
-// Regions returns the fence partition of the speculative drain: region maps
-// a NODE INDEX (not a row) to the weakly-connected component of the gate
-// graph with rails and input-driven gate edges removed, n counts the
-// components (rails are singletons, ids are dense in order of each
-// component's smallest node index). Every consequence of an event at an
-// internal node lands in the node's own component — a stage's target is
-// channel-connected to the triggering device, and the trigger's gate node is
-// joined to that group — so activity in one region cannot invalidate
-// speculation in another. Input-gated edges are cut because chip inputs
-// (clocks above all) fan out across the whole die and would collapse the
-// partition into one region. Only a drain with more than one worker asks;
-// the partition is computed on the first call and is safe for concurrent
-// use.
-func (c *Compact) Regions() (region []int32, n int) {
-	c.regionOnce.Do(c.assignRegions)
-	return c.region, c.numRegions
-}
-
-func (c *Compact) assignRegions() {
-	parent := make([]int32, len(c.Perm))
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	join := func(a, b int32) {
-		if a == b || c.IsRail[c.Perm[a]] || c.IsRail[c.Perm[b]] {
-			return
-		}
-		if ra, rb := find(a), find(b); ra != rb {
-			parent[rb] = ra
-		}
-	}
-	for t, g := range c.TransGate {
-		a, b := c.TransA[t], c.TransB[t]
-		join(a, b)
-		if !c.IsInput[c.Perm[g]] {
-			join(g, a)
-			join(g, b)
-		}
-	}
-	// Ids in order of each component's smallest node index: the root's entry
-	// holds the component's id from the moment its first member is seen.
-	c.region = make([]int32, len(parent))
-	for i := range c.region {
-		c.region[i] = -1
-	}
-	for i := range c.region {
-		r := find(int32(i))
-		if c.region[r] < 0 {
-			c.region[r] = int32(c.numRegions)
-			c.numRegions++
-		}
-		c.region[i] = c.region[r]
-	}
-}

@@ -2,7 +2,7 @@
 //
 // The serial ReadSim is a single-threaded line scanner, and on a
 // multi-megabyte extracted netlist it is the cold-start bottleneck — the
-// engine's parallel drain cannot begin until the last line has parsed.
+// analysis cannot begin until the last line has parsed.
 // Ingest, however, is embarrassingly parallel *except* for the
 // order-dependent parts, so the pipeline splits in two:
 //

@@ -12,7 +12,7 @@
 //
 // The walk runs once per layout: a compile handed an earlier generation's
 // Compact (CompileOptions.Prev) extends that layout instead of walking
-// again. The drain's fence partition lives in compact.go (Regions).
+// again.
 package netlist
 
 // buildOrder computes the row layout of nw: the RCM permutation, or the

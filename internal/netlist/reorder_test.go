@@ -146,54 +146,3 @@ func TestReorderBijection(t *testing.T) {
 		})
 	}
 }
-
-// TestReorderRegions pins the fence-partition properties: region labels
-// are identical with reordering on and off (the partition is keyed by
-// node index, not row), ids are dense in [0, NumRegions), rails are
-// singletons, and the two channel terminals of any internal device share
-// a region — the invariant the drain's span fences rest on.
-func TestReorderRegions(t *testing.T) {
-	for _, nw := range reorderTestNetworks(t) {
-		t.Run(nw.Name, func(t *testing.T) {
-			off := CompileWith(nw, CompileOptions{})
-			on := CompileWith(nw, CompileOptions{Reorder: true})
-			offRegion, offRegions := off.Regions()
-			onRegion, onRegions := on.Regions()
-			if offRegions != onRegions {
-				t.Fatalf("NumRegions %d reordered vs %d identity", onRegions, offRegions)
-			}
-			count := make([]int, onRegions)
-			for i := range nw.Nodes {
-				if onRegion[i] != offRegion[i] {
-					t.Fatalf("node %d: region %d reordered vs %d identity", i, onRegion[i], offRegion[i])
-				}
-				r := int(onRegion[i])
-				if r < 0 || r >= onRegions {
-					t.Fatalf("node %d: region %d out of [0,%d)", i, r, onRegions)
-				}
-				count[r]++
-			}
-			for r, c := range count {
-				if c == 0 {
-					t.Errorf("region %d empty; ids must be dense", r)
-				}
-			}
-			for _, nd := range nw.Nodes {
-				if nd.IsRail() && count[onRegion[nd.Index]] != 1 {
-					t.Errorf("rail %s shares region %d with %d other nodes",
-						nd.Name, onRegion[nd.Index], count[onRegion[nd.Index]]-1)
-				}
-			}
-			for _, tx := range nw.Trans {
-				a, b := tx.A, tx.B
-				if a.IsRail() || b.IsRail() || a == b {
-					continue
-				}
-				if onRegion[a.Index] != onRegion[b.Index] {
-					t.Errorf("channel edge %s-%s crosses regions %d/%d",
-						a.Name, b.Name, onRegion[a.Index], onRegion[b.Index])
-				}
-			}
-		})
-	}
-}

@@ -1,15 +1,13 @@
-// Package sched provides the deterministic event-scheduling machinery the
-// timing analyzer's drain loop runs on: a priority queue with a strict
-// total order on (time, node, transition), a frontier batcher that carves
-// off runs of events safe to evaluate together, and a worker pool whose
-// goroutines carry pprof labels.
+// Package sched provides the event queue the timing analyzer's drain loop
+// runs on: a priority queue with a strict total order on (time, node,
+// transition).
 //
 // Determinism is the package's contract. The queue's order is total — two
 // distinct items never compare equal — so the pop sequence is a pure
 // function of the push multiset, independent of push interleaving or of
-// the queue's internal arrangement. The analyzer relies on this to keep
-// parallel drains bit-identical to serial ones: whatever the batching, the
-// commit order is the queue order.
+// the queue's internal arrangement. The analyzer relies on this to keep an
+// incremental re-analysis bit-identical to a from-scratch one, feedback-guard
+// cut-offs included.
 package sched
 
 import (
@@ -43,13 +41,12 @@ func Less(a, b Item) bool {
 }
 
 // Queue is a priority queue of Items under Less. The zero value is an
-// empty queue ready for use. Not safe for concurrent use — the analyzer
-// owns it from the serial commit side of the drain.
+// empty queue ready for use. Not safe for concurrent use.
 //
 // An item is stored as a packed key, two integers whose lexicographic
 // order is Less. The queue is a monotone radix queue over that key: a
-// drain never pushes below what it last popped (a consequence lands at or
-// after its cause), so a key is filed by where it first differs from floor,
+// drain almost never pushes below what it last popped (a consequence lands
+// at or after its cause), so a key is filed by where it first differs from floor,
 // the last key popped. The highest differing 4-bit digit's position is its
 // level (levels below ntDigits split ties on time by the node/transition
 // word, the 16 above them split by time) and its own digit there, always
@@ -63,10 +60,11 @@ func Less(a, b Item) bool {
 //
 // Entries live in one slab (keys and next; slot 0 is unused so that 0 ends
 // a list) with a free list through next: 20 bytes for each of the most
-// entries ever live at once. A key pushed BELOW the floor (the speculative
-// drain hands preempted frontier items back; nothing stops an arbitrary
-// caller) goes to below, a 4-ary heap served first — all of it precedes the
-// floor, hence every bucketed key.
+// entries ever live at once. A key pushed BELOW the floor (a stage whose
+// delay rounds to zero lands at the popped time, and on a lower-indexed node
+// that precedes the floor; nothing stops an arbitrary caller either) goes to
+// below, a 4-ary heap served first — all of it precedes the floor, hence
+// every bucketed key.
 type Queue struct {
 	keys   []key
 	next   []int32

@@ -77,28 +77,6 @@ func (p *pair) drain() {
 	}
 }
 
-// frontier pops one batch through PopFrontier or PopFrontierFenced, checks
-// it against the reference, and hands the tail of the batch back the way a
-// preempting commit does (last first).
-func (p *pair) frontier(max int, span float64, f *RegionFence, keep int) {
-	p.t.Helper()
-	var batch []Item
-	if f != nil {
-		batch, _ = p.q.PopFrontierFenced(nil, max, f)
-	} else {
-		batch = p.q.PopFrontier(nil, max, span)
-	}
-	for i, got := range batch {
-		if want := p.ref.pop(); got != want {
-			p.t.Fatalf("frontier item %d after %d pops = %+v, want %+v", i, p.pops, got, want)
-		}
-		p.pops++
-	}
-	for j := len(batch) - 1; j >= keep && j >= 0; j-- {
-		p.push(batch[j])
-	}
-}
-
 func TestQueueMatchesReference(t *testing.T) {
 	t.Run("drain-shaped", func(t *testing.T) {
 		// The zero value, 30k entries live, every push at or after the last pop.
@@ -192,8 +170,6 @@ func TestQueueMatchesReference(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			p.push(Item{T: 10 + float64(rng.Intn(200)), Node: int32(rng.Intn(50)), Tr: uint8(rng.Intn(2))})
 		}
-		fence := &RegionFence{Region: make([]int32, 50), Span: []float64{3}}
-		fence.Reset(1)
 		for round := 0; len(p.ref) > 0; round++ {
 			last := p.pop()
 			if len(p.ref) == 0 {
@@ -206,13 +182,6 @@ func TestQueueMatchesReference(t *testing.T) {
 			if round%3 == 0 {
 				p.push(Item{T: last.T - float64(rng.Intn(3)), Node: max(0, last.Node-int32(rng.Intn(2)))})
 				p.push(Item{T: -float64(round), Node: int32(rng.Intn(50)), Tr: 1})
-			}
-			// A frontier whose tail comes back.
-			switch round % 4 {
-			case 1:
-				p.frontier(8, 0, nil, 1+rng.Intn(3))
-			case 3:
-				p.frontier(12, 0, fence, 1+rng.Intn(3))
 			}
 			if round > 300 { // stop feeding it
 				p.drain()

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 	"testing"
 )
 
@@ -116,52 +115,6 @@ func TestQueueStaleSkipProtocol(t *testing.T) {
 	}
 	if len(seen) != len(latest) {
 		t.Fatalf("processed %d keys, want %d", len(seen), len(latest))
-	}
-}
-
-func TestPopFrontier(t *testing.T) {
-	var q Queue
-	for i := 9; i >= 0; i-- {
-		q.Push(Item{T: float64(i), Node: int32(i)})
-	}
-	var buf []Item
-	// Count-limited.
-	buf = q.PopFrontier(buf, 4, 0)
-	if len(buf) != 4 || buf[0].T != 0 || buf[3].T != 3 {
-		t.Fatalf("count-limited frontier = %v", buf)
-	}
-	// Span-limited: next first is 4; fence 4+1.5 admits 5 but not 6.
-	buf = q.PopFrontier(buf, 100, 1.5)
-	if len(buf) != 2 || buf[0].T != 4 || buf[1].T != 5 {
-		t.Fatalf("span-limited frontier = %v", buf)
-	}
-	buf = q.PopFrontier(buf, 100, 0)
-	if len(buf) != 4 {
-		t.Fatalf("rest = %v", buf)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("queue not drained: %d left", q.Len())
-	}
-}
-
-func TestPoolRunsAllWorkers(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var hits [4]atomic.Int32
-	var total atomic.Int64
-	for round := 0; round < 50; round++ {
-		p.Do("test", func(w int) {
-			hits[w].Add(1)
-			total.Add(1)
-		})
-	}
-	if total.Load() != 200 {
-		t.Fatalf("total = %d, want 200", total.Load())
-	}
-	for w := range hits {
-		if hits[w].Load() != 50 {
-			t.Fatalf("worker %d ran %d rounds, want 50", w, hits[w].Load())
-		}
 	}
 }
 

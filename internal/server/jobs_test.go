@@ -450,13 +450,17 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < 150; i++ {
-				m := c.metrics()
+				_, raw := c.doRaw("GET", "/metrics", nil)
+				var m MetricsSnapshot
+				if err := json.Unmarshal(raw, &m); err != nil {
+					t.Errorf("decoding /metrics: %v", err)
+					return
+				}
 				if m.Jobs.Queued < 0 || m.Jobs.Running < 0 || m.Jobs.Running > 2 {
 					t.Errorf("torn job gauges: %+v", m.Jobs)
 					return
 				}
-				if m.Drain.SpecUsed > m.Drain.SpecLive {
-					t.Errorf("spec_used %d > spec_live %d", m.Drain.SpecUsed, m.Drain.SpecLive)
+				if !checkDrainBlock(t, raw) {
 					return
 				}
 				_ = sv.MetricsSnapshot()

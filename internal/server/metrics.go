@@ -85,7 +85,7 @@ type metrics struct {
 	snapshotMisses atomic.Int64 // sessions parsed because no fresh snapshot existed
 	snapshotWrites atomic.Int64 // snapshots persisted after a parse
 
-	analyzesFull   atomic.Int64 // full drains (initial runs and worker-count rebuilds)
+	analyzesFull   atomic.Int64 // full drains (initial and forced runs)
 	analyzesCached atomic.Int64 // served straight from the session snapshot
 
 	hierAnalyzes  atomic.Int64 // full drains run with hierarchical analysis on
@@ -184,12 +184,8 @@ type MetricsSnapshot struct {
 	// NetArena is the shared-view gauge set: current mapping/reference
 	// state plus the lifetime copy-on-edit detach count. All zero when
 	// the arena is disabled.
-	NetArena ArenaStats `json:"netarena"`
-	Drain    struct {
-		core.DrainStats
-		BatchSize float64 `json:"batch_size"` // mean frontier batch size
-		Occupancy float64 `json:"occupancy"`  // SpecUsed / SpecLive
-	} `json:"drain"`
+	NetArena  ArenaStats      `json:"netarena"`
+	Drain     core.DrainStats `json:"drain"`
 	LatencyNs struct {
 		Analyze     LatencyStats `json:"analyze"`
 		EditBarrier LatencyStats `json:"edit_barrier"`
@@ -245,14 +241,8 @@ func (m *metrics) snapshot(live int, arena ArenaStats, jobs jobGauges) MetricsSn
 	s.Sim.Oscillations = m.simOscillations.Load()
 	s.Sim.Compiles = m.simCompiles.Load()
 	m.drainMu.Lock()
-	s.Drain.DrainStats = m.drain
+	s.Drain = m.drain
 	m.drainMu.Unlock()
-	if s.Drain.Batches > 0 {
-		s.Drain.BatchSize = float64(s.Drain.BatchItems) / float64(s.Drain.Batches)
-	}
-	if s.Drain.SpecLive > 0 {
-		s.Drain.Occupancy = float64(s.Drain.SpecUsed) / float64(s.Drain.SpecLive)
-	}
 	s.LatencyNs.Analyze = m.analyzeLatency.stats()
 	s.LatencyNs.EditBarrier = m.editLatency.stats()
 	s.LatencyNs.Simulate = m.simulateLatency.stats()

@@ -45,9 +45,10 @@ type Options struct {
 	// the dominant memory unit — network + stage DB + arrivals — so this
 	// is the daemon's memory knob; see docs/SERVER.md for sizing.
 	MaxSessions int
-	// DefaultWorkers is the drain parallelism when a request does not set
-	// one (0 selects GOMAXPROCS); session loads use the same setting for
-	// the parallel .sim tokenizer.
+	// DefaultWorkers is core.Options.Workers for a request that does not
+	// set one (0 selects GOMAXPROCS): how many goroutines prewarm the stage
+	// database before a full analysis. Session loads use the same setting
+	// for the parallel .sim tokenizer.
 	DefaultWorkers int
 	// NoReorder disables the compiled network's RCM locality layout in
 	// every session analyzer (core.Options.NoReorder). Results are
@@ -414,8 +415,9 @@ func (sv *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 // analyzeRequest is the POST .../analyze body (all fields optional).
 type analyzeRequest struct {
-	// Workers sets the drain parallelism (0 = server default; results are
-	// bit-identical at every setting).
+	// Workers sets the stage-database prewarm fan-out of a full analysis
+	// (0 = server default; results are bit-identical at every setting, and
+	// a current snapshot is served whatever it says).
 	Workers int `json:"workers,omitempty"`
 	// Force reruns the full drain even when the snapshot is current.
 	Force bool `json:"force,omitempty"`
@@ -464,11 +466,10 @@ func (sv *Server) analyzeSession(s *session, req analyzeRequest) (int, any) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Snapshot still current for this worker count: serve it. Worker
-	// count changes rebuild — results are bit-identical either way, the
-	// rebuild is purely so the requested parallelism really is in effect
-	// for subsequent edit drains.
-	if snap := s.snap.Load(); snap != nil && !req.Force && s.workers == workers {
+	// Snapshot still current: serve it. The worker count changes no result;
+	// it is only carried over to later full re-runs of this analyzer.
+	if snap := s.snap.Load(); snap != nil && !req.Force {
+		s.a.Opts.Workers = workers
 		sv.m.analyzesCached.Add(1)
 		return http.StatusOK, analyzeResponse{Snapshot: snap, Cached: true, Workers: workers}
 	}
@@ -481,7 +482,7 @@ func (sv *Server) analyzeSession(s *session, req analyzeRequest) (int, any) {
 		return http.StatusUnprocessableEntity, httpError{Error: err.Error()}
 	}
 	dur := time.Since(start)
-	s.a, s.workers = a, workers
+	s.a = a
 	snap := s.buildSnapshot()
 	if a.Opts.Hier {
 		hs := a.HierStats()
@@ -502,8 +503,9 @@ func (sv *Server) analyzeSession(s *session, req analyzeRequest) (int, any) {
 // grammar as `crystal -edits` (see internal/incremental).
 type editsRequest struct {
 	Script string `json:"script"`
-	// Workers optionally retunes the drain parallelism for the replay
-	// (0 keeps the session's current setting).
+	// Workers optionally resets the analyzer's worker count — the prewarm
+	// fan-out of a barrier that falls back to a full run (0 keeps the
+	// session's current setting).
 	Workers int `json:"workers,omitempty"`
 	// Async runs the script on the job plane: 202 + job id immediately,
 	// poll GET /v1/jobs/{id} for the barrier results. Long edit scripts
@@ -567,7 +569,6 @@ func (sv *Server) editsSession(s *session, req editsRequest) (int, any) {
 	}
 	if req.Workers != 0 {
 		s.a.Opts.Workers = req.Workers
-		s.workers = req.Workers
 	}
 	var resp editsResponse
 	err := incremental.ReplayScript(strings.NewReader(req.Script), "script",

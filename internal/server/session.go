@@ -189,7 +189,6 @@ type session struct {
 	mu        sync.Mutex // single writer: analyze / edits serialization
 	nw        *netlist.Network
 	a         *core.Analyzer // nil until the first analyze
-	workers   int            // worker count of the current analyzer
 	noReorder bool           // server-wide Options.NoReorder, applied per analyzer
 	hier      bool           // server-wide Options.Hier, applied per analyzer
 	edited    bool           // diverged from the loaded source (edits applied)

@@ -3,11 +3,11 @@
 # analysis) three times each and writes BENCH_1.json: the fresh runs plus
 # the pinned pre-optimization baseline, so the speedup is always visible
 # in one file. Then runs the incremental re-analysis benchmark and writes
-# BENCH_2.json with the incremental-vs-full speedup, the worker-scaling
-# sweep into BENCH_3.json, the ingest (parse/snapshot) throughput record
-# into BENCH_4.json, and the locality/fence record (interleaved reorder
-# A/B, re-recorded drain scaling medians, fence counters) into
-# BENCH_5.json, the batch-sim throughput record into BENCH_6.json, the
+# BENCH_2.json with the incremental-vs-full speedup, the ingest
+# (parse/snapshot) throughput record into BENCH_4.json, the locality
+# record (interleaved reorder A/B) into BENCH_5.json (BENCH_3.json is a
+# committed record this script no longer writes), the batch-sim
+# throughput record into BENCH_6.json, the
 # chip-scale mmap ingest + shared-view RSS record into BENCH_7.json, and
 # the crystald service saturation curves (cmd/loadgen concurrency ramp
 # with response validation) into BENCH_8.json, and the hierarchical-
@@ -296,7 +296,7 @@ fi # BENCH_ONLY = all
 
 if [ "${BENCH_ONLY:-all}" != hier ]; then
 
-# Scaling sweeps (BENCH_3, BENCH_4, BENCH_5) are meaningless on one CPU:
+# Scaling sweeps (BENCH_4, BENCH_5) are meaningless on one CPU:
 # every workers>1 row then measures pure coordination overhead, and a
 # reader comparing rows would conclude parallelism is a regression. Run
 # the sweeps under GOMAXPROCS=nproc explicitly, and when that is still 1,
@@ -313,59 +313,8 @@ if [ "$sweep_procs" = 1 ]; then
         exit 1
     fi
     echo "bench.sh: WARNING: GOMAXPROCS=1 — scaling sweeps are degenerate;" >&2
-    echo "bench.sh: WARNING: annotating BENCH_3/BENCH_4/BENCH_5 with degenerate_single_cpu=true." >&2
+    echo "bench.sh: WARNING: annotating BENCH_4/BENCH_5 with degenerate_single_cpu=true." >&2
 fi
-
-# BENCH_3.json: single-run scaling of the parallel intra-run drain.
-# BenchmarkE6ChipScaleWorkers analyzes the same chip at 1, 2, 4 and
-# GOMAXPROCS workers (deduplicated); results are bit-identical at every
-# count, so the sweep isolates wall-clock scaling of the speculate/commit
-# drain. On a single-core runner the >1 rows measure pure speculation
-# overhead — see docs/PERFORMANCE.md, "Single-run scaling".
-OUT3=BENCH_3.json
-GOMAXPROCS=$sweep_procs go test -run '^$' -bench 'BenchmarkE6ChipScaleWorkers' \
-    -benchtime 1x -count 3 . | tee "$RAW"
-
-awk '
-/^BenchmarkE6ChipScaleWorkers\// {
-    name = $1
-    sub(/^BenchmarkE6ChipScaleWorkers\//, "", name)
-    sub(/-[0-9]+$/, "", name)
-    sub(/^workers=/, "", name)
-    runs[name] = runs[name] $3 ","
-    if (!(name in seen)) { order[++nw] = name; seen[name] = 1 }
-}
-function median(csv,   r, n, i, j, t) {
-    sub(/,$/, "", csv)
-    n = split(csv, r, ",")
-    for (i = 1; i < n; i++)
-        for (j = i + 1; j <= n; j++)
-            if (r[j] + 0 < r[i] + 0) { t = r[i]; r[i] = r[j]; r[j] = t }
-    return r[int((n + 1) / 2)]
-}
-END {
-    base = median(runs[order[1]])
-    printf "{\n  \"benchmark\": \"BenchmarkE6ChipScaleWorkers\",\n"
-    printf "  \"superseded_by\": \"BENCH_5.json\",\n"
-    printf "  \"machine\": %s,\n", machine
-    printf "  \"degenerate_single_cpu\": %s,\n", degenerate
-    printf "  \"workers\": {\n"
-    for (i = 1; i <= nw; i++) {
-        w = order[i]
-        csv = runs[w]
-        sub(/,$/, "", csv)
-        med = median(runs[w])
-        printf "    \"%s\": {\n", w
-        printf "      \"runs_ns_op\": [%s],\n", csv
-        printf "      \"median_ns_op\": %s,\n", med
-        printf "      \"scaling_vs_1_worker\": %.2f\n", base / med
-        printf "    }%s\n", i < nw ? "," : ""
-    }
-    printf "  }\n}\n"
-}' machine="$MACHINE" degenerate="$degenerate" "$RAW" > "$OUT3"
-
-echo "wrote $OUT3"
-cat "$OUT3"
 
 # BENCH_4.json: ingest throughput. BenchmarkIngestParse measures the cold
 # half of the pipeline (parse + structural check, the work LoadSimFile
@@ -442,26 +391,18 @@ END {
 echo "wrote $OUT4"
 cat "$OUT4"
 
-# BENCH_5.json: the locality/fence record. Three sections, all from the
-# same run so the denominators are honest:
+# BENCH_5.json: the locality record.
 #   reorder_ab     — BenchmarkE6ReorderAB, the interleaved single-worker
 #                    A/B of the RCM row layout vs the identity layout;
-#   drain_scaling  — BenchmarkE6ChipScaleWorkers medians re-recorded
-#                    alongside (superseding BENCH_3's committed medians),
-#                    with the fence counters each parallel row publishes
-#                    (batch-size, fence-stalls, commit-depth, occupancy,
-#                    regions);
 #   ab_vs_main     — only when BENCH_MAIN_BIN names a bench binary built
 #                    at the comparison commit: strict alternation of that
 #                    binary and this tree on the same runner, the honest
 #                    form of a cross-commit speedup claim.
 OUT5=BENCH_5.json
 # The A/B benchmark interleaves its on/off pairs internally (3 pairs per
-# line at -benchtime 3x); the workers sweep re-runs the BENCH_3 medians.
+# line at -benchtime 3x).
 GOMAXPROCS=$sweep_procs go test -run '^$' -bench 'BenchmarkE6ReorderAB$' \
     -benchtime 3x -count 1 . | tee "$RAW"
-GOMAXPROCS=$sweep_procs go test -run '^$' -bench 'BenchmarkE6ChipScaleWorkers' \
-    -benchtime 1x -count 3 . | tee -a "$RAW"
 
 AB_MAIN=""
 if [ -n "${BENCH_MAIN_BIN:-}" ]; then
@@ -512,21 +453,6 @@ awk '
         if ($(i + 1) == "improvement-pct") abimp = abimp $i ","
     }
 }
-/^BenchmarkE6ChipScaleWorkers\// {
-    name = $1
-    sub(/^BenchmarkE6ChipScaleWorkers\//, "", name)
-    sub(/-[0-9]+$/, "", name)
-    sub(/^workers=/, "", name)
-    runs[name] = runs[name] $3 ","
-    if (!(name in seen)) { order[++nw] = name; seen[name] = 1 }
-    for (i = 5; i < NF; i += 2) {
-        if ($(i + 1) == "batch-size")   bs[name] = bs[name] $i ","
-        if ($(i + 1) == "fence-stalls") fs[name] = fs[name] $i ","
-        if ($(i + 1) == "commit-depth") cd[name] = cd[name] $i ","
-        if ($(i + 1) == "occupancy")    oc[name] = oc[name] $i ","
-        if ($(i + 1) == "regions")      rg[name] = rg[name] $i ","
-    }
-}
 function median(csv,   r, n, i, j, t) {
     sub(/,$/, "", csv)
     n = split(csv, r, ",")
@@ -536,7 +462,7 @@ function median(csv,   r, n, i, j, t) {
     return r[int((n + 1) / 2)]
 }
 END {
-    printf "{\n  \"benchmark\": \"locality_fence\",\n"
+    printf "{\n  \"benchmark\": \"locality\",\n"
     printf "  \"machine\": %s,\n", machine
     printf "  \"degenerate_single_cpu\": %s,\n", degenerate
     if (abmain != "") printf "%s\n", abmain
@@ -545,27 +471,6 @@ END {
     printf "    \"median_ns_reorder_on\": %s,\n", median(abon)
     printf "    \"median_ns_reorder_off\": %s,\n", median(aboff)
     printf "    \"improvement_pct\": %.1f\n", median(abimp)
-    printf "  },\n"
-    base = median(runs[order[1]])
-    printf "  \"drain_scaling\": {\n"
-    for (i = 1; i <= nw; i++) {
-        w = order[i]
-        csv = runs[w]
-        sub(/,$/, "", csv)
-        med = median(runs[w])
-        printf "    \"%s\": {\n", w
-        printf "      \"runs_ns_op\": [%s],\n", csv
-        printf "      \"median_ns_op\": %s,\n", med
-        printf "      \"scaling_vs_1_worker\": %.2f", base / med
-        if (bs[w] != "") {
-            printf ",\n      \"batch_size\": %s,\n", median(bs[w])
-            printf "      \"fence_stalls\": %s,\n", median(fs[w])
-            printf "      \"commit_depth\": %s,\n", median(cd[w])
-            printf "      \"occupancy\": %s,\n", median(oc[w])
-            printf "      \"regions\": %s\n", median(rg[w])
-        } else printf "\n"
-        printf "    }%s\n", i < nw ? "," : ""
-    }
     printf "  }\n}\n"
 }' machine="$MACHINE" degenerate="$degenerate" abmain="$AB_MAIN" "$RAW" > "$OUT5"
 
