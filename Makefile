@@ -25,9 +25,9 @@ race:
 bench:
 	./scripts/bench.sh
 
-# Scaling + locality records only (BENCH_4/5): the ingest throughput
-# sweep over parser workers and the interleaved reorder A/B. Refuses
-# single-CPU runners unless BENCH_ALLOW_SINGLE_CPU=1.
+# Cross-commit record only (BENCH_5): with BENCH_MAIN_BIN naming a bench
+# test binary built at the comparison commit, an interleaved same-runner
+# A/B of BenchmarkE6ChipScale; without it, nothing is written.
 bench-scaling:
 	BENCH_ONLY=scaling ./scripts/bench.sh
 

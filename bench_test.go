@@ -283,89 +283,6 @@ func BenchmarkE6ChipScale(b *testing.B) {
 	b.ReportMetric(float64(trans)/b.Elapsed().Seconds()*float64(b.N), "trans/s")
 }
 
-// BenchmarkE6ReorderAB is the interleaved locality A/B: per iteration it
-// analyzes the same chip-scale network twice on the same runner — once
-// with the RCM row reordering, once with the identity layout, order
-// alternating so neither side systematically inherits a warm cache — and
-// reports the per-side median analysis times plus the improvement. The
-// network is built once; only compile + seed + drain is timed, which is
-// exactly the region the permutation can affect. Recorded by
-// scripts/bench.sh into BENCH_5.json.
-func BenchmarkE6ReorderAB(b *testing.B) {
-	p := tech.NMOS4()
-	tb := delay.AnalyticTables(p)
-	nw, err := gen.Chip(p, 32)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fixed, loopBreak := gen.ChipDirectives(32)
-
-	analyze := func(noReorder bool) (time.Duration, float64) {
-		opts := core.Options{Workers: 1, NoReorder: noReorder}
-		for _, name := range loopBreak {
-			if n := nw.Lookup(name); n != nil {
-				opts.LoopBreak = append(opts.LoopBreak, n)
-			}
-		}
-		start := time.Now()
-		a := core.New(nw, delay.NewSlope(tb), opts)
-		for name, v := range fixed {
-			n := nw.Lookup(name)
-			if n == nil {
-				b.Fatalf("missing directive node %s", name)
-			}
-			a.SetFixed(n, switchsim.FromBool(v == "1"))
-		}
-		for _, in := range nw.Inputs() {
-			if _, isFixed := fixed[in.Name]; isFixed {
-				continue
-			}
-			a.SetInputEvent(in, tech.Rise, 0, 0)
-			a.SetInputEvent(in, tech.Fall, 0, 0)
-		}
-		if err := a.Run(); err != nil {
-			b.Fatal(err)
-		}
-		d := time.Since(start)
-		ev, _ := a.MaxArrival()
-		if !ev.Valid {
-			b.Fatal("no arrival")
-		}
-		return d, ev.T
-	}
-
-	var on, off []time.Duration
-	for i := 0; i < b.N; i++ {
-		var dOn, dOff time.Duration
-		var tOn, tOff float64
-		if i%2 == 0 {
-			dOff, tOff = analyze(true)
-			dOn, tOn = analyze(false)
-		} else {
-			dOn, tOn = analyze(false)
-			dOff, tOff = analyze(true)
-		}
-		if tOn != tOff {
-			b.Fatalf("critical arrival differs: reorder on %g vs off %g", tOn, tOff)
-		}
-		on = append(on, dOn)
-		off = append(off, dOff)
-	}
-	medianNs := func(ds []time.Duration) float64 {
-		s := append([]time.Duration(nil), ds...)
-		for i := 1; i < len(s); i++ {
-			for j := i; j > 0 && s[j] < s[j-1]; j-- {
-				s[j], s[j-1] = s[j-1], s[j]
-			}
-		}
-		return float64(s[len(s)/2].Nanoseconds())
-	}
-	mOn, mOff := medianNs(on), medianNs(off)
-	b.ReportMetric(mOn, "ns-reorder-on")
-	b.ReportMetric(mOff, "ns-reorder-off")
-	b.ReportMetric((mOff-mOn)/mOff*100, "improvement-pct")
-}
-
 // BenchmarkE6HierAB is the hierarchical-macromodel A/B (BENCH_9): per
 // iteration it analyzes the E6-XL replicated-tile chip (chip:32,10 —
 // ten tile instances sharing the opcode bus) twice on the same runner,
@@ -702,7 +619,7 @@ func ingestCorpus(b *testing.B) {
 		ingestSim = buf.Bytes()
 		// Snapshot the parsed form so node indexing matches what the
 		// parse benchmarks build (generator order differs).
-		parsed, err := netlist.ReadSimParallel("chip", p, bytes.NewReader(ingestSim), 1)
+		parsed, err := netlist.ReadSim("chip", p, bytes.NewReader(ingestSim))
 		if err != nil {
 			panic(err)
 		}
@@ -715,16 +632,17 @@ func ingestCorpus(b *testing.B) {
 	})
 }
 
-// benchIngestParse measures the cold half of the ingest pipeline as
-// LoadSimFile runs it: parse plus the structural Check (a snapshot is
-// only ever written after Check passes, so a warm load skips both).
-func benchIngestParse(b *testing.B, workers int) {
+// BenchmarkIngestParse measures .sim parse throughput of the chip-scale
+// netlist: the cold half of the ingest pipeline as LoadSimFile runs it,
+// ReadSim plus the structural Check (a snapshot is only ever written after
+// Check passes, so a warm load skips both).
+func BenchmarkIngestParse(b *testing.B) {
 	ingestCorpus(b)
 	p := tech.NMOS4()
 	b.SetBytes(int64(len(ingestSim)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nw, err := netlist.ReadSimParallel("chip", p, bytes.NewReader(ingestSim), workers)
+		nw, err := netlist.ReadSim("chip", p, bytes.NewReader(ingestSim))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -740,24 +658,10 @@ func benchIngestParse(b *testing.B, workers int) {
 	b.ReportMetric(float64(len(ingestSim))/perOp*1e9/1e6, "MB/s")
 }
 
-// BenchmarkIngestParse measures .sim parse throughput of the chip-scale
-// netlist: the strict-serial parser and the chunked parallel parser at
-// increasing worker counts (results are byte-identical at every count;
-// scripts/bench.sh records the sweep into BENCH_4.json).
-func BenchmarkIngestParse(b *testing.B) {
-	counts := []int{1, 2, 4}
-	if g := runtime.GOMAXPROCS(0); g != 1 && g != 2 && g != 4 {
-		counts = append(counts, g)
-	}
-	for _, w := range counts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { benchIngestParse(b, w) })
-	}
-}
-
 // BenchmarkIngestSnapshotLoad measures decoding the same chip from its
 // binary .simx snapshot — the warm-start path that replaces the parse.
-// Compare ns/op against BenchmarkIngestParse/workers=1 for the
-// snapshot-vs-parse speedup.
+// Compare ns/op against BenchmarkIngestParse for the snapshot-vs-parse
+// speedup.
 func BenchmarkIngestSnapshotLoad(b *testing.B) {
 	ingestCorpus(b)
 	p := tech.NMOS4()
@@ -801,7 +705,7 @@ func ingestXLCorpus(b *testing.B) {
 		if err := netlist.WriteSim(&buf, nw); err != nil {
 			panic(err)
 		}
-		parsed, err := netlist.ReadSimParallel("chip-xl", p, bytes.NewReader(buf.Bytes()), 0)
+		parsed, err := netlist.ReadSim("chip-xl", p, bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			panic(err)
 		}

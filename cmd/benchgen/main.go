@@ -101,7 +101,7 @@ func run(cfg config, w, diag io.Writer) error {
 		// it — node indexes follow textual first-appearance order, not the
 		// generator's construction order — so a warm load is byte-identical
 		// to a cold parse of the .sim file.
-		reparsed, err := netlist.ReadSimParallel(nw.Name, p, bytes.NewReader(buf.Bytes()), 0)
+		reparsed, err := netlist.ReadSim(nw.Name, p, bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			return fmt.Errorf("reparsing emitted circuit: %w", err)
 		}

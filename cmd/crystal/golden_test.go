@@ -112,50 +112,6 @@ func TestGoldenWorkersIdentity(t *testing.T) {
 	}
 }
 
-// TestGoldenReorderIdentity pins the -reorder contract at the CLI
-// surface: the report is byte-identical with the cache-conscious row
-// reordering on and off, at serial and parallel worker counts, including
-// through the incremental -edits path (which re-permutes analyzer state
-// across generations).
-func TestGoldenReorderIdentity(t *testing.T) {
-	base := config{
-		simFile:  testdataPath + "dlatch.sim",
-		techName: "nmos-4u", model: "slope", tables: "analytic",
-		rise: "d", fall: "d", fix: "wr=1",
-		inSlope: 1e-9, top: 3, deadline: 100e-9,
-	}
-	withEdits := base
-	withEdits.edits = testdataPath + "dlatch-edits.script"
-	cases := []struct {
-		name string
-		cfg  config
-	}{
-		{"single-run", base},
-		{"with-edits", withEdits},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range []int{1, 8} {
-				outs := map[string]string{}
-				for _, reorder := range []string{"on", "off"} {
-					cfg := tc.cfg
-					cfg.workers = workers
-					cfg.reorder = reorder
-					var out strings.Builder
-					if _, err := run(cfg, &out); err != nil {
-						t.Fatalf("workers=%d reorder=%s: %v\n%s", workers, reorder, err, out.String())
-					}
-					outs[reorder] = out.String()
-				}
-				if outs["on"] != outs["off"] {
-					t.Errorf("workers=%d: report differs between -reorder on and off:\n--- on ---\n%s\n--- off ---\n%s",
-						workers, outs["on"], outs["off"])
-				}
-			}
-		})
-	}
-}
-
 // TestEditScriptErrors pins the script parser's error reporting: bad
 // lines fail with the source name and line number.
 func TestEditScriptErrors(t *testing.T) {

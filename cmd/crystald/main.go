@@ -8,7 +8,7 @@
 // Usage:
 //
 //	crystald [-addr :8653] [-max-sessions 16] [-workers 0]
-//	         [-reorder on] [-drain-timeout 30s] [-snapshot-dir DIR]
+//	         [-hier off] [-drain-timeout 30s] [-snapshot-dir DIR]
 //	         [-job-workers 2] [-job-queue 32]
 //	         [-chaos-job-delay 0] [-chaos-job-fail-every 0]
 //
@@ -70,8 +70,7 @@ const readHeaderTimeout = 10 * time.Second
 func main() {
 	addr := flag.String("addr", ":8653", "listen address")
 	maxSessions := flag.Int("max-sessions", 16, "LRU session cache bound (memory knob)")
-	workers := flag.Int("workers", 0, "default goroutines per session load (.sim parse) and full analysis (stage-database prewarm) (0 = all cores)")
-	reorder := flag.String("reorder", "on", "cache-conscious node reordering of compiled networks: on or off (results are bit-identical either way)")
+	workers := flag.Int("workers", 0, "default goroutines per full analysis, for the stage-database prewarm only (0 = all cores)")
 	hier := flag.String("hier", "off", "hierarchical macromodel analysis over instance annotations: on or off (results are bit-identical either way)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this second address (empty = disabled; bind to localhost)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown grace period")
@@ -81,10 +80,6 @@ func main() {
 	chaosJobDelay := flag.Duration("chaos-job-delay", 0, "fault injection: stretch every async job execution by this much (load/chaos harness only)")
 	chaosJobFailEvery := flag.Int("chaos-job-fail-every", 0, "fault injection: fail every Nth async job with a synthetic 500 (load/chaos harness only; 0 = off)")
 	flag.Parse()
-	if *reorder != "on" && *reorder != "off" {
-		fmt.Fprintf(os.Stderr, "crystald: -reorder: want on or off, got %q\n", *reorder)
-		os.Exit(1)
-	}
 	if *hier != "on" && *hier != "off" {
 		fmt.Fprintf(os.Stderr, "crystald: -hier: want on or off, got %q\n", *hier)
 		os.Exit(1)
@@ -93,7 +88,6 @@ func main() {
 	sv := server.New(server.Options{
 		MaxSessions:    *maxSessions,
 		DefaultWorkers: *workers,
-		NoReorder:      *reorder == "off",
 		Hier:           *hier == "on",
 		SnapshotDir:    *snapshotDir,
 		JobWorkers:     *jobWorkers,

@@ -72,25 +72,6 @@ func TestGoldenWorkersIdentity(t *testing.T) {
 	}
 }
 
-// TestGoldenReorderIdentity: experiment tables are byte-identical with
-// the compiled-network row reordering on and off — the permutation is an
-// addressing choice, never a numeric one.
-func TestGoldenReorderIdentity(t *testing.T) {
-	render := func(reorder string) string {
-		var out strings.Builder
-		cfg := config{techName: "nmos-4u", tables: "analytic", format: "table",
-			workers: 1, reorder: reorder, expList: "e3,e4"}
-		if err := run(cfg, &out); err != nil {
-			t.Fatalf("reorder=%s: %v", reorder, err)
-		}
-		return out.String()
-	}
-	if on, off := render("on"), render("off"); on != off {
-		t.Errorf("output differs between -reorder on and off:\n--- on ---\n%s\n--- off ---\n%s",
-			on, off)
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	for _, cfg := range []config{
 		{techName: "ge-5", tables: "analytic", expList: "e1"},

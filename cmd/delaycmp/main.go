@@ -38,7 +38,6 @@ type config struct {
 	tables   string
 	format   string
 	workers  int
-	reorder  string
 	snapshot string
 }
 
@@ -49,7 +48,6 @@ func main() {
 	flag.StringVar(&cfg.tables, "tables", "char", "delay tables: char (characterized) or analytic")
 	flag.StringVar(&cfg.format, "format", "table", "output for accuracy experiments: table or csv")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines for independent rows (0 = all cores, 1 = serial)")
-	flag.StringVar(&cfg.reorder, "reorder", "on", "cache-conscious node reordering of compiled networks: on or off (results are bit-identical either way)")
 	flag.StringVar(&cfg.snapshot, "snapshot", "", "directory of .simx caches for generated blocks (cleared manually when generators change)")
 	cpuprof := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprof := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -91,14 +89,6 @@ func main() {
 func run(cfg config, w io.Writer) error {
 	experiments.Workers = cfg.workers
 	experiments.SnapshotDir = cfg.snapshot
-	switch cfg.reorder {
-	case "on", "":
-		experiments.NoReorder = false
-	case "off":
-		experiments.NoReorder = true
-	default:
-		return fmt.Errorf("-reorder: want on or off, got %q", cfg.reorder)
-	}
 
 	var p *tech.Params
 	switch cfg.techName {

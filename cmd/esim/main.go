@@ -6,11 +6,10 @@
 // Usage:
 //
 //	esim -sim counter.sim [-tech nmos-4u] [-script cmds.txt]
-//	     [-workers 1] [-snapshot counter.simx] [-vectors vecs.txt]
+//	     [-snapshot counter.simx] [-vectors vecs.txt]
 //
-// -workers parallelizes the .sim parse (0 = all cores); -snapshot names
-// a binary .simx cache loaded in place of parsing when fresh and
-// rewritten otherwise (see docs/PERFORMANCE.md, "Ingest").
+// -snapshot names a binary .simx cache loaded in place of parsing when
+// fresh and rewritten otherwise (see docs/PERFORMANCE.md, "Ingest").
 //
 // Script commands (one per line, '#' comments):
 //
@@ -50,7 +49,6 @@ func main() {
 	simFile := flag.String("sim", "", "input .sim netlist (required)")
 	techName := flag.String("tech", "nmos-4u", "technology: nmos-4u or cmos-3u")
 	script := flag.String("script", "", "command script (default stdin)")
-	workers := flag.Int("workers", 1, "parser worker count (0 = all cores)")
 	snapshot := flag.String("snapshot", "", "binary .simx netlist cache: load it when fresh, rewrite it after a parse")
 	vectors := flag.String("vectors", "", "vector file: stream input vectors through the batch engine instead of a script")
 	flag.Parse()
@@ -68,7 +66,7 @@ func main() {
 		fatal(fmt.Errorf("unknown technology %q", *techName))
 	}
 	nw, res, err := netlist.LoadSimFile(*simFile, *simFile, p,
-		netlist.LoadOptions{Workers: *workers, Snapshot: *snapshot})
+		netlist.LoadOptions{Snapshot: *snapshot})
 	if err != nil {
 		fatal(err)
 	}

@@ -87,11 +87,8 @@ type Options struct {
 	// the nodes' indexes and keeps nothing of the slice (Analyzer.Opts holds
 	// nil here), so one Options value may configure any number of analyzers.
 	LoopBreak []*netlist.Node
-	// NoReorder disables the cache-conscious RCM row layout of the
-	// compiled network (netlist.CompileWith) and keeps construction order.
-	// Results are bit-identical either way — the layout only changes which
-	// cache lines the drain touches — so this is purely the -reorder=off
-	// escape hatch and A/B lever.
+	// Deprecated: kept only because bench/chip.go and bench/probes.go set
+	// it; ignored.
 	NoReorder bool
 	// ReanalyzeMaxDirty is the dirty-node fraction above which Reanalyze
 	// abandons incremental propagation and redoes the analysis from
@@ -130,13 +127,8 @@ type Analyzer struct {
 
 	static []switchsim.Value // settled values under fixed inputs
 
-	// Per-node drain state, indexed by COMPILED ROW (a.cnet.Perm[node]),
-	// not node index: with the RCM layout on, electrically adjacent nodes
-	// share cache lines here too, which is where the drain spends its
-	// improve/commit loads. Everything semantic — queue items, provenance,
-	// reported indexes — stays in node-index space; only array addressing
-	// goes through the permutation (see row).
-	events [][2]Event    // per row: [Rise, Fall]
+	// Per-node drain state, indexed by node index.
+	events [][2]Event    // per node: [Rise, Fall]
 	count  [][2]int32    // propagation rounds, at most MaxEventsPerNode+1
 	hist   [][2]nodeHist // superseded-but-propagated events (incremental replay)
 
@@ -162,11 +154,11 @@ type Analyzer struct {
 	fixed        map[int]switchsim.Value
 	initial      []switchsim.Value // pre-settle stored values (clocked analyses)
 	loopBreakIdx []int             // Options.LoopBreak by node index
-	loopBreak    []bool            // the same as a per-row mask
-	// triggers marks the rows whose events can trigger a stage: the node
+	loopBreak    []bool            // the same as a per-node mask
+	// triggers marks the nodes whose events can trigger a stage: the node
 	// gates a device or is an input with channel terminals, and no loop
 	// break cuts its fanout. fanout is a no-op everywhere else, so only
-	// these rows record replay history (see improve).
+	// these nodes record replay history (see improve).
 	triggers     []bool
 	cachedOracle stage.Oracle
 	queue        sched.Queue
@@ -181,18 +173,15 @@ type Analyzer struct {
 
 	// cnet is the compiled structure-of-arrays view of a.Net (CSR gate
 	// adjacency, per-node flags) — the only network representation the
-	// event loop reads. Rebuilt per generation by buildGates; the row layout
-	// is computed once, by the first compile, and every later generation
-	// extends it (nodes an edit creates take the next rows), so the per-row
-	// arrays above never move.
+	// event loop reads. Rebuilt per generation by buildGates; node indexes
+	// are stable across edits, so the per-node arrays above only grow.
 	cnet *netlist.Compact
 
 	// Hierarchical analysis state (nil when Options.Hier is off or nothing
 	// was detected). The masks mark stamped members' interiors and devices
 	// (hierState.buildMasks) and are checked in the hot loops; both are nil
 	// whenever nothing is stamped, so the flat path costs one nil check.
-	// Indexed by node / transistor index (not compiled row) — instance
-	// geometry lives in index space.
+	// Indexed by node / transistor index.
 	hier          *hierState
 	hierSkipNode  []bool
 	hierSkipTrans []bool
@@ -396,7 +385,7 @@ func (a *Analyzer) Arrival(n *netlist.Node, tr tech.Transition) Event {
 	if a.events == nil {
 		return Event{}
 	}
-	return a.events[a.row(n.Index)][tr]
+	return a.events[n.Index][tr]
 }
 
 // StagesEvaluated reports how many stage/model evaluations Run performed —
@@ -501,28 +490,21 @@ func (a *Analyzer) resetDrain() {
 }
 
 // buildGates recompiles the structure-of-arrays network view and the
-// loop-break and trigger masks for the current a.Net generation, keeping
-// the row layout of the previous compile if there was one.
+// loop-break and trigger masks for the current a.Net generation.
 func (a *Analyzer) buildGates() {
 	nw := a.Net
-	a.cnet = netlist.CompileWith(nw, netlist.CompileOptions{Reorder: !a.Opts.NoReorder, Prev: a.cnet})
+	a.cnet = netlist.Compile(nw)
 	a.loopBreak = make([]bool, len(nw.Nodes))
 	for _, idx := range a.loopBreakIdx {
-		a.loopBreak[a.cnet.Perm[idx]] = true
+		a.loopBreak[idx] = true
 	}
 	cn := a.cnet
 	a.triggers = make([]bool, len(nw.Nodes))
-	for row := range a.triggers {
-		a.triggers[row] = !a.loopBreak[row] &&
-			(cn.GateStart[row+1] > cn.GateStart[row] || (cn.IsInput[row] && cn.HasTerms[row]))
+	for n := range a.triggers {
+		a.triggers[n] = !a.loopBreak[n] &&
+			(cn.GateStart[n+1] > cn.GateStart[n] || (cn.IsInput[n] && cn.HasTerms[n]))
 	}
 }
-
-// row translates a node index to its compiled row — the index of every
-// per-node drain array (events/count/hist/queued/loopBreak and the
-// Compact's CSR/flag vectors). Queue items, provenance and anything
-// reported stay in node-index space.
-func (a *Analyzer) row(node int) int { return int(a.cnet.Perm[node]) }
 
 // settleStatic computes the static sensitization snapshot for the current
 // a.Net generation, from power-on: settle the network with fixed values;
@@ -620,17 +602,16 @@ func (a *Analyzer) drainReplay(replays []replayItem) {
 		a.stats.MaxQueue = max(a.stats.MaxQueue, int64(a.queue.Len()))
 		it := a.queue.Pop()
 		node, tr := int(it.Node), tech.Transition(it.Tr)
-		row := a.row(node)
-		if !a.queued[row][tr] || it.T != a.events[row][tr].T {
+		if !a.queued[node][tr] || it.T != a.events[node][tr].T {
 			a.stats.StalePops++
 			continue // stale: a fresher entry is in the queue
 		}
-		a.queued[row][tr] = false
-		if a.guarded(node, row, tr) {
+		a.queued[node][tr] = false
+		if a.guarded(node, tr) {
 			continue
 		}
-		a.hist[row][tr].propagated = true
-		a.fanout(node, tr, a.events[row][tr])
+		a.hist[node][tr].propagated = true
+		a.fanout(node, tr, a.events[node][tr])
 	}
 }
 
@@ -648,8 +629,8 @@ func (a *Analyzer) replayDue(replays []replayItem, ri int) bool {
 // feedback guard cuts it off, listing the node in Unbounded the first time.
 // The guard counts rounds, not improvements, so deep longest-path relaxation
 // is unaffected while true cycles (which re-queue forever) are cut off.
-func (a *Analyzer) guarded(node, row int, tr tech.Transition) bool {
-	c := &a.count[row][tr]
+func (a *Analyzer) guarded(node int, tr tech.Transition) bool {
+	c := &a.count[node][tr]
 	if int(*c) <= a.Opts.MaxEventsPerNode {
 		*c++
 		if int(*c) <= a.Opts.MaxEventsPerNode {
@@ -681,8 +662,7 @@ func tieBetter(cand, cur Event) bool {
 // (with a deterministic tie-break at equal times), and queues the node for
 // propagation. Returns whether it improved.
 func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
-	row := a.row(node)
-	cur := &a.events[row][tr]
+	cur := &a.events[node][tr]
 	if cur.Valid {
 		if ev.T < cur.T {
 			a.stats.Earlier++
@@ -693,7 +673,7 @@ func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
 			return false
 		}
 	}
-	if a.cnet.IsRail[row] {
+	if a.cnet.IsRail[node] {
 		a.stats.Pruned++
 		return false
 	}
@@ -706,7 +686,7 @@ func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
 		if tr == tech.Fall {
 			want = switchsim.V0
 		}
-		if sv != switchsim.VX && sv != want && !a.cnet.Precharged[row] {
+		if sv != switchsim.VX && sv != want && !a.cnet.Precharged[node] {
 			a.stats.Pruned++
 			return false
 		}
@@ -720,13 +700,13 @@ func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
 	// of the chip actually saw. Record every propagated-superseded event,
 	// unpruned (see nodeHist), so an incremental re-analysis replays
 	// exactly the stream a full run propagated — including its length,
-	// which downstream feedback-guard counts depend on. Only a trigger row
+	// which downstream feedback-guard counts depend on. Only a trigger node
 	// records: propagating any other node's event evaluates nothing, so
 	// nothing downstream ever saw it and no replay will ask for it (a node
 	// an edit later turns into a trigger is re-derived, see Reanalyze).
 	if cur.Valid {
-		h := &a.hist[row][tr]
-		if h.propagated && a.triggers[row] {
+		h := &a.hist[node][tr]
+		if h.propagated && a.triggers[node] {
 			a.appendHist(h, cur.T, cur.Slope)
 		}
 		h.propagated = false
@@ -736,10 +716,10 @@ func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
 	// payload is read from a.events at pop time, so a duplicate push would
 	// just be skipped as stale. Everything else pushes: the queue tolerates
 	// stale entries, and a new arrival time needs its own priority.
-	samePriority := cur.Valid && ev.T == cur.T && a.queued[row][tr]
+	samePriority := cur.Valid && ev.T == cur.T && a.queued[node][tr]
 	*cur = ev
 	if !samePriority {
-		a.queued[row][tr] = true
+		a.queued[node][tr] = true
 		a.queue.Push(sched.Item{T: ev.T, Node: int32(node), Tr: uint8(tr)})
 	}
 	return true
@@ -753,8 +733,7 @@ var transitions = [2]tech.Transition{tech.Rise, tech.Fall}
 // passes historical ones: superseded events whose steeper slopes a full run
 // propagated before they were overwritten.
 func (a *Analyzer) fanout(node int, tr tech.Transition, ev Event) {
-	row := a.row(node)
-	if !a.triggers[row] || !ev.Valid {
+	if !a.triggers[node] || !ev.Valid {
 		// Nothing to evaluate — or a loop break, the user directive to
 		// record the arrival and cut the fanout.
 		return
@@ -771,7 +750,7 @@ func (a *Analyzer) fanout(node int, tr tech.Transition, ev Event) {
 	// several hops from the device itself): the release stages of each group
 	// member in group order, minus the paths that died with the device.
 	cn := a.cnet
-	for _, ref := range cn.GateRef[cn.GateStart[row]:cn.GateStart[row+1]] {
+	for _, ref := range cn.Gates(node) {
 		ti, on1 := netlist.UnpackGateRef(ref)
 		if a.hierSkipTrans != nil && int(ti) < len(a.hierSkipTrans) && a.hierSkipTrans[ti] {
 			continue // stamped member device
@@ -791,7 +770,7 @@ func (a *Analyzer) fanout(node int, tr tech.Transition, ev Event) {
 	// stages that produced their events already targeted every node of
 	// the driven group, and re-propagating would bounce arrivals back
 	// and forth across channel-connected pairs forever.
-	if cn.IsInput[row] && cn.HasTerms[row] {
+	if cn.IsInput[node] && cn.HasTerms[node] {
 		a.applySlab(a.db.From(node, tr), -1, node, tr, ev)
 	}
 }
@@ -908,7 +887,7 @@ func (a *Analyzer) Trace(n *netlist.Node, tr tech.Transition) *Path {
 			break
 		}
 		seen[k] = true
-		e := a.events[a.row(node)][t]
+		e := a.events[node][t]
 		if a.hier != nil && e.Via != nil {
 			e.Via = a.hier.remapVia(node, e.Via)
 		}

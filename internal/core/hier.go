@@ -184,7 +184,7 @@ func (a *Analyzer) hierContextMismatch(p *hier.Plan, rep, m int, seeds map[int][
 		if a.static != nil && a.static[ri] != a.static[mi] {
 			return "static sensitization differs from the representative"
 		}
-		if a.loopBreak[a.row(ri)] != a.loopBreak[a.row(mi)] {
+		if a.loopBreak[ri] != a.loopBreak[mi] {
 			return "loop-break directives differ from the representative"
 		}
 		sr, sm := seeds[ri], seeds[mi]
@@ -319,19 +319,18 @@ func (a *Analyzer) stampMembers() {
 			}
 			mem := &hs.plan.Instances[mi]
 			for r, repIdx := range rep.Interior {
-				rowR := a.row(int(repIdx))
-				rowM := a.row(int(mem.Interior[r]))
+				mn := mem.Interior[r]
 				for tr := 0; tr < 2; tr++ {
-					ev := a.events[rowR][tr]
+					ev := a.events[repIdx][tr]
 					if ev.Valid && ev.FromNode >= 0 {
 						if rank := hs.plan.Rank(repID, int32(ev.FromNode)); rank >= 0 {
 							ev.FromNode = int(mem.Interior[rank])
 						}
 					}
-					a.events[rowM][tr] = ev
-					a.count[rowM][tr] = a.count[rowR][tr]
-					a.freeHist(&a.hist[rowM][tr])
-					a.queued[rowM][tr] = false
+					a.events[mn][tr] = ev
+					a.count[mn][tr] = a.count[repIdx][tr]
+					a.freeHist(&a.hist[mn][tr])
+					a.queued[mn][tr] = false
 				}
 			}
 		}

@@ -193,9 +193,8 @@ func (a *Analyzer) dirtyTouchesUnbounded(plan *incremental.Plan) bool {
 
 // rebind repoints the analyzer at the next network generation. Node
 // indexes are stable across edits, so index-keyed state (fixed values,
-// initial values, seeds, loop breaks) carries over untouched, and so does
-// the ROW-indexed drain state: the recompile keeps the layout (see
-// buildGates), so the per-row arrays only grow by the nodes the batch
+// initial values, seeds, loop breaks, the per-node drain arrays) carries
+// over untouched; the drain arrays only grow by the nodes the batch
 // created. A node that stopped being a trigger gives its history back; the
 // nodes that became triggers in this generation — and so have no history to
 // replay — are returned.
@@ -213,13 +212,13 @@ func (a *Analyzer) rebind(nw *netlist.Network) (fresh []int) {
 		a.hist = append(a.hist, make([][2]nodeHist, grow)...)
 		a.queued = append(a.queued, make([][2]bool, grow)...)
 	}
-	for row, was := range wasTrigger {
-		switch now := a.triggers[row]; {
+	for n, was := range wasTrigger {
+		switch now := a.triggers[n]; {
 		case now && !was:
-			fresh = append(fresh, int(a.cnet.InvPerm[row]))
+			fresh = append(fresh, n)
 		case was && !now:
-			a.freeHist(&a.hist[row][tech.Rise])
-			a.freeHist(&a.hist[row][tech.Fall])
+			a.freeHist(&a.hist[n][tech.Rise])
+			a.freeHist(&a.hist[n][tech.Fall])
 		}
 	}
 	return fresh
@@ -255,16 +254,15 @@ func (a *Analyzer) runFull() {
 // any new ones appear).
 func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
 	nw := a.Net
-	// rebind already grew the per-row state to this generation's node count
-	// (new nodes hold zero rows); only the dirty resets remain.
+	// rebind already grew the per-node state to this generation's node
+	// count (new nodes hold zero entries); only the dirty resets remain.
 	for _, i := range plan.Dirty {
-		row := a.row(i)
-		a.events[row] = [2]Event{}
-		a.count[row] = [2]int32{}
-		for tr := range a.hist[row] {
-			a.freeHist(&a.hist[row][tr])
+		a.events[i] = [2]Event{}
+		a.count[i] = [2]int32{}
+		for tr := range a.hist[i] {
+			a.freeHist(&a.hist[i][tr])
 		}
-		a.queued[row] = [2]bool{}
+		a.queued[i] = [2]bool{}
 	}
 	a.queue.Reset()
 	// Carry over guard hits outside the dirty cone (remapped to the new
@@ -290,16 +288,15 @@ func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
 	// and history — is never touched.
 	var replays []replayItem
 	for _, i := range plan.Boundary() {
-		row := a.row(i)
 		for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
-			h := &a.hist[row][tr]
+			h := &a.hist[i][tr]
 			for ci := h.head; ci != 0; ci = a.histChunkAt(ci).next {
 				c := a.histChunkAt(ci)
 				for k := int32(0); k < c.n; k++ {
 					replays = append(replays, replayItem{i, tr, c.ev[k].t, c.ev[k].slope})
 				}
 			}
-			if ev := a.events[row][tr]; ev.Valid && h.propagated {
+			if ev := a.events[i][tr]; ev.Valid && h.propagated {
 				replays = append(replays, replayItem{i, tr, ev.T, ev.Slope})
 			}
 		}

@@ -24,17 +24,16 @@ func requireHistoryOnTriggersOnly(t *testing.T, label string, a *Analyzer) (owne
 	t.Helper()
 	cn := a.cnet
 	for i, n := range a.Net.Nodes {
-		row := a.row(i)
-		trigger := !a.loopBreak[row] &&
-			(len(cn.Gates(i)) > 0 || (cn.IsInput[row] && cn.HasTerms[row]))
-		for tr := range a.hist[row] {
-			if a.hist[row][tr].head == 0 {
+		trigger := !a.loopBreak[i] &&
+			(len(cn.Gates(i)) > 0 || (cn.IsInput[i] && cn.HasTerms[i]))
+		for tr := range a.hist[i] {
+			if a.hist[i][tr].head == 0 {
 				continue
 			}
 			owned++
 			if !trigger {
 				t.Fatalf("%s: %s/%s owns replay history but can trigger nothing (loop break %v)",
-					label, n.Name, tech.Transition(tr), a.loopBreak[row])
+					label, n.Name, tech.Transition(tr), a.loopBreak[i])
 			}
 		}
 	}
@@ -43,7 +42,7 @@ func requireHistoryOnTriggersOnly(t *testing.T, label string, a *Analyzer) (owne
 
 // histStream returns the recorded replay stream of (node, tr) in order.
 func (a *Analyzer) histStream(node int, tr tech.Transition) (out []histEvent) {
-	h := a.hist[a.row(node)][tr]
+	h := a.hist[node][tr]
 	for ci := h.head; ci != 0; ci = a.histChunkAt(ci).next {
 		c := a.histChunkAt(ci)
 		out = append(out, c.ev[:c.n]...)
@@ -63,7 +62,7 @@ func requireMatchesFresh(t *testing.T, label string, got, fresh *Analyzer) {
 			if w, g := fresh.Arrival(n, tr), got.Arrival(n, tr); !sameEvent(w, g) {
 				t.Fatalf("%s: arrival %s/%s = %+v, from scratch %+v", label, n.Name, tr, g, w)
 			}
-			if w, g := fresh.count[fresh.row(i)][tr], got.count[got.row(i)][tr]; w != g {
+			if w, g := fresh.count[i][tr], got.count[i][tr]; w != g {
 				t.Fatalf("%s: %s/%s propagated %d times, from scratch %d", label, n.Name, tr, g, w)
 			}
 			if w, g := fresh.histStream(i, tr), got.histStream(i, tr); !slices.Equal(w, g) {
@@ -128,7 +127,7 @@ func TestReanalyzeSinkBecomesTrigger(t *testing.T) {
 				if n.IsSource() {
 					continue
 				}
-				if c := base.count[base.row(i)]; len(n.Gates) == 0 && c[0]+c[1] > 2 {
+				if c := base.count[i]; len(n.Gates) == 0 && c[0]+c[1] > 2 {
 					sinks = append(sinks, n)
 				} else if len(n.Gates) > 0 && base.Arrival(n, tech.Fall).Valid {
 					victims = append(victims, n)
@@ -220,10 +219,9 @@ func TestReanalyzeWidensFreshTrigger(t *testing.T) {
 		tried++
 		label := fmt.Sprintf("%s loaded, %s staged as a fresh trigger", v.Name, x.Name)
 		a := build(nw)
-		row := a.row(x.Index)
-		a.triggers[row] = false
-		for tr := range a.hist[row] {
-			a.freeHist(&a.hist[row][tr])
+		a.triggers[x.Index] = false
+		for tr := range a.hist[x.Index] {
+			a.freeHist(&a.hist[x.Index][tr])
 		}
 		st, err := a.Reanalyze(batch)
 		if err != nil {

@@ -8,33 +8,24 @@ package netlist
 // pointers per event costs more cache misses than the arithmetic it feeds.
 // A Compact is a snapshot: compile it after the network is fully built,
 // and recompile after edits (generations never mutate a compiled network).
+// Every per-node array is indexed by node index, so a caller's per-node
+// state needs no translation and an edit's new nodes simply append.
 type Compact struct {
 	// GateStart/GateRef are the CSR adjacency of gate connections:
-	// GateRef[GateStart[r]:GateStart[r+1]] lists the gated devices of the
-	// node in ROW r, each packed as trans index << 1 | conductsOn1.
+	// GateRef[GateStart[n]:GateStart[n+1]] lists the gated devices of node
+	// index n, each packed as trans index << 1 | conductsOn1.
 	// Always-on devices (depletion loads, wires) are omitted — they do not
 	// respond to their gate, which is exactly the filter the event loop
 	// wants predecoded.
-	//
-	// Rows are the compiled layout order: Perm maps a node index to its
-	// row, InvPerm a row back to the node index. With Reorder off the
-	// mapping is the identity; with it on, rows follow the reverse
-	// Cuthill–McKee walk of the gate/source-drain adjacency (reorder.go),
-	// so electrically adjacent nodes share cache lines in every
-	// row-indexed array. Results never depend on the layout: callers keep
-	// all semantic state (queue order, provenance, reported indexes) in
-	// node-index space and translate through Perm only to address rows.
 	GateStart []int32
 	GateRef   []int32
 
 	// TermStart/TermRef are the CSR adjacency of channel (source/drain)
-	// connections: TermRef[TermStart[r]:TermStart[r+1]] lists the devices
-	// whose channel touches the node in ROW r, each packed as
+	// connections: TermRef[TermStart[n]:TermStart[n+1]] lists the devices
+	// whose channel touches node n, each packed as
 	// trans index << 1 | otherIsB, where otherIsB says the far terminal is
 	// the device's B node. The switch-level batch simulator walks this CSR
-	// to propagate strengths; like GateRef it is row-indexed, and the
-	// TransGate/TransA/TransB/TransType columns it refers to are in node-
-	// index space (translate through Perm to address rows).
+	// to propagate strengths.
 	TermStart []int32
 	TermRef   []int32
 
@@ -46,7 +37,7 @@ type Compact struct {
 	TransB    []int32
 	TransType []uint8
 
-	// Per-row flags the drain's improve/propagate steps test.
+	// Per-node flags the drain's improve/propagate steps test.
 	IsRail     []bool
 	IsInput    []bool
 	Precharged []bool
@@ -54,24 +45,6 @@ type Compact struct {
 	// transition rides through conducting pass devices only if some device
 	// touches it).
 	HasTerms []bool
-
-	// Perm maps node index -> row; InvPerm maps row -> node index.
-	Perm    []int32
-	InvPerm []int32
-	// Reordered reports whether Perm is a non-identity RCM layout.
-	Reordered bool
-}
-
-// CompileOptions configures compilation.
-type CompileOptions struct {
-	// Reorder applies the RCM locality permutation to the row layout.
-	Reorder bool
-	// Prev is the compile of an earlier generation of the same network
-	// (node indexes are stable across edits and nodes are never removed).
-	// The new compile keeps its row layout — Perm and InvPerm of every node
-	// Prev knew, whatever Reorder says — and gives the nodes created since
-	// the next rows, so state a caller keeps per row stays where it is.
-	Prev *Compact
 }
 
 // PackGateRef packs a gate adjacency entry.
@@ -105,55 +78,35 @@ func UnpackTermRef(r int32) (transIndex int, otherIsB bool) {
 	return int(r >> 1), r&1 == 1
 }
 
-// Compile builds the compact form of nw in construction order (identity
-// layout). Use CompileWith to apply the locality reordering.
+// Compile builds the compact form of nw.
 func Compile(nw *Network) *Compact {
-	return CompileWith(nw, CompileOptions{})
-}
-
-// CompileWith builds the compact form of nw under the given options.
-func CompileWith(nw *Network, opt CompileOptions) *Compact {
-	var perm, inv []int32
-	reordered := opt.Reorder
-	if p := opt.Prev; p != nil {
-		if len(p.Perm) > len(nw.Nodes) {
-			panic("netlist: CompileOptions.Prev compiled more nodes than the network has")
-		}
-		perm, inv, reordered = extendOrder(p.Perm, len(nw.Nodes)), extendOrder(p.InvPerm, len(nw.Nodes)), p.Reordered
-	} else {
-		perm, inv = buildOrder(nw, opt.Reorder)
-	}
 	c := &Compact{
 		GateStart:  make([]int32, len(nw.Nodes)+1),
 		IsRail:     make([]bool, len(nw.Nodes)),
 		IsInput:    make([]bool, len(nw.Nodes)),
 		Precharged: make([]bool, len(nw.Nodes)),
 		HasTerms:   make([]bool, len(nw.Nodes)),
-		Perm:       perm,
-		InvPerm:    inv,
-		Reordered:  reordered,
 	}
 	// Every device sits in one gate list and at most two terminal lists.
 	c.GateRef = make([]int32, 0, len(nw.Trans))
 	c.TermStart = make([]int32, len(nw.Nodes)+1)
 	c.TermRef = make([]int32, 0, 2*len(nw.Trans))
-	for row := range nw.Nodes {
-		n := nw.Nodes[inv[row]]
-		c.GateStart[row] = int32(len(c.GateRef))
+	for i, n := range nw.Nodes {
+		c.GateStart[i] = int32(len(c.GateRef))
 		for _, t := range n.Gates {
 			if t.AlwaysOn() {
 				continue
 			}
 			c.GateRef = append(c.GateRef, PackGateRef(t.Index, t.ConductsOn() == 1))
 		}
-		c.TermStart[row] = int32(len(c.TermRef))
+		c.TermStart[i] = int32(len(c.TermRef))
 		for _, t := range n.Terms {
 			c.TermRef = append(c.TermRef, PackTermRef(t.Index, t.A == n))
 		}
-		c.IsRail[row] = n.IsRail()
-		c.IsInput[row] = n.Kind == KindInput
-		c.Precharged[row] = n.Precharged
-		c.HasTerms[row] = len(n.Terms) > 0
+		c.IsRail[i] = n.IsRail()
+		c.IsInput[i] = n.Kind == KindInput
+		c.Precharged[i] = n.Precharged
+		c.HasTerms[i] = len(n.Terms) > 0
 	}
 	c.GateStart[len(nw.Nodes)] = int32(len(c.GateRef))
 	c.TermStart[len(nw.Nodes)] = int32(len(c.TermRef))
@@ -170,19 +123,24 @@ func CompileWith(nw *Network, opt CompileOptions) *Compact {
 	return c
 }
 
-// Gates returns the packed gate refs of node index n (translating through
-// the row permutation).
+// CompileOptions is the argument of CompileWith.
+//
+// Deprecated: kept only because bench/probes.go calls it; ignored.
+type CompileOptions struct {
+	Reorder bool
+}
+
+// CompileWith is Compile.
+//
+// Deprecated: kept only because bench/probes.go calls it; ignored.
+func CompileWith(nw *Network, _ CompileOptions) *Compact { return Compile(nw) }
+
+// Gates returns the packed gate refs of node index n.
 func (c *Compact) Gates(n int) []int32 {
-	r := c.Perm[n]
-	return c.GateRef[c.GateStart[r]:c.GateStart[r+1]]
+	return c.GateRef[c.GateStart[n]:c.GateStart[n+1]]
 }
 
-// Terms returns the packed channel refs of node index n (translating
-// through the row permutation).
+// Terms returns the packed channel refs of node index n.
 func (c *Compact) Terms(n int) []int32 {
-	r := c.Perm[n]
-	return c.TermRef[c.TermStart[r]:c.TermStart[r+1]]
+	return c.TermRef[c.TermStart[n]:c.TermStart[n+1]]
 }
-
-// Row returns the compiled row of node index n.
-func (c *Compact) Row(n int) int { return int(c.Perm[n]) }

@@ -1,5 +1,5 @@
-// Instance annotation coverage: the @ inst .sim directive (serial and
-// parallel parsers, identical errors), the optional snapshot sections
+// Instance annotation coverage: the @ inst .sim directive (round trip
+// and exact errors), the optional snapshot sections
 // (round trip, byte-compatibility for instance-free files; their
 // corruption classes sit in TestSnapshotRejects), and Import's instance
 // recording.
@@ -52,8 +52,8 @@ func TestReadSimInstances(t *testing.T) {
 	}
 }
 
-// TestSimInstanceRoundTrip: WriteSim emits @ inst lines that ReadSim and
-// ReadSimParallel both reproduce exactly, at every chunking.
+// TestSimInstanceRoundTrip: WriteSim emits @ inst lines that ReadSim
+// reproduces exactly.
 func TestSimInstanceRoundTrip(t *testing.T) {
 	p := tech.NMOS4()
 	nw := instNetwork(t, p)
@@ -69,47 +69,31 @@ func TestSimInstanceRoundTrip(t *testing.T) {
 	if len(serial.Instances) != 2 || serial.Instances[0] != nw.Instances[0] || serial.Instances[1] != nw.Instances[1] {
 		t.Fatalf("serial round trip mangled instances: %+v", serial.Instances)
 	}
-	for _, workers := range []int{1, 2, 4} {
-		par, err := readSimChunked("back", p, strings.NewReader(text), workers, 1)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if derr := DiffNetworks(serial, par); derr != nil {
-			t.Fatalf("workers=%d: %v", workers, derr)
-		}
-	}
 	clone := nw.Clone()
 	if derr := DiffNetworks(nw, clone); derr != nil {
 		t.Fatalf("clone dropped instances: %v", derr)
 	}
 }
 
-// TestSimInstanceErrors pins the parser's rejection of malformed @ inst
-// directives — and that the parallel parser reports the identical error
-// at every chunking, including the deferred upper-bound check.
+// TestSimInstanceErrors pins the parser's exact rejection of malformed
+// @ inst directives, including the upper bound against the devices read
+// so far.
 func TestSimInstanceErrors(t *testing.T) {
 	p := tech.NMOS4()
 	cases := []struct {
-		name, text string
+		name, text, want string
 	}{
-		{"missing range", "e a b GND\n@ inst x 0\n"},
-		{"bad lo", "e a b GND\n@ inst x q 1\n"},
-		{"bad hi", "e a b GND\n@ inst x 0 q\n"},
-		{"negative lo", "e a b GND\n@ inst x -1 1\n"},
-		{"inverted range", "e a b GND\n@ inst x 1 0\n"},
-		{"range past count", "e a b GND\n@ inst x 0 2\n"},
+		{"missing range", "e a b GND\n@ inst x 0\n", "sim bad:2: inst directive needs a path and a transistor range"},
+		{"bad lo", "e a b GND\n@ inst x q 1\n", `sim bad:2: bad instance range "q" "1"`},
+		{"bad hi", "e a b GND\n@ inst x 0 q\n", `sim bad:2: bad instance range "0" "q"`},
+		{"negative lo", "e a b GND\n@ inst x -1 1\n", `sim bad:2: bad instance range "-1" "1"`},
+		{"inverted range", "e a b GND\n@ inst x 1 0\n", `sim bad:2: bad instance range "1" "0"`},
+		{"range past count", "e a b GND\n@ inst x 0 2\n", `sim bad:2: bad instance range "0" "2"`},
 	}
 	for _, tc := range cases {
-		_, serr := ReadSim("bad", p, strings.NewReader(tc.text))
-		if serr == nil {
-			t.Errorf("%s: serial parser accepted %q", tc.name, tc.text)
-			continue
-		}
-		for _, workers := range []int{1, 2, 4} {
-			_, perr := readSimChunked("bad", p, strings.NewReader(tc.text), workers, 1)
-			if perr == nil || perr.Error() != serr.Error() {
-				t.Errorf("%s workers=%d: got %v, want %v", tc.name, workers, perr, serr)
-			}
+		_, err := ReadSim("bad", p, strings.NewReader(tc.text))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: got %v, want %s", tc.name, err, tc.want)
 		}
 	}
 }

@@ -26,8 +26,8 @@ import (
 
 // LoadOptions configures LoadSimFile.
 type LoadOptions struct {
-	// Workers is the parser worker count: 0 = GOMAXPROCS, 1 = serial,
-	// N = at most N.
+	// Deprecated: kept only because bench/cold.go and bench/probes.go set
+	// it; ignored.
 	Workers int
 	// Snapshot, when non-empty, is the path of the .simx cache file to
 	// load from when fresh and rewrite after a parse. Empty disables
@@ -129,14 +129,14 @@ func openFresh(path string, p *tech.Params, hash [32]byte) (*Network, LoadResult
 
 // LoadSimFile reads the .sim netlist at path into a checked Network
 // named name: LoadCached keyed by the SHA-256 of the file's bytes, the
-// build being a parse with opt.Workers workers.
+// build being ReadSim.
 func LoadSimFile(name, path string, p *tech.Params, opt LoadOptions) (*Network, LoadResult, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, LoadResult{}, err
 	}
 	return LoadCached(opt.Snapshot, name, p, sha256.Sum256(data), func() (*Network, error) {
-		return ReadSimParallel(name, p, bytes.NewReader(data), opt.Workers)
+		return ReadSim(name, p, bytes.NewReader(data))
 	})
 }
 

@@ -175,7 +175,7 @@ func TestLoadSimFile(t *testing.T) {
 	if err := os.WriteFile(simPath, []byte(sampleSim), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	opt := LoadOptions{Workers: 2, Snapshot: snapPath}
+	opt := LoadOptions{Snapshot: snapPath}
 
 	cold, res, err := LoadSimFile("sample", simPath, p, opt)
 	if err != nil {

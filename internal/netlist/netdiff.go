@@ -1,6 +1,6 @@
-// Structural network comparison. The parallel parser, the snapshot
-// loader, and the incremental engine all promise the *same* network the
-// serial parser builds — not an equivalent one. DiffNetworks is that
+// Structural network comparison. The snapshot loader, Clone and the
+// incremental engine all promise the *same* network the parser builds —
+// not an equivalent one. DiffNetworks is that
 // promise made checkable: an exhaustive field-by-field comparison,
 // including index assignment and adjacency order, with exact float
 // equality (1 ulp of drift in a capacitance would already mean a code

@@ -47,13 +47,8 @@ type Options struct {
 	MaxSessions int
 	// DefaultWorkers is core.Options.Workers for a request that does not
 	// set one (0 selects GOMAXPROCS): how many goroutines prewarm the stage
-	// database before a full analysis. Session loads use the same setting
-	// for the parallel .sim tokenizer.
+	// database before a full analysis.
 	DefaultWorkers int
-	// NoReorder disables the compiled network's RCM locality layout in
-	// every session analyzer (core.Options.NoReorder). Results are
-	// bit-identical either way; cmd/crystald exposes this as -reorder.
-	NoReorder bool
 	// Hier enables hierarchical macromodel analysis in every session
 	// analyzer (core.Options.Hier): replicated instances analyze one
 	// representative and stamp the timing onto the other copies. Results
@@ -312,7 +307,7 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if sv.lookup(id) != nil { // hash prefix taken by a diverged session
 		id = fmt.Sprintf("%s.%d", hash[:12], seq)
 	}
-	s, err := newSession(id, cfg, sv.opts.SnapshotDir, sv.opts.DefaultWorkers, sv.opts.NoReorder, sv.opts.Hier, sv.arena)
+	s, err := newSession(id, cfg, sv.opts.SnapshotDir, sv.opts.Hier, sv.arena)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return

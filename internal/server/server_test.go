@@ -335,38 +335,6 @@ func TestWorkersIdentityOverHTTP(t *testing.T) {
 	}
 }
 
-// TestReorderIdentityOverHTTP pins the reordering contract at the
-// service surface: a whole session transcript — analyze plus edit
-// barriers, structured paths included — is byte-identical whether the
-// daemon compiles networks with the RCM locality layout or the identity
-// layout, serial and parallel.
-func TestReorderIdentityOverHTTP(t *testing.T) {
-	script := "cap out 2e-14\nrun\nresize 2 6e-6 2e-6\nrun\n"
-	run := func(noReorder bool, workers int) string {
-		c := newTestClient(t, Options{NoReorder: noReorder})
-		id := c.create(dlatchConfig(t)).Session
-		an := c.analyze(id, workers)
-		ed := c.edits(id, script)
-		var out strings.Builder
-		out.WriteString(an.Report)
-		for _, b := range ed.Barriers {
-			out.WriteString(b.Status + "\n" + b.Report)
-		}
-		paths, err := json.Marshal(ed.Snapshot.Paths)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out.Write(paths)
-		return out.String()
-	}
-	for _, workers := range []int{1, 8} {
-		if on, off := run(false, workers), run(true, workers); on != off {
-			t.Errorf("workers=%d: transcript differs between reorder on and off:\n--- on ---\n%s\n--- off ---\n%s",
-				workers, on, off)
-		}
-	}
-}
-
 // checkDrainBlock reports whether the drain block of one raw /metrics body
 // says what exists: the seven counters of the event loop, mutually
 // consistent, and nothing else. The wire format is part of the contract —

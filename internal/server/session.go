@@ -169,7 +169,7 @@ type session struct {
 	cfg  SessionConfig
 
 	// source records how the network was obtained, a netlist.Source*
-	// value: "parse" (the .sim text went through ReadSimParallel),
+	// value: "parse" (the .sim text went through ReadSim),
 	// "mmap" (the session aliases a shared read-only mapped view from
 	// the network arena) or, on a platform without mmap, "snapshot" (a
 	// fresh .simx cache entry was read into a private heap copy).
@@ -189,7 +189,6 @@ type session struct {
 	mu        sync.Mutex // single writer: analyze / edits serialization
 	nw        *netlist.Network
 	a         *core.Analyzer // nil until the first analyze
-	noReorder bool           // server-wide Options.NoReorder, applied per analyzer
 	hier      bool           // server-wide Options.Hier, applied per analyzer
 	edited    bool           // diverged from the loaded source (edits applied)
 	barriers  int            // run barriers applied over the session lifetime
@@ -220,8 +219,7 @@ func (s *session) batchEngine() (b *switchsim.Batch, compiled bool) {
 // newSession loads the network through the arena — the resident shared
 // view of this chip if there is one, else netlist.LoadCached over the
 // snapshot file in snapDir (none when snapDir is empty), the build being
-// a parse with `workers` tokenizer workers — and prepares (but does not
-// run) the analysis.
+// ReadSim — and prepares (but does not run) the analysis.
 //
 // Snapshot entries are keyed by the network identity (SHA-256 of the
 // .sim text, plus technology and name — the fields that determine the
@@ -229,8 +227,8 @@ func (s *session) batchEngine() (b *switchsim.Batch, compiled bool) {
 // that differ only in analysis directives (model, seeds, top-N) load
 // the same network, so they share one snapshot file and, through the
 // arena, one mapped view.
-func newSession(id string, cfg SessionConfig, snapDir string, workers int, noReorder, hier bool, arena *netArena) (*session, error) {
-	s := &session{id: id, hash: cfg.hash(), cfg: cfg, noReorder: noReorder, hier: hier}
+func newSession(id string, cfg SessionConfig, snapDir string, hier bool, arena *netArena) (*session, error) {
+	s := &session{id: id, hash: cfg.hash(), cfg: cfg, hier: hier}
 	// The retained config drops the .sim source text: it is only needed
 	// below (identity hash + cold parse), and for a chip-scale netlist
 	// the text is tens of megabytes — cached per session, it would
@@ -268,7 +266,7 @@ func newSession(id string, cfg SessionConfig, snapDir string, workers int, noReo
 		snapPath = filepath.Join(snapDir, networkFileKey(key)+".simx")
 	}
 	nw, res, err := arena.load(snapPath, key, s.params, func() (*netlist.Network, error) {
-		return netlist.ReadSimParallel(cfg.Name, s.params, strings.NewReader(cfg.Sim), workers)
+		return netlist.ReadSim(cfg.Name, s.params, strings.NewReader(cfg.Sim))
 	})
 	if nw == nil {
 		return nil, err
@@ -295,7 +293,7 @@ func networkFileKey(key arenaKey) string {
 // stage database from a previous analyzer over the same generation.
 // Callers hold s.mu.
 func (s *session) buildAnalyzer(workers int, db *core.Analyzer) (*core.Analyzer, error) {
-	opts := core.Options{Workers: workers, NoReorder: s.noReorder, Hier: s.hier}
+	opts := core.Options{Workers: workers, Hier: s.hier}
 	if db != nil {
 		opts.DB = db.StageDB()
 	}

@@ -3,10 +3,9 @@
 # analysis) three times each and writes BENCH_1.json: the fresh runs plus
 # the pinned pre-optimization baseline, so the speedup is always visible
 # in one file. Then runs the incremental re-analysis benchmark and writes
-# BENCH_2.json with the incremental-vs-full speedup, the ingest
-# (parse/snapshot) throughput record into BENCH_4.json, the locality
-# record (interleaved reorder A/B) into BENCH_5.json (BENCH_3.json is a
-# committed record this script no longer writes), the batch-sim
+# BENCH_2.json with the incremental-vs-full speedup (BENCH_3.json and
+# BENCH_4.json are committed records this script no longer writes), the
+# batch-sim
 # throughput record into BENCH_6.json, the
 # chip-scale mmap ingest + shared-view RSS record into BENCH_7.json, and
 # the crystald service saturation curves (cmd/loadgen concurrency ramp
@@ -15,19 +14,18 @@
 # scale point) into BENCH_9.json. Every file is stamped
 # with the machine (nproc, CPU
 # model, GOMAXPROCS) so numbers are never compared across incomparable
-# hardware. The scaling sweeps refuse to run on a single-CPU box unless
-# BENCH_ALLOW_SINGLE_CPU=1, and are then stamped degenerate — see the
-# guard below.
+# hardware.
 #
 # Usage: scripts/bench.sh (from the repo root, or via `make bench`).
-#   BENCH_ONLY=scaling     skip BENCH_1/BENCH_2 (the `make bench-scaling`
-#                          target: sweeps + locality record only).
+#   BENCH_ONLY=scaling     run only the BENCH_5 cross-commit A/B (the
+#                          `make bench-scaling` target).
 #   BENCH_ONLY=hier        run only BENCH_9 (the `make bench-hier`
 #                          target: hierarchical-macromodel record).
 #   BENCH_MAIN_BIN=path    a bench test binary built from the comparison
 #                          commit (`go test -c -o bench_main .` there);
-#                          when set, BENCH_5 gains an interleaved
-#                          same-runner A/B of this tree vs that binary.
+#                          when set, BENCH_5.json is rewritten with an
+#                          interleaved same-runner A/B of this tree vs
+#                          that binary.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -296,116 +294,14 @@ fi # BENCH_ONLY = all
 
 if [ "${BENCH_ONLY:-all}" != hier ]; then
 
-# Scaling sweeps (BENCH_4, BENCH_5) are meaningless on one CPU:
-# every workers>1 row then measures pure coordination overhead, and a
-# reader comparing rows would conclude parallelism is a regression. Run
-# the sweeps under GOMAXPROCS=nproc explicitly, and when that is still 1,
-# refuse unless BENCH_ALLOW_SINGLE_CPU=1 — in which case every emitted
-# JSON is stamped "degenerate_single_cpu": true so the numbers cannot be
-# mistaken for a scaling record.
-degenerate=false
-if [ "$sweep_procs" = 1 ]; then
-    degenerate=true
-    if [ "${BENCH_ALLOW_SINGLE_CPU:-0}" != 1 ]; then
-        echo "bench.sh: REFUSING the worker-scaling sweeps: GOMAXPROCS=$sweep_procs." >&2
-        echo "bench.sh: workers>1 rows on one CPU measure overhead, not scaling." >&2
-        echo "bench.sh: set BENCH_ALLOW_SINGLE_CPU=1 to record anyway (annotated as degenerate)." >&2
-        exit 1
-    fi
-    echo "bench.sh: WARNING: GOMAXPROCS=1 — scaling sweeps are degenerate;" >&2
-    echo "bench.sh: WARNING: annotating BENCH_4/BENCH_5 with degenerate_single_cpu=true." >&2
-fi
-
-# BENCH_4.json: ingest throughput. BenchmarkIngestParse measures the cold
-# half of the pipeline (parse + structural check, the work LoadSimFile
-# does on a cache miss) serially and at increasing parallel-parser worker
-# counts; BenchmarkIngestSnapshotLoad measures the warm half (decoding
-# the binary .simx snapshot that replaces the parse). The headline
-# ratios: parallel parse speedup at the widest worker count, and
-# snapshot-load speedup over the serial parse.
-OUT4=BENCH_4.json
-GOMAXPROCS=$sweep_procs go test -run '^$' \
-    -bench 'BenchmarkIngestParse|BenchmarkIngestSnapshotLoad' \
-    -benchtime 10x -count 3 . | tee "$RAW"
-
-awk '
-/^BenchmarkIngestParse\// {
-    name = $1
-    sub(/^BenchmarkIngestParse\/workers=/, "", name)
-    sub(/-[0-9]+$/, "", name)
-    runs[name] = runs[name] $3 ","
-    if (!(name in seen)) { order[++nw] = name; seen[name] = 1 }
-    for (i = 5; i < NF; i += 2) {
-        if ($(i + 1) == "MB/s")          mbs[name] = mbs[name] $i ","
-        if ($(i + 1) == "ns/transistor") nst[name] = nst[name] $i ","
-    }
-}
-/^BenchmarkIngestSnapshotLoad/ {
-    sruns = sruns $3 ","
-    for (i = 5; i < NF; i += 2) {
-        if ($(i + 1) == "MB/s")          smbs = smbs $i ","
-        if ($(i + 1) == "ns/transistor") snst = snst $i ","
-    }
-}
-function median(csv,   r, n, i, j, t) {
-    sub(/,$/, "", csv)
-    n = split(csv, r, ",")
-    for (i = 1; i < n; i++)
-        for (j = i + 1; j <= n; j++)
-            if (r[j] + 0 < r[i] + 0) { t = r[i]; r[i] = r[j]; r[j] = t }
-    return r[int((n + 1) / 2)]
-}
-END {
-    serial = median(runs["1"])
-    widest = order[nw]
-    printf "{\n  \"benchmark\": \"ingest\",\n"
-    printf "  \"machine\": %s,\n", machine
-    printf "  \"degenerate_single_cpu\": %s,\n", degenerate
-    printf "  \"parse_workers\": {\n"
-    for (i = 1; i <= nw; i++) {
-        w = order[i]
-        csv = runs[w]
-        sub(/,$/, "", csv)
-        printf "    \"%s\": {\n", w
-        printf "      \"runs_ns_op\": [%s],\n", csv
-        printf "      \"median_ns_op\": %s,\n", median(runs[w])
-        printf "      \"mb_per_s\": %s,\n", median(mbs[w])
-        printf "      \"ns_per_transistor\": %s,\n", median(nst[w])
-        printf "      \"speedup_vs_serial\": %.2f\n", serial / median(runs[w])
-        printf "    }%s\n", i < nw ? "," : ""
-    }
-    printf "  },\n"
-    printf "  \"snapshot_load\": {\n"
-    scsv = sruns
-    sub(/,$/, "", scsv)
-    printf "    \"runs_ns_op\": [%s],\n", scsv
-    printf "    \"median_ns_op\": %s,\n", median(sruns)
-    printf "    \"mb_per_s\": %s,\n", median(smbs)
-    printf "    \"ns_per_transistor\": %s\n", median(snst)
-    printf "  },\n"
-    printf "  \"parallel_parse_speedup_at_%s_workers\": %.2f,\n", widest, serial / median(runs[widest])
-    printf "  \"snapshot_speedup_vs_serial_parse\": %.2f\n", serial / median(sruns)
-    printf "}\n"
-}' machine="$MACHINE" degenerate="$degenerate" "$RAW" > "$OUT4"
-
-echo "wrote $OUT4"
-cat "$OUT4"
-
-# BENCH_5.json: the locality record.
-#   reorder_ab     — BenchmarkE6ReorderAB, the interleaved single-worker
-#                    A/B of the RCM row layout vs the identity layout;
-#   ab_vs_main     — only when BENCH_MAIN_BIN names a bench binary built
-#                    at the comparison commit: strict alternation of that
-#                    binary and this tree on the same runner, the honest
-#                    form of a cross-commit speedup claim.
-OUT5=BENCH_5.json
-# The A/B benchmark interleaves its on/off pairs internally (3 pairs per
-# line at -benchtime 3x).
-GOMAXPROCS=$sweep_procs go test -run '^$' -bench 'BenchmarkE6ReorderAB$' \
-    -benchtime 3x -count 1 . | tee "$RAW"
-
-AB_MAIN=""
+# BENCH_5.json: the cross-commit record, written only when BENCH_MAIN_BIN
+# names a bench binary built at the comparison commit — strict alternation
+# of that binary and this tree on the same runner, the honest form of a
+# cross-commit speedup claim. Without it BENCH_5.json (and BENCH_4.json,
+# whose parser-worker sweep went with the parallel parser) stay as the
+# committed history they are.
 if [ -n "${BENCH_MAIN_BIN:-}" ]; then
+    OUT5=BENCH_5.json
     ABRAW=$(mktemp)
     NEWBIN=$(mktemp)
     go test -c -o "$NEWBIN" .
@@ -419,7 +315,7 @@ if [ -n "${BENCH_MAIN_BIN:-}" ]; then
             -test.bench 'BenchmarkE6ChipScale$' -test.benchtime 1x \
             | sed 's/^/main /' | tee -a "$ABRAW"
     done
-    AB_MAIN=$(awk '
+    awk '
     $2 ~ /^BenchmarkE6ChipScale/ { runs[$1] = runs[$1] $4 "," }
     function median(csv,   r, n, i, j, t) {
         sub(/,$/, "", csv)
@@ -433,6 +329,8 @@ if [ -n "${BENCH_MAIN_BIN:-}" ]; then
         mn = median(runs["new"]); mm = median(runs["main"])
         nc = runs["new"];  sub(/,$/, "", nc)
         mc = runs["main"]; sub(/,$/, "", mc)
+        printf "{\n  \"benchmark\": \"ab_vs_main\",\n"
+        printf "  \"machine\": %s,\n", machine
         printf "  \"ab_vs_main\": {\n"
         printf "    \"interleaved\": true,\n"
         printf "    \"runs_ns_op_this_tree\": [%s],\n", nc
@@ -440,42 +338,14 @@ if [ -n "${BENCH_MAIN_BIN:-}" ]; then
         printf "    \"median_ns_op_this_tree\": %s,\n", mn
         printf "    \"median_ns_op_main\": %s,\n", mm
         printf "    \"improvement_pct_vs_main\": %.1f\n", (mm - mn) / mm * 100
-        printf "  },\n"
-    }' "$ABRAW")
+        printf "  }\n}\n"
+    }' machine="$MACHINE" "$ABRAW" > "$OUT5"
     rm -f "$ABRAW" "$NEWBIN"
+    echo "wrote $OUT5"
+    cat "$OUT5"
+else
+    echo "bench.sh: BENCH_MAIN_BIN unset: no cross-commit A/B, BENCH_5.json left as is" >&2
 fi
-
-awk '
-/^BenchmarkE6ReorderAB/ {
-    for (i = 5; i < NF; i += 2) {
-        if ($(i + 1) == "ns-reorder-on")   abon = abon $i ","
-        if ($(i + 1) == "ns-reorder-off")  aboff = aboff $i ","
-        if ($(i + 1) == "improvement-pct") abimp = abimp $i ","
-    }
-}
-function median(csv,   r, n, i, j, t) {
-    sub(/,$/, "", csv)
-    n = split(csv, r, ",")
-    for (i = 1; i < n; i++)
-        for (j = i + 1; j <= n; j++)
-            if (r[j] + 0 < r[i] + 0) { t = r[i]; r[i] = r[j]; r[j] = t }
-    return r[int((n + 1) / 2)]
-}
-END {
-    printf "{\n  \"benchmark\": \"locality\",\n"
-    printf "  \"machine\": %s,\n", machine
-    printf "  \"degenerate_single_cpu\": %s,\n", degenerate
-    if (abmain != "") printf "%s\n", abmain
-    printf "  \"reorder_ab\": {\n"
-    printf "    \"interleaved\": true,\n"
-    printf "    \"median_ns_reorder_on\": %s,\n", median(abon)
-    printf "    \"median_ns_reorder_off\": %s,\n", median(aboff)
-    printf "    \"improvement_pct\": %.1f\n", median(abimp)
-    printf "  }\n}\n"
-}' machine="$MACHINE" degenerate="$degenerate" abmain="$AB_MAIN" "$RAW" > "$OUT5"
-
-echo "wrote $OUT5"
-cat "$OUT5"
 
 fi # BENCH_ONLY != hier
 
