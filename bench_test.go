@@ -232,8 +232,8 @@ func BenchmarkE6Capacity(b *testing.B) {
 // processor datapath (register file + ALU + shifter + multiplier +
 // address adder + control PLA) analyzed with the same directives a
 // Crystal user would supply — the reproduction stand-in for the paper's
-// real-chip case studies. It pins workers = 1 (no prewarm goroutines) so
-// its history stays comparable across machines.
+// real-chip case studies. The run is serial, so its history stays
+// comparable across machines.
 func BenchmarkE6ChipScale(b *testing.B) {
 	p := tech.NMOS4()
 	tb := delay.AnalyticTables(p)
@@ -246,7 +246,7 @@ func BenchmarkE6ChipScale(b *testing.B) {
 		}
 		trans = nw.Stats().Trans
 		fixed, loopBreak := gen.ChipDirectives(32)
-		opts := core.Options{Workers: 1}
+		opts := core.Options{}
 		for _, name := range loopBreak {
 			if n := nw.Lookup(name); n != nil {
 				opts.LoopBreak = append(opts.LoopBreak, n)
@@ -311,7 +311,7 @@ func BenchmarkE6HierAB(b *testing.B) {
 
 	var instances, stamped int
 	analyze := func(hier bool) (time.Duration, float64, int) {
-		opts := core.Options{Workers: 1, Hier: hier, MaxEventsPerNode: eventGuard}
+		opts := core.Options{Hier: hier, MaxEventsPerNode: eventGuard}
 		for _, name := range loopBreak {
 			if n := nw.Lookup(name); n != nil {
 				opts.LoopBreak = append(opts.LoopBreak, n)
@@ -390,11 +390,11 @@ func BenchmarkE6HierAB(b *testing.B) {
 
 // BenchmarkHierXL is the BENCH_9 scale point: the chip:64,40 grid (~2.4M
 // transistors, 40 tile instances) analyzed once with hierarchical
-// stamping, the stage database prewarmed on every core. Flat analysis at
-// this scale is minutes of wall time, so only the hier arm runs; the
-// recorded metrics are the wall time, the live heap after the run (the
-// RSS-sublinearity evidence: stamped interiors carry copied events but no
-// stage enumerations or history), and the provenance counts.
+// stamping. Flat analysis at this scale is minutes of wall time, so only
+// the hier arm runs; the recorded metrics are the wall time, the live heap
+// after the run (the RSS-sublinearity evidence: stamped interiors carry
+// copied events but no stage enumerations or history), and the provenance
+// counts.
 func BenchmarkHierXL(b *testing.B) {
 	const gridW, gridTiles = 64, 40
 	p := tech.NMOS4()
@@ -410,7 +410,7 @@ func BenchmarkHierXL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// 64-bit carry logic needs even more propagation rounds than the
 		// 32-bit A/B; see BenchmarkE6HierAB on why the guard must not fire.
-		opts := core.Options{Workers: 0, Hier: true, MaxEventsPerNode: 4000}
+		opts := core.Options{Hier: true, MaxEventsPerNode: 4000}
 		for _, name := range loopBreak {
 			if n := nw.Lookup(name); n != nil {
 				opts.LoopBreak = append(opts.LoopBreak, n)

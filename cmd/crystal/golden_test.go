@@ -71,47 +71,6 @@ func TestGoldenReports(t *testing.T) {
 	}
 }
 
-// TestGoldenWorkersIdentity pins the -workers contract at the CLI surface:
-// the report (paths, arrival times, slopes, slack, incremental status
-// lines) is byte-identical whether the drain runs serially or on eight
-// workers. The -edits variant routes the incremental re-analysis through
-// the parallel scheduler too.
-func TestGoldenWorkersIdentity(t *testing.T) {
-	base := config{
-		simFile:  testdataPath + "dlatch.sim",
-		techName: "nmos-4u", model: "slope", tables: "analytic",
-		rise: "d", fall: "d", fix: "wr=1",
-		inSlope: 1e-9, top: 3, deadline: 100e-9,
-	}
-	withEdits := base
-	withEdits.edits = testdataPath + "dlatch-edits.script"
-	cases := []struct {
-		name string
-		cfg  config
-	}{
-		{"single-run", base},
-		{"with-edits", withEdits},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			outs := map[int]string{}
-			for _, workers := range []int{1, 8} {
-				cfg := tc.cfg
-				cfg.workers = workers
-				var out strings.Builder
-				if _, err := run(cfg, &out); err != nil {
-					t.Fatalf("workers=%d: %v\n%s", workers, err, out.String())
-				}
-				outs[workers] = out.String()
-			}
-			if outs[1] != outs[8] {
-				t.Errorf("report differs between -workers 1 and -workers 8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s",
-					outs[1], outs[8])
-			}
-		})
-	}
-}
-
 // TestEditScriptErrors pins the script parser's error reporting: bad
 // lines fail with the source name and line number.
 func TestEditScriptErrors(t *testing.T) {

@@ -8,16 +8,13 @@
 //
 //	crystal -sim alu8.sim [-tech nmos-4u] [-model slope] [-tables char]
 //	        [-rise a0,b0] [-fall a0] [-fix ctl=1,en=0] [-slope 1e-9]
-//	        [-top 5] [-erc] [-deadline 200e-9] [-workers 1]
+//	        [-top 5] [-erc] [-deadline 200e-9]
 //	        [-snapshot alu8.simx]
 //
 // With no -rise/-fall flags every node marked "@ in" in the netlist
 // toggles in both directions at t=0, the fully vectorless worst case.
 // With -deadline, a slack report follows the critical paths and the exit
-// status is 2 if any endpoint misses the deadline. -workers parallelizes
-// only the stage-database prewarm of this single analysis (0 selects all
-// cores); arrival times and reports are bit-identical at every worker
-// count, so the flag is purely a speed knob. -snapshot names a
+// status is 2 if any endpoint misses the deadline. -snapshot names a
 // binary .simx cache for the parsed netlist: fresh (same source bytes,
 // same tech) it is loaded in place of parsing, otherwise it is
 // rewritten after the parse (see docs/PERFORMANCE.md, "Ingest").
@@ -52,7 +49,6 @@ type config struct {
 	fall      string
 	fix       string
 	inSlope   float64
-	workers   int
 	hier      string
 	top       int
 	runERC    bool
@@ -113,7 +109,6 @@ func main() {
 	flag.StringVar(&cfg.fall, "fall", "", "comma list of inputs that fall at t=0")
 	flag.StringVar(&cfg.fix, "fix", "", "comma list of node=0|1 fixed values")
 	flag.Float64Var(&cfg.inSlope, "slope", 1e-9, "input transition time in seconds")
-	flag.IntVar(&cfg.workers, "workers", 1, "goroutines for the stage-database prewarm only (0 = all cores); results are bit-identical at every setting")
 	flag.StringVar(&cfg.hier, "hier", "off", "hierarchical macromodel analysis over instance annotations: on or off (results are bit-identical either way)")
 	flag.IntVar(&cfg.top, "top", 5, "number of critical paths to print")
 	flag.BoolVar(&cfg.runERC, "erc", false, "run electrical rule checks before timing")
@@ -193,9 +188,7 @@ func run(cfg config, w io.Writer) (int, error) {
 		return 0, err
 	}
 
-	// Reports are built from arrivals, which are bit-identical at every
-	// worker count, so -workers only changes how fast the answer arrives.
-	opts := core.Options{Workers: cfg.workers}
+	var opts core.Options
 	switch cfg.hier {
 	case "on":
 		opts.Hier = true

@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	crystald [-addr :8653] [-max-sessions 16] [-workers 0]
-//	         [-hier off] [-drain-timeout 30s] [-snapshot-dir DIR]
+//	crystald [-addr :8653] [-max-sessions 16] [-hier off]
+//	         [-drain-timeout 30s] [-snapshot-dir DIR]
 //	         [-job-workers 2] [-job-queue 32]
 //	         [-chaos-job-delay 0] [-chaos-job-fail-every 0]
 //
@@ -70,7 +70,6 @@ const readHeaderTimeout = 10 * time.Second
 func main() {
 	addr := flag.String("addr", ":8653", "listen address")
 	maxSessions := flag.Int("max-sessions", 16, "LRU session cache bound (memory knob)")
-	workers := flag.Int("workers", 0, "default goroutines per full analysis, for the stage-database prewarm only (0 = all cores)")
 	hier := flag.String("hier", "off", "hierarchical macromodel analysis over instance annotations: on or off (results are bit-identical either way)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this second address (empty = disabled; bind to localhost)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown grace period")
@@ -86,14 +85,13 @@ func main() {
 	}
 
 	sv := server.New(server.Options{
-		MaxSessions:    *maxSessions,
-		DefaultWorkers: *workers,
-		Hier:           *hier == "on",
-		SnapshotDir:    *snapshotDir,
-		JobWorkers:     *jobWorkers,
-		JobQueueDepth:  *jobQueue,
-		JobDelay:       *chaosJobDelay,
-		JobFailEvery:   *chaosJobFailEvery,
+		MaxSessions:   *maxSessions,
+		Hier:          *hier == "on",
+		SnapshotDir:   *snapshotDir,
+		JobWorkers:    *jobWorkers,
+		JobQueueDepth: *jobQueue,
+		JobDelay:      *chaosJobDelay,
+		JobFailEvery:  *chaosJobFailEvery,
 	})
 	// The service metrics through the stock expvar protocol, next to the
 	// runtime's memstats/cmdline vars.

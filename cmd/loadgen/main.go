@@ -460,7 +460,7 @@ func (h *harness) analyzeOp(s *slot, rng *rand.Rand) {
 		return
 	}
 
-	body := map[string]any{"workers": 1, "force": force}
+	body := map[string]any{"force": force}
 	if rng.Float64() < h.async {
 		body["async"] = true
 		start := time.Now()
@@ -528,7 +528,7 @@ func (h *harness) analyzeOp(s *slot, rng *rand.Rand) {
 // worker can touch the session), with the slot lock held.
 func (h *harness) validatePair(s *slot, id string, epoch int64) {
 	ct := h.counters()
-	body := map[string]any{"workers": 1, "force": true}
+	body := map[string]any{"force": true}
 	st, syncRaw, err := h.c.do("POST", "/v1/sessions/"+id+"/analyze", body)
 	if err != nil || st != http.StatusOK {
 		if st == http.StatusNotFound {

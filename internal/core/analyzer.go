@@ -61,13 +61,10 @@ type Options struct {
 	// time but never correctness. Obtain one from Analyzer.StageDB after
 	// a Run. Safe to share across concurrent analyzers.
 	DB *stage.DB
-	// Workers bounds the goroutines one analysis may start (0 selects
-	// GOMAXPROCS): with more than one the stage database is prewarmed
-	// concurrently before the drain, and the clocked analyses run their
-	// phases side by side (phases.go). The event loop itself is always the
-	// one serial drain, so results are bit-identical at every setting;
-	// Workers = 1 is the strict no-goroutine mode, which builds the
-	// database lazily as the drain asks for stages.
+	// Workers is read only by ClockedAnalysis: it bounds how many of its
+	// phases run side by side (0 selects GOMAXPROCS; phases.go). A single
+	// Run or Reanalyze is serial and ignores it — the stage database is
+	// built lazily as the drain asks for stages.
 	Workers int
 	// MaxEventsPerNode guards against combinational feedback: after this
 	// many propagation rounds from one node's arrival the analyzer stops
@@ -457,13 +454,6 @@ func (a *Analyzer) Run() error {
 		opt.Oracle = a.oracle()
 		a.db = stage.NewDB(nw, opt)
 		a.db.Stamp = stamp
-	}
-	if w := Workers(a.Opts.Workers, 0); w > 1 {
-		// With stamped members the prewarm skips their devices and inputs
-		// entirely — the stage enumerations that were never going to be
-		// evaluated are never built, which is the memory win of
-		// hierarchical analysis.
-		a.db.PrewarmMasked(w, a.hierSkipTrans, a.hierSkipNode)
 	}
 
 	if a.hier != nil {

@@ -38,26 +38,7 @@ func TestConcurrentSharedDB(t *testing.T) {
 	m := delay.NewSlope(delay.AnalyticTables(p))
 
 	newAnalyzer := func(db *stage.DB) *Analyzer {
-		opts := Options{DB: db, Workers: 1}
-		for _, name := range lb {
-			n := nw.Lookup(name)
-			if n == nil {
-				t.Fatalf("directive node %s missing", name)
-			}
-			opts.LoopBreak = append(opts.LoopBreak, n)
-		}
-		a := New(nw, m, opts)
-		for name, v := range fixed {
-			a.SetFixed(nw.Lookup(name), switchsim.FromBool(v == "1"))
-		}
-		for _, in := range nw.Inputs() {
-			if _, ok := fixed[in.Name]; ok {
-				continue
-			}
-			a.SetInputEvent(in, tech.Rise, 0, 0)
-			a.SetInputEvent(in, tech.Fall, 0, 0)
-		}
-		return a
+		return buildAnalyzer(t, nw, m, fixed, lb, Options{DB: db})
 	}
 
 	// Strict-serial baseline with a private database.
@@ -130,8 +111,10 @@ func TestEpochSnapshotIsolation(t *testing.T) {
 	fixed, lb := gen.ChipDirectives(4)
 	m := delay.NewSlope(delay.AnalyticTables(p))
 
+	// Built by hand, not with buildAnalyzer: the readers below call it on
+	// their own goroutines, where t.Fatal must not run.
 	newAnalyzer := func(target *netlist.Network, db *stage.DB) *Analyzer {
-		opts := Options{DB: db, Workers: 1}
+		opts := Options{DB: db}
 		for _, name := range lb {
 			opts.LoopBreak = append(opts.LoopBreak, target.Lookup(name))
 		}
@@ -249,7 +232,6 @@ func TestSharedDBStampMismatch(t *testing.T) {
 	stale := stage.NewDB(nw, stage.Options{})
 	stale.Stamp = "not-the-real-stamp"
 	opts.DB = stale
-	opts.Workers = 1
 	a := New(nw, m, opts)
 	for _, in := range nw.Inputs() {
 		a.SetInputEvent(in, tech.Rise, 0, 0)
@@ -276,7 +258,7 @@ func TestSharedOptionsReanalyze(t *testing.T) {
 	}
 	fixed, lb := gen.ChipDirectives(4)
 	m := delay.NewSlope(delay.AnalyticTables(p))
-	opts := Options{Workers: 1}
+	opts := Options{}
 	for _, name := range lb {
 		opts.LoopBreak = append(opts.LoopBreak, nw.Lookup(name))
 	}

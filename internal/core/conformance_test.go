@@ -36,8 +36,10 @@ func conformanceDirectives(spec string) (map[string]string, []string) {
 // family in the generator registry is pushed through each analysis
 // engine, and the engines must agree.
 //
-//   - Parallel drain: workers=8 is bit-identical to workers=1 (arrivals,
-//     slopes, provenance, feedback-guard verdicts, evaluation counts).
+//   - Workers: a single Run ignores Options.Workers, so a run at workers=8
+//     over the first run's stage database is bit-identical to it (arrivals,
+//     slopes, Via provenance pointers, feedback-guard verdicts, evaluation
+//     counts).
 //   - Incremental engine: Reanalyze after a no-op edit reproduces the
 //     full run's arrivals exactly.
 //   - Delay-model pessimism: per endpoint, lumped ≥ rc and slope ≥ rc —
@@ -63,17 +65,17 @@ func TestConformance(t *testing.T) {
 			}
 			fix, lb := conformanceDirectives(spec)
 
-			slope := buildAnalyzer(t, nw, delay.NewSlope(tb), fix, lb, Options{Workers: 1})
+			slope := buildAnalyzer(t, nw, delay.NewSlope(tb), fix, lb, Options{})
 			if err := slope.Run(); err != nil {
 				t.Fatal(err)
 			}
 
 			t.Run("workers", func(t *testing.T) {
-				par := buildAnalyzer(t, nw, delay.NewSlope(tb), fix, lb, Options{Workers: 8})
+				par := buildAnalyzer(t, nw, delay.NewSlope(tb), fix, lb, Options{Workers: 8, DB: slope.StageDB()})
 				if err := par.Run(); err != nil {
 					t.Fatal(err)
 				}
-				requireIdentical(t, "workers=8", slope, par, false)
+				requireIdentical(t, "workers=8 shared", slope, par, true)
 			})
 			t.Run("reanalyze-noop", func(t *testing.T) {
 				conformanceNoopReanalyze(t, nw, tb, fix, lb, slope)
@@ -105,7 +107,7 @@ func conformanceNoopReanalyze(t *testing.T, nw *netlist.Network, tb *delay.Table
 	if target == "" {
 		t.Skip("no editable node")
 	}
-	a := buildAnalyzer(t, nw, delay.NewSlope(tb), fix, lb, Options{Workers: 1})
+	a := buildAnalyzer(t, nw, delay.NewSlope(tb), fix, lb, Options{})
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +133,8 @@ func conformanceNoopReanalyze(t *testing.T, nw *netlist.Network, tb *delay.Table
 // conformancePessimism checks the delay-model ordering per endpoint.
 func conformancePessimism(t *testing.T, nw *netlist.Network, tb *delay.Tables,
 	fix map[string]string, lb []string, slope *Analyzer) {
-	lum := buildAnalyzer(t, nw, delay.NewLumped(tb), fix, lb, Options{Workers: 1})
-	rc := buildAnalyzer(t, nw, delay.NewRC(tb), fix, lb, Options{Workers: 1})
+	lum := buildAnalyzer(t, nw, delay.NewLumped(tb), fix, lb, Options{})
+	rc := buildAnalyzer(t, nw, delay.NewRC(tb), fix, lb, Options{})
 	for _, a := range []*Analyzer{lum, rc} {
 		if err := a.Run(); err != nil {
 			t.Fatal(err)

@@ -17,9 +17,7 @@ import (
 // settings) and checks the two identities that make them a ledger: every
 // candidate offered to improve — one per stage evaluation, plus the seeds —
 // has exactly one outcome, and every pop that was not stale was one
-// propagation round of its (node, transition). The ledger balances, on the
-// same figures, whether the stage database was prewarmed (two workers) or
-// built as the drain went (one).
+// propagation round of its (node, transition).
 func TestDrainOutcomeCounts(t *testing.T) {
 	p := tech.NMOS4()
 	m := delay.NewSlope(delay.AnalyticTables(p))
@@ -35,43 +33,33 @@ func TestDrainOutcomeCounts(t *testing.T) {
 			t.Fatal(err)
 		}
 		fix, lb := gen.ChipDirectives(width)
-		var serial DrainStats
-		for _, workers := range []int{1, 2} {
-			label := fmt.Sprintf("chip:%d, %d workers", width, workers)
-			a := buildAnalyzer(t, nw, m, fix, lb, Options{Workers: workers, MaxEventsPerNode: 1000})
-			if err := a.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if len(a.Unbounded) != 0 {
-				t.Fatalf("%s: the guard fired on %d nodes", label, len(a.Unbounded))
-			}
-			s := a.DrainStats()
-			offered := int64(a.StagesEvaluated() + len(a.seeded))
-			if got := s.Improved + s.Earlier + s.TieLost + s.Pruned; got != offered {
-				t.Errorf("%s: %d outcomes for %d candidates (%d stages + %d seeds): %+v",
-					label, got, offered, a.StagesEvaluated(), len(a.seeded), s)
-			}
-			var rounds int64
-			for _, c := range a.count {
-				rounds += int64(c[0]) + int64(c[1])
-			}
-			if s.Pops-s.StalePops != rounds {
-				t.Errorf("%s: %d pops − %d stale, but %d propagation rounds", label, s.Pops, s.StalePops, rounds)
-			}
-			if workers == 1 {
-				serial = s
-				if s.MaxQueue <= 0 || s.MaxQueue > s.Pops {
-					t.Errorf("%s: max queue %d of %d pops", label, s.MaxQueue, s.Pops)
-				}
-				fmt.Fprintf(&out, "chip:%-3d %9d %9d %8d %8d %10d %9d %9d %9d %7.1f%%\n", width,
-					a.StagesEvaluated(), s.Pops, s.StalePops, s.MaxQueue, s.Improved, s.Earlier, s.TieLost, s.Pruned,
-					100*float64(s.TieLost)/float64(offered))
-				continue
-			}
-			if s != serial {
-				t.Errorf("%s counts differently from one worker:\n%+v\n%+v", label, s, serial)
-			}
+		label := fmt.Sprintf("chip:%d", width)
+		a := buildAnalyzer(t, nw, m, fix, lb, Options{MaxEventsPerNode: 1000})
+		if err := a.Run(); err != nil {
+			t.Fatal(err)
 		}
+		if len(a.Unbounded) != 0 {
+			t.Fatalf("%s: the guard fired on %d nodes", label, len(a.Unbounded))
+		}
+		s := a.DrainStats()
+		offered := int64(a.StagesEvaluated() + len(a.seeded))
+		if got := s.Improved + s.Earlier + s.TieLost + s.Pruned; got != offered {
+			t.Errorf("%s: %d outcomes for %d candidates (%d stages + %d seeds): %+v",
+				label, got, offered, a.StagesEvaluated(), len(a.seeded), s)
+		}
+		var rounds int64
+		for _, c := range a.count {
+			rounds += int64(c[0]) + int64(c[1])
+		}
+		if s.Pops-s.StalePops != rounds {
+			t.Errorf("%s: %d pops − %d stale, but %d propagation rounds", label, s.Pops, s.StalePops, rounds)
+		}
+		if s.MaxQueue <= 0 || s.MaxQueue > s.Pops {
+			t.Errorf("%s: max queue %d of %d pops", label, s.MaxQueue, s.Pops)
+		}
+		fmt.Fprintf(&out, "chip:%-3d %9d %9d %8d %8d %10d %9d %9d %9d %7.1f%%\n", width,
+			a.StagesEvaluated(), s.Pops, s.StalePops, s.MaxQueue, s.Improved, s.Earlier, s.TieLost, s.Pruned,
+			100*float64(s.TieLost)/float64(offered))
 	}
 	t.Logf("\n%s", out.String())
 }
@@ -87,7 +75,7 @@ func TestRunReleasesQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	fix, lb := gen.ChipDirectives(8)
-	a := buildAnalyzer(t, nw, delay.NewSlope(delay.AnalyticTables(p)), fix, lb, Options{Workers: 1, MaxEventsPerNode: 1000})
+	a := buildAnalyzer(t, nw, delay.NewSlope(delay.AnalyticTables(p)), fix, lb, Options{MaxEventsPerNode: 1000})
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}

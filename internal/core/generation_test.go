@@ -113,7 +113,7 @@ func TestCarriedStaticMatchesFreshSettle(t *testing.T) {
 				t.Fatal(err)
 			}
 			build := func(next *netlist.Network) *Analyzer {
-				a := buildAnalyzer(t, next, m, fam.fix, fam.lb, Options{Workers: 1})
+				a := buildAnalyzer(t, next, m, fam.fix, fam.lb, Options{})
 				if fam.charged {
 					// Nets later generations add carry no charge.
 					a.initial = make([]switchsim.Value, len(nw.Nodes))
@@ -260,14 +260,13 @@ func TestCarriedStaticMatchesFreshSettle(t *testing.T) {
 // analysis: across a stream that creates nodes (AddTrans naming new nets)
 // and removes the devices again, the per-node arrays stay where they are
 // unless a node was added, replay history stays on trigger nodes, and every
-// arrival equals a fresh analyzer's. A second analyzer, configured with two
-// workers, takes the same stream and must stay identical to the first.
+// arrival equals a fresh analyzer's.
 func TestReanalyzeKeepsLayout(t *testing.T) {
 	p := tech.NMOS4()
 	m := delay.NewSlope(delay.AnalyticTables(p))
 	fix, lb := gen.ChipDirectives(8)
-	build := func(nw *netlist.Network, workers int) *Analyzer {
-		a := buildAnalyzer(t, nw, m, fix, lb, Options{Workers: workers})
+	build := func(nw *netlist.Network) *Analyzer {
+		a := buildAnalyzer(t, nw, m, fix, lb, Options{})
 		if err := a.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +276,7 @@ func TestReanalyzeKeepsLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, par := build(nw, 1), build(nw, 2)
+	a := build(nw)
 	nodes, trans := localTargets(nw)
 	rng := rand.New(rand.NewSource(3))
 	var undo []incremental.Edit
@@ -317,16 +316,7 @@ func TestReanalyzeKeepsLayout(t *testing.T) {
 			}
 		}
 		requireHistoryOnTriggersOnly(t, label, a)
-		requireMatchesFresh(t, label, a, build(a.Net, 1))
-
-		ps, err := par.Reanalyze(batch)
-		if err != nil {
-			t.Fatalf("%s, two workers: %v", label, err)
-		}
-		if ps.Full != st.Full || ps.DirtyNodes != st.DirtyNodes || ps.StagesEvaluated != st.StagesEvaluated {
-			t.Fatalf("%s: stats diverge: serial %+v, two workers %+v", label, st, ps)
-		}
-		requireIdentical(t, label+", two workers", a, par, false)
+		requireMatchesFresh(t, label, a, build(a.Net))
 	}
 	if incrementals < 10 {
 		t.Errorf("%d of 40 batches took the incremental path, want at least 10", incrementals)
@@ -348,7 +338,7 @@ func TestReanalyzePhases(t *testing.T) {
 	// The guard budget of the benchmark's chip workloads: under the default
 	// a chip-scale run leaves nodes on the feedback guard, and a batch that
 	// reaches one falls back to a full run.
-	a := buildAnalyzer(t, nw, delay.NewSlope(delay.AnalyticTables(p)), fix, lb, Options{Workers: 1, MaxEventsPerNode: 1000})
+	a := buildAnalyzer(t, nw, delay.NewSlope(delay.AnalyticTables(p)), fix, lb, Options{MaxEventsPerNode: 1000})
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,10 @@
 // During the hierarchical drain the members are masked out: their devices'
 // consequence lists are never evaluated, boundary fan-out stages targeting
 // their interiors are skipped, and their interior nodes propagate nothing
-// (their seeds still pop, mirroring the representative's accounting). The
-// masks also gate the stage-database prewarm, which is where the memory
-// saving comes from: a member's enumerations are simply never built.
+// (their seeds still pop, mirroring the representative's accounting).
+// Because the stage database is built lazily as the drain asks, the masks
+// are also where the memory saving comes from: a member's enumerations are
+// simply never built.
 package core
 
 import (
@@ -76,7 +77,7 @@ type hierState struct {
 
 // AnalyzeHierarchical is Run with hierarchical stamping enabled: detect
 // repeated instances, analyze one representative per class, stamp the
-// rest. Results are bit-identical to a flat Run at every worker count;
+// rest. Results are bit-identical to a flat Run;
 // HierStats/HierInstances report what was stamped versus analyzed flat.
 func (a *Analyzer) AnalyzeHierarchical() error {
 	a.Opts.Hier = true

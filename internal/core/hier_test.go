@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/delay"
@@ -143,34 +142,31 @@ func requireHierIdentical(t *testing.T, label string, want, got *Analyzer) {
 }
 
 // TestHierIdentity pins the tentpole guarantee: hierarchical analysis is
-// bit-identical to flat analysis for every circuit family, at one worker
-// and at eight, whether or not anything is stampable.
+// bit-identical to flat analysis for every circuit family, whether or not
+// anything is stampable.
 func TestHierIdentity(t *testing.T) {
 	p := tech.NMOS4()
 	m := delay.NewSlope(delay.AnalyticTables(p))
 	for _, fam := range hierFamilies(t, p) {
 		t.Run(fam.name, func(t *testing.T) {
-			base := buildAnalyzer(t, fam.nw, m, fam.fix, fam.lb, Options{Workers: 1})
+			base := buildAnalyzer(t, fam.nw, m, fam.fix, fam.lb, Options{})
 			if err := base.Run(); err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 8} {
-				a := buildAnalyzer(t, fam.nw, m, fam.fix, fam.lb, Options{Workers: workers})
-				if err := a.AnalyzeHierarchical(); err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("workers=%d", workers)
-				requireHierIdentical(t, label, base, a)
-				st := a.HierStats()
-				if fam.stamped && st.Stamped == 0 {
-					t.Errorf("%s: nothing stamped on the tiled grid: %+v", label, st)
-				}
-				if !fam.stamped && st.Stamped != 0 {
-					t.Errorf("%s: %d instances stamped, expected none", label, st.Stamped)
-				}
-				if st.Instances != st.Stamped+st.Flat {
-					t.Errorf("%s: inconsistent stats %+v", label, st)
-				}
+			a := buildAnalyzer(t, fam.nw, m, fam.fix, fam.lb, Options{})
+			if err := a.AnalyzeHierarchical(); err != nil {
+				t.Fatal(err)
+			}
+			requireHierIdentical(t, "hier", base, a)
+			st := a.HierStats()
+			if fam.stamped && st.Stamped == 0 {
+				t.Errorf("nothing stamped on the tiled grid: %+v", st)
+			}
+			if !fam.stamped && st.Stamped != 0 {
+				t.Errorf("%d instances stamped, expected none", st.Stamped)
+			}
+			if st.Instances != st.Stamped+st.Flat {
+				t.Errorf("inconsistent stats %+v", st)
 			}
 		})
 	}
@@ -186,7 +182,7 @@ func TestHierProvenance(t *testing.T) {
 		t.Fatal(err)
 	}
 	fix, lb := gen.ChipGridDirectives(8, 4)
-	a := buildAnalyzer(t, nw, m, fix, lb, Options{Workers: 1, Hier: true})
+	a := buildAnalyzer(t, nw, m, fix, lb, Options{Hier: true})
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +208,7 @@ func TestHierProvenance(t *testing.T) {
 		}
 	}
 	// A flat re-run must not report hierarchical state.
-	flat := buildAnalyzer(t, nw, m, fix, lb, Options{Workers: 1})
+	flat := buildAnalyzer(t, nw, m, fix, lb, Options{})
 	if err := flat.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +229,7 @@ func hierEditIdentity(t *testing.T, label string, a *Analyzer, m delay.Model,
 	if _, err := a.Reanalyze(edits); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	fresh := buildAnalyzer(t, a.Net, m, fix, lb, Options{Workers: 1})
+	fresh := buildAnalyzer(t, a.Net, m, fix, lb, Options{})
 	if err := fresh.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +244,12 @@ func TestHierReanalyze(t *testing.T) {
 	m := delay.NewSlope(delay.AnalyticTables(p))
 	fix, lb := gen.ChipGridDirectives(8, 3)
 
-	build := func(t *testing.T, workers int) *Analyzer {
+	build := func(t *testing.T) *Analyzer {
 		nw, err := gen.ChipGrid(p, 8, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := buildAnalyzer(t, nw, m, fix, lb, Options{Workers: workers, Hier: true})
+		a := buildAnalyzer(t, nw, m, fix, lb, Options{Hier: true})
 		if err := a.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -276,40 +272,38 @@ func TestHierReanalyze(t *testing.T) {
 		return -1
 	}
 
-	for _, workers := range []int{1, 8} {
-		t.Run(fmt.Sprintf("inside-stamped-w%d", workers), func(t *testing.T) {
-			a := build(t, workers)
-			before := a.HierStats()
-			if before.Stamped == 0 {
-				t.Fatal("nothing stamped")
-			}
-			idx := pick(t, a, true)
-			hierEditIdentity(t, "resize-in-member", a, m, fix, lb,
-				[]incremental.Edit{{Kind: incremental.Resize, Index: idx, W: 7e-6}})
-			after := a.HierStats()
-			if after.Stamped >= before.Stamped {
-				t.Errorf("edit inside a stamped member left %d stamped (was %d)",
-					after.Stamped, before.Stamped)
-			}
-		})
-		t.Run(fmt.Sprintf("outside-stamped-w%d", workers), func(t *testing.T) {
-			a := build(t, workers)
-			before := a.HierStats()
-			idx := pick(t, a, false)
-			hierEditIdentity(t, "resize-outside", a, m, fix, lb,
-				[]incremental.Edit{{Kind: incremental.Resize, Index: idx, W: 7e-6}})
-			after := a.HierStats()
-			if after.Stamped != before.Stamped {
-				t.Errorf("edit outside the stamps changed the stamped count %d -> %d",
-					before.Stamped, after.Stamped)
-			}
-		})
-	}
+	t.Run("inside-stamped-w1", func(t *testing.T) {
+		a := build(t)
+		before := a.HierStats()
+		if before.Stamped == 0 {
+			t.Fatal("nothing stamped")
+		}
+		idx := pick(t, a, true)
+		hierEditIdentity(t, "resize-in-member", a, m, fix, lb,
+			[]incremental.Edit{{Kind: incremental.Resize, Index: idx, W: 7e-6}})
+		after := a.HierStats()
+		if after.Stamped >= before.Stamped {
+			t.Errorf("edit inside a stamped member left %d stamped (was %d)",
+				after.Stamped, before.Stamped)
+		}
+	})
+	t.Run("outside-stamped-w1", func(t *testing.T) {
+		a := build(t)
+		before := a.HierStats()
+		idx := pick(t, a, false)
+		hierEditIdentity(t, "resize-outside", a, m, fix, lb,
+			[]incremental.Edit{{Kind: incremental.Resize, Index: idx, W: 7e-6}})
+		after := a.HierStats()
+		if after.Stamped != before.Stamped {
+			t.Errorf("edit outside the stamps changed the stamped count %d -> %d",
+				before.Stamped, after.Stamped)
+		}
+	})
 
 	// A capacitance edit on a boundary net (the shared opcode bus) dirties
 	// every tile it feeds: all members detach, results stay identical.
 	t.Run("boundary-cap", func(t *testing.T) {
-		a := build(t, 1)
+		a := build(t)
 		hierEditIdentity(t, "cap-on-bus", a, m, fix, lb,
 			[]incremental.Edit{{Kind: incremental.AddCap, Node: "op0", Cap: 40e-15}})
 	})
@@ -317,7 +311,7 @@ func TestHierReanalyze(t *testing.T) {
 	// A retype forces a full fallback; hierarchical state is dropped, the
 	// full flat run stays identical.
 	t.Run("retype-full-fallback", func(t *testing.T) {
-		a := build(t, 1)
+		a := build(t)
 		hierEditIdentity(t, "retype", a, m, fix, lb,
 			[]incremental.Edit{{Kind: incremental.Retype, Node: "t1_au_cout", NodeKind: netlist.KindNormal}})
 		if st := a.HierStats(); st.Instances != 0 {
@@ -347,7 +341,7 @@ func FuzzHierStamp(f *testing.F) {
 			t.Skip()
 		}
 		nw := seed.Clone()
-		a := buildAnalyzer(t, nw, m, fix, lb, Options{Workers: 1, Hier: true})
+		a := buildAnalyzer(t, nw, m, fix, lb, Options{Hier: true})
 		if err := a.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -383,7 +377,7 @@ func FuzzHierStamp(f *testing.F) {
 		if _, err := a.Reanalyze(edits); err != nil {
 			t.Fatal(err)
 		}
-		fresh := buildAnalyzer(t, a.Net, m, fix, lb, Options{Workers: 1})
+		fresh := buildAnalyzer(t, a.Net, m, fix, lb, Options{})
 		if err := fresh.Run(); err != nil {
 			t.Fatal(err)
 		}

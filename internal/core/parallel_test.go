@@ -1,23 +1,21 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/delay"
 	"repro/internal/gen"
-	"repro/internal/incremental"
 	"repro/internal/netlist"
 	"repro/internal/switchsim"
 	"repro/internal/tech"
 )
 
-// parallelFamilies are the circuit families the worker-count identity tests sweep:
-// gate-load dominated (ALU), deep carry relaxation (RippleAdder), pass-
-// transistor channels (PassChain), precharged dynamic logic (PrechargedBus),
-// the chip-scale mix with loop-break directives, and the same chip without
-// them — combinational feedback that trips the guard, pinning Unbounded
-// bookkeeping order.
+// parallelFamilies are the circuit families the shared-database identity
+// tests sweep: gate-load dominated (ALU), deep carry relaxation
+// (RippleAdder), pass-transistor channels (PassChain), precharged dynamic
+// logic (PrechargedBus), the chip-scale mix with loop-break directives, and
+// the same chip without them — combinational feedback that trips the guard,
+// pinning Unbounded bookkeeping order.
 func parallelFamilies(t *testing.T, p *tech.Params) []struct {
 	name string
 	nw   *netlist.Network
@@ -107,47 +105,44 @@ func requireIdentical(t *testing.T, label string, want, got *Analyzer, sameDB bo
 	}
 }
 
-// TestParallelDrainIdentity pins that Options.Workers never changes a result:
-// a stage database prewarmed concurrently (Workers > 1) and one built lazily
-// by the drain (Workers = 1) give bit-identical arrivals, provenance,
-// Unbounded order, Truncated and StagesEvaluated, across every circuit
-// family. The shared-database variant also requires identical Via provenance
-// pointers — a second analyzer over a shared database must apply the exact
-// stage objects the first one installed. (The name dates from a parallel
-// drain that is gone; it is kept because the suite is tracked by name.)
+// TestParallelDrainIdentity pins database sharing: a second analyzer over
+// the database the first one built gives bit-identical arrivals, Unbounded
+// order, Truncated and StagesEvaluated across every circuit family, and
+// applies the exact stage objects the first one installed (identical Via
+// pointers). The name dates from a parallel drain that is gone; it is kept
+// because the suite is tracked by name.
 func TestParallelDrainIdentity(t *testing.T) {
 	p := tech.NMOS4()
 	m := delay.NewSlope(delay.AnalyticTables(p))
 	for _, fam := range parallelFamilies(t, p) {
 		t.Run(fam.name, func(t *testing.T) {
-			base := buildAnalyzer(t, fam.nw, m, fam.fix, fam.lb, Options{Workers: 1})
-			if err := base.Run(); err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 4, 8} {
-				// Shared database: Via pointers must match exactly.
-				a := buildAnalyzer(t, fam.nw, m, fam.fix, fam.lb,
-					Options{Workers: workers, DB: base.StageDB()})
-				if err := a.Run(); err != nil {
-					t.Fatal(err)
-				}
-				requireIdentical(t, fmt.Sprintf("workers=%d shared", workers), base, a, true)
-
-				// Private database: same arrivals from a cold enumeration.
-				a = buildAnalyzer(t, fam.nw, m, fam.fix, fam.lb, Options{Workers: workers})
-				if err := a.Run(); err != nil {
-					t.Fatal(err)
-				}
-				requireIdentical(t, fmt.Sprintf("workers=%d private", workers), base, a, false)
-			}
+			requireSharedIdentical(t, fam.nw, m, fam.fix, fam.lb)
 		})
 	}
 }
 
+// requireSharedIdentical runs one analyzer with a private database, then a
+// second over the database the first built, and requires the two to match
+// bit for bit, Via pointers included.
+func requireSharedIdentical(t *testing.T, nw *netlist.Network, m delay.Model, fix map[string]string, lb []string) {
+	t.Helper()
+	base := buildAnalyzer(t, nw, m, fix, lb, Options{})
+	if err := base.Run(); err != nil {
+		t.Fatal(err)
+	}
+	a := buildAnalyzer(t, nw, m, fix, lb, Options{DB: base.StageDB()})
+	if err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if a.StageDB() != base.StageDB() {
+		t.Fatal("second analyzer rejected the shared database")
+	}
+	requireIdentical(t, "shared database", base, a, true)
+}
+
 // TestParallelDrainIdentityAllModels sweeps the three delay models over a
-// concurrently prewarmed database: stage constants publish atomically during
-// the prewarm, and each model must read the same values from them as from a
-// lazily built one.
+// shared database: each model must read the same stage constants from a
+// database another analyzer built as from the one it built itself.
 func TestParallelDrainIdentityAllModels(t *testing.T) {
 	p := tech.NMOS4()
 	tb := delay.AnalyticTables(p)
@@ -164,15 +159,7 @@ func TestParallelDrainIdentityAllModels(t *testing.T) {
 		{"slope", delay.NewSlope(tb)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := buildAnalyzer(t, nw, tc.m, nil, nil, Options{Workers: 1})
-			if err := base.Run(); err != nil {
-				t.Fatal(err)
-			}
-			a := buildAnalyzer(t, nw, tc.m, nil, nil, Options{Workers: 4})
-			if err := a.Run(); err != nil {
-				t.Fatal(err)
-			}
-			requireIdentical(t, "workers=4", base, a, false)
+			requireSharedIdentical(t, nw, tc.m, nil, nil)
 		})
 	}
 }
@@ -186,69 +173,10 @@ func TestParallelDrainIdentityChipScale(t *testing.T) {
 		t.Skip("chip-scale identity sweep skipped in -short")
 	}
 	p := tech.NMOS4()
-	m := delay.NewSlope(delay.AnalyticTables(p))
 	nw, err := gen.Chip(p, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fix, lb := gen.ChipDirectives(32)
-	base := buildAnalyzer(t, nw, m, fix, lb, Options{Workers: 1})
-	if err := base.Run(); err != nil {
-		t.Fatal(err)
-	}
-	a := buildAnalyzer(t, nw, m, fix, lb, Options{Workers: 8, DB: base.StageDB()})
-	if err := a.Run(); err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "workers=8 shared", base, a, true)
-}
-
-// TestParallelReanalyzeIdentity runs incremental re-analysis on an analyzer
-// configured with several workers (prewarmed database, and a prewarm again
-// whenever Reanalyze falls back to a full run): each edit epoch is checked
-// against a one-worker analyzer applying the same batch.
-func TestParallelReanalyzeIdentity(t *testing.T) {
-	p := tech.NMOS4()
-	m := delay.NewSlope(delay.AnalyticTables(p))
-	fix, lb := gen.ChipDirectives(4)
-
-	mkNet := func() *netlist.Network {
-		nw, err := gen.Chip(p, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw
-	}
-	serial := buildAnalyzer(t, mkNet(), m, fix, lb, Options{Workers: 1})
-	parallel := buildAnalyzer(t, mkNet(), m, fix, lb, Options{Workers: 4})
-	if err := serial.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.Run(); err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "initial run", serial, parallel, false)
-
-	for epoch := 0; epoch < 4; epoch++ {
-		idx := (11 * epoch) % len(serial.Net.Trans)
-		for serial.Net.Trans[idx].IsWire() {
-			idx = (idx + 1) % len(serial.Net.Trans)
-		}
-		edits := []incremental.Edit{
-			{Kind: incremental.Resize, Index: idx, W: float64(3+epoch) * 1e-6},
-		}
-		ss, err := serial.Reanalyze(edits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps, err := parallel.Reanalyze(edits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ss.Full != ps.Full || ss.DirtyNodes != ps.DirtyNodes ||
-			ss.StagesEvaluated != ps.StagesEvaluated {
-			t.Fatalf("epoch %d: stats diverge: serial %+v, parallel %+v", epoch, ss, ps)
-		}
-		requireIdentical(t, fmt.Sprintf("epoch %d", epoch), serial, parallel, false)
-	}
+	requireSharedIdentical(t, nw, delay.NewSlope(delay.AnalyticTables(p)), fix, lb)
 }

@@ -167,15 +167,11 @@ func (ca *ClockedAnalysis) Run() ([]PhaseResult, error) {
 	// Pass 2 (parallel): with the setups captured, the per-phase timing
 	// analyses are independent and fan out over the pool. Each phase has
 	// its own sensitization (different clock levels), so no stage database
-	// is shared between them; the inner analyzers run strictly serial.
-	inner := ca.Opts
-	if Workers(ca.Opts.Workers, len(setups)) > 1 {
-		inner.Workers = 1
-	}
+	// is shared between them; each inner analyzer runs serially.
 	out := make([]PhaseResult, len(setups))
 	err := RunMany(len(setups), ca.Opts.Workers, func(i int) error {
 		su := setups[i]
-		a := New(nw, ca.Model, inner)
+		a := New(nw, ca.Model, ca.Opts)
 		for name, v := range ca.Fixed {
 			a.SetFixed(nw.Lookup(name), v)
 		}

@@ -228,9 +228,6 @@ func (a *Analyzer) rebind(nw *netlist.Network) (fresh []int) {
 // (the stage database is already bound).
 func (a *Analyzer) runFull() {
 	a.resetDrain()
-	if w := Workers(a.Opts.Workers, 0); w > 1 {
-		a.db.Prewarm(w)
-	}
 	a.seedAll()
 	a.drainReplay(nil)
 	a.queue = sched.Queue{} // as Run does

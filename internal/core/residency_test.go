@@ -102,7 +102,7 @@ func TestReanalyzeSinkBecomesTrigger(t *testing.T) {
 	} {
 		t.Run(fam.name, func(t *testing.T) {
 			build := func(nw *netlist.Network) *Analyzer {
-				a := buildAnalyzer(t, nw, m, fam.fix, fam.lb, Options{Workers: 1})
+				a := buildAnalyzer(t, nw, m, fam.fix, fam.lb, Options{})
 				if err := a.Run(); err != nil {
 					t.Fatal(err)
 				}
@@ -192,7 +192,7 @@ func TestReanalyzeWidensFreshTrigger(t *testing.T) {
 	}
 	fix, lb := gen.ChipDirectives(8)
 	build := func(nw *netlist.Network) *Analyzer {
-		a := buildAnalyzer(t, nw, m, fix, lb, Options{Workers: 1})
+		a := buildAnalyzer(t, nw, m, fix, lb, Options{})
 		if err := a.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +248,7 @@ func TestArrivalAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := buildAnalyzer(t, nw, delay.NewSlope(delay.AnalyticTables(p)), fix, lb, Options{Workers: 1, Hier: true})
+	a := buildAnalyzer(t, nw, delay.NewSlope(delay.AnalyticTables(p)), fix, lb, Options{Hier: true})
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestResidentFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a := buildAnalyzer(t, nw, m, fix, lb, Options{Workers: 1, Hier: c.hier})
+		a := buildAnalyzer(t, nw, m, fix, lb, Options{Hier: c.hier})
 		if err := a.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -65,7 +65,7 @@ func TestReanalyzeReleasesGenerations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return buildAnalyzer(t, nw, delay.NewSlope(delay.AnalyticTables(p)), fix, lb, Options{Workers: 1})
+		return buildAnalyzer(t, nw, delay.NewSlope(delay.AnalyticTables(p)), fix, lb, Options{})
 	}()
 	if err := a.Run(); err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ func newAnalyzer(t testing.TB, nw *netlist.Network, seeds []string) *core.Analyz
 	if err != nil {
 		t.Fatalf("delay model: %v", err)
 	}
-	a := core.New(nw, m, core.Options{Workers: 1})
+	a := core.New(nw, m, core.Options{})
 	for _, name := range seeds {
 		for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
 			if err := a.SetInputEventName(name, tr, 0, 1e-9); err != nil {

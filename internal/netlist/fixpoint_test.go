@@ -55,6 +55,12 @@ func checkWriteFixpoint(t *testing.T, name string, p *tech.Params, src string) {
 	}
 }
 
+// TestWriteFixpointSubCentimicron: geometry below one centimicron must be
+// written with its digits, not rounded to a 0 that ReadSim rejects.
+func TestWriteFixpointSubCentimicron(t *testing.T) {
+	checkWriteFixpoint(t, "t", tech.NMOS4(), "e g a b 0.004 4\n")
+}
+
 // TestParallelParseIdentityTestdata runs the fixpoint check over every
 // .sim file in testdata/. (The name is kept from when it compared two
 // parsers.)

@@ -43,6 +43,10 @@ func FuzzReadSim(f *testing.F) {
 		"e g1 Vdd n1\ne g2 GND n2\ne g3 Vdd n1\ne g4 GND n2\n",
 		// Alias chain whose links sit on separate lines:
 		"= p q\n= q r\n= r s\nN s 9\ne p s GND\n",
+		// Sub-centimicron geometry (once written back as 0) and a
+		// negative node capacitance (once accepted, failing Check):
+		"e g a b 0.004 4\n",
+		"N x -20\n",
 	}
 	for _, s := range seeds {
 		f.Add(s)

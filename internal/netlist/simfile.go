@@ -230,6 +230,9 @@ func ReadSim(name string, p *tech.Params, r io.Reader) (*Network, error) {
 			if err != nil {
 				return nil, fail("bad capacitance %q", fields[len(fields)-1])
 			}
+			if cv < 0 {
+				return nil, fail("negative capacitance %g", cv)
+			}
 			n, err := resolve(fields[1])
 			if err != nil {
 				return nil, err
@@ -339,7 +342,9 @@ func WriteSim(w io.Writer, nw *Network) error {
 			fmt.Fprintf(bw, "r %s %s %.6g\n", t.A.Name, t.B.Name, t.ROverride)
 			continue
 		}
-		fmt.Fprintf(bw, "%s %s %s %s %.0f %.0f\n",
+		// %.9g, not a whole number: sub-centimicron geometry must not
+		// print as 0, which ReadSim rejects.
+		fmt.Fprintf(bw, "%s %s %s %s %.9g %.9g\n",
 			t.Type, t.Gate.Name, t.A.Name, t.B.Name,
 			t.L/centimicron, t.W/centimicron)
 	}

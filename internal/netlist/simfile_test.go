@@ -66,6 +66,7 @@ func TestParallelErrorIdentity(t *testing.T) {
 		{good + "@ flow sideways 999999\n", `sim t:201: bad transistor index "999999"`}, // bad index wins over bad direction
 		{"| units: 0\n" + good, `sim t:1: bad units value "0"`},
 		{good + "N x notanumber\n", `sim t:201: bad capacitance "notanumber"`},
+		{good + "N x -20\n", `sim t:201: negative capacitance -20`},
 		{good + "r a b -5\n", `sim t:201: bad resistance "-5"`},
 		{good + "C a b nope\n", `sim t:201: bad capacitance "nope"`},
 		{good + "p g a b 2 2\n", `sim t:201: p-channel transistor in technology nmos-4u`},

@@ -54,10 +54,9 @@ func TestAcceptanceChipSession(t *testing.T) {
 	}
 
 	// Online: the scripted session over HTTP.
-	const workers = 8
 	c := newTestClient(t, Options{})
 	created := c.create(cfg)
-	an := c.analyze(created.Session, workers)
+	an := c.analyze(created.Session)
 	ed := c.edits(created.Session, script.String())
 	if len(ed.Barriers) != 10 {
 		t.Fatalf("got %d barriers, want 10", len(ed.Barriers))
@@ -70,7 +69,7 @@ func TestAcceptanceChipSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := core.Options{Workers: workers}
+	var opts core.Options
 	for _, name := range loopBreak {
 		if n := offNw.Lookup(name); n != nil {
 			opts.LoopBreak = append(opts.LoopBreak, n)

@@ -43,11 +43,7 @@ func TestArenaSharedViews(t *testing.T) {
 	if st := heap.metrics().NetArena; st != (ArenaStats{}) {
 		t.Fatalf("netarena gauges moved without a snapshot directory: %+v", st)
 	}
-	heapW1 := heap.analyze(heapSess.Session, 1).Report
-	heapW8 := heap.analyze(heapSess.Session, 8).Report
-	if heapW1 != heapW8 {
-		t.Fatal("heap arm: workers-identity violated")
-	}
+	heapReport := heap.analyze(heapSess.Session).Report
 
 	// Shared arm: a cold create seeds the cache, then three sessions
 	// with distinct analysis directives all alias one mapping.
@@ -71,13 +67,9 @@ func TestArenaSharedViews(t *testing.T) {
 		t.Fatalf("resident_bytes = %d, want > 0", st.ResidentBytes)
 	}
 
-	// Bit-identity mapped-vs-heap at workers 1 and 8 (same Top=4 config
-	// as the heap arm).
-	if got := c.analyze(sessions[0].Session, 1).Report; got != heapW1 {
-		t.Fatalf("mapped w1 report differs from heap:\n--- heap\n%s\n--- mapped\n%s", heapW1, got)
-	}
-	if got := c.analyze(sessions[0].Session, 8).Report; got != heapW8 {
-		t.Fatal("mapped w8 report differs from heap")
+	// Bit-identity mapped-vs-heap (same Top=4 config as the heap arm).
+	if got := c.analyze(sessions[0].Session).Report; got != heapReport {
+		t.Fatalf("mapped report differs from heap:\n--- heap\n%s\n--- mapped\n%s", heapReport, got)
 	}
 
 	// Copy-on-edit: the first edit barrier detaches the session onto a
@@ -96,7 +88,7 @@ func TestArenaSharedViews(t *testing.T) {
 
 	// The still-attached sessions are unaffected by the detached
 	// session's private edit.
-	if got := c.analyze(sessions[1].Session, 1).Report; got != heapW1 {
+	if got := c.analyze(sessions[1].Session).Report; got != heapReport {
 		t.Fatal("shared view mutated by a detached session's edit")
 	}
 
@@ -135,7 +127,7 @@ func TestArenaConcurrentDetach(t *testing.T) {
 	// arena involved.
 	heap := newTestClient(t, Options{})
 	heapSess := heap.create(withTop(t, 3))
-	heap.analyze(heapSess.Session, 1)
+	heap.analyze(heapSess.Session)
 	heapEdited := lastBarrierReport(t, heap.edits(heapSess.Session, script))
 
 	// Shared arm: a cold create seeds the cache, then two sessions over
@@ -147,8 +139,8 @@ func TestArenaConcurrentDetach(t *testing.T) {
 	if a.Source != "mmap" || b.Source != "mmap" {
 		t.Fatalf("sources = %q, %q, want mmap", a.Source, b.Source)
 	}
-	c.analyze(a.Session, 1)
-	c.analyze(b.Session, 1)
+	c.analyze(a.Session)
+	c.analyze(b.Session)
 	if st := c.metrics().NetArena; st.Mappings != 1 || st.SharedSessions != 2 || st.Detaches != 0 {
 		t.Fatalf("before edits: %+v", st)
 	}

@@ -125,12 +125,12 @@ func TestAsyncAnalyzeIdentity(t *testing.T) {
 	c := newTestClient(t, Options{})
 	id := c.create(dlatchConfig(t)).Session
 
-	syncSt, syncRaw := c.doRaw("POST", "/v1/sessions/"+id+"/analyze", analyzeRequest{Workers: 2, Force: true})
+	syncSt, syncRaw := c.doRaw("POST", "/v1/sessions/"+id+"/analyze", analyzeRequest{Force: true})
 	if syncSt != http.StatusOK {
 		t.Fatalf("sync analyze: status %d", syncSt)
 	}
 
-	acc := c.submitAsync("/v1/sessions/"+id+"/analyze", analyzeRequest{Workers: 2, Force: true, Async: true})
+	acc := c.submitAsync("/v1/sessions/"+id+"/analyze", analyzeRequest{Force: true, Async: true})
 	j := c.pollJob(acc.Job, 10*time.Second)
 	if j.State != jobDone || j.Status != http.StatusOK {
 		t.Fatalf("async job = state %s status %d result %s", j.State, j.Status, j.Result)
@@ -167,7 +167,7 @@ func TestAsyncEditsIdentity(t *testing.T) {
 	script := "cap out 2e-14\nrun\ncap out -1e-14\nrun\n"
 
 	syncID := c.create(withTop(t, 3)).Session
-	c.analyze(syncID, 1)
+	c.analyze(syncID)
 	syncSt, syncRaw := c.doRaw("POST", "/v1/sessions/"+syncID+"/edits", editsRequest{Script: script})
 	if syncSt != http.StatusOK {
 		t.Fatalf("sync edits: status %d", syncSt)
@@ -177,7 +177,7 @@ func TestAsyncEditsIdentity(t *testing.T) {
 	if asyncID != syncID {
 		// Edited sessions stop answering dedup, so the re-POST built a
 		// fresh pristine session — analyze it before editing.
-		c.analyze(asyncID, 1)
+		c.analyze(asyncID)
 	}
 	acc := c.submitAsync("/v1/sessions/"+asyncID+"/edits", editsRequest{Script: script, Async: true})
 	j := c.pollJob(acc.Job, 10*time.Second)
@@ -214,7 +214,7 @@ func TestJobPerSessionSerialization(t *testing.T) {
 	c := newTestClient(t, Options{JobWorkers: 4, JobDelay: 30 * time.Millisecond})
 	created := c.create(dlatchConfig(t))
 	id := created.Session
-	c.analyze(id, 1)
+	c.analyze(id)
 
 	// FIFO: the first script deletes transistor 0, compacting indexes;
 	// the second deletes the *original* last index, which only exists
@@ -336,7 +336,7 @@ func TestJobDrain(t *testing.T) {
 		t.Fatalf("admitted job after drain = %s, want done", r.State)
 	}
 	// Synchronous requests are unaffected by the job-plane drain.
-	if got := c.analyze(id, 1); got.Report == "" {
+	if got := c.analyze(id); got.Report == "" {
 		t.Fatal("sync analyze failed during drain")
 	}
 	if m := c.metrics(); !m.Jobs.Draining || m.Jobs.Rejected != 1 {
@@ -369,7 +369,7 @@ func TestJobChaosFailEvery(t *testing.T) {
 		t.Fatalf("chaos metrics = %+v", m.Jobs)
 	}
 	// The injected failure never touched the session.
-	if got := c.analyze(id, 1); got.CriticalNs <= 0 {
+	if got := c.analyze(id); got.CriticalNs <= 0 {
 		t.Fatal("session unusable after injected job failure")
 	}
 }
@@ -438,7 +438,7 @@ func TestEvictionRacesRunningJob(t *testing.T) {
 func TestMetricsScrapeUnderLoad(t *testing.T) {
 	c := newTestClient(t, Options{JobWorkers: 2, JobQueueDepth: 64})
 	id := c.create(dlatchConfig(t)).Session
-	c.analyze(id, 2)
+	c.analyze(id)
 	sv := serverOf(c)
 
 	var wg sync.WaitGroup
@@ -526,12 +526,12 @@ func TestFinishedJobsReleaseSessions(t *testing.T) {
 		for i := 0; i < cycles; i++ {
 			s := c.create(cfg)
 			if async {
-				acc := c.submitAsync("/v1/sessions/"+s.Session+"/analyze", analyzeRequest{Workers: 1, Async: true})
+				acc := c.submitAsync("/v1/sessions/"+s.Session+"/analyze", analyzeRequest{Async: true})
 				if j := c.pollJob(acc.Job, time.Minute); j.State != jobDone {
 					t.Fatalf("cycle %d: job %s", i, j.State)
 				}
 			} else {
-				c.analyze(s.Session, 1)
+				c.analyze(s.Session)
 			}
 			if st := c.do("DELETE", "/v1/sessions/"+s.Session, nil, nil); st != http.StatusOK {
 				t.Fatalf("cycle %d: delete status %d", i, st)

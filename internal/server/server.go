@@ -13,7 +13,7 @@
 //	GET    /v1/sessions               list resident sessions
 //	GET    /v1/sessions/{id}          one session's state
 //	DELETE /v1/sessions/{id}          evict a session
-//	POST   /v1/sessions/{id}/analyze  full analysis ({"workers": N})
+//	POST   /v1/sessions/{id}/analyze  full analysis ({"force": true})
 //	POST   /v1/sessions/{id}/edits    edit script ({"script": "..."}), incremental
 //	POST   /v1/sessions/{id}/simulate settle input vectors ({"vectors": ["01X", ...]})
 //	GET    /v1/sessions/{id}/critical top-N critical paths (?n=, from snapshot)
@@ -45,9 +45,9 @@ type Options struct {
 	// the dominant memory unit — network + stage DB + arrivals — so this
 	// is the daemon's memory knob; see docs/SERVER.md for sizing.
 	MaxSessions int
-	// DefaultWorkers is core.Options.Workers for a request that does not
-	// set one (0 selects GOMAXPROCS): how many goroutines prewarm the stage
-	// database before a full analysis.
+	// DefaultWorkers is read by nothing: an analysis is one serial run.
+	//
+	// Deprecated: ignored; kept because bench/service.go sets it.
 	DefaultWorkers int
 	// Hier enables hierarchical macromodel analysis in every session
 	// analyzer (core.Options.Hier): replicated instances analyze one
@@ -410,10 +410,6 @@ func (sv *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 // analyzeRequest is the POST .../analyze body (all fields optional).
 type analyzeRequest struct {
-	// Workers sets the stage-database prewarm fan-out of a full analysis
-	// (0 = server default; results are bit-identical at every setting, and
-	// a current snapshot is served whatever it says).
-	Workers int `json:"workers,omitempty"`
 	// Force reruns the full drain even when the snapshot is current.
 	Force bool `json:"force,omitempty"`
 	// Async detaches the run from the connection: the handler answers
@@ -427,7 +423,6 @@ type analyzeRequest struct {
 type analyzeResponse struct {
 	*Snapshot
 	Cached     bool  `json:"cached"`
-	Workers    int   `json:"workers"`
 	DurationNs int64 `json:"duration_ns"`
 }
 
@@ -454,21 +449,14 @@ func (sv *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // handler and the job plane, so an async result is the synchronous
 // response.
 func (sv *Server) analyzeSession(s *session, req analyzeRequest) (int, any) {
-	workers := req.Workers
-	if workers == 0 {
-		workers = sv.opts.DefaultWorkers
-	}
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Snapshot still current: serve it. The worker count changes no result;
-	// it is only carried over to later full re-runs of this analyzer.
+	// Snapshot still current: serve it.
 	if snap := s.snap.Load(); snap != nil && !req.Force {
-		s.a.Opts.Workers = workers
 		sv.m.analyzesCached.Add(1)
-		return http.StatusOK, analyzeResponse{Snapshot: snap, Cached: true, Workers: workers}
+		return http.StatusOK, analyzeResponse{Snapshot: snap, Cached: true}
 	}
-	a, err := s.buildAnalyzer(workers, s.a)
+	a, err := s.buildAnalyzer(s.a)
 	if err != nil {
 		return http.StatusBadRequest, httpError{Error: err.Error()}
 	}
@@ -490,7 +478,7 @@ func (sv *Server) analyzeSession(s *session, req analyzeRequest) (int, any) {
 	sv.m.analyzeLatency.observe(dur)
 	sv.m.observeDrain(core.DrainStats{}, a.DrainStats()) // fresh analyzer: stats are this run's
 	return http.StatusOK, analyzeResponse{
-		Snapshot: snap, Workers: workers, DurationNs: dur.Nanoseconds(),
+		Snapshot: snap, DurationNs: dur.Nanoseconds(),
 	}
 }
 
@@ -498,10 +486,6 @@ func (sv *Server) analyzeSession(s *session, req analyzeRequest) (int, any) {
 // grammar as `crystal -edits` (see internal/incremental).
 type editsRequest struct {
 	Script string `json:"script"`
-	// Workers optionally resets the analyzer's worker count — the prewarm
-	// fan-out of a barrier that falls back to a full run (0 keeps the
-	// session's current setting).
-	Workers int `json:"workers,omitempty"`
 	// Async runs the script on the job plane: 202 + job id immediately,
 	// poll GET /v1/jobs/{id} for the barrier results. Long edit scripts
 	// (every barrier is a re-analysis) are the other connection-holding
@@ -561,9 +545,6 @@ func (sv *Server) editsSession(s *session, req editsRequest) (int, any) {
 	if s.a == nil {
 		return http.StatusConflict, httpError{
 			Error: fmt.Sprintf("session %s not analyzed yet (POST .../analyze first)", s.id)}
-	}
-	if req.Workers != 0 {
-		s.a.Opts.Workers = req.Workers
 	}
 	var resp editsResponse
 	err := incremental.ReplayScript(strings.NewReader(req.Script), "script",

@@ -1,7 +1,6 @@
 // End-to-end coverage of the analysis service over httptest: session
-// lifecycle, content-hash dedup, LRU eviction, the workers-identity
-// contract at the HTTP surface, and concurrent analyze/edits/read races
-// (exercised under -race in CI).
+// lifecycle, content-hash dedup, LRU eviction, legacy request bodies, and
+// concurrent analyze/edits/read races (exercised under -race in CI).
 package server
 
 import (
@@ -95,10 +94,10 @@ func (c *testClient) create(cfg SessionConfig) createResponse {
 	return resp
 }
 
-func (c *testClient) analyze(id string, workers int) analyzeResponse {
+func (c *testClient) analyze(id string) analyzeResponse {
 	c.t.Helper()
 	var resp analyzeResponse
-	if st := c.do("POST", "/v1/sessions/"+id+"/analyze", analyzeRequest{Workers: workers}, &resp); st != http.StatusOK {
+	if st := c.do("POST", "/v1/sessions/"+id+"/analyze", analyzeRequest{}, &resp); st != http.StatusOK {
 		c.t.Fatalf("analyze: status %d", st)
 	}
 	return resp
@@ -144,7 +143,7 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Errorf("edits before analyze: status %d, want 409", st)
 	}
 
-	an := c.analyze(id, 1)
+	an := c.analyze(id)
 	if an.Cached || !strings.Contains(an.Report, "timing report") || an.CriticalNs <= 0 {
 		t.Fatalf("analyze = cached=%v critical=%v report:\n%s", an.Cached, an.CriticalNs, an.Report)
 	}
@@ -217,7 +216,7 @@ func TestContentHashDedup(t *testing.T) {
 		t.Fatalf("different model should not dedup: %+v", got)
 	}
 
-	c.analyze(first.Session, 1)
+	c.analyze(first.Session)
 	c.edits(first.Session, "cap out 2e-14\nrun\n")
 	fresh := c.create(cfg)
 	if fresh.Cached || fresh.Session == first.Session {
@@ -265,56 +264,65 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestAnalyzeSnapshotCache: repeated analyzes serve the snapshot, whatever
-// worker count they name — there is one drain, so nothing to rebuild — and a
-// forced rerun at another worker count gives a byte-identical report.
+// TestAnalyzeSnapshotCache: a repeated analyze serves the snapshot, and a
+// forced rerun rebuilds it with a byte-identical report.
 func TestAnalyzeSnapshotCache(t *testing.T) {
 	c := newTestClient(t, Options{})
 	id := c.create(dlatchConfig(t)).Session
 
-	first := c.analyze(id, 1)
-	second := c.analyze(id, 1)
+	first := c.analyze(id)
+	second := c.analyze(id)
 	if !second.Cached {
 		t.Error("repeat analyze should serve the snapshot")
 	}
 	if second.Report != first.Report {
 		t.Error("cached report differs")
 	}
-	before := c.metrics().Analyze
-	third := c.analyze(id, 2)
-	if !third.Cached || third.Workers != 2 || third.Report != first.Report {
-		t.Errorf("analyze at another worker count: cached %v, workers %d; want the snapshot, workers 2", third.Cached, third.Workers)
-	}
-	if m := c.metrics().Analyze; m.Cached != before.Cached+1 || m.Full != before.Full {
-		t.Errorf("analyze at another worker count moved metrics from %+v to %+v", before, m)
-	}
 	var rebuilt analyzeResponse
-	if st := c.do("POST", "/v1/sessions/"+id+"/analyze", analyzeRequest{Workers: 8, Force: true}, &rebuilt); st != http.StatusOK {
+	if st := c.do("POST", "/v1/sessions/"+id+"/analyze", analyzeRequest{Force: true}, &rebuilt); st != http.StatusOK {
 		t.Fatalf("forced analyze: status %d", st)
 	}
 	if rebuilt.Cached {
 		t.Error("force must rebuild")
 	}
 	if rebuilt.Report != first.Report {
-		t.Errorf("workers=8 report differs from workers=1:\n--- w1 ---\n%s\n--- w8 ---\n%s",
+		t.Errorf("forced report differs:\n--- first ---\n%s\n--- forced ---\n%s",
 			first.Report, rebuilt.Report)
 	}
-	if m := c.metrics().Analyze; m.Full != 2 || m.Cached != 2 {
+	if m := c.metrics().Analyze; m.Full != 2 || m.Cached != 1 {
 		t.Errorf("metrics = %+v", m)
 	}
 }
 
-// TestWorkersIdentityOverHTTP pins the worker-count contract at the
-// service surface: an entire session — analyze plus an edit replay — is
-// byte-identical between workers=1 and workers=8, structured paths
-// included.
+// TestWorkersIdentityOverHTTP pins compatibility with clients written when
+// analyze and edits took a "workers" field: the field is ignored, not
+// rejected, so a whole session — analyze plus an edit replay — sent with
+// {"workers":8} answers 200 with the same reports and structured paths as
+// one sent without it.
 func TestWorkersIdentityOverHTTP(t *testing.T) {
-	script := "cap out 2e-14\nrun\nresize 2 6e-6 2e-6\nrun\n"
-	run := func(workers int) (string, string) {
+	script, err := json.Marshal("cap out 2e-14\nrun\nresize 2 6e-6 2e-6\nrun\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(legacy string) (string, string) {
 		c := newTestClient(t, Options{})
 		id := c.create(dlatchConfig(t)).Session
-		an := c.analyze(id, workers)
-		ed := c.edits(id, script)
+		var analyzeBody any
+		if legacy != "" {
+			analyzeBody = json.RawMessage("{" + legacy + "}")
+		}
+		var an analyzeResponse
+		if st := c.do("POST", "/v1/sessions/"+id+"/analyze", analyzeBody, &an); st != http.StatusOK {
+			t.Fatalf("analyze with fields {%s}: status %d", legacy, st)
+		}
+		editsBody := `{"script":` + string(script)
+		if legacy != "" {
+			editsBody += "," + legacy
+		}
+		var ed editsResponse
+		if st := c.do("POST", "/v1/sessions/"+id+"/edits", json.RawMessage(editsBody+"}"), &ed); st != http.StatusOK {
+			t.Fatalf("edits with fields {%s}: status %d", legacy, st)
+		}
 		var reports strings.Builder
 		for _, b := range ed.Barriers {
 			reports.WriteString(b.Status + "\n" + b.Report)
@@ -325,13 +333,13 @@ func TestWorkersIdentityOverHTTP(t *testing.T) {
 		}
 		return an.Report + reports.String(), string(paths)
 	}
-	rep1, paths1 := run(1)
-	rep8, paths8 := run(8)
-	if rep1 != rep8 {
-		t.Errorf("session transcript differs between workers 1 and 8:\n--- w1 ---\n%s\n--- w8 ---\n%s", rep1, rep8)
+	rep, paths := run("")
+	legacyRep, legacyPaths := run(`"workers":8`)
+	if legacyRep != rep {
+		t.Errorf("session transcript differs with a workers field:\n--- without ---\n%s\n--- with ---\n%s", rep, legacyRep)
 	}
-	if paths1 != paths8 {
-		t.Errorf("structured paths differ:\n%s\nvs\n%s", paths1, paths8)
+	if legacyPaths != paths {
+		t.Errorf("structured paths differ:\n%s\nvs\n%s", paths, legacyPaths)
 	}
 }
 
@@ -367,13 +375,13 @@ func checkDrainBlock(t *testing.T, raw []byte) bool {
 	return ok
 }
 
-// TestDrainMetricsExposed: after an analyze at two workers, /metrics exposes
+// TestDrainMetricsExposed: after an analyze, /metrics exposes
 // the drain's queue and candidate counters, consistent with one another, and
 // nothing else in the drain block.
 func TestDrainMetricsExposed(t *testing.T) {
 	c := newTestClient(t, Options{})
 	id := c.create(dlatchConfig(t)).Session
-	c.analyze(id, 2)
+	c.analyze(id)
 	_, raw := c.doRaw("GET", "/metrics", nil)
 	checkDrainBlock(t, raw)
 }
@@ -384,7 +392,7 @@ func TestDrainMetricsExposed(t *testing.T) {
 func TestConcurrentAnalyzeEdits(t *testing.T) {
 	c := newTestClient(t, Options{})
 	id := c.create(dlatchConfig(t)).Session
-	c.analyze(id, 1)
+	c.analyze(id)
 
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
@@ -419,7 +427,7 @@ func TestConcurrentAnalyzeEdits(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 3; j++ {
-				post("/v1/sessions/"+id+"/analyze", analyzeRequest{Workers: 1 + i%2*7, Force: true})
+				post("/v1/sessions/"+id+"/analyze", analyzeRequest{Force: true})
 			}
 		}(i)
 		go func() {
@@ -441,7 +449,7 @@ func TestConcurrentAnalyzeEdits(t *testing.T) {
 		t.Error(e)
 	}
 	// The session survived and still answers coherently.
-	an := c.analyze(id, 1)
+	an := c.analyze(id)
 	if !strings.Contains(an.Report, "timing report") {
 		t.Errorf("post-race report:\n%s", an.Report)
 	}
@@ -491,7 +499,7 @@ func TestRequestErrors(t *testing.T) {
 
 	// Script errors carry line positions; applied barriers are reported.
 	id = c.create(dlatchConfig(t)).Session
-	c.analyze(id, 1)
+	c.analyze(id)
 	var body struct {
 		Error    string          `json:"error"`
 		Barriers []barrierResult `json:"barriers"`
@@ -522,7 +530,7 @@ func TestRequestErrors(t *testing.T) {
 func TestBodyLimit(t *testing.T) {
 	c := newTestClient(t, Options{})
 	id := c.create(dlatchConfig(t)).Session
-	c.analyze(id, 1)
+	c.analyze(id)
 
 	// pad stretches a JSON object body to exactly n bytes with trailing
 	// spaces inside the braces, which the decoder must read through.

@@ -292,8 +292,8 @@ func networkFileKey(key arenaKey) string {
 // network generation with the session's directives, optionally adopting a
 // stage database from a previous analyzer over the same generation.
 // Callers hold s.mu.
-func (s *session) buildAnalyzer(workers int, db *core.Analyzer) (*core.Analyzer, error) {
-	opts := core.Options{Workers: workers, Hier: s.hier}
+func (s *session) buildAnalyzer(db *core.Analyzer) (*core.Analyzer, error) {
+	opts := core.Options{Hier: s.hier}
 	if db != nil {
 		opts.DB = db.StageDB()
 	}

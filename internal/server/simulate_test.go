@@ -135,7 +135,7 @@ func TestSimulateRecompileAfterEdit(t *testing.T) {
 		t.Fatalf("first simulate did not compile")
 	}
 
-	c.analyze(id, 1)
+	c.analyze(id)
 	c.edits(id, "cap out 2e-14\nrun\n")
 
 	resp := c.simulate(id, simulateRequest{Vectors: []string{"11"}})

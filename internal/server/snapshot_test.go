@@ -50,7 +50,7 @@ func TestSnapshotWarmStart(t *testing.T) {
 	if files := snapshotFiles(t, dir); len(files) != 1 {
 		t.Fatalf("snapshot files after cold load: %v", files)
 	}
-	coldReport := c1.analyze(cold.Session, 1).Report
+	coldReport := c1.analyze(cold.Session).Report
 	m := c1.metrics()
 	if m.Snapshots.Hits != 0 || m.Snapshots.Misses != 1 || m.Snapshots.Writes != 1 {
 		t.Fatalf("cold metrics: %+v", m.Snapshots)
@@ -72,7 +72,7 @@ func TestSnapshotWarmStart(t *testing.T) {
 			warm.Nodes, warm.Transistors, cold.Nodes, cold.Transistors)
 	}
 	// The analysis over the snapshot-loaded network is byte-identical.
-	if warmReport := c2.analyze(warm.Session, 1).Report; warmReport != coldReport {
+	if warmReport := c2.analyze(warm.Session).Report; warmReport != coldReport {
 		t.Fatalf("warm report differs from cold:\n--- cold\n%s\n--- warm\n%s", coldReport, warmReport)
 	}
 	m = c2.metrics()

@@ -16,7 +16,6 @@
 package stage
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -291,67 +290,27 @@ func channelGroup(nw *netlist.Network, t *netlist.Trans, oracle Oracle) []int32 
 	return out
 }
 
-// Prewarm eagerly builds every entry an analysis can touch, fanning the
-// enumeration out over the given number of workers (0 selects GOMAXPROCS).
-// The closure matches the analyzer's access pattern: through-stages and
-// channel groups for every gated device, release stages for every group
-// member, and fan-out stages for every input with channel terminals.
-// Prewarming is optional — entries not built here are still built lazily.
+// Prewarm eagerly builds every entry an analysis can touch, serially: the
+// closure matches the analyzer's access pattern — through-stages and channel
+// groups for every gated device, release stages for every group member, and
+// fan-out stages for every input with channel terminals. Analyses never call
+// it; entries are built lazily on first access.
+//
+// Deprecated: workers is ignored; kept because bench/probes.go calls Prewarm(1).
 func (db *DB) Prewarm(workers int) {
-	db.PrewarmMasked(workers, nil, nil)
-}
-
-// PrewarmMasked is Prewarm with a skip mask: transistors with
-// skipTrans[i] true and inputs with skipNode[idx] true are left unbuilt.
-// The hierarchical analyzer passes the devices and member-local inputs of
-// stamped instances — their consequences are never consulted during a
-// stamped drain, and on chip-scale grids they are the bulk of the
-// enumeration cost and memory. Skipped entries still build lazily if an
-// instance later detaches to flat analysis.
-func (db *DB) PrewarmMasked(workers int, skipTrans, skipNode []bool) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(db.nw.Trans) {
-		workers = len(db.nw.Trans)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	transitions := [2]tech.Transition{tech.Rise, tech.Fall}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(db.nw.Trans) {
-					return
-				}
-				if skipTrans != nil && skipTrans[i] {
-					continue
-				}
-				if db.nw.Trans[i].AlwaysOn() {
-					continue
-				}
-				db.Through(i)
-				for _, m := range db.Group(i) {
-					db.Release(int(m))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, n := range db.nw.Inputs() {
-		if skipNode != nil && skipNode[n.Index] {
+	for i, t := range db.nw.Trans {
+		if t.AlwaysOn() {
 			continue
 		}
+		db.Through(i)
+		for _, m := range db.Group(i) {
+			db.Release(int(m))
+		}
+	}
+	for _, n := range db.nw.Inputs() {
 		if len(n.Terms) > 0 {
-			for _, tr := range transitions {
-				db.From(n.Index, tr)
-			}
+			db.From(n.Index, tech.Rise)
+			db.From(n.Index, tech.Fall)
 		}
 	}
 }

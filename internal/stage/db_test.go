@@ -1,6 +1,7 @@
 package stage
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -281,15 +282,32 @@ func TestDBConcurrentAccess(t *testing.T) {
 	}
 }
 
-// TestDBPrewarm checks prewarming builds the same entries lazy access
-// would.
+// TestDBPrewarm checks the serial prewarm builds exactly the entries lazy
+// access would: every slot it fills matches what a fresh database enumerates
+// on demand for the same key.
 func TestDBPrewarm(t *testing.T) {
-	nw, _, out := passNet()
-	db := NewDB(nw, Options{})
-	db.Prewarm(4)
-	warm := db.release[out.Index].Load()
-	if warm == nil || !sameStages(nw, warm,
-		ToNode(nw, out, tech.Rise, Options{}), ToNode(nw, out, tech.Fall, Options{})) {
-		t.Error("prewarmed Release disagrees with direct enumeration")
+	nw, _, _ := passNet()
+	warm, lazy := NewDB(nw, Options{}), NewDB(nw, Options{})
+	warm.Prewarm(1)
+	built := 0
+	check := func(what string, got, want func() *Slab) {
+		if g := got(); g != nil {
+			built++
+			if !sameStages(nw, g, want().result()) {
+				t.Errorf("prewarmed %s disagrees with lazy access", what)
+			}
+		}
+	}
+	for i := range nw.Trans {
+		check(fmt.Sprintf("Through(%d)", i), warm.through[i].Load, func() *Slab { return lazy.Through(i) })
+	}
+	for i := range nw.Nodes {
+		check(fmt.Sprintf("Release(%d)", i), warm.release[i].Load, func() *Slab { return lazy.Release(i) })
+		for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
+			check(fmt.Sprintf("From(%d,%v)", i, tr), warm.from[2*i+int(tr)].Load, func() *Slab { return lazy.From(i, tr) })
+		}
+	}
+	if built == 0 {
+		t.Fatal("Prewarm built nothing")
 	}
 }

@@ -29,7 +29,7 @@ go build -o "$workdir/crystald" ./cmd/crystald
 snapdir="$workdir/snapshots"
 daemon=""
 start_daemon() {
-  "$workdir/crystald" -addr "$addr" -workers 2 -snapshot-dir "$snapdir" &
+  "$workdir/crystald" -addr "$addr" -snapshot-dir "$snapdir" &
   daemon=$!
   for i in $(seq 100); do
     if curl -sf "$base/healthz" >/dev/null 2>&1; then return; fi
@@ -63,7 +63,7 @@ transcript() {
   curl -s -X POST "$base/v1/sessions" -d "$cfg" | jq -S "$norm"
 
   echo "== analyze =="
-  curl -s -X POST "$base/v1/sessions/$sid/analyze" -d '{"workers":2}' | jq -S "$norm"
+  curl -s -X POST "$base/v1/sessions/$sid/analyze" | jq -S "$norm"
 
   echo "== simulate =="
   curl -s -X POST "$base/v1/sessions/$sid/simulate" \
@@ -110,7 +110,7 @@ transcript() {
   wsid=$(echo "$warm" | jq -r .session)
 
   echo "== warm analyze =="
-  curl -s -X POST "$base/v1/sessions/$wsid/analyze" -d '{"workers":2}' | jq -S "$norm"
+  curl -s -X POST "$base/v1/sessions/$wsid/analyze" | jq -S "$norm"
 
   echo "== warm metrics =="
   curl -s "$base/metrics" | jq -S "$norm"
