@@ -451,7 +451,7 @@ func (a *Analyzer) Run() error {
 		a.db = a.Opts.DB
 	} else {
 		opt := a.Opts.Stage
-		opt.Oracle = a.oracle()
+		opt.Oracle, opt.Compiled = a.oracle(), a.cnet
 		a.db = stage.NewDB(nw, opt)
 		a.db.Stamp = stamp
 	}

@@ -135,7 +135,7 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	// recomputing. ForceFull means the source set changed under the
 	// enumerator's feet, so nothing old is trustworthy.
 	opt := a.Opts.Stage
-	opt.Oracle = a.oracle()
+	opt.Oracle, opt.Compiled = a.oracle(), a.cnet
 	if plan.ForceFull || oldDB == nil {
 		a.db = stage.NewDB(a.Net, opt)
 		if oldDB != nil {

@@ -93,11 +93,13 @@ func (o Options) fill() Options {
 // name (deterministic for golden tests).
 func Check(nw *netlist.Network, opt Options) []Finding {
 	opt = opt.fill()
+	// One stage database serves every path query of the check.
+	db := stage.NewDB(nw, opt.Stage)
 	var out []Finding
 	out = append(out, checkStaticShorts(nw)...)
-	out = append(out, checkFloating(nw, opt)...)
-	out = append(out, checkRatios(nw, opt)...)
-	out = append(out, checkThresholdDrops(nw, opt)...)
+	out = append(out, checkFloating(nw, db)...)
+	out = append(out, checkRatios(nw, db, opt)...)
+	out = append(out, checkThresholdDrops(nw, db)...)
 	out = append(out, checkChargeSharing(nw, opt)...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Severity != out[j].Severity {
@@ -156,15 +158,13 @@ func checkStaticShorts(nw *netlist.Network) []Finding {
 
 // checkFloating flags nodes that gate transistors but have no possible
 // driving path in either direction.
-func checkFloating(nw *netlist.Network, opt Options) []Finding {
+func checkFloating(nw *netlist.Network, db *stage.DB) []Finding {
 	var out []Finding
 	for _, n := range nw.Nodes {
 		if n.IsSource() || len(n.Gates) == 0 {
 			continue
 		}
-		rise := stage.ToNode(nw, n, tech.Rise, opt.Stage)
-		fall := stage.ToNode(nw, n, tech.Fall, opt.Stage)
-		if len(rise.Stages) == 0 && len(fall.Stages) == 0 {
+		if len(db.Release(n.Index).Stages) == 0 {
 			out = append(out, Finding{
 				Rule: "floating", Severity: Error, Node: n,
 				Detail: fmt.Sprintf("gates %d transistor(s) but no stage can drive it", len(n.Gates)),
@@ -177,7 +177,7 @@ func checkFloating(nw *netlist.Network, opt Options) []Finding {
 // checkRatios verifies nMOS ratioed gates: for every node with a
 // depletion pullup, the pullup resistance must sufficiently exceed the
 // strongest pulldown path.
-func checkRatios(nw *netlist.Network, opt Options) []Finding {
+func checkRatios(nw *netlist.Network, db *stage.DB, opt Options) []Finding {
 	var out []Finding
 	if nw.Tech.HasPChannel() {
 		return nil // complementary logic is not ratioed
@@ -200,11 +200,12 @@ func checkRatios(nw *netlist.Network, opt Options) []Finding {
 		}
 		rUp := nw.Tech.R(load.Type, tech.Rise, load.W, load.L)
 		// Strongest (minimum-resistance) pulldown path.
-		falls := stage.ToNode(nw, n, tech.Fall, opt.Stage)
 		best := 0.0
 		var bestStage *stage.Stage
-		for _, st := range falls.Stages {
-			if nw.Nodes[st.Source].Kind != netlist.KindGnd {
+		falls := db.Release(n.Index).Stages
+		for i := range falls {
+			st := &falls[i]
+			if st.Transition() != tech.Fall || nw.Nodes[st.Source].Kind != netlist.KindGnd {
 				continue
 			}
 			r := st.SeriesR(nw)
@@ -229,12 +230,14 @@ func checkRatios(nw *netlist.Network, opt Options) []Finding {
 
 // degradedHigh reports whether every way to drive node n high passes
 // through an n-channel enhancement device (losing a threshold).
-func degradedHigh(nw *netlist.Network, n *netlist.Node, opt Options) bool {
-	rises := stage.ToNode(nw, n, tech.Rise, opt.Stage)
-	if len(rises.Stages) == 0 {
-		return false // cannot rise at all; the floating rule covers it
-	}
-	for _, st := range rises.Stages {
+func degradedHigh(nw *netlist.Network, db *stage.DB, n *netlist.Node) bool {
+	rises, stages := 0, db.Release(n.Index).Stages
+	for i := range stages {
+		st := &stages[i]
+		if st.Transition() != tech.Rise {
+			continue
+		}
+		rises++
 		clean := true
 		for _, e := range st.Path() {
 			if nw.Trans[e.Trans].Type == tech.NEnh {
@@ -246,19 +249,19 @@ func degradedHigh(nw *netlist.Network, n *netlist.Node, opt Options) bool {
 			return false // some restoring path exists
 		}
 	}
-	return true
+	return rises > 0 // no rise at all is the floating rule's finding
 }
 
 // checkThresholdDrops flags degraded-high nodes that gate n-channel pass
 // devices whose channels must in turn pass a high level: the second
 // device's output only reaches Vdd − 2Vt.
-func checkThresholdDrops(nw *netlist.Network, opt Options) []Finding {
+func checkThresholdDrops(nw *netlist.Network, db *stage.DB) []Finding {
 	var out []Finding
 	for _, n := range nw.Nodes {
 		if n.IsSource() || len(n.Gates) == 0 {
 			continue
 		}
-		if !degradedHigh(nw, n, opt) {
+		if !degradedHigh(nw, db, n) {
 			continue
 		}
 		// Degraded node gating an n-enh whose channel is not a simple

@@ -64,15 +64,16 @@ type Plan struct {
 	// MemberOf maps node index to owning instance index + 1 (0 = the node
 	// is global). Only interior nodes are owned.
 	MemberOf []int32
+	// rank maps an owned node's index to its position in its owner's
+	// Interior.
+	rank []int32
 }
 
 // Rank returns the interior rank of node idx within instance inst, or -1
 // when the node is not interior to it.
 func (p *Plan) Rank(inst int, idx int32) int32 {
-	in := p.Instances[inst].Interior
-	k := sort.Search(len(in), func(i int) bool { return in[i] >= idx })
-	if k < len(in) && in[k] == idx {
-		return int32(k)
+	if int(idx) < len(p.MemberOf) && int(p.MemberOf[idx])-1 == inst {
+		return p.rank[idx]
 	}
 	return -1
 }
@@ -80,7 +81,7 @@ func (p *Plan) Rank(inst int, idx int32) int32 {
 // Detect computes the hierarchical plan for the network. Networks without
 // instance annotations yield an empty plan (never nil).
 func Detect(nw *netlist.Network) *Plan {
-	p := &Plan{MemberOf: make([]int32, len(nw.Nodes))}
+	p := &Plan{MemberOf: make([]int32, len(nw.Nodes)), rank: make([]int32, len(nw.Nodes))}
 	p.selectOutermost(nw)
 	if len(p.Instances) == 0 {
 		return p
@@ -153,6 +154,7 @@ func (p *Plan) assignInteriors(nw *netlist.Network) {
 		}
 		inst := &p.Instances[k]
 		if int(maxRef[i]) < inst.TransHi {
+			p.rank[i] = int32(len(inst.Interior))
 			inst.Interior = append(inst.Interior, int32(i)) // ascending: i is the loop variable
 			p.MemberOf[i] = int32(k) + 1
 		}

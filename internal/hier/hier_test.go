@@ -112,6 +112,32 @@ func TestDetectChipGrid(t *testing.T) {
 	}
 }
 
+// TestRankForeignNodes: a node interior to one instance has no rank in any
+// other, and a node the plan never saw (an edit appended it) has none at all.
+func TestRankForeignNodes(t *testing.T) {
+	nw, err := gen.ChipGrid(tech.NMOS4(), 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := Detect(nw)
+	for i := range plan.Instances {
+		for j := range plan.Instances {
+			for r, idx := range plan.Instances[j].Interior {
+				want := int32(-1)
+				if i == j {
+					want = int32(r)
+				}
+				if got := plan.Rank(i, idx); got != want {
+					t.Fatalf("Rank(%d, %d) = %d, want %d", i, idx, got, want)
+				}
+			}
+		}
+		if got := plan.Rank(i, int32(len(nw.Nodes))); got != -1 {
+			t.Errorf("Rank(%d, past the plan) = %d", i, got)
+		}
+	}
+}
+
 // TestDetectNoAnnotations: a network without instance records yields an
 // empty (but non-nil) plan.
 func TestDetectNoAnnotations(t *testing.T) {

@@ -1,9 +1,10 @@
 package netlist
 
 // Compact is the compiled structure-of-arrays form of a network: the
-// fields the analyzer's event loop reads per event, flattened into dense
-// index-keyed arrays. The pointer graph (Node/Trans structs) is the
-// construction and reporting representation; the drain loop touches
+// fields the analyzer's event loop and the stage enumerator (package
+// stage, which walks the channel CSR instead of Node.Terms) read, flattened
+// into dense index-keyed arrays. The pointer graph (Node/Trans structs) is
+// the construction and reporting representation; the drain loop touches
 // millions of events on a chip-scale run, and chasing Node→Gates→Trans
 // pointers per event costs more cache misses than the arithmetic it feeds.
 // A Compact is a snapshot: compile it after the network is fully built,
@@ -22,20 +23,22 @@ type Compact struct {
 
 	// TermStart/TermRef are the CSR adjacency of channel (source/drain)
 	// connections: TermRef[TermStart[n]:TermStart[n+1]] lists the devices
-	// whose channel touches node n, each packed as
+	// whose channel touches node n, in Node.Terms order (a device with both
+	// terminals on n appears once), each packed as
 	// trans index << 1 | otherIsB, where otherIsB says the far terminal is
 	// the device's B node. The switch-level batch simulator walks this CSR
-	// to propagate strengths.
+	// to propagate strengths, and stage enumeration to find paths.
 	TermStart []int32
 	TermRef   []int32
 
-	// Per-transistor columns: gate and channel terminal node INDEXES and
-	// the device type (a tech.Device value), flattened so simulators never
-	// chase Trans pointers in an inner loop.
+	// Per-transistor columns: gate and channel terminal node INDEXES, the
+	// device type (a tech.Device value) and the stage-extraction flow hint
+	// (a Flow value), flattened so inner loops never chase Trans pointers.
 	TransGate []int32
 	TransA    []int32
 	TransB    []int32
 	TransType []uint8
+	TransFlow []uint8
 
 	// Per-node flags the drain's improve/propagate steps test.
 	IsRail     []bool
@@ -114,11 +117,13 @@ func Compile(nw *Network) *Compact {
 	c.TransA = make([]int32, len(nw.Trans))
 	c.TransB = make([]int32, len(nw.Trans))
 	c.TransType = make([]uint8, len(nw.Trans))
+	c.TransFlow = make([]uint8, len(nw.Trans))
 	for i, t := range nw.Trans {
 		c.TransGate[i] = int32(t.Gate.Index)
 		c.TransA[i] = int32(t.A.Index)
 		c.TransB[i] = int32(t.B.Index)
 		c.TransType[i] = uint8(t.Type)
+		c.TransFlow[i] = uint8(t.Flow)
 	}
 	return c
 }

@@ -30,10 +30,16 @@ func TestCompileMatchesPointerGraph(t *testing.T) {
 	bus.Precharged = true
 	nw.AddTrans(tech.NEnh, in, mid, nw.GND(), 0, 0)
 	nw.AddTrans(tech.NDep, mid, nw.Vdd(), mid, 0, 4*p.MinL) // always-on load
-	nw.AddTrans(tech.NEnh, mid, out, bus, 0, 0)
-	nw.AddTrans(tech.NEnh, out, bus, nw.GND(), 0, 0)
+	nw.AddTrans(tech.NEnh, mid, out, bus, 0, 0).Flow = FlowBA
+	nw.AddTrans(tech.NEnh, out, bus, nw.GND(), 0, 0).Flow = FlowOff
 
 	c := Compile(nw)
+	for i, tx := range nw.Trans {
+		if c.TransA[i] != int32(tx.A.Index) || c.TransB[i] != int32(tx.B.Index) ||
+			c.TransType[i] != uint8(tx.Type) || c.TransFlow[i] != uint8(tx.Flow) {
+			t.Errorf("device %d: column mismatch", i)
+		}
+	}
 	if got, want := len(c.GateStart), len(nw.Nodes)+1; got != want {
 		t.Fatalf("GateStart length %d, want %d", got, want)
 	}
@@ -51,6 +57,23 @@ func TestCompileMatchesPointerGraph(t *testing.T) {
 		for j := range want {
 			if got[j] != want[j] {
 				t.Errorf("node %s: gate ref %d = %d, want %d", n.Name, j, got[j], want[j])
+			}
+		}
+		// The channel row is Node.Terms in order, each ref naming the far
+		// terminal (Trans.Other).
+		terms := c.Terms(i)
+		if len(terms) != len(n.Terms) {
+			t.Fatalf("node %s: %d channel refs, want %d", n.Name, len(terms), len(n.Terms))
+		}
+		for j, r := range terms {
+			ti, otherIsB := UnpackTermRef(r)
+			d := nw.Trans[ti]
+			far := d.A
+			if otherIsB {
+				far = d.B
+			}
+			if d != n.Terms[j] || far != d.Other(n) {
+				t.Errorf("node %s: channel ref %d = %d", n.Name, j, r)
 			}
 		}
 		if c.IsRail[i] != n.IsRail() || c.IsInput[i] != (n.Kind == KindInput) ||

@@ -129,13 +129,18 @@ func openFresh(path string, p *tech.Params, hash [32]byte) (*Network, LoadResult
 
 // LoadSimFile reads the .sim netlist at path into a checked Network
 // named name: LoadCached keyed by the SHA-256 of the file's bytes, the
-// build being ReadSim.
+// build being ReadSim. Without a snapshot nothing reads the key, so the
+// file is not hashed.
 func LoadSimFile(name, path string, p *tech.Params, opt LoadOptions) (*Network, LoadResult, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, LoadResult{}, err
 	}
-	return LoadCached(opt.Snapshot, name, p, sha256.Sum256(data), func() (*Network, error) {
+	var hash [32]byte
+	if opt.Snapshot != "" {
+		hash = sha256.Sum256(data)
+	}
+	return LoadCached(opt.Snapshot, name, p, hash, func() (*Network, error) {
 		return ReadSim(name, p, bytes.NewReader(data))
 	})
 }

@@ -226,3 +226,55 @@ func TestLoadSimFile(t *testing.T) {
 		t.Fatal("uncached load wrote a snapshot")
 	}
 }
+
+// TestLoadSimFileKey: the hash LoadSimFile skips when no snapshot is asked
+// for is the cache key when one is — a miss records the SHA-256 of the
+// file's bytes, and a hit is served only under that key — while an uncached
+// load still yields the parsed network.
+func TestLoadSimFileKey(t *testing.T) {
+	p := tech.NMOS4()
+	dir := t.TempDir()
+	simPath := filepath.Join(dir, "sample.sim")
+	snapPath := filepath.Join(dir, "sample.simx")
+	if err := os.WriteFile(simPath, []byte(sampleSim), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ReadSim("sample", p, strings.NewReader(sampleSim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, res, err := LoadSimFile("sample", simPath, p, LoadOptions{})
+	if err != nil || res.Source != SourceParse {
+		t.Fatalf("uncached load: source=%q err=%v", res.Source, err)
+	}
+	if derr := DiffNetworks(want, plain); derr != nil {
+		t.Fatal(derr)
+	}
+	opt := LoadOptions{Snapshot: snapPath}
+	if _, res, err = LoadSimFile("sample", simPath, p, opt); err != nil || res.Source != SourceParse {
+		t.Fatalf("miss: source=%q err=%v", res.Source, err)
+	}
+	f, err := os.Open(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, key, err := ReadSnapshot(f, p)
+	f.Close()
+	if err != nil || key != sha256.Sum256([]byte(sampleSim)) {
+		t.Fatalf("snapshot key %x, err %v: not the file's SHA-256", key, err)
+	}
+	hit, res, err := LoadSimFile("sample", simPath, p, opt)
+	if err != nil || res.Source != warmSource() {
+		t.Fatalf("hit: source=%q err=%v", res.Source, err)
+	}
+	if derr := DiffNetworks(want, hit); derr != nil {
+		t.Fatal(derr)
+	}
+	// A snapshot under any other key is a miss, the zero key included.
+	if err := WriteSnapshotFile(snapPath, want, [32]byte{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, res, err = LoadSimFile("sample", simPath, p, opt); err != nil || res.Source != SourceParse {
+		t.Fatalf("zero-key snapshot served: source=%q err=%v", res.Source, err)
+	}
+}

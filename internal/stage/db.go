@@ -49,13 +49,13 @@ type DB struct {
 	from    []slot[Slab]    // 2·node+transition → stages fanning out of the node
 	groups  []slot[[]int32] // trans → channel-connected group (node indexes)
 
-	// capsOnce/caps snapshot NodeCap over the whole (immutable) network on
-	// first enumeration, so stage construction — which reads node loading
-	// once per path node and once per side branch, across hundreds of
-	// thousands of stages — indexes a float array instead of re-walking
-	// adjacency lists.
-	capsOnce sync.Once
-	caps     []float64
+	// viewOnce/v hold what enumeration reads of the (immutable) network,
+	// built on first enumeration: the compiled adjacency (the caller's, when
+	// Options.Compiled passes one), per-device conduction and per-node
+	// loading, so stage construction indexes arrays instead of asking the
+	// oracle per edge and re-walking adjacency lists per node.
+	viewOnce sync.Once
+	v        *view
 
 	truncated atomic.Bool
 }
@@ -75,7 +75,9 @@ func (s *slot[T]) CompareAndSwap(old, new *T) bool {
 func (s *slot[T]) init(v *T) { s.p = unsafe.Pointer(v) }
 
 // NewDB creates an empty database for the network. opt.Oracle fixes the
-// sensitization for every enumeration the database will ever perform.
+// sensitization for every enumeration the database will ever perform;
+// opt.Compiled, when set, must be nw's compile, and otherwise the database
+// compiles nw on its first enumeration.
 func NewDB(nw *netlist.Network, opt Options) *DB {
 	return &DB{
 		nw:      nw,
@@ -95,20 +97,10 @@ func (db *DB) Network() *netlist.Network { return db.nw }
 // every analysis that touched it.
 func (db *DB) Truncated() bool { return db.truncated.Load() }
 
-// enumOpt returns the enumeration options with the node-capacitance
-// snapshot installed (built on first use — the network is immutable for
-// the database's lifetime, so one sweep serves every enumeration).
-func (db *DB) enumOpt() Options {
-	db.capsOnce.Do(func() {
-		caps := make([]float64, len(db.nw.Nodes))
-		for i, n := range db.nw.Nodes {
-			caps[i] = db.nw.NodeCap(n)
-		}
-		db.caps = caps
-	})
-	o := db.opt
-	o.caps = db.caps
-	return o
+// view returns the enumeration view, building it on first use.
+func (db *DB) view() *view {
+	db.viewOnce.Do(func() { db.v = newView(db.nw, db.opt) })
+	return db.v
 }
 
 // install publishes a freshly enumerated slab in slot, or adopts the one a
@@ -131,7 +123,7 @@ func (db *DB) Through(ti int) *Slab {
 	if s := slot.Load(); s != nil {
 		return s
 	}
-	return db.install(slot, through(db.nw, db.nw.Trans[ti], db.enumOpt(), tech.Rise, tech.Fall))
+	return db.install(slot, db.view().enumerate((*builder).through, int32(ti), tech.Rise, tech.Fall))
 }
 
 // Release returns the stages that could drive node ni (the paths a
@@ -141,7 +133,7 @@ func (db *DB) Release(ni int) *Slab {
 	if s := slot.Load(); s != nil {
 		return s
 	}
-	return db.install(slot, toNode(db.nw, db.nw.Nodes[ni], db.enumOpt(), tech.Rise, tech.Fall))
+	return db.install(slot, db.view().enumerate((*builder).toNode, int32(ni), tech.Rise, tech.Fall))
 }
 
 // From returns the stages created when node ni itself transitions (an
@@ -151,7 +143,7 @@ func (db *DB) From(ni int, tr tech.Transition) *Slab {
 	if s := slot.Load(); s != nil {
 		return s
 	}
-	return db.install(slot, fromNode(db.nw, db.nw.Nodes[ni], tr, db.enumOpt()))
+	return db.install(slot, db.view().enumerate((*builder).fromNode, int32(ni), tr))
 }
 
 // TurnOnIdx lists the stages created when transistor ti becomes conducting,
@@ -174,7 +166,7 @@ func (db *DB) Group(ti int) []int32 {
 	if g := slot.Load(); g != nil {
 		return *g
 	}
-	g := channelGroup(db.nw, db.nw.Trans[ti], db.opt.Oracle)
+	g := newBuilder(db.view()).group(int32(ti))
 	if !slot.CompareAndSwap(nil, &g) {
 		g = *slot.Load()
 	}
@@ -190,8 +182,8 @@ func (db *DB) Group(ti int) []int32 {
 // resulting stage values are the same either way. Dirty indexes stay nil.
 //
 //   - opt supplies the new generation's sensitization oracle (the caller
-//     re-settles statics after the edit) and must keep the same
-//     enumeration bounds.
+//     re-settles statics after the edit) and, in Compiled, its compile;
+//     it must keep the same enumeration bounds.
 //   - dirtyTrans / dirtyNode are indexed by the NEW network's indexes;
 //     true means the entry must be re-enumerated.
 //   - oldTrans maps new transistor indexes to this generation's indexes
@@ -234,62 +226,6 @@ func (db *DB) Derive(nw *netlist.Network, opt Options, dirtyTrans, dirtyNode []b
 	return next
 }
 
-// groupScratch is the recycled working set of channelGroup: visited marks
-// and the BFS queue. On a chip-scale network fresh per-call slices are tens
-// of kilobytes times tens of thousands of groups, all garbage.
-type groupScratch struct {
-	seen []bool
-	q    []int32
-}
-
-var groupPool sync.Pool
-
-// channelGroup walks the channel graph from t's terminals.
-func channelGroup(nw *netlist.Network, t *netlist.Trans, oracle Oracle) []int32 {
-	s, _ := groupPool.Get().(*groupScratch)
-	if s == nil {
-		s = &groupScratch{}
-	}
-	if len(s.seen) < len(nw.Nodes) {
-		s.seen = make([]bool, len(nw.Nodes))
-	}
-	seen, q := s.seen, s.q[:0]
-	for _, m := range []*netlist.Node{t.A, t.B} {
-		if m != nil && !m.IsSource() && !seen[m.Index] {
-			seen[m.Index] = true
-			q = append(q, int32(m.Index))
-		}
-	}
-	// The queue is never consumed, only walked: it ends up holding the
-	// members in visit order, which is the group.
-	for qi := 0; qi < len(q); qi++ {
-		n := nw.Nodes[q[qi]]
-		for _, tr := range n.Terms {
-			if tr == t {
-				continue
-			}
-			if oracle(tr) == Off {
-				continue
-			}
-			o := tr.Other(n)
-			if o == nil || seen[o.Index] || o.IsSource() {
-				continue
-			}
-			seen[o.Index] = true
-			q = append(q, int32(o.Index))
-		}
-	}
-	// The true marks are exactly the group members: clear those and
-	// recycle, far cheaper than zeroing the whole slice.
-	for _, i := range q {
-		seen[i] = false
-	}
-	out := append(make([]int32, 0, len(q)), q...)
-	s.q = q
-	groupPool.Put(s)
-	return out
-}
-
 // Prewarm eagerly builds every entry an analysis can touch, serially: the
 // closure matches the analyzer's access pattern — through-stages and channel
 // groups for every gated device, release stages for every group member, and
@@ -307,10 +243,11 @@ func (db *DB) Prewarm(workers int) {
 			db.Release(int(m))
 		}
 	}
-	for _, n := range db.nw.Inputs() {
-		if len(n.Terms) > 0 {
-			db.From(n.Index, tech.Rise)
-			db.From(n.Index, tech.Fall)
+	cn := db.view().cn
+	for n, in := range cn.IsInput {
+		if in && cn.HasTerms[n] {
+			db.From(n, tech.Rise)
+			db.From(n, tech.Fall)
 		}
 	}
 }

@@ -2,11 +2,17 @@
 // node, stages through a device, stages fanning out of a source), each
 // producing one Slab — the stage records plus every path element, side
 // load and path capacitance they reference, packed into four arrays.
+//
+// Every query walks the compiled network (netlist.Compact): channel
+// adjacency is a CSR row scan, a device's conduction and flow hint and a
+// node's source flags and loading are array reads. The pointer graph is
+// read only for the geometry of an accepted side branch.
 package stage
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/netlist"
@@ -23,11 +29,11 @@ type Options struct {
 	// (default 256). Overflow is reported via Truncated.
 	MaxPaths int
 
-	// caps, when non-nil, is a node-index-keyed snapshot of NodeCap over
-	// the (immutable) network being enumerated. The database installs it so
-	// stage construction reads a float instead of re-walking adjacency
-	// lists per node; direct enumeration calls leave it nil and fall back.
-	caps []float64
+	// Compiled is plumbing, not a setting: the compiled form of the network
+	// being enumerated, when the caller already holds one (the analyzer
+	// passes its own, so a database never keeps a second compile). Nil
+	// compiles one.
+	Compiled *netlist.Compact
 }
 
 // Fill returns the options with defaults applied (exported for callers
@@ -86,6 +92,76 @@ func (s *Slab) result() Result {
 	return res
 }
 
+// view is what enumeration reads of one network under one sensitization:
+// the compiled adjacency, per-device conduction materialized once from the
+// oracle, and per-node loading. Read-only once built.
+type view struct {
+	nw   *netlist.Network
+	cn   *netlist.Compact
+	cond []Conduction
+	caps []float64
+	vdd  int32
+	// maxDepth and maxPaths are the filled bounds.
+	maxDepth, maxPaths int
+}
+
+// newView builds the view of nw; opt must already be filled.
+func newView(nw *netlist.Network, opt Options) *view {
+	v := &view{
+		nw:       nw,
+		cn:       opt.Compiled,
+		cond:     make([]Conduction, len(nw.Trans)),
+		caps:     make([]float64, len(nw.Nodes)),
+		vdd:      int32(nw.Vdd().Index),
+		maxDepth: opt.MaxDepth,
+		maxPaths: opt.MaxPaths,
+	}
+	if v.cn == nil {
+		v.cn = netlist.Compile(nw)
+	}
+	for i, t := range nw.Trans {
+		v.cond[i] = opt.Oracle(t)
+	}
+	for i, n := range nw.Nodes {
+		v.caps[i] = nw.NodeCap(n)
+	}
+	return v
+}
+
+// far returns the terminal of channel ref's device (ref >> 1) opposite the
+// row's node. The walks below test the device before its far terminal, so
+// a device the oracle rules out costs one load, not three.
+func (v *view) far(ref int32) int32 {
+	if ref&1 != 0 {
+		return v.cn.TransB[ref>>1]
+	}
+	return v.cn.TransA[ref>>1]
+}
+
+// canFlow reports whether stage extraction may cross device ti from its
+// channel terminal `from` (Trans.CanFlow).
+func (v *view) canFlow(ti, from int32) bool {
+	switch netlist.Flow(v.cn.TransFlow[ti]) {
+	case netlist.FlowBoth:
+		return true
+	case netlist.FlowAB:
+		return from == v.cn.TransA[ti]
+	case netlist.FlowBA:
+		return from == v.cn.TransB[ti]
+	}
+	return false
+}
+
+// isSource reports whether node n is a strong source: a rail or an input.
+func (v *view) isSource(n int32) bool { return v.cn.IsRail[n] || v.cn.IsInput[n] }
+
+// sources reports whether source node n can source target transition tr:
+// Vdd sources rises, GND falls, and an input either (the caller decides its
+// direction).
+func (v *view) sources(n int32, tr tech.Transition) bool {
+	return v.cn.IsInput[n] || (n == v.vdd) == (tr == tech.Rise)
+}
+
 // rec is one stage under construction: its identity and how much of the
 // builder's packed arrays it owns.
 type rec struct {
@@ -100,15 +176,25 @@ type slQent struct {
 	r         float64
 }
 
+// frame is one node of the depth-first walk toward an end node: how far its
+// CSR row has been scanned, and the hop from it toward the end.
+type frame struct {
+	n, at, stop int32
+	hop         Element
+}
+
+// treeEnt is one node of a spanning tree: the device and tree index it was
+// reached through (-1 at the root), and its hop count from the root.
+type treeEnt struct {
+	n, parent, trans, depth int32
+}
+
 // builder accumulates one enumeration. Everything in it is scratch keyed
-// by index — epoch-stamped marks instead of per-call maps, growing arrays
-// instead of per-stage slices — so a recycled builder holds no reference
-// into any network. sideLoads runs once per enumerated stage, hundreds of
-// thousands of times on a chip; a stamp match replaces a map hit and
-// bumping the stamp replaces clearing.
+// by index — epoch-stamped marks instead of per-call maps, parent links
+// instead of per-node path copies, growing arrays instead of per-stage
+// slices — so a recycled builder holds no reference into any network.
 type builder struct {
-	nw  *netlist.Network
-	opt Options
+	v *view
 	// tr is the target transition of the pass in progress and base the
 	// number of stages earlier passes recorded (MaxPaths bounds each pass).
 	tr   tech.Transition
@@ -120,48 +206,63 @@ type builder struct {
 	caps  []float64
 	trunc bool
 
-	tmp       []Element // one stage's path being assembled
+	// Side-load walk: stamp marks visited nodes in nodeStamp.
 	stamp     uint32
-	nodeStamp []uint32 // node index → stamp when last visited
-	transOn   []uint32 // trans index → stamp when on the current path
+	nodeStamp []uint32
 	q         []slQent
+
+	// Path and tree walks: walk marks on-path, blocked and reached nodes in
+	// mark. A depth-first walk leaves its source paths in src (path k ends
+	// at srcEnd[k]); a spanning walk grows tree, and emit assembles one
+	// stage's path in tmp behind a prefix of pre elements.
+	walk   uint32
+	mark   []uint32
+	stack  []frame
+	src    []Element
+	srcEnd []int32
+	tree   []treeEnt
+	tmp    []Element
+	pre    int
 }
 
 var builderPool sync.Pool
 
-// newBuilder readies a (recycled) builder for one enumeration over nw; opt
-// must already be filled. Each target transition is one pass, opened with
-// begin.
-func newBuilder(nw *netlist.Network, opt Options) *builder {
+// newBuilder readies a (recycled) builder for one enumeration over v. Each
+// target transition is one pass, opened with begin.
+func newBuilder(v *view) *builder {
 	b, _ := builderPool.Get().(*builder)
 	if b == nil {
 		b = &builder{}
 	}
-	b.nw, b.opt = nw, opt
+	b.v = v
 	b.recs, b.path, b.side, b.caps = b.recs[:0], b.path[:0], b.side[:0], b.caps[:0]
 	b.trunc = false
-	if len(b.nodeStamp) < len(nw.Nodes) {
-		b.nodeStamp = make([]uint32, len(nw.Nodes))
-	}
-	if len(b.transOn) < len(nw.Trans) {
-		b.transOn = make([]uint32, len(nw.Trans))
+	if n := len(v.caps); len(b.nodeStamp) < n {
+		b.nodeStamp, b.mark = make([]uint32, n), make([]uint32, n)
 	}
 	return b
+}
+
+// recycle returns the builder to the pool, dropping its view.
+func (b *builder) recycle() {
+	b.v = nil
+	builderPool.Put(b)
 }
 
 // begin opens the pass toward transition tr.
 func (b *builder) begin(tr tech.Transition) { b.tr, b.base = tr, len(b.recs) }
 
 // full reports whether the pass in progress has recorded MaxPaths stages.
-func (b *builder) full() bool { return len(b.recs)-b.base >= b.opt.MaxPaths }
+func (b *builder) full() bool { return len(b.recs)-b.base >= b.v.maxPaths }
 
-// nodeCap returns the total capacitance loading node idx, from the
-// snapshot when one is installed.
-func (b *builder) nodeCap(idx int32) float64 {
-	if b.opt.caps != nil {
-		return b.opt.caps[idx]
+// newWalk starts a path or tree walk: a fresh stamp for mark.
+func (b *builder) newWalk() uint32 {
+	b.walk++
+	if b.walk == 0 { // wrapped: marks are ambiguous, start over
+		clear(b.mark)
+		b.walk = 1
 	}
-	return b.nw.NodeCap(b.nw.Nodes[idx])
+	return b.walk
 }
 
 // add records one stage along path (copied) and computes its loading.
@@ -172,9 +273,9 @@ func (b *builder) add(source, target, trigger int32, path []Element) {
 	// Sorting the side loads by attach position lets evaluators merge
 	// them into a single backwards path walk with no scratch allocation.
 	side := b.side[s0:]
-	sort.Slice(side, func(i, j int) bool { return side[i].Attach < side[j].Attach })
+	slices.SortFunc(side, func(x, y SideLoad) int { return cmp.Compare(x.Attach, y.Attach) })
 	for _, e := range path {
-		b.caps = append(b.caps, b.nodeCap(e.To))
+		b.caps = append(b.caps, b.v.caps[e.To])
 	}
 	b.recs = append(b.recs, rec{source, target, trigger, int32(len(path)), int32(len(side)), b.tr})
 }
@@ -185,59 +286,47 @@ func (b *builder) add(source, target, trigger int32, path []Element) {
 // that reaches it (shortest-hop via BFS from the whole path at once), with
 // the accumulated branch resistance.
 func (b *builder) sideLoads(source int32, path []Element) {
-	nw := b.nw
+	v := b.v
 	b.stamp++
 	if b.stamp == 0 { // wrapped: marks are ambiguous, start over
 		clear(b.nodeStamp)
-		clear(b.transOn)
 		b.stamp = 1
 	}
 	// Seed with path nodes (and source) at zero resistance. Attachment
 	// point and branch resistance ride in the queue entries; only the
-	// visited marks live in the stamped arrays.
+	// visited marks live in the stamped array. Every path element joins
+	// two marked nodes, so the walk never takes one as a side branch.
 	b.nodeStamp[source] = b.stamp
 	b.q = append(b.q[:0], slQent{source, 0, 0})
 	for i, e := range path {
 		b.nodeStamp[e.To] = b.stamp
 		b.q = append(b.q, slQent{e.To, int32(i + 1), 0})
-		b.transOn[e.Trans] = b.stamp
 	}
 	for qi := 0; qi < len(b.q); qi++ {
 		cur := b.q[qi]
-		n := nw.Nodes[cur.n]
-		if n.IsSource() {
+		if v.isSource(cur.n) {
 			// Ideal sources absorb: nothing behind a rail or input
 			// loads the stage, and expansion must not pass through.
 			continue
 		}
-		for _, t := range n.Terms {
-			if b.opt.Oracle(t) == Off {
+		for _, ref := range v.cn.Terms(int(cur.n)) {
+			ti := ref >> 1
+			if v.cond[ti] == Off || !v.canFlow(ti, cur.n) {
 				continue
 			}
-			// Skip path elements themselves.
-			if b.transOn[t.Index] == b.stamp {
+			o := v.far(ref)
+			if b.nodeStamp[o] == b.stamp {
 				continue
 			}
-			o := t.Other(n)
-			if o == nil {
-				continue
-			}
-			if !t.CanFlow(n) {
-				continue
-			}
-			if b.nodeStamp[o.Index] == b.stamp {
-				continue
-			}
-			r := cur.r + elementR(nw.Tech, t, b.tr)
-			b.nodeStamp[o.Index] = b.stamp
+			b.nodeStamp[o] = b.stamp
 			// A strong node absorbs the branch: it contributes no
 			// capacitance (it is a rail/input) and stops expansion.
-			if o.IsSource() {
+			if v.isSource(o) {
 				continue
 			}
-			oi := int32(o.Index)
-			b.side = append(b.side, SideLoad{Node: oi, Attach: cur.attach, R: r, C: b.nodeCap(oi)})
-			b.q = append(b.q, slQent{oi, cur.attach, r})
+			r := cur.r + elementR(v.nw.Tech, v.nw.Trans[ti], b.tr)
+			b.side = append(b.side, SideLoad{Node: o, Attach: cur.attach, R: r, C: v.caps[o]})
+			b.q = append(b.q, slQent{o, cur.attach, r})
 		}
 	}
 }
@@ -245,17 +334,14 @@ func (b *builder) sideLoads(source int32, path []Element) {
 // slab packs what the builder accumulated into exactly-sized arrays,
 // derives each stage's cached fields, and recycles the builder.
 func (b *builder) slab() *Slab {
-	defer func() {
-		b.nw, b.opt = nil, Options{}
-		builderPool.Put(b)
-	}()
+	defer b.recycle()
 	if len(b.recs) == 0 {
 		if b.trunc {
 			return &Slab{Truncated: true}
 		}
 		return emptySlab
 	}
-	nw := b.nw
+	cn := b.v.cn
 	// Fresh arrays, not slices.Clone: cloning an empty scratch slice would
 	// alias the pooled array.
 	s := &Slab{
@@ -284,8 +370,8 @@ func (b *builder) slab() *Slab {
 				break
 			}
 		}
-		st.driverType = uint8(nw.Trans[path[st.driver].Trans].Type)
-		if nw.Nodes[r.source].Kind == netlist.KindInput {
+		st.driverType = cn.TransType[path[st.driver].Trans]
+		if cn.IsInput[r.source] {
 			st.srcInput = r.source + 1
 		}
 		nf += uint32(r.nPath)
@@ -301,33 +387,66 @@ func (b *builder) slab() *Slab {
 	return s
 }
 
-// sourceWanted reports whether node n can source the given target
-// transition: Vdd and high inputs source rises, GND and low inputs source
-// falls. Inputs source both (their own transition direction is decided by
-// the caller), so they are accepted for either.
-func sourceWanted(n *netlist.Node, tr tech.Transition) bool {
-	switch n.Kind {
-	case netlist.KindVdd:
-		return tr == tech.Rise
-	case netlist.KindGnd:
-		return tr == tech.Fall
-	case netlist.KindInput:
-		return true
+// enumerate runs pass over key once per transition of trs, in order, into
+// one slab.
+func (v *view) enumerate(pass func(*builder, int32), key int32, trs ...tech.Transition) *Slab {
+	b := newBuilder(v)
+	for _, tr := range trs {
+		b.begin(tr)
+		pass(b, key)
 	}
-	return false
+	return b.slab()
 }
 
-// hop is the element through t from node `from` to node `to`.
-func hop(t *netlist.Trans, from, to *netlist.Node) Element {
-	return Element{Trans: int32(t.Index), From: int32(from.Index), To: int32(to.Index)}
-}
-
-// reversed appends rev back to front onto dst.
-func reversed(dst, rev []Element) []Element {
-	for i := len(rev) - 1; i >= 0; i-- {
-		dst = append(dst, rev[i])
+// sourcePaths collects in src/srcEnd every acyclic path from a source of
+// the pass's transition to end that avoids device skip (NoTrans: none),
+// each oriented source→end, depth first in CSR row order. It reports
+// whether MaxPaths or MaxDepth pruned the walk. MaxPaths is checked before
+// descending, so paths to sources adjacent to one node are all kept.
+func (b *builder) sourcePaths(end, skip int32) (trunc bool) {
+	v := b.v
+	b.src, b.srcEnd = b.src[:0], b.srcEnd[:0]
+	if v.isSource(end) {
+		return false
 	}
-	return dst
+	w := b.newWalk()
+	b.mark[end] = w
+	b.stack = append(b.stack[:0], frame{n: end, at: v.cn.TermStart[end], stop: v.cn.TermStart[end+1]})
+	for len(b.stack) > 0 {
+		f := &b.stack[len(b.stack)-1]
+		if f.at == f.stop {
+			b.mark[f.n] = 0 // off the path again
+			b.stack = b.stack[:len(b.stack)-1]
+			continue
+		}
+		ref := v.cn.TermRef[f.at]
+		f.at++
+		ti := ref >> 1
+		if ti == skip || v.cond[ti] == Off {
+			continue
+		}
+		o := v.far(ref)
+		if b.mark[o] == w || !v.canFlow(ti, o) {
+			continue
+		}
+		if v.isSource(o) {
+			if v.sources(o, b.tr) {
+				b.src = append(b.src, Element{Trans: ti, From: o, To: f.n})
+				for k := len(b.stack) - 1; k > 0; k-- {
+					b.src = append(b.src, b.stack[k].hop)
+				}
+				b.srcEnd = append(b.srcEnd, int32(len(b.src)))
+			}
+			continue
+		}
+		if len(b.srcEnd) >= v.maxPaths || len(b.stack) > v.maxDepth {
+			trunc = true
+			continue
+		}
+		b.mark[o] = w
+		b.stack = append(b.stack, frame{o, v.cn.TermStart[o], v.cn.TermStart[o+1], Element{Trans: ti, From: o, To: f.n}})
+	}
+	return trunc
 }
 
 // ToNode enumerates all stages that could drive target with transition tr:
@@ -335,27 +454,16 @@ func reversed(dst, rev []Element) []Element {
 // transistors the oracle does not rule out, respecting flow hints. Side
 // loading is computed per stage.
 func ToNode(nw *netlist.Network, target *netlist.Node, tr tech.Transition, opt Options) Result {
-	return toNode(nw, target, opt.Fill(), tr).result()
+	return newView(nw, opt.Fill()).enumerate((*builder).toNode, int32(target.Index), tr).result()
 }
 
-// toNode runs one pass per transition of trs, in order, into one slab.
-func toNode(nw *netlist.Network, target *netlist.Node, opt Options, trs ...tech.Transition) *Slab {
-	if target.IsSource() {
-		return emptySlab
-	}
-	b := newBuilder(nw, opt)
-	for _, tr := range trs {
-		b.begin(tr)
-		b.toNode(target)
-	}
-	return b.slab()
-}
-
-func (b *builder) toNode(target *netlist.Node) {
-	ps := pathsToNode(target, b.tr, b.opt, nil)
-	b.trunc = b.trunc || ps.Truncated
-	for _, p := range ps.paths {
-		b.add(p[0].From, int32(target.Index), NoTrans, p)
+func (b *builder) toNode(target int32) {
+	b.trunc = b.sourcePaths(target, NoTrans) || b.trunc
+	start := int32(0)
+	for _, end := range b.srcEnd {
+		p := b.src[start:end]
+		start = end
+		b.add(p[0].From, target, NoTrans, p)
 	}
 }
 
@@ -365,149 +473,43 @@ func (b *builder) toNode(target *netlist.Node) {
 // Source-side paths are enumerated exhaustively (bounded by MaxPaths);
 // the far side is expanded as a spanning tree, one stage per reached node.
 func Through(nw *netlist.Network, trig *netlist.Trans, tr tech.Transition, opt Options) Result {
-	return through(nw, trig, opt.Fill(), tr).result()
+	return newView(nw, opt.Fill()).enumerate((*builder).through, int32(trig.Index), tr).result()
 }
 
-// through runs one pass per transition of trs, in order, into one slab.
-func through(nw *netlist.Network, trig *netlist.Trans, opt Options, trs ...tech.Transition) *Slab {
-	b := newBuilder(nw, opt)
-	for _, tr := range trs {
-		b.begin(tr)
-		b.through(trig)
-	}
-	return b.slab()
-}
-
-func (b *builder) through(trig *netlist.Trans) {
-	opt, tr := b.opt, b.tr
+func (b *builder) through(trig int32) {
+	v := b.v
+	ta, tb := v.cn.TransA[trig], v.cn.TransB[trig]
 	// For each orientation of the trigger (A→B and B→A), find source
 	// paths ending at the near terminal, then extend to far-side nodes.
-	for _, orient := range [2]struct{ near, far *netlist.Node }{
-		{trig.A, trig.B}, {trig.B, trig.A},
-	} {
-		if !trig.CanFlow(orient.near) || orient.near == orient.far {
+	for _, or := range [2][2]int32{{ta, tb}, {tb, ta}} {
+		near, far := or[0], or[1]
+		if near == far || !v.canFlow(trig, near) {
 			continue
 		}
-		srcPaths := pathsToNode(orient.near, tr, opt, trig)
-		if srcPaths.Truncated {
-			b.trunc = true
+		b.trunc = b.sourcePaths(near, trig) || b.trunc
+		if len(b.srcEnd) == 0 && v.isSource(near) && v.sources(near, b.tr) {
+			b.srcEnd = append(b.srcEnd, 0) // the near terminal is itself a source: the trivial path
 		}
-		if len(srcPaths.paths) == 0 && orient.near.IsSource() && sourceWanted(orient.near, tr) {
-			// The near terminal is itself a source: the trivial path.
-			srcPaths.paths = append(srcPaths.paths, nil)
-		}
-		for _, sp := range srcPaths.paths {
-			exts := spanningExtensions(orient.far, orient.near, sp, trig, opt)
-			for _, ext := range exts {
-				if len(sp)+1+len(ext) > opt.MaxDepth {
-					b.trunc = true
-					continue
-				}
-				full := append(b.tmp[:0], sp...)
-				full = append(full, hop(trig, orient.near, orient.far))
-				full = append(full, ext...)
-				b.tmp = full
-				b.add(full[0].From, full[len(full)-1].To, int32(trig.Index), full)
-				if b.full() {
-					b.trunc = true
-					return
-				}
+		start := int32(0)
+		for _, end := range b.srcEnd {
+			sp := b.src[start:end]
+			start = end
+			b.tmp = append(append(b.tmp[:0], sp...), Element{Trans: trig, From: near, To: far})
+			b.pre = len(b.tmp)
+			source := b.tmp[0].From
+			// The far side's tree may not touch the source path.
+			w := b.newWalk()
+			b.mark[near] = w
+			for _, e := range sp {
+				b.mark[e.From], b.mark[e.To] = w, w
+			}
+			b.mark[far] = w
+			b.tree = append(b.tree[:0], treeEnt{n: far, parent: -1})
+			if b.emit(0, source, trig) || !v.isSource(far) && b.span(source, trig) {
+				return
 			}
 		}
 	}
-}
-
-type pathSet struct {
-	paths     [][]Element // each source→near orientation
-	Truncated bool
-}
-
-// pathsToNode enumerates acyclic source→end paths not using `exclude` (nil:
-// any device may be used).
-func pathsToNode(end *netlist.Node, tr tech.Transition, opt Options, exclude *netlist.Trans) pathSet {
-	var ps pathSet
-	if end.IsSource() {
-		return ps
-	}
-	onPath := map[*netlist.Node]bool{}
-	var rev []Element
-	var dfs func(n *netlist.Node, depth int)
-	dfs = func(n *netlist.Node, depth int) {
-		if len(ps.paths) >= opt.MaxPaths || depth > opt.MaxDepth {
-			ps.Truncated = true
-			return
-		}
-		onPath[n] = true
-		defer delete(onPath, n)
-		for _, t := range n.Terms {
-			if t == exclude || opt.Oracle(t) == Off {
-				continue
-			}
-			o := t.Other(n)
-			if o == nil || onPath[o] || !t.CanFlow(o) {
-				continue
-			}
-			rev = append(rev, hop(t, o, n))
-			if o.IsSource() {
-				if sourceWanted(o, tr) {
-					ps.paths = append(ps.paths, reversed(make([]Element, 0, len(rev)), rev))
-				}
-			} else {
-				dfs(o, depth+1)
-			}
-			rev = rev[:len(rev)-1]
-		}
-	}
-	dfs(end, 0)
-	return ps
-}
-
-// spanningExtensions returns, for every node reachable from `from` through
-// conducting transistors without touching the source path, the tree path
-// to it (as a list of elements from `from` outward). The empty extension
-// (targeting `from` itself) is always first.
-func spanningExtensions(from, near *netlist.Node, srcPath []Element, trig *netlist.Trans, opt Options) [][]Element {
-	blocked := map[int32]bool{int32(near.Index): true}
-	for _, e := range srcPath {
-		blocked[e.From] = true
-		blocked[e.To] = true
-	}
-	exts := [][]Element{nil}
-	if from.IsSource() {
-		return exts
-	}
-	type item struct {
-		n    *netlist.Node
-		path []Element
-	}
-	seen := map[*netlist.Node]bool{from: true}
-	q := []item{{from, nil}}
-	for len(q) > 0 {
-		cur := q[0]
-		q = q[1:]
-		if len(cur.path) >= opt.MaxDepth {
-			continue
-		}
-		for _, t := range cur.n.Terms {
-			if t == trig || opt.Oracle(t) == Off {
-				continue
-			}
-			o := t.Other(cur.n)
-			if o == nil || seen[o] || blocked[int32(o.Index)] || !t.CanFlow(cur.n) {
-				continue
-			}
-			seen[o] = true
-			if o.IsSource() {
-				continue
-			}
-			np := make([]Element, len(cur.path)+1)
-			copy(np, cur.path)
-			np[len(cur.path)] = hop(t, cur.n, o)
-			exts = append(exts, np)
-			q = append(q, item{o, np})
-		}
-	}
-	return exts
 }
 
 // FromNode enumerates the stages created when node src itself transitions
@@ -515,47 +517,104 @@ func spanningExtensions(from, near *netlist.Node, srcPath []Element, trig *netli
 // a spanning tree of the conducting channel graph rooted at src, one stage
 // per reachable node, each with Source = src and no trigger.
 func FromNode(nw *netlist.Network, src *netlist.Node, tr tech.Transition, opt Options) Result {
-	return fromNode(nw, src, tr, opt.Fill()).result()
+	return newView(nw, opt.Fill()).enumerate((*builder).fromNode, int32(src.Index), tr).result()
 }
 
-func fromNode(nw *netlist.Network, src *netlist.Node, tr tech.Transition, opt Options) *Slab {
-	b := newBuilder(nw, opt)
-	b.begin(tr)
-	type item struct {
-		n    *netlist.Node
-		path []Element
-	}
-	seen := map[*netlist.Node]bool{src: true}
-	q := []item{{src, nil}}
-	for len(q) > 0 {
-		cur := q[0]
-		q = q[1:]
-		if len(cur.path) >= opt.MaxDepth {
+func (b *builder) fromNode(src int32) {
+	b.tmp, b.pre = b.tmp[:0], 0
+	b.mark[src] = b.newWalk()
+	b.tree = append(b.tree[:0], treeEnt{n: src, parent: -1})
+	b.span(src, NoTrans)
+}
+
+// span grows b.tree, seeded with its root (marked, as is every node it may
+// not enter), breadth first through conducting devices other than trigger,
+// without passing through a source, and emits one stage per node reached.
+// It reports whether the pass filled up.
+func (b *builder) span(source, trigger int32) bool {
+	v := b.v
+	w := b.walk
+	for qi := int32(0); int(qi) < len(b.tree); qi++ {
+		cur := b.tree[qi]
+		if int(cur.depth) >= v.maxDepth {
 			b.trunc = true
 			continue
 		}
-		for _, t := range cur.n.Terms {
-			if opt.Oracle(t) == Off {
+		for _, ref := range v.cn.Terms(int(cur.n)) {
+			ti := ref >> 1
+			if ti == trigger || v.cond[ti] == Off || !v.canFlow(ti, cur.n) {
 				continue
 			}
-			o := t.Other(cur.n)
-			if o == nil || seen[o] || !t.CanFlow(cur.n) {
+			o := v.far(ref)
+			if b.mark[o] == w {
 				continue
 			}
-			seen[o] = true
-			if o.IsSource() {
+			b.mark[o] = w
+			if v.isSource(o) {
 				continue
 			}
-			np := make([]Element, len(cur.path)+1)
-			copy(np, cur.path)
-			np[len(cur.path)] = hop(t, cur.n, o)
-			b.add(int32(src.Index), int32(o.Index), NoTrans, np)
-			if b.full() {
-				b.trunc = true
-				return b.slab()
+			b.tree = append(b.tree, treeEnt{o, qi, ti, cur.depth + 1})
+			if b.emit(int32(len(b.tree)-1), source, trigger) {
+				return true
 			}
-			q = append(q, item{o, np})
 		}
 	}
-	return b.slab()
+	return false
+}
+
+// emit adds the stage whose path is the prefix b.tmp[:b.pre] followed by
+// the tree path to b.tree[i], unless it exceeds MaxDepth. It reports
+// whether the pass filled up.
+func (b *builder) emit(i, source, trigger int32) bool {
+	e := b.tree[i]
+	n := b.pre + int(e.depth)
+	if n > b.v.maxDepth {
+		b.trunc = true
+		return false
+	}
+	b.tmp = slices.Grow(b.tmp[:b.pre], int(e.depth))[:n]
+	for j := n - 1; j >= b.pre; j-- {
+		p := b.tree[e.parent]
+		b.tmp[j] = Element{Trans: e.trans, From: p.n, To: e.n}
+		e = p
+	}
+	b.add(source, b.tmp[n-1].To, trigger, b.tmp)
+	if b.full() {
+		b.trunc = true
+		return true
+	}
+	return false
+}
+
+// group lists the non-source nodes channel-connected to either terminal of
+// device ti through conducting devices other than ti, in visit order.
+func (b *builder) group(ti int32) []int32 {
+	defer b.recycle()
+	v := b.v
+	w := b.newWalk()
+	// The member list is the walk's queue (in srcEnd's array, idle outside
+	// a path walk): it is never consumed, only walked, and ends up holding
+	// the members in visit order.
+	q := b.srcEnd[:0]
+	for _, m := range [2]int32{v.cn.TransA[ti], v.cn.TransB[ti]} {
+		if !v.isSource(m) && b.mark[m] != w {
+			b.mark[m] = w
+			q = append(q, m)
+		}
+	}
+	for qi := 0; qi < len(q); qi++ {
+		for _, ref := range v.cn.Terms(int(q[qi])) {
+			if tj := ref >> 1; tj == ti || v.cond[tj] == Off {
+				continue
+			}
+			o := v.far(ref)
+			if b.mark[o] == w || v.isSource(o) {
+				continue
+			}
+			b.mark[o] = w
+			q = append(q, o)
+		}
+	}
+	b.srcEnd = q
+	return append(make([]int32, 0, len(q)), q...)
 }
