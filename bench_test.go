@@ -6,14 +6,9 @@
 package repro
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -25,7 +20,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/incremental"
-	"repro/internal/netlist"
 	"repro/internal/stage"
 	"repro/internal/switchsim"
 	"repro/internal/tech"
@@ -590,207 +584,6 @@ func BenchmarkE8RCBounds(b *testing.B) {
 	}
 	b.ReportMetric(contained/float64(len(rows)), "containment")
 	b.ReportMetric(width/float64(len(rows)), "relwidth")
-}
-
-// --- Ingest benchmarks (parse throughput and snapshot load) -----------------
-
-var (
-	ingestOnce  sync.Once
-	ingestSim   []byte
-	ingestSnap  []byte
-	ingestTrans int
-)
-
-// ingestCorpus emits the E6 chip (the largest generated design) as .sim
-// text once, along with its .simx snapshot, so every ingest benchmark
-// measures the same chip-scale input: ~1 MB of netlist.
-func ingestCorpus(b *testing.B) {
-	b.Helper()
-	ingestOnce.Do(func() {
-		p := tech.NMOS4()
-		nw, err := gen.Chip(p, 32)
-		if err != nil {
-			panic(err)
-		}
-		var buf bytes.Buffer
-		if err := netlist.WriteSim(&buf, nw); err != nil {
-			panic(err)
-		}
-		ingestSim = buf.Bytes()
-		// Snapshot the parsed form so node indexing matches what the
-		// parse benchmarks build (generator order differs).
-		parsed, err := netlist.ReadSim("chip", p, bytes.NewReader(ingestSim))
-		if err != nil {
-			panic(err)
-		}
-		ingestTrans = len(parsed.Trans)
-		var snap bytes.Buffer
-		if err := netlist.WriteSnapshot(&snap, parsed, sha256.Sum256(ingestSim)); err != nil {
-			panic(err)
-		}
-		ingestSnap = snap.Bytes()
-	})
-}
-
-// BenchmarkIngestParse measures .sim parse throughput of the chip-scale
-// netlist: the cold half of the ingest pipeline as LoadSimFile runs it,
-// ReadSim plus the structural Check (a snapshot is only ever written after
-// Check passes, so a warm load skips both).
-func BenchmarkIngestParse(b *testing.B) {
-	ingestCorpus(b)
-	p := tech.NMOS4()
-	b.SetBytes(int64(len(ingestSim)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nw, err := netlist.ReadSim("chip", p, bytes.NewReader(ingestSim))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := nw.Check(); err != nil {
-			b.Fatal(err)
-		}
-		if len(nw.Trans) != ingestTrans {
-			b.Fatalf("parsed %d transistors, want %d", len(nw.Trans), ingestTrans)
-		}
-	}
-	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	b.ReportMetric(perOp/float64(ingestTrans), "ns/transistor")
-	b.ReportMetric(float64(len(ingestSim))/perOp*1e9/1e6, "MB/s")
-}
-
-// BenchmarkIngestSnapshotLoad measures decoding the same chip from its
-// binary .simx snapshot — the warm-start path that replaces the parse.
-// Compare ns/op against BenchmarkIngestParse for the snapshot-vs-parse
-// speedup.
-func BenchmarkIngestSnapshotLoad(b *testing.B) {
-	ingestCorpus(b)
-	p := tech.NMOS4()
-	wantHash := sha256.Sum256(ingestSim)
-	b.SetBytes(int64(len(ingestSnap)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nw, hash, err := netlist.ReadSnapshot(bytes.NewReader(ingestSnap), p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if hash != wantHash || len(nw.Trans) != ingestTrans {
-			b.Fatal("snapshot decoded wrong network")
-		}
-	}
-	perOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	b.ReportMetric(perOp/float64(ingestTrans), "ns/transistor")
-	b.ReportMetric(float64(len(ingestSnap))/perOp*1e9/1e6, "MB/s")
-}
-
-var (
-	ingestXLOnce  sync.Once
-	ingestXLSnap  string // .simx path
-	ingestXLHash  [32]byte
-	ingestXLTrans int
-	ingestXLNodes int
-)
-
-// ingestXLCorpus materializes the E6-XL scale point (chip:32,10 — 100k+
-// nodes, ~182k transistors) once, persisted as a .simx file so both ways
-// of handing its bytes to the decoder load identical content.
-func ingestXLCorpus(b *testing.B) {
-	b.Helper()
-	ingestXLOnce.Do(func() {
-		p := tech.NMOS4()
-		nw, err := gen.ChipGrid(p, 32, 10)
-		if err != nil {
-			panic(err)
-		}
-		var buf bytes.Buffer
-		if err := netlist.WriteSim(&buf, nw); err != nil {
-			panic(err)
-		}
-		parsed, err := netlist.ReadSim("chip-xl", p, bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			panic(err)
-		}
-		ingestXLHash = sha256.Sum256(buf.Bytes())
-		ingestXLTrans = len(parsed.Trans)
-		ingestXLNodes = len(parsed.Nodes)
-		dir, err := os.MkdirTemp("", "ingestxl")
-		if err != nil {
-			panic(err)
-		}
-		ingestXLSnap = filepath.Join(dir, "xl.simx")
-		if err := netlist.WriteSnapshotFile(ingestXLSnap, parsed, ingestXLHash); err != nil {
-			panic(err)
-		}
-	})
-}
-
-// BenchmarkIngestXL is the snapshot load on the 100k+ node chip through
-// both byte sources of the one decoder: mapped, and read into the heap.
-// Each iteration performs a complete cold load from disk — map or read,
-// validate (both CRCs), build the Network — and discards it. (BENCH_7's
-// third arm, the version-1 decode, went with that format.)
-func BenchmarkIngestXL(b *testing.B) {
-	ingestXLCorpus(b)
-	p := tech.NMOS4()
-	check := func(b *testing.B, nw *netlist.Network, hash [32]byte) {
-		if hash != ingestXLHash || len(nw.Trans) != ingestXLTrans || len(nw.Nodes) != ingestXLNodes {
-			b.Fatal("loaded wrong network")
-		}
-	}
-	// Every arm runs with the collector quiesced: automatic collection
-	// is disabled for the benchmark's duration and each iteration
-	// instead collects the previous iteration's dead graph explicitly,
-	// outside the timer. Each load allocates a ~30 MB network graph
-	// from a near-empty live heap, so under the default pacing every
-	// iteration spends more time marking and write-barriering the
-	// half-built graph than loading it — noise that scales with the
-	// pacer's mood, not with either loader. The same discipline applies
-	// to every arm, so the ratio is load-vs-load.
-	oldGC := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(oldGC)
-	// Two back-to-back cycles: the first marks and frees the dead graph,
-	// the second's sweep-termination phase finishes sweeping it, so no
-	// sweep debt is paid by the next load's allocations inside the timer.
-	quiesce := func(b *testing.B) {
-		b.StopTimer()
-		runtime.GC()
-		runtime.GC()
-		b.StartTimer()
-	}
-	b.Run("mmap", func(b *testing.B) {
-		if !netlist.MmapSupported {
-			b.Skip("no mmap on this platform")
-		}
-		for i := 0; i < b.N; i++ {
-			quiesce(b)
-			m, err := netlist.OpenMapped(ingestXLSnap, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			check(b, m.Net, m.SourceHash)
-			// Nothing from the view escapes the iteration, so unmapping
-			// is safe here (unlike in the CLIs, which keep the mapping
-			// for the process lifetime).
-			if err := m.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ingestXLNodes), "ns/node")
-	})
-	b.Run("v2decode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			quiesce(b)
-			data, err := os.ReadFile(ingestXLSnap)
-			if err != nil {
-				b.Fatal(err)
-			}
-			nw, hash, err := netlist.ReadSnapshot(bytes.NewReader(data), p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			check(b, nw, hash)
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ingestXLNodes), "ns/node")
-	})
 }
 
 // --- Microbenchmarks of the analysis hot paths ------------------------------

@@ -10,14 +10,12 @@
 //	crystald [-addr :8653] [-max-sessions 16] [-hier off]
 //	         [-drain-timeout 30s] [-snapshot-dir DIR]
 //	         [-job-workers 2] [-job-queue 32]
-//	         [-chaos-job-delay 0] [-chaos-job-fail-every 0]
 //
 // Long requests (a chip-scale analyze, a big edit script) can be
 // submitted with {"async": true}: the daemon answers 202 with a job id
 // and the work runs on a bounded worker pool (-job-workers) behind a
 // bounded queue (-job-queue; full = 429 + Retry-After); poll
-// GET /v1/jobs/{id} for the result. The -chaos-* flags inject slow and
-// failing jobs for the load/chaos harness (cmd/loadgen).
+// GET /v1/jobs/{id} for the result.
 //
 // With -snapshot-dir, every parsed session is persisted as a binary
 // .simx snapshot keyed by its network identity (source hash + tech +
@@ -29,11 +27,12 @@
 // copy at the first edit barrier (see docs/PERFORMANCE.md "Ingest" and
 // docs/SERVER.md on RSS accounting).
 //
-// The API is documented in docs/SERVER.md. On SIGTERM/SIGINT the daemon
-// drains gracefully: the listener closes immediately, in-flight requests
-// (including a running drain) get -drain-timeout to finish, then the
-// process exits. /metrics serves the service counters as JSON; the same
-// document is published through expvar at /debug/vars.
+// The API is documented in docs/SERVER.md. The daemon logs the address
+// it bound, so -addr 127.0.0.1:0 picks a free port. On SIGTERM/SIGINT it
+// drains gracefully: new async submissions get 503, the listener closes,
+// and in-flight requests and admitted jobs share one -drain-timeout
+// deadline to finish before the process exits. /metrics serves the
+// service counters as JSON.
 //
 // -hier on enables hierarchical macromodel analysis for every session:
 // replicated instances (annotated @ inst in the .sim) analyze one
@@ -49,10 +48,10 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -76,8 +75,6 @@ func main() {
 	snapshotDir := flag.String("snapshot-dir", "", "persist .simx session snapshots here for warm starts (empty = disabled)")
 	jobWorkers := flag.Int("job-workers", 2, "async job plane worker-pool size (concurrent {\"async\":true} analyzes/edit scripts)")
 	jobQueue := flag.Int("job-queue", 32, "async job queue bound; a full queue answers 429 + Retry-After")
-	chaosJobDelay := flag.Duration("chaos-job-delay", 0, "fault injection: stretch every async job execution by this much (load/chaos harness only)")
-	chaosJobFailEvery := flag.Int("chaos-job-fail-every", 0, "fault injection: fail every Nth async job with a synthetic 500 (load/chaos harness only; 0 = off)")
 	flag.Parse()
 	if *hier != "on" && *hier != "off" {
 		fmt.Fprintf(os.Stderr, "crystald: -hier: want on or off, got %q\n", *hier)
@@ -90,22 +87,19 @@ func main() {
 		SnapshotDir:   *snapshotDir,
 		JobWorkers:    *jobWorkers,
 		JobQueueDepth: *jobQueue,
-		JobDelay:      *chaosJobDelay,
-		JobFailEvery:  *chaosJobFailEvery,
 	})
-	// The service metrics through the stock expvar protocol, next to the
-	// runtime's memstats/cmdline vars.
-	expvar.Publish("crystald", expvar.Func(func() any { return sv.MetricsSnapshot() }))
-	mux := http.NewServeMux()
-	mux.Handle("/", sv)
-	mux.Handle("/debug/vars", expvar.Handler())
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "crystald:", err)
+		os.Exit(1)
+	}
 	// Request bodies are bounded inside the handlers (server.MaxBodyBytes);
 	// the header timeout bounds what a client can hold open before one.
-	httpSrv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
+	httpSrv := &http.Server{Handler: sv, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("crystald: listening on %s (max %d sessions)", *addr, *maxSessions)
+	go func() { errc <- httpSrv.Serve(ln) }()
+	log.Printf("crystald: listening on %s (max %d sessions)", ln.Addr(), *maxSessions)
 
 	if *debugAddr != "" {
 		// Profiling side mux: only the pprof handlers, on its own listener,
@@ -130,23 +124,23 @@ func main() {
 	defer stop()
 	select {
 	case err := <-errc:
-		// Listener failed before any signal (bad address, port in use).
 		fmt.Fprintln(os.Stderr, "crystald:", err)
 		os.Exit(1)
 	case <-ctx.Done():
 	}
-	log.Printf("crystald: draining (grace %s)", *drainTimeout)
-	// Job plane first: new async submissions get 503 while in-flight
-	// synchronous requests and already-admitted jobs run out the grace
-	// period; then the listener closes and waits for its connections.
+	// Job plane first: new async submissions get 503. Then the listener
+	// closes, and in-flight requests and admitted jobs finish against one
+	// deadline, so the whole drain takes at most -drain-timeout.
+	deadline := time.Now().Add(*drainTimeout)
 	sv.BeginDrain()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	log.Printf("crystald: draining (grace %s)", *drainTimeout)
+	shutdownCtx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
 		log.Printf("crystald: forced exit: %v", err)
 		os.Exit(1)
 	}
-	if !sv.WaitJobs(*drainTimeout) {
+	if !sv.WaitJobs(time.Until(deadline)) {
 		log.Printf("crystald: job plane did not drain within %s", *drainTimeout)
 		os.Exit(1)
 	}

@@ -6,8 +6,8 @@
 // The completed job carries the exact body the synchronous handler would
 // have written (same structs, same encoder), so an async result is
 // byte-identical to the synchronous response modulo the wall-clock
-// duration fields — pinned by TestAsyncAnalyzeIdentity and cmd/loadgen's
-// validation mode.
+// duration fields — pinned by TestAsyncAnalyzeIdentity and
+// TestAsyncEditsIdentity.
 //
 // Admission and ordering:
 //
@@ -25,10 +25,9 @@
 //     Server.WaitJobs blocks until the plane is idle. cmd/crystald runs
 //     this between SIGTERM and listener shutdown.
 //
-// Fault injection: Options.JobDelay stretches every execution and
-// Options.JobFailEvery fails every Nth one with a synthetic 500. Both
-// exist for the load/chaos harness (cmd/loadgen) and the eviction-race
-// tests — a production daemon leaves them zero.
+// Fault injection: the plane's delay and failEvery fields stretch every
+// execution and fail every Nth one with a synthetic 500. Only this
+// package's tests set them; they are not options.
 package server
 
 import (
@@ -51,9 +50,8 @@ const (
 
 // jobRetention bounds the completed-job history: polls for a job finished
 // more than jobRetention completions ago return 404. Clients poll
-// promptly (loadgen's poll loop is milliseconds behind), so the bound is
-// generous; it exists so a long-lived daemon cannot leak one result per
-// job ever submitted.
+// promptly, so the bound is generous; it exists so a long-lived daemon
+// cannot leak one result per job ever submitted.
 const jobRetention = 4096
 
 // job is one admitted unit of async work. Mutable fields are guarded by
@@ -77,8 +75,8 @@ type job struct {
 type jobPlane struct {
 	workers   int
 	depth     int
-	delay     time.Duration // fault injection: stretch every execution
-	failEvery int64         // fault injection: fail every Nth execution
+	delay     time.Duration // fault injection, tests only: stretch every execution
+	failEvery int64         // fault injection, tests only: fail every Nth execution
 
 	m *metrics
 
@@ -94,15 +92,13 @@ type jobPlane struct {
 	history  []string // completed job ids, oldest first, for retention
 }
 
-func newJobPlane(workers, depth int, delay time.Duration, failEvery int, m *metrics) *jobPlane {
+func newJobPlane(workers, depth int, m *metrics) *jobPlane {
 	p := &jobPlane{
-		workers:   workers,
-		depth:     depth,
-		delay:     delay,
-		failEvery: int64(failEvery),
-		m:         m,
-		byID:      make(map[string]*job),
-		busy:      make(map[string]bool),
+		workers: workers,
+		depth:   depth,
+		m:       m,
+		byID:    make(map[string]*job),
+		busy:    make(map[string]bool),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p

@@ -211,7 +211,8 @@ func TestAsyncEditsIdentity(t *testing.T) {
 // TestJobPerSessionSerialization proves jobs of one session run one at a
 // time, in submission order, even with free worker slots.
 func TestJobPerSessionSerialization(t *testing.T) {
-	c := newTestClient(t, Options{JobWorkers: 4, JobDelay: 30 * time.Millisecond})
+	c := newTestClient(t, Options{JobWorkers: 4})
+	serverOf(c).jobs.delay = 30 * time.Millisecond
 	created := c.create(dlatchConfig(t))
 	id := created.Session
 	c.analyze(id)
@@ -267,7 +268,8 @@ func (c *testClient) pollJobState(id string) string {
 // TestJobQueueFull429 pins admission control: a full queue answers 429
 // with a Retry-After header and counts the rejection.
 func TestJobQueueFull429(t *testing.T) {
-	c := newTestClient(t, Options{JobWorkers: 1, JobQueueDepth: 1, JobDelay: 80 * time.Millisecond})
+	c := newTestClient(t, Options{JobWorkers: 1, JobQueueDepth: 1})
+	serverOf(c).jobs.delay = 80 * time.Millisecond
 	a := c.create(withTop(t, 3)).Session
 	b := c.create(withTop(t, 4)).Session
 
@@ -314,7 +316,8 @@ func TestJobQueueFull429(t *testing.T) {
 // TestJobDrain pins graceful-drain semantics: admitted jobs finish, new
 // submissions get 503, WaitJobs reports an idle plane.
 func TestJobDrain(t *testing.T) {
-	c := newTestClient(t, Options{JobWorkers: 1, JobDelay: 50 * time.Millisecond})
+	c := newTestClient(t, Options{JobWorkers: 1})
+	serverOf(c).jobs.delay = 50 * time.Millisecond
 	id := c.create(dlatchConfig(t)).Session
 	acc := c.submitAsync("/v1/sessions/"+id+"/analyze", analyzeRequest{Async: true, Force: true})
 
@@ -349,11 +352,12 @@ func serverOf(c *testClient) *Server {
 	return c.srv.Config.Handler.(*Server)
 }
 
-// TestJobChaosFailEvery pins the fault-injection contract the load
-// harness relies on: injected failures complete as clean "failed" jobs
-// with an error body, and leave the session fully serviceable.
+// TestJobChaosFailEvery pins the fault-injection contract: injected
+// failures complete as clean "failed" jobs with an error body, and leave
+// the session fully serviceable.
 func TestJobChaosFailEvery(t *testing.T) {
-	c := newTestClient(t, Options{JobFailEvery: 1})
+	c := newTestClient(t, Options{})
+	serverOf(c).jobs.failEvery = 1
 	id := c.create(dlatchConfig(t)).Session
 
 	acc := c.submitAsync("/v1/sessions/"+id+"/analyze", analyzeRequest{Async: true, Force: true})
@@ -382,9 +386,8 @@ func TestEvictionRacesRunningJob(t *testing.T) {
 		t.Skip("no mmap on this platform")
 	}
 	dir := t.TempDir()
-	c := newTestClient(t, Options{
-		MaxSessions: 1, SnapshotDir: dir, JobDelay: 100 * time.Millisecond,
-	})
+	c := newTestClient(t, Options{MaxSessions: 1, SnapshotDir: dir})
+	serverOf(c).jobs.delay = 100 * time.Millisecond
 
 	// Seed the snapshot cache (this create parses and is immediately the
 	// LRU's only resident), then open a shared mapped session.
@@ -443,7 +446,7 @@ func TestMetricsScrapeUnderLoad(t *testing.T) {
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	// Scrapers: the HTTP surface and the direct snapshot used by expvar.
+	// Scrapers: the HTTP surface and the direct MetricsSnapshot call.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {

@@ -1,8 +1,7 @@
 // Service metrics: cheap atomic counters for the cache and the analysis
 // engine, plus bounded latency recorders with on-demand percentiles. The
-// /metrics endpoint serves a JSON snapshot; cmd/crystald additionally
-// publishes the same snapshot through the stock expvar protocol at
-// /debug/vars so fleet tooling needs no custom scraper.
+// /metrics endpoint serves a JSON snapshot, the daemon's one metrics
+// surface.
 //
 // Concurrency contract, audited for torn reads under concurrent scrape +
 // update (TestMetricsScrapeUnderLoad runs the audit under -race): every

@@ -71,12 +71,6 @@ type Options struct {
 	// (default 32). A full queue answers 429 + Retry-After — the
 	// admission-control backpressure signal; see docs/SERVER.md.
 	JobQueueDepth int
-	// JobDelay and JobFailEvery are fault-injection knobs for the load/
-	// chaos harness (cmd/loadgen) and the eviction-race tests: every job
-	// execution is stretched by JobDelay, and every JobFailEvery'th one
-	// fails with a synthetic 500. Zero (the default) disables both.
-	JobDelay     time.Duration
-	JobFailEvery int
 }
 
 func (o Options) fill() Options {
@@ -137,7 +131,7 @@ func New(opts Options) *Server {
 		maxBody: MaxBodyBytes,
 		arena:   newNetArena(),
 	}
-	sv.jobs = newJobPlane(opts.JobWorkers, opts.JobQueueDepth, opts.JobDelay, opts.JobFailEvery, &sv.m)
+	sv.jobs = newJobPlane(opts.JobWorkers, opts.JobQueueDepth, &sv.m)
 	sv.mux.HandleFunc("POST /v1/sessions", sv.handleCreate)
 	sv.mux.HandleFunc("GET /v1/sessions", sv.handleList)
 	sv.mux.HandleFunc("GET /v1/sessions/{id}", sv.handleInfo)
@@ -170,7 +164,7 @@ func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // MetricsSnapshot returns the current metrics document (also served at
-// /metrics; cmd/crystald publishes it through expvar).
+// /metrics).
 func (sv *Server) MetricsSnapshot() MetricsSnapshot {
 	sv.mu.Lock()
 	live := sv.lru.Len()

@@ -172,6 +172,11 @@ func TestSessionLifecycle(t *testing.T) {
 	if b.Epoch != 1 || ed.Snapshot.Epoch != 1 {
 		t.Errorf("epoch = %d / %d, want 1", b.Epoch, ed.Snapshot.Epoch)
 	}
+	// Reads after the barrier serve the edited snapshot, not the one
+	// cached before the edit.
+	if again := c.analyze(id); again.Epoch != 1 || again.Report != ed.Snapshot.Report {
+		t.Errorf("analyze after edits serves epoch %d, want the barrier's snapshot (epoch 1)", again.Epoch)
+	}
 
 	var info sessionInfo
 	if st := c.do("GET", "/v1/sessions/"+id, nil, &info); st != http.StatusOK {
