@@ -70,14 +70,9 @@ func run(cfg config, w, diag io.Writer) error {
 	if cfg.circuit == "" {
 		return fmt.Errorf("missing -circuit (or use -list)")
 	}
-	var p *tech.Params
-	switch cfg.techName {
-	case "nmos-4u", "nmos":
-		p = tech.NMOS4()
-	case "cmos-3u", "cmos":
-		p = tech.CMOS3()
-	default:
-		return fmt.Errorf("unknown technology %q", cfg.techName)
+	p, err := tech.ByName(cfg.techName)
+	if err != nil {
+		return err
 	}
 	nw, err := gen.Build(cfg.circuit, p)
 	if err != nil {

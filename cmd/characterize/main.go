@@ -49,7 +49,7 @@ func main() {
 // run characterizes the technology and writes the tables to w; split out
 // from main for testing.
 func run(cfg config, w io.Writer) error {
-	p, err := techByName(cfg.techName)
+	p, err := tech.ByName(cfg.techName)
 	if err != nil {
 		return err
 	}
@@ -83,16 +83,6 @@ func run(cfg config, w io.Writer) error {
 		return fmt.Errorf("unknown format %q", cfg.format)
 	}
 	return nil
-}
-
-func techByName(name string) (*tech.Params, error) {
-	switch name {
-	case "nmos-4u", "nmos":
-		return tech.NMOS4(), nil
-	case "cmos-3u", "cmos":
-		return tech.CMOS3(), nil
-	}
-	return nil, fmt.Errorf("unknown technology %q (want nmos-4u or cmos-3u)", name)
 }
 
 func fatal(err error) {

@@ -146,14 +146,9 @@ func run(cfg config, w io.Writer) (int, error) {
 	if cfg.simFile == "" {
 		return 0, fmt.Errorf("missing -sim file")
 	}
-	var p *tech.Params
-	switch cfg.techName {
-	case "nmos-4u", "nmos":
-		p = tech.NMOS4()
-	case "cmos-3u", "cmos":
-		p = tech.CMOS3()
-	default:
-		return 0, fmt.Errorf("unknown technology %q", cfg.techName)
+	p, err := tech.ByName(cfg.techName)
+	if err != nil {
+		return 0, err
 	}
 
 	nw, res, err := netlist.LoadSimFile(cfg.simFile, cfg.simFile, p,

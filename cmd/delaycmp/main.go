@@ -90,14 +90,9 @@ func run(cfg config, w io.Writer) error {
 	experiments.Workers = cfg.workers
 	experiments.SnapshotDir = cfg.snapshot
 
-	var p *tech.Params
-	switch cfg.techName {
-	case "nmos-4u", "nmos":
-		p = tech.NMOS4()
-	case "cmos-3u", "cmos":
-		p = tech.CMOS3()
-	default:
-		return fmt.Errorf("unknown technology %q", cfg.techName)
+	p, err := tech.ByName(cfg.techName)
+	if err != nil {
+		return err
 	}
 
 	var tb *delay.Tables

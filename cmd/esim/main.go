@@ -56,14 +56,9 @@ func main() {
 	if *simFile == "" {
 		fatal(fmt.Errorf("missing -sim file"))
 	}
-	var p *tech.Params
-	switch *techName {
-	case "nmos-4u", "nmos":
-		p = tech.NMOS4()
-	case "cmos-3u", "cmos":
-		p = tech.CMOS3()
-	default:
-		fatal(fmt.Errorf("unknown technology %q", *techName))
+	p, err := tech.ByName(*techName)
+	if err != nil {
+		fatal(err)
 	}
 	nw, res, err := netlist.LoadSimFile(*simFile, *simFile, p,
 		netlist.LoadOptions{Snapshot: *snapshot})

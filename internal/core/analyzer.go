@@ -59,7 +59,8 @@ type Options struct {
 	// Run verifies the database's stamp against this analysis and falls
 	// back to a private database on any mismatch, so a stale DB can cost
 	// time but never correctness. Obtain one from Analyzer.StageDB after
-	// a Run. Safe to share across concurrent analyzers.
+	// a Run. A database passes from one run to the next, never to two
+	// analyzers running at once (see stage.DB).
 	DB *stage.DB
 	// Workers is read only by ClockedAnalysis: it bounds how many of its
 	// phases run side by side (0 selects GOMAXPROCS; phases.go). A single
@@ -72,9 +73,6 @@ type Options struct {
 	// deep ripple structures legitimately re-propagate tens of times
 	// during longest-path relaxation).
 	MaxEventsPerNode int
-	// DefaultSlope is the transition time assumed for seeded inputs that
-	// do not specify one (default 1 ns).
-	DefaultSlope float64
 	// NoStaticPruning disables the switch-level sensitization pruning,
 	// yielding the fully pessimistic analysis (ablation knob).
 	NoStaticPruning bool
@@ -106,9 +104,6 @@ func (o Options) fill() Options {
 		o.MaxEventsPerNode = 150
 	}
 	o.MaxEventsPerNode = min(o.MaxEventsPerNode, math.MaxInt32-1) // rounds are counted in 32 bits
-	if o.DefaultSlope <= 0 {
-		o.DefaultSlope = 1e-9
-	}
 	if o.ReanalyzeMaxDirty <= 0 {
 		o.ReanalyzeMaxDirty = 0.5
 	}
@@ -350,15 +345,18 @@ func (a *Analyzer) SetFixed(n *netlist.Node, v switchsim.Value) {
 	a.fixed[n.Index] = v
 }
 
+// defaultSlope is the input slope SetInputEvent seeds when given none.
+const defaultSlope = 1e-9
+
 // SetInputEvent seeds a worst-case transition on a chip input: node n
 // finishes transition tr at time t with the given 10–90% slope (0 selects
-// Options.DefaultSlope).
+// defaultSlope, 1 ns).
 func (a *Analyzer) SetInputEvent(n *netlist.Node, tr tech.Transition, t, slope float64) error {
 	if n.Kind != netlist.KindInput {
 		return fmt.Errorf("core: %s is not marked as an input", n.Name)
 	}
 	if slope <= 0 {
-		slope = a.Opts.DefaultSlope
+		slope = defaultSlope
 	}
 	a.seeded = append(a.seeded, seedEvent{n.Index, tr, t, slope})
 	return nil
@@ -783,8 +781,9 @@ func (a *Analyzer) applySlab(sl *stage.Slab, without, fromNode int, fromTr tech.
 // StageDB returns the stage database this analysis used (available after
 // Run). Hand it to Options.DB of a later analyzer over the same network
 // and sensitization — e.g. the same circuit under a different delay model
-// — to skip re-enumerating every stage. The database is safe to share
-// across concurrent analyzers.
+// — to skip re-enumerating every stage. A database belongs to one analysis
+// at a time: hand it to a later analyzer, never to one that runs alongside
+// this one.
 func (a *Analyzer) StageDB() *stage.DB { return a.db }
 
 // stageStamp encodes everything stage enumeration depends on: the static

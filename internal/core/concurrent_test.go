@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -22,86 +21,13 @@ func sameEvent(a, b Event) bool {
 		a.FromNode == b.FromNode && a.FromTr == b.FromTr
 }
 
-// TestConcurrentSharedDB runs several analyzers at once over one network,
-// all sharing one stage database, and checks every arrival is bit-identical
-// to a strict-serial baseline. Run under -race this exercises the database's
-// compare-and-swap slot install: the "cold" case starts from an empty DB so
-// the concurrent analyzers race to build each entry.
-func TestConcurrentSharedDB(t *testing.T) {
-	p := tech.NMOS4()
-	const width = 4
-	nw, err := gen.Chip(p, width)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed, lb := gen.ChipDirectives(width)
-	m := delay.NewSlope(delay.AnalyticTables(p))
-
-	newAnalyzer := func(db *stage.DB) *Analyzer {
-		return buildAnalyzer(t, nw, m, fixed, lb, Options{DB: db})
-	}
-
-	// Strict-serial baseline with a private database.
-	base := newAnalyzer(nil)
-	if err := base.Run(); err != nil {
-		t.Fatal(err)
-	}
-	warm := base.StageDB()
-	if warm == nil {
-		t.Fatal("no stage database after run")
-	}
-
-	// A cold database with the matching stamp: nothing built yet, so the
-	// concurrent runs below race to install every slot.
-	cold := stage.NewDB(nw, stage.Options{Oracle: base.oracle()})
-	cold.Stamp = warm.Stamp
-
-	for _, tc := range []struct {
-		name string
-		db   *stage.DB
-	}{{"warm", warm}, {"cold", cold}} {
-		const runs = 4
-		as := make([]*Analyzer, runs)
-		errs := make([]error, runs)
-		var wg sync.WaitGroup
-		for i := range as {
-			as[i] = newAnalyzer(tc.db)
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				errs[i] = as[i].Run()
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				t.Fatalf("%s run %d: %v", tc.name, i, err)
-			}
-		}
-		for i, a := range as {
-			if a.StageDB() != tc.db {
-				t.Errorf("%s run %d rejected the shared database", tc.name, i)
-			}
-			for _, n := range nw.Nodes {
-				for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
-					want, got := base.Arrival(n, tr), a.Arrival(n, tr)
-					if !sameEvent(want, got) {
-						t.Fatalf("%s run %d: arrival %s/%s = %+v, want %+v",
-							tc.name, i, n.Name, tr, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestEpochSnapshotIsolation pins the generational guarantee: analyzers
-// reading a network and its stage database keep bit-identical results while
-// another analyzer runs edit epochs over the same lineage. Reanalyze clones
-// the network and derives the next database generation, so the readers'
-// snapshot — network, database entries, arrivals — must never mix with the
-// new epoch. Run under -race this also proves the derivation shares clean
-// entries without writes the readers can observe.
+// TestEpochSnapshotIsolation pins the generational guarantee: an analyzer
+// reading a network and its stage database keeps bit-identical results
+// while another analyzer runs edit epochs over the same lineage. Reanalyze
+// clones the network and derives the next database generation, so the
+// reader's snapshot — network, database entries, arrivals — must never mix
+// with the new epoch. The readers re-run after every epoch, over the slabs
+// (and the delay constants in them) that Derive shares with the new one.
 func TestEpochSnapshotIsolation(t *testing.T) {
 	p := tech.NMOS4()
 	nw, err := gen.Chip(p, 4)
@@ -111,29 +37,8 @@ func TestEpochSnapshotIsolation(t *testing.T) {
 	fixed, lb := gen.ChipDirectives(4)
 	m := delay.NewSlope(delay.AnalyticTables(p))
 
-	// Built by hand, not with buildAnalyzer: the readers below call it on
-	// their own goroutines, where t.Fatal must not run.
-	newAnalyzer := func(target *netlist.Network, db *stage.DB) *Analyzer {
-		opts := Options{DB: db}
-		for _, name := range lb {
-			opts.LoopBreak = append(opts.LoopBreak, target.Lookup(name))
-		}
-		a := New(target, m, opts)
-		for name, v := range fixed {
-			a.SetFixed(target.Lookup(name), switchsim.FromBool(v == "1"))
-		}
-		for _, in := range target.Inputs() {
-			if _, ok := fixed[in.Name]; ok {
-				continue
-			}
-			a.SetInputEvent(in, tech.Rise, 0, 0)
-			a.SetInputEvent(in, tech.Fall, 0, 0)
-		}
-		return a
-	}
-
 	// The editing analyzer establishes the generation the readers hold.
-	editor := newAnalyzer(nw, nil)
+	editor := buildAnalyzer(t, nw, m, fixed, lb, Options{})
 	if err := editor.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -146,46 +51,31 @@ func TestEpochSnapshotIsolation(t *testing.T) {
 		baseline[i] = [2]Event{editor.Arrival(n, tech.Rise), editor.Arrival(n, tech.Fall)}
 	}
 
-	// Readers re-analyze the old generation against the old database in a
-	// loop while the editor advances epochs underneath them.
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	readerErr := make([]error, 3)
-	for r := range readerErr {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			for iter := 0; ; iter++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				a := newAnalyzer(oldNet, oldDB)
-				if err := a.Run(); err != nil {
-					readerErr[r] = err
-					return
-				}
-				if a.StageDB() != oldDB {
-					readerErr[r] = fmt.Errorf("iter %d: reader rejected the shared database", iter)
-					return
-				}
-				for i, n := range oldNet.Nodes {
-					for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
-						if got := a.Arrival(n, tr); !sameEvent(got, baseline[i][tr]) {
-							readerErr[r] = fmt.Errorf("iter %d: arrival %s/%s = %+v, want %+v (snapshot leaked across epochs)",
-								iter, n.Name, tr, got, baseline[i][tr])
-							return
-						}
+	// Readers re-analyze the old generation against the old database.
+	readOld := func(epoch int) {
+		t.Helper()
+		for r := 0; r < 3; r++ {
+			a := buildAnalyzer(t, oldNet, m, fixed, lb, Options{DB: oldDB})
+			if err := a.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if a.StageDB() != oldDB {
+				t.Fatalf("epoch %d reader %d rejected the old database", epoch, r)
+			}
+			for i, n := range oldNet.Nodes {
+				for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
+					if got := a.Arrival(n, tr); !sameEvent(got, baseline[i][tr]) {
+						t.Fatalf("epoch %d reader %d: arrival %s/%s = %+v, want %+v (snapshot leaked across epochs)",
+							epoch, r, n.Name, tr, got, baseline[i][tr])
 					}
 				}
 			}
-		}(r)
+		}
 	}
 
 	// Edit epochs: geometry and load tweaks that keep the invalidation
 	// plan incremental, so Derive shares most entries with oldDB — the
-	// exact sharing the readers race against.
+	// exact sharing the readers run over.
 	for epoch := 0; epoch < 4; epoch++ {
 		idx := (7 * epoch) % len(editor.Net.Trans)
 		for editor.Net.Trans[idx].IsWire() {
@@ -200,13 +90,7 @@ func TestEpochSnapshotIsolation(t *testing.T) {
 		if stats.Epoch != oldEpoch+uint64(epoch)+1 {
 			t.Fatalf("epoch %d: stats.Epoch = %d, want %d", epoch, stats.Epoch, oldEpoch+uint64(epoch)+1)
 		}
-	}
-	close(done)
-	wg.Wait()
-	for r, err := range readerErr {
-		if err != nil {
-			t.Errorf("reader %d: %v", r, err)
-		}
+		readOld(epoch)
 	}
 	if oldDB.Epoch != oldEpoch {
 		t.Errorf("old database epoch moved: %d -> %d", oldEpoch, oldDB.Epoch)

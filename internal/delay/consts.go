@@ -8,10 +8,12 @@
 // single hottest saving of the chip-scale analysis: the same stage is
 // re-evaluated every time longest-path relaxation revisits its trigger.
 //
-// The record keeps one set of constants, published under the content key
-// of the tables that computed them (Tables.key): analyses whose tables are
+// The record keeps one set of constants, filed under the content key of
+// the tables that computed them (Tables.key): analyses whose tables are
 // equal share them whichever *Tables they hold, and an analysis under
-// different tables evaluates that stage by the uncached walk.
+// different tables evaluates that stage by the uncached walk. Writing them
+// is a plain store into the record, which is why a stage database belongs
+// to one analysis at a time (see stage.DB).
 //
 // Bit-exactness: the constants are the exact intermediate values the
 // uncached walks produce (computed by the same code, in the same order),
@@ -26,39 +28,28 @@ import (
 	"repro/internal/stage"
 )
 
-// constsFor returns the stage's constants for tb, computing and publishing
-// them on first use. Returns nil when the record holds (or is being given)
-// another table set's constants.
+// constsFor returns the stage's constants for tb, computing them on first
+// use. Returns nil when the record holds another table set's constants.
 func constsFor(tb *Tables, nw *netlist.Network, st *stage.Stage) *stage.Consts {
 	key := tb.key()
 	if c := st.Consts(key); c != nil {
 		return c
 	}
-	c := st.ClaimConsts()
+	c := st.InitConsts(key)
 	if c == nil {
 		return nil
 	}
 	rc := RC{T: tb}
 	c.Lumped = seriesR(tb, nw, st) * st.TotalC()
 	c.TF0 = tf0(tb, st)
-	if st.Fused() {
-		c.TauStep, c.High, c.RDrv, c.AccDrv = rc.elmoreSplit(nw, st, st.Driver(), st.Low())
-	} else {
-		c.TauStep = rc.elmoreAt(nw, st, -1, 1)
-	}
-	st.PublishConsts(key)
+	c.TauStep, c.High, c.RDrv, c.AccDrv = rc.elmoreSplit(nw, st, st.Driver(), st.Low())
 	return c
 }
 
-// slopeResult replays the slope model from the constants, or reports
-// ok=false when the stage needs the uncached two-walk path (deep driver
-// position).
-func slopeResult(tb *Tables, st *stage.Stage, c *stage.Consts, inSlope float64) (Result, bool) {
+// slopeResult replays the slope model from the constants.
+func slopeResult(tb *Tables, st *stage.Stage, c *stage.Consts, inSlope float64) Result {
 	if c.TauStep <= 0 {
-		return Result{Delay: c.TauStep, Slope: math.Log(9) * c.TauStep}, true
-	}
-	if !st.Fused() {
-		return Result{}, false
+		return Result{Delay: c.TauStep, Slope: math.Log(9) * c.TauStep}
 	}
 	ratio := 0.0
 	if inSlope > 0 {
@@ -70,5 +61,5 @@ func slopeResult(tb *Tables, st *stage.Stage, c *stage.Consts, inSlope float64) 
 	for j := len(low) - 1; j >= 0; j-- {
 		d += low[j]
 	}
-	return Result{Delay: d, Slope: tfactor * c.TauStep}, true
+	return Result{Delay: d, Slope: tfactor * c.TauStep}
 }

@@ -270,7 +270,7 @@ func TestResultSlopesPositive(t *testing.T) {
 
 // constsNet is a pass chain off an input with a side branch on every other
 // node: through-stages of its devices put the driver anywhere from the
-// source to past the split-replay limit.
+// source to n-1 elements past it.
 func constsNet(n int) *netlist.Network {
 	p := tech.NMOS4()
 	nw := netlist.New("consts", p)
@@ -294,13 +294,14 @@ func constsNet(n int) *netlist.Network {
 // TestConstsMatchUncachedWalk pins the inline constants to the walks they
 // replace: a stage evaluated from its record's constants and the same stage
 // evaluated by the uncached walk agree bit for bit, for every model, at
-// every driver depth (including past stage.MaxLow, where the slope model
-// cannot replay and walks twice) and across input slopes. The uncached arm
-// is reached the way an analysis reaches it: the record already holds the
-// constants of a different table set.
+// every driver depth (past deepDriver, twice the deepest driver of any
+// committed circuit) and across input slopes. The uncached arm is reached
+// the way an analysis reaches it: the record already holds the constants of
+// a different table set, and the slope model walks the stage twice.
 func TestConstsMatchUncachedWalk(t *testing.T) {
+	const deepDriver = 16
 	p := tech.NMOS4()
-	nw := constsNet(stage.MaxLow + 4)
+	nw := constsNet(deepDriver + 4)
 	tb := AnalyticTables(p)
 	other := AnalyticTables(p)
 	other.RSquare[tech.NEnh][tech.Rise] *= 1.5
@@ -327,7 +328,7 @@ func TestConstsMatchUncachedWalk(t *testing.T) {
 				}
 				for _, m := range All(tb) {
 					for _, in := range slopes {
-						first := m.Evaluate(nw, st, in) // computes and publishes, or replays
+						first := m.Evaluate(nw, st, in) // computes and keeps, or replays
 						again := m.Evaluate(nw, st, in) // replays
 						want := m.Evaluate(nw, walked[i], in)
 						if first != want || again != want {
@@ -337,7 +338,7 @@ func TestConstsMatchUncachedWalk(t *testing.T) {
 					}
 				}
 				if st.Consts(tb.key()) == nil {
-					t.Fatalf("%s: constants not published", st.Format(nw))
+					t.Fatalf("%s: constants not kept", st.Format(nw))
 				}
 				// A distinct Tables value with the same contents replays them.
 				if got, want := NewSlope(AnalyticTables(p)).Evaluate(nw, st, 1e-9), NewSlope(tb).Evaluate(nw, st, 1e-9); got != want {
@@ -346,7 +347,7 @@ func TestConstsMatchUncachedWalk(t *testing.T) {
 			}
 		}
 	}
-	if deepest <= stage.MaxLow {
-		t.Fatalf("deepest driver %d never passed the replay limit %d", deepest, stage.MaxLow)
+	if deepest <= deepDriver {
+		t.Fatalf("deepest driver %d never passed %d", deepest, deepDriver)
 	}
 }

@@ -21,8 +21,10 @@ type Result struct {
 	Slope float64
 }
 
-// Model is a switch-level delay model. Implementations must be safe for
-// concurrent use (they are stateless over their tables).
+// Model is a switch-level delay model. A model value may be shared across
+// goroutines (it is stateless over its tables), but the stages it evaluates
+// may not: Evaluate writes the delay constants it caches into the stage
+// record, and a stage database belongs to one analysis at a time.
 type Model interface {
 	// Name identifies the model in reports ("lumped", "rc", "slope").
 	Name() string
@@ -134,10 +136,10 @@ func (m *RC) elmoreAt(nw *netlist.Network, st *stage.Stage, at int, mult float64
 }
 
 // elmoreSplit is elmoreAt(at=-1) with instrumentation for the slope
-// model's two-pass evaluation. The backwards walk visits path positions
-// n-1 … 0; relative to position at it returns the running sum of the
-// terms visited before it (high), the unscaled resistance and downstream
-// capacitance at it, and records the terms visited after it in
+// model's replay from a stage's constants. The backwards walk visits path
+// positions n-1 … 0; relative to position at it returns the running sum of
+// the terms visited before it (high), the unscaled resistance and
+// downstream capacitance at it, and records the terms visited after it in
 // low[0:at]. Folding high + (rAt·mult)·accAt + low[at-1 …0] repeats the
 // adds of elmoreAt(at, mult) in the identical order, so the replayed
 // result is bit-exact without a second walk.
@@ -222,47 +224,26 @@ func NewSlope(t *Tables) *Slope { return &Slope{T: t} }
 // Name implements Model.
 func (m *Slope) Name() string { return "slope" }
 
-// Evaluate implements Model. The hot path walks the stage once: the
-// intrinsic Elmore pass records its per-element terms, and the scaled
-// delay (driver resistance × slope multiplier) is replayed from them.
+// Evaluate implements Model. The intrinsic Elmore pass records its
+// per-element terms in the stage's constants, and the scaled delay (driver
+// resistance × slope multiplier) is replayed from them. A record holding
+// another table set's constants is evaluated by walking the stage twice,
+// which elmoreSplit's replay matches bit for bit.
 func (m *Slope) Evaluate(nw *netlist.Network, st *stage.Stage, inSlope float64) Result {
 	if c := constsFor(m.T, nw, st); c != nil {
-		if res, ok := slopeResult(m.T, st, c, inSlope); ok {
-			return res
-		}
+		return slopeResult(m.T, st, c, inSlope)
 	}
 	rcModel := RC{T: m.T}
-	drv := st.Driver()
-	// The driver is usually at or near the source, so only a handful of
-	// terms below it ever need buffering for the bit-exact replay.
-	var buf [stage.MaxLow]float64
-	fused := st.Fused()
-	var tauStep, high, rDrv, accDrv float64
-	if fused {
-		tauStep, high, rDrv, accDrv = rcModel.elmoreSplit(nw, st, drv, buf[:])
-	} else {
-		tauStep = rcModel.elmoreAt(nw, st, -1, 1)
-	}
+	tauStep := rcModel.elmoreAt(nw, st, -1, 1)
 	if tauStep <= 0 {
 		return Result{Delay: tauStep, Slope: math.Log(9) * tauStep}
 	}
-	curve := m.T.Curve(st.DriverType(), st.Transition())
 	ratio := 0.0
 	if inSlope > 0 {
 		ratio = inSlope / tauStep
 	}
-	mult := curve.MultAt(ratio)
-	var d float64
-	if fused {
-		d = high + (rDrv*mult)*accDrv
-		for j := drv - 1; j >= 0; j-- {
-			d += buf[j]
-		}
-	} else {
-		d = rcModel.elmoreAt(nw, st, drv, mult)
-	}
-	out := curve.TFactorAt(ratio) * tauStep
-	return Result{Delay: d, Slope: out}
+	mult, tfactor := m.T.Curve(st.DriverType(), st.Transition()).At(ratio)
+	return Result{Delay: rcModel.elmoreAt(nw, st, st.Driver(), mult), Slope: tfactor * tauStep}
 }
 
 // Bounded wraps the RC model's tree with the Rubinstein–Penfield–Horowitz

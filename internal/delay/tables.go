@@ -12,7 +12,7 @@ package delay
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/tech"
 )
@@ -169,8 +169,10 @@ type Tables struct {
 	// Curves[d][tr] is the slope curve for device d driving transition tr.
 	Curves [4][2]Curve
 
-	// contentKey caches key(); 0 until first computed.
-	contentKey atomic.Uint64
+	// keyOnce computes contentKey, the cached key(), on first use: a model
+	// and its tables may serve several goroutines.
+	keyOnce    sync.Once
+	contentKey uint64
 }
 
 // key fingerprints the numbers in the tables (FNV-1a over RSquare and every
@@ -178,9 +180,11 @@ type Tables struct {
 // serve every other with the same contents. It is taken on the first
 // evaluation: tables must not be modified once a model has used them.
 func (tb *Tables) key() uint64 {
-	if k := tb.contentKey.Load(); k != 0 {
-		return k
-	}
+	tb.keyOnce.Do(tb.fingerprint)
+	return tb.contentKey
+}
+
+func (tb *Tables) fingerprint() {
 	h := uint64(14695981039346656037)
 	mix := func(v uint64) {
 		for i := 0; i < 8; i++ {
@@ -203,11 +207,10 @@ func (tb *Tables) key() uint64 {
 			floats(c.TFactor)
 		}
 	}
-	if h < 2 {
-		h += 2 // 0 and 1 are the stage record's "empty" and "claimed"
+	if h == 0 {
+		h++ // 0 is the stage record's "empty"
 	}
-	tb.contentKey.Store(h)
-	return h
+	tb.contentKey = h
 }
 
 // R returns the step-input effective resistance in ohms of a device of

@@ -152,7 +152,7 @@ func (s *Scenario) ModelDelay(m delay.Model) (delay50, outSlope float64, err err
 // model's run over this same scenario) seeds the analyzer's stage cache,
 // and the analyzer's database is returned for the next model. Stage
 // enumeration depends only on the sensitization — not the delay model —
-// so all models of one scenario share one database.
+// so the models of one scenario use one database in turn.
 func (s *Scenario) modelDelay(m delay.Model, db *stage.DB) (delay50, outSlope float64, dbOut *stage.DB, err error) {
 	a := core.New(s.Net, m, core.Options{DB: db})
 	for name, v := range s.Fixed {

@@ -130,13 +130,6 @@ func (l *Lib) Xor(out, a, b *netlist.Node) {
 	l.Nand(out, u, v)
 }
 
-// Xnor wires out = NOT(a XOR b).
-func (l *Lib) Xnor(out, a, b *netlist.Node) {
-	x := l.Fresh(out.Name + "_xor")
-	l.Xor(x, a, b)
-	l.Inverter(x, out, 1)
-}
-
 // PassGate wires a pass element between x and y gated by g: a single
 // n-channel device in nMOS, a full transmission gate (with gb the
 // complement control) in CMOS when gb is non-nil.
@@ -182,15 +175,4 @@ func (l *Lib) FullAdder(sum, cout, a, b, cin *netlist.Node) {
 	l.Nand(n2, a, cin)
 	l.Nand(n3, b, cin)
 	l.Nand(cout, n1, n2, n3)
-}
-
-// Mux2 wires out = sel ? a : b with pass gates; selb must be the
-// complement of sel (generated internally if nil).
-func (l *Lib) Mux2(out, sel, selb, a, b *netlist.Node) {
-	if selb == nil {
-		selb = l.Fresh(out.Name + "_selb")
-		l.Inverter(sel, selb, 1)
-	}
-	l.PassGate(sel, selb, a, out)
-	l.PassGate(selb, sel, b, out)
 }

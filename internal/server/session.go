@@ -235,14 +235,11 @@ func newSession(id string, cfg SessionConfig, snapDir string, hier bool, arena *
 	// dwarf the memory the shared arena saves. The local cfg still
 	// holds it for this load.
 	s.cfg.Sim = ""
-	switch cfg.Tech {
-	case "nmos-4u", "nmos":
-		s.params = tech.NMOS4()
-	case "cmos-3u", "cmos":
-		s.params = tech.CMOS3()
-	default:
-		return nil, fmt.Errorf("unknown technology %q", cfg.Tech)
+	p, err := tech.ByName(cfg.Tech)
+	if err != nil {
+		return nil, err
 	}
+	s.params = p
 	switch cfg.Tables {
 	case "char":
 		tb, err := charlib.Default(s.params)

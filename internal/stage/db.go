@@ -1,11 +1,9 @@
-// The stage database: a shareable index of every stage the analyzer can
-// ask for over one (network, sensitization) pair. Stage enumeration is
-// static during an analysis — a trigger's stages never change — so the
-// results are memoized here, slice-indexed by element index instead of
-// hashed. A slot is one atomic pointer: nil until some analysis
-// first asks, then the immutable Slab installed by compare-and-swap, so any
-// number of concurrent analyses share one database without locking on the
-// hot path.
+// The stage database: an index of every stage the analyzer can ask for
+// over one (network, sensitization) pair. Stage enumeration is static
+// during an analysis — a trigger's stages never change — so the results are
+// memoized here, slice-indexed by element index instead of hashed. A slot
+// is one pointer: nil until the analysis first asks, then the immutable
+// Slab it was handed.
 //
 // Databases are generational: an edit epoch never resets a slot in place.
 // Derive builds the next generation over the edited network by copying the
@@ -16,19 +14,18 @@
 package stage
 
 import (
-	"sync"
-	"sync/atomic"
-	"unsafe"
-
 	"repro/internal/netlist"
 	"repro/internal/tech"
 )
 
-// DB is the shared stage database for one network under one sensitization
+// DB is the stage database for one network under one sensitization
 // oracle. Entries are built lazily on first access and are immutable
-// afterwards; every accessor is safe for concurrent use. A DB built by one
-// analysis run can be handed to later runs over the same network with the
-// same static sensitization (core checks the Stamp before accepting one).
+// afterwards, except for the delay constants the models keep in each
+// record. A database and its records belong to one analysis at a time:
+// nothing here synchronizes, so no two goroutines may use one database (or
+// two generations sharing slabs) at once. A DB built by one analysis run
+// can be handed to a later run over the same network with the same static
+// sensitization (core checks the Stamp before accepting one).
 type DB struct {
 	nw  *netlist.Network
 	opt Options
@@ -44,35 +41,20 @@ type DB struct {
 
 	// A device's or a node's consequences are always consulted for both
 	// target transitions, so each is one slab, Rise stages then Fall.
-	through []slot[Slab]    // trans → stages through the device
-	release []slot[Slab]    // node → stages driving the node
-	from    []slot[Slab]    // 2·node+transition → stages fanning out of the node
-	groups  []slot[[]int32] // trans → channel-connected group (node indexes)
+	through []*Slab    // trans → stages through the device
+	release []*Slab    // node → stages driving the node
+	from    []*Slab    // 2·node+transition → stages fanning out of the node
+	groups  []*[]int32 // trans → channel-connected group (node indexes)
 
-	// viewOnce/v hold what enumeration reads of the (immutable) network,
-	// built on first enumeration: the compiled adjacency (the caller's, when
+	// v holds what enumeration reads of the (immutable) network, built on
+	// first enumeration: the compiled adjacency (the caller's, when
 	// Options.Compiled passes one), per-device conduction and per-node
 	// loading, so stage construction indexes arrays instead of asking the
 	// oracle per edge and re-walking adjacency lists per node.
-	viewOnce sync.Once
-	v        *view
+	v *view
 
-	truncated atomic.Bool
+	truncated bool
 }
-
-// slot is one lazily filled database entry: nil until some analysis first
-// asks, then an immutable value installed by compare-and-swap — an
-// atomic.Pointer, plus init: a plain store for Derive, which fills the slot
-// tables of a database no other goroutine can see yet.
-type slot[T any] struct{ p unsafe.Pointer }
-
-func (s *slot[T]) Load() *T { return (*T)(atomic.LoadPointer(&s.p)) }
-
-func (s *slot[T]) CompareAndSwap(old, new *T) bool {
-	return atomic.CompareAndSwapPointer(&s.p, unsafe.Pointer(old), unsafe.Pointer(new))
-}
-
-func (s *slot[T]) init(v *T) { s.p = unsafe.Pointer(v) }
 
 // NewDB creates an empty database for the network. opt.Oracle fixes the
 // sensitization for every enumeration the database will ever perform;
@@ -82,10 +64,10 @@ func NewDB(nw *netlist.Network, opt Options) *DB {
 	return &DB{
 		nw:      nw,
 		opt:     opt.Fill(),
-		through: make([]slot[Slab], len(nw.Trans)),
-		release: make([]slot[Slab], len(nw.Nodes)),
-		from:    make([]slot[Slab], 2*len(nw.Nodes)),
-		groups:  make([]slot[[]int32], len(nw.Trans)),
+		through: make([]*Slab, len(nw.Trans)),
+		release: make([]*Slab, len(nw.Nodes)),
+		from:    make([]*Slab, 2*len(nw.Nodes)),
+		groups:  make([]*[]int32, len(nw.Trans)),
 	}
 }
 
@@ -93,54 +75,48 @@ func NewDB(nw *netlist.Network, opt Options) *DB {
 func (db *DB) Network() *netlist.Network { return db.nw }
 
 // Truncated reports whether any enumeration performed so far hit the
-// MaxPaths/MaxDepth caps. With a shared database this is cumulative over
-// every analysis that touched it.
-func (db *DB) Truncated() bool { return db.truncated.Load() }
+// MaxPaths/MaxDepth caps. A database handed from run to run accumulates it
+// over every analysis that touched it.
+func (db *DB) Truncated() bool { return db.truncated }
 
 // view returns the enumeration view, building it on first use.
 func (db *DB) view() *view {
-	db.viewOnce.Do(func() { db.v = newView(db.nw, db.opt) })
+	if db.v == nil {
+		db.v = newView(db.nw, db.opt)
+	}
 	return db.v
 }
 
-// install publishes a freshly enumerated slab in slot, or adopts the one a
-// concurrent caller got there first with (the two are equal by value;
-// everyone must agree on one so provenance pointers compare).
-func (db *DB) install(slot *slot[Slab], s *Slab) *Slab {
-	if s.Truncated {
-		db.truncated.Store(true)
-	}
-	if slot.CompareAndSwap(nil, s) {
-		return s
-	}
-	return slot.Load()
+// install stores a freshly enumerated slab in slot.
+func (db *DB) install(slot **Slab, s *Slab) *Slab {
+	db.truncated = db.truncated || s.Truncated
+	*slot = s
+	return s
 }
 
 // Through returns the stages created when transistor ti becomes
 // conducting: those targeting Rise, then those targeting Fall.
 func (db *DB) Through(ti int) *Slab {
-	slot := &db.through[ti]
-	if s := slot.Load(); s != nil {
+	if s := db.through[ti]; s != nil {
 		return s
 	}
-	return db.install(slot, db.view().enumerate((*builder).through, int32(ti), tech.Rise, tech.Fall))
+	return db.install(&db.through[ti], db.view().enumerate((*builder).through, int32(ti), tech.Rise, tech.Fall))
 }
 
 // Release returns the stages that could drive node ni (the paths a
 // released node may move along): those raising it, then those lowering it.
 func (db *DB) Release(ni int) *Slab {
-	slot := &db.release[ni]
-	if s := slot.Load(); s != nil {
+	if s := db.release[ni]; s != nil {
 		return s
 	}
-	return db.install(slot, db.view().enumerate((*builder).toNode, int32(ni), tech.Rise, tech.Fall))
+	return db.install(&db.release[ni], db.view().enumerate((*builder).toNode, int32(ni), tech.Rise, tech.Fall))
 }
 
 // From returns the stages created when node ni itself transitions (an
 // input event riding through conducting pass devices).
 func (db *DB) From(ni int, tr tech.Transition) *Slab {
 	slot := &db.from[2*ni+int(tr)]
-	if s := slot.Load(); s != nil {
+	if s := *slot; s != nil {
 		return s
 	}
 	return db.install(slot, db.view().enumerate((*builder).fromNode, int32(ni), tr))
@@ -162,14 +138,11 @@ func (db *DB) TurnOnIdx(ti int) ([]*Stage, bool) {
 // Release slabs of these nodes in order, minus the stages whose path runs
 // through ti (those died with the device).
 func (db *DB) Group(ti int) []int32 {
-	slot := &db.groups[ti]
-	if g := slot.Load(); g != nil {
+	if g := db.groups[ti]; g != nil {
 		return *g
 	}
 	g := newBuilder(db.view()).group(int32(ti))
-	if !slot.CompareAndSwap(nil, &g) {
-		g = *slot.Load()
-	}
+	db.groups[ti] = &g
 	return g
 }
 
@@ -191,18 +164,14 @@ func (db *DB) Group(ti int) []int32 {
 //     stable across edits, so nodes need no map — new nodes are simply
 //     beyond the old range.
 //
-// The caller sets Stamp. Concurrent readers of the receiver are
-// unaffected: Derive only loads slot pointers (atomically — they may be
-// installing), and stores them plainly into the new database, which nobody
-// else can see until Derive returns.
+// The caller sets Stamp. The two generations share slabs, so the
+// one-analysis-at-a-time rule covers both of them together.
 func (db *DB) Derive(nw *netlist.Network, opt Options, dirtyTrans, dirtyNode []bool, oldTrans []int) *DB {
 	next := NewDB(nw, opt)
 	next.Epoch = db.Epoch + 1
 	// Conservative: a truncated enumeration in a shared entry stays
 	// truncated in the new generation.
-	if db.truncated.Load() {
-		next.truncated.Store(true)
-	}
+	next.truncated = db.truncated
 	for j := range nw.Trans {
 		old := -1
 		if j < len(oldTrans) {
@@ -211,17 +180,17 @@ func (db *DB) Derive(nw *netlist.Network, opt Options, dirtyTrans, dirtyNode []b
 		if old < 0 || (j < len(dirtyTrans) && dirtyTrans[j]) {
 			continue
 		}
-		next.through[j].init(db.through[old].Load())
-		next.groups[j].init(db.groups[old].Load())
+		next.through[j] = db.through[old]
+		next.groups[j] = db.groups[old]
 	}
 	oldNodes := len(db.nw.Nodes)
 	for j := range nw.Nodes {
 		if j >= oldNodes || (j < len(dirtyNode) && dirtyNode[j]) {
 			continue
 		}
-		next.release[j].init(db.release[j].Load())
-		next.from[2*j].init(db.from[2*j].Load())
-		next.from[2*j+1].init(db.from[2*j+1].Load())
+		next.release[j] = db.release[j]
+		next.from[2*j] = db.from[2*j]
+		next.from[2*j+1] = db.from[2*j+1]
 	}
 	return next
 }

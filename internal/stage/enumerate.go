@@ -374,10 +374,7 @@ func (b *builder) slab() *Slab {
 		if cn.IsInput[r.source] {
 			st.srcInput = r.source + 1
 		}
-		nf += uint32(r.nPath)
-		if st.Fused() {
-			nf += uint32(st.driver)
-		}
+		nf += uint32(r.nPath) + uint32(st.driver)
 	}
 	s.f = make([]float64, nf)
 	caps := b.caps

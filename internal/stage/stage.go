@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/netlist"
 	"repro/internal/rctree"
@@ -69,11 +68,6 @@ type SideLoad struct {
 	C float64
 }
 
-// MaxLow bounds the split-replay terms a stage reserves room for (see
-// Consts): the driver sits at or near the source, so positions below it
-// are few. Stages with a deeper driver are evaluated by the two-walk path.
-const MaxLow = 16
-
 // Consts are the constants a delay model derives from one (stage, tables)
 // pair: everything an evaluation needs other than the input slope. An
 // enumerated stage is immutable, so they are computed on first evaluation
@@ -81,9 +75,8 @@ const MaxLow = 16
 type Consts struct {
 	// TauStep is the intrinsic (step-input) Elmore delay.
 	TauStep float64
-	// Split-walk replay terms, valid when the stage is Fused: the delay at
-	// driver multiplier m is High + (RDrv·m)·AccDrv + Σ Low()[j],
-	// j = driver-1 … 0.
+	// Split-walk replay terms: the delay at driver multiplier m is
+	// High + (RDrv·m)·AccDrv + Σ Low()[j], j = driver-1 … 0.
 	High, RDrv, AccDrv float64
 	// TF0 is the output-transition factor at slope ratio 0.
 	TF0 float64
@@ -96,8 +89,9 @@ type Consts struct {
 // the split-replay slots — live in the packed arrays of the Slab the record
 // belongs to, addressed by offset.
 type Stage struct {
-	// The fields an evaluation from published constants reads come first, so
-	// the drain's walk over a slab touches the head of each record only.
+	// The fields an evaluation from the record's constants reads come
+	// first, so the drain's walk over a slab touches the head of each
+	// record only.
 
 	// Target is the node whose transition this stage times.
 	Target int32
@@ -107,15 +101,14 @@ type Stage struct {
 	// pathBloom is a 64-bit bloom of the path transistors' indexes; a clear
 	// bit proves a transistor is not on the path.
 	pathBloom uint64
-	// constsKey guards consts: 0 empty, 1 claimed by a writer, anything
-	// else the key the constants were published under. A published record
-	// is never rewritten, so readers that saw their key read plain fields.
-	constsKey atomic.Uint64
+	// constsKey is the key consts were computed under, 0 while they are
+	// empty. A record's constants are written once and never rewritten.
+	constsKey uint64
 	consts    Consts
 	// slab owns the arrays the record's variable-length parts live in: in
-	// slab.f from capOff the nPath path capacitances, then — when the stage
-	// is Fused — driver split-replay slots; nPath elements of slab.path from
-	// pathOff; nSide side loads of slab.side from sideOff.
+	// slab.f from capOff the nPath path capacitances, then driver
+	// split-replay slots; nPath elements of slab.path from pathOff; nSide
+	// side loads of slab.side from sideOff.
 	slab                            *Slab
 	capOff, pathOff, sideOff, nSide uint32
 	nPath                           uint16
@@ -155,35 +148,28 @@ func (s *Stage) PathCap() []float64 {
 // Transition is the direction Target moves.
 func (s *Stage) Transition() tech.Transition { return tech.Transition(s.transition) }
 
-// Fused reports whether the record reserves split-replay slots: the driver
-// sits within MaxLow of the source. Other stages are evaluated by two walks.
-func (s *Stage) Fused() bool { return s.driver <= MaxLow }
-
-// Consts returns the constants published under key, or nil.
+// Consts returns the constants computed under key, or nil.
 func (s *Stage) Consts(key uint64) *Consts {
-	if s.constsKey.Load() == key {
+	if s.constsKey == key {
 		return &s.consts
 	}
 	return nil
 }
 
-// ClaimConsts hands the unpublished constants to exactly one caller to
-// fill in (with Low); everyone else gets nil and evaluates without them.
-func (s *Stage) ClaimConsts() *Consts {
-	if s.constsKey.CompareAndSwap(0, 1) {
-		return &s.consts
+// InitConsts files the record's empty constants under key (which must not
+// be 0) and returns them for the caller to fill in, together with Low. It
+// returns nil when another key's constants already occupy the record.
+func (s *Stage) InitConsts(key uint64) *Consts {
+	if s.constsKey != 0 {
+		return nil
 	}
-	return nil
+	s.constsKey = key
+	return &s.consts
 }
 
-// PublishConsts makes the constants the claimant filled in visible under
-// key (which must not be 0 or 1).
-func (s *Stage) PublishConsts(key uint64) { s.constsKey.Store(key) }
-
-// Low returns the split-replay slots (Driver of them when the stage is
-// Fused, else none); written only between ClaimConsts and PublishConsts.
+// Low returns the Driver split-replay slots, filled in with the constants.
 func (s *Stage) Low() []float64 {
-	if s.driver == 0 || !s.Fused() {
+	if s.driver == 0 {
 		return nil // the common case: the driver is the source-adjacent element
 	}
 	lo := s.capOff + uint32(s.nPath)

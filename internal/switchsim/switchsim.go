@@ -682,18 +682,6 @@ func (s *Sim) relaxGroup(group []int) {
 	}
 }
 
-// ApplyVector sets several inputs by name and settles; a convenience for
-// tests and the verifier.
-func (s *Sim) ApplyVector(vec map[string]Value) error {
-	for name, v := range vec {
-		if err := s.SetInputName(name, v); err != nil {
-			return err
-		}
-	}
-	s.Settle()
-	return nil
-}
-
 // Snapshot returns a copy of all node values indexed like Network.Nodes.
 func (s *Sim) Snapshot() []Value {
 	out := make([]Value, len(s.val))

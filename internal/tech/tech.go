@@ -230,6 +230,18 @@ func CMOS3() *Params {
 	}
 }
 
+// ByName returns the parameter set a flag or request names: "nmos-4u" (or
+// "nmos") and "cmos-3u" (or "cmos").
+func ByName(name string) (*Params, error) {
+	switch name {
+	case "nmos-4u", "nmos":
+		return NMOS4(), nil
+	case "cmos-3u", "cmos":
+		return CMOS3(), nil
+	}
+	return nil, fmt.Errorf("unknown technology %q", name)
+}
+
 // Vt returns the threshold voltage for the given device type.
 func (p *Params) Vt(d Device) float64 {
 	switch d {

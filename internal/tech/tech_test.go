@@ -115,3 +115,19 @@ func TestDeviceAndTransitionStrings(t *testing.T) {
 		t.Error("unknown device should still render")
 	}
 }
+
+// TestByName pins the names every command and crystald accept, and the
+// error text they report for any other.
+func TestByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"nmos-4u": "nmos-4u", "nmos": "nmos-4u",
+		"cmos-3u": "cmos-3u", "cmos": "cmos-3u",
+	} {
+		if p, err := ByName(name); err != nil || p.Name != want {
+			t.Errorf("ByName(%q) = %v, %v; want %s", name, p, err, want)
+		}
+	}
+	if _, err := ByName("ge-5"); err == nil || err.Error() != `unknown technology "ge-5"` {
+		t.Errorf("ByName(ge-5) error = %v", err)
+	}
+}
