@@ -11,11 +11,11 @@
 //	         [-drain-timeout 30s] [-snapshot-dir DIR]
 //	         [-job-workers 2] [-job-queue 32]
 //
-// Long requests (a chip-scale analyze, a big edit script) can be
-// submitted with {"async": true}: the daemon answers 202 with a job id
-// and the work runs on a bounded worker pool (-job-workers) behind a
-// bounded queue (-job-queue; full = 429 + Retry-After); poll
-// GET /v1/jobs/{id} for the result.
+// Every analyze, edit script and simulate runs as a job on a bounded
+// worker pool (-job-workers) behind a bounded queue (-job-queue; full =
+// 429 + Retry-After). A request waits for its job, unless it was
+// submitted with {"async": true}: then the daemon answers 202 with a job
+// id, and GET /v1/jobs/{id} polls for the result.
 //
 // With -snapshot-dir, every parsed session is persisted as a binary
 // .simx snapshot keyed by its network identity (source hash + tech +
@@ -29,10 +29,9 @@
 //
 // The API is documented in docs/SERVER.md. The daemon logs the address
 // it bound, so -addr 127.0.0.1:0 picks a free port. On SIGTERM/SIGINT it
-// drains gracefully: new async submissions get 503, the listener closes,
-// and in-flight requests and admitted jobs share one -drain-timeout
-// deadline to finish before the process exits. /metrics serves the
-// service counters as JSON.
+// drains gracefully: the listener closes, and in-flight requests and
+// admitted jobs share one -drain-timeout deadline to finish before the
+// process exits. /metrics serves the service counters as JSON.
 //
 // -hier on enables hierarchical macromodel analysis for every session:
 // replicated instances (annotated @ inst in the .sim) analyze one
@@ -73,8 +72,8 @@ func main() {
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this second address (empty = disabled; bind to localhost)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown grace period")
 	snapshotDir := flag.String("snapshot-dir", "", "persist .simx session snapshots here for warm starts (empty = disabled)")
-	jobWorkers := flag.Int("job-workers", 2, "async job plane worker-pool size (concurrent {\"async\":true} analyzes/edit scripts)")
-	jobQueue := flag.Int("job-queue", 32, "async job queue bound; a full queue answers 429 + Retry-After")
+	jobWorkers := flag.Int("job-workers", 2, "job plane worker-pool size: analyzes, edit scripts and simulates running at once, sync or async")
+	jobQueue := flag.Int("job-queue", 32, "job queue bound; a full queue answers 429 + Retry-After, sync or async")
 	flag.Parse()
 	if *hier != "on" && *hier != "off" {
 		fmt.Fprintf(os.Stderr, "crystald: -hier: want on or off, got %q\n", *hier)
@@ -128,11 +127,11 @@ func main() {
 		os.Exit(1)
 	case <-ctx.Done():
 	}
-	// Job plane first: new async submissions get 503. Then the listener
-	// closes, and in-flight requests and admitted jobs finish against one
-	// deadline, so the whole drain takes at most -drain-timeout.
+	// The listener's Shutdown stops admission and waits for in-flight
+	// requests (a sync request waits for its job); WaitJobs then waits
+	// for the admitted async jobs. One deadline covers both, so the whole
+	// drain takes at most -drain-timeout.
 	deadline := time.Now().Add(*drainTimeout)
-	sv.BeginDrain()
 	log.Printf("crystald: draining (grace %s)", *drainTimeout)
 	shutdownCtx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()

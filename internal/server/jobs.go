@@ -1,29 +1,28 @@
-// The async job plane: long-running requests (a chip-scale analyze holds
-// a connection for seconds; a big edit script for longer) can opt out of
-// request/response coupling with {"async": true} — the handler enqueues
-// the work on a bounded worker pool and answers 202 with a job id, and
-// the client polls GET /v1/jobs/{id} until the job is done or failed.
-// The completed job carries the exact body the synchronous handler would
-// have written (same structs, same encoder), so an async result is
-// byte-identical to the synchronous response modulo the wall-clock
-// duration fields — pinned by TestAsyncAnalyzeIdentity and
-// TestAsyncEditsIdentity.
+// The job plane: every request that touches a session's analyzer or
+// batch engine — analyze, edit script, simulate — runs as a job on a
+// bounded worker pool. A synchronous request submits and waits for its
+// job; {"async": true} answers 202 with a job id instead, and the client
+// polls GET /v1/jobs/{id} until the job is done or failed. Both run the
+// same function, so an async result is the synchronous body modulo the
+// wall-clock duration fields — pinned by TestAsyncIdentity.
 //
 // Admission and ordering:
 //
 //   - The queue is bounded (Options.JobQueueDepth). A full queue rejects
-//     with 429 + Retry-After instead of buffering unboundedly — the
-//     backpressure signal a gateway needs for load shedding.
+//     sync and async submissions alike with 429 + Retry-After instead of
+//     buffering unboundedly — the backpressure signal a gateway needs
+//     for load shedding.
 //   - Jobs of one session execute in submission order, one at a time
-//     (per-session FIFO via the busy set below). Jobs of different
-//     sessions run concurrently up to Options.JobWorkers. The session
-//     mutex would serialize execution anyway; the plane additionally
-//     guarantees *order*, so a poll sequence never observes barrier N+1
-//     applied before barrier N.
-//   - Graceful drain (Server.BeginDrain): admitted jobs — queued and
-//     running — finish, new submissions are rejected with 503, and
-//     Server.WaitJobs blocks until the plane is idle. cmd/crystald runs
-//     this between SIGTERM and listener shutdown.
+//     (per-session FIFO via the busy set below). That slot is the
+//     session's only lock: analyzer, batch engine and network generation
+//     are touched by nothing else. Jobs of different sessions run
+//     concurrently up to Options.JobWorkers.
+//   - A queued sync job whose client has gone is dropped, never run, and
+//     counted in jobs.abandoned. A started job runs to completion.
+//   - Shutdown: the listener's Shutdown stops admission and waits for
+//     sync requests (and so their jobs); Server.WaitJobs then waits for
+//     the admitted async jobs. cmd/crystald runs both against one
+//     deadline.
 //
 // Fault injection: the plane's delay and failEvery fields stretch every
 // execution and fail every Nth one with a synthetic 500. Only this
@@ -32,6 +31,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -54,17 +54,23 @@ const (
 // cannot leak one result per job ever submitted.
 const jobRetention = 4096
 
-// job is one admitted unit of async work. Mutable fields are guarded by
+// job is one admitted unit of session work. Mutable fields are guarded by
 // the owning plane's mutex; run is called exactly once, outside the lock.
+// A sync job has no id and is never retained: it hands its value to the
+// waiting handler through done. An async job keeps its marshalled result
+// for polls.
 type job struct {
-	id      string
+	id      string // async only
 	session string
-	kind    string // "analyze" or "edits"
+	kind    string // "analyze", "edits" or "simulate"
 	run     func() (int, any)
+	ctx     context.Context // sync only: the waiting request's context
+	done    chan struct{}   // sync only: closed when the job ran or was dropped
 
 	state    string
-	status   int             // HTTP status of the completed execution
-	result   json.RawMessage // body the sync handler would have written (done/failed)
+	status   int             // HTTP status of the completed execution; 0 if dropped
+	value    any             // sync: the body to write
+	result   json.RawMessage // async: the body, marshalled for polls
 	created  time.Time
 	started  time.Time
 	finished time.Time
@@ -80,16 +86,15 @@ type jobPlane struct {
 
 	m *metrics
 
-	mu       sync.Mutex
-	cond     *sync.Cond // signalled when the plane may have gone idle
-	byID     map[string]*job
-	queue    []*job          // admitted, undispatched, submission order
-	busy     map[string]bool // session ids with a job executing
-	running  int
-	seq      int64
-	execs    int64 // lifetime executions started (fault-injection counter)
-	draining bool
-	history  []string // completed job ids, oldest first, for retention
+	mu      sync.Mutex
+	cond    *sync.Cond // signalled when the plane may have gone idle
+	byID    map[string]*job
+	queue   []*job          // admitted, undispatched, submission order
+	busy    map[string]bool // session ids with a job executing
+	running int
+	seq     int64
+	execs   int64    // lifetime executions started (fault-injection counter)
+	history []string // completed async job ids, oldest first, for retention
 }
 
 func newJobPlane(workers, depth int, m *metrics) *jobPlane {
@@ -104,53 +109,46 @@ func newJobPlane(workers, depth int, m *metrics) *jobPlane {
 	return p
 }
 
-// Submission errors, distinguished so the handler can map them to 429
-// (full) vs 503 (draining).
-var (
-	errJobQueueFull = fmt.Errorf("job queue full")
-	errJobsDraining = fmt.Errorf("draining: not accepting new jobs")
-)
-
-// submit admits one job, or reports why it cannot. The returned job is
-// already dispatched if a worker slot and its session are free.
-func (p *jobPlane) submit(session, kind string, run func() (int, any)) (*job, error) {
+// submit admits one job, or returns nil when the queue is full. A sync
+// job is dropped unrun if ctx is done before it is dispatched. The
+// returned job is already dispatched if a worker slot and its session
+// are free.
+func (p *jobPlane) submit(ctx context.Context, async bool, session, kind string, run func() (int, any)) *job {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.draining {
-		p.m.jobsRejected.Add(1)
-		return nil, errJobsDraining
-	}
 	if len(p.queue) >= p.depth {
 		p.m.jobsRejected.Add(1)
-		return nil, errJobQueueFull
+		return nil
 	}
-	p.seq++
-	j := &job{
-		id:      fmt.Sprintf("j%d", p.seq),
-		session: session,
-		kind:    kind,
-		run:     run,
-		state:   jobQueued,
-		created: time.Now(),
+	j := &job{session: session, kind: kind, run: run, state: jobQueued, created: time.Now()}
+	if async {
+		p.seq++
+		j.id = fmt.Sprintf("j%d", p.seq)
+		p.byID[j.id] = j
+	} else {
+		j.ctx, j.done = ctx, make(chan struct{})
 	}
-	p.byID[j.id] = j
 	p.queue = append(p.queue, j)
 	p.m.jobsSubmitted.Add(1)
 	p.kickLocked()
-	return j, nil
+	return j
 }
 
 // kickLocked dispatches queued jobs onto free worker slots, skipping
 // sessions that already have a job executing (per-session FIFO: a skipped
-// session's next job is dispatched by the completion of its predecessor).
-// Callers hold p.mu.
+// session's next job is dispatched by the completion of its predecessor)
+// and dropping the sync jobs whose client has gone. Callers hold p.mu.
 func (p *jobPlane) kickLocked() {
 	for p.running < p.workers {
 		picked := -1
-		for i, j := range p.queue {
-			if !p.busy[j.session] {
+		for i := 0; i < len(p.queue) && picked < 0; i++ {
+			if j := p.queue[i]; j.ctx != nil && j.ctx.Err() != nil {
+				p.queue = append(p.queue[:i], p.queue[i+1:]...)
+				i--
+				p.m.jobsAbandoned.Add(1)
+				close(j.done)
+			} else if !p.busy[j.session] {
 				picked = i
-				break
 			}
 		}
 		if picked < 0 {
@@ -178,30 +176,27 @@ func (p *jobPlane) exec(j *job) {
 	if p.delay > 0 {
 		time.Sleep(p.delay)
 	}
-	var (
-		status int
-		body   json.RawMessage
-		err    error
-	)
+	var status int
+	var v any
 	if injectFail {
-		status = http.StatusInternalServerError
-		body, err = marshalBody(httpError{Error: "chaos: injected job failure"})
+		status, v = fail(http.StatusInternalServerError, "chaos: injected job failure")
 	} else {
-		var v any
 		status, v = j.run()
-		body, err = marshalBody(v)
 	}
-	if err != nil { // cannot happen for the response structs; stay honest anyway
-		status = http.StatusInternalServerError
-		body = json.RawMessage(fmt.Sprintf(`{"error":%q}`, err.Error()))
+	var body json.RawMessage
+	if j.done == nil { // async: the result outlives the handler
+		var err error
+		if body, err = marshalBody(v); err != nil { // cannot happen for the response structs
+			status = http.StatusInternalServerError
+			body = json.RawMessage(fmt.Sprintf(`{"error":%q}`, err.Error()))
+		}
 	}
 
 	p.mu.Lock()
 	// The closure holds the session — network, analyzer, stage DB — and
-	// the job record outlives it by up to jobRetention completions.
+	// an async job record outlives it by up to jobRetention completions.
 	j.run = nil
 	j.status = status
-	j.result = body
 	j.finished = time.Now()
 	if status >= 400 {
 		j.state = jobFailed
@@ -210,22 +205,21 @@ func (p *jobPlane) exec(j *job) {
 		j.state = jobDone
 		p.m.jobsDone.Add(1)
 	}
-	p.history = append(p.history, j.id)
-	for len(p.history) > jobRetention {
-		delete(p.byID, p.history[0])
-		p.history = p.history[1:]
+	if j.done != nil {
+		j.value = v
+		close(j.done)
+	} else {
+		j.result = body
+		p.history = append(p.history, j.id)
+		for len(p.history) > jobRetention {
+			delete(p.byID, p.history[0])
+			p.history = p.history[1:]
+		}
 	}
 	delete(p.busy, j.session)
 	p.running--
 	p.kickLocked()
 	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// beginDrain stops admission; already-admitted jobs keep running.
-func (p *jobPlane) beginDrain() {
-	p.mu.Lock()
-	p.draining = true
 	p.mu.Unlock()
 }
 
@@ -249,14 +243,14 @@ func (p *jobPlane) wait(timeout time.Duration) bool {
 }
 
 // gauges reports the instantaneous queue state for /metrics.
-func (p *jobPlane) gauges() (queued, running int, draining bool) {
+func (p *jobPlane) gauges() (queued, running int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.queue), p.running, p.draining
+	return len(p.queue), p.running
 }
 
-// get returns a point-in-time copy of one job (nil if unknown or aged
-// out of retention).
+// get returns a point-in-time copy of one async job (nil if unknown or
+// aged out of retention).
 func (p *jobPlane) get(id string) *job {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -290,8 +284,8 @@ type jobAccepted struct {
 }
 
 // jobResponse is the GET /v1/jobs/{id} body. Result is present only on
-// done/failed and is the exact body the synchronous handler would have
-// written for the same request (modulo wall-clock duration fields).
+// done/failed and is the exact body the synchronous request would have
+// got (modulo wall-clock duration fields).
 type jobResponse struct {
 	Job      string          `json:"job"`
 	Session  string          `json:"session"`
@@ -303,36 +297,45 @@ type jobResponse struct {
 	Result   json.RawMessage `json:"result,omitempty"`
 }
 
-// submitJob admits async work for a session and writes the 202/429/503
-// response. run executes on a worker and must return what the sync
-// handler would have written.
-func (sv *Server) submitJob(w http.ResponseWriter, s *session, kind string, run func() (int, any)) {
-	j, err := sv.jobs.submit(s.id, kind, run)
-	switch err {
-	case nil:
-	case errJobQueueFull:
+// runJob runs one unit of session work on the plane and answers for it:
+// 429 + Retry-After on a full queue, 202 + job id when async, else the
+// status and body run returned, once the job has run. run executes on a
+// worker and is the session's only writer while it does. A panic in run
+// fails the job with 500 and retires the session (Server.drop); the
+// daemon and every other session keep serving.
+func (sv *Server) runJob(w http.ResponseWriter, r *http.Request, s *session, kind string, async bool, run func() (int, any)) {
+	j := sv.jobs.submit(r.Context(), async, s.id, kind, func() (status int, v any) {
+		defer func() {
+			if e := recover(); e != nil {
+				sv.drop(s)
+				status, v = fail(http.StatusInternalServerError, "%s panicked: %v; session %s dropped", kind, e, s.id)
+			}
+		}()
+		return run()
+	})
+	switch {
+	case j == nil:
 		w.Header().Set("Retry-After", strconv.Itoa(sv.retryAfterSeconds()))
 		writeErr(w, http.StatusTooManyRequests,
 			"job queue full (%d queued); retry later", sv.opts.JobQueueDepth)
-		return
-	case errJobsDraining:
-		writeErr(w, http.StatusServiceUnavailable, "%v", err)
-		return
+	case async:
+		writeJSON(w, http.StatusAccepted, jobAccepted{
+			Job: j.id, Session: s.id, Kind: kind, State: jobQueued,
+			Poll: "/v1/jobs/" + j.id,
+		})
 	default:
-		writeErr(w, http.StatusInternalServerError, "%v", err)
-		return
+		<-j.done
+		if j.status != 0 { // 0: dropped unrun, and the client is gone
+			writeJSON(w, j.status, j.value)
+		}
 	}
-	writeJSON(w, http.StatusAccepted, jobAccepted{
-		Job: j.id, Session: s.id, Kind: kind, State: jobQueued,
-		Poll: "/v1/jobs/" + j.id,
-	})
 }
 
 // retryAfterSeconds estimates when a queue slot frees up: the recent
 // analyze p50 times the queue depth ahead of the caller, spread over the
 // worker pool — clamped to [1s, 60s] so the header is always actionable.
 func (sv *Server) retryAfterSeconds() int {
-	queued, _, _ := sv.jobs.gauges()
+	queued, _ := sv.jobs.gauges()
 	p50 := sv.m.analyzeLatency.stats().P50Ns
 	est := time.Duration(p50) * time.Duration(queued+1) / time.Duration(sv.jobs.workers)
 	secs := int((est + time.Second - 1) / time.Second)
@@ -366,12 +369,7 @@ func (sv *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// BeginDrain puts the job plane into drain mode: running and queued jobs
-// finish, new async submissions are rejected with 503. Synchronous
-// requests are unaffected — the HTTP listener's own shutdown handles
-// those. Safe to call more than once.
-func (sv *Server) BeginDrain() { sv.jobs.beginDrain() }
-
 // WaitJobs blocks until every admitted job has completed, or the timeout
-// passes; it reports whether the plane drained fully.
+// passes; it reports whether the plane went idle. Call it once the
+// listener's Shutdown has stopped admission.
 func (sv *Server) WaitJobs(timeout time.Duration) bool { return sv.jobs.wait(timeout) }

@@ -97,10 +97,11 @@ type metrics struct {
 	editsFull        atomic.Int64 // barriers that fell back to a full drain
 	drainEpochs      atomic.Int64 // cumulative stage-DB generations advanced
 
-	jobsSubmitted atomic.Int64 // async jobs admitted to the queue
+	jobsSubmitted atomic.Int64 // jobs admitted to the queue, sync and async
 	jobsDone      atomic.Int64 // jobs completed successfully
 	jobsFailed    atomic.Int64 // jobs that completed with an error status
-	jobsRejected  atomic.Int64 // submissions rejected (queue full 429, draining 503)
+	jobsRejected  atomic.Int64 // submissions rejected with 429 (queue full)
+	jobsAbandoned atomic.Int64 // queued sync jobs dropped unrun: the client left
 
 	simRequests     atomic.Int64 // POST .../simulate calls served
 	simVectors      atomic.Int64 // input vectors settled by the batch engine
@@ -111,7 +112,7 @@ type metrics struct {
 	analyzeLatency  latencyRecorder // one full analyze
 	editLatency     latencyRecorder // one edit barrier (Reanalyze + report)
 	simulateLatency latencyRecorder // one simulate batch (compile + settle)
-	jobQueueLatency latencyRecorder // async job queue wait (submit → dispatch)
+	jobQueueLatency latencyRecorder // job queue wait (submit → dispatch)
 
 	// Drain counters, aggregated across every drain any session ran (see
 	// core.DrainStats).
@@ -160,18 +161,19 @@ type MetricsSnapshot struct {
 		Full        int64 `json:"full"`
 		DrainEpochs int64 `json:"drain_epochs"`
 	} `json:"edits"`
-	// Jobs is the async job plane: instantaneous queue state (gauges)
-	// plus lifetime outcome counters. Queued is the admission-control
-	// signal — at Capacity, new submissions get 429.
+	// Jobs is the job plane every analyze, edit script and simulate runs
+	// on: instantaneous queue state (gauges) plus lifetime outcome
+	// counters. Queued is the admission-control signal — at Capacity,
+	// new submissions get 429.
 	Jobs struct {
 		Queued    int   `json:"queued"`   // gauge: admitted, not yet dispatched
 		Running   int   `json:"running"`  // gauge: executing on the worker pool
 		Capacity  int   `json:"capacity"` // queue bound (Options.JobQueueDepth)
-		Draining  bool  `json:"draining"` // drain mode: new submissions rejected
 		Submitted int64 `json:"submitted"`
 		Done      int64 `json:"done"`
 		Failed    int64 `json:"failed"`
 		Rejected  int64 `json:"rejected"`
+		Abandoned int64 `json:"abandoned"`
 	} `json:"jobs"`
 	Sim struct {
 		Requests     int64 `json:"requests"`
@@ -200,7 +202,6 @@ type jobGauges struct {
 	Queued   int
 	Running  int
 	Capacity int
-	Draining bool
 }
 
 // snapshot assembles the document; live is the current cache size (owned
@@ -213,11 +214,11 @@ func (m *metrics) snapshot(live int, arena ArenaStats, jobs jobGauges) MetricsSn
 	s.Jobs.Queued = jobs.Queued
 	s.Jobs.Running = jobs.Running
 	s.Jobs.Capacity = jobs.Capacity
-	s.Jobs.Draining = jobs.Draining
 	s.Jobs.Submitted = m.jobsSubmitted.Load()
 	s.Jobs.Done = m.jobsDone.Load()
 	s.Jobs.Failed = m.jobsFailed.Load()
 	s.Jobs.Rejected = m.jobsRejected.Load()
+	s.Jobs.Abandoned = m.jobsAbandoned.Load()
 	s.Sessions.Created = m.sessionsCreated.Load()
 	s.Sessions.Deduped = m.sessionsDeduped.Load()
 	s.Sessions.Evicted = m.sessionsEvicted.Load()

@@ -63,13 +63,14 @@ type Options struct {
 	// different analysis directives — loads the binary snapshot instead
 	// of re-parsing. The directory is created if missing.
 	SnapshotDir string
-	// JobWorkers is the async job plane's worker-pool size (default 2):
-	// how many {"async": true} analyzes/edit scripts execute
+	// JobWorkers is the job plane's worker-pool size (default 2): how
+	// many analyzes, edit scripts and simulates, sync or async, execute
 	// concurrently. Jobs of one session always serialize regardless.
 	JobWorkers int
 	// JobQueueDepth bounds the admitted-but-undispatched job queue
-	// (default 32). A full queue answers 429 + Retry-After — the
-	// admission-control backpressure signal; see docs/SERVER.md.
+	// (default 32). A full queue answers 429 + Retry-After to sync and
+	// async requests alike — the admission-control backpressure signal;
+	// see docs/SERVER.md.
 	JobQueueDepth int
 }
 
@@ -102,8 +103,8 @@ type Server struct {
 	// SnapshotDir it stays empty.
 	arena *netArena
 
-	// jobs is the async job plane: bounded worker-pool queue behind
-	// {"async": true} analyze/edits submissions (see jobs.go).
+	// jobs is the job plane: the bounded worker-pool queue every
+	// analyze, edit script and simulate runs on (see jobs.go).
 	jobs *jobPlane
 
 	mu     sync.Mutex
@@ -169,10 +170,9 @@ func (sv *Server) MetricsSnapshot() MetricsSnapshot {
 	sv.mu.Lock()
 	live := sv.lru.Len()
 	sv.mu.Unlock()
-	queued, running, draining := sv.jobs.gauges()
+	queued, running := sv.jobs.gauges()
 	return sv.m.snapshot(live, sv.arena.stats(), jobGauges{
-		Queued: queued, Running: running, Draining: draining,
-		Capacity: sv.opts.JobQueueDepth,
+		Queued: queued, Running: running, Capacity: sv.opts.JobQueueDepth,
 	})
 }
 
@@ -191,6 +191,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, httpError{Error: fmt.Sprintf(format, args...)})
+}
+
+// fail is a job's error answer: its status and the writeErr body.
+func fail(status int, format string, args ...any) (int, any) {
+	return status, httpError{Error: fmt.Sprintf(format, args...)}
 }
 
 // lookup fetches a session by id and bumps its LRU recency.
@@ -222,10 +227,9 @@ func (sv *Server) insert(s *session) {
 	}
 }
 
-// removeLocked unlinks one cache element. Callers hold sv.mu. In-flight
-// requests holding the session pointer finish normally — eviction only
-// stops new lookups; the session's memory is reclaimed when the last
-// handler returns.
+// removeLocked unlinks one cache element. Callers hold sv.mu. Jobs
+// holding the session pointer finish normally — eviction only stops new
+// lookups; the session's memory is reclaimed when the last job returns.
 func (sv *Server) removeLocked(el *list.Element) {
 	s := el.Value.(*session)
 	sv.lru.Remove(el)
@@ -242,15 +246,38 @@ func (sv *Server) removeLocked(el *list.Element) {
 	}
 }
 
+// drop retires a session whose job panicked: its analyzer, batch engine
+// and snapshot may be half-updated, so it leaves the cache, and a job
+// still queued on it starts over from the last published network
+// generation. Callers are the session's job.
+func (sv *Server) drop(s *session) {
+	s.a, s.batch = nil, nil
+	s.snap.Store(nil)
+	sv.mu.Lock()
+	defer sv.mu.Unlock()
+	if el, ok := sv.byID[s.id]; ok && el.Value.(*session) == s {
+		sv.removeLocked(el)
+	}
+}
+
 // markEdited records that a session diverged from its loaded source: it
 // no longer answers content-hash dedup (a re-POST of the same source must
-// get a pristine session, not someone's edit state).
+// get a pristine session, not someone's edit state), and it detaches from
+// any arena view it aliased — Reanalyze's Apply cloned the view before
+// editing, so the session now holds a private heap copy (the mapping
+// stays resident; the clone's name strings still alias its pages). The
+// reference is dropped here or by removeLocked, whichever runs first;
+// sv.mu orders the two.
 func (sv *Server) markEdited(s *session) {
 	sv.mu.Lock()
+	defer sv.mu.Unlock()
 	if el, ok := sv.byHash[s.hash]; ok && el.Value.(*session) == s {
 		delete(sv.byHash, s.hash)
 	}
-	sv.mu.Unlock()
+	if s.shared {
+		s.shared = false
+		sv.arena.detach(s.akey)
+	}
 }
 
 // createResponse is the POST /v1/sessions reply.
@@ -322,7 +349,7 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (sv *Server) describe(s *session, cached bool) createResponse {
-	st := s.nw.Stats()
+	st := s.nw.Load().Stats()
 	resp := createResponse{
 		Session: s.id, Cached: cached,
 		Name: s.cfg.Name, Tech: s.cfg.Tech, Model: s.cfg.Model, Tables: s.cfg.Tables,
@@ -348,14 +375,13 @@ type sessionInfo struct {
 }
 
 func (sv *Server) info(s *session) sessionInfo {
-	st := s.nw.Stats()
+	st := s.nw.Load().Stats()
+	barriers := int(s.barriers.Load())
 	inf := sessionInfo{
 		Session: s.id, Name: s.cfg.Name,
 		Nodes: st.Nodes, Transistors: st.Trans,
+		Edited: barriers > 0, Barriers: barriers,
 	}
-	s.mu.Lock()
-	inf.Edited, inf.Barriers = s.edited, s.barriers
-	s.mu.Unlock()
 	if snap := s.snap.Load(); snap != nil {
 		inf.Analyzed = true
 		inf.Epoch = snap.Epoch
@@ -407,9 +433,9 @@ type analyzeRequest struct {
 	// Force reruns the full drain even when the snapshot is current.
 	Force bool `json:"force,omitempty"`
 	// Async detaches the run from the connection: the handler answers
-	// 202 with a job id immediately and the analysis executes on the job
-	// plane; poll GET /v1/jobs/{id} for the result (identical to the
-	// synchronous body, modulo duration_ns).
+	// 202 with a job id immediately instead of waiting for the job; poll
+	// GET /v1/jobs/{id} for the result (identical to the synchronous
+	// body, modulo duration_ns).
 	Async bool `json:"async,omitempty"`
 }
 
@@ -430,21 +456,12 @@ func (sv *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req, true) {
 		return
 	}
-	if req.Async {
-		sv.submitJob(w, s, "analyze", func() (int, any) { return sv.analyzeSession(s, req) })
-		return
-	}
-	st, v := sv.analyzeSession(s, req)
-	writeJSON(w, st, v)
+	sv.runJob(w, r, s, "analyze", req.Async, func() (int, any) { return sv.analyzeSession(s, req) })
 }
 
-// analyzeSession runs one analyze request to completion and returns the
-// HTTP status plus response body — shared verbatim by the synchronous
-// handler and the job plane, so an async result is the synchronous
-// response.
+// analyzeSession runs one analyze request to completion on the job plane
+// and returns the HTTP status plus response body.
 func (sv *Server) analyzeSession(s *session, req analyzeRequest) (int, any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	// Snapshot still current: serve it.
 	if snap := s.snap.Load(); snap != nil && !req.Force {
 		sv.m.analyzesCached.Add(1)
@@ -452,11 +469,11 @@ func (sv *Server) analyzeSession(s *session, req analyzeRequest) (int, any) {
 	}
 	a, err := s.buildAnalyzer(s.a)
 	if err != nil {
-		return http.StatusBadRequest, httpError{Error: err.Error()}
+		return fail(http.StatusBadRequest, "%v", err)
 	}
 	start := time.Now()
 	if err := a.Run(); err != nil {
-		return http.StatusUnprocessableEntity, httpError{Error: err.Error()}
+		return fail(http.StatusUnprocessableEntity, "%v", err)
 	}
 	dur := time.Since(start)
 	s.a = a
@@ -480,10 +497,10 @@ func (sv *Server) analyzeSession(s *session, req analyzeRequest) (int, any) {
 // grammar as `crystal -edits` (see internal/incremental).
 type editsRequest struct {
 	Script string `json:"script"`
-	// Async runs the script on the job plane: 202 + job id immediately,
-	// poll GET /v1/jobs/{id} for the barrier results. Long edit scripts
-	// (every barrier is a re-analysis) are the other connection-holding
-	// request class besides analyze.
+	// Async answers 202 + job id immediately; poll GET /v1/jobs/{id}
+	// for the barrier results. Long edit scripts (every barrier is a
+	// re-analysis) are the other connection-holding request class
+	// besides analyze.
 	Async bool `json:"async,omitempty"`
 }
 
@@ -522,23 +539,14 @@ func (sv *Server) handleEdits(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing script")
 		return
 	}
-	if req.Async {
-		sv.submitJob(w, s, "edits", func() (int, any) { return sv.editsSession(s, req) })
-		return
-	}
-	st, v := sv.editsSession(s, req)
-	writeJSON(w, st, v)
+	sv.runJob(w, r, s, "edits", req.Async, func() (int, any) { return sv.editsSession(s, req) })
 }
 
-// editsSession applies one edit script to completion and returns the
-// HTTP status plus response body — shared by the synchronous handler and
-// the job plane, like analyzeSession.
+// editsSession applies one edit script to completion on the job plane
+// and returns the HTTP status plus response body.
 func (sv *Server) editsSession(s *session, req editsRequest) (int, any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.a == nil {
-		return http.StatusConflict, httpError{
-			Error: fmt.Sprintf("session %s not analyzed yet (POST .../analyze first)", s.id)}
+		return fail(http.StatusConflict, "session %s not analyzed yet (POST .../analyze first)", s.id)
 	}
 	var resp editsResponse
 	err := incremental.ReplayScript(strings.NewReader(req.Script), "script",
@@ -551,8 +559,7 @@ func (sv *Server) editsSession(s *session, req editsRequest) (int, any) {
 			}
 			dur := time.Since(start)
 			sv.m.observeDrain(before, s.a.DrainStats())
-			s.edited = true
-			s.barriers++
+			s.barriers.Add(1)
 			sv.m.editBatches.Add(1)
 			sv.m.editLatency.observe(dur)
 			if stats.Full {
@@ -581,18 +588,10 @@ func (sv *Server) editsSession(s *session, req editsRequest) (int, any) {
 			return nil
 		})
 	if len(resp.Barriers) > 0 {
-		// The session diverged from its loaded source even if a later
-		// batch failed: stop answering content-hash dedup for it.
+		// Reanalyze advanced the network generation, and the session
+		// diverged from its loaded source even if a later batch failed.
+		s.nw.Store(s.a.Net)
 		sv.markEdited(s)
-		s.nw = s.a.Net // Reanalyze advanced the network generation
-		if s.shared {
-			// Copy-on-edit detach: Reanalyze's Apply cloned the shared
-			// view before editing, so s.nw is now a private heap copy —
-			// drop the arena reference (the mapping stays resident; the
-			// clone's name strings still alias its pages).
-			s.shared = false
-			sv.arena.detach(s.akey)
-		}
 	}
 	if err != nil {
 		// A failed batch is atomic (Apply clones before editing), but

@@ -392,8 +392,9 @@ func TestDrainMetricsExposed(t *testing.T) {
 }
 
 // TestConcurrentAnalyzeEdits hammers one session with concurrent
-// mutators and readers. Run under -race in CI: the per-session writer
-// lock must serialize analyze/edits while snapshot reads stay lock-free.
+// mutators and readers. Run under -race in CI: the job plane must
+// serialize analyze/edits while snapshot and session-info reads stay
+// lock-free.
 func TestConcurrentAnalyzeEdits(t *testing.T) {
 	c := newTestClient(t, Options{})
 	id := c.create(dlatchConfig(t)).Session
@@ -437,8 +438,12 @@ func TestConcurrentAnalyzeEdits(t *testing.T) {
 		}(i)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 6; j++ {
-				resp, err := c.srv.Client().Get(c.srv.URL + "/v1/sessions/" + id + "/critical")
+			for j := 0; j < 12; j++ {
+				path := "/v1/sessions/" + id // session info reads the network generation
+				if j%2 == 0 {
+					path += "/critical"
+				}
+				resp, err := c.srv.Client().Get(c.srv.URL + path)
 				if err != nil {
 					errs <- err.Error()
 					continue

@@ -4,10 +4,12 @@
 // inside the analyzer, so a cache hit skips straight to the incremental
 // engine.
 //
-// Concurrency model: per-session single-writer. Every mutating request
-// (analyze, edits) takes the session's writer lock, so edit generations
-// advance serially; read requests never touch the analyzer at all — they
-// load an immutable snapshot installed with an atomic pointer after each
+// Concurrency model: per-session single writer. Every request that
+// touches the analyzer or batch engine (analyze, edits, simulate) is a
+// job, and the job plane runs one job per session at a time, in
+// submission order — that slot is the session's only lock. Read requests
+// never touch the analyzer at all: they load the snapshot, network
+// generation and barrier count published atomically after each
 // (re)analysis, so a slow drain never blocks a /critical probe and a
 // half-applied batch is never observable.
 package server
@@ -20,7 +22,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/charlib"
@@ -161,8 +162,11 @@ type HierJSON struct {
 	Flat      int `json:"flat"`
 }
 
-// session is one resident analysis. All mutation happens under mu; snap
-// is the lock-free read surface.
+// session is one resident analysis. Past the immutable header, fields
+// are touched only by the session's running job, except shared (guarded
+// by Server.mu) and the three published for readers outside the plane:
+// nw, barriers and snap. Every Apply clones, so a published network
+// generation is never written again.
 type session struct {
 	id   string
 	hash string
@@ -178,7 +182,7 @@ type session struct {
 	snapWrote bool
 	// shared marks a session currently aliasing an arena view under
 	// akey; cleared (with an arena release) on copy-on-edit detach and
-	// on removal from the cache.
+	// on removal from the cache, whichever comes first.
 	shared bool
 	akey   arenaKey
 
@@ -186,13 +190,11 @@ type session struct {
 	tables *delay.Tables
 	model  delay.Model
 
-	mu        sync.Mutex // single writer: analyze / edits serialization
-	nw        *netlist.Network
-	a         *core.Analyzer // nil until the first analyze
-	hier      bool           // server-wide Options.Hier, applied per analyzer
-	edited    bool           // diverged from the loaded source (edits applied)
-	barriers  int            // run barriers applied over the session lifetime
-	lastEpoch uint64         // stage-DB generation at the last metrics update
+	nw        atomic.Pointer[netlist.Network] // current generation
+	a         *core.Analyzer                  // nil until the first analyze
+	hier      bool                            // server-wide Options.Hier, applied per analyzer
+	barriers  atomic.Int64                    // run barriers applied; > 0 once edited
+	lastEpoch uint64                          // stage-DB generation at the last metrics update
 
 	// batch is the compiled vectorized switch-level engine, built lazily on
 	// the first /simulate and rebuilt whenever edits advance the network
@@ -205,12 +207,13 @@ type session struct {
 
 // batchEngine returns the session's compiled vectorized simulator,
 // compiling (or recompiling after an edit generation) on demand; compiled
-// reports whether this call built a fresh engine. Callers hold s.mu — the
-// engine's slab state is single-writer like the analyzer.
+// reports whether this call built a fresh engine. Callers are the
+// session's job — the engine's slab state is single-writer like the
+// analyzer.
 func (s *session) batchEngine() (b *switchsim.Batch, compiled bool) {
-	if s.batch == nil || s.batchNW != s.nw {
-		s.batch = switchsim.NewBatch(s.nw)
-		s.batchNW = s.nw
+	if nw := s.nw.Load(); s.batch == nil || s.batchNW != nw {
+		s.batch = switchsim.NewBatch(nw)
+		s.batchNW = nw
 		compiled = true
 	}
 	return s.batch, compiled
@@ -271,7 +274,8 @@ func newSession(id string, cfg SessionConfig, snapDir string, hier bool, arena *
 	// With a network in hand the only possible error is the cache write,
 	// which is best effort: a full snapshot directory or permission
 	// problem must not fail the load.
-	s.nw, s.source = nw, res.Source
+	s.nw.Store(nw)
+	s.source = res.Source
 	s.shared, s.akey = res.Mapped != nil, key
 	s.snapWrote = snapPath != "" && !res.FromCache() && err == nil
 	return s, nil
@@ -288,23 +292,24 @@ func networkFileKey(key arenaKey) string {
 // buildAnalyzer constructs a fresh analyzer over the session's current
 // network generation with the session's directives, optionally adopting a
 // stage database from a previous analyzer over the same generation.
-// Callers hold s.mu.
+// Callers are the session's job.
 func (s *session) buildAnalyzer(db *core.Analyzer) (*core.Analyzer, error) {
+	nw := s.nw.Load()
 	opts := core.Options{Hier: s.hier}
 	if db != nil {
 		opts.DB = db.StageDB()
 	}
 	for _, name := range s.cfg.LoopBreak {
-		n := s.nw.Lookup(name)
+		n := nw.Lookup(name)
 		if n == nil {
 			return nil, fmt.Errorf("loopbreak: no node named %q", name)
 		}
 		opts.LoopBreak = append(opts.LoopBreak, n)
 	}
-	a := core.New(s.nw, s.model, opts)
+	a := core.New(nw, s.model, opts)
 	fixed := map[string]bool{}
 	for name, val := range s.cfg.Fix {
-		n := s.nw.Lookup(name)
+		n := nw.Lookup(name)
 		if n == nil {
 			return nil, fmt.Errorf("fix: no node named %q", name)
 		}
@@ -332,7 +337,7 @@ func (s *session) buildAnalyzer(db *core.Analyzer) (*core.Analyzer, error) {
 		seeded = true
 	}
 	if !seeded {
-		for _, in := range s.nw.Inputs() {
+		for _, in := range nw.Inputs() {
 			if fixed[in.Name] {
 				continue
 			}
@@ -348,7 +353,7 @@ func (s *session) buildAnalyzer(db *core.Analyzer) (*core.Analyzer, error) {
 }
 
 // buildSnapshot assembles the read view from the current analysis state.
-// Callers hold s.mu and have completed a run.
+// Callers are the session's job and have completed a run.
 func (s *session) buildSnapshot() *Snapshot {
 	a := s.a
 	snap := &Snapshot{

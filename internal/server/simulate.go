@@ -65,15 +65,17 @@ func (sv *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing vectors")
 		return
 	}
+	sv.runJob(w, r, s, "simulate", false, func() (int, any) { return sv.simulateSession(s, req) })
+}
 
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// simulateSession settles one simulate request's vectors on the job plane
+// and returns the HTTP status plus response body.
+func (sv *Server) simulateSession(s *session, req simulateRequest) (int, any) {
 	start := time.Now()
 	b, compiled := s.batchEngine()
 	inputs := b.Inputs()
 	if len(inputs) == 0 {
-		writeErr(w, http.StatusUnprocessableEntity, "netlist has no input nodes")
-		return
+		return fail(http.StatusUnprocessableEntity, "netlist has no input nodes")
 	}
 
 	// Resolve the vector columns (request order) onto engine input columns.
@@ -92,29 +94,27 @@ func (sv *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		for _, name := range req.Inputs {
 			c, ok := colOf[name]
 			if !ok {
-				writeErr(w, http.StatusBadRequest, "%q is not an input node", name)
-				return
+				return fail(http.StatusBadRequest, "%q is not an input node", name)
 			}
 			cols = append(cols, c)
 		}
 	}
 
-	watch := s.nw.Outputs()
+	nw := s.nw.Load()
+	watch := nw.Outputs()
 	if len(req.Watch) > 0 {
 		watch = watch[:0:0]
 		for _, name := range req.Watch {
-			n := s.nw.Lookup(name)
+			n := nw.Lookup(name)
 			if n == nil {
-				writeErr(w, http.StatusBadRequest, "no node named %q", name)
-				return
+				return fail(http.StatusBadRequest, "no node named %q", name)
 			}
 			watch = append(watch, n)
 		}
 	}
 	if len(watch) == 0 {
-		writeErr(w, http.StatusBadRequest,
+		return fail(http.StatusBadRequest,
 			"no nodes to watch: netlist marks no outputs, set \"watch\"")
-		return
 	}
 
 	// Parse the vectors into full-width rows; unmapped inputs stay released.
@@ -123,8 +123,7 @@ func (sv *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	for vi, row := range req.Vectors {
 		vals, err := switchsim.ParseVector(row, len(cols))
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "vector %d: %v", vi, err)
-			return
+			return fail(http.StatusBadRequest, "vector %d: %v", vi, err)
 		}
 		full := make([]switchsim.Value, len(inputs))
 		for i := range full {
@@ -141,8 +140,7 @@ func (sv *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 
 	res, err := b.Run(vecs, watch)
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
-		return
+		return fail(http.StatusUnprocessableEntity, "%v", err)
 	}
 	dur := time.Since(start)
 
@@ -173,7 +171,7 @@ func (sv *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			Vector: echo[v], Values: vals, Oscillated: res.Osc[v],
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return http.StatusOK, resp
 }
 
 func nodeNames(nodes []*netlist.Node) []string {
