@@ -56,14 +56,11 @@ func NewLumped(t *Tables) *Lumped { return &Lumped{T: t} }
 // Name implements Model.
 func (m *Lumped) Name() string { return "lumped" }
 
-// Evaluate implements Model: delay = ΣR × ΣC.
+// Evaluate implements Model: delay = ΣR × ΣC, and the driver's output
+// transition shape over that lumped τ.
 func (m *Lumped) Evaluate(nw *netlist.Network, st *stage.Stage, _ float64) Result {
-	if c := constsFor(m.T, nw, st); c != nil {
-		return Result{Delay: c.Lumped, Slope: c.TF0 * c.Lumped}
-	}
-	d := seriesR(m.T, nw, st) * st.TotalC()
-	// Output transition estimate: the driver's shape over the lumped τ.
-	return Result{Delay: d, Slope: tf0(m.T, st) * d}
+	c := constsFor(m.T, nw, st)
+	return Result{Delay: c.Lumped, Slope: c.TF0 * c.Lumped}
 }
 
 // seriesR is the path's total effective resistance under tb.
@@ -91,11 +88,8 @@ func (m *RC) Name() string { return "rc" }
 
 // Evaluate implements Model.
 func (m *RC) Evaluate(nw *netlist.Network, st *stage.Stage, _ float64) Result {
-	if c := constsFor(m.T, nw, st); c != nil {
-		return Result{Delay: c.TauStep, Slope: c.TF0 * c.TauStep}
-	}
-	d := m.elmoreAt(nw, st, -1, 1)
-	return Result{Delay: d, Slope: tf0(m.T, st) * d}
+	c := constsFor(m.T, nw, st)
+	return Result{Delay: c.TauStep, Slope: c.TF0 * c.TauStep}
 }
 
 // tf0 is the output-transition factor of the stage's driver at slope
@@ -104,18 +98,25 @@ func tf0(tb *Tables, st *stage.Stage) float64 {
 	return tb.Curve(st.DriverType(), st.Transition()).TFactorAt(0)
 }
 
-// elmoreAt computes the Elmore delay of the stage target with this model's
-// effective resistances, at most one path element (index at; -1 for none)
-// having its resistance scaled by mult. Because the target lies on the main
-// path, side-branch resistances never enter its Elmore sum — each path
-// element contributes R·(all capacitance at or beyond it, side loads
-// included) — so a single backwards pass suffices and no tree is built;
-// the side loads, sorted by attach position at stage construction, merge
-// into the walk. stageTree remains the reference implementation (the
-// equivalence is pinned by a test).
-func (m *RC) elmoreAt(nw *netlist.Network, st *stage.Stage, at int, mult float64) float64 {
+// elmoreSplit computes the Elmore delay of the stage target under tb, and
+// splits it at path position at for the slope model's replay from a
+// stage's constants. Because the target lies on the main path,
+// side-branch resistances never enter its Elmore sum — each path element
+// contributes R·(all capacitance at or beyond it, side loads included) —
+// so a single backwards pass suffices and no tree is built; the side
+// loads, sorted by attach position at stage construction, merge into the
+// walk. stageTree remains the reference implementation (the equivalence
+// is pinned by a test).
+//
+// The walk visits path positions n-1 … 0; relative to position at it
+// returns the running sum of the terms visited before it (high), the
+// unscaled resistance and downstream capacitance at it, and records the
+// terms visited after it in low[0:at]. Folding high + (rAt·m)·accAt +
+// low[at-1 … 0] gives the Elmore delay with the resistance at position at
+// scaled by m.
+func elmoreSplit(tb *Tables, nw *netlist.Network, st *stage.Stage, at int, low []float64) (tau, high, rAt, accAt float64) {
 	path, side, pathCap, tr := st.Path(), st.Side(), st.PathCap(), st.Transition()
-	sum, acc := 0.0, 0.0
+	acc := 0.0
 	si := len(side) - 1
 	for i := len(path); i >= 1; i-- {
 		acc += pathCap[i-1]
@@ -126,34 +127,7 @@ func (m *RC) elmoreAt(nw *netlist.Network, st *stage.Stage, at int, mult float64
 			acc += side[si].C
 			si--
 		}
-		r := elemR(m.T, nw.Trans[path[i-1].Trans], tr)
-		if i-1 == at {
-			r *= mult
-		}
-		sum += r * acc
-	}
-	return sum
-}
-
-// elmoreSplit is elmoreAt(at=-1) with instrumentation for the slope
-// model's replay from a stage's constants. The backwards walk visits path
-// positions n-1 … 0; relative to position at it returns the running sum of
-// the terms visited before it (high), the unscaled resistance and
-// downstream capacitance at it, and records the terms visited after it in
-// low[0:at]. Folding high + (rAt·mult)·accAt + low[at-1 …0] repeats the
-// adds of elmoreAt(at, mult) in the identical order, so the replayed
-// result is bit-exact without a second walk.
-func (m *RC) elmoreSplit(nw *netlist.Network, st *stage.Stage, at int, low []float64) (tau, high, rAt, accAt float64) {
-	path, side, pathCap, tr := st.Path(), st.Side(), st.PathCap(), st.Transition()
-	acc := 0.0
-	si := len(side) - 1
-	for i := len(path); i >= 1; i-- {
-		acc += pathCap[i-1]
-		for si >= 0 && int(side[si].Attach) >= i {
-			acc += side[si].C
-			si--
-		}
-		r := elemR(m.T, nw.Trans[path[i-1].Trans], tr)
+		r := elemR(tb, nw.Trans[path[i-1].Trans], tr)
 		p := r * acc
 		switch {
 		case i-1 > at:
@@ -226,24 +200,23 @@ func (m *Slope) Name() string { return "slope" }
 
 // Evaluate implements Model. The intrinsic Elmore pass records its
 // per-element terms in the stage's constants, and the scaled delay (driver
-// resistance × slope multiplier) is replayed from them. A record holding
-// another table set's constants is evaluated by walking the stage twice,
-// which elmoreSplit's replay matches bit for bit.
+// resistance × slope multiplier) is replayed from them.
 func (m *Slope) Evaluate(nw *netlist.Network, st *stage.Stage, inSlope float64) Result {
-	if c := constsFor(m.T, nw, st); c != nil {
-		return slopeResult(m.T, st, c, inSlope)
-	}
-	rcModel := RC{T: m.T}
-	tauStep := rcModel.elmoreAt(nw, st, -1, 1)
-	if tauStep <= 0 {
-		return Result{Delay: tauStep, Slope: math.Log(9) * tauStep}
+	c := constsFor(m.T, nw, st)
+	if c.TauStep <= 0 {
+		return Result{Delay: c.TauStep, Slope: math.Log(9) * c.TauStep}
 	}
 	ratio := 0.0
 	if inSlope > 0 {
-		ratio = inSlope / tauStep
+		ratio = inSlope / c.TauStep
 	}
 	mult, tfactor := m.T.Curve(st.DriverType(), st.Transition()).At(ratio)
-	return Result{Delay: rcModel.elmoreAt(nw, st, st.Driver(), mult), Slope: tfactor * tauStep}
+	d := c.High + (c.RDrv*mult)*c.AccDrv
+	low := st.Low()
+	for j := len(low) - 1; j >= 0; j-- {
+		d += low[j]
+	}
+	return Result{Delay: d, Slope: tfactor * c.TauStep}
 }
 
 // Bounded wraps the RC model's tree with the Rubinstein–Penfield–Horowitz
