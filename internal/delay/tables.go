@@ -127,7 +127,9 @@ func (c *Curve) TFactorAt(r float64) float64 {
 	return flooredTFactor(c.interp(c.TFactor, r))
 }
 
-// Validate checks monotone ratios and consistent lengths.
+// Validate checks consistent lengths, ascending ratios, and multipliers
+// and transition factors that never decrease with ratio: a slower input
+// must never make a stage faster or its output sharper.
 func (c *Curve) Validate() error {
 	if len(c.Ratio) == 0 {
 		return fmt.Errorf("delay: empty curve")
@@ -147,6 +149,11 @@ func (c *Curve) Validate() error {
 	for i, m := range c.RMult {
 		if math.IsNaN(m) || m <= 0 {
 			return fmt.Errorf("delay: non-positive RMult[%d] = %g", i, m)
+		}
+	}
+	for i := 1; i < len(c.Ratio); i++ {
+		if !(c.RMult[i] >= c.RMult[i-1]) || !(c.TFactor[i] >= c.TFactor[i-1]) {
+			return fmt.Errorf("delay: curve decreases at ratio %g", c.Ratio[i])
 		}
 	}
 	return nil
