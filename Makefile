@@ -9,8 +9,11 @@ all: vet race build
 build:
 	$(GO) build ./...
 
+# bench/ is its own module: vet it too, so an internal/ change that breaks
+# the benchmark driver fails here as it does in CI.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
 
 test:
 	$(GO) test ./...

@@ -53,12 +53,6 @@ func (c *Circuit) Node(name string) int {
 	return i
 }
 
-// NodeName returns the name of node i.
-func (c *Circuit) NodeName(i int) string { return c.names[i] }
-
-// NumNodes returns the node count including ground.
-func (c *Circuit) NumNodes() int { return len(c.names) }
-
 // device is the element interface. stamp adds the device's linearized
 // companion contribution for the current Newton iterate x (node voltages
 // indexed by node number, ground entry 0 always 0; source currents appended

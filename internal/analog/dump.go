@@ -1,52 +1,12 @@
-// Waveform export: CSV for external plotting and a terminal sparkline for
-// quick inspection of characterization fixtures.
+// Waveform export: a terminal sparkline for quick inspection of
+// characterization fixtures.
 package analog
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"strings"
 )
-
-// WriteCSV writes the recorded waveforms of the given nodes (all recorded
-// nodes if none specified) as CSV with a time column in seconds.
-func (r *Result) WriteCSV(w io.Writer, nodes ...int) error {
-	if len(nodes) == 0 {
-		for n := range r.V {
-			nodes = append(nodes, n)
-		}
-		// Deterministic column order.
-		for i := 0; i < len(nodes); i++ {
-			for j := i + 1; j < len(nodes); j++ {
-				if nodes[j] < nodes[i] {
-					nodes[i], nodes[j] = nodes[j], nodes[i]
-				}
-			}
-		}
-	}
-	header := []string{"t"}
-	for _, n := range nodes {
-		if _, ok := r.V[n]; !ok {
-			return fmt.Errorf("analog: node %d was not recorded", n)
-		}
-		header = append(header, r.circ.names[n])
-	}
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
-		return err
-	}
-	for i, t := range r.Times {
-		row := make([]string, 0, len(nodes)+1)
-		row = append(row, fmt.Sprintf("%.6g", t))
-		for _, n := range nodes {
-			row = append(row, fmt.Sprintf("%.6g", r.V[n][i]))
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // sparkRunes are the eight-level block characters used by Plot.
 var sparkRunes = []rune("▁▂▃▄▅▆▇█")

@@ -3,10 +3,7 @@
 // between SPICE and the switch-level models.
 package analog
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // ErrNoCrossing is wrapped by measurement errors when a waveform never
 // crosses the requested level in the requested direction.
@@ -115,18 +112,4 @@ func (r *Result) At(node int, t float64) (float64, error) {
 		}
 	}
 	return v[len(v)-1], nil
-}
-
-// MinMax returns the extrema of node's recorded waveform.
-func (r *Result) MinMax(node int) (lo, hi float64, err error) {
-	v, ok := r.V[node]
-	if !ok || len(v) == 0 {
-		return 0, 0, fmt.Errorf("analog: node %d has no samples", node)
-	}
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, x := range v {
-		lo = math.Min(lo, x)
-		hi = math.Max(hi, x)
-	}
-	return lo, hi, nil
 }

@@ -1,7 +1,6 @@
 package charlib
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/tech"
@@ -97,17 +96,5 @@ func TestDefaultCaches(t *testing.T) {
 	}
 	if a != b {
 		t.Error("Default should return the cached pointer on second call")
-	}
-}
-
-func TestRelErr(t *testing.T) {
-	if got := RelErr(110, 100); math.Abs(got-10) > 1e-9 {
-		t.Errorf("RelErr(110,100) = %g, want 10", got)
-	}
-	if got := RelErr(90, 100); math.Abs(got+10) > 1e-9 {
-		t.Errorf("RelErr(90,100) = %g, want -10", got)
-	}
-	if !math.IsInf(RelErr(1, 0), 1) {
-		t.Error("RelErr with zero reference should be +Inf")
 	}
 }

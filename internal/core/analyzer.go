@@ -85,11 +85,6 @@ type Options struct {
 	// Deprecated: kept only because bench/chip.go and bench/probes.go set
 	// it; ignored.
 	NoReorder bool
-	// ReanalyzeMaxDirty is the dirty-node fraction above which Reanalyze
-	// abandons incremental propagation and redoes the analysis from
-	// scratch — past it, resetting and re-propagating most of the chip
-	// costs more than a clean full run (default 0.5).
-	ReanalyzeMaxDirty float64
 	// Hier enables hierarchical macromodel analysis (see hier.go): repeated
 	// instances annotated in the netlist are detected, one representative
 	// per class is analyzed flat, and its interior timing is stamped onto
@@ -104,9 +99,6 @@ func (o Options) fill() Options {
 		o.MaxEventsPerNode = 150
 	}
 	o.MaxEventsPerNode = min(o.MaxEventsPerNode, math.MaxInt32-1) // rounds are counted in 32 bits
-	if o.ReanalyzeMaxDirty <= 0 {
-		o.ReanalyzeMaxDirty = 0.5
-	}
 	return o
 }
 

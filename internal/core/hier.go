@@ -75,15 +75,6 @@ type hierState struct {
 	stampLo []int
 }
 
-// AnalyzeHierarchical is Run with hierarchical stamping enabled: detect
-// repeated instances, analyze one representative per class, stamp the
-// rest. Results are bit-identical to a flat Run;
-// HierStats/HierInstances report what was stamped versus analyzed flat.
-func (a *Analyzer) AnalyzeHierarchical() error {
-	a.Opts.Hier = true
-	return a.Run()
-}
-
 // HierStats returns the hierarchical provenance summary (zero when the
 // analysis ran flat).
 func (a *Analyzer) HierStats() HierStats {

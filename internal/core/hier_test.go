@@ -153,8 +153,8 @@ func TestHierIdentity(t *testing.T) {
 			if err := base.Run(); err != nil {
 				t.Fatal(err)
 			}
-			a := buildAnalyzer(t, fam.nw, m, fam.fix, fam.lb, Options{})
-			if err := a.AnalyzeHierarchical(); err != nil {
+			a := buildAnalyzer(t, fam.nw, m, fam.fix, fam.lb, Options{Hier: true})
+			if err := a.Run(); err != nil {
 				t.Fatal(err)
 			}
 			requireHierIdentical(t, "hier", base, a)

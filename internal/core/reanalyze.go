@@ -56,6 +56,12 @@ type ReanalyzePhases struct {
 	Apply, Bind, Settle, Plan, Derive, Drain time.Duration
 }
 
+// reanalyzeMaxDirty is the dirty-node fraction above which Reanalyze
+// abandons incremental propagation and redoes the analysis from scratch:
+// past it, resetting and re-propagating most of the chip costs more than a
+// clean full run.
+const reanalyzeMaxDirty = 0.5
+
 // Reanalyze applies the edit batch and brings the analysis up to date.
 // The previous network generation is never mutated — concurrent readers
 // of the old network or its stage database always finish on a consistent
@@ -63,7 +69,7 @@ type ReanalyzePhases struct {
 // the edited network exactly as a fresh Run over it would.
 //
 // The incremental path is taken when the invalidation plan stays under
-// Options.ReanalyzeMaxDirty and nothing poisons the shortcut; otherwise
+// reanalyzeMaxDirty and nothing poisons the shortcut; otherwise
 // the analysis reruns from scratch (still against the new generation).
 // Either way the seeded input events and fixed values carry over.
 func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) {
@@ -111,9 +117,9 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	switch {
 	case plan.ForceFull:
 		stats.Full, stats.Reason = true, "retype changed the strong-source set"
-	case plan.Frac > a.Opts.ReanalyzeMaxDirty:
+	case plan.Frac > reanalyzeMaxDirty:
 		stats.Full, stats.Reason = true,
-			fmt.Sprintf("dirty fraction %.2f above threshold %.2f", plan.Frac, a.Opts.ReanalyzeMaxDirty)
+			fmt.Sprintf("dirty fraction %.2f above threshold %.2f", plan.Frac, reanalyzeMaxDirty)
 	case a.dirtyTouchesUnbounded(plan):
 		// The edit perturbs a feedback region whose spin the guard cut
 		// off. The cycle usually spans the dirty/clean boundary, and the

@@ -218,20 +218,6 @@ func FormatAccuracy(title string, rows []AccuracyRow) string {
 	return b.String()
 }
 
-// SuiteNames lists the E2 scenario names in order (used by tests to pin
-// the suite's composition).
-func SuiteNames(p *tech.Params) ([]string, error) {
-	scs, err := Suite(p)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, len(scs))
-	for i, s := range scs {
-		names[i] = s.Name
-	}
-	return names, nil
-}
-
 // CSVAccuracy renders accuracy rows as CSV (one column per model plus the
 // sweep coordinate), the machine-readable companion to FormatAccuracy for
 // regenerating the figures in a plotting tool.

@@ -10,9 +10,13 @@ import (
 )
 
 func TestSuiteComposition(t *testing.T) {
-	names, err := SuiteNames(tech.NMOS4())
+	scs, err := Suite(tech.NMOS4())
 	if err != nil {
 		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range scs {
+		names = append(names, s.Name)
 	}
 	want := []string{
 		"inv-1x", "inv-fan4", "inv-chain5", "nand2", "nand3", "nor2",

@@ -130,19 +130,10 @@ func (l *Lib) Xor(out, a, b *netlist.Node) {
 	l.Nand(out, u, v)
 }
 
-// PassGate wires a pass element between x and y gated by g: a single
-// n-channel device in nMOS, a full transmission gate (with gb the
-// complement control) in CMOS when gb is non-nil.
-func (l *Lib) PassGate(g, gb, x, y *netlist.Node) {
-	p := l.NW.Tech
-	l.NW.AddTrans(tech.NEnh, g, x, y, p.MinW, p.MinL)
-	if l.cmos && gb != nil {
-		l.NW.AddTrans(tech.PEnh, gb, x, y, 2*p.MinW, p.MinL)
-	}
-}
-
-// PassGateDir is PassGate with a flow hint: signal propagates only from →
-// to. Flow hints are how Crystal's users broke the sneak paths that
+// PassGateDir wires a pass element between from and to gated by g — a
+// single n-channel device in nMOS, a full transmission gate (with gb the
+// complement control) in CMOS when gb is non-nil — with a flow hint:
+// signal propagates only from → to. Flow hints are how Crystal's users broke the sneak paths that
 // bidirectional pass structures otherwise present to worst-case analysis.
 func (l *Lib) PassGateDir(g, gb, from, to *netlist.Node) {
 	p := l.NW.Tech

@@ -7,6 +7,7 @@ package incremental_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -198,20 +199,25 @@ func TestReanalyzeFallbacks(t *testing.T) {
 	if !stats.Full {
 		t.Errorf("retype batch: Full=false, want fallback (%+v)", stats)
 	}
-	// A chain edit dirties most of the chip ⇒ threshold fallback.
+	// Resizing every device dirties more than half the nodes ⇒ threshold
+	// fallback.
 	a2 := newAnalyzer(t, nw, seeds)
-	a2.Opts.ReanalyzeMaxDirty = 0.01
 	if err := a2.Run(); err != nil {
 		t.Fatal(err)
 	}
-	stats, err = a2.Reanalyze([]incremental.Edit{
-		{Kind: incremental.Resize, Index: 0, W: 9e-6},
-	})
+	var all []incremental.Edit
+	for i := range nw.Trans {
+		all = append(all, incremental.Edit{Kind: incremental.Resize, Index: i, W: 9e-6})
+	}
+	stats, err = a2.Reanalyze(all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.Full {
-		t.Errorf("tiny threshold: Full=false, want fallback (%+v)", stats)
+	if stats.DirtyFrac <= 0.5 {
+		t.Fatalf("batch dirtied %.2f of the nodes, want more than half (%+v)", stats.DirtyFrac, stats)
+	}
+	if !stats.Full || !strings.HasPrefix(stats.Reason, "dirty fraction") {
+		t.Errorf("dirty batch: Full=%v reason %q, want the threshold fallback", stats.Full, stats.Reason)
 	}
 	checkAgainstFull(t, a2, seeds, "threshold fallback")
 }

@@ -122,15 +122,6 @@ func (t *Tree) TotalCap() float64 {
 	return s
 }
 
-// TotalR returns the sum of all branch resistances.
-func (t *Tree) TotalR() float64 {
-	s := 0.0
-	for _, r := range t.r {
-		s += r
-	}
-	return s
-}
-
 // PathR returns Rkk: total resistance from the root to node k.
 func (t *Tree) PathR(k int) float64 {
 	s := 0.0
@@ -156,20 +147,6 @@ func (t *Tree) path(e int) map[int]float64 {
 		m[i] = acc
 	}
 	return m
-}
-
-// CommonR returns Rke: the resistance of the common portion of the
-// root→k and root→e paths.
-func (t *Tree) CommonR(k, e int) float64 {
-	onPath := t.path(e)
-	// Walk up from k until we hit a node on the e-path; the common
-	// resistance is the cumulative root-resistance of that node.
-	for i := k; i != -1; i = t.parent[i] {
-		if r, ok := onPath[i]; ok {
-			return r
-		}
-	}
-	return 0 // unreachable in a tree: root is always common
 }
 
 // Constants bundles the three RPH time constants for a node.

@@ -206,14 +206,8 @@ func TestLeavesAndPaths(t *testing.T) {
 	if got := tr.PathR(b); math.Abs(got-2e3) > 1e-9 {
 		t.Errorf("PathR(b) = %g, want 2000", got)
 	}
-	if got := tr.CommonR(b, c); math.Abs(got-1e3) > 1e-9 {
-		t.Errorf("CommonR(b,c) = %g, want 1000", got)
-	}
-	if got := tr.CommonR(b, b); math.Abs(got-2e3) > 1e-9 {
-		t.Errorf("CommonR(b,b) = %g, want 2000", got)
-	}
-	if tr.TotalCap() <= 0 || tr.TotalR() != 3e3 {
-		t.Errorf("totals wrong: C=%g R=%g", tr.TotalCap(), tr.TotalR())
+	if tr.TotalCap() <= 0 {
+		t.Errorf("total cap %g, want positive", tr.TotalCap())
 	}
 }
 

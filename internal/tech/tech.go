@@ -80,14 +80,6 @@ func (t Transition) String() string {
 	return "fall"
 }
 
-// Opposite returns the inverse transition.
-func (t Transition) Opposite() Transition {
-	if t == Rise {
-		return Fall
-	}
-	return Rise
-}
-
 // Params is a complete description of one MOS process for the purposes of
 // switch-level timing analysis and level-1 circuit simulation.
 //

@@ -105,9 +105,6 @@ func TestDeviceAndTransitionStrings(t *testing.T) {
 	if Rise.String() != "rise" || Fall.String() != "fall" {
 		t.Error("transition names wrong")
 	}
-	if Rise.Opposite() != Fall || Fall.Opposite() != Rise {
-		t.Error("Opposite wrong")
-	}
 	if len(Devices()) != 3 {
 		t.Error("Devices should list all three types")
 	}
