@@ -56,7 +56,7 @@ func (o Options) Fill() Options {
 
 // Slab is one enumeration result: the stages in enumeration order, their
 // loading packed behind them. Immutable once returned, apart from each
-// stage's write-once delay constants.
+// stage's delay constants.
 type Slab struct {
 	Stages []Stage
 	// Truncated is true if MaxPaths or MaxDepth pruned the enumeration.
