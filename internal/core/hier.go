@@ -315,8 +315,8 @@ func (a *Analyzer) stampMembers() {
 				for tr := 0; tr < 2; tr++ {
 					ev := a.events[repIdx][tr]
 					if ev.Valid && ev.FromNode >= 0 {
-						if rank := hs.plan.Rank(repID, int32(ev.FromNode)); rank >= 0 {
-							ev.FromNode = int(mem.Interior[rank])
+						if rank := hs.plan.Rank(repID, ev.FromNode); rank >= 0 {
+							ev.FromNode = mem.Interior[rank]
 						}
 					}
 					a.events[mn][tr] = ev

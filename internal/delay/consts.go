@@ -28,7 +28,6 @@ func constsFor(tb *Tables, nw *netlist.Network, st *stage.Stage) *stage.Consts {
 	c, ok := st.Consts(tb.key())
 	if !ok {
 		c.Lumped = seriesR(tb, nw, st) * st.TotalC()
-		c.TF0 = tf0(tb, st)
 		c.TauStep, c.High, c.RDrv, c.AccDrv = elmoreSplit(tb, nw, st, st.Driver(), st.Low())
 	}
 	return c

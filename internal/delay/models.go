@@ -60,7 +60,7 @@ func (m *Lumped) Name() string { return "lumped" }
 // transition shape over that lumped τ.
 func (m *Lumped) Evaluate(nw *netlist.Network, st *stage.Stage, _ float64) Result {
 	c := constsFor(m.T, nw, st)
-	return Result{Delay: c.Lumped, Slope: c.TF0 * c.Lumped}
+	return Result{Delay: c.Lumped, Slope: tf0(m.T, st) * c.Lumped}
 }
 
 // seriesR is the path's total effective resistance under tb.
@@ -89,11 +89,13 @@ func (m *RC) Name() string { return "rc" }
 // Evaluate implements Model.
 func (m *RC) Evaluate(nw *netlist.Network, st *stage.Stage, _ float64) Result {
 	c := constsFor(m.T, nw, st)
-	return Result{Delay: c.TauStep, Slope: c.TF0 * c.TauStep}
+	return Result{Delay: c.TauStep, Slope: tf0(m.T, st) * c.TauStep}
 }
 
 // tf0 is the output-transition factor of the stage's driver at slope
-// ratio 0 — the step-input shape the slope-blind models report.
+// ratio 0 — the step-input shape the slope-blind models report. It depends
+// on the tables, the driver type and the transition alone, so the record
+// does not keep it.
 func tf0(tb *Tables, st *stage.Stage) float64 {
 	return tb.Curve(st.DriverType(), st.Transition()).TFactorAt(0)
 }

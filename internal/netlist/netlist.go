@@ -23,7 +23,7 @@ import (
 // distinguish source from drain, so by default information may flow both
 // ways; user hints (Crystal's "flow" attributes) break pathological cases
 // such as barrel shifters, where unrestricted flow invents impossible paths.
-type Flow int
+type Flow uint8
 
 const (
 	// FlowBoth permits propagation in either direction (default).
@@ -53,7 +53,7 @@ func (f Flow) String() string {
 }
 
 // NodeKind classifies special nodes.
-type NodeKind int
+type NodeKind uint8
 
 const (
 	// KindNormal is an ordinary internal node.
@@ -93,8 +93,6 @@ type Node struct {
 	Index int
 	// Name is the net name. Unique within a network.
 	Name string
-	// Kind classifies rails, inputs and outputs.
-	Kind NodeKind
 	// Cap is explicit capacitance to ground in farads (wiring plus any
 	// .sim-file capacitors). Device capacitances are added on top by
 	// Network.NodeCap.
@@ -103,6 +101,10 @@ type Node struct {
 	Gates []*Trans
 	// Terms lists transistors with a channel terminal (A or B) here.
 	Terms []*Trans
+	// The byte-wide fields come last and share one word (88-byte record).
+
+	// Kind classifies rails, inputs and outputs.
+	Kind NodeKind
 	// Precharged marks nodes initialized high by a precharge clock;
 	// the timing verifier seeds their initial value accordingly.
 	Precharged bool
@@ -126,8 +128,6 @@ func (n *Node) Degree() int { return len(n.Gates) + len(n.Terms) }
 type Trans struct {
 	// Index is the transistor's position in Network.Trans.
 	Index int
-	// Type is the device type (n-enhancement, n-depletion, p-enhancement).
-	Type tech.Device
 	// Gate is the controlling node.
 	Gate *Node
 	// A and B are the channel terminals. The switch-level view does not
@@ -135,12 +135,16 @@ type Trans struct {
 	A, B *Node
 	// W, L are channel width and length in meters.
 	W, L float64
-	// Flow restricts stage-extraction direction through the channel.
-	Flow Flow
 	// ROverride, when positive, replaces the technology-table resistance
 	// for this element — used by RWire interconnect resistors, whose
 	// resistance is a property of the wire, not the process tables.
 	ROverride float64
+	// The byte-wide fields come last and share one word (64-byte record).
+
+	// Type is the device type (n-enhancement, n-depletion, p-enhancement).
+	Type tech.Device
+	// Flow restricts stage-extraction direction through the channel.
+	Flow Flow
 }
 
 // Other returns the channel terminal opposite n, or nil if n is not a

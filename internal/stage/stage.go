@@ -78,8 +78,6 @@ type Consts struct {
 	// Split-walk replay terms: the delay at driver multiplier m is
 	// High + (RDrv·m)·AccDrv + Σ Low()[j], j = driver-1 … 0.
 	High, RDrv, AccDrv float64
-	// TF0 is the output-transition factor at slope ratio 0.
-	TF0 float64
 	// Lumped is the lumped model's delay: series R × total C.
 	Lumped float64
 }

@@ -19,7 +19,7 @@ import (
 // network. The set matches the Berkeley .sim alphabet: 'e'/'n' for
 // enhancement n-channel, 'd' for depletion n-channel (used as a load),
 // and 'p' for enhancement p-channel.
-type Device int
+type Device uint8
 
 const (
 	// NEnh is an enhancement-mode n-channel transistor. It conducts when
@@ -63,7 +63,7 @@ func Devices() []Device { return []Device{NEnh, NDep, PEnh} }
 // Transition identifies the direction of a signal transition. Delay models
 // are direction-sensitive because the pullup and pulldown structures of a
 // stage generally have different effective resistances.
-type Transition int
+type Transition uint8
 
 const (
 	// Rise is a low-to-high transition.
