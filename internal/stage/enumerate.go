@@ -28,12 +28,6 @@ type Options struct {
 	// MaxPaths bounds the number of source paths enumerated per query
 	// (default 256). Overflow is reported via Truncated.
 	MaxPaths int
-
-	// Compiled is plumbing, not a setting: the compiled form of the network
-	// being enumerated, when the caller already holds one (the analyzer
-	// passes its own, so a database never keeps a second compile). Nil
-	// compiles one.
-	Compiled *netlist.Compact
 }
 
 // Fill returns the options with defaults applied (exported for callers
@@ -105,11 +99,12 @@ type view struct {
 	maxDepth, maxPaths int
 }
 
-// newView builds the view of nw; opt must already be filled.
-func newView(nw *netlist.Network, opt Options) *view {
+// newView builds the view of nw over cn, nw's compile (nil compiles one);
+// opt must already be filled.
+func newView(nw *netlist.Network, cn *netlist.Compact, opt Options) *view {
 	v := &view{
 		nw:       nw,
-		cn:       opt.Compiled,
+		cn:       cn,
 		cond:     make([]Conduction, len(nw.Trans)),
 		caps:     make([]float64, len(nw.Nodes)),
 		vdd:      int32(nw.Vdd().Index),
@@ -451,7 +446,7 @@ func (b *builder) sourcePaths(end, skip int32) (trunc bool) {
 // transistors the oracle does not rule out, respecting flow hints. Side
 // loading is computed per stage.
 func ToNode(nw *netlist.Network, target *netlist.Node, tr tech.Transition, opt Options) Result {
-	return newView(nw, opt.Fill()).enumerate((*builder).toNode, int32(target.Index), tr).result()
+	return newView(nw, nil, opt.Fill()).enumerate((*builder).toNode, int32(target.Index), tr).result()
 }
 
 func (b *builder) toNode(target int32) {
@@ -470,7 +465,7 @@ func (b *builder) toNode(target int32) {
 // Source-side paths are enumerated exhaustively (bounded by MaxPaths);
 // the far side is expanded as a spanning tree, one stage per reached node.
 func Through(nw *netlist.Network, trig *netlist.Trans, tr tech.Transition, opt Options) Result {
-	return newView(nw, opt.Fill()).enumerate((*builder).through, int32(trig.Index), tr).result()
+	return newView(nw, nil, opt.Fill()).enumerate((*builder).through, int32(trig.Index), tr).result()
 }
 
 func (b *builder) through(trig int32) {
@@ -514,7 +509,7 @@ func (b *builder) through(trig int32) {
 // a spanning tree of the conducting channel graph rooted at src, one stage
 // per reachable node, each with Source = src and no trigger.
 func FromNode(nw *netlist.Network, src *netlist.Node, tr tech.Transition, opt Options) Result {
-	return newView(nw, opt.Fill()).enumerate((*builder).fromNode, int32(src.Index), tr).result()
+	return newView(nw, nil, opt.Fill()).enumerate((*builder).fromNode, int32(src.Index), tr).result()
 }
 
 func (b *builder) fromNode(src int32) {
