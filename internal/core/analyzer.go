@@ -177,6 +177,12 @@ type Analyzer struct {
 	// incDirty is the plan while an incremental drain runs (nil otherwise):
 	// a stage whose target it left clean is skipped, not evaluated.
 	incDirty *incremental.Plan
+
+	// staticOsc reports that the power-on settle behind static oscillated.
+	staticOsc bool
+	// ownsNet reports that Net is the analyzer's own: the clone its first
+	// Reanalyze made, which later batches edit in place.
+	ownsNet bool
 }
 
 // histEvent is one superseded event that was propagated before being
@@ -438,10 +444,10 @@ func (a *Analyzer) Run() error {
 	}
 
 	// Stage database: accept the shared one only if it was built over
-	// this network under the same sensitization and enumeration bounds;
-	// otherwise build a private one.
+	// this network, at its current edit generation, under the same
+	// sensitization and enumeration bounds; otherwise build a private one.
 	stamp := a.stageStamp()
-	if a.Opts.DB != nil && a.Opts.DB.Network() == nw && a.Opts.DB.Stamp == stamp {
+	if db := a.Opts.DB; db != nil && db.Network() == nw && db.Generation() == nw.Generation() && db.Stamp == stamp {
 		a.db = a.Opts.DB
 	} else {
 		opt := a.Opts.Stage
@@ -533,7 +539,7 @@ func (a *Analyzer) settleStatic() error {
 		}
 	}
 	sim.Settle()
-	a.static = sim.Snapshot()
+	osc := sim.Oscillated()
 	// Nodes downstream of event inputs cannot be trusted as static: the
 	// seeded inputs toggle. Re-settle with those inputs at X.
 	for _, s := range a.seeded {
@@ -547,6 +553,7 @@ func (a *Analyzer) settleStatic() error {
 	}
 	sim.Settle()
 	a.static = sim.Snapshot()
+	a.staticOsc = osc || sim.Oscillated()
 	return nil
 }
 

@@ -23,11 +23,15 @@ func sameEvent(a, b Event) bool {
 
 // TestEpochSnapshotIsolation pins the generational guarantee: an analyzer
 // reading a network and its stage database keeps bit-identical results
-// while another analyzer runs edit epochs over the same lineage. Reanalyze
-// clones the network and derives the next database generation, so the
-// reader's snapshot — network, database entries, arrivals — must never mix
-// with the new epoch. The readers re-run after every epoch, over the slabs
-// (and the delay constants in them) that Derive shares with the new one.
+// while another analyzer runs edit epochs over the same lineage. The
+// editor's first Reanalyze clones the network it was built over and later
+// ones edit that clone in place, so the readers' network is never written;
+// Derive builds each next database generation, so the readers' snapshot —
+// network, database entries, arrivals — must never mix with the new epoch.
+// The readers re-run after every epoch, over the slabs (and the delay
+// constants in them) that Derive shares with the new one. And a database
+// of a superseded in-place generation is never adopted over the edited
+// network, which is the same object it was built over.
 func TestEpochSnapshotIsolation(t *testing.T) {
 	p := tech.NMOS4()
 	nw, err := gen.Chip(p, 4)
@@ -91,6 +95,24 @@ func TestEpochSnapshotIsolation(t *testing.T) {
 			t.Fatalf("epoch %d: stats.Epoch = %d, want %d", epoch, stats.Epoch, oldEpoch+uint64(epoch)+1)
 		}
 		readOld(epoch)
+	}
+	// An empty batch keeps the snapshot, so the superseded database has the
+	// current stamp and the current network object: only its generation
+	// tells it apart.
+	stale := editor.StageDB()
+	if _, err := editor.Reanalyze(nil); err != nil {
+		t.Fatal(err)
+	}
+	if stale.Network() != editor.Net || stale.Stamp != editor.StageDB().Stamp {
+		t.Fatal("an empty batch replaced the network or moved the stamp")
+	}
+	a := buildAnalyzer(t, editor.Net, m, fixed, lb, Options{DB: stale})
+	if err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if a.StageDB() == stale {
+		t.Fatalf("a database of generation %d was adopted at generation %d",
+			stale.Generation(), editor.Net.Generation())
 	}
 	if oldDB.Epoch != oldEpoch {
 		t.Errorf("old database epoch moved: %d -> %d", oldEpoch, oldDB.Epoch)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/incremental"
 	"repro/internal/netlist"
+	"repro/internal/sched"
 	"repro/internal/switchsim"
 	"repro/internal/tech"
 )
@@ -80,178 +81,202 @@ func localBatch(nw *netlist.Network, nodes, trans []int, rng *rand.Rand, size in
 	return batch, undo
 }
 
-// TestCarriedStaticMatchesFreshSettle pins the carry rule of the static
-// sensitization snapshot: Reanalyze keeps the previous generation's snapshot
-// only when a from-power-on settle of the edited network would reproduce it.
-// The streams mix ordinary load/resize batches with ones built to move a
-// node across switchsim.K2CapFloor in either direction — by capacitance and
-// by device geometry — and a load that names a new node. On the bus, whose
-// precharge state is carried in as stored charge, a K1 stack node that
-// becomes K2 fights the bus to X instead of being overwritten by it, so a
-// carry rule without the size-class check leaves a stale snapshot there.
-func TestCarriedStaticMatchesFreshSettle(t *testing.T) {
-	p := tech.NMOS4()
-	m := delay.NewSlope(delay.AnalyticTables(p))
-	chipFix, chipLB := gen.ChipDirectives(8)
-	for _, fam := range []struct {
-		name    string
-		build   func() (*netlist.Network, error)
-		fix     map[string]string
-		lb      []string
-		charged bool // start from stored charge: precharged nodes high, other storage low
-	}{
-		{"chip8", func() (*netlist.Network, error) { return gen.Chip(p, 8) }, chipFix, chipLB, false},
-		{"manchester", func() (*netlist.Network, error) { return gen.ManchesterAdder(p, 8) }, nil, nil, false},
-		// Driver 0 is enabled with its data low, the others are off: the bus
-		// and stk_0 share charge and nothing drives them.
-		{"bus", func() (*netlist.Network, error) { return gen.PrechargedBus(p, 3) },
-			map[string]string{"en0": "1", "d0": "0", "en1": "0", "en2": "0"}, nil, true},
-	} {
-		t.Run(fam.name, func(t *testing.T) {
-			nw, err := fam.build()
-			if err != nil {
-				t.Fatal(err)
+// coneBatch draws a random edit batch against nw for the cone-settle
+// property test: loads and resizes big enough to carry a node across
+// switchsim.K2CapFloor either way, devices added between existing nets
+// (inputs, fixed ones included, and rails) and devices removed, with now and
+// then a load on a net that does not exist yet or a retype — the two
+// power-on fallbacks.
+func coneBatch(nw *netlist.Network, rng *rand.Rand, cmos bool) []incremental.Edit {
+	var batch []incremental.Edit
+	nt := len(nw.Trans)
+	node := func() *netlist.Node { return nw.Nodes[rng.Intn(len(nw.Nodes))] }
+	for i := 1 + rng.Intn(4); i > 0; i-- {
+		switch u := rng.Intn(100); {
+		case u < 40:
+			batch = append(batch, incremental.Edit{Kind: incremental.AddCap, Node: node().Name,
+				Cap: float64(rng.Intn(300)-100) * 1e-15})
+		case u < 65:
+			ti := rng.Intn(nt)
+			if ti >= len(nw.Trans) || nw.Trans[ti].IsWire() {
+				continue
 			}
-			build := func(next *netlist.Network) *Analyzer {
-				a := buildAnalyzer(t, next, m, fam.fix, fam.lb, Options{})
-				if fam.charged {
-					// Nets later generations add carry no charge.
-					a.initial = make([]switchsim.Value, len(nw.Nodes))
-					for i, n := range nw.Nodes {
-						switch {
-						case n.Precharged:
-							a.initial[i] = switchsim.V1
-						case n.IsSource():
-							a.initial[i] = switchsim.VX
-						}
-					}
-				}
-				if err := a.Run(); err != nil {
+			w := nw.Trans[ti].W * (0.3 + 4*rng.Float64())
+			batch = append(batch, incremental.Edit{Kind: incremental.Resize, Index: ti, W: w})
+		case u < 82:
+			dev := []tech.Device{tech.NEnh, tech.NDep, tech.PEnh}[rng.Intn(2+boolInt(cmos))]
+			a, b := node(), node()
+			if a.IsRail() && b.IsRail() {
+				continue
+			}
+			batch = append(batch, incremental.Edit{Kind: incremental.AddTrans, Dev: dev,
+				Gate: node().Name, A: a.Name, B: b.Name, W: float64(4+rng.Intn(20)) * 1e-6})
+			nt++
+		case u < 96:
+			batch = append(batch, incremental.Edit{Kind: incremental.RemoveTrans, Index: rng.Intn(nt)})
+			nt--
+		case u < 98:
+			batch = append(batch, incremental.Edit{Kind: incremental.AddCap, Node: fmt.Sprintf("stub_%d", rng.Int()), Cap: 10e-15})
+		default:
+			if n := node(); !n.IsRail() && n.Kind != netlist.KindInput {
+				batch = append(batch, incremental.Edit{Kind: incremental.Retype, Node: n.Name, NodeKind: netlist.KindOutput})
+			}
+		}
+	}
+	return batch
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestConeSettleMatchesPowerOn pins the cone rule of the static
+// sensitization snapshot: whatever Reanalyze's settle step makes of a batch —
+// the snapshot stands, the batch's forward lattice cone is settled again
+// from the previous snapshot, or a fallback settles from power-on — the
+// snapshot equals a power-on settle of the edited network bit for bit. The
+// corpus holds static and ratioed logic, latches (the register file's
+// cross-coupled cells, the dynamic shift register), a precharged bus and a
+// whole chip, in nMOS and CMOS; some inputs are fixed, the rest stay free,
+// and batches edit both. The settle step runs alone here, without the
+// drain, so the check is cheap enough for hundreds of batches.
+func TestConeSettleMatchesPowerOn(t *testing.T) {
+	corpus := []string{"chip:8", "chip:32", "regfile:8,8", "datapath:8", "shiftreg:8", "manchester:16",
+		"alu:8", "barrel:8", "bus:8", "pla:8,16,8", "carrysel:16", "ripple:16", "decoder:6"}
+	batches := 100
+	if testing.Short() {
+		corpus, batches = corpus[:1], 20
+	}
+	for _, p := range []*tech.Params{tech.NMOS4(), tech.CMOS3()} {
+		m := delay.NewSlope(delay.AnalyticTables(p))
+		for ci, spec := range corpus {
+			t.Run(p.Name+"/"+spec, func(t *testing.T) {
+				nw, err := gen.Build(spec, p)
+				if err != nil {
 					t.Fatal(err)
 				}
-				return a
-			}
-			a := build(nw)
-			rng := rand.New(rand.NewSource(7))
-
-			// k1Node picks a storage node below the floor, with the
-			// capacitance that lifts it 1 fF above.
-			k1Node := func() (*netlist.Node, float64) {
-				sizes := switchsim.NodeSizes(a.Net)
-				var k1 []*netlist.Node
-				for i, n := range a.Net.Nodes {
-					if sizes[i] == switchsim.SK1 && len(n.Terms) > 0 {
-						k1 = append(k1, n)
+				var fix map[string]string
+				if w, ok := strings.CutPrefix(spec, "chip:"); ok {
+					width := 8
+					fmt.Sscan(w, &width)
+					fix, _ = gen.ChipDirectives(width)
+				} else {
+					// Every third input fixed, alternately low and high.
+					fix = map[string]string{}
+					for i, in := range nw.Inputs() {
+						if i%3 == 0 {
+							fix[in.Name] = fmt.Sprint((i / 3) % 2)
+						}
 					}
 				}
-				if len(k1) == 0 {
-					t.Fatal("no K1 node left")
+				// The analyzer owns a clone and edits it in place, as Reanalyze
+				// does from its second call on.
+				a := buildAnalyzer(t, nw.Clone(), m, fix, nil, Options{})
+				if err := a.settleStatic(); err != nil {
+					t.Fatal(err)
 				}
-				n := k1[rng.Intn(len(k1))]
-				return n, switchsim.K2CapFloor - a.Net.NodeCap(n) + 1e-15
-			}
-			var carried, settled, moved int
-			var undo []incremental.Edit
-			for g := 0; g < 30; g++ {
-				var batch []incremental.Edit
-				label := fmt.Sprintf("generation %d", g)
-				wantCarried := true
-				switch {
-				case undo != nil:
-					batch, undo = undo, nil
-					label += " (inverse)"
-					wantCarried = false // only the floor crossings have one
-				case g%10 == 0: // across the floor by capacitance, and back
-					n, c := k1Node()
-					batch = []incremental.Edit{{Kind: incremental.AddCap, Node: n.Name, Cap: c}}
-					undo = []incremental.Edit{{Kind: incremental.AddCap, Node: n.Name, Cap: -c}}
-					label += ": " + n.Name + " loaded across the floor"
-					wantCarried = false
-				case g%10 == 2: // across the floor by geometry, and back
-					n, c := k1Node()
-					// Any device on the node will do: its gate capacitance if
-					// the node gates it, its diffusion if the node is a
-					// channel terminal. Both are linear in W.
-					var dev *netlist.Trans
-					var share float64
-					for _, d := range n.Terms {
-						if !d.IsWire() {
-							dev, share = d, a.Net.Tech.DiffCap(d.W)
-						}
+				rng := rand.New(rand.NewSource(int64(ci + 1)))
+				var stood, cones, fallbacks, coneNodes int
+				for b := 0; b < batches; b++ {
+					batch := coneBatch(a.Net, rng, p.HasPChannel())
+					res, err := incremental.ApplyInPlace(a.Net, batch)
+					if err != nil {
+						continue // a drawn removal ran past the end; nothing was applied
 					}
-					for _, d := range n.Gates {
-						if !d.IsWire() {
-							dev, share = d, a.Net.Tech.GateCap(d.W, d.L)
-						}
-					}
-					if dev == nil {
-						t.Fatalf("no device on %s", n.Name)
-					}
-					batch = []incremental.Edit{{Kind: incremental.Resize, Index: dev.Index, W: dev.W * (1 + 1.05*c/share)}}
-					undo = []incremental.Edit{{Kind: incremental.Resize, Index: dev.Index, W: dev.W}}
-					label += ": " + n.Name + " widened across the floor"
-					wantCarried = false
-				case g%10 == 4: // a load on a net that does not exist yet
-					batch = []incremental.Edit{{Kind: incremental.AddCap, Node: fmt.Sprintf("stub_%d", g), Cap: 12e-15}}
-					wantCarried = false
-				default:
-					for i := 1 + rng.Intn(4); i > 0; i-- {
-						ti := rng.Intn(len(a.Net.Trans))
-						for a.Net.Trans[ti].IsWire() {
-							ti = (ti + 1) % len(a.Net.Trans)
-						}
-						tr := a.Net.Trans[ti]
-						if n := tr.A; rng.Intn(2) == 0 && !n.IsRail() {
-							batch = append(batch, incremental.Edit{Kind: incremental.AddCap, Node: n.Name, Cap: 1e-15})
-						} else {
-							batch = append(batch, incremental.Edit{Kind: incremental.Resize, Index: ti, W: tr.W * 1.01})
-						}
-					}
-					// Small steps, but a node that sits just under the floor
-					// may still cross: expect whatever the sizes say.
-					res, err := incremental.Apply(a.Net, batch)
+					resettled, reason, err := a.settleEdited(res)
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantCarried = slices.Equal(switchsim.NodeSizes(a.Net), switchsim.NodeSizes(res.Net))
-				}
-				before := a.static
-				st, err := a.Reanalyze(batch)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if st.StaticCarried != wantCarried {
-					t.Errorf("%s: StaticCarried = %v, want %v", label, st.StaticCarried, wantCarried)
-				}
-				if st.StaticCarried {
-					carried++
-					if st.Phases.Settle > time.Millisecond {
-						t.Errorf("%s: carried, yet the settle phase took %v", label, st.Phases.Settle)
+					switch {
+					case reason != "":
+						fallbacks++
+					case resettled == 0:
+						stood++
+					default:
+						cones++
+						coneNodes += resettled
 					}
-				} else {
-					settled++
-				}
-				fresh := build(a.Net)
-				if !slices.Equal(a.static, fresh.static) {
-					for i := range fresh.static {
-						if a.static[i] != fresh.static[i] {
-							t.Fatalf("%s: static value of %s is %v, a fresh settle gives %v (carried: %v)",
-								label, a.Net.Nodes[i].Name, a.static[i], fresh.static[i], st.StaticCarried)
+					ref := buildAnalyzer(t, a.Net, m, fix, nil, Options{})
+					if err := ref.settleStatic(); err != nil {
+						t.Fatal(err)
+					}
+					for i := range ref.static {
+						if a.static[i] != ref.static[i] {
+							t.Fatalf("batch %d %+v: %s settled to %v, a power-on settle gives %v (resettled %d, fallback %q)",
+								b, batch, a.Net.Nodes[i].Name, a.static[i], ref.static[i], resettled, reason)
 						}
 					}
+					if ref.staticOsc {
+						t.Logf("batch %d: the power-on settle oscillated", b)
+					}
 				}
-				if !slices.Equal(before, fresh.static[:len(before)]) {
-					moved++
+				if cones == 0 {
+					t.Errorf("no batch took the cone settle (%d stood, %d fell back)", stood, fallbacks)
 				}
-				requireMatchesFresh(t, label, a, fresh)
+				t.Logf("%d batches: %d stood, %d cone settles (mean %d of %d nodes), %d fallbacks",
+					batches, stood, cones, coneNodes/max(cones, 1), len(a.Net.Nodes), fallbacks)
+			})
+		}
+	}
+}
+
+// TestSettleFallbacks pins when the settle step leaves the cone for a
+// power-on settle, and that it says why.
+func TestSettleFallbacks(t *testing.T) {
+	p := tech.NMOS4()
+	nw, err := gen.PrechargedBus(p, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := delay.NewSlope(delay.AnalyticTables(p))
+	// A load that lifts a storage node from K1 to K2.
+	var load []incremental.Edit
+	for _, n := range nw.Nodes {
+		if switchsim.SizeOf(nw, n) == switchsim.SK1 && len(n.Terms) > 0 {
+			load = []incremental.Edit{{Kind: incremental.AddCap, Node: n.Name, Cap: switchsim.K2CapFloor - nw.NodeCap(n) + 1e-15}}
+			break
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(a *Analyzer)
+		batch []incremental.Edit
+		want  string
+	}{
+		{"cone", nil, load, ""},
+		{"retype", nil, []incremental.Edit{{Kind: incremental.Retype, Node: "out", NodeKind: netlist.KindNormal}}, "retype"},
+		{"created node", nil, []incremental.Edit{{Kind: incremental.AddCap, Node: "stub", Cap: 1e-15}}, "created"},
+		{"clocked state", func(a *Analyzer) { a.initial = make([]switchsim.Value, len(a.Net.Nodes)) }, load, "clocked"},
+		{"oscillation", func(a *Analyzer) { a.staticOsc = true }, load, "oscillated"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := buildAnalyzer(t, nw.Clone(), m, nil, nil, Options{})
+			if err := a.settleStatic(); err != nil {
+				t.Fatal(err)
 			}
-			if carried == 0 || settled == 0 {
-				t.Errorf("%d batches carried the snapshot, %d settled: both paths must run", carried, settled)
+			if tc.setup != nil {
+				tc.setup(a)
 			}
-			if fam.charged && moved == 0 {
-				t.Error("no floor crossing changed the snapshot: the size-class check was never what kept it right")
+			res, err := incremental.ApplyInPlace(a.Net, tc.batch)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Logf("%d carried, %d settled, %d changed the snapshot", carried, settled, moved)
+			n, reason, err := a.settleEdited(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(reason, tc.want) || (tc.want == "") != (reason == "") {
+				t.Errorf("fallback reason %q, want one naming %q", reason, tc.want)
+			}
+			if tc.want != "" && n != len(a.Net.Nodes) {
+				t.Errorf("a power-on settle re-settled %d of %d nodes", n, len(a.Net.Nodes))
+			}
+			if tc.want == "" && (n == 0 || n == len(a.Net.Nodes)) {
+				t.Errorf("the cone settle re-settled %d of %d nodes", n, len(a.Net.Nodes))
+			}
 		})
 	}
 }
@@ -349,13 +374,13 @@ func TestReanalyzePhases(t *testing.T) {
 	var out strings.Builder
 	fmt.Fprintf(&out, "chip:%d, %d transistors, median of 20 generations (ms)\n", width, len(nw.Trans))
 	fmt.Fprintf(&out, "%-8s %8s %8s %8s %8s %8s %8s %8s %8s %8s\n",
-		"edits", "apply", "bind", "settle", "plan", "derive", "drain", "total", "dirty%", "carried")
+		"edits", "apply", "bind", "settle", "plan", "derive", "drain", "total", "dirty%", "resettled")
 	rng := rand.New(rand.NewSource(1))
 	nodes, trans := localTargets(nw)
 	for _, size := range []int{1, 49} {
 		var phases [7][]time.Duration
 		var dirty float64
-		carried := 0
+		var resettled []int
 		for pair := 0; pair < 10; pair++ {
 			batch, undo := localBatch(a.Net, nodes, trans, rng, size)
 			for _, edits := range [][]incremental.Edit{batch, undo} {
@@ -382,16 +407,157 @@ func TestReanalyzePhases(t *testing.T) {
 				}
 				phases[6] = append(phases[6], total)
 				dirty += st.DirtyFrac
-				if st.StaticCarried {
-					carried++
-				}
+				resettled = append(resettled, st.Resettled)
 			}
 		}
 		fmt.Fprintf(&out, "%-8d", size)
 		for i := range phases {
 			fmt.Fprintf(&out, " %8.2f", median(phases[i]).Seconds()*1e3)
 		}
-		fmt.Fprintf(&out, " %8.2f %5d/20\n", 100*dirty/20, carried)
+		slices.Sort(resettled)
+		fmt.Fprintf(&out, " %8.2f %9d\n", 100*dirty/20, resettled[len(resettled)/2])
 	}
 	t.Logf("\n%s", out.String())
+}
+
+// TestMergeStreamsKeepsStreamOrder pins the boundary replay order: the
+// merged streams come out in sched.Less order of (time, node, transition),
+// and events of one stream with equal keys — a supersession won on the
+// tie-break, same time, another slope — keep their propagation order.
+func TestMergeStreamsKeepsStreamOrder(t *testing.T) {
+	streams := [][]replayItem{
+		{{3, tech.Rise, 1, 0.5}, {3, tech.Rise, 2, 0.9}, {3, tech.Rise, 2, 0.4}, {3, tech.Rise, 2, 0.7}},
+		{{1, tech.Fall, 1, 0.2}, {1, tech.Fall, 2, 0.3}, {1, tech.Fall, 3, 0.1}},
+		{},
+		{{3, tech.Fall, 2, 0.6}},
+	}
+	rng := rand.New(rand.NewSource(5))
+	for node := 10; node < 60; node++ {
+		var s []replayItem
+		tm := 0.0
+		for k := rng.Intn(6); k > 0; k-- {
+			if rng.Intn(2) == 0 {
+				tm += float64(rng.Intn(3))
+			}
+			s = append(s, replayItem{node, tech.Transition(node % 2), tm, float64(k)})
+		}
+		streams = append(streams, s)
+	}
+	var items []replayItem
+	var bounds []int
+	for _, s := range streams {
+		bounds = append(bounds, len(items))
+		items = append(items, s...)
+	}
+	bounds = append(bounds, len(items))
+	// A stable sort of the concatenation is the specification: streams never
+	// share a (node, transition), so only one stream's own ties are ties.
+	want := slices.Clone(items)
+	slices.SortStableFunc(want, func(x, y replayItem) int {
+		switch {
+		case sched.Less(x.key(), y.key()):
+			return -1
+		case sched.Less(y.key(), x.key()):
+			return 1
+		}
+		return 0
+	})
+	got := mergeStreams(items, bounds)
+	if !slices.Equal(got, want) {
+		t.Fatalf("merged\n%v\nwant\n%v", got, want)
+	}
+	var rise3 []replayItem
+	for _, r := range got {
+		if r.node == 3 && r.tr == tech.Rise {
+			rise3 = append(rise3, r)
+		}
+	}
+	if !slices.Equal(rise3, streams[0]) {
+		t.Fatalf("node 3's rise stream replays as %v, recorded %v", rise3, streams[0])
+	}
+}
+
+// TestFailedBatchLeavesAnalyzerUntouched pins the atomicity of an edit batch
+// on the in-place path: from the second Reanalyze on the analyzer edits its
+// own network, and a batch that fails anywhere — after edits that would have
+// succeeded on their own — must leave that network, its generation, the
+// snapshot, the stage database and every arrival as they were, and fail
+// with Apply's error.
+func TestFailedBatchLeavesAnalyzerUntouched(t *testing.T) {
+	p := tech.NMOS4()
+	nw, err := gen.Chip(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fix, lb := gen.ChipDirectives(4)
+	a := buildAnalyzer(t, nw, delay.NewSlope(delay.AnalyticTables(p)), fix, lb, Options{})
+	if err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	ti := 0
+	for a.Net.Trans[ti].IsWire() {
+		ti++
+	}
+	if _, err := a.Reanalyze([]incremental.Edit{{Kind: incremental.Resize, Index: ti, W: 6e-6}}); err != nil {
+		t.Fatal(err)
+	}
+	if a.Net == nw {
+		t.Fatal("the first batch edited the caller's network")
+	}
+	nt := len(a.Net.Trans)
+	victim := a.Net.Trans[ti]
+	for _, tc := range []struct {
+		name  string
+		batch []incremental.Edit
+	}{
+		{"index past the end", []incremental.Edit{
+			{Kind: incremental.AddCap, Node: victim.A.Name, Cap: 30e-15},
+			{Kind: incremental.Resize, Index: nt, W: 6e-6}}},
+		{"index a removal vacated", []incremental.Edit{
+			{Kind: incremental.RemoveTrans, Index: ti},
+			{Kind: incremental.RemoveTrans, Index: nt - 1}}},
+		{"a wire moved into the hole", []incremental.Edit{
+			{Kind: incremental.AddTrans, Dev: tech.RWire, A: victim.A.Name, B: "tap", R: 500},
+			{Kind: incremental.RemoveTrans, Index: ti},
+			{Kind: incremental.Resize, Index: ti, W: 6e-6}}},
+		{"supply short", []incremental.Edit{
+			{Kind: incremental.AddTrans, Dev: tech.NEnh, Gate: victim.Gate.Name, A: victim.A.Name, B: "tap"},
+			{Kind: incremental.AddTrans, Dev: tech.NEnh, Gate: "tap", A: "vdd", B: "gnd"}}},
+		{"retype a net that is not there", []incremental.Edit{
+			{Kind: incremental.AddCap, Node: "tap", Cap: 1e-15},
+			{Kind: incremental.Retype, Node: "tip", NodeKind: netlist.KindInput}}},
+		{"bad kind on a created net", []incremental.Edit{
+			{Kind: incremental.AddCap, Node: "tap", Cap: 1e-15},
+			{Kind: incremental.Retype, Node: "tap", NodeKind: netlist.KindVdd}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := a.Net.Clone()
+			gen, db, epoch, static := a.Net.Generation(), a.StageDB(), a.StageDB().Epoch, slices.Clone(a.static)
+			events := slices.Clone(a.events)
+			_, want := incremental.Apply(a.Net, tc.batch)
+			_, err := a.Reanalyze(tc.batch)
+			if err == nil || want == nil || err.Error() != want.Error() {
+				t.Fatalf("Reanalyze: %v, Apply: %v; want the same error from both", err, want)
+			}
+			if err := netlist.DiffNetworks(before, a.Net); err != nil {
+				t.Fatalf("the failed batch changed the network: %v", err)
+			}
+			if a.Net.Generation() != gen || a.StageDB() != db || db.Epoch != epoch ||
+				!slices.Equal(a.static, static) || !slices.Equal(a.events, events) {
+				t.Fatal("the failed batch moved the analyzer")
+			}
+		})
+	}
+	// The created-net bookkeeping accepts what a real apply accepts: a net
+	// the batch creates may be retyped later in the same batch.
+	if _, err := a.Reanalyze([]incremental.Edit{
+		{Kind: incremental.AddCap, Node: "tap", Cap: 1e-15},
+		{Kind: incremental.Retype, Node: "tap", NodeKind: netlist.KindOutput}}); err != nil {
+		t.Fatal(err)
+	}
+	fresh := buildAnalyzer(t, a.Net, a.Model, fix, lb, Options{})
+	if err := fresh.Run(); err != nil {
+		t.Fatal(err)
+	}
+	requireMatchesFresh(t, "after the failed batches", a, fresh)
 }

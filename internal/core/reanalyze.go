@@ -8,14 +8,15 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"time"
 
 	"repro/internal/incremental"
 	"repro/internal/netlist"
+	"repro/internal/sched"
 	"repro/internal/stage"
+	"repro/internal/switchsim"
 	"repro/internal/tech"
 )
 
@@ -38,19 +39,23 @@ type ReanalyzeStats struct {
 	// same metric StagesEvaluated reports cumulatively).
 	StagesEvaluated int
 
-	// StaticCarried reports that the batch changed nothing the switch-level
-	// lattice reads, so the previous generation's sensitization snapshot
-	// was kept instead of settling the network again.
-	StaticCarried bool
+	// Resettled counts the nodes the static sensitization snapshot was
+	// settled again for: 0 when the batch changed nothing the switch-level
+	// lattice reads and the previous snapshot stands, the forward lattice
+	// cone of the batch (switchsim.Sim.Resume) normally, every node when
+	// the settle fell back to power-on; SettleReason then says why.
+	Resettled    int
+	SettleReason string
 	// Phases is where the call's wall time went.
 	Phases ReanalyzePhases
 }
 
 // ReanalyzePhases splits one Reanalyze call's wall time by step: Apply
-// clones the network and applies the batch, Bind recompiles it and repoints
-// the analyzer, Settle computes the static sensitization snapshot (zero
-// when it was carried), Plan computes the invalidation, Derive builds the
-// next stage-database generation, Drain resets and re-propagates.
+// applies the batch (to a clone on the analyzer's first call, in place
+// after), Bind recompiles the network and repoints the analyzer, Settle
+// brings the static sensitization snapshot up to date (zero when it
+// stands), Plan computes the invalidation, Derive builds the next
+// stage-database generation, Drain resets and re-propagates.
 type ReanalyzePhases struct {
 	Apply, Bind, Settle, Plan, Derive, Drain time.Duration
 }
@@ -61,11 +66,15 @@ type ReanalyzePhases struct {
 // clean full run.
 const reanalyzeMaxDirty = 0.5
 
-// Reanalyze applies the edit batch and brings the analysis up to date.
-// The previous network generation is never mutated — concurrent readers
-// of the old network or its stage database always finish on a consistent
-// snapshot — and afterwards a.Net, a.StageDB() and every arrival describe
-// the edited network exactly as a fresh Run over it would.
+// Reanalyze applies the edit batch and brings the analysis up to date:
+// afterwards a.Net, a.StageDB() and every arrival describe the edited
+// network exactly as a fresh Run over it would.
+//
+// The network the analyzer was built over belongs to its caller and is
+// never written: the first call applies the batch to a clone, which the
+// analyzer owns from then on, and later calls edit that clone in place
+// (advancing its netlist generation). A batch that fails validation
+// leaves the analyzer and its network untouched.
 //
 // The incremental path is taken when the invalidation plan stays under
 // reanalyzeMaxDirty and nothing poisons the shortcut; otherwise
@@ -81,24 +90,23 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 		*d = time.Since(mark)
 		mark = mark.Add(*d)
 	}
-	oldNet, oldStatic, oldDB := a.Net, a.static, a.db
+	oldStatic, oldDB := a.static, a.db
 
-	res, err := incremental.Apply(a.Net, edits)
+	apply := incremental.Apply
+	if a.ownsNet {
+		apply = incremental.ApplyInPlace
+	}
+	res, err := apply(a.Net, edits)
 	if err != nil {
 		return nil, err
 	}
+	a.ownsNet = true
 	lap(&stats.Phases.Apply)
 	fresh := a.rebind(res.Net)
 	lap(&stats.Phases.Bind)
-	// The snapshot (and the oracle cached over it) is carried when the batch
-	// left the lattice's inputs alone. Anything else settles from power-on:
-	// re-settling from the previous generation's charge state would not be
-	// bit-identical to what a fresh Run of the edited network computes.
-	stats.StaticCarried = res.KeepsStatic(oldNet)
-	if !stats.StaticCarried {
-		if err := a.settleStatic(); err != nil {
-			return nil, err
-		}
+	stats.Resettled, stats.SettleReason, err = a.settleEdited(res)
+	if err != nil {
+		return nil, err
 	}
 	lap(&stats.Phases.Settle)
 	plan := res.Plan(oldStatic, a.static)
@@ -150,8 +158,8 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 		a.db = oldDB.Derive(a.Net, opt, plan.DirtyTrans, plan.DBDirtyNode, res.OldTrans)
 	}
 	a.db.SetCompiled(a.cnet)
-	// The stamp spells out the snapshot; a carried snapshot keeps its stamp.
-	if stats.StaticCarried && oldDB != nil {
+	// The stamp spells out the snapshot; a snapshot that stands keeps its stamp.
+	if stats.Resettled == 0 && oldDB != nil {
 		a.db.Stamp = oldDB.Stamp
 	} else {
 		a.db.Stamp = a.stageStamp()
@@ -183,6 +191,64 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	return stats, nil
 }
 
+// settleEdited brings the static snapshot up to date with the edited
+// network and returns how many nodes it settled again, and why it settled
+// from power-on if it did.
+//
+// The switch-level lattice settles from all-X to its least fixed point, so
+// only the forward lattice cone of the batch's lattice seeds can move:
+// Resume releases that cone and settles it against the previous snapshot,
+// which is bit-identical to a power-on settle (switchsim.Sim.Resume has the
+// argument). With no seeds the snapshot stands. The argument needs the
+// previous snapshot to be a power-on settle of the same nodes and sources
+// that did not oscillate, so a retype, a created node, carried clocked
+// state or an oscillation on either side settles from power-on instead.
+func (a *Analyzer) settleEdited(res *incremental.Result) (resettled int, reason string, err error) {
+	seeds := res.LatticeSeeds()
+	switch {
+	case res.Retyped():
+		reason = "a retype changed the sources"
+	case len(a.Net.Nodes) > len(a.static):
+		reason = "the batch created nodes"
+	case len(seeds) == 0:
+		return 0, "", nil
+	case a.initial != nil:
+		reason = "clocked state is carried in"
+	case a.staticOsc:
+		reason = "the previous settle oscillated"
+	default:
+		cone, ok, err := a.settleCone(seeds)
+		if ok || err != nil {
+			return cone, "", err
+		}
+		reason = "the cone settle oscillated"
+	}
+	return len(a.Net.Nodes), reason, a.settleStatic()
+}
+
+// settleCone re-settles the forward lattice cone of seeds against the
+// current snapshot and, unless the settle oscillated, installs the result.
+// It reports the cone's size.
+func (a *Analyzer) settleCone(seeds []int) (cone int, ok bool, err error) {
+	nw := a.Net
+	sim := switchsim.New(nw)
+	for idx, v := range a.fixed {
+		if err := sim.SetInput(nw.Nodes[idx], v); err != nil {
+			return 0, false, err
+		}
+	}
+	cone = len(sim.Resume(a.static, seeds))
+	if cone == 0 {
+		return 0, true, nil
+	}
+	sim.Settle()
+	if sim.Oscillated() {
+		return 0, false, nil
+	}
+	a.static = sim.Snapshot()
+	return cone, true, nil
+}
+
 // dirtyTouchesUnbounded reports whether any node the previous analysis
 // left on the feedback guard is inside the invalidation plan's dirty cone.
 // Guard hits wholly outside the cone are safe to carry: their groups'
@@ -207,7 +273,8 @@ func (a *Analyzer) dirtyTouchesUnbounded(plan *incremental.Plan) bool {
 // replay — are returned.
 func (a *Analyzer) rebind(nw *netlist.Network) (fresh []int) {
 	a.Net = nw
-	a.Opts.DB = nil // a caller-shared DB describes the old generation
+	a.Opts.DB = nil      // a caller-shared DB describes the old generation
+	a.cachedOracle = nil // indexed by the old generation's transistors
 	wasTrigger := a.triggers
 	a.buildGates()
 	if a.events == nil || wasTrigger == nil {
@@ -290,8 +357,10 @@ func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
 	// dirty nodes (see above), so clean state — including propagation counts
 	// and history — is never touched.
 	var replays []replayItem
+	var bounds []int
 	for _, i := range plan.Boundary() {
 		for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
+			bounds = append(bounds, len(replays))
 			h := &a.hist[i][tr]
 			for ci := h.head; ci != 0; ci = a.histChunkAt(ci).next {
 				c := a.histChunkAt(ci)
@@ -304,9 +373,7 @@ func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
 			}
 		}
 	}
-	slices.SortFunc(replays, func(x, y replayItem) int { // sched.Less on the replays' keys
-		return cmp.Or(cmp.Compare(x.t, y.t), cmp.Compare(x.node, y.node), cmp.Compare(x.tr, y.tr))
-	})
+	replays = mergeStreams(replays, append(bounds, len(replays)))
 	// Seeds on dirty nodes: an input is a strong source and never dirty,
 	// but re-applying is cheap and covers any seed landing on a node the
 	// batch created or perturbed.
@@ -321,4 +388,58 @@ func (a *Analyzer) runIncremental(plan *incremental.Plan) int {
 	a.drainReplay(replays)
 	a.incDirty = nil
 	return len(carried)
+}
+
+// mergeStreams merges the replay streams items[bounds[s]:bounds[s+1]] into
+// one slice in sched.Less order of their keys (time, node, transition).
+// Every stream is one (node, transition)'s recorded events in propagation
+// order, T non-decreasing (see nodeHist), so a k-way merge over the stream
+// heads orders the whole, and two events of one stream with equal keys — a
+// supersession won on the tie-break — keep their propagation order, which
+// an unstable sort would not promise.
+func mergeStreams(items []replayItem, bounds []int) []replayItem {
+	if len(bounds) < 2 {
+		return items
+	}
+	out := make([]replayItem, 0, len(items))
+	// heads is a binary min-heap of stream indexes, ordered by the key of
+	// each stream's next item; next[s] is that item's index. Distinct
+	// streams never share a (node, transition), so the order is strict.
+	next := slices.Clone(bounds[:len(bounds)-1])
+	heads := make([]int, 0, len(next))
+	less := func(x, y int) bool { return sched.Less(items[next[x]].key(), items[next[y]].key()) }
+	down := func(i int) {
+		for {
+			m := i
+			if l := 2*i + 1; l < len(heads) && less(heads[l], heads[m]) {
+				m = l
+			}
+			if r := 2*i + 2; r < len(heads) && less(heads[r], heads[m]) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			heads[i], heads[m] = heads[m], heads[i]
+			i = m
+		}
+	}
+	for s := range next {
+		if next[s] < bounds[s+1] {
+			heads = append(heads, s)
+		}
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(heads) > 0 {
+		s := heads[0]
+		out = append(out, items[next[s]])
+		if next[s]++; next[s] == bounds[s+1] {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
+		}
+		down(0)
+	}
+	return out
 }

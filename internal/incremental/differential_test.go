@@ -60,12 +60,19 @@ func sameEvent(x, y core.Event) bool {
 }
 
 // checkAgainstFull runs a fresh full analysis of a.Net and fails the test
-// on the first arrival that differs from a's state.
+// on the first arrival that differs from a's state. The fresh run settles
+// the static snapshot from power-on, and the stage database's stamp spells
+// the snapshot out node by node, so equal stamps cross-check whatever
+// Reanalyze's settle step did — keep, cone settle or fallback — against
+// the full settle.
 func checkAgainstFull(t *testing.T, a *core.Analyzer, seeds []string, label string) {
 	t.Helper()
 	ref := newAnalyzer(t, a.Net, seeds)
 	if err := ref.Run(); err != nil {
 		t.Fatalf("%s: reference run: %v", label, err)
+	}
+	if got, want := a.StageDB().Stamp, ref.StageDB().Stamp; got != want {
+		t.Fatalf("%s: static snapshot %s, a power-on settle gives %s", label, got, want)
 	}
 	for _, n := range a.Net.Nodes {
 		for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
@@ -329,10 +336,28 @@ func decodeEdits(nw *netlist.Network, data []byte, pos *int, nt int) ([]incremen
 	return edits, nt
 }
 
+// applyEach applies the batch one edit at a time, each through Apply on
+// the network the edits before it produced: the reference for the batch
+// validation, which has to foresee what earlier edits in a batch do to
+// names and indexes. It returns the final network, or the index of the
+// first edit that fails.
+func applyEach(nw *netlist.Network, edits []incremental.Edit) (*netlist.Network, int) {
+	for i, e := range edits {
+		res, err := incremental.Apply(nw, []incremental.Edit{e})
+		if err != nil {
+			return nil, i
+		}
+		nw = res.Net
+	}
+	return nw, -1
+}
+
 // FuzzIncremental is the differential fuzzer: random edit batches applied
-// through Reanalyze must leave arrivals bit-identical to a from-scratch
-// analysis of the edited network, or fail identically when the batch is
-// invalid.
+// through Reanalyze must leave arrivals and the static snapshot
+// bit-identical to a from-scratch analysis of the edited network, and the
+// network identical to applying the batch edit by edit; an invalid batch
+// must fail at the edit that fails edit by edit and leave the analyzer —
+// its own network, from the second batch on — untouched.
 func FuzzIncremental(f *testing.F) {
 	f.Add([]byte{0, 2, 0, 3, 10, 2, 1, 7, 4})
 	f.Add([]byte{1, 3, 3, 5, 90, 9, 1, 0, 2, 8, 2})
@@ -359,22 +384,35 @@ func FuzzIncremental(f *testing.F) {
 		}
 		pos := 1
 		nt := len(nw.Trans)
-		for batch := 0; batch < 2 && pos < len(data); batch++ {
+		for batch := 0; batch < 3 && pos < len(data); batch++ {
 			var edits []incremental.Edit
 			edits, nt = decodeEdits(a.Net, data, &pos, nt)
 			if len(edits) == 0 {
 				continue
 			}
+			label := fmt.Sprintf("batch %d", batch)
+			before := a.Net.Clone()
+			want, bad := applyEach(before, edits)
 			_, err := a.Reanalyze(edits)
 			if err != nil {
-				// The batch must be invalid for a from-scratch Apply too,
+				// The batch must fail where edit-by-edit application fails,
 				// and a failed Reanalyze must not have moved the analyzer.
-				if _, err2 := incremental.Apply(a.Net, edits); err2 == nil {
-					t.Fatalf("Reanalyze rejected a batch Apply accepts: %v", err)
+				if bad < 0 || !strings.HasPrefix(err.Error(), fmt.Sprintf("incremental: edit %d (", bad)) {
+					t.Fatalf("%s: Reanalyze failed with %v; edit by edit, edit %d fails", label, err, bad)
 				}
+				if err := netlist.DiffNetworks(before, a.Net); err != nil {
+					t.Fatalf("%s: the failed batch changed the network: %v", label, err)
+				}
+				checkAgainstFull(t, a, seeds, label+" (failed)")
 				return
 			}
-			checkAgainstFull(t, a, seeds, fmt.Sprintf("batch %d", batch))
+			if bad >= 0 {
+				t.Fatalf("%s: Reanalyze accepted a batch whose edit %d fails on its own", label, bad)
+			}
+			if err := netlist.DiffNetworks(want, a.Net); err != nil {
+				t.Fatalf("%s: the batch and its edits one by one disagree: %v", label, err)
+			}
+			checkAgainstFull(t, a, seeds, label)
 		}
 	})
 }

@@ -6,8 +6,12 @@
 // The engine is generational. Apply never mutates the network it is
 // given: it clones it (O(n), far below one analysis), applies the edits
 // to the clone, and reports which nodes and transistors the batch
-// perturbed. Plan then widens those seeds to whole channel-connected
-// groups — the unit of stage enumeration — and splits dirtiness in two:
+// perturbed. ApplyInPlace does the same to a network its caller owns
+// outright, without the clone, and advances the network's generation;
+// both validate the whole batch before the first edit, so a batch either
+// applies completely or not at all. Plan then widens those seeds to whole
+// channel-connected groups — the unit of stage enumeration — and splits
+// dirtiness in two:
 //
 //   - db-dirty groups, whose stage enumerations (and therefore stage.DB
 //     entries) are stale: groups with a structural or geometric edit, and
@@ -25,6 +29,7 @@ package incremental
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/netlist"
 	"repro/internal/switchsim"
@@ -98,39 +103,60 @@ type Edit struct {
 // Result is one applied edit batch: the next network generation plus the
 // bookkeeping Plan needs to compute invalidation.
 type Result struct {
-	// Net is the edited clone. The network passed to Apply is untouched.
+	// Net is the edited network: a clone for Apply, the network itself for
+	// ApplyInPlace.
 	Net *netlist.Network
 	// OldTrans maps new transistor indexes to the previous generation's
 	// indexes (-1 for transistors added by this batch). Node indexes are
 	// stable across every edit kind, so nodes need no map.
 	OldTrans []int
 
-	seedNodes  []int // new-generation node indexes the batch touched (repeats allowed)
-	seedTrans  []int // new-generation transistor indexes to force-dirty (repeats allowed)
-	forceFull  bool  // a Retype was applied
-	structural bool  // a device was added or removed
-	oldNodes   int   // node count of the previous generation
+	seedNodes []int // new-generation node indexes the batch touched (repeats allowed)
+	seedTrans []int // new-generation transistor indexes to force-dirty (repeats allowed)
+	forceFull bool  // a Retype was applied
+	oldNodes  int   // node count of the previous generation
+
+	lattice []int                      // LatticeSeeds (repeats allowed)
+	sizes   map[int]switchsim.Strength // size of each node a geometry edit touched, before the first one
 }
 
-// Apply clones nw, applies the edits in order, and returns the new
-// generation. On error the clone is discarded and nw is (as always)
-// unmodified.
+// Apply clones nw, applies the edits to the clone in order, and returns the
+// new generation; nw is never modified. The batch is validated against the
+// clone, before its first edit: name lookups build a lazily decoded
+// network's name index, and a shared read-only view (crystald's arena) must
+// not grow one because one session edits.
 func Apply(nw *netlist.Network, edits []Edit) (*Result, error) {
-	res := &Result{
-		Net:      nw.Clone(),
-		OldTrans: make([]int, len(nw.Trans)),
-		oldNodes: len(nw.Nodes),
+	c := nw.Clone()
+	if err := validate(c, edits); err != nil {
+		return nil, err
 	}
-	for i := range res.OldTrans {
-		res.OldTrans[i] = i
+	return commit(c, edits), nil
+}
+
+// ApplyInPlace applies the edits to nw itself and advances its generation
+// (netlist.Network.NextGeneration). It is for a network nobody else reads —
+// the clone an analyzer's first Apply made, say. The whole batch is
+// validated before the first edit, so on error nw is unmodified.
+func ApplyInPlace(nw *netlist.Network, edits []Edit) (*Result, error) {
+	if err := validate(nw, edits); err != nil {
+		return nil, err
 	}
-	for i, e := range edits {
-		if err := res.apply(e); err != nil {
-			return nil, fmt.Errorf("incremental: edit %d (%s): %w", i, e.Kind, err)
-		}
-	}
+	res := commit(nw, edits)
+	nw.NextGeneration()
 	return res, nil
 }
+
+// LatticeSeeds lists, by node index, where the batch changed what the
+// switch-level lattice reads: the gate and terminals of every device it
+// added or removed, and every node whose size (switchsim.SizeOf) the batch
+// moved. Retypes and created nodes are the caller's to check (Retyped, the
+// node count): the static settle redoes those from power-on. Empty means
+// the previous generation's settled values stand; otherwise the forward
+// lattice cone of these nodes is what can change (switchsim.Sim.Resume).
+func (r *Result) LatticeSeeds() []int { return r.lattice }
+
+// Retyped reports that the batch changed a node's kind.
+func (r *Result) Retyped() bool { return r.forceFull }
 
 // seedTransistor marks a device and its terminals perturbed.
 func (r *Result) seedTransistor(t *netlist.Trans) {
@@ -138,20 +164,77 @@ func (r *Result) seedTransistor(t *netlist.Trans) {
 	r.seedNodes = append(r.seedNodes, t.Gate.Index, t.A.Index, t.B.Index)
 }
 
-// KeepsStatic reports whether the batch left everything the switch-level
-// lattice reads exactly as it is in prev, the network Apply was given: no
-// device or node added or removed, no kind changed, and every node whose
-// capacitance moved still in its K1/K2 size class (switchsim.SizesKept).
-// A settle of the new generation under the same inputs then reproduces the
-// previous generation's snapshot value for value, so the caller may keep
-// that snapshot instead of settling again.
-func (r *Result) KeepsStatic(prev *netlist.Network) bool {
-	return !r.structural && !r.forceFull && len(r.Net.Nodes) == r.oldNodes &&
-		switchsim.SizesKept(prev, r.Net, r.seedNodes)
+// seedLattice makes a device added or removed a lattice seed.
+func (r *Result) seedLattice(t *netlist.Trans) {
+	r.lattice = append(r.lattice, t.Gate.Index, t.A.Index, t.B.Index)
 }
 
-func (r *Result) apply(e Edit) error {
-	nw := r.Net
+// recordSize notes n's size before the batch first changes its load.
+func (r *Result) recordSize(n *netlist.Node) {
+	if r.sizes == nil {
+		r.sizes = make(map[int]switchsim.Strength)
+	}
+	if _, ok := r.sizes[n.Index]; !ok {
+		r.sizes[n.Index] = switchsim.SizeOf(r.Net, n)
+	}
+}
+
+// validate checks the whole batch against nw without changing it: each
+// edit is checked as commit would meet it, after the edits before it. It
+// tracks only what the checks read — the node names the batch creates, the
+// transistor count, and whether the device at an index an earlier edit
+// refilled is a wire (a removal moves the last device into the hole).
+func validate(nw *netlist.Network, edits []Edit) error {
+	v := validator{nw: nw, nt: len(nw.Trans)}
+	for i, e := range edits {
+		if err := v.check(e); err != nil {
+			return fmt.Errorf("incremental: edit %d (%s): %w", i, e.Kind, err)
+		}
+	}
+	return nil
+}
+
+type validator struct {
+	nw      *netlist.Network
+	nt      int
+	created map[string]bool
+	wire    map[int]bool
+}
+
+// node is Network.Node without the side effect: it records a name the batch
+// creates and returns the node's kind. Rails keep theirs and nothing else
+// becomes one, so the kind it returns for a rail is final.
+func (v *validator) node(name string) netlist.NodeKind {
+	name = netlist.Canonical(name)
+	if n := v.nw.Lookup(name); n != nil {
+		return n.Kind
+	}
+	if v.created == nil {
+		v.created = make(map[string]bool)
+	}
+	v.created[name] = true
+	return netlist.KindNormal
+}
+
+// isWire reports whether the device at index i, after the edits checked so
+// far, is a wire resistor.
+func (v *validator) isWire(i int) bool {
+	if w, ok := v.wire[i]; ok {
+		return w
+	}
+	return v.nw.Trans[i].IsWire()
+}
+
+// setWire records the device now at index i.
+func (v *validator) setWire(i int, w bool) {
+	if v.wire == nil {
+		v.wire = make(map[int]bool)
+	}
+	v.wire[i] = w
+}
+
+func (v *validator) check(e Edit) error {
+	nw := v.nw
 	switch e.Kind {
 	case AddTrans:
 		if e.A == "" || e.B == "" {
@@ -163,34 +246,101 @@ func (r *Result) apply(e Edit) error {
 		if e.Dev == tech.PEnh && !nw.Tech.HasPChannel() {
 			return fmt.Errorf("p-channel device in technology %s", nw.Tech.Name)
 		}
-		a, b := nw.Node(e.A), nw.Node(e.B)
-		var gate *netlist.Node
+		a, b := v.node(e.A), v.node(e.B)
 		if e.Dev != tech.RWire {
-			gate = nw.Node(e.Gate)
+			v.node(e.Gate)
 		}
-		if (a.Kind == netlist.KindVdd && b.Kind == netlist.KindGnd) ||
-			(a.Kind == netlist.KindGnd && b.Kind == netlist.KindVdd) {
+		if (a == netlist.KindVdd && b == netlist.KindGnd) || (a == netlist.KindGnd && b == netlist.KindVdd) {
 			return fmt.Errorf("device would short the supplies")
 		}
+		if e.Dev == tech.RWire && e.R <= 0 {
+			return fmt.Errorf("wire resistor needs positive resistance")
+		}
+		v.setWire(v.nt, e.Dev == tech.RWire)
+		v.nt++
+	case RemoveTrans:
+		if e.Index < 0 || e.Index >= v.nt {
+			return fmt.Errorf("transistor index %d out of range [0,%d)", e.Index, v.nt)
+		}
+		v.nt--
+		v.setWire(e.Index, v.isWire(v.nt))
+		delete(v.wire, v.nt)
+	case Resize:
+		if e.Index < 0 || e.Index >= v.nt {
+			return fmt.Errorf("transistor index %d out of range [0,%d)", e.Index, v.nt)
+		}
+		if v.isWire(e.Index) {
+			return fmt.Errorf("cannot resize wire resistor %d", e.Index)
+		}
+	case AddCap:
+		if e.Node == "" {
+			return fmt.Errorf("missing node name")
+		}
+		v.node(e.Node)
+	case Retype:
+		if e.Node == "" {
+			return fmt.Errorf("missing node name")
+		}
+		n := nw.Lookup(e.Node)
+		if n == nil && !v.created[e.Node] {
+			return fmt.Errorf("no node named %q", e.Node)
+		}
+		if n != nil && n.IsRail() {
+			return fmt.Errorf("cannot retype rail %s", n.Name)
+		}
+		switch e.NodeKind {
+		case netlist.KindInput, netlist.KindOutput, netlist.KindNormal:
+		default:
+			return fmt.Errorf("bad node kind %v", e.NodeKind)
+		}
+	default:
+		return fmt.Errorf("unknown edit kind %v", e.Kind)
+	}
+	return nil
+}
+
+// commit applies a validated batch to nw. It cannot fail.
+func commit(nw *netlist.Network, edits []Edit) *Result {
+	r := &Result{
+		Net:      nw,
+		OldTrans: make([]int, len(nw.Trans)),
+		oldNodes: len(nw.Nodes),
+	}
+	for i := range r.OldTrans {
+		r.OldTrans[i] = i
+	}
+	for _, e := range edits {
+		r.apply(e)
+	}
+	for i, was := range r.sizes {
+		if switchsim.SizeOf(nw, nw.Nodes[i]) != was {
+			r.lattice = append(r.lattice, i)
+		}
+	}
+	slices.Sort(r.lattice) // map order is random; the cone walk's need not be
+	r.sizes = nil
+	return r
+}
+
+// apply performs one validated edit.
+func (r *Result) apply(e Edit) {
+	nw := r.Net
+	switch e.Kind {
+	case AddTrans:
+		a, b := nw.Node(e.A), nw.Node(e.B)
 		var t *netlist.Trans
 		if e.Dev == tech.RWire {
-			if e.R <= 0 {
-				return fmt.Errorf("wire resistor needs positive resistance")
-			}
 			t = nw.AddResistor(a, b, e.R)
 		} else {
-			t = nw.AddTrans(e.Dev, gate, a, b, e.W, e.L)
+			t = nw.AddTrans(e.Dev, nw.Node(e.Gate), a, b, e.W, e.L)
 		}
 		r.OldTrans = append(r.OldTrans, -1)
-		r.structural = true
 		r.seedTransistor(t)
+		r.seedLattice(t)
 	case RemoveTrans:
-		if e.Index < 0 || e.Index >= len(nw.Trans) {
-			return fmt.Errorf("transistor index %d out of range [0,%d)", e.Index, len(nw.Trans))
-		}
 		t := nw.Trans[e.Index]
-		r.structural = true
 		r.seedTransistor(t) // the index now names whatever moves in
+		r.seedLattice(t)
 		moved := nw.RemoveTrans(t)
 		last := len(nw.Trans) // index the moved device vacated
 		if moved != nil {
@@ -201,13 +351,11 @@ func (r *Result) apply(e Edit) error {
 		}
 		r.OldTrans = r.OldTrans[:last]
 	case Resize:
-		if e.Index < 0 || e.Index >= len(nw.Trans) {
-			return fmt.Errorf("transistor index %d out of range [0,%d)", e.Index, len(nw.Trans))
-		}
 		t := nw.Trans[e.Index]
-		if t.IsWire() {
-			return fmt.Errorf("cannot resize wire resistor %d", e.Index)
-		}
+		// Gate capacitance reads W·L, diffusion W.
+		r.recordSize(t.Gate)
+		r.recordSize(t.A)
+		r.recordSize(t.B)
 		if e.W > 0 {
 			t.W = e.W
 		}
@@ -216,36 +364,17 @@ func (r *Result) apply(e Edit) error {
 		}
 		r.seedTransistor(t)
 	case AddCap:
-		if e.Node == "" {
-			return fmt.Errorf("missing node name")
-		}
 		n := nw.Node(e.Node)
+		r.recordSize(n)
 		n.Cap += e.Cap
 		if n.Cap < 0 {
 			n.Cap = 0
 		}
 		r.seedNodes = append(r.seedNodes, n.Index)
 	case Retype:
-		if e.Node == "" {
-			return fmt.Errorf("missing node name")
-		}
 		n := nw.Lookup(e.Node)
-		if n == nil {
-			return fmt.Errorf("no node named %q", e.Node)
-		}
-		if n.IsRail() {
-			return fmt.Errorf("cannot retype rail %s", n.Name)
-		}
-		switch e.NodeKind {
-		case netlist.KindInput, netlist.KindOutput, netlist.KindNormal:
-			n.Kind = e.NodeKind
-		default:
-			return fmt.Errorf("bad node kind %v", e.NodeKind)
-		}
+		n.Kind = e.NodeKind
 		r.seedNodes = append(r.seedNodes, n.Index)
 		r.forceFull = true
-	default:
-		return fmt.Errorf("unknown edit kind %v", e.Kind)
 	}
-	return nil
 }

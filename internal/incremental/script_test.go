@@ -1,9 +1,12 @@
 package incremental
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/netlist"
 	"repro/internal/tech"
 )
@@ -106,3 +109,40 @@ var errTest = &testError{}
 type testError struct{}
 
 func (*testError) Error() string { return "test error" }
+
+// TestApplyLeavesLazyNameIndexUnbuilt pins that Apply reads names on its
+// clone only. A decoded network builds its name index on the first lookup,
+// and crystald's arena serves one such network to every session of a chip:
+// a batch validated against it would leave the index built there for good.
+// Whether the lookup after Apply is the first one shows in its allocations.
+func TestApplyLeavesLazyNameIndexUnbuilt(t *testing.T) {
+	p := tech.NMOS4()
+	built, err := gen.InverterChain(p, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := netlist.WriteSnapshot(&buf, built, [32]byte{}); err != nil {
+		t.Fatal(err)
+	}
+	shared, _, err := netlist.ReadSnapshot(&buf, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range [][]Edit{
+		{{Kind: AddCap, Node: "s2", Cap: 1e-15}, {Kind: AddTrans, Dev: tech.NEnh, Gate: "s1", A: "s3", B: "tap"}},
+		{{Kind: AddCap, Node: "s2", Cap: 1e-15}, {Kind: Retype, Node: "nowhere", NodeKind: netlist.KindInput}},
+	} {
+		Apply(shared, batch)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n := shared.Lookup("s2")
+	runtime.ReadMemStats(&after)
+	if n == nil {
+		t.Fatal("no node s2")
+	}
+	if after.Mallocs == before.Mallocs {
+		t.Fatal("Apply built the name index of the network it was handed")
+	}
+}

@@ -1,11 +1,12 @@
 // Cloning and structural editing. The incremental re-analysis engine
-// (internal/incremental) never mutates a network an analysis has seen:
-// each edit epoch applies to a fresh Clone, so stage databases and
-// analyzers still reading the previous generation observe a fully
-// immutable snapshot. Clone therefore preserves everything enumeration
-// order depends on — node and transistor indexes, and the insertion
-// order of every adjacency list — so a clone analyzes bit-identically to
-// its original.
+// (internal/incremental) never mutates a network it was handed: an
+// analyzer's first edit batch applies to a Clone, which the analyzer then
+// owns, and later batches edit that clone in place, each advancing its
+// Generation. The caller's network — a parsed file, a shared mapped view —
+// stays immutable for every other reader. Clone therefore preserves
+// everything enumeration order depends on — node and transistor indexes,
+// and the insertion order of every adjacency list — so a clone analyzes
+// bit-identically to its original.
 package netlist
 
 // Clone returns a deep copy of the network: same node and transistor

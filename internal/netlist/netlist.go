@@ -240,7 +240,21 @@ type Network struct {
 	nameOnce sync.Once
 	vdd      *Node
 	gnd      *Node
+
+	// gen counts the edit batches applied to this network in place (see
+	// Generation). Like the graph, it belongs to whoever edits the network.
+	gen uint64
 }
+
+// Generation is the network's edit generation: 0 when built, one more for
+// every edit batch applied in place (NextGeneration). A pointer names a
+// network; the pair (pointer, generation) names one state of it, so
+// anything derived from a network — a stage database, a compiled simulator
+// — records both and is stale when either differs.
+func (nw *Network) Generation() uint64 { return nw.gen }
+
+// NextGeneration records that an edit batch changed the network in place.
+func (nw *Network) NextGeneration() { nw.gen++ }
 
 // nameIndex maps node names to node indexes. Only owner may add to m; a
 // network sharing the index with another generation (owner nil, or some
@@ -296,12 +310,7 @@ func (nw *Network) GND() *Node { return nw.gnd }
 // The names "Vdd", "VDD", "vdd" alias the supply; "GND", "Gnd", "gnd",
 // "VSS", "Vss", "vss" alias ground.
 func (nw *Network) Node(name string) *Node {
-	switch name {
-	case "VDD", "vdd":
-		name = "Vdd"
-	case "Gnd", "gnd", "VSS", "Vss", "vss":
-		name = "GND"
-	}
+	name = Canonical(name)
 	idx := nw.nameIndex()
 	if i, ok := idx.m[name]; ok {
 		return nw.Nodes[i]
@@ -314,6 +323,18 @@ func (nw *Network) Node(name string) *Node {
 	nw.Nodes = append(nw.Nodes, n)
 	idx.m[name] = int32(n.Index)
 	return n
+}
+
+// Canonical is the name Node files name under: the supply and ground
+// aliases become "Vdd" and "GND", every other name is itself.
+func Canonical(name string) string {
+	switch name {
+	case "VDD", "vdd":
+		return "Vdd"
+	case "Gnd", "gnd", "VSS", "Vss", "vss":
+		return "GND"
+	}
+	return name
 }
 
 // Lookup returns the node with the given name, or nil if absent. Unlike

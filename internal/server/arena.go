@@ -9,11 +9,11 @@
 // backed (shared machine-wide).
 //
 // Copy-on-edit: sessions never write through the shared view. The first
-// edit barrier runs the incremental engine, whose Apply clones the
-// network before touching it; the session then detaches — swaps its
-// pointer to the private clone and drops its arena reference. The
-// arena's job is bookkeeping, not enforcement; the clone discipline is
-// the incremental engine's existing contract.
+// edit barrier runs the incremental engine, whose first Reanalyze clones
+// the network before touching it (later ones edit that clone in place);
+// the session then detaches — swaps its pointer to the private clone and
+// drops its arena reference. The arena's job is bookkeeping, not
+// enforcement; the clone discipline is the incremental engine's contract.
 //
 // Lifetime: mappings are never unmapped, even at zero references — node
 // name strings alias the mapped pages and escape into reports, clones

@@ -263,10 +263,10 @@ func (sv *Server) drop(s *session) {
 // markEdited records that a session diverged from its loaded source: it
 // no longer answers content-hash dedup (a re-POST of the same source must
 // get a pristine session, not someone's edit state), and it detaches from
-// any arena view it aliased — Reanalyze's Apply cloned the view before
-// editing, so the session now holds a private heap copy (the mapping
-// stays resident; the clone's name strings still alias its pages). The
-// reference is dropped here or by removeLocked, whichever runs first;
+// any arena view it aliased — the analyzer's first Reanalyze cloned the
+// view before editing, so the session now holds a private heap copy (the
+// mapping stays resident; the clone's name strings still alias its pages).
+// The reference is dropped here or by removeLocked, whichever runs first;
 // sv.mu orders the two.
 func (sv *Server) markEdited(s *session) {
 	sv.mu.Lock()
@@ -349,11 +349,11 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (sv *Server) describe(s *session, cached bool) createResponse {
-	st := s.nw.Load().Stats()
+	shape := s.shape.Load()
 	resp := createResponse{
 		Session: s.id, Cached: cached,
 		Name: s.cfg.Name, Tech: s.cfg.Tech, Model: s.cfg.Model, Tables: s.cfg.Tables,
-		Nodes: st.Nodes, Transistors: st.Trans,
+		Nodes: shape.nodes, Transistors: shape.trans,
 	}
 	if sv.opts.SnapshotDir != "" {
 		resp.Source = s.source
@@ -375,11 +375,11 @@ type sessionInfo struct {
 }
 
 func (sv *Server) info(s *session) sessionInfo {
-	st := s.nw.Load().Stats()
+	shape := s.shape.Load()
 	barriers := int(s.barriers.Load())
 	inf := sessionInfo{
 		Session: s.id, Name: s.cfg.Name,
-		Nodes: st.Nodes, Transistors: st.Trans,
+		Nodes: shape.nodes, Transistors: shape.trans,
 		Edited: barriers > 0, Barriers: barriers,
 	}
 	if snap := s.snap.Load(); snap != nil {
@@ -590,13 +590,14 @@ func (sv *Server) editsSession(s *session, req editsRequest) (int, any) {
 	if len(resp.Barriers) > 0 {
 		// Reanalyze advanced the network generation, and the session
 		// diverged from its loaded source even if a later batch failed.
-		s.nw.Store(s.a.Net)
+		s.setNet(s.a.Net)
 		sv.markEdited(s)
 	}
 	if err != nil {
-		// A failed batch is atomic (Apply clones before editing), but
-		// earlier barriers in the same script have been applied; report
-		// them alongside the error so the client knows where it stopped.
+		// A failed batch is atomic (Reanalyze validates it before the
+		// first edit), but earlier barriers in the same script have been
+		// applied; report them alongside the error so the client knows
+		// where it stopped.
 		return http.StatusUnprocessableEntity, map[string]any{
 			"error":    err.Error(),
 			"barriers": resp.Barriers,

@@ -439,7 +439,7 @@ func TestConcurrentAnalyzeEdits(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 12; j++ {
-				path := "/v1/sessions/" + id // session info reads the network generation
+				path := "/v1/sessions/" + id // session info reads the published counts
 				if j%2 == 0 {
 					path += "/critical"
 				}
@@ -463,6 +463,73 @@ func TestConcurrentAnalyzeEdits(t *testing.T) {
 	if !strings.Contains(an.Report, "timing report") {
 		t.Errorf("post-race report:\n%s", an.Report)
 	}
+}
+
+// TestInfoDuringEditScript reads session info in a loop while an edit
+// script adds and removes a device barrier after barrier. After the first
+// script the session's network is the analyzer's own clone, and every
+// later barrier edits it in place, so info must answer from the counts the
+// job publishes, never from the network: under -race (CI runs this in
+// short mode) a read of the network here is a reported race, and every
+// answer must be one the script passes through.
+func TestInfoDuringEditScript(t *testing.T) {
+	c := newTestClient(t, Options{})
+	cr := c.create(dlatchConfig(t))
+	id := cr.Session
+	c.analyze(id)
+	c.edits(id, "cap out 1e-15\nrun\n") // the analyzer clones the loaded network
+	var script strings.Builder
+	for i := 0; i < 12; i++ {
+		fmt.Fprintf(&script, "add nenh d qb tap%d\nrun\ndel %d\nrun\n", i, cr.Transistors)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	reads := 0
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := c.srv.Client().Get(c.srv.URL + "/v1/sessions/" + id)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var inf sessionInfo
+			err = json.NewDecoder(resp.Body).Decode(&inf)
+			resp.Body.Close()
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			reads++
+			// Each add names a fresh net, so nodes only grow; the device
+			// count steps between the loaded one and one more.
+			if inf.Transistors != cr.Transistors && inf.Transistors != cr.Transistors+1 ||
+				inf.Nodes < cr.Nodes || inf.Nodes > cr.Nodes+12 {
+				t.Errorf("info mid-script: %d nodes, %d transistors (loaded %d, %d)",
+					inf.Nodes, inf.Transistors, cr.Nodes, cr.Transistors)
+				return
+			}
+		}
+	}()
+	resp := c.edits(id, script.String())
+	close(stop)
+	wg.Wait()
+	if len(resp.Barriers) != 24 {
+		t.Errorf("%d barriers ran, want 24", len(resp.Barriers))
+	}
+	var inf sessionInfo
+	c.do("GET", "/v1/sessions/"+id, nil, &inf)
+	if inf.Nodes != cr.Nodes+12 || inf.Transistors != cr.Transistors || inf.Barriers != 25 {
+		t.Errorf("info after the script: %+v, want %d nodes, %d transistors, 25 barriers",
+			inf, cr.Nodes+12, cr.Transistors)
+	}
+	t.Logf("%d reads while the script ran", reads)
 }
 
 func TestRequestErrors(t *testing.T) {

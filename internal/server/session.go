@@ -5,12 +5,12 @@
 // engine.
 //
 // Concurrency model: per-session single writer. Every request that
-// touches the analyzer or batch engine (analyze, edits, simulate) is a
-// job, and the job plane runs one job per session at a time, in
-// submission order — that slot is the session's only lock. Read requests
-// never touch the analyzer at all: they load the snapshot, network
-// generation and barrier count published atomically after each
-// (re)analysis, so a slow drain never blocks a /critical probe and a
+// touches the analyzer, its network or the batch engine (analyze, edits,
+// simulate) is a job, and the job plane runs one job per session at a
+// time, in submission order — that slot is the session's only lock. Read
+// requests never touch the analyzer or the network at all: they load the
+// snapshot, network counts and barrier count published atomically after
+// each (re)analysis, so a slow drain never blocks a /critical probe and a
 // half-applied batch is never observable.
 package server
 
@@ -165,8 +165,9 @@ type HierJSON struct {
 // session is one resident analysis. Past the immutable header, fields
 // are touched only by the session's running job, except shared (guarded
 // by Server.mu) and the three published for readers outside the plane:
-// nw, barriers and snap. Every Apply clones, so a published network
-// generation is never written again.
+// shape, barriers and snap. The network itself is the job's alone: from
+// the second edit batch on the analyzer edits it in place, so a reader
+// outside the plane gets its counts from shape, never from nw.
 type session struct {
 	id   string
 	hash string
@@ -190,19 +191,34 @@ type session struct {
 	tables *delay.Tables
 	model  delay.Model
 
-	nw        atomic.Pointer[netlist.Network] // current generation
-	a         *core.Analyzer                  // nil until the first analyze
-	hier      bool                            // server-wide Options.Hier, applied per analyzer
-	barriers  atomic.Int64                    // run barriers applied; > 0 once edited
-	lastEpoch uint64                          // stage-DB generation at the last metrics update
+	nw        *netlist.Network         // current network; the job's alone
+	shape     atomic.Pointer[netShape] // nw's counts, published for readers
+	a         *core.Analyzer           // nil until the first analyze
+	hier      bool                     // server-wide Options.Hier, applied per analyzer
+	barriers  atomic.Int64             // run barriers applied; > 0 once edited
+	lastEpoch uint64                   // stage-DB generation at the last metrics update
 
 	// batch is the compiled vectorized switch-level engine, built lazily on
 	// the first /simulate and rebuilt whenever edits advance the network
-	// generation (batchNW tracks which generation it was compiled from).
-	batch   *switchsim.Batch
-	batchNW *netlist.Network
+	// generation: batchNW and batchGen name the network state it was
+	// compiled from (an in-place edit keeps the pointer and moves the
+	// generation).
+	batch    *switchsim.Batch
+	batchNW  *netlist.Network
+	batchGen uint64
 
 	snap atomic.Pointer[Snapshot]
+}
+
+// netShape is what readers outside the job plane may know of the session's
+// network: its counts at the edit generation the job last installed.
+type netShape struct{ nodes, trans int }
+
+// setNet installs nw as the session's network and publishes its counts.
+// Callers are the session's job (or its constructor).
+func (s *session) setNet(nw *netlist.Network) {
+	s.nw = nw
+	s.shape.Store(&netShape{nodes: len(nw.Nodes), trans: len(nw.Trans)})
 }
 
 // batchEngine returns the session's compiled vectorized simulator,
@@ -211,9 +227,9 @@ type session struct {
 // session's job — the engine's slab state is single-writer like the
 // analyzer.
 func (s *session) batchEngine() (b *switchsim.Batch, compiled bool) {
-	if nw := s.nw.Load(); s.batch == nil || s.batchNW != nw {
+	if nw := s.nw; s.batch == nil || s.batchNW != nw || s.batchGen != nw.Generation() {
 		s.batch = switchsim.NewBatch(nw)
-		s.batchNW = nw
+		s.batchNW, s.batchGen = nw, nw.Generation()
 		compiled = true
 	}
 	return s.batch, compiled
@@ -274,7 +290,7 @@ func newSession(id string, cfg SessionConfig, snapDir string, hier bool, arena *
 	// With a network in hand the only possible error is the cache write,
 	// which is best effort: a full snapshot directory or permission
 	// problem must not fail the load.
-	s.nw.Store(nw)
+	s.setNet(nw)
 	s.source = res.Source
 	s.shared, s.akey = res.Mapped != nil, key
 	s.snapWrote = snapPath != "" && !res.FromCache() && err == nil
@@ -294,7 +310,7 @@ func networkFileKey(key arenaKey) string {
 // stage database from a previous analyzer over the same generation.
 // Callers are the session's job.
 func (s *session) buildAnalyzer(db *core.Analyzer) (*core.Analyzer, error) {
-	nw := s.nw.Load()
+	nw := s.nw
 	opts := core.Options{Hier: s.hier}
 	if db != nil {
 		opts.DB = db.StageDB()

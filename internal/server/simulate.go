@@ -100,7 +100,7 @@ func (sv *Server) simulateSession(s *session, req simulateRequest) (int, any) {
 		}
 	}
 
-	nw := s.nw.Load()
+	nw := s.nw
 	watch := nw.Outputs()
 	if len(req.Watch) > 0 {
 		watch = watch[:0:0]

@@ -126,8 +126,10 @@ func TestSimulateMatchesScalar(t *testing.T) {
 }
 
 // TestSimulateRecompileAfterEdit pins the cache-invalidation contract: an
-// edit barrier advances the network generation, so the next simulate must
-// rebuild the batch engine rather than answer from the stale compile.
+// edit barrier advances the network generation — the first by replacing
+// the network with an edited clone, later ones by editing it in place — so
+// the next simulate must rebuild the batch engine rather than answer from
+// the stale compile.
 func TestSimulateRecompileAfterEdit(t *testing.T) {
 	c := newTestClient(t, Options{})
 	id := c.create(dlatchConfig(t)).Session
@@ -145,8 +147,19 @@ func TestSimulateRecompileAfterEdit(t *testing.T) {
 	if got := strings.Join(resp.Results[0].Values, " "); got != "1" {
 		t.Errorf("post-edit values = %q, want %q (out follows written d)", got, "1")
 	}
-	if m := c.metrics(); m.Sim.Compiles != 2 {
-		t.Errorf("sim compiles = %d, want 2", m.Sim.Compiles)
+	// The second barrier edits the session's network in place: same
+	// pointer, next generation. A pulldown on out gated by wr now wins the
+	// ratioed fight against out's depletion load.
+	c.edits(id, "add nenh wr out gnd\nrun\n")
+	resp = c.simulate(id, simulateRequest{Vectors: []string{"11"}})
+	if !resp.Compiled {
+		t.Errorf("simulate after an in-place edit: Compiled = false, want recompile")
+	}
+	if got := strings.Join(resp.Results[0].Values, " "); got != "0" {
+		t.Errorf("values after the pulldown = %q, want %q", got, "0")
+	}
+	if m := c.metrics(); m.Sim.Compiles != 3 {
+		t.Errorf("sim compiles = %d, want 3", m.Sim.Compiles)
 	}
 }
 

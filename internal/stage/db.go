@@ -9,8 +9,8 @@
 // Derive builds the next generation over the edited network by copying the
 // slot pointers of untouched channel-connected groups and leaving the
 // dirty ones nil. Slabs hold indexes, not pointers into a network, so a
-// superseded generation — database and network — is collectable as soon as
-// its readers finish, whatever it shares with its successors.
+// superseded database is collectable as soon as its readers finish,
+// whatever it shares with its successors.
 package stage
 
 import (
@@ -35,8 +35,8 @@ type DB struct {
 	// bounds). Consumers must not share a DB across different stamps.
 	Stamp string
 	// Epoch counts edit generations: 0 for a fresh database, predecessor
-	// epoch + 1 for one built by Derive. Diagnostics only — correctness
-	// comes from each generation owning its own immutable network.
+	// epoch + 1 for one built by Derive. Diagnostics only — which network
+	// state a database describes is its network and Generation.
 	Epoch uint64
 
 	// A device's or a node's consequences are always consulted for both
@@ -56,6 +56,7 @@ type DB struct {
 	cn *netlist.Compact
 
 	truncated bool
+	gen       uint64 // nw's edit generation when the database was made
 }
 
 // NewDB creates an empty database for the network. opt.Oracle fixes the
@@ -65,6 +66,7 @@ type DB struct {
 func NewDB(nw *netlist.Network, opt Options) *DB {
 	return &DB{
 		nw:      nw,
+		gen:     nw.Generation(),
 		opt:     opt.Fill(),
 		through: make([]*Slab, len(nw.Trans)),
 		release: make([]*Slab, len(nw.Nodes)),
@@ -75,6 +77,11 @@ func NewDB(nw *netlist.Network, opt Options) *DB {
 
 // Network returns the network the database indexes.
 func (db *DB) Network() *netlist.Network { return db.nw }
+
+// Generation returns the edit generation of Network the database describes
+// (netlist.Network.Generation). Once the network has moved past it, the
+// database is a predecessor only Derive may read.
+func (db *DB) Generation() uint64 { return db.gen }
 
 // Truncated reports whether any enumeration performed so far hit the
 // MaxPaths/MaxDepth caps. A database handed from run to run accumulates it
@@ -157,9 +164,10 @@ func (db *DB) Group(ti int) []int32 {
 	return g
 }
 
-// Derive builds the next-generation database over the edited network nw
-// (a distinct object from this database's network — edits never mutate a
-// generation an analysis has seen). Slots of untouched indexes are copied
+// Derive builds the next-generation database over the edited network nw —
+// a clone of this database's network, or the same network edited in place
+// since. Derive reads nothing of the old network, only this database's
+// slots, so either is fine. Slots of untouched indexes are copied
 // from this database: one already built keeps its slab; one still unbuilt
 // is enumerated by whichever generation asks, and because the clean
 // channel-connected groups are structurally identical in both networks the
@@ -194,7 +202,7 @@ func (db *DB) Derive(nw *netlist.Network, opt Options, dirtyTrans, dirtyNode []b
 		next.through[j] = db.through[old]
 		next.groups[j] = db.groups[old]
 	}
-	oldNodes := len(db.nw.Nodes)
+	oldNodes := len(db.release) // db.nw may have grown in place since
 	for j := range nw.Nodes {
 		if j >= oldNodes || (j < len(dirtyNode) && dirtyNode[j]) {
 			continue

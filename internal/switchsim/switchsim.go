@@ -124,12 +124,15 @@ const K2CapFloor = 100e-15
 func NodeSizes(nw *netlist.Network) []Strength {
 	sizes := make([]Strength, len(nw.Nodes))
 	for _, n := range nw.Nodes {
-		sizes[n.Index] = nodeSize(nw, n)
+		sizes[n.Index] = SizeOf(nw, n)
 	}
 	return sizes
 }
 
-func nodeSize(nw *netlist.Network, n *netlist.Node) Strength {
+// SizeOf is node n's build-time size. Capacitance and device geometry reach
+// the lattice only through it — through NodeCap against K2CapFloor — so an
+// edit that leaves every node's size alone leaves the lattice alone.
+func SizeOf(nw *netlist.Network, n *netlist.Node) Strength {
 	switch {
 	case n.IsRail() || n.Kind == netlist.KindInput:
 		return SOmega
@@ -137,23 +140,6 @@ func nodeSize(nw *netlist.Network, n *netlist.Node) Strength {
 		return SK2
 	}
 	return SK1
-}
-
-// SizesKept reports whether each of the given nodes (by index) has the same
-// size in next as in prev, two generations of one network. Capacitance and
-// device geometry reach the lattice only through a node's size — through
-// NodeCap against K2CapFloor — so an edit batch that adds and removes
-// nothing, retypes nothing, and keeps the size of every node whose
-// capacitance it changed (the gate and both terminals of a resized device
-// included: NodeCap reads W·L) settles to exactly the values the previous
-// generation settled to.
-func SizesKept(prev, next *netlist.Network, nodes []int) bool {
-	for _, i := range nodes {
-		if i >= len(prev.Nodes) || nodeSize(prev, prev.Nodes[i]) != nodeSize(next, next.Nodes[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // DeviceStrength returns the maximum strength a signal retains after
@@ -322,6 +308,72 @@ func (s *Sim) ValueName(name string) Value {
 		return VX
 	}
 	return s.val[n.Index]
+}
+
+// Resume loads a settled state in place of the power-on one, so that the
+// next Settle re-evaluates only what an edit can have changed. prev holds
+// the values a Settle of the network's previous edit generation left, with
+// the same fixed sources (set them with SetInput first) and the same nodes;
+// seeds are the nodes whose lattice inputs the edit changed — the gate and
+// terminals of every device it added or removed, and every node whose size
+// it moved. Resume releases to X the forward lattice cone of the seeds: the
+// closure over channel neighbours, through any device whatever its
+// conduction, and over the terminals of every device a cone node gates,
+// stopping only at rails and fixed nodes — the boundary collectGroup stops
+// at. Every other node takes its value from prev, and the cone is marked
+// dirty; whatever was queued before (the SetInput calls fixing the sources)
+// is dropped, since prev already settled it. It returns the cone (a fresh
+// slice, in visit order).
+//
+// The following Settle reaches exactly what a power-on Settle of the edited
+// network reaches, unless either settle oscillates. A node outside the cone
+// reads only nodes outside it, so from power-on it settles as it did before
+// the edit; and the lattice is monotone in information order (X, the value
+// that says least, below 0 and 1 — Bryant writes the same order the other
+// way up, 0 < X and 1 < X), so iterating up from a state that is below the
+// least fixed point and already stable outside the cone ends at that least
+// fixed point, as the iteration up from all-X does.
+func (s *Sim) Resume(prev []Value, seeds []int) []int {
+	for _, i := range s.queue {
+		s.dirty[i] = false
+	}
+	s.queue = s.queue[:0]
+	s.groupEpoch++
+	var cone []int
+	visit := func(i int) {
+		if s.groupID[i] != s.groupEpoch && !s.fixed[i] {
+			s.groupID[i] = s.groupEpoch
+			cone = append(cone, i)
+		}
+	}
+	for _, i := range seeds {
+		visit(i)
+	}
+	for qi := 0; qi < len(cone); qi++ {
+		n := s.nw.Nodes[cone[qi]]
+		for _, t := range n.Terms {
+			if o := t.Other(n); o != nil {
+				visit(o.Index)
+			}
+		}
+		for _, t := range n.Gates {
+			visit(t.A.Index)
+			visit(t.B.Index)
+		}
+	}
+	for i, v := range prev {
+		if !s.fixed[i] {
+			s.val[i] = v
+		}
+	}
+	for _, i := range cone {
+		s.val[i] = VX
+		s.markDirty(i)
+	}
+	// The loaded state stands in for the first Settle's: the next one is
+	// incremental from the cone.
+	s.settle = max(s.settle, 1)
+	return cone
 }
 
 // Oscillated reports whether the last Settle forced any node to X because
