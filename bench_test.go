@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -25,22 +24,14 @@ import (
 	"repro/internal/tech"
 )
 
-var (
-	tablesOnce sync.Once
-	charTables *delay.Tables
-)
-
-// tables returns the characterized tables for nMOS, computed once.
+// tables returns the committed characterized tables for nMOS.
 func tables(b *testing.B) *delay.Tables {
 	b.Helper()
-	tablesOnce.Do(func() {
-		tb, err := charlib.Default(tech.NMOS4())
-		if err != nil {
-			panic(fmt.Sprintf("characterization failed: %v", err))
-		}
-		charTables = tb
-	})
-	return charTables
+	tb, err := charlib.Default(tech.NMOS4())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tb
 }
 
 // meanAbsErr computes the mean absolute percent error of one model over a
@@ -70,7 +61,8 @@ func BenchmarkE1SlopeTables(b *testing.B) {
 		}
 	}
 	b.ReportMetric(tb.RSquare[tech.NEnh][tech.Fall], "Ωsq-nenh-fall")
-	b.ReportMetric(tb.Curve(tech.NEnh, tech.Fall).MultAt(16), "rmult@16")
+	rmult, _ := tb.Curve(tech.NEnh, tech.Fall).At(16)
+	b.ReportMetric(rmult, "rmult@16")
 }
 
 // BenchmarkE2ModelAccuracy reproduces the accuracy table (E2): all suite
@@ -671,13 +663,13 @@ func BenchmarkAblationTables(b *testing.B) {
 	p := tech.NMOS4()
 	for _, arm := range []struct {
 		name string
-		tb   func() *delay.Tables
+		tb   func(*testing.B) *delay.Tables
 	}{
-		{"characterized", func() *delay.Tables { return tables(b) }},
-		{"analytic", func() *delay.Tables { return delay.AnalyticTables(p) }},
+		{"characterized", tables},
+		{"analytic", func(*testing.B) *delay.Tables { return delay.AnalyticTables(p) }},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
-			tb := arm.tb()
+			tb := arm.tb(b)
 			var rows []experiments.AccuracyRow
 			for i := 0; i < b.N; i++ {
 				var err error

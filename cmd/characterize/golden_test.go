@@ -13,18 +13,24 @@ import (
 var update = flag.Bool("update", false, "rewrite golden output files")
 
 // TestGoldenTables pins the characterization output in every format —
-// the table humans read, the CSV plots consume and the Go source the
-// build embeds. The analog-reference sweep is deterministic, so every
-// Reff and Rmult value is pinned exactly.
+// the table humans read, the CSV plots consume and the Go source
+// internal/charlib commits. The analog-reference sweep is deterministic, so
+// every Reff and Rmult value is pinned exactly. The Go cases run at default
+// options and their goldens are the committed tables themselves, so
+// charlib.Default stays bit-identical to a fresh Characterize.
 func TestGoldenTables(t *testing.T) {
 	cases := []struct {
-		name string
-		cfg  config
+		name   string
+		cfg    config
+		golden string // default testdata/golden/<name>.txt
 	}{
-		{"nmos-table", config{techName: "nmos-4u", format: "table", ratioList: "0,1,4", load: 100e-15}},
-		{"nmos-csv", config{techName: "nmos-4u", format: "csv", ratioList: "0,1,4", load: 100e-15}},
-		{"cmos-go", config{techName: "cmos-3u", format: "go", ratioList: "0,2", load: 100e-15}},
-		{"nmos-compare", config{techName: "nmos-4u", format: "table", ratioList: "0,4", load: 100e-15, compare: true}},
+		{name: "nmos-table", cfg: config{techName: "nmos-4u", format: "table", ratioList: "0,1,4", load: 100e-15}},
+		{name: "nmos-csv", cfg: config{techName: "nmos-4u", format: "csv", ratioList: "0,1,4", load: 100e-15}},
+		{name: "nmos-go", cfg: config{techName: "nmos-4u", format: "go", load: 100e-15},
+			golden: "../../internal/charlib/tables_nmos4u.go"},
+		{name: "cmos-go", cfg: config{techName: "cmos-3u", format: "go", load: 100e-15},
+			golden: "../../internal/charlib/tables_cmos3u.go"},
+		{name: "nmos-compare", cfg: config{techName: "nmos-4u", format: "table", ratioList: "0,4", load: 100e-15, compare: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -33,7 +39,12 @@ func TestGoldenTables(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := out.String()
-			golden := "testdata/golden/" + tc.name + ".txt"
+			golden, fix := tc.golden, "run with -update"
+			if golden == "" {
+				golden = "testdata/golden/" + tc.name + ".txt"
+			} else {
+				fix = "run go generate ./internal/charlib"
+			}
 			if *update {
 				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 					t.Fatal(err)
@@ -42,11 +53,11 @@ func TestGoldenTables(t *testing.T) {
 			}
 			want, err := os.ReadFile(golden)
 			if err != nil {
-				t.Fatalf("%v (run with -update to create)", err)
+				t.Fatalf("%v (%s to create)", err, fix)
 			}
 			if got != string(want) {
-				t.Errorf("golden mismatch for %s:\n--- want ---\n%s\n--- got ---\n%s",
-					golden, want, got)
+				t.Errorf("golden mismatch for %s (%s):\n--- want ---\n%s\n--- got ---\n%s",
+					golden, fix, want, got)
 			}
 		})
 	}

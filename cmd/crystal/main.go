@@ -169,9 +169,8 @@ func run(cfg config, w io.Writer) (int, error) {
 	var tb *delay.Tables
 	switch cfg.tables {
 	case "char":
-		tb, err = charlib.Default(p)
-		if err != nil {
-			fmt.Fprintf(w, "crystal: characterization failed (%v); using analytic tables\n", err)
+		if tb, err = charlib.Default(p); err != nil {
+			return 0, err
 		}
 	case "analytic":
 		tb = delay.AnalyticTables(p)

@@ -98,10 +98,8 @@ func run(cfg config, w io.Writer) error {
 	var tb *delay.Tables
 	switch cfg.tables {
 	case "char":
-		var err error
-		tb, err = charlib.Default(p)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "delaycmp: characterization failed (%v); using analytic tables\n", err)
+		if tb, err = charlib.Default(p); err != nil {
+			return err
 		}
 	case "analytic":
 		tb = delay.AnalyticTables(p)
@@ -136,9 +134,9 @@ func run(cfg config, w io.Writer) error {
 					fmt.Fprintf(w, " %g→%.2f", r, c.RMult[i])
 				}
 				if tb.Source == "characterized" {
-					ac := analytic.Curve(d, tr)
 					last := c.Ratio[len(c.Ratio)-1]
-					fmt.Fprintf(w, "  [analytic@%g: %.2f]", last, ac.MultAt(last))
+					am, _ := analytic.Curve(d, tr).At(last)
+					fmt.Fprintf(w, "  [analytic@%g: %.2f]", last, am)
 				}
 				fmt.Fprintln(w)
 			}

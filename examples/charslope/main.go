@@ -1,6 +1,6 @@
 // Slope-table characterization walkthrough: measures one device's
 // effective-resistance curve against the analog reference and prints it
-// next to the analytic fallback — the data behind figure E1.
+// next to the closed-form analytic tables — the data behind figure E1.
 //
 //	go run ./examples/charslope
 package main
@@ -33,8 +33,9 @@ func main() {
 	ac := analytic.Curve(dev, tr)
 	fmt.Printf("  %-8s %-14s %-14s %-10s\n", "ratio", "Rmult (meas)", "Rmult (anl)", "Tfactor")
 	for i, r := range c.Ratio {
+		am, _ := ac.At(r)
 		fmt.Printf("  %-8.3g %-14.3f %-14.3f %-10.3f\n",
-			r, c.RMult[i], ac.MultAt(r), c.TFactor[i])
+			r, c.RMult[i], am, c.TFactor[i])
 	}
 	fmt.Println("\nthe measured curve is what the slope model interpolates at analysis")
 	fmt.Println("time: effective resistance grows as the input slows relative to the")

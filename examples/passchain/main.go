@@ -22,7 +22,7 @@ func main() {
 	p := tech.NMOS4()
 	tb, err := charlib.Default(p)
 	if err != nil {
-		log.Printf("characterization failed (%v); using analytic tables", err)
+		log.Fatal(err)
 	}
 	fmt.Printf("pass-chain delay vs length (%s, %s tables)\n\n", p.Name, tb.Source)
 	fmt.Printf("%-4s %10s %10s %8s\n", "n", "lumped", "distributed", "ratio")

@@ -29,8 +29,8 @@ func main() {
 	st := nw.Stats()
 	fmt.Printf("circuit %s: %d transistors, %d nodes\n\n", nw.Name, st.Trans, st.Nodes)
 
-	// Time it under each model. Analytic tables keep the example instant;
-	// swap in charlib.Default(p) for characterized tables.
+	// Time it under each model with the closed-form analytic tables;
+	// charlib.Default(p) returns the committed characterized ones.
 	tables := delay.AnalyticTables(p)
 	for _, m := range delay.All(tables) {
 		a := core.New(nw, m, core.Options{})

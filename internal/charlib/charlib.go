@@ -18,11 +18,18 @@
 //	PEnh rise — CMOS inverter: input ramps down, p-device charges load.
 //	PEnh fall — pass-low: cap at Vdd, p-device to GND, gate ramps down
 //	            (output saturates a threshold above GND).
+//
+// Characterize runs the sweep. Its output at default Options for the
+// built-in technologies is committed as tables_*.go, which Default returns
+// without simulating anything; cmd/characterize's golden test fails when
+// the committed files no longer match a fresh sweep.
 package charlib
+
+//go:generate sh -c "go run repro/cmd/characterize -tech nmos-4u -format go > tables_nmos4u.go.tmp && mv tables_nmos4u.go.tmp tables_nmos4u.go"
+//go:generate sh -c "go run repro/cmd/characterize -tech cmos-3u -format go > tables_cmos3u.go.tmp && mv tables_cmos3u.go.tmp tables_cmos3u.go"
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/analog"
 	"repro/internal/delay"
@@ -257,25 +264,30 @@ func Characterize(p *tech.Params, opt Options) (*delay.Tables, error) {
 	return tb, nil
 }
 
-var (
-	cacheMu sync.Mutex
-	cache   = map[string]*delay.Tables{}
-)
+// committed pairs each generated table with the parameter set it
+// characterizes.
+var committed = []struct {
+	p  *tech.Params
+	tb *delay.Tables
+}{
+	{tech.NMOS4(), &tablesnmos4u},
+	{tech.CMOS3(), &tablescmos3u},
+}
 
-// Default returns characterization tables for p, running the measurement
-// once per technology per process and caching the result. It falls back
-// to analytic tables (with an error returned alongside) if
-// characterization fails, so callers can degrade gracefully.
+// Default returns the committed characterization of p: Characterize's
+// output at default Options, generated once per technology. Every call
+// returns the same pointer. It is an error if no tables are committed for
+// p.Name, or if p differs from the built-in parameter set of that name;
+// such parameters need their own Characterize run.
 func Default(p *tech.Params) (*delay.Tables, error) {
-	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if tb, ok := cache[p.Name]; ok {
-		return tb, nil
+	for _, c := range committed {
+		if c.p.Name != p.Name {
+			continue
+		}
+		if *p != *c.p {
+			return nil, fmt.Errorf("charlib: parameters of %s differ from the built-in set the committed tables characterize", p.Name)
+		}
+		return c.tb, nil
 	}
-	tb, err := Characterize(p, Options{})
-	if err != nil {
-		return delay.AnalyticTables(p), err
-	}
-	cache[p.Name] = tb
-	return tb, nil
+	return nil, fmt.Errorf("charlib: no committed tables for technology %q", p.Name)
 }

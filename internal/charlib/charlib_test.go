@@ -3,6 +3,7 @@ package charlib
 import (
 	"testing"
 
+	"repro/internal/delay"
 	"repro/internal/tech"
 )
 
@@ -81,20 +82,36 @@ func TestCharacterizeCMOS(t *testing.T) {
 	}
 }
 
-func TestDefaultCaches(t *testing.T) {
-	if testing.Short() {
-		t.Skip("characterization is a long-running analog sweep")
+// TestDefault: the committed tables are valid characterized tables, handed
+// out as one pointer per technology without allocating, and only for the
+// built-in parameter sets they were generated from.
+func TestDefault(t *testing.T) {
+	for _, p := range []*tech.Params{tech.NMOS4(), tech.CMOS3()} {
+		tb, err := Default(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if err := tb.Validate(); err != nil {
+			t.Errorf("%s: %v", p.Name, err)
+		}
+		if tb.Source != "characterized" || tb.Tech != p.Name {
+			t.Errorf("%s: provenance: source=%q tech=%q", p.Name, tb.Source, tb.Tech)
+		}
+		var again *delay.Tables
+		allocs := testing.AllocsPerRun(100, func() { again, _ = Default(p) })
+		if again != tb {
+			t.Errorf("%s: Default returned %p, then %p", p.Name, tb, again)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: Default allocates %v times per call", p.Name, allocs)
+		}
+	}
+	if _, err := Default(&tech.Params{Name: "ge-5u"}); err == nil {
+		t.Error("unknown technology: want an error")
 	}
 	p := tech.NMOS4()
-	a, err := Default(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Default(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("Default should return the cached pointer on second call")
+	p.Vdd = 3.3
+	if tb, err := Default(p); err == nil {
+		t.Errorf("nmos-4u with Vdd %g: got %s tables, want an error", p.Vdd, tb.Source)
 	}
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // tableSources returns both table sources of technology p: the analytic
-// defaults and the characterized tables the crystal CLI uses by default.
+// defaults and the committed characterized tables the crystal CLI uses by
+// default.
 func tableSources(t *testing.T, p *tech.Params) map[string]*delay.Tables {
 	t.Helper()
 	char, err := Default(p)
@@ -25,9 +26,6 @@ func tableSources(t *testing.T, p *tech.Params) map[string]*delay.Tables {
 // in ratio, so a slower input never makes a stage faster or its output
 // sharper.
 func TestTablesMonotone(t *testing.T) {
-	if testing.Short() {
-		t.Skip("characterization is a long-running analog sweep")
-	}
 	for _, p := range []*tech.Params{tech.NMOS4(), tech.CMOS3()} {
 		for src, tb := range tableSources(t, p) {
 			for _, d := range tech.Devices() {
@@ -54,9 +52,6 @@ func TestTablesMonotone(t *testing.T) {
 // both table sources and technologies, neither the delay nor the output
 // slope may ever fall as the input slows.
 func TestSlopeSweepMonotone(t *testing.T) {
-	if testing.Short() {
-		t.Skip("characterization is a long-running analog sweep")
-	}
 	slopes := make([]float64, 121)
 	for k := range slopes {
 		slopes[k] = 1e-13 * math.Pow(10, float64(k)/20)

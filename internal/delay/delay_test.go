@@ -39,27 +39,22 @@ func TestCurveInterpolation(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct{ r, want float64 }{
-		{0, 1}, {0.5, 1.5}, {1, 2}, {2.5, 3.5}, {4, 5},
-		{7, 8}, // extrapolated: slope 1 per unit ratio beyond the end
+	cases := []struct{ r, mult, tfactor float64 }{
+		{0, 1, 2}, {0.5, 1.5, 2.5}, {1, 2, 3}, {2.5, 3.5, 4.5}, {4, 5, 6},
+		{7, 8, 9}, // extrapolated: slope 1 per unit ratio beyond the end
 	}
 	for _, tc := range cases {
-		if got := c.MultAt(tc.r); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("MultAt(%g) = %g, want %g", tc.r, got, tc.want)
+		m, f := c.At(tc.r)
+		if math.Abs(m-tc.mult) > 1e-12 || math.Abs(f-tc.tfactor) > 1e-12 {
+			t.Errorf("At(%g) = %g, %g, want %g, %g", tc.r, m, f, tc.mult, tc.tfactor)
 		}
-	}
-	if got := c.TFactorAt(0.5); math.Abs(got-2.5) > 1e-12 {
-		t.Errorf("TFactorAt(0.5) = %g", got)
 	}
 }
 
 func TestCurveFloors(t *testing.T) {
 	c := Curve{Ratio: []float64{0, 1}, RMult: []float64{1, -5}, TFactor: []float64{2, -5}}
-	if got := c.MultAt(1); got != 0.05 {
-		t.Errorf("MultAt should floor at 0.05, got %g", got)
-	}
-	if got := c.TFactorAt(1); got != 0.1 {
-		t.Errorf("TFactorAt should floor at 0.1, got %g", got)
+	if m, f := c.At(1); m != 0.05 || f != 0.1 {
+		t.Errorf("At(1) = %g, %g, want the floors 0.05, 0.1", m, f)
 	}
 }
 

@@ -97,7 +97,8 @@ func (m *RC) Evaluate(nw *netlist.Network, st *stage.Stage, _ float64) Result {
 // on the tables, the driver type and the transition alone, so the record
 // does not keep it.
 func tf0(tb *Tables, st *stage.Stage) float64 {
-	return tb.Curve(st.DriverType(), st.Transition()).TFactorAt(0)
+	_, tf := tb.Curve(st.DriverType(), st.Transition()).At(0)
+	return tf
 }
 
 // elmoreSplit computes the Elmore delay of the stage target under tb, and

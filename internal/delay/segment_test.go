@@ -19,7 +19,7 @@ func TestSegmentMatchesBinarySearch(t *testing.T) {
 	for _, p := range []*tech.Params{tech.NMOS4(), tech.CMOS3()} {
 		measured, err := charlib.Default(p)
 		if err != nil {
-			t.Fatalf("%s: characterization: %v", p.Name, err)
+			t.Fatalf("%s: %v", p.Name, err)
 		}
 		for _, tb := range []*delay.Tables{delay.AnalyticTables(p), measured} {
 			probed := 0

@@ -44,37 +44,14 @@ func (c *Curve) segment(r float64) int {
 	return i
 }
 
-// interp linearly interpolates ys over c.Ratio at r, clamping outside the
-// sampled range by linear extrapolation of the last segment (slope effects
-// grow roughly linearly in the deep-slow-input regime).
-func (c *Curve) interp(ys []float64, r float64) float64 {
-	n := len(c.Ratio)
-	if n == 0 {
-		return 1
-	}
-	if r <= c.Ratio[0] {
-		return ys[0]
-	}
-	i := c.segment(r)
-	if i >= n {
-		// Extrapolate from the final segment.
-		if n == 1 {
-			return ys[0]
-		}
-		i = n - 1
-	}
-	x0, x1 := c.Ratio[i-1], c.Ratio[i]
-	y0, y1 := ys[i-1], ys[i]
-	if x1 == x0 {
-		return y1
-	}
-	return y0 + (y1-y0)*(r-x0)/(x1-x0)
-}
-
-// At returns MultAt(r) and TFactorAt(r) together, locating the
-// interpolation segment once instead of once per curve. The arithmetic
-// matches interp term for term, so the results are bit-identical to the
-// individual accessors — this is the slope model's innermost lookup.
+// At returns the effective-resistance multiplier and the output-transition
+// factor at slope ratio r — the slope model's innermost lookup, locating the
+// interpolation segment once for both curves. Between samples it
+// interpolates linearly; beyond the last it extrapolates the final segment
+// (slope effects grow roughly linearly in the deep-slow-input regime), and
+// below the first it clamps. An empty curve reads as the identity
+// multiplier. Both results are floored at small positive values so stage
+// delays and slopes stay positive.
 func (c *Curve) At(r float64) (mult, tfactor float64) {
 	n := len(c.Ratio)
 	if n == 0 {
@@ -113,18 +90,6 @@ func flooredTFactor(f float64) float64 {
 		f = 0.1
 	}
 	return f
-}
-
-// MultAt returns the effective-resistance multiplier at slope ratio r,
-// floored at a small positive value so stage delays stay positive.
-func (c *Curve) MultAt(r float64) float64 {
-	return flooredMult(c.interp(c.RMult, r))
-}
-
-// TFactorAt returns the output-transition factor at slope ratio r, floored
-// at a small positive value.
-func (c *Curve) TFactorAt(r float64) float64 {
-	return flooredTFactor(c.interp(c.TFactor, r))
 }
 
 // Validate checks consistent lengths, ascending ratios, and multipliers
@@ -253,9 +218,9 @@ func (tb *Tables) Validate() error {
 // resistances and a crude analytic slope shape: the effective resistance
 // multiplier grows linearly with the slope ratio at about one third, and
 // the output transition factor starts at the single-pole 10–90% value
-// (ln 9 ≈ 2.2) and widens with slow inputs. These are the fallback when no
-// characterization run is available, and the "uncalibrated" arm of
-// ablation experiment E1.
+// (ln 9 ≈ 2.2) and widens with slow inputs. They are the closed-form
+// fixture of the benchmark and most goldens, the -tables analytic choice,
+// and the "uncalibrated" arm of ablation experiment E1.
 func AnalyticTables(p *tech.Params) *Tables {
 	tb := &Tables{Source: "analytic", Tech: p.Name}
 	ratios := []float64{0, 0.5, 1, 2, 4, 8, 16, 32}

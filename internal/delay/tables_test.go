@@ -138,21 +138,18 @@ func TestCurveSinglePoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []float64{0, 0.5, 1, 100} {
-		if got := c.MultAt(r); got != 1.5 {
-			t.Errorf("MultAt(%g) = %g, want 1.5", r, got)
-		}
-		if got := c.TFactorAt(r); got != 2.5 {
-			t.Errorf("TFactorAt(%g) = %g, want 2.5", r, got)
+		if m, f := c.At(r); m != 1.5 || f != 2.5 {
+			t.Errorf("At(%g) = %g, %g, want 1.5, 2.5", r, m, f)
 		}
 	}
 }
 
-// TestCurveEmpty pins the zero-value Curve: interp's documented fallback
-// is the identity multiplier, and Validate rejects it.
+// TestCurveEmpty pins the zero-value Curve: At reads it as the identity
+// multiplier, and Validate rejects it.
 func TestCurveEmpty(t *testing.T) {
 	var c Curve
-	if got := c.MultAt(3); got != 1 {
-		t.Errorf("empty curve MultAt = %g, want 1", got)
+	if m, _ := c.At(3); m != 1 {
+		t.Errorf("empty curve multiplier = %g, want 1", m)
 	}
 	if err := c.Validate(); err == nil {
 		t.Error("empty curve must not validate")
