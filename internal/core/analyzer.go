@@ -146,12 +146,11 @@ type Analyzer struct {
 	// gates a device or is an input with channel terminals, and no loop
 	// break cuts its fanout. fanout is a no-op everywhere else, so only
 	// these nodes record replay history (see improve).
-	triggers     []bool
-	cachedOracle stage.Oracle
-	queue        sched.Queue
-	queued       [][2]bool // per (node, transition): live entry in the queue
-	stageEv      int       // stages evaluated (cost metric)
-	stats        DrainStats
+	triggers []bool
+	queue    sched.Queue
+	queued   [][2]bool // per (node, transition): live entry in the queue
+	stageEv  int       // stages evaluated (cost metric)
+	stats    DrainStats
 
 	// db memoizes stage enumeration: sensitization is static during Run,
 	// so a trigger's stages never change. Either a private database or
@@ -160,9 +159,10 @@ type Analyzer struct {
 
 	// cnet is the compiled structure-of-arrays view of a.Net (CSR gate
 	// adjacency, per-node flags) — the only network representation the
-	// event loop reads. Built before each drain by buildGates and dropped
-	// when the drain returns (endDrain); node indexes are stable across
-	// edits, so the per-node arrays above only grow.
+	// event loop reads. Built by buildGates before Run's drain and dropped
+	// when it returns (endDrain); an editing analyzer keeps it and
+	// recompiles only for a batch that changes what it holds. Node indexes
+	// are stable across edits, so the per-node arrays above only grow.
 	cnet *netlist.Compact
 
 	// Hierarchical analysis state (nil when Options.Hier is off or nothing
@@ -181,8 +181,12 @@ type Analyzer struct {
 	// staticOsc reports that the power-on settle behind static oscillated.
 	staticOsc bool
 	// ownsNet reports that Net is the analyzer's own: the clone its first
-	// Reanalyze made, which later batches edit in place.
+	// Reanalyze made, which later batches edit in place. The analyzer then
+	// owns its stage database too, and advances it in place.
 	ownsNet bool
+	// plan is the last batch's invalidation plan, whose per-index arrays
+	// the next batch's plan takes over.
+	plan *incremental.Plan
 }
 
 // histEvent is one superseded event that was propagated before being
@@ -389,39 +393,27 @@ func (a *Analyzer) Arrival(n *netlist.Node, tr tech.Transition) Event {
 // the throughput metric of experiment E6.
 func (a *Analyzer) StagesEvaluated() int { return a.stageEv }
 
-// oracle returns the sensitization oracle, building it from settled
-// static values on first use (one closure per Run, not per event).
+// oracle returns the sensitization oracle of the current static snapshot:
+// conduction is a pure function of the settled values, which the closure
+// reads. The stage database asks it once per device when it builds its
+// enumeration view, which keeps the answers in an array of its own.
 func (a *Analyzer) oracle() stage.Oracle {
 	if a.Opts.NoStaticPruning || a.static == nil {
 		return nil // worst case
 	}
-	if a.cachedOracle != nil {
-		return a.cachedOracle
-	}
-	// Conduction is a pure function of the settled static values, which are
-	// frozen for the lifetime of this oracle — precompute it per transistor
-	// so enumeration (which asks per edge of every path and side walk)
-	// indexes an array instead of re-deriving device behaviour.
-	conduct := make([]stage.Conduction, len(a.Net.Trans))
-	for i, t := range a.Net.Trans {
-		switch {
-		case t.AlwaysOn():
-			conduct[i] = stage.On
-		default:
-			g := a.static[t.Gate.Index]
-			if g == switchsim.VX {
-				conduct[i] = stage.Maybe
-			} else if g == switchsim.FromBool(t.ConductsOn() == 1) {
-				conduct[i] = stage.On
-			} else {
-				conduct[i] = stage.Off
-			}
+	static := a.static
+	return func(t *netlist.Trans) stage.Conduction {
+		if t.AlwaysOn() {
+			return stage.On
 		}
+		switch g := static[t.Gate.Index]; {
+		case g == switchsim.VX:
+			return stage.Maybe
+		case g == switchsim.FromBool(t.ConductsOn() == 1):
+			return stage.On
+		}
+		return stage.Off
 	}
-	a.cachedOracle = func(t *netlist.Trans) stage.Conduction {
-		return conduct[t.Index]
-	}
-	return a.cachedOracle
 }
 
 // Run executes the analysis. It may be called once per analyzer.
@@ -469,13 +461,16 @@ func (a *Analyzer) Run() error {
 
 // endDrain releases what only a drain reads, when Run or Reanalyze returns:
 // the queue (tens of thousands of entries; an edit's re-drain needs
-// hundreds), the compile and the stage database's enumeration view.
-// buildGates compiles again before every drain, and the database rebuilds
-// its view on demand.
+// hundreds), and — unless the analyzer owns its network and so will edit
+// again — the compile and the stage database's enumeration view. Run's
+// buildGates compiles before its drain, and the database rebuilds its view
+// on demand; an editing analyzer keeps both for the next batch to patch.
 func (a *Analyzer) endDrain() {
 	a.queue = sched.Queue{}
-	a.cnet = nil
-	a.db.SetCompiled(nil)
+	if !a.ownsNet {
+		a.cnet = nil
+		a.db.SetCompiled(nil)
+	}
 }
 
 // resetDrain empties every per-node drain array, the history arena and the
@@ -491,31 +486,51 @@ func (a *Analyzer) resetDrain() {
 	a.Unbounded = nil
 }
 
-// buildGates recompiles the structure-of-arrays network view and the
-// loop-break and trigger masks for the current a.Net generation.
-func (a *Analyzer) buildGates() {
+// buildGates compiles the current a.Net generation and brings the
+// loop-break and trigger masks up to date, growing them by the nodes the
+// network gained. A node that stopped being a trigger gives its replay
+// history back; the nodes that became triggers — and so have no history to
+// replay — are returned (none on the first build, before any drain, and
+// none the batch created: those are dirty already).
+func (a *Analyzer) buildGates() (fresh []int) {
 	nw := a.Net
-	a.cnet = netlist.Compile(nw)
-	a.loopBreak = make([]bool, len(nw.Nodes))
-	for _, idx := range a.loopBreakIdx {
-		a.loopBreak[idx] = true
+	cn := netlist.Compile(nw)
+	a.cnet = cn
+	first, old := a.triggers == nil, len(a.triggers)
+	if grow := len(nw.Nodes) - old; grow > 0 {
+		a.loopBreak = append(a.loopBreak, make([]bool, grow)...)
+		a.triggers = append(a.triggers, make([]bool, grow)...)
 	}
-	cn := a.cnet
-	a.triggers = make([]bool, len(nw.Nodes))
-	for n := range a.triggers {
-		a.triggers[n] = !a.loopBreak[n] &&
+	if first {
+		for _, idx := range a.loopBreakIdx {
+			a.loopBreak[idx] = true
+		}
+	}
+	for n, was := range a.triggers {
+		now := !a.loopBreak[n] &&
 			(cn.GateStart[n+1] > cn.GateStart[n] || (cn.IsInput[n] && cn.HasTerms[n]))
+		if now == was {
+			continue
+		}
+		a.triggers[n] = now
+		switch {
+		case first || n >= old:
+		case now:
+			fresh = append(fresh, n)
+		default:
+			a.freeHist(&a.hist[n][tech.Rise])
+			a.freeHist(&a.hist[n][tech.Fall])
+		}
 	}
+	return fresh
 }
 
 // settleStatic computes the static sensitization snapshot for the current
 // a.Net generation, from power-on: settle the network with fixed values;
 // nodes that receive events are left at X (they change during analysis). It
-// replaces a.static and invalidates the cached oracle; the simulator itself
-// does not outlive the call.
+// replaces a.static; the simulator itself does not outlive the call.
 func (a *Analyzer) settleStatic() error {
 	nw := a.Net
-	a.cachedOracle = nil
 	sim := switchsim.New(nw)
 	for idx, v := range a.fixed {
 		if err := sim.SetInput(nw.Nodes[idx], v); err != nil {

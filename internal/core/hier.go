@@ -381,13 +381,18 @@ func (a *Analyzer) hierReanalyze(res *incremental.Result, plan *incremental.Plan
 		return
 	}
 	// Remap instance ranges: per instance, the image of its old range must
-	// be exactly one contiguous run of surviving devices.
+	// be exactly one contiguous run of surviving devices. A nil map is the
+	// identity.
 	type span struct{ min, max, count int }
 	spans := make([]span, len(hs.plan.Instances))
 	for i := range spans {
 		spans[i].min = -1
 	}
-	for j, old := range res.OldTrans {
+	for j := range a.Net.Trans {
+		old := j
+		if res.OldTrans != nil {
+			old = res.OldTrans[j]
+		}
 		if old < 0 {
 			continue
 		}
@@ -407,6 +412,8 @@ func (a *Analyzer) hierReanalyze(res *incremental.Result, plan *incremental.Plan
 		}
 		sp.count++
 	}
+	stale := slices.Clone(plan.StaleTrans)
+	slices.Sort(stale)
 	detach := make([]bool, len(hs.plan.Instances))
 	newRange := make([][2]int, len(hs.plan.Instances))
 	for i := range hs.plan.Instances {
@@ -418,11 +425,8 @@ func (a *Analyzer) hierReanalyze(res *incremental.Result, plan *incremental.Plan
 			continue
 		}
 		newRange[i] = [2]int{sp.min, sp.max + 1}
-		for j := sp.min; j <= sp.max; j++ {
-			if j < len(plan.DirtyTrans) && plan.DirtyTrans[j] {
-				detach[i] = true
-				break
-			}
+		if k, _ := slices.BinarySearch(stale, sp.min); k < len(stale) && stale[k] <= sp.max {
+			detach[i] = true
 		}
 		if !detach[i] {
 			for _, idx := range inst.Interior {

@@ -1,7 +1,7 @@
 // Incremental re-analysis: apply an edit batch from package incremental,
-// derive the next stage-database generation sharing every untouched entry,
-// reset only the arrivals the edits can move, and re-drain the event queue
-// from the dirty frontier. Results are bit-identical to a from-scratch
+// advance the stage database past it keeping every untouched entry, reset
+// only the arrivals the edits can move, and re-drain the event queue from
+// the dirty frontier. Results are bit-identical to a from-scratch
 // analysis of the edited network — the deterministic tie-break in improve
 // makes the fixpoint independent of propagation order, and the engine
 // falls back to a full run whenever it cannot prove the shortcut safe.
@@ -46,16 +46,21 @@ type ReanalyzeStats struct {
 	// the settle fell back to power-on; SettleReason then says why.
 	Resettled    int
 	SettleReason string
+	// CompileReason is empty when the analyzer's compile of the network
+	// stood through the batch (cap and resize edits change nothing it
+	// holds), and otherwise says why the network was compiled again.
+	CompileReason string
 	// Phases is where the call's wall time went.
 	Phases ReanalyzePhases
 }
 
 // ReanalyzePhases splits one Reanalyze call's wall time by step: Apply
 // applies the batch (to a clone on the analyzer's first call, in place
-// after), Bind recompiles the network and repoints the analyzer, Settle
-// brings the static sensitization snapshot up to date (zero when it
-// stands), Plan computes the invalidation, Derive builds the next
-// stage-database generation, Drain resets and re-propagates.
+// after), Bind repoints the analyzer and recompiles the network if the
+// batch changed its structure, Settle brings the static sensitization
+// snapshot up to date (zero when it stands), Plan computes the
+// invalidation, Derive advances the stage database, Drain resets and
+// re-propagates.
 type ReanalyzePhases struct {
 	Apply, Bind, Settle, Plan, Derive, Drain time.Duration
 }
@@ -73,8 +78,12 @@ const reanalyzeMaxDirty = 0.5
 // The network the analyzer was built over belongs to its caller and is
 // never written: the first call applies the batch to a clone, which the
 // analyzer owns from then on, and later calls edit that clone in place
-// (advancing its netlist generation). A batch that fails validation
-// leaves the analyzer and its network untouched.
+// (advancing its netlist generation). Likewise the first call derives a
+// stage database of its own from the one Run used, which stays as it was,
+// and later calls advance that one in place; the analyzer's compile and
+// the database's enumeration view are kept between calls and patched. A
+// batch that fails validation leaves the analyzer and its network
+// untouched.
 //
 // The incremental path is taken when the invalidation plan stays under
 // reanalyzeMaxDirty and nothing poisons the shortcut; otherwise
@@ -92,8 +101,9 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	}
 	oldStatic, oldDB := a.static, a.db
 
+	first := !a.ownsNet
 	apply := incremental.Apply
-	if a.ownsNet {
+	if !first {
 		apply = incremental.ApplyInPlace
 	}
 	res, err := apply(a.Net, edits)
@@ -102,14 +112,20 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	}
 	a.ownsNet = true
 	lap(&stats.Phases.Apply)
-	fresh := a.rebind(res.Net)
+	stats.CompileReason = a.compileReason(res)
+	fresh := a.rebind(res.Net, stats.CompileReason != "")
 	lap(&stats.Phases.Bind)
 	stats.Resettled, stats.SettleReason, err = a.settleEdited(res)
 	if err != nil {
 		return nil, err
 	}
 	lap(&stats.Phases.Settle)
-	plan := res.Plan(oldStatic, a.static)
+	newStatic := a.static
+	if stats.Resettled == 0 {
+		oldStatic, newStatic = nil, nil // the snapshot stood: no value moved
+	}
+	plan := res.Plan(oldStatic, newStatic, a.plan)
+	a.plan = plan
 	// A node the batch just made a trigger (its first gate connection) would
 	// be replayed into the edited group, but it never recorded a stream:
 	// re-derive its arrivals instead — the rule stamped members follow.
@@ -143,23 +159,37 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	}
 	lap(&stats.Phases.Plan)
 
-	// Next stage-database generation. A full fallback still derives when
-	// it can: the entries are valid either way, only the arrivals need
+	// The next stage-database generation. A full fallback still keeps the
+	// clean entries: they are valid either way, only the arrivals need
 	// recomputing. ForceFull means the source set changed under the
-	// enumerator's feet, so nothing old is trustworthy.
+	// enumerator's feet, so nothing old is trustworthy. The first batch
+	// derives a copy: Run's database may be shared (Options.DB,
+	// StageDB) and describes the caller's network. Later batches advance
+	// the analyzer's own database in place, handing it the compile first —
+	// a new one drops the enumeration view, a standing one keeps it for
+	// Advance to patch.
 	opt := a.Opts.Stage
 	opt.Oracle = a.oracle()
-	if plan.ForceFull || oldDB == nil {
-		a.db = stage.NewDB(a.Net, opt)
-		if oldDB != nil {
-			a.db.Epoch = oldDB.Epoch + 1
+	ch := stage.Changes{OldTrans: res.OldTrans, Trans: plan.StaleTrans, Nodes: plan.StaleNodes, Loaded: res.Touched()}
+	for _, n := range plan.Resensitized {
+		for _, ref := range a.cnet.Gates(n) {
+			ti, _ := netlist.UnpackGateRef(ref)
+			ch.Conduction = append(ch.Conduction, ti)
 		}
-	} else {
-		a.db = oldDB.Derive(a.Net, opt, plan.DirtyTrans, plan.DBDirtyNode, res.OldTrans)
+	}
+	switch {
+	case plan.ForceFull:
+		a.db = stage.NewDB(a.Net, opt)
+		a.db.Epoch = oldDB.Epoch + 1
+	case first:
+		a.db = oldDB.Derive(a.Net, opt, ch)
+	default:
+		a.db.SetCompiled(a.cnet)
+		a.db.Advance(a.Net, opt, ch)
 	}
 	a.db.SetCompiled(a.cnet)
 	// The stamp spells out the snapshot; a snapshot that stands keeps its stamp.
-	if stats.Resettled == 0 && oldDB != nil {
+	if stats.Resettled == 0 {
 		a.db.Stamp = oldDB.Stamp
 	} else {
 		a.db.Stamp = a.stageStamp()
@@ -264,36 +294,42 @@ func (a *Analyzer) dirtyTouchesUnbounded(plan *incremental.Plan) bool {
 	return false
 }
 
-// rebind repoints the analyzer at the next network generation. Node
-// indexes are stable across edits, so index-keyed state (fixed values,
-// initial values, seeds, loop breaks, the per-node drain arrays) carries
-// over untouched; the drain arrays only grow by the nodes the batch
-// created. A node that stopped being a trigger gives its history back; the
-// nodes that became triggers in this generation — and so have no history to
-// replay — are returned.
-func (a *Analyzer) rebind(nw *netlist.Network) (fresh []int) {
-	a.Net = nw
-	a.Opts.DB = nil      // a caller-shared DB describes the old generation
-	a.cachedOracle = nil // indexed by the old generation's transistors
-	wasTrigger := a.triggers
-	a.buildGates()
-	if a.events == nil || wasTrigger == nil {
-		return nil
+// compileReason says why the batch res needs the network compiled again,
+// or "" when the compile the analyzer holds stands: cap and resize edits
+// on existing nodes change nothing a netlist.Compact holds.
+func (a *Analyzer) compileReason(res *incremental.Result) string {
+	switch {
+	case a.cnet == nil:
+		return "the first batch edits a clone"
+	case len(res.Net.Nodes) > len(a.cnet.IsRail):
+		return "the batch created nodes"
+	case res.Rewired():
+		return "the batch added or removed a device"
+	case res.Retyped():
+		return "a retype changed the sources"
 	}
+	return ""
+}
+
+// rebind repoints the analyzer at the next network generation, compiling
+// it again when recompile says the batch changed the compile's contents.
+// Node indexes are stable across edits, so index-keyed state (fixed
+// values, initial values, seeds, loop breaks, the per-node drain arrays)
+// carries over untouched; the drain arrays only grow by the nodes the
+// batch created. The nodes that became triggers in this generation — and
+// so have no history to replay — are returned (see buildGates).
+func (a *Analyzer) rebind(nw *netlist.Network, recompile bool) (fresh []int) {
+	a.Net = nw
+	a.Opts.DB = nil // a caller-shared DB describes the old generation
+	if !recompile {
+		return nil // the compile and the trigger and loop-break masks stand
+	}
+	fresh = a.buildGates()
 	if grow := len(nw.Nodes) - len(a.events); grow > 0 {
 		a.events = append(a.events, make([][2]Event, grow)...)
 		a.count = append(a.count, make([][2]int32, grow)...)
 		a.hist = append(a.hist, make([][2]nodeHist, grow)...)
 		a.queued = append(a.queued, make([][2]bool, grow)...)
-	}
-	for n, was := range wasTrigger {
-		switch now := a.triggers[n]; {
-		case now && !was:
-			fresh = append(fresh, n)
-		case was && !now:
-			a.freeHist(&a.hist[n][tech.Rise])
-			a.freeHist(&a.hist[n][tech.Fall])
-		}
 	}
 	return fresh
 }

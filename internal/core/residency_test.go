@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -149,7 +150,7 @@ func TestReanalyzeSinkBecomesTrigger(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				if fresh := build(nw).rebind(res.Net); !slices.Equal(fresh, []int{sink.Index}) {
+				if fresh := build(nw).rebind(res.Net, true); !slices.Equal(fresh, []int{sink.Index}) {
 					t.Fatalf("%s: rebind reports new triggers %v, want [%d]", label, fresh, sink.Index)
 				}
 				a := build(nw)
@@ -214,7 +215,7 @@ func TestReanalyzeWidensFreshTrigger(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := res.Plan(base.static, base.static)
+		plan := res.Plan(base.static, base.static, nil)
 		if plan.ForceFull || plan.NodeDirty(x.Index) || !plan.NodeDirty(v.Index) {
 			continue
 		}
@@ -312,11 +313,14 @@ func TestRecordSizes(t *testing.T) {
 // TestResidentFootprint measures what an analysis keeps resident — after
 // Run, after every arrival has been read, after a collection — in bytes per
 // transistor, and holds it under a ceiling: the tripwire for a change that
-// makes resident analysis state fatter. The ceilings are 1.05× the values
-// measured when they were set (go1.24, linux/amd64: 1,152 and 883; the
-// commit before measured 1,251 and 978 with 48-byte arrivals, a 112-byte
-// stage record and the compile kept after the drain). Run with -v for the
-// table.
+// makes resident analysis state fatter. The edited row is an analyzer that
+// went on to twenty batches of the benchmark's ladder (ten batches and
+// their inverses): it owns a clone of the network, and keeps its compile
+// and its stage database's enumeration view for the next batch. The
+// ceilings are 1.05× the values measured when they were set (go1.24,
+// linux/amd64: 1,152, 883 and 1,189; the commit before the first two
+// measured 1,251 and 978 with 48-byte arrivals, a 112-byte stage record
+// and the compile kept after the drain). Run with -v for the table.
 func TestResidentFootprint(t *testing.T) {
 	p := tech.NMOS4()
 	m := delay.NewSlope(delay.AnalyticTables(p))
@@ -325,10 +329,12 @@ func TestResidentFootprint(t *testing.T) {
 		name    string
 		tiles   int
 		hier    bool
+		edited  bool
 		ceiling float64
 	}{
-		{"chip:8 flat", 1, false, 1209},
-		{"chip:8,3 hier", 3, true, 927},
+		{"chip:8 flat", 1, false, false, 1209},
+		{"chip:8,3 hier", 3, true, false, 927},
+		{"chip:8 edited", 1, false, true, 1248},
 	} {
 		before := liveHeap()
 		fix, lb := gen.ChipGridDirectives(8, c.tiles)
@@ -339,6 +345,19 @@ func TestResidentFootprint(t *testing.T) {
 		a := buildAnalyzer(t, nw, m, fix, lb, Options{Hier: c.hier})
 		if err := a.Run(); err != nil {
 			t.Fatal(err)
+		}
+		if c.edited {
+			nodes, trans := localTargets(nw)
+			rng := rand.New(rand.NewSource(1))
+			for k := 0; k < 10; k++ {
+				batch, undo := localBatch(a.Net, nodes, trans, rng, ladder[k%len(ladder)])
+				for _, edits := range [][]incremental.Edit{batch, undo} {
+					if _, err := a.Reanalyze(edits); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			nw = a.Net
 		}
 		valid := 0
 		for _, n := range nw.Nodes {
@@ -361,6 +380,9 @@ func TestResidentFootprint(t *testing.T) {
 	}
 }
 
+// ladder is the benchmark's batch-size ladder (bench/edit.go).
+var ladder = []int{1, 2, 4, 6, 10, 17, 29, 49}
+
 // holdsView reports whether db holds an enumeration view, or a compile to
 // build one from. The fields are the database's own, read by reflection
 // (stage's TestSetCompiled checks them directly); a renamed field fails the
@@ -380,11 +402,12 @@ func holdsView(t *testing.T, db *stage.DB) bool {
 	return false
 }
 
-// TestDrainScratchReleased: a finished Run or Reanalyze keeps no compile and
-// leaves its stage database without an enumeration view; the next drain
-// rebuilds both. An analyzer adopting that database through Options.DB
-// gets the arrivals of one with a fresh database, and releases the view
-// again when its own drain returns.
+// TestDrainScratchReleased: a finished Run keeps no compile and leaves its
+// stage database without an enumeration view; an analyzer adopting that
+// database through Options.DB gets the arrivals of one with a fresh
+// database, and releases the view again when its own drain returns. An
+// analyzer that owns its network — from its first Reanalyze on — keeps its
+// compile and the view for the next batch, incremental or full.
 func TestDrainScratchReleased(t *testing.T) {
 	p := tech.NMOS4()
 	m := delay.NewSlope(delay.AnalyticTables(p))
@@ -425,7 +448,9 @@ func TestDrainScratchReleased(t *testing.T) {
 		if st.Full != (i == 1) {
 			t.Fatalf("Reanalyze %d: full %v (%s)", i, st.Full, st.Reason)
 		}
-		requireReleased(fmt.Sprintf("after Reanalyze %d (full %v)", i, st.Full), a)
+		if a.cnet == nil || !holdsView(t, a.StageDB()) {
+			t.Fatalf("after Reanalyze %d (full %v): the editing analyzer dropped its compile or the view", i, st.Full)
+		}
 	}
 	adopter := buildAnalyzer(t, a.Net, m, fix, lb, Options{DB: a.StageDB()})
 	if err := adopter.Run(); err != nil {

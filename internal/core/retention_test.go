@@ -47,14 +47,14 @@ func retentionBatch(nw *netlist.Network, g int) (batch, undo []incremental.Edit)
 	return batch, undo
 }
 
-// TestReanalyzeReleasesGenerations pins the lifetime rule of the edit loop:
-// a superseded stage database is garbage as soon as Reanalyze returns,
-// whatever the next generation shares with it, and the network the
-// analyzer was built over goes once the first batch has cloned it (later
-// batches edit that clone in place, so a.Net is one object from then on).
-// Every stage record, database slot and channel group holds indexes, so
-// nothing that survives an edit reaches into a network; a resident
-// analyzer's heap therefore stays where the initial Run left it.
+// TestReanalyzeReleasesGenerations pins the lifetime rule of the edit loop.
+// The network the analyzer was built over goes once the first batch has
+// cloned it, and the stage database Run used goes once the first batch has
+// derived the analyzer's own from it; from then on a.Net and a.StageDB()
+// are each one object, edited and advanced in place. Every stage record,
+// database slot and channel group holds indexes, so a slab a batch drops
+// is garbage at once, and a resident analyzer's heap stays where the
+// initial Run left it.
 func TestReanalyzeReleasesGenerations(t *testing.T) {
 	const generations = 40
 	p := tech.NMOS4()
@@ -73,16 +73,15 @@ func TestReanalyzeReleasesGenerations(t *testing.T) {
 	}
 	// The caller's network (the node graph under a Network is cyclic, and a
 	// finalizer inside a cycle would itself keep the cycle alive: the heap
-	// bound below is what catches a pinned graph).
-	var nets atomic.Int32
+	// bound below is what catches a pinned graph) and Run's database.
+	var nets, dbs atomic.Int32
 	runtime.SetFinalizer(a.Net, func(*netlist.Network) { nets.Add(1) })
+	runtime.SetFinalizer(a.StageDB(), func(*stage.DB) { dbs.Add(1) })
 	base := liveHeap()
 
-	var dbs atomic.Int32
+	var owned *stage.DB
 	var undo []incremental.Edit
 	for g := 0; g < generations; g++ {
-		// The database current now is superseded by the Reanalyze below.
-		runtime.SetFinalizer(a.StageDB(), func(*stage.DB) { dbs.Add(1) })
 		batch := undo
 		if g%2 == 0 {
 			batch, undo = retentionBatch(a.Net, g/2)
@@ -90,19 +89,24 @@ func TestReanalyzeReleasesGenerations(t *testing.T) {
 		if _, err := a.Reanalyze(batch); err != nil {
 			t.Fatalf("generation %d: %v", g, err)
 		}
+		if g == 0 {
+			owned = a.StageDB()
+		} else if a.StageDB() != owned {
+			t.Fatalf("generation %d replaced the analyzer's own stage database", g)
+		}
 	}
 
 	// A finalized object is freed by the collection after the one that
 	// queued its finalizer, so wait the finalizers out before measuring.
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
-		if nets.Load() == 1 && dbs.Load() == generations {
+		if nets.Load() == 1 && dbs.Load() == 1 {
 			break
 		}
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
 	}
-	if n, d := nets.Load(), dbs.Load(); n != 1 || d != generations {
-		t.Errorf("after %d generations the caller's network was collected %d times (want 1) and %d stage databases were", generations, n, d)
+	if n, d := nets.Load(), dbs.Load(); n != 1 || d != 1 {
+		t.Errorf("after %d generations the caller's network was collected %d times and Run's stage database %d (want 1 and 1)", generations, n, d)
 	}
 	if after := liveHeap(); float64(after) > 1.25*float64(base) {
 		t.Errorf("live heap grew from %d to %d bytes over %d generations (more than 1.25×)", base, after, generations)

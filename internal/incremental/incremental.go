@@ -23,8 +23,10 @@
 //     reset and re-propagate them.
 //
 // Everything outside the time-dirty closure keeps both its stage.DB
-// entries and its arrival times; the differential fuzz test pins the
-// combined result bit-identical to a from-scratch analysis.
+// entries and its arrival times: the plan lists the stale entries, and an
+// editing analyzer resets just those in its database, in place
+// (stage.DB.Advance). The differential fuzz test pins the combined result
+// bit-identical to a from-scratch analysis.
 package incremental
 
 import (
@@ -107,8 +109,12 @@ type Result struct {
 	// ApplyInPlace.
 	Net *netlist.Network
 	// OldTrans maps new transistor indexes to the previous generation's
-	// indexes (-1 for transistors added by this batch). Node indexes are
-	// stable across every edit kind, so nodes need no map.
+	// indexes (-1 for transistors added by this batch). It is nil when the
+	// batch added and removed no device: every index then maps to itself.
+	// Otherwise each entry is its own index, -1, or the old index of a
+	// device a removal moved down from the end into a hole, which is
+	// always greater than the entry's own index. Node indexes are stable
+	// across every edit kind, so nodes need no map.
 	OldTrans []int
 
 	seedNodes []int // new-generation node indexes the batch touched (repeats allowed)
@@ -157,6 +163,26 @@ func (r *Result) LatticeSeeds() []int { return r.lattice }
 
 // Retyped reports that the batch changed a node's kind.
 func (r *Result) Retyped() bool { return r.forceFull }
+
+// Rewired reports that the batch added or removed a device.
+func (r *Result) Rewired() bool { return r.OldTrans != nil }
+
+// Touched lists, by node index, the nodes the batch edited: the node of
+// every capacitance edit and retype, and the gate and terminals of every
+// device it added, removed, resized or moved to a new index (repeats
+// allowed). A node's loading (Network.NodeCap) changes only if it is here.
+func (r *Result) Touched() []int { return r.seedNodes }
+
+// rewire gives the batch its transistor map on its first added or removed
+// device: the identity over the previous generation's devices.
+func (r *Result) rewire() {
+	if r.OldTrans == nil {
+		r.OldTrans = make([]int, len(r.Net.Trans))
+		for i := range r.OldTrans {
+			r.OldTrans[i] = i
+		}
+	}
+}
 
 // seedTransistor marks a device and its terminals perturbed.
 func (r *Result) seedTransistor(t *netlist.Trans) {
@@ -301,14 +327,7 @@ func (v *validator) check(e Edit) error {
 
 // commit applies a validated batch to nw. It cannot fail.
 func commit(nw *netlist.Network, edits []Edit) *Result {
-	r := &Result{
-		Net:      nw,
-		OldTrans: make([]int, len(nw.Trans)),
-		oldNodes: len(nw.Nodes),
-	}
-	for i := range r.OldTrans {
-		r.OldTrans[i] = i
-	}
+	r := &Result{Net: nw, oldNodes: len(nw.Nodes)}
 	for _, e := range edits {
 		r.apply(e)
 	}
@@ -327,6 +346,7 @@ func (r *Result) apply(e Edit) {
 	nw := r.Net
 	switch e.Kind {
 	case AddTrans:
+		r.rewire()
 		a, b := nw.Node(e.A), nw.Node(e.B)
 		var t *netlist.Trans
 		if e.Dev == tech.RWire {
@@ -338,6 +358,7 @@ func (r *Result) apply(e Edit) {
 		r.seedTransistor(t)
 		r.seedLattice(t)
 	case RemoveTrans:
+		r.rewire()
 		t := nw.Trans[e.Index]
 		r.seedTransistor(t) // the index now names whatever moves in
 		r.seedLattice(t)

@@ -1,6 +1,6 @@
 // Invalidation planning: widen an edit batch's seed set to whole
 // channel-connected groups, fold in sensitization changes, close over
-// gate fanout, and emit the dirty maps stage.DB.Derive and the analyzer's
+// gate fanout, and emit the dirty lists stage.DB.Advance and the analyzer's
 // incremental re-propagation consume.
 package incremental
 
@@ -23,9 +23,12 @@ import (
 //
 // Components are labelled on demand, outward from the batch's seeds and
 // along the gate-fanout closure, so a plan costs what the batch dirties: a
-// node no walk reached has no label and is by construction not dirty.
+// node no walk reached has no label and is by construction not dirty. The
+// per-index arrays are the only whole-network allocations, and a plan
+// handed back to Result.Plan for the next batch lends them to its
+// successor, cleared over the entries it set.
 type Plan struct {
-	res *Result
+	nw *netlist.Network
 
 	// comp[i] is 1 + the component of node i, 0 while unlabelled (rails
 	// stay so). Component c's members are memb[start[c]:start[c+1]].
@@ -36,16 +39,23 @@ type Plan struct {
 	dbDirty   []bool // per component: stage enumerations stale
 	timeDirty []bool // per component: arrival times stale (downstream closure)
 
-	// DirtyTrans / DBDirtyNode are the per-index maps stage.DB.Derive
-	// takes (new-generation indexes).
-	DirtyTrans  []bool
-	DBDirtyNode []bool
+	// StaleTrans / StaleNodes list, by new-generation index and in no
+	// particular order, the transistors and nodes whose stage.DB entries
+	// are stale (stage.Changes.Trans and Nodes). A transistor may be
+	// listed more than once.
+	StaleTrans []int
+	StaleNodes []int
 
-	// dirtyNode marks nodes whose arrivals the analyzer must reset: the
-	// members of time-dirty components plus nodes new in this generation.
-	// Dirty lists them, in no particular order.
-	dirtyNode []bool
-	Dirty     []int
+	// Resensitized lists the nodes whose settled static value changed: the
+	// devices they gate conduct differently under the new snapshot.
+	Resensitized []int
+
+	// Dirty lists, in no particular order, the nodes whose arrivals the
+	// analyzer must reset: the members of time-dirty components plus nodes
+	// new in this generation. flags marks them (flagDirty) and the nodes
+	// listed in StaleNodes (flagStale).
+	Dirty []int
+	flags []uint8
 
 	// DirtyNodes is len(Dirty); Frac is DirtyNodes over the non-rail node
 	// count (the fallback-threshold metric). TotalNodes counts the
@@ -65,23 +75,34 @@ type Plan struct {
 // and new generations under the analysis's fixed/seeded inputs; nodes
 // whose static value changed poison the enumerations of every component
 // containing a device they gate. Either snapshot may be nil (worst-case
-// sensitization), in which case only structural seeds apply.
-func (r *Result) Plan(oldStatic, newStatic []switchsim.Value) *Plan {
+// sensitization, or a snapshot the batch left standing), in which case
+// only structural seeds apply.
+//
+// reuse, if not nil, is the plan of the batch before this one over the
+// same network: the new plan takes over its arrays and returns it, and
+// the earlier plan is no longer valid. Nil allocates a new plan.
+func (r *Result) Plan(oldStatic, newStatic []switchsim.Value, reuse *Plan) *Plan {
 	nw := r.Net
-	p := &Plan{
-		res:         r,
-		ForceFull:   r.forceFull,
-		comp:        make([]int32, len(nw.Nodes)),
-		start:       []int32{0},
-		DirtyTrans:  make([]bool, len(nw.Trans)),
-		DBDirtyNode: make([]bool, len(nw.Nodes)),
-		dirtyNode:   make([]bool, len(nw.Nodes)),
+	p := reuse
+	if p == nil || p.nw != nw {
+		p = &Plan{}
+	} else {
+		p.clear()
 	}
-	for _, n := range nw.Nodes {
-		if !n.IsRail() {
-			p.nonRail++
-			if !n.IsSource() {
-				p.TotalNodes++
+	counted := p.nw != nil && r.oldNodes == len(nw.Nodes) && !r.forceFull
+	p.nw, p.ForceFull = nw, r.forceFull
+	p.comp = resize(p.comp, len(nw.Nodes))
+	p.flags = resize(p.flags, len(nw.Nodes))
+	p.start = append(p.start, 0)
+	// The node counts change only with the node set or a node's kind.
+	if !counted {
+		p.nonRail, p.TotalNodes = 0, 0
+		for _, n := range nw.Nodes {
+			if !n.IsRail() {
+				p.nonRail++
+				if !n.IsSource() {
+					p.TotalNodes++
+				}
 			}
 		}
 	}
@@ -112,6 +133,7 @@ func (r *Result) Plan(oldStatic, newStatic []switchsim.Value) *Plan {
 			if oldStatic[i] == newStatic[i] {
 				continue
 			}
+			p.Resensitized = append(p.Resensitized, i)
 			n := nw.Nodes[i]
 			p.dirtyComp(n)
 			for _, t := range n.Gates {
@@ -121,16 +143,16 @@ func (r *Result) Plan(oldStatic, newStatic []switchsim.Value) *Plan {
 		}
 	}
 
-	// The maps Derive takes, filled from the members of the db-dirty
-	// components: every device with a channel terminal in one, every member,
-	// and every source bordering one — a source's fan-out enumerations (From
-	// entries) read the structure and sensitization of each adjacent
-	// component. The same walk collects the time-dirty seeds: every db-dirty
-	// component, plus the non-rail sources bordering one — a stage
-	// enumerated inside a db-dirty group can target the adjacent source
-	// (pass paths may end at an input), so its arrival may move even though
-	// the source itself was not edited. Components labelled during the walk
-	// are clean.
+	// The lists stage.DB.Advance takes, filled from the members of the
+	// db-dirty components: every device with a channel terminal in one,
+	// every member, and every source bordering one — a source's fan-out
+	// enumerations (From entries) read the structure and sensitization of
+	// each adjacent component. The same walk collects the time-dirty seeds:
+	// every db-dirty component, plus the non-rail sources bordering one — a
+	// stage enumerated inside a db-dirty group can target the adjacent
+	// source (pass paths may end at an input), so its arrival may move even
+	// though the source itself was not edited. Components labelled during
+	// the walk are clean.
 	var seeds []int
 	for c := 0; c < len(p.dbDirty); c++ {
 		if !p.dbDirty[c] {
@@ -139,11 +161,11 @@ func (r *Result) Plan(oldStatic, newStatic []switchsim.Value) *Plan {
 		seeds = append(seeds, c)
 		for _, i := range p.members(c) {
 			n := nw.Nodes[i]
-			p.DBDirtyNode[i] = true
+			p.staleNode(int(i))
 			for _, t := range n.Terms {
-				p.DirtyTrans[t.Index] = true
+				p.StaleTrans = append(p.StaleTrans, t.Index)
 				if o := t.Other(n); o != nil && o.IsSource() {
-					p.DBDirtyNode[o.Index] = true
+					p.staleNode(o.Index)
 					if !o.IsRail() {
 						seeds = append(seeds, p.compOf(o))
 					}
@@ -152,18 +174,58 @@ func (r *Result) Plan(oldStatic, newStatic []switchsim.Value) *Plan {
 		}
 	}
 	for _, idx := range r.seedTrans {
-		if idx < len(p.DirtyTrans) {
-			p.DirtyTrans[idx] = true
+		if idx < len(nw.Trans) { // a removal at the end seeds an index that is gone
+			p.StaleTrans = append(p.StaleTrans, idx)
 		}
 	}
 	// Nodes new in this generation are dirty whatever their component.
 	for i := r.oldNodes; i < len(nw.Nodes); i++ {
-		p.DBDirtyNode[i] = true
+		p.staleNode(i)
 		p.markNode(i)
 	}
 	p.spread(seeds)
 	p.refresh()
 	return p
+}
+
+// clear resets every entry the plan set, leaving its arrays zero for the
+// next batch at a fraction of a fresh allocation's cost.
+func (p *Plan) clear() {
+	for _, i := range p.memb {
+		p.comp[i] = 0
+	}
+	for _, i := range p.StaleNodes {
+		p.flags[i] = 0
+	}
+	for _, i := range p.Dirty {
+		p.flags[i] = 0
+	}
+	p.memb, p.start = p.memb[:0], p.start[:0]
+	p.dbDirty, p.timeDirty = p.dbDirty[:0], p.timeDirty[:0]
+	p.StaleTrans, p.StaleNodes, p.Resensitized, p.Dirty = p.StaleTrans[:0], p.StaleNodes[:0], p.Resensitized[:0], p.Dirty[:0]
+	p.DirtyNodes, p.Frac = 0, 0
+}
+
+// resize returns s, all zero, at length n, reusing its array when it fits.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// Per-node plan flags.
+const (
+	flagStale uint8 = 1 << iota // listed in StaleNodes
+	flagDirty                   // listed in Dirty
+)
+
+// staleNode marks node i's stage.DB entries stale.
+func (p *Plan) staleNode(i int) {
+	if p.flags[i]&flagStale == 0 {
+		p.flags[i] |= flagStale
+		p.StaleNodes = append(p.StaleNodes, i)
+	}
 }
 
 // Widen marks the components containing the given node indexes time-dirty
@@ -178,7 +240,7 @@ func (p *Plan) Widen(nodeIdxs []int) {
 	var seeds []int
 	for _, idx := range nodeIdxs {
 		if idx >= 0 && idx < len(p.comp) {
-			seeds = append(seeds, p.compOf(p.res.Net.Nodes[idx]))
+			seeds = append(seeds, p.compOf(p.nw.Nodes[idx]))
 		}
 	}
 	if p.spread(seeds) {
@@ -195,7 +257,7 @@ func (p *Plan) Widen(nodeIdxs []int) {
 // "backwards" — there are no timing edges from a component into its gating
 // nodes.
 func (p *Plan) spread(seeds []int) bool {
-	nw := p.res.Net
+	nw := p.nw
 	var queue []int
 	mark := func(c int) {
 		if c >= 0 && !p.timeDirty[c] {
@@ -233,8 +295,8 @@ func (p *Plan) spread(seeds []int) bool {
 
 // markNode adds node i to the analyzer-facing dirty set.
 func (p *Plan) markNode(i int) {
-	if !p.dirtyNode[i] {
-		p.dirtyNode[i] = true
+	if p.flags[i]&flagDirty == 0 {
+		p.flags[i] |= flagDirty
 		p.Dirty = append(p.Dirty, i)
 	}
 }
@@ -274,7 +336,7 @@ func (p *Plan) compOf(n *netlist.Node) int {
 	if n.IsRail() {
 		return -1
 	}
-	nw := p.res.Net
+	nw := p.nw
 	label := int32(len(p.dbDirty) + 1)
 	p.comp[n.Index] = label
 	first := len(p.memb)
@@ -300,7 +362,7 @@ func (p *Plan) compOf(n *netlist.Node) int {
 
 // NodeDirty reports whether node index i needs its arrival reset.
 func (p *Plan) NodeDirty(i int) bool {
-	return i < len(p.dirtyNode) && p.dirtyNode[i]
+	return i < len(p.flags) && p.flags[i]&flagDirty != 0
 }
 
 // Boundary lists, in index order, the clean nodes whose events reach into
@@ -308,7 +370,7 @@ func (p *Plan) NodeDirty(i int) bool {
 // with a channel terminal in a time-dirty component, or a chip input whose
 // channel leads directly into one — its From stages must re-apply.
 func (p *Plan) Boundary() []int {
-	nw := p.res.Net
+	nw := p.nw
 	var out []int
 	for c, dirty := range p.timeDirty {
 		if !dirty {

@@ -31,10 +31,10 @@ type Compact struct {
 	TermStart []int32
 	TermRef   []int32
 
-	// Per-transistor columns: gate and channel terminal node INDEXES, the
-	// device type (a tech.Device value) and the stage-extraction flow hint
-	// (a Flow value), flattened so inner loops never chase Trans pointers.
-	TransGate []int32
+	// Per-transistor columns: channel terminal node INDEXES, the device
+	// type (a tech.Device value) and the stage-extraction flow hint (a Flow
+	// value), flattened so inner loops never chase Trans pointers. (A
+	// device's gate is read through GateRef, from the gate's side.)
 	TransA    []int32
 	TransB    []int32
 	TransType []uint8
@@ -90,8 +90,16 @@ func Compile(nw *Network) *Compact {
 		Precharged: make([]bool, len(nw.Nodes)),
 		HasTerms:   make([]bool, len(nw.Nodes)),
 	}
-	// Every device sits in one gate list and at most two terminal lists.
-	c.GateRef = make([]int32, 0, len(nw.Trans))
+	// A device that responds to its gate sits in one gate list, and every
+	// device in at most two terminal lists. The compile of an editing
+	// analyzer stays resident, so the gate list is sized exactly.
+	gated := 0
+	for _, t := range nw.Trans {
+		if !t.AlwaysOn() {
+			gated++
+		}
+	}
+	c.GateRef = make([]int32, 0, gated)
 	c.TermStart = make([]int32, len(nw.Nodes)+1)
 	c.TermRef = make([]int32, 0, 2*len(nw.Trans))
 	for i, n := range nw.Nodes {
@@ -113,13 +121,11 @@ func Compile(nw *Network) *Compact {
 	}
 	c.GateStart[len(nw.Nodes)] = int32(len(c.GateRef))
 	c.TermStart[len(nw.Nodes)] = int32(len(c.TermRef))
-	c.TransGate = make([]int32, len(nw.Trans))
 	c.TransA = make([]int32, len(nw.Trans))
 	c.TransB = make([]int32, len(nw.Trans))
 	c.TransType = make([]uint8, len(nw.Trans))
 	c.TransFlow = make([]uint8, len(nw.Trans))
 	for i, t := range nw.Trans {
-		c.TransGate[i] = int32(t.Gate.Index)
 		c.TransA[i] = int32(t.A.Index)
 		c.TransB[i] = int32(t.B.Index)
 		c.TransType[i] = uint8(t.Type)

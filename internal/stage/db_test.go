@@ -3,6 +3,7 @@ package stage
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/netlist"
@@ -217,18 +218,14 @@ func TestDeriveSharesCleanSlots(t *testing.T) {
 	nw, _, out := passNet()
 	db := NewDB(nw, Options{})
 	db.Prewarm(1)
+	before := slices.Clone(db.through)
 	next := nw.Clone()
-	oldTrans := make([]int, len(nw.Trans))
-	dirtyTrans := make([]bool, len(nw.Trans))
-	for i := range oldTrans {
-		oldTrans[i] = i
-	}
-	dirtyTrans[3] = true
-	dirtyNode := make([]bool, len(nw.Nodes))
-	dirtyNode[out.Index] = true
-	d := db.Derive(next, Options{}, dirtyTrans, dirtyNode, oldTrans)
+	d := db.Derive(next, Options{}, Changes{Trans: []int{3}, Nodes: []int{out.Index}})
 	if d.Epoch != db.Epoch+1 || d.Network() != next {
 		t.Fatalf("derived epoch %d over %p", d.Epoch, d.Network())
+	}
+	if db.Network() != nw || !slices.Equal(db.through, before) {
+		t.Fatal("Derive moved its predecessor")
 	}
 	for i := range d.through {
 		got, old := d.through[i], db.through[i]
@@ -248,6 +245,87 @@ func TestDeriveSharesCleanSlots(t *testing.T) {
 	if !sameStages(next, d.Release(out.Index),
 		ToNode(next, out, tech.Rise, Options{}), ToNode(next, out, tech.Fall, Options{})) {
 		t.Error("re-enumerated dirty entry disagrees with direct enumeration")
+	}
+}
+
+// TestAdvanceRemapsInPlace checks the in-place step over a batch that
+// removes a device (the last one moves into its index) and adds two: each
+// surviving device keeps its slabs at its new index, the added ones start
+// empty, and the database ends at the new device count. (A real batch
+// also marks the groups it touched stale; this one marks nothing, so the
+// slots show the remap alone.)
+func TestAdvanceRemapsInPlace(t *testing.T) {
+	nw, _, out := passNet()
+	db := NewDB(nw, Options{})
+	db.Prewarm(1)
+	old := slices.Clone(db.through)
+	moved := nw.Trans[3]
+	nw.RemoveTrans(nw.Trans[1])
+	nw.AddTrans(tech.NEnh, moved.Gate, out, nw.GND(), 0, 0)
+	nw.AddTrans(tech.NEnh, moved.Gate, out, nw.GND(), 0, 0)
+	nw.NextGeneration()
+	db.Advance(nw, Options{}, Changes{OldTrans: []int{0, 3, 2, -1, -1}})
+	if len(db.through) != 5 || len(db.groups) != 5 || db.Generation() != nw.Generation() || db.Epoch != 1 {
+		t.Fatalf("advanced to %d slots, generation %d, epoch %d", len(db.through), db.Generation(), db.Epoch)
+	}
+	for j, want := range []*Slab{old[0], old[3], old[2], nil, nil} {
+		if db.through[j] != want {
+			t.Errorf("through slot %d: %p, want %p", j, db.through[j], want)
+		}
+	}
+	// A stale mark empties the slot; an identity map moves nothing.
+	db.Advance(nw, Options{}, Changes{OldTrans: []int{0, 1, 2, 3, 4}, Trans: []int{1}})
+	if db.through[0] != old[0] || db.through[1] != nil || db.Epoch != 2 {
+		t.Error("an identity map moved a slot, or a stale one kept its slab")
+	}
+}
+
+// TestAdvancePatchesView checks that a view kept over a standing compile
+// is patched, not rebuilt: after a load edit and after a new snapshot it is
+// the same object and equals a fresh view, and it goes with a new compile.
+func TestAdvancePatchesView(t *testing.T) {
+	nw, _, out := passNet()
+	cn := netlist.Compile(nw)
+	db := NewDB(nw, Options{})
+	db.SetCompiled(cn)
+	db.Release(out.Index)
+	v := db.v
+	out.Cap += 20e-15
+	nw.NextGeneration()
+	db.Advance(nw, Options{}, Changes{Nodes: []int{out.Index}})
+	if db.v != v {
+		t.Fatal("Advance dropped the view over a standing compile")
+	}
+	if db.CheckView() == nil {
+		t.Fatal("CheckView missed a load the batch changed")
+	}
+	db.Advance(nw, Options{}, Changes{Nodes: []int{out.Index}, Loaded: []int{out.Index}})
+	if err := db.CheckView(); err != nil {
+		t.Fatal(err)
+	}
+	// A new snapshot under which the pass device is off.
+	pass := nw.Trans[2]
+	off := Options{Oracle: func(t *netlist.Trans) Conduction {
+		if t == pass {
+			return Off
+		}
+		return Maybe
+	}}
+	db.Advance(nw, off, Changes{Trans: []int{pass.Index}})
+	if db.CheckView() == nil {
+		t.Fatal("CheckView missed a conduction the new oracle changed")
+	}
+	db.Advance(nw, off, Changes{Trans: []int{pass.Index}, Conduction: []int{pass.Index}})
+	if err := db.CheckView(); err != nil {
+		t.Fatal(err)
+	}
+	db.SetCompiled(cn)
+	if db.v != v {
+		t.Fatal("handing the same compile again dropped the view")
+	}
+	db.SetCompiled(netlist.Compile(nw))
+	if db.v != nil {
+		t.Fatal("a new compile kept the old view")
 	}
 }
 

@@ -120,7 +120,7 @@ func NewBatch(nw *netlist.Network) *Batch {
 		inq:    make([]bool, n),
 	}
 	for i, t := range nw.Trans {
-		b.tGate[i] = b.c.TransGate[i]
+		b.tGate[i] = int32(t.Gate.Index)
 		b.tCap[i] = DeviceStrength(t)
 		switch {
 		case t.AlwaysOn():
