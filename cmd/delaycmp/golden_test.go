@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -23,10 +24,10 @@ func TestGoldenExperiments(t *testing.T) {
 		name string
 		cfg  config
 	}{
-		{"e1-e3-e8", config{techName: "nmos-4u", tables: "analytic", format: "table", workers: 1, expList: "e1,e3,e8"}},
-		{"e4-e5", config{techName: "nmos-4u", tables: "analytic", format: "table", workers: 1, expList: "e4,e5"}},
-		{"e9-csv", config{techName: "nmos-4u", tables: "analytic", format: "csv", workers: 1, expList: "e9"}},
-		{"e2-cmos", config{techName: "cmos-3u", tables: "analytic", format: "table", workers: 1, expList: "e2"}},
+		{"e1-e3-e8", config{techName: "nmos-4u", tables: "analytic", format: "table", expList: "e1,e3,e8"}},
+		{"e4-e5", config{techName: "nmos-4u", tables: "analytic", format: "table", expList: "e4,e5"}},
+		{"e9-csv", config{techName: "nmos-4u", tables: "analytic", format: "csv", expList: "e9"}},
+		{"e2-cmos", config{techName: "cmos-3u", tables: "analytic", format: "table", expList: "e2"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -55,19 +56,21 @@ func TestGoldenExperiments(t *testing.T) {
 }
 
 // TestGoldenWorkersIdentity: experiment tables are byte-identical whether
-// rows are computed serially or fanned out across workers.
+// RunMany's rows run one at a time (GOMAXPROCS=1) or fan out (GOMAXPROCS=4).
+// E7 chains one stage database through the three models within each row,
+// so a database that leaked across rows would show here.
 func TestGoldenWorkersIdentity(t *testing.T) {
-	render := func(workers int) string {
+	render := func(procs int) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		var out strings.Builder
-		cfg := config{techName: "nmos-4u", tables: "analytic", format: "table",
-			workers: workers, expList: "e3,e4"}
+		cfg := config{techName: "nmos-4u", tables: "analytic", format: "table", expList: "e3,e4,e7"}
 		if err := run(cfg, &out); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		return out.String()
 	}
-	if serial, parallel := render(1), render(8); serial != parallel {
-		t.Errorf("output differs between workers=1 and workers=8:\n--- serial ---\n%s\n--- parallel ---\n%s",
+	if serial, parallel := render(1), render(4); serial != parallel {
+		t.Errorf("output differs between GOMAXPROCS=1 and GOMAXPROCS=4:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, parallel)
 	}
 }
@@ -76,9 +79,19 @@ func TestRunErrors(t *testing.T) {
 	for _, cfg := range []config{
 		{techName: "ge-5", tables: "analytic", expList: "e1"},
 		{techName: "nmos-4u", tables: "psychic", expList: "e1"},
+		{techName: "nmos-4u", tables: "analytic", expList: "e10"},
+		{techName: "nmos-4u", tables: "analytic", expList: "e1,e3x"},
 	} {
-		if err := run(cfg, &strings.Builder{}); err == nil {
+		var out strings.Builder
+		if err := run(cfg, &out); err == nil {
 			t.Errorf("config %+v should fail", cfg)
+		} else if out.Len() != 0 {
+			t.Errorf("config %+v printed %q before failing", cfg, out.String())
 		}
+	}
+	// An unknown experiment's error names the valid ones.
+	err := run(config{techName: "nmos-4u", tables: "analytic", expList: "e10"}, &strings.Builder{})
+	if err == nil || !strings.Contains(err.Error(), `"e10"`) || !strings.Contains(err.Error(), "e1, e2, e3, e4, e5, e6, e7, e8, e9, or all") {
+		t.Errorf("unknown experiment error = %v, want it to name e10 and list e1..e9 and all", err)
 	}
 }

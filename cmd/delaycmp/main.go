@@ -1,19 +1,18 @@
 // Command delaycmp reproduces the paper's evaluation tables and figures:
-// model accuracy against the circuit-level reference (E2), pass-chain
-// scaling (E3), fan-out scaling (E4), input-slope response (E5), verifier
-// throughput (E6), per-model critical paths of datapath blocks (E7), and
-// the RC-tree bound ablation (E8).
+// slope-model characterization curves (E1), model accuracy against the
+// circuit-level reference (E2), pass-chain scaling (E3), fan-out scaling
+// (E4), input-slope response (E5), verifier throughput (E6), per-model
+// critical paths of datapath blocks (E7), the RC-tree bound ablation (E8)
+// and resistive interconnect scaling (E9).
 //
 // Usage:
 //
-//	delaycmp [-tech nmos-4u|cmos-3u] [-exp e2,e3,...|all] [-tables char|analytic]
-//	         [-workers N] [-snapshot DIR] [-cpuprofile f] [-memprofile f]
+//	delaycmp [-tech nmos-4u|cmos-3u] [-exp e1,e2,...,e9|all] [-tables char|analytic]
+//	         [-format table|csv] [-cpuprofile f] [-memprofile f]
 //
-// -snapshot names a directory of .simx caches for the generated E6/E7
-// blocks: on first use each block's network is written there, and later
-// runs load the snapshots instead of regenerating the circuits. The
-// cache is keyed by block name and technology only — clear the
-// directory after changing the circuit generators.
+// Independent rows fan out over GOMAXPROCS goroutines; the report is the
+// same at every setting. E6 times its blocks one after another, so each
+// row's wall time is that block's alone.
 package main
 
 import (
@@ -23,6 +22,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"repro/internal/charlib"
@@ -37,18 +37,17 @@ type config struct {
 	expList  string
 	tables   string
 	format   string
-	workers  int
-	snapshot string
 }
+
+// experimentNames lists what -exp accepts besides "all".
+var experimentNames = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"}
 
 func main() {
 	var cfg config
 	flag.StringVar(&cfg.techName, "tech", "nmos-4u", "technology: nmos-4u or cmos-3u")
-	flag.StringVar(&cfg.expList, "exp", "all", "experiments to run: comma list of e2..e8, or all")
+	flag.StringVar(&cfg.expList, "exp", "all", "experiments to run: comma list of e1..e9, or all")
 	flag.StringVar(&cfg.tables, "tables", "char", "delay tables: char (characterized) or analytic")
 	flag.StringVar(&cfg.format, "format", "table", "output for accuracy experiments: table or csv")
-	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines for independent rows (0 = all cores, 1 = serial)")
-	flag.StringVar(&cfg.snapshot, "snapshot", "", "directory of .simx caches for generated blocks (cleared manually when generators change)")
 	cpuprof := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprof := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -87,9 +86,6 @@ func main() {
 // run executes the selected experiments and writes the report to w; split
 // out from main for testing.
 func run(cfg config, w io.Writer) error {
-	experiments.Workers = cfg.workers
-	experiments.SnapshotDir = cfg.snapshot
-
 	p, err := tech.ByName(cfg.techName)
 	if err != nil {
 		return err
@@ -106,18 +102,23 @@ func run(cfg config, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown tables %q (want char or analytic)", cfg.tables)
 	}
-	fmt.Fprintf(w, "technology %s, %s tables\n\n", p.Name, tb.Source)
 
 	want := map[string]bool{}
 	if cfg.expList == "all" {
-		for _, e := range []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"} {
+		for _, e := range experimentNames {
 			want[e] = true
 		}
 	} else {
 		for _, e := range strings.Split(cfg.expList, ",") {
-			want[strings.TrimSpace(strings.ToLower(e))] = true
+			e = strings.TrimSpace(strings.ToLower(e))
+			if !slices.Contains(experimentNames, e) {
+				return fmt.Errorf("unknown experiment %q (want a comma list of %s, or all)",
+					e, strings.Join(experimentNames, ", "))
+			}
+			want[e] = true
 		}
 	}
+	fmt.Fprintf(w, "technology %s, %s tables\n\n", p.Name, tb.Source)
 
 	if want["e1"] {
 		fmt.Fprintln(w, "E1: slope-model characterization curves (Rmult vs slope ratio)")

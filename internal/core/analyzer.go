@@ -54,21 +54,18 @@ type Event struct {
 
 // Options tunes the analysis.
 type Options struct {
-	// Stage bounds path enumeration (see stage.Options).
-	Stage stage.Options
 	// DB optionally shares a precomputed stage database built by an
 	// earlier run over the same network with the same sensitization
-	// (fixed values, seeded inputs, pruning mode, enumeration bounds).
+	// (fixed values, seeded inputs, pruning mode).
 	// Run verifies the database's stamp against this analysis and falls
 	// back to a private database on any mismatch, so a stale DB can cost
 	// time but never correctness. Obtain one from Analyzer.StageDB after
 	// a Run. A database passes from one run to the next, never to two
 	// analyzers running at once (see stage.DB).
 	DB *stage.DB
-	// Workers is read only by ClockedAnalysis: it bounds how many of its
-	// phases run side by side (0 selects GOMAXPROCS; phases.go). A single
-	// Run or Reanalyze is serial and ignores it — the stage database is
-	// built lazily as the drain asks for stages.
+	// Deprecated: kept only because bench/chip.go, bench/cold.go,
+	// bench/edit.go and bench/probes.go set it; ignored. Run and Reanalyze
+	// are serial, and ClockedAnalysis fans its phases out over GOMAXPROCS.
 	Workers int
 	// MaxEventsPerNode guards against combinational feedback: after this
 	// many propagation rounds from one node's arrival the analyzer stops
@@ -442,9 +439,7 @@ func (a *Analyzer) Run() error {
 	if db := a.Opts.DB; db != nil && db.Network() == nw && db.Generation() == nw.Generation() && db.Stamp == stamp {
 		a.db = a.Opts.DB
 	} else {
-		opt := a.Opts.Stage
-		opt.Oracle = a.oracle()
-		a.db = stage.NewDB(nw, opt)
+		a.db = stage.NewDB(nw, stage.Options{Oracle: a.oracle()})
 		a.db.Stamp = stamp
 	}
 	a.db.SetCompiled(a.cnet)
@@ -817,21 +812,18 @@ func (a *Analyzer) applySlab(sl *stage.Slab, without, fromNode int, fromTr tech.
 func (a *Analyzer) StageDB() *stage.DB { return a.db }
 
 // stageStamp encodes everything stage enumeration depends on: the static
-// sensitization values and the enumeration bounds. Two analyses with equal
-// stamps over the same network enumerate identical stages, so they may
-// share one stage database.
+// sensitization values (the enumeration bounds are stage.Options' defaults
+// for every analyzer). Two analyses with equal stamps over the same
+// network enumerate identical stages, so they may share one stage database.
 func (a *Analyzer) stageStamp() string {
-	opt := a.Opts.Stage.Fill()
-	var b strings.Builder
-	fmt.Fprintf(&b, "d%d|p%d|", opt.MaxDepth, opt.MaxPaths)
 	if a.Opts.NoStaticPruning || a.static == nil {
-		b.WriteString("worst")
-	} else {
-		for _, v := range a.static {
-			b.WriteByte('0' + byte(v))
-		}
+		return "worst"
 	}
-	return b.String()
+	b := make([]byte, len(a.static))
+	for i, v := range a.static {
+		b[i] = '0' + byte(v)
+	}
+	return string(b)
 }
 
 // applyStage evaluates one stage against the triggering event and offers

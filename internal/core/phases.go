@@ -169,7 +169,7 @@ func (ca *ClockedAnalysis) Run() ([]PhaseResult, error) {
 	// its own sensitization (different clock levels), so no stage database
 	// is shared between them; each inner analyzer runs serially.
 	out := make([]PhaseResult, len(setups))
-	err := RunMany(len(setups), ca.Opts.Workers, func(i int) error {
+	err := RunMany(len(setups), func(i int) error {
 		su := setups[i]
 		a := New(nw, ca.Model, ca.Opts)
 		for name, v := range ca.Fixed {

@@ -4,8 +4,8 @@
 // under every model, critical-path comparisons run every block per model,
 // clocked analyses run one verifier per phase. RunMany spreads such
 // independent units over the machine's cores; each unit remains the
-// serial, deterministic analysis, so results are bit-identical to a
-// single-worker run.
+// serial, deterministic analysis, so results are bit-identical at every
+// GOMAXPROCS.
 package core
 
 import (
@@ -14,67 +14,47 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a worker-count option: n itself when positive,
-// otherwise GOMAXPROCS (the "use the hardware" default). Capped at limit
-// when limit is positive (no point spinning up more workers than jobs).
-func Workers(n, limit int) int {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if limit > 0 && n > limit {
-		n = limit
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// RunMany executes fn(0..n-1) over min(workers, n) goroutines (workers <= 0
-// selects GOMAXPROCS) and returns the error from the lowest-indexed job
-// that failed, if any. Jobs are handed out in index order. With workers == 1
-// (or n <= 1) everything runs inline on the calling goroutine — the strict
-// serial mode. Jobs must be independent; fn writing only to its own index
-// of a pre-sized results slice needs no locking.
-func RunMany(n, workers int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	workers = Workers(workers, n)
-	if workers == 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+// RunMany executes fn(0..n-1) over min(GOMAXPROCS, n) goroutines, the
+// calling one among them, and returns the error from the lowest-indexed
+// job that failed, if any. Jobs are handed out in index order, every job
+// handed out runs, and no goroutine takes another after a failure: the
+// jobs below a failed one were all handed out before it, so the error is
+// the one a run of every job would return. Jobs must be independent; fn
+// writing only to its own index of a pre-sized results slice needs no
+// locking.
+func RunMany(n int, fn func(i int) error) error {
 	var (
 		next     atomic.Int64
+		failed   atomic.Bool
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 		firstIdx int
 	)
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := fn(i); err != nil {
+				mu.Lock()
+				if firstErr == nil || i < firstIdx {
+					firstErr, firstIdx = err, i
+				}
+				mu.Unlock()
+				failed.Store(true)
+			}
+		}
+	}
+	for range min(runtime.GOMAXPROCS(0), n) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := fn(i); err != nil {
-					mu.Lock()
-					if firstErr == nil || i < firstIdx {
-						firstErr, firstIdx = err, i
-					}
-					mu.Unlock()
-				}
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	return firstErr
 }

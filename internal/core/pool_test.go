@@ -2,45 +2,47 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
 
-func TestWorkers(t *testing.T) {
-	if got := Workers(3, 0); got != 3 {
-		t.Errorf("Workers(3,0) = %d", got)
-	}
-	if got := Workers(8, 2); got != 2 {
-		t.Errorf("Workers(8,2) = %d, want cap at 2", got)
-	}
-	if got := Workers(0, 0); got < 1 {
-		t.Errorf("Workers(0,0) = %d, want >= 1", got)
+// withProcs runs f at each GOMAXPROCS setting, restoring the old value.
+func withProcs(t *testing.T, procs []int, f func(procs int)) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	for _, p := range procs {
+		runtime.GOMAXPROCS(p)
+		f(p)
 	}
 }
 
 func TestRunManyCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 2, 8, 0} {
+	withProcs(t, []int{1, 2, 8}, func(procs int) {
 		const n = 100
 		var hits [n]atomic.Int32
-		err := RunMany(n, workers, func(i int) error {
+		err := RunMany(n, func(i int) error {
 			hits[i].Add(1)
 			return nil
 		})
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		for i := range hits {
 			if c := hits[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d run %d times", workers, i, c)
+				t.Fatalf("GOMAXPROCS=%d: index %d run %d times", procs, i, c)
 			}
 		}
-	}
+	})
 }
 
 func TestRunManyReturnsLowestError(t *testing.T) {
 	errLow, errHigh := errors.New("low"), errors.New("high")
-	for _, workers := range []int{1, 4} {
-		err := RunMany(10, workers, func(i int) error {
+	withProcs(t, []int{1, 4}, func(procs int) {
+		var ran [10]atomic.Bool
+		err := RunMany(10, func(i int) error {
+			ran[i].Store(true)
 			switch i {
 			case 3:
 				return errLow
@@ -49,16 +51,24 @@ func TestRunManyReturnsLowestError(t *testing.T) {
 			}
 			return nil
 		})
-		// Serial mode stops at the first failure; parallel mode reports
-		// the lowest-indexed one. Both land on index 3.
+		// One goroutine stops at the first failure; several report the
+		// lowest-indexed one. Both land on index 3.
 		if err != errLow {
-			t.Errorf("workers=%d: err = %v, want %v", workers, err, errLow)
+			t.Errorf("GOMAXPROCS=%d: err = %v, want %v", procs, err, errLow)
 		}
-	}
+		for i := 0; i <= 3; i++ {
+			if !ran[i].Load() {
+				t.Errorf("GOMAXPROCS=%d: index %d below the failure never ran", procs, i)
+			}
+		}
+		if procs == 1 && ran[4].Load() {
+			t.Errorf("GOMAXPROCS=1: index 4 ran after the failure at 3")
+		}
+	})
 }
 
 func TestRunManyEmpty(t *testing.T) {
-	if err := RunMany(0, 4, func(int) error { t.Error("called"); return nil }); err != nil {
+	if err := RunMany(0, func(int) error { t.Error("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }

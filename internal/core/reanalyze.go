@@ -168,8 +168,7 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	// the analyzer's own database in place, handing it the compile first —
 	// a new one drops the enumeration view, a standing one keeps it for
 	// Advance to patch.
-	opt := a.Opts.Stage
-	opt.Oracle = a.oracle()
+	opt := stage.Options{Oracle: a.oracle()}
 	ch := stage.Changes{OldTrans: res.OldTrans, Trans: plan.StaleTrans, Nodes: plan.StaleNodes, Loaded: res.Touched()}
 	for _, n := range plan.Resensitized {
 		for _, ref := range a.cnet.Gates(n) {

@@ -64,7 +64,7 @@ func (r *AccuracyRow) ModelNames() []string {
 // enumeration from the first model's run serves the others.
 func runScenarios(scs []*Scenario, models []delay.Model) ([]AccuracyRow, error) {
 	rows := make([]AccuracyRow, len(scs))
-	err := core.RunMany(len(scs), Workers, func(i int) error {
+	err := core.RunMany(len(scs), func(i int) error {
 		sc := scs[i]
 		ref, _, err := sc.AnalogDelay()
 		if err != nil {

@@ -3,10 +3,7 @@
 package experiments
 
 import (
-	"crypto/sha256"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -30,40 +27,6 @@ type Block struct {
 	// LoopBreak names nodes whose fanout the analyzer cuts (latch
 	// internals) — Crystal's feedback directive.
 	LoopBreak []string
-}
-
-// SnapshotDir, when set (delaycmp -snapshot), caches each standard
-// block's generated network as a .simx snapshot keyed by block name and
-// technology, so repeated delaycmp runs materialize the E6/E7 circuit
-// set with a near-memcpy load instead of regenerating it. The cache key
-// does not observe generator code, so clear the directory after
-// changing package gen.
-var SnapshotDir string
-
-// blockSnapshotKey is the freshness hash embedded in a cached block
-// snapshot. The version suffix is bumped when the block set or the
-// snapshot discipline changes incompatibly.
-func blockSnapshotKey(name string, p *tech.Params) [32]byte {
-	return sha256.Sum256([]byte("gen-block:" + name + ":" + p.Name + ":v1"))
-}
-
-// loadBlockNet materializes one block's network, labeled with the block
-// name, through netlist.LoadCached — over the block's cache file when
-// SnapshotDir is set and usable. The mapping behind a hit lives for the
-// process (delaycmp is a one-shot CLI; node names alias the mapped
-// pages).
-func loadBlockNet(name string, p *tech.Params, build func() (*netlist.Network, error)) (*netlist.Network, error) {
-	var path string
-	if SnapshotDir != "" && os.MkdirAll(SnapshotDir, 0o755) == nil {
-		path = filepath.Join(SnapshotDir, name+"-"+p.Name+".simx")
-	}
-	nw, _, err := netlist.LoadCached(path, name, p, blockSnapshotKey(name, p), build)
-	if nw != nil {
-		// Best effort: a failed cache write only costs the next run a
-		// regeneration.
-		return nw, nil
-	}
-	return nil, err
 }
 
 // StandardBlocks generates the E6/E7 circuit set for technology p. Sizes
@@ -90,7 +53,11 @@ func StandardBlocks(p *tech.Params) ([]Block, error) {
 	}
 	var out []Block
 	for _, gg := range gens {
-		nw, err := loadBlockNet(gg.name, p, gg.build)
+		nw, err := gg.build()
+		if err == nil {
+			nw.Name = gg.name
+			err = nw.Check()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("block %s: %w", gg.name, err)
 		}
@@ -198,19 +165,17 @@ func E6Throughput(p *tech.Params, tb *delay.Tables, model string) ([]ThroughputR
 	if err != nil {
 		return nil, err
 	}
-	// Blocks are independent analyses: fan out over the pool. Per-block
-	// wall times are still measured per analysis (under contention they
-	// include scheduling noise; total throughput is the headline metric).
+	// One block at a time: each row reports its block's own wall time,
+	// which a neighbour analyzed alongside it would inflate.
 	rows := make([]ThroughputRow, len(blocks))
-	err = core.RunMany(len(blocks), Workers, func(i int) error {
-		b := blocks[i]
+	for i, b := range blocks {
 		st := b.Net.Stats()
 		a, wall, err := analyzeBlock(b, m, nil)
 		if err != nil {
-			return fmt.Errorf("block %s: %w", b.Name, err)
+			return nil, fmt.Errorf("block %s: %w", b.Name, err)
 		}
 		ev, _ := a.MaxArrival()
-		r := ThroughputRow{
+		rows[i] = ThroughputRow{
 			Block:   b.Name,
 			Trans:   st.Trans,
 			Nodes:   st.Nodes,
@@ -219,13 +184,8 @@ func E6Throughput(p *tech.Params, tb *delay.Tables, model string) ([]ThroughputR
 			CritArr: ev.T,
 		}
 		if wall > 0 {
-			r.TransPerSc = float64(st.Trans) / wall.Seconds()
+			rows[i].TransPerSc = float64(st.Trans) / wall.Seconds()
 		}
-		rows[i] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return rows, nil
 }
@@ -273,7 +233,7 @@ func E7CriticalPaths(p *tech.Params, tb *delay.Tables) ([]CriticalRow, error) {
 	// chaining one stage database — the sensitization is model-independent,
 	// so the enumeration from the first run serves all three.
 	rows := make([]CriticalRow, len(picked))
-	err = core.RunMany(len(picked), Workers, func(i int) error {
+	err = core.RunMany(len(picked), func(i int) error {
 		b := picked[i]
 		row := CriticalRow{
 			Block:    b.Name,

@@ -204,6 +204,9 @@ func TestStandardBlocksBuild(t *testing.T) {
 			t.Fatalf("only %d blocks", len(blocks))
 		}
 		for _, b := range blocks {
+			if b.Net.Name != b.Name {
+				t.Errorf("block %s: network named %q", b.Name, b.Net.Name)
+			}
 			if err := b.Net.Check(); err != nil {
 				t.Errorf("%s: %v", b.Name, err)
 			}

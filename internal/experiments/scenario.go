@@ -1,5 +1,5 @@
 // Package experiments implements the paper's evaluation: every
-// reconstructed table and figure (E1–E8 in DESIGN.md) has a driver here,
+// reconstructed table and figure (E1–E9 in DESIGN.md) has a driver here,
 // shared by cmd/delaycmp (human-readable tables) and the benchmark
 // harness in the repository root.
 //
@@ -22,13 +22,6 @@ import (
 	"repro/internal/switchsim"
 	"repro/internal/tech"
 )
-
-// Workers bounds the fan-out of experiment drivers: independent rows
-// (scenarios, blocks, sweep points) are spread over this many goroutines
-// via core.RunMany. Zero selects GOMAXPROCS; one forces the strict serial
-// order. Row results are identical at every setting — only wall time
-// changes. cmd/delaycmp exposes this as -workers.
-var Workers int
 
 // Scenario is one timed measurement on one circuit.
 type Scenario struct {
