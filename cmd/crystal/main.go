@@ -157,8 +157,7 @@ func run(cfg config, w io.Writer) (int, error) {
 		return 0, err
 	}
 	if cfg.snapshot != "" {
-		// A mapped view stays mapped for the life of the process (node
-		// names alias the mapping); stderr so report goldens are unaffected.
+		// stderr, so report goldens are unaffected.
 		fmt.Fprintf(os.Stderr, "crystal: netlist source: %s\n", res.Source)
 	}
 

@@ -21,11 +21,11 @@
 // .simx snapshot keyed by its network identity (source hash + tech +
 // report name), and a POST over identical content — including after a
 // daemon restart — loads the snapshot instead of re-parsing the .sim
-// text. Where the platform supports mmap, warm loads go through the
-// shared network arena: every session of the same chip aliases one
-// read-only mapped view, with copy-on-edit detach onto a private heap
-// copy at the first edit barrier (see docs/PERFORMANCE.md "Ingest" and
-// docs/SERVER.md on RSS accounting).
+// text. Warm loads go through the shared network arena: every session
+// of the same chip shares one read-only network, with copy-on-edit
+// detach onto a private copy at the first edit barrier, and the arena
+// forgets the network when its last session goes (see docs/SERVER.md on
+// RSS accounting).
 //
 // The API is documented in docs/SERVER.md. The daemon logs the address
 // it bound, so -addr 127.0.0.1:0 picks a free port. On SIGTERM/SIGINT it

@@ -66,7 +66,6 @@ func main() {
 		fatal(err)
 	}
 	if *snapshot != "" {
-		// A mapped view stays mapped for the life of the process.
 		fmt.Fprintf(os.Stderr, "esim: netlist source: %s\n", res.Source)
 	}
 

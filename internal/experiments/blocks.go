@@ -131,7 +131,7 @@ func analyzeBlock(b Block, m delay.Model, db *stage.DB) (*core.Analyzer, time.Du
 	}
 	ins := b.Net.Inputs()
 	if len(ins) == 0 {
-		return nil, 0, fmt.Errorf("block %s has no inputs", b.Block())
+		return nil, 0, fmt.Errorf("block %s has no inputs", b.Name)
 	}
 	for _, in := range ins {
 		if _, fixed := b.Fixed[in.Name]; fixed {
@@ -150,9 +150,6 @@ func analyzeBlock(b Block, m delay.Model, db *stage.DB) (*core.Analyzer, time.Du
 	}
 	return a, time.Since(start), nil
 }
-
-// Block returns the block name (method on Block for error paths).
-func (b Block) Block() string { return b.Name }
 
 // E6Throughput measures verifier wall time and stage-evaluation counts
 // over the standard blocks under the given model.

@@ -129,8 +129,8 @@ type Result struct {
 // Apply clones nw, applies the edits to the clone in order, and returns the
 // new generation; nw is never modified. The batch is validated against the
 // clone, before its first edit: name lookups build a lazily decoded
-// network's name index, and a shared read-only view (crystald's arena) must
-// not grow one because one session edits.
+// network's name index, and a shared read-only network (crystald's arena)
+// must not grow one because one session edits.
 func Apply(nw *netlist.Network, edits []Edit) (*Result, error) {
 	c := nw.Clone()
 	if err := validate(c, edits); err != nil {

@@ -2,7 +2,7 @@
 // (internal/incremental) never mutates a network it was handed: an
 // analyzer's first edit batch applies to a Clone, which the analyzer then
 // owns, and later batches edit that clone in place, each advancing its
-// Generation. The caller's network — a parsed file, a shared mapped view —
+// Generation. The caller's network — a parsed file, crystald's shared one —
 // stays immutable for every other reader. Clone therefore preserves
 // everything enumeration order depends on — node and transistor indexes,
 // and the insertion order of every adjacency list — so a clone analyzes

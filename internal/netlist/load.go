@@ -37,10 +37,7 @@ type LoadOptions struct {
 
 // Load sources.
 const (
-	// SourceMmap: a fresh snapshot served as a memory-mapped view.
-	SourceMmap = "mmap"
-	// SourceSnapshot: a fresh snapshot read into the heap, on a platform
-	// without mmap.
+	// SourceSnapshot: a fresh snapshot, read into the heap.
 	SourceSnapshot = "snapshot"
 	// SourceParse: no usable snapshot; the network was built.
 	SourceParse = "parse"
@@ -48,13 +45,8 @@ const (
 
 // LoadResult describes how LoadCached obtained the network.
 type LoadResult struct {
-	// Source is SourceMmap, SourceSnapshot or SourceParse.
+	// Source is SourceSnapshot or SourceParse.
 	Source string
-	// Mapped is the live mapping when Source is SourceMmap, else nil.
-	// The caller owns its lifetime; see Mapped.Close for the rules.
-	// Callers that cannot bound the network's lifetime keep it open for
-	// the life of the process.
-	Mapped *Mapped
 }
 
 // FromCache reports whether the build was skipped.
@@ -62,12 +54,12 @@ func (r LoadResult) FromCache() bool { return r.Source != SourceParse }
 
 // LoadCached returns the network that build produces, labeled name, via
 // the .simx cache file at snapshot when that is non-empty. A snapshot
-// that opens in technology p and records hash is served in place of
-// building — mapped where the platform can (SourceMmap), read into the
-// heap elsewhere (SourceSnapshot). Anything else is a miss: build runs,
-// the result must pass Network.Check, and the snapshot is rewritten, so
-// a hit skips both the build and the structural check — a .simx file
-// never holds a network that did not pass.
+// that decodes in technology p and records hash is read into the heap
+// and served in place of building (SourceSnapshot). Anything else is a
+// miss: build runs, the result must pass Network.Check, and the
+// snapshot is rewritten, so a hit skips both the build and the
+// structural check — a .simx file never holds a network that did not
+// pass.
 //
 // The name is a caller-chosen label, not part of the structure the hash
 // pins, so a hit is relabeled; this lets a snapshot emitted by
@@ -79,9 +71,9 @@ func (r LoadResult) FromCache() bool { return r.Source != SourceParse }
 // error, but silently losing the cache forever is worse than saying so.
 func LoadCached(snapshot, name string, p *tech.Params, hash [32]byte, build func() (*Network, error)) (*Network, LoadResult, error) {
 	if snapshot != "" {
-		if nw, res, ok := openFresh(snapshot, p, hash); ok {
+		if nw, got, err := readSnapshotFile(snapshot, p); err == nil && got == hash {
 			nw.Name = name
-			return nw, res, nil
+			return nw, LoadResult{Source: SourceSnapshot}, nil
 		}
 	}
 	res := LoadResult{Source: SourceParse}
@@ -101,30 +93,14 @@ func LoadCached(snapshot, name string, p *tech.Params, hash [32]byte, build func
 	return nw, res, nil
 }
 
-// openFresh opens the snapshot at path and reports whether it decodes
-// in technology p and records hash.
-func openFresh(path string, p *tech.Params, hash [32]byte) (*Network, LoadResult, bool) {
-	if mmapSupported {
-		m, err := OpenMapped(path, p)
-		if err != nil {
-			return nil, LoadResult{}, false
-		}
-		if m.SourceHash != hash {
-			m.Close() // stale: the network never escaped, unmapping is safe
-			return nil, LoadResult{}, false
-		}
-		return m.Net, LoadResult{Source: SourceMmap, Mapped: m}, true
-	}
-	f, err := os.Open(path)
+// readSnapshotFile reads the .simx file at path into the heap and
+// decodes it in technology p.
+func readSnapshotFile(path string, p *tech.Params) (*Network, [32]byte, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, LoadResult{}, false
+		return nil, [32]byte{}, err
 	}
-	defer f.Close()
-	nw, got, err := ReadSnapshot(f, p)
-	if err != nil || got != hash {
-		return nil, LoadResult{}, false
-	}
-	return nw, LoadResult{Source: SourceSnapshot}, true
+	return decodeSnapshot(data, p)
 }
 
 // LoadSimFile reads the .sim netlist at path into a checked Network
@@ -164,4 +140,28 @@ func WriteSnapshotFile(path string, nw *Network, sourceHash [32]byte) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
+}
+
+// Deprecated: kept only because bench/service.go reads it; snapshots
+// are always read into the heap.
+const MmapSupported = false
+
+// Deprecated: kept only because bench/probes.go reads it; a snapshot
+// read into the heap by OpenMapped.
+type Mapped struct {
+	Net        *Network
+	SourceHash [32]byte
+}
+
+// Close does nothing.
+func (m *Mapped) Close() error { return nil }
+
+// Deprecated: kept only because bench/probes.go calls it; reads the
+// snapshot at path into the heap, as LoadCached's hit does.
+func OpenMapped(path string, p *tech.Params) (*Mapped, error) {
+	nw, hash, err := readSnapshotFile(path, p)
+	if err != nil {
+		return nil, err
+	}
+	return &Mapped{Net: nw, SourceHash: hash}, nil
 }

@@ -13,14 +13,6 @@ import (
 	"repro/internal/tech"
 )
 
-// warmSource is what a cache hit reports on this platform.
-func warmSource() string {
-	if MmapSupported {
-		return SourceMmap
-	}
-	return SourceSnapshot
-}
-
 // TestLoadCached is the cache protocol, row by row: every way a cache
 // file can fail to be the fresh snapshot of this source is a miss that
 // builds, checks and heals the file; a fresh file is served without
@@ -72,7 +64,7 @@ func TestLoadCached(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if builds != 1 || res.Source != SourceParse || res.FromCache() || res.Mapped != nil {
+			if builds != 1 || res.Source != SourceParse || res.FromCache() {
 				t.Fatalf("miss: %d builds, result %+v", builds, res)
 			}
 			if derr := DiffNetworks(want, nw); derr != nil {
@@ -89,7 +81,7 @@ func TestLoadCached(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if builds != 1 || res.Source != warmSource() || (res.Mapped != nil) != MmapSupported {
+			if builds != 1 || res.Source != SourceSnapshot {
 				t.Fatalf("hit after heal: %d builds, result %+v", builds, res)
 			}
 			if derr := DiffNetworks(want, warm); derr != nil {
@@ -114,7 +106,7 @@ func TestLoadCached(t *testing.T) {
 			t.Fatal("fresh snapshot rebuilt")
 			return nil, nil
 		})
-		if err != nil || res.Source != warmSource() {
+		if err != nil || res.Source != SourceSnapshot {
 			t.Fatalf("source %q err %v", res.Source, err)
 		}
 		bad.Name = "label"
@@ -188,7 +180,7 @@ func TestLoadSimFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Source != warmSource() || warm.Name != "other" {
+	if res.Source != SourceSnapshot || warm.Name != "other" {
 		t.Fatalf("warm load: source %q name %q", res.Source, warm.Name)
 	}
 	warm.Name = cold.Name
@@ -264,7 +256,7 @@ func TestLoadSimFileKey(t *testing.T) {
 		t.Fatalf("snapshot key %x, err %v: not the file's SHA-256", key, err)
 	}
 	hit, res, err := LoadSimFile("sample", simPath, p, opt)
-	if err != nil || res.Source != warmSource() {
+	if err != nil || res.Source != SourceSnapshot {
 		t.Fatalf("hit: source=%q err=%v", res.Source, err)
 	}
 	if derr := DiffNetworks(want, hit); derr != nil {

@@ -2,8 +2,9 @@
 // pipeline. Parsing a chip-scale .sim file costs tokenizing, symbol
 // interning and graph construction; a snapshot is the finished graph in
 // a fixed layout of 8-byte-aligned little-endian sections, so a load is
-// header/CRC validation plus slice-casting views over the bytes: no
-// per-record decode, node names sliced straight out of the image.
+// one file read, header/CRC validation and slice-casting views over the
+// bytes: no per-record decode, node names sliced straight out of the
+// image.
 // Snapshots are a cache, never a source of truth: every snapshot
 // records the SHA-256 of the text it was built from plus the technology
 // name, and a mismatch or any decode failure means "re-parse the
@@ -11,7 +12,7 @@
 // version word is 2; version 1, a compact uvarint stream, is no longer
 // read and an old file is an ordinary cache miss — and one decoder,
 // decodeSnapshot, fed by ReadSnapshot (bytes read from a stream) and
-// OpenMapped (bytes mapped from a file).
+// LoadCached (a whole file read into the heap).
 //
 // Layout (all integers little-endian; CRCs are CRC-32C/Castagnoli, which
 // is hardware-accelerated on amd64/arm64 — validating a 30 MB chip costs
@@ -272,7 +273,7 @@ func parseSnapshot(data []byte) (*v2File, error) {
 // buildInstances decodes the optional instance sections into Instance
 // values, validating every record against the transistor count and the
 // path payload. Paths are copied (never zero-copy views): the table is
-// tiny next to the network, and hierarchy consumers outlive mappings.
+// tiny next to the network, and it need not pin the image.
 func (v *v2File) buildInstances() ([]Instance, error) {
 	if len(v.inst) == 0 {
 		return nil, nil
@@ -360,9 +361,9 @@ func (v *v2File) uniqueNames() error {
 	return nil
 }
 
-// aligned8 reports whether the slice base is 8-byte aligned (always true
-// for mmap pages; true in practice for heap buffers, but checked so the
-// cast view is never undefined behaviour).
+// aligned8 reports whether the slice base is 8-byte aligned (true in
+// practice for heap buffers, but checked so the cast view is never
+// undefined behaviour).
 func aligned8(b []byte) bool {
 	return len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))%8 == 0
 }
@@ -416,18 +417,14 @@ func transRecs(b []byte) []transRec {
 
 // decodeSnapshot is the one .simx decoder: it builds the Network a
 // snapshot image encodes and returns it with the source hash recorded
-// at write time. ReadSnapshot hands it bytes read from a stream,
-// OpenMapped bytes mapped from a file; nothing else differs. Node names
-// are string views over data, so data must stay reachable and unchanged
-// for as long as anything derived from the network is alive — the
-// collector sees to that for a heap buffer, the Mapped owner for a
-// mapping.
+// at write time. Node names are string views over data, so the image
+// stays reachable for as long as any of them is; data must not change
+// after the call.
 //
 // The verify pass (payload checksum, name uniqueness) and the build
-// overlap, and both have finished before decodeSnapshot returns — a
-// caller may unmap data on error the moment it does. The verify verdict
-// wins, so a corrupt file reports "payload checksum mismatch" whether
-// or not the build also tripped over the damage.
+// overlap, and both have finished before decodeSnapshot returns. The
+// verify verdict wins, so a corrupt file reports "payload checksum
+// mismatch" whether or not the build also tripped over the damage.
 func decodeSnapshot(data []byte, p *tech.Params) (*Network, [32]byte, error) {
 	v, err := parseSnapshot(data)
 	if err != nil {

@@ -19,10 +19,9 @@ import (
 type loadFunc func(data []byte, p *tech.Params) (*Network, [32]byte, error)
 
 // bothSources runs f once per way bytes reach decodeSnapshot — read
-// from a stream, mapped from a file. Every acceptance and every
-// rejection below is asserted through both: the decoder is one
-// function, and these tests are what keep "the only thing that differs
-// is where the bytes live" true.
+// from a stream by ReadSnapshot, and read whole from a file by
+// OpenMapped, the file read LoadCached's hit makes. Every acceptance and
+// every rejection below is asserted through both.
 func bothSources(t *testing.T, f func(t *testing.T, load loadFunc)) {
 	t.Run("reader", func(t *testing.T) {
 		f(t, func(data []byte, p *tech.Params) (*Network, [32]byte, error) {
@@ -30,15 +29,11 @@ func bothSources(t *testing.T, f func(t *testing.T, load loadFunc)) {
 		})
 	})
 	t.Run("mapping", func(t *testing.T) {
-		if !MmapSupported {
-			t.Skip("no mmap on this platform")
-		}
 		f(t, func(data []byte, p *tech.Params) (*Network, [32]byte, error) {
 			m, err := OpenMapped(writeTemp(t, data), p)
 			if err != nil {
 				return nil, [32]byte{}, err
 			}
-			t.Cleanup(func() { m.Close() }) // names alias the mapping until the test ends
 			return m.Net, m.SourceHash, nil
 		})
 	})
@@ -347,33 +342,10 @@ func TestSnapshotPayloadVerdictWins(t *testing.T) {
 	})
 }
 
-// TestMappedLifetime: Size reports the mapped length and Close is
-// idempotent.
-func TestMappedLifetime(t *testing.T) {
-	if !MmapSupported {
-		t.Skip("no mmap on this platform")
-	}
-	p := tech.NMOS4()
-	data, _, _ := sampleBytes(t, p)
-	m, err := OpenMapped(writeTemp(t, data), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Size() != len(data) {
-		t.Fatalf("mapped size %d, want %d", m.Size(), len(data))
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil { // double close is defined
-		t.Fatal(err)
-	}
-}
-
 // TestSnapshotConcurrentLookup: many goroutines race first Lookup on one
 // shared decoded view (the lazy byName build) while others walk
-// adjacency — the shape of N crystald sessions aliasing one arena
-// mapping. Run under -race in the CI netlist race job.
+// adjacency — the shape of N crystald sessions sharing one arena
+// network. Run under -race in the CI netlist race job.
 func TestSnapshotConcurrentLookup(t *testing.T) {
 	p := tech.NMOS4()
 	data, nw, _ := sampleBytes(t, p)
@@ -449,13 +421,10 @@ func itoa(i int) string {
 	return string(b[n:])
 }
 
-// FuzzSnapshotV2 fuzzes the decoder. Every input goes through the
-// reader; an input the reader accepts must also be accepted through a
-// mapping, as the identical network, and must re-encode and re-decode
-// to an identical network. (Rejected inputs skip the mapping leg — a
-// file write and a map per execution cut the fuzzer to a few dozen
-// executions a second; TestSnapshotRejects holds the two sources equal
-// on every rejection class, byte flip and truncation.)
+// FuzzSnapshotV2 fuzzes the decoder: an input it accepts must
+// re-encode and re-decode to an identical network. (TestSnapshotRejects
+// holds the two byte sources equal on every rejection class, byte flip
+// and truncation.)
 func FuzzSnapshotV2(f *testing.F) {
 	p := tech.NMOS4()
 	valid, _, _ := sampleBytes(f, p)
@@ -469,27 +438,10 @@ func FuzzSnapshotV2(f *testing.F) {
 	f.Add(snapshotBytes(f, New("empty", p), [32]byte{}))
 	f.Add(snapshotBytes(f, instNetwork(f, p), [32]byte{2}))
 
-	path := filepath.Join(f.TempDir(), "fuzz.simx") // one file per fuzz worker process
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, hash, err := ReadSnapshot(bytes.NewReader(data), p)
 		if err != nil {
 			return
-		}
-		if MmapSupported {
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			m, err := OpenMapped(path, p)
-			if err != nil {
-				t.Fatalf("reader accepted what the mapping rejects: %v", err)
-			}
-			defer m.Close()
-			if m.SourceHash != hash {
-				t.Fatal("byte sources disagree on the source hash")
-			}
-			if derr := DiffNetworks(got, m.Net); derr != nil {
-				t.Fatalf("byte sources disagree: %v", derr)
-			}
 		}
 		again, hash2, err := ReadSnapshot(bytes.NewReader(snapshotBytes(t, got, hash)), p)
 		if err != nil {

@@ -1,16 +1,16 @@
 // Shared network arena coverage: gauge accounting, copy-on-edit
-// detach, and the bit-identity contract — analysis over the shared
-// mapped view must match analysis over a privately parsed network (a
-// daemon with no snapshot directory: no cache, no decoder, no arena) at
-// any worker count, before and after an edit-triggered detach.
+// detach, the entry's lifetime, and the bit-identity contract —
+// analysis over the shared network must match analysis over a privately
+// parsed one (a daemon with no snapshot directory: no cache, no
+// decoder, no arena), before and after an edit-triggered detach.
 package server
 
 import (
 	"net/http"
+	"runtime"
 	"sync"
 	"testing"
-
-	"repro/internal/netlist"
+	"weak"
 )
 
 // withTop returns the dlatch config with a distinct Top directive —
@@ -32,9 +32,6 @@ func lastBarrierReport(t *testing.T, resp editsResponse) string {
 }
 
 func TestArenaSharedViews(t *testing.T) {
-	if !netlist.MmapSupported {
-		t.Skip("no mmap on this platform")
-	}
 	dir := t.TempDir()
 
 	// Reference arm: every session parses its own network.
@@ -46,7 +43,7 @@ func TestArenaSharedViews(t *testing.T) {
 	heapReport := heap.analyze(heapSess.Session).Report
 
 	// Shared arm: a cold create seeds the cache, then three sessions
-	// with distinct analysis directives all alias one mapping.
+	// with distinct analysis directives all share one network.
 	c := newTestClient(t, Options{SnapshotDir: dir})
 	if resp := c.create(withTop(t, 3)); resp.Source != "parse" {
 		t.Fatalf("cold source = %q, want parse", resp.Source)
@@ -54,22 +51,19 @@ func TestArenaSharedViews(t *testing.T) {
 	sessions := make([]createResponse, 0, 3)
 	for top := 4; top <= 6; top++ {
 		resp := c.create(withTop(t, top))
-		if resp.Source != "mmap" {
-			t.Fatalf("top=%d source = %q, want mmap", top, resp.Source)
+		if resp.Source != "snapshot" {
+			t.Fatalf("top=%d source = %q, want snapshot", top, resp.Source)
 		}
 		sessions = append(sessions, resp)
 	}
 	st := c.metrics().NetArena
-	if st.Mappings != 1 || st.SharedSessions != 3 || st.Detaches != 0 {
+	if st.SharedSessions != 3 || st.Detaches != 0 {
 		t.Fatalf("after 3 shared creates: %+v", st)
 	}
-	if st.ResidentBytes <= 0 {
-		t.Fatalf("resident_bytes = %d, want > 0", st.ResidentBytes)
-	}
 
-	// Bit-identity mapped-vs-heap (same Top=4 config as the heap arm).
+	// Bit-identity shared-vs-parsed (same Top=4 config as the heap arm).
 	if got := c.analyze(sessions[0].Session).Report; got != heapReport {
-		t.Fatalf("mapped report differs from heap:\n--- heap\n%s\n--- mapped\n%s", heapReport, got)
+		t.Fatalf("shared report differs from heap:\n--- heap\n%s\n--- shared\n%s", heapReport, got)
 	}
 
 	// Copy-on-edit: the first edit barrier detaches the session onto a
@@ -77,49 +71,55 @@ func TestArenaSharedViews(t *testing.T) {
 	// heap-loaded session.
 	script := "cap out 2e-14\nrun\n"
 	heapEdited := lastBarrierReport(t, heap.edits(heapSess.Session, script))
-	mappedEdited := lastBarrierReport(t, c.edits(sessions[0].Session, script))
-	if mappedEdited != heapEdited {
-		t.Fatalf("post-detach report differs from heap:\n--- heap\n%s\n--- mapped\n%s", heapEdited, mappedEdited)
+	sharedEdited := lastBarrierReport(t, c.edits(sessions[0].Session, script))
+	if sharedEdited != heapEdited {
+		t.Fatalf("post-detach report differs from heap:\n--- heap\n%s\n--- shared\n%s", heapEdited, sharedEdited)
 	}
 	st = c.metrics().NetArena
-	if st.Mappings != 1 || st.SharedSessions != 2 || st.Detaches != 1 {
+	if st.SharedSessions != 2 || st.Detaches != 1 {
 		t.Fatalf("after detach: %+v", st)
 	}
 
 	// The still-attached sessions are unaffected by the detached
 	// session's private edit.
 	if got := c.analyze(sessions[1].Session).Report; got != heapReport {
-		t.Fatal("shared view mutated by a detached session's edit")
+		t.Fatal("shared network mutated by a detached session's edit")
 	}
 
-	// Deleting a shared session releases its reference; the mapping
-	// stays resident for the next session of the same chip.
+	// Deleting a shared session releases its reference; the network
+	// stays shared by the session still holding one.
 	if st := c.do("DELETE", "/v1/sessions/"+sessions[1].Session, nil, nil); st != http.StatusOK {
 		t.Fatalf("delete: status %d", st)
 	}
 	st = c.metrics().NetArena
-	if st.Mappings != 1 || st.SharedSessions != 1 || st.Detaches != 1 {
+	if st.SharedSessions != 1 || st.Detaches != 1 {
 		t.Fatalf("after delete: %+v", st)
 	}
 
-	// A new session re-acquires the resident mapping.
-	if resp := c.create(withTop(t, 7)); resp.Source != "mmap" {
-		t.Fatalf("re-acquire source = %q, want mmap", resp.Source)
+	// A new session shares it too.
+	if resp := c.create(withTop(t, 7)); resp.Source != "snapshot" {
+		t.Fatalf("re-acquire source = %q, want snapshot", resp.Source)
 	}
-	if st = c.metrics().NetArena; st.Mappings != 1 || st.SharedSessions != 2 {
+	if st = c.metrics().NetArena; st.SharedSessions != 2 {
 		t.Fatalf("after re-acquire: %+v", st)
+	}
+
+	// The detached session released its reference when it detached;
+	// deleting it must not release another.
+	if st := c.do("DELETE", "/v1/sessions/"+sessions[0].Session, nil, nil); st != http.StatusOK {
+		t.Fatalf("delete: status %d", st)
+	}
+	if st = c.metrics().NetArena; st.SharedSessions != 2 || st.Detaches != 1 {
+		t.Fatalf("after deleting the detached session: %+v", st)
 	}
 }
 
 // TestArenaConcurrentDetach races copy-on-edit detaches from two
-// sessions aliasing one mapping: both edit barriers fire concurrently
+// sessions sharing one network: both edit barriers fire concurrently
 // (under -race in CI), each must detach exactly once onto its own
 // private clone, and both results must be bit-identical to the same
 // script applied to a heap-loaded session.
 func TestArenaConcurrentDetach(t *testing.T) {
-	if !netlist.MmapSupported {
-		t.Skip("no mmap on this platform")
-	}
 	dir := t.TempDir()
 	script := "cap out 2e-14\nrun\nresize 2 6e-6 2e-6\nrun\n"
 
@@ -131,17 +131,17 @@ func TestArenaConcurrentDetach(t *testing.T) {
 	heapEdited := lastBarrierReport(t, heap.edits(heapSess.Session, script))
 
 	// Shared arm: a cold create seeds the cache, then two sessions over
-	// one mapping, analyzed, then edited from two goroutines at once.
+	// one network, analyzed, then edited from two goroutines at once.
 	c := newTestClient(t, Options{SnapshotDir: dir})
 	c.create(withTop(t, 5))
 	a := c.create(withTop(t, 3))
 	b := c.create(withTop(t, 4))
-	if a.Source != "mmap" || b.Source != "mmap" {
-		t.Fatalf("sources = %q, %q, want mmap", a.Source, b.Source)
+	if a.Source != "snapshot" || b.Source != "snapshot" {
+		t.Fatalf("sources = %q, %q, want snapshot", a.Source, b.Source)
 	}
 	c.analyze(a.Session)
 	c.analyze(b.Session)
-	if st := c.metrics().NetArena; st.Mappings != 1 || st.SharedSessions != 2 || st.Detaches != 0 {
+	if st := c.metrics().NetArena; st.SharedSessions != 2 || st.Detaches != 0 {
 		t.Fatalf("before edits: %+v", st)
 	}
 
@@ -158,25 +158,22 @@ func TestArenaConcurrentDetach(t *testing.T) {
 
 	for i, got := range reports {
 		if got != heapEdited {
-			t.Fatalf("session %d post-detach report differs from heap:\n--- heap\n%s\n--- mapped\n%s",
+			t.Fatalf("session %d post-detach report differs from heap:\n--- heap\n%s\n--- shared\n%s",
 				i, heapEdited, got)
 		}
 	}
 	st := c.metrics().NetArena
-	if st.Mappings != 1 || st.SharedSessions != 0 || st.Detaches != 2 {
+	if st.SharedSessions != 0 || st.Detaches != 2 {
 		t.Fatalf("after concurrent detaches: %+v", st)
 	}
 }
 
 // TestArenaConcurrentCreates races warm creates of one chip on a daemon
 // whose arena is still empty: the load runs outside the arena lock, so
-// several of them may map the file at once. Every one must come back
-// aliasing the single resident view — the losers adopt the winner's and
-// unmap their own.
+// several of them may read the file at once. Every one must come back
+// sharing the single network — the losers adopt the winner's and drop
+// their own.
 func TestArenaConcurrentCreates(t *testing.T) {
-	if !netlist.MmapSupported {
-		t.Skip("no mmap on this platform")
-	}
 	dir := t.TempDir()
 	newTestClient(t, Options{SnapshotDir: dir}).create(withTop(t, 3)) // seed the cache
 	c := newTestClient(t, Options{SnapshotDir: dir})
@@ -192,11 +189,37 @@ func TestArenaConcurrentCreates(t *testing.T) {
 	}
 	wg.Wait()
 	for i, s := range sources {
-		if s != "mmap" {
-			t.Errorf("create %d source = %q, want mmap", i, s)
+		if s != "snapshot" {
+			t.Errorf("create %d source = %q, want snapshot", i, s)
 		}
 	}
-	if st := c.metrics().NetArena; st.Mappings != 1 || st.SharedSessions != n {
+	if st := c.metrics().NetArena; st.SharedSessions != n {
 		t.Fatalf("after %d concurrent creates: %+v", n, st)
+	}
+}
+
+// TestArenaForgetsReleasedNetwork: once the last session of a chip is
+// gone, nothing keeps its shared network alive — the arena forgets the
+// entry at zero references and the collector reclaims the network.
+func TestArenaForgetsReleasedNetwork(t *testing.T) {
+	dir := t.TempDir()
+	newTestClient(t, Options{SnapshotDir: dir}).create(withTop(t, 3)) // seed the cache
+	c := newTestClient(t, Options{SnapshotDir: dir})
+	resp := c.create(withTop(t, 4))
+	if resp.Source != "snapshot" {
+		t.Fatalf("warm source = %q, want snapshot", resp.Source)
+	}
+	c.analyze(resp.Session)
+	wp := weak.Make(serverOf(c).lookup(resp.Session).nw)
+	if st := c.do("DELETE", "/v1/sessions/"+resp.Session, nil, nil); st != http.StatusOK {
+		t.Fatalf("delete: status %d", st)
+	}
+	runtime.GC()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("the network of a deleted session is still reachable")
+	}
+	if st := c.metrics().NetArena; st.SharedSessions != 0 {
+		t.Fatalf("shared_sessions = %d after the last session went, want 0", st.SharedSessions)
 	}
 }

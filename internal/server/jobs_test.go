@@ -20,8 +20,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/netlist"
 )
 
 // doRaw issues a request and returns the status plus raw body bytes.
@@ -346,9 +344,6 @@ func TestJobChaosFailEvery(t *testing.T) {
 // edits case the eviction drops the session's arena reference before the
 // job's copy-on-edit detach would: exactly one of the two releases it.
 func TestEvictionRacesRunningJob(t *testing.T) {
-	if !netlist.MmapSupported {
-		t.Skip("no mmap on this platform")
-	}
 	for _, tc := range []struct {
 		kind string
 		body any
@@ -361,12 +356,12 @@ func TestEvictionRacesRunningJob(t *testing.T) {
 			serverOf(c).jobs.delay = 100 * time.Millisecond
 
 			// Seed the snapshot cache (this create parses and is
-			// immediately the LRU's only resident), then open a shared
-			// mapped session.
+			// immediately the LRU's only resident), then open a session
+			// sharing the arena's network.
 			c.create(withTop(t, 3))
 			shared := c.create(withTop(t, 4))
-			if shared.Source != "mmap" {
-				t.Fatalf("shared source = %q, want mmap", shared.Source)
+			if shared.Source != "snapshot" {
+				t.Fatalf("shared source = %q, want snapshot", shared.Source)
 			}
 			if tc.kind == "edits" {
 				c.analyze(shared.Session)
@@ -376,8 +371,8 @@ func TestEvictionRacesRunningJob(t *testing.T) {
 			// forces the next create to evict it mid-run.
 			acc := c.submitAsync("/v1/sessions/"+shared.Session+"/"+tc.kind, tc.body)
 			next := c.create(withTop(t, 5))
-			if next.Source != "mmap" {
-				t.Fatalf("next source = %q, want mmap", next.Source)
+			if next.Source != "snapshot" {
+				t.Fatalf("next source = %q, want snapshot", next.Source)
 			}
 			if st := c.do("GET", "/v1/sessions/"+shared.Session, nil, nil); st != http.StatusNotFound {
 				t.Fatalf("evicted session still resident: status %d", st)
@@ -406,10 +401,9 @@ func TestEvictionRacesRunningJob(t *testing.T) {
 
 			// Arena accounting: the eviction released the shared
 			// reference even though the job was mid-run; only the live
-			// session holds one, the single mapping stays resident, and
-			// nothing detached.
+			// session holds one, and nothing detached.
 			m := c.metrics()
-			if m.NetArena.Mappings != 1 || m.NetArena.SharedSessions != 1 || m.NetArena.Detaches != 0 {
+			if m.NetArena.SharedSessions != 1 || m.NetArena.Detaches != 0 {
 				t.Fatalf("arena after eviction race: %+v", m.NetArena)
 			}
 			if m.Sessions.Evicted < 2 {

@@ -182,9 +182,9 @@ type MetricsSnapshot struct {
 		Oscillations int64 `json:"oscillations"`
 		Compiles     int64 `json:"compiles"`
 	} `json:"sim"`
-	// NetArena is the shared-view gauge set: current mapping/reference
-	// state plus the lifetime copy-on-edit detach count. All zero when
-	// the arena is disabled.
+	// NetArena is the shared-network gauge set: current references
+	// plus the lifetime copy-on-edit detach count. All zero when the
+	// arena is disabled.
 	NetArena  ArenaStats      `json:"netarena"`
 	Drain     core.DrainStats `json:"drain"`
 	LatencyNs struct {
@@ -205,7 +205,7 @@ type jobGauges struct {
 }
 
 // snapshot assembles the document; live is the current cache size (owned
-// by the server, which holds its own lock) and arena the shared-view
+// by the server, which holds its own lock) and arena the shared-network
 // gauges (zero when the arena is disabled).
 func (m *metrics) snapshot(live int, arena ArenaStats, jobs jobGauges) MetricsSnapshot {
 	var s MetricsSnapshot

@@ -1,15 +1,14 @@
 // BENCH_7's RSS-vs-session-count curve: per-session memory for N
 // concurrent sessions of the E6-XL chip (chip:32,10 — 100k+ nodes,
-// ~182k transistors) aliasing one arena view. (BENCH_7 also recorded a
-// per-session-copy arm; the option that selected it is gone.) The
+// ~182k transistors) sharing one arena network. (BENCH_7 also recorded
+// a per-session-copy arm; the option that selected it is gone.) The
 // benchmark is memory-shaped, not time-shaped: run it with
 // -benchtime 1x and read the reported metrics —
 //
-//	heapMB/session   live Go heap added per session (graph copies)
-//	mappedMB         the arena's resident mapped bytes (paid once)
-//	totalMB          heap delta + mapped bytes for the whole fleet
+//	heapMB/session   live Go heap added per session
+//	totalMB          live Go heap added by the whole fleet
 //
-// totalMB should be near-flat in N: one mapping plus per-session
+// totalMB should be near-flat in N: one network plus per-session
 // bookkeeping.
 package server
 
@@ -96,9 +95,6 @@ func liveHeap() uint64 {
 }
 
 func BenchmarkSessionRSS(b *testing.B) {
-	if !netlist.MmapSupported {
-		b.Skip("no mmap on this platform")
-	}
 	rssCorpus(b)
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shared/%d", n), func(b *testing.B) {
@@ -106,8 +102,8 @@ func BenchmarkSessionRSS(b *testing.B) {
 				srv := httptest.NewServer(New(Options{SnapshotDir: rssDir}))
 				before := liveHeap()
 				for k := 0; k < n; k++ {
-					if resp := rssCreate(srv, rssSim, 3+k); resp.Source != "mmap" {
-						b.Fatalf("session %d source = %q, want mmap", k, resp.Source)
+					if resp := rssCreate(srv, rssSim, 3+k); resp.Source != "snapshot" {
+						b.Fatalf("session %d source = %q, want snapshot", k, resp.Source)
 					}
 				}
 				after := liveHeap()
@@ -115,19 +111,8 @@ func BenchmarkSessionRSS(b *testing.B) {
 				if after > before {
 					heapDelta = float64(after - before)
 				}
-				var m MetricsSnapshot
-				mresp, err := srv.Client().Get(srv.URL + "/metrics")
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
-					b.Fatal(err)
-				}
-				mresp.Body.Close()
-				mapped := float64(m.NetArena.ResidentBytes)
 				b.ReportMetric(heapDelta/float64(n)/1e6, "heapMB/session")
-				b.ReportMetric(mapped/1e6, "mappedMB")
-				b.ReportMetric((heapDelta+mapped)/1e6, "totalMB")
+				b.ReportMetric(heapDelta/1e6, "totalMB")
 				srv.Close()
 			}
 		})

@@ -98,9 +98,9 @@ type Server struct {
 	// without quarter-gigabyte bodies.
 	maxBody int64
 
-	// arena shares read-only mapped network views across sessions of
-	// the same chip. Views come from snapshot files, so without a
-	// SnapshotDir it stays empty.
+	// arena shares read-only networks across sessions of the same chip.
+	// They come from snapshot files, so without a SnapshotDir it stays
+	// empty.
 	arena *netArena
 
 	// jobs is the job plane: the bounded worker-pool queue every
@@ -238,9 +238,8 @@ func (sv *Server) removeLocked(el *list.Element) {
 		delete(sv.byHash, s.hash)
 	}
 	if s.shared {
-		// Drop the arena reference; the mapping itself stays resident
-		// (in-flight handlers may still hold the session, and name
-		// strings alias the mapped pages).
+		// Drop the arena reference; an in-flight job still holding the
+		// session keeps the network alive until it returns.
 		s.shared = false
 		sv.arena.release(s.akey)
 	}
@@ -263,9 +262,8 @@ func (sv *Server) drop(s *session) {
 // markEdited records that a session diverged from its loaded source: it
 // no longer answers content-hash dedup (a re-POST of the same source must
 // get a pristine session, not someone's edit state), and it detaches from
-// any arena view it aliased — the analyzer's first Reanalyze cloned the
-// view before editing, so the session now holds a private heap copy (the
-// mapping stays resident; the clone's name strings still alias its pages).
+// any arena network it shared — the analyzer's first Reanalyze cloned the
+// network before editing, so the session now holds a private copy.
 // The reference is dropped here or by removeLocked, whichever runs first;
 // sv.mu orders the two.
 func (sv *Server) markEdited(s *session) {
@@ -284,11 +282,10 @@ func (sv *Server) markEdited(s *session) {
 type createResponse struct {
 	Session string `json:"session"`
 	Cached  bool   `json:"cached"`
-	// Source reports how the network was obtained: "parse", or from the
-	// .simx warm-start cache without parsing — "mmap" (aliasing the
-	// shared arena's read-only mapped view) where netlist.MmapSupported,
-	// "snapshot" (a private heap copy) elsewhere. Empty when the
-	// snapshot cache is disabled.
+	// Source reports how the network was obtained: "parse", or
+	// "snapshot" — from the .simx warm-start cache without parsing,
+	// sharing the arena's network. Empty when the snapshot cache is
+	// disabled.
 	Source      string `json:"source,omitempty"`
 	Name        string `json:"name"`
 	Tech        string `json:"tech"`

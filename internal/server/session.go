@@ -174,14 +174,13 @@ type session struct {
 	cfg  SessionConfig
 
 	// source records how the network was obtained, a netlist.Source*
-	// value: "parse" (the .sim text went through ReadSim),
-	// "mmap" (the session aliases a shared read-only mapped view from
-	// the network arena) or, on a platform without mmap, "snapshot" (a
-	// fresh .simx cache entry was read into a private heap copy).
+	// value: "parse" (the .sim text went through ReadSim) or "snapshot"
+	// (the session shares the network arena's copy of a fresh .simx
+	// cache entry).
 	source string
 	// snapWrote reports that this load persisted a new snapshot.
 	snapWrote bool
-	// shared marks a session currently aliasing an arena view under
+	// shared marks a session currently sharing an arena network under
 	// akey; cleared (with an arena release) on copy-on-edit detach and
 	// on removal from the cache, whichever comes first.
 	shared bool
@@ -235,8 +234,8 @@ func (s *session) batchEngine() (b *switchsim.Batch, compiled bool) {
 	return s.batch, compiled
 }
 
-// newSession loads the network through the arena — the resident shared
-// view of this chip if there is one, else netlist.LoadCached over the
+// newSession loads the network through the arena — the shared network
+// of this chip if a session holds one, else netlist.LoadCached over the
 // snapshot file in snapDir (none when snapDir is empty), the build being
 // ReadSim — and prepares (but does not run) the analysis.
 //
@@ -245,7 +244,7 @@ func (s *session) batchEngine() (b *switchsim.Batch, compiled bool) {
 // network's structure), NOT the full session content hash: two configs
 // that differ only in analysis directives (model, seeds, top-N) load
 // the same network, so they share one snapshot file and, through the
-// arena, one mapped view.
+// arena, one decoded network.
 func newSession(id string, cfg SessionConfig, snapDir string, hier bool, arena *netArena) (*session, error) {
 	s := &session{id: id, hash: cfg.hash(), cfg: cfg, hier: hier}
 	// The retained config drops the .sim source text: it is only needed
@@ -292,7 +291,7 @@ func newSession(id string, cfg SessionConfig, snapDir string, hier bool, arena *
 	// problem must not fail the load.
 	s.setNet(nw)
 	s.source = res.Source
-	s.shared, s.akey = res.Mapped != nil, key
+	s.shared, s.akey = res.FromCache(), key
 	s.snapWrote = snapPath != "" && !res.FromCache() && err == nil
 	return s, nil
 }

@@ -5,7 +5,7 @@
 // what is a miss, how a miss heals the file — is netlist.LoadCached's
 // and is tested there; what is the server's own is the file naming
 // (network identity: source hash + tech + name, so configs that differ
-// only in analysis directives share one file and one mapped view), the
+// only in analysis directives share one file and one network), the
 // source field and the snapshots.* counters.
 package server
 
@@ -14,8 +14,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/netlist"
 )
 
 // snapshotFiles lists the .simx entries in dir.
@@ -26,15 +24,6 @@ func snapshotFiles(t *testing.T, dir string) []string {
 		t.Fatal(err)
 	}
 	return files
-}
-
-// warmSource is the expected create source for a cache hit: the shared
-// mmap view where the platform supports it, a heap copy otherwise.
-func warmSource() string {
-	if netlist.MmapSupported {
-		return "mmap"
-	}
-	return "snapshot"
 }
 
 func TestSnapshotWarmStart(t *testing.T) {
@@ -61,8 +50,8 @@ func TestSnapshotWarmStart(t *testing.T) {
 	// parse — and it must.
 	c2 := newTestClient(t, Options{SnapshotDir: dir})
 	warm := c2.create(cfg)
-	if warm.Source != warmSource() {
-		t.Fatalf("warm load source = %q, want %q", warm.Source, warmSource())
+	if warm.Source != "snapshot" {
+		t.Fatalf("warm load source = %q, want snapshot", warm.Source)
 	}
 	if warm.Cached {
 		t.Fatal("warm load claimed LRU dedup on a fresh server")
@@ -86,8 +75,8 @@ func TestSnapshotWarmStart(t *testing.T) {
 		t.Fatalf("delete: status %d", st)
 	}
 	again := c2.create(cfg)
-	if again.Source != warmSource() {
-		t.Fatalf("re-create after eviction: source = %q, want %q", again.Source, warmSource())
+	if again.Source != "snapshot" {
+		t.Fatalf("re-create after eviction: source = %q, want snapshot", again.Source)
 	}
 
 	// A config change (different fix directive) is a different LRU key
@@ -97,8 +86,8 @@ func TestSnapshotWarmStart(t *testing.T) {
 	cfg2 := dlatchConfig(t)
 	cfg2.Fix = map[string]string{"wr": "0"}
 	other := c2.create(cfg2)
-	if other.Source != warmSource() {
-		t.Fatalf("changed config source = %q, want %q", other.Source, warmSource())
+	if other.Source != "snapshot" {
+		t.Fatalf("changed config source = %q, want snapshot", other.Source)
 	}
 	if other.Cached {
 		t.Fatal("changed config claimed LRU dedup")
@@ -151,8 +140,8 @@ func TestSnapshotCorruptFallsBack(t *testing.T) {
 	}
 	// And the rewrite healed the cache.
 	c3 := newTestClient(t, Options{SnapshotDir: dir})
-	if resp := c3.create(cfg); resp.Source != warmSource() {
-		t.Fatalf("healed cache source = %q, want %q", resp.Source, warmSource())
+	if resp := c3.create(cfg); resp.Source != "snapshot" {
+		t.Fatalf("healed cache source = %q, want snapshot", resp.Source)
 	}
 }
 

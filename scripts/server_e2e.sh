@@ -9,7 +9,7 @@
 #
 # The daemon runs with a snapshot directory, and the script restarts it
 # mid-transcript: the post-restart create must load from the .simx cache
-# through the shared network arena (source == "mmap" — asserted hard,
+# into the shared network arena (source == "snapshot" — asserted hard,
 # beyond the golden diff), with the subsequent analyze report
 # byte-identical to the cold one.
 #
@@ -100,11 +100,10 @@ transcript() {
   warm=$(curl -s -X POST "$base/v1/sessions" -d "$cfg")
   echo "$warm" | jq -S "$norm"
   # The acceptance assertion: a restarted daemon must open this session
-  # from the snapshot cache — as a shared mmap view on platforms that
-  # have one — skipping ReadSim entirely.
+  # from the snapshot cache, skipping ReadSim entirely.
   src=$(echo "$warm" | jq -r .source)
-  if [ "$src" != "mmap" ]; then
-    echo "server_e2e: warm create source=$src, want mmap" >&2
+  if [ "$src" != "snapshot" ]; then
+    echo "server_e2e: warm create source=$src, want snapshot" >&2
     exit 1
   fi
   wsid=$(echo "$warm" | jq -r .session)
