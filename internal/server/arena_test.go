@@ -9,8 +9,11 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"weak"
+	"time"
+
+	"repro/internal/netlist"
 )
 
 // withTop returns the dlatch config with a distinct Top directive —
@@ -97,8 +100,9 @@ func TestArenaSharedViews(t *testing.T) {
 	}
 
 	// A new session shares it too.
-	if resp := c.create(withTop(t, 7)); resp.Source != "snapshot" {
-		t.Fatalf("re-acquire source = %q, want snapshot", resp.Source)
+	reacquired := c.create(withTop(t, 7))
+	if reacquired.Source != "snapshot" {
+		t.Fatalf("re-acquire source = %q, want snapshot", reacquired.Source)
 	}
 	if st = c.metrics().NetArena; st.SharedSessions != 2 {
 		t.Fatalf("after re-acquire: %+v", st)
@@ -112,6 +116,34 @@ func TestArenaSharedViews(t *testing.T) {
 	if st = c.metrics().NetArena; st.SharedSessions != 2 || st.Detaches != 1 {
 		t.Fatalf("after deleting the detached session: %+v", st)
 	}
+
+	// Once the last sharing session is gone, nothing keeps the network
+	// alive: the arena forgets the entry at zero references and the
+	// collector reclaims it.
+	collected := watchCollection(serverOf(c).lookup(sessions[2].Session).nw)
+	for _, id := range []string{sessions[2].Session, reacquired.Session} {
+		if st := c.do("DELETE", "/v1/sessions/"+id, nil, nil); st != http.StatusOK {
+			t.Fatalf("delete: status %d", st)
+		}
+	}
+	if st = c.metrics().NetArena; st.SharedSessions != 0 || st.Detaches != 1 {
+		t.Fatalf("after the last shared session went: %+v", st)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !collected.Load() && time.Now().Before(deadline); {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if !collected.Load() {
+		t.Fatal("the shared network outlived its last session")
+	}
+}
+
+// watchCollection returns a flag the collector sets once nw is freed.
+// The finalizer closes over the flag only, so it does not pin nw.
+func watchCollection(nw *netlist.Network) *atomic.Bool {
+	var collected atomic.Bool
+	runtime.SetFinalizer(nw, func(*netlist.Network) { collected.Store(true) })
+	return &collected
 }
 
 // TestArenaConcurrentDetach races copy-on-edit detaches from two
@@ -195,31 +227,5 @@ func TestArenaConcurrentCreates(t *testing.T) {
 	}
 	if st := c.metrics().NetArena; st.SharedSessions != n {
 		t.Fatalf("after %d concurrent creates: %+v", n, st)
-	}
-}
-
-// TestArenaForgetsReleasedNetwork: once the last session of a chip is
-// gone, nothing keeps its shared network alive — the arena forgets the
-// entry at zero references and the collector reclaims the network.
-func TestArenaForgetsReleasedNetwork(t *testing.T) {
-	dir := t.TempDir()
-	newTestClient(t, Options{SnapshotDir: dir}).create(withTop(t, 3)) // seed the cache
-	c := newTestClient(t, Options{SnapshotDir: dir})
-	resp := c.create(withTop(t, 4))
-	if resp.Source != "snapshot" {
-		t.Fatalf("warm source = %q, want snapshot", resp.Source)
-	}
-	c.analyze(resp.Session)
-	wp := weak.Make(serverOf(c).lookup(resp.Session).nw)
-	if st := c.do("DELETE", "/v1/sessions/"+resp.Session, nil, nil); st != http.StatusOK {
-		t.Fatalf("delete: status %d", st)
-	}
-	runtime.GC()
-	runtime.GC()
-	if wp.Value() != nil {
-		t.Fatal("the network of a deleted session is still reachable")
-	}
-	if st := c.metrics().NetArena; st.SharedSessions != 0 {
-		t.Fatalf("shared_sessions = %d after the last session went, want 0", st.SharedSessions)
 	}
 }
