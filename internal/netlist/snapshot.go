@@ -2,9 +2,10 @@
 // pipeline. Parsing a chip-scale .sim file costs tokenizing, symbol
 // interning and graph construction; a snapshot is the finished graph in
 // a fixed layout of 8-byte-aligned little-endian sections, so a load is
-// one file read, header/CRC validation and slice-casting views over the
-// bytes: no per-record decode, node names sliced straight out of the
-// image.
+// one file read, header/CRC validation and one fused pass that reads
+// each field straight from the section bytes. The decoded network owns
+// its memory — node names are substrings of one copy of the name
+// section — so the image is garbage once the decode returns.
 // Snapshots are a cache, never a source of truth: every snapshot
 // records the SHA-256 of the text it was built from plus the technology
 // name, and a mismatch or any decode failure means "re-parse the
@@ -37,8 +38,9 @@
 //	  3 nodeKind   nNodes × uint8
 //	  4 nodeFlags  nNodes × uint8 (bit 0: precharged)
 //	  5 nodeCap    nNodes × float64
-//	  6 trans      nTrans × 40-byte record {W,L,R float64; Gate,A,B int32;
-//	               Type,Flow uint8; pad [2]byte}
+//	  6 trans      nTrans × 40-byte record: W,L,R float64 at 0,8,16;
+//	               Gate,A,B int32 at 24,28,32; Type,Flow uint8 at 36,37;
+//	               2 zero pad bytes
 //	  7 gateStart  (nNodes+1) × uint32 — CSR offsets of Node.Gates
 //	  8 termStart  (nNodes+1) × uint32 — CSR offsets of Node.Terms
 //	  9 nameOff    (nNodes+1) × uint32 — offsets into nameData
@@ -71,7 +73,7 @@ import (
 	"io"
 	"math"
 	"os"
-	"unsafe"
+	"slices"
 
 	"repro/internal/tech"
 )
@@ -107,29 +109,10 @@ const (
 	v2InstRecSize = 16
 )
 
-// transRec is the fixed-width on-disk transistor record. The field order
-// packs the three float64 columns first so the struct is 8-aligned with
-// exactly two trailing pad bytes; the compile-time assertion below pins
-// the 40-byte size the format depends on.
-type transRec struct {
-	W, L, R    float64
-	Gate, A, B int32
-	Type, Flow uint8
-	_          [2]byte
-}
-
+// transRecSize is the width of a section-6 transistor record.
 const transRecSize = 40
 
-var _ [transRecSize]byte = [unsafe.Sizeof(transRec{})]byte{}
-
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// hostLittleEndian reports whether the native byte order matches the
-// on-disk order, which is what makes the zero-copy slice casts legal.
-var hostLittleEndian = func() bool {
-	x := uint16(0x0102)
-	return *(*byte)(unsafe.Pointer(&x)) == 0x02
-}()
 
 // v2File is a validated view over a snapshot's bytes: header fields plus
 // the located sections. The byte slices alias the input data.
@@ -140,7 +123,7 @@ type v2File struct {
 	techName, name       []byte
 	nodeKind, nodeFlags  []byte
 	nodeCap              []byte // nNodes × float64
-	trans                []byte // nTrans × transRec
+	trans                []byte // nTrans × transRecSize
 	gateStart, termStart []byte // (nNodes+1) × uint32
 	nameOff              []byte // (nNodes+1) × uint32
 	nameData             []byte
@@ -272,8 +255,7 @@ func parseSnapshot(data []byte) (*v2File, error) {
 
 // buildInstances decodes the optional instance sections into Instance
 // values, validating every record against the transistor count and the
-// path payload. Paths are copied (never zero-copy views): the table is
-// tiny next to the network, and it need not pin the image.
+// path payload.
 func (v *v2File) buildInstances() ([]Instance, error) {
 	if len(v.inst) == 0 {
 		return nil, nil
@@ -298,24 +280,29 @@ func (v *v2File) buildInstances() ([]Instance, error) {
 
 // verify is the half of the decode that needs no Network: the payload
 // checksum — the one pass that touches every byte — and then node-name
-// uniqueness. It is split out of parseSnapshot so decodeSnapshot can
-// run it on its own goroutine while build materializes the network:
-// the overlap is sound because build bounds-checks every index it
-// consumes and never trusts payload contents for memory safety, so the
-// worst a corrupt payload can do before the checksum verdict lands is
-// produce a network that is then discarded.
-func (v *v2File) verify() error {
+// uniqueness over the already decoded name table (nil when that table
+// failed its own checks, whose error then stands unless the checksum's
+// does). It is split out of parseSnapshot so decodeSnapshot can run it
+// on its own goroutine while build materializes the network: the
+// overlap is sound because build bounds-checks every index it consumes
+// and never trusts payload contents for memory safety, so the worst a
+// corrupt payload can do before the checksum verdict lands is produce a
+// network that is then discarded.
+func (v *v2File) verify(nameOff []uint32) error {
 	if crc32.Checksum(v.payload, castagnoli) != v.payloadCRC {
 		return fmt.Errorf("simx: payload checksum mismatch")
 	}
-	return v.uniqueNames()
+	if nameOff == nil {
+		return nil
+	}
+	return v.uniqueNames(nameOff)
 }
 
-// nameTable returns the name offset table once it has proved every
-// name slice in bounds: pinned endpoints plus non-decreasing offsets —
-// a corrupt table must produce an error, never a panic.
+// nameTable decodes the name offset table and returns it once it has
+// proved every name slice in bounds: pinned endpoints plus non-decreasing
+// offsets — a corrupt table must produce an error, never a panic.
 func (v *v2File) nameTable() ([]uint32, error) {
-	off := u32View(v.nameOff)
+	off := u32s(v.nameOff)
 	if off[0] != 0 || off[v.nNodes] != uint32(len(v.nameData)) {
 		return nil, fmt.Errorf("simx: name offset table does not span the name payload")
 	}
@@ -333,11 +320,7 @@ func (v *v2File) nameTable() ([]uint32, error) {
 // scale the map costs more than the whole build. Each slot holds the
 // upper half of a name's hash beside its node number, so a probe
 // compares name bytes only on a 32-bit hash match.
-func (v *v2File) uniqueNames() error {
-	off, err := v.nameTable()
-	if err != nil {
-		return err
-	}
+func (v *v2File) uniqueNames(off []uint32) error {
 	name := func(i int) []byte { return v.nameData[off[i]:off[i+1]] }
 	size := 4
 	for size < 2*v.nNodes {
@@ -361,31 +344,8 @@ func (v *v2File) uniqueNames() error {
 	return nil
 }
 
-// aligned8 reports whether the slice base is 8-byte aligned (true in
-// practice for heap buffers, but checked so the cast view is never
-// undefined behaviour).
-func aligned8(b []byte) bool {
-	return len(b) == 0 || uintptr(unsafe.Pointer(&b[0]))%8 == 0
-}
-
-// f64View returns the section as a []float64 — a zero-copy cast when the
-// host is little-endian and the base is aligned, a decoded copy otherwise.
-func f64View(b []byte) []float64 {
-	if hostLittleEndian && aligned8(b) {
-		return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/8)
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-// u32View returns the section as a []uint32, zero-copy when possible.
-func u32View(b []byte) []uint32 {
-	if hostLittleEndian && aligned8(b) {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/4)
-	}
+// u32s decodes a section of little-endian uint32s.
+func u32s(b []byte) []uint32 {
 	out := make([]uint32, len(b)/4)
 	for i := range out {
 		out[i] = binary.LittleEndian.Uint32(b[4*i:])
@@ -393,46 +353,27 @@ func u32View(b []byte) []uint32 {
 	return out
 }
 
-// transRecs returns the record section as a []transRec — a zero-copy
-// cast view on little-endian hosts, a one-shot decoded copy elsewhere.
-func transRecs(b []byte) []transRec {
-	if hostLittleEndian && aligned8(b) {
-		return unsafe.Slice((*transRec)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/transRecSize)
-	}
-	out := make([]transRec, len(b)/transRecSize)
-	for i := range out {
-		r := b[i*transRecSize:]
-		out[i] = transRec{
-			W:    math.Float64frombits(binary.LittleEndian.Uint64(r[0:8])),
-			L:    math.Float64frombits(binary.LittleEndian.Uint64(r[8:16])),
-			R:    math.Float64frombits(binary.LittleEndian.Uint64(r[16:24])),
-			Gate: int32(binary.LittleEndian.Uint32(r[24:28])),
-			A:    int32(binary.LittleEndian.Uint32(r[28:32])),
-			B:    int32(binary.LittleEndian.Uint32(r[32:36])),
-			Type: r[36], Flow: r[37],
-		}
-	}
-	return out
-}
-
 // decodeSnapshot is the one .simx decoder: it builds the Network a
 // snapshot image encodes and returns it with the source hash recorded
-// at write time. Node names are string views over data, so the image
-// stays reachable for as long as any of them is; data must not change
-// after the call.
+// at write time. The network shares no memory with data.
 //
 // The verify pass (payload checksum, name uniqueness) and the build
 // overlap, and both have finished before decodeSnapshot returns. The
 // verify verdict wins, so a corrupt file reports "payload checksum
-// mismatch" whether or not the build also tripped over the damage.
+// mismatch" whether or not the name table or the build also tripped
+// over the damage.
 func decodeSnapshot(data []byte, p *tech.Params) (*Network, [32]byte, error) {
 	v, err := parseSnapshot(data)
 	if err != nil {
 		return nil, [32]byte{}, err
 	}
+	nameOff, err := v.nameTable()
 	verdict := make(chan error, 1)
-	go func() { verdict <- v.verify() }()
-	nw, err := v.build(p)
+	go func() { verdict <- v.verify(nameOff) }()
+	var nw *Network
+	if err == nil {
+		nw, err = v.build(p, nameOff)
+	}
 	if verr := <-verdict; verr != nil {
 		err = verr
 	}
@@ -442,14 +383,14 @@ func decodeSnapshot(data []byte, p *tech.Params) (*Network, [32]byte, error) {
 	return nw, v.sourceHash, nil
 }
 
-// build materializes the Network from a structurally valid view in one
-// fused scan: each record is read once, its Trans fields and all three
-// adjacency placements done while it is hot, then a single node loop
-// sets headers and rails. The name index is left to lazy construction
-// (Network.nameIndex). It validates every index it consumes, so a
-// payload whose checksum is still being computed can produce an error
-// here but never an out-of-range access.
-func (v *v2File) build(p *tech.Params) (*Network, error) {
+// build materializes the Network from a structurally valid view and its
+// checked name table in one fused scan: each record is read once, its
+// Trans fields and all three adjacency placements done while it is hot,
+// then a single node loop sets headers and rails. The name index is left
+// to lazy construction (Network.nameIndex). It validates every index it
+// consumes, so a payload whose checksum is still being computed can
+// produce an error here but never an out-of-range access.
+func (v *v2File) build(p *tech.Params, nameOff []uint32) (*Network, error) {
 	fail := func(format string, args ...any) (*Network, error) {
 		return nil, fmt.Errorf("simx: "+format, args...)
 	}
@@ -457,13 +398,6 @@ func (v *v2File) build(p *tech.Params) (*Network, error) {
 		return fail("technology %q, want %q", got, p.Name)
 	}
 	nNodes, nTrans := v.nNodes, v.nTrans
-	nameOff, err := v.nameTable()
-	if err != nil {
-		return nil, err
-	}
-	nameAt := func(i int) string {
-		return unsafe.String(unsafe.SliceData(v.nameData[nameOff[i]:]), int(nameOff[i+1]-nameOff[i]))
-	}
 
 	// The stored CSR offset tables must be plausible before they steer
 	// any write: monotone non-decreasing with pinned endpoints (every
@@ -471,8 +405,7 @@ func (v *v2File) build(p *tech.Params) (*Network, error) {
 	// device). The per-record cursor checks below then prove the tables
 	// agree with the records exactly — a mis-written table the CRC alone
 	// cannot catch must produce an error, never an overrun.
-	recs := transRecs(v.trans)
-	gateStart, termStart := u32View(v.gateStart), u32View(v.termStart)
+	gateStart, termStart := u32s(v.gateStart), u32s(v.termStart)
 	if gateStart[0] != 0 || int(gateStart[nNodes]) != nTrans ||
 		termStart[0] != 0 || int(termStart[nNodes]) < nTrans || int(termStart[nNodes]) > 2*nTrans {
 		return fail("adjacency offset table does not span the records")
@@ -489,12 +422,14 @@ func (v *v2File) build(p *tech.Params) (*Network, error) {
 		Nodes: make([]*Node, nNodes),
 		Trans: make([]*Trans, nTrans),
 	}
+	var err error
 	if nw.Instances, err = v.buildInstances(); err != nil {
 		return nil, err
 	}
 	trans := make([]Trans, nTrans) // one allocation for all transistors
 	nodes := make([]Node, nNodes)  // one allocation for all node structs
 	un := uint32(nNodes)
+	le := binary.LittleEndian
 
 	// Each record lands at its node's cursor in record order — exactly
 	// the order an AddTrans replay would append — which also proves the
@@ -503,25 +438,26 @@ func (v *v2File) build(p *tech.Params) (*Network, error) {
 	// over-counted.
 	gatesBack := make([]*Trans, gateStart[nNodes])
 	termsBack := make([]*Trans, termStart[nNodes])
-	gcur := make([]uint32, nNodes)
-	copy(gcur, gateStart[:nNodes])
-	tcur := make([]uint32, nNodes)
-	copy(tcur, termStart[:nNodes])
-	for j := range recs {
-		r := &recs[j]
-		if r.Type > uint8(tech.RWire) || r.Flow > uint8(FlowOff) {
-			return fail("transistor %d has type %d flow %d", j, r.Type, r.Flow)
+	gcur := slices.Clone(gateStart[:nNodes])
+	tcur := slices.Clone(termStart[:nNodes])
+	for j := range trans {
+		r := v.trans[j*transRecSize:][:transRecSize]
+		typ, flow := r[36], r[37]
+		if typ > uint8(tech.RWire) || flow > uint8(FlowOff) {
+			return fail("transistor %d has type %d flow %d", j, typ, flow)
 		}
-		g, ta, tb := uint32(r.Gate), uint32(r.A), uint32(r.B)
+		g, ta, tb := le.Uint32(r[24:]), le.Uint32(r[28:]), le.Uint32(r[32:])
 		if g >= un || ta >= un || tb >= un {
 			return fail("transistor %d references node out of range", j)
 		}
 		t := &trans[j]
 		t.Index = j
-		t.Type = tech.Device(r.Type)
-		t.Flow = Flow(r.Flow)
+		t.Type = tech.Device(typ)
+		t.Flow = Flow(flow)
 		t.Gate, t.A, t.B = &nodes[g], &nodes[ta], &nodes[tb]
-		t.W, t.L, t.ROverride = r.W, r.L, r.R
+		t.W = math.Float64frombits(le.Uint64(r[0:]))
+		t.L = math.Float64frombits(le.Uint64(r[8:]))
+		t.ROverride = math.Float64frombits(le.Uint64(r[16:]))
 		nw.Trans[j] = t
 		p := gcur[g]
 		if p == gateStart[g+1] {
@@ -549,7 +485,7 @@ func (v *v2File) build(p *tech.Params) (*Network, error) {
 			return fail("adjacency offset table disagrees with records at node %d", i)
 		}
 	}
-	caps := f64View(v.nodeCap)
+	names := string(v.nameData) // the one copy every Node.Name slices
 	for i := range nodes {
 		n := &nodes[i]
 		n.Index = i
@@ -557,10 +493,10 @@ func (v *v2File) build(p *tech.Params) (*Network, error) {
 		if kind > uint8(KindOutput) {
 			return fail("node %d has kind %d", i, kind)
 		}
-		n.Name = nameAt(i)
+		n.Name = names[nameOff[i]:nameOff[i+1]]
 		n.Kind = NodeKind(kind)
 		n.Precharged = v.nodeFlags[i]&1 != 0
-		n.Cap = caps[i]
+		n.Cap = math.Float64frombits(le.Uint64(v.nodeCap[8*i:]))
 		n.Gates = gatesBack[gateStart[i]:gateStart[i+1]]
 		n.Terms = termsBack[termStart[i]:termStart[i+1]]
 		nw.Nodes[i] = n
@@ -698,7 +634,7 @@ func WriteSnapshot(w io.Writer, nw *Network, sourceHash [32]byte) error {
 // checksum mismatch, truncated or trailing bytes, a structurally
 // inconsistent payload, or a technology name different from p.Name —
 // all of which mean "re-parse the source", not "the file is usable
-// anyway". The whole image stays reachable behind the node names.
+// anyway".
 func ReadSnapshot(r io.Reader, p *tech.Params) (*Network, [32]byte, error) {
 	data, err := readAllSized(r)
 	if err != nil {
@@ -709,9 +645,9 @@ func ReadSnapshot(r io.Reader, p *tech.Params) (*Network, [32]byte, error) {
 
 // readAllSized reads r to EOF like io.ReadAll, but pre-sizes the buffer
 // when the reader can report its length (bytes.Reader via Len, os.File
-// via Stat) — the growth-chain copies of a blind ReadAll are a large
-// fraction of a warm load, and both sized cases cover every production
-// caller.
+// via Stat), sparing the growth-chain copies of a blind ReadAll. No
+// production load reads through it — LoadCached's hit is an os.ReadFile —
+// so its callers are ReadSnapshot's: tests and the benchmark's probes.
 func readAllSized(r io.Reader) ([]byte, error) {
 	size := -1
 	switch rr := r.(type) {

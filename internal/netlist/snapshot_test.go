@@ -8,9 +8,12 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/tech"
 )
@@ -21,16 +24,14 @@ type loadFunc func(data []byte, p *tech.Params) (*Network, [32]byte, error)
 // bothSources runs f once per way bytes reach decodeSnapshot — read
 // from a stream by ReadSnapshot, and read whole from a file by
 // readSnapshotFile, the read LoadCached's hit makes. Every acceptance
-// and every rejection below is asserted through both. The file leg keeps
-// the name "mapping" it had when the hit mapped the file, so the IDs of
-// its subtests stay stable.
+// and every rejection below is asserted through both.
 func bothSources(t *testing.T, f func(t *testing.T, load loadFunc)) {
 	t.Run("reader", func(t *testing.T) {
 		f(t, func(data []byte, p *tech.Params) (*Network, [32]byte, error) {
 			return ReadSnapshot(bytes.NewReader(data), p)
 		})
 	})
-	t.Run("mapping", func(t *testing.T) {
+	t.Run("file", func(t *testing.T) {
 		f(t, func(data []byte, p *tech.Params) (*Network, [32]byte, error) {
 			return readSnapshotFile(writeTemp(t, data), p)
 		})
@@ -377,9 +378,84 @@ func TestSnapshotConcurrentLookup(t *testing.T) {
 	})
 }
 
-// TestSnapshotNameAllocations: names are views over the image, so
-// decoding a network with hundreds more nodes must not cost hundreds
-// more allocations.
+// TestSnapshotOwnsItsBytes: a decoded network shares no memory with
+// the image it was decoded from. Overwriting every byte of the image
+// leaves the network as it was written, and the image is collected while
+// the network is still in use. ReadSnapshot's image is the buffer it
+// reads into, which imageReader hands back.
+func TestSnapshotOwnsItsBytes(t *testing.T) {
+	p := tech.NMOS4()
+	_, sampleNet, _ := sampleBytes(t, p)
+	inst := instNetwork(t, p)
+	decoders := []struct {
+		name   string
+		decode func(t *testing.T, img []byte) (*Network, []byte)
+	}{
+		{"decodeSnapshot", func(t *testing.T, img []byte) (*Network, []byte) {
+			data := bytes.Clone(img)
+			nw, _, err := decodeSnapshot(data, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return nw, data
+		}},
+		{"ReadSnapshot", func(t *testing.T, img []byte) (*Network, []byte) {
+			r := &imageReader{Reader: bytes.NewReader(img)}
+			nw, _, err := ReadSnapshot(r, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.image) != len(img) {
+				t.Fatalf("first read was %d bytes, want the %d-byte image", len(r.image), len(img))
+			}
+			return nw, r.image
+		}},
+	}
+	for _, d := range decoders {
+		t.Run(d.name, func(t *testing.T) {
+			for _, want := range []*Network{sampleNet, inst} {
+				got, data := d.decode(t, snapshotBytes(t, want, [32]byte{3}))
+				for i := range data {
+					data[i] = 0xA5
+				}
+				if err := DiffNetworks(got, want); err != nil {
+					t.Fatalf("%s changed with its image: %v", want.Name, err)
+				}
+				var collected atomic.Bool
+				runtime.SetFinalizer(&data[0], func(*byte) { collected.Store(true) })
+				data = nil
+				for deadline := time.Now().Add(5 * time.Second); !collected.Load() && time.Now().Before(deadline); {
+					runtime.GC()
+					runtime.GC()
+					time.Sleep(10 * time.Millisecond)
+				}
+				if !collected.Load() {
+					t.Fatalf("%s keeps its image reachable", want.Name)
+				}
+				runtime.KeepAlive(got)
+			}
+		})
+	}
+}
+
+// imageReader is a bytes.Reader that keeps the buffer of its first Read:
+// ReadSnapshot sizes its buffer from Len and fills it in that call, so
+// the buffer is the image it decodes.
+type imageReader struct {
+	*bytes.Reader
+	image []byte
+}
+
+func (r *imageReader) Read(b []byte) (int, error) {
+	if r.image == nil {
+		r.image = b
+	}
+	return r.Reader.Read(b)
+}
+
+// TestSnapshotNameAllocations: names are substrings of one copy of the
+// name section, so decoding a network with hundreds more nodes must not
+// cost hundreds more allocations.
 func TestSnapshotNameAllocations(t *testing.T) {
 	p := tech.NMOS4()
 	encode := func(nNodes int) []byte {
@@ -419,8 +495,9 @@ func itoa(i int) string {
 	return string(b[n:])
 }
 
-// FuzzSnapshotV2 fuzzes the decoder: an input it accepts must
-// re-encode and re-decode to an identical network. (TestSnapshotRejects
+// FuzzSnapshotV2 fuzzes the decoder: an input it accepts must, once
+// its image has been overwritten, re-encode and re-decode to an
+// identical network. (TestSnapshotRejects
 // holds the two byte sources equal on every rejection class, byte flip
 // and truncation.)
 func FuzzSnapshotV2(f *testing.F) {
@@ -437,9 +514,13 @@ func FuzzSnapshotV2(f *testing.F) {
 	f.Add(snapshotBytes(f, instNetwork(f, p), [32]byte{2}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, hash, err := ReadSnapshot(bytes.NewReader(data), p)
+		img := bytes.Clone(data)
+		got, hash, err := decodeSnapshot(img, p)
 		if err != nil {
 			return
+		}
+		for i := range img {
+			img[i] = 0xA5 // the network must not read its image after the decode
 		}
 		again, hash2, err := ReadSnapshot(bytes.NewReader(snapshotBytes(t, got, hash)), p)
 		if err != nil {
