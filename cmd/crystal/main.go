@@ -165,16 +165,9 @@ func run(cfg config, w io.Writer) (int, error) {
 		fmt.Fprint(w, erc.Format(erc.Check(nw, erc.Options{})))
 	}
 
-	var tb *delay.Tables
-	switch cfg.tables {
-	case "char":
-		if tb, err = charlib.Default(p); err != nil {
-			return 0, err
-		}
-	case "analytic":
-		tb = delay.AnalyticTables(p)
-	default:
-		return 0, fmt.Errorf("unknown tables %q", cfg.tables)
+	tb, err := charlib.Tables(p, cfg.tables)
+	if err != nil {
+		return 0, err
 	}
 	m, err := delay.ByName(cfg.model, tb)
 	if err != nil {
@@ -189,60 +182,25 @@ func run(cfg config, w io.Writer) (int, error) {
 	default:
 		return 0, fmt.Errorf("-hier: want on or off, got %q", cfg.hier)
 	}
-	for _, name := range splitList(cfg.loopbreak) {
-		n := nw.Lookup(name)
-		if n == nil {
-			return 0, fmt.Errorf("-loopbreak: no node named %q", name)
-		}
-		opts.LoopBreak = append(opts.LoopBreak, n)
+	d := core.Directives{
+		Fix:       map[string]switchsim.Value{},
+		LoopBreak: splitList(cfg.loopbreak),
+		Rise:      splitList(cfg.rise),
+		Fall:      splitList(cfg.fall),
+		Slope:     cfg.inSlope,
 	}
-	a := core.New(nw, m, opts)
-	fixedNames := map[string]bool{}
 	for _, kv := range splitList(cfg.fix) {
 		name, val, ok := strings.Cut(kv, "=")
 		if !ok {
 			return 0, fmt.Errorf("bad -fix entry %q (want node=0|1)", kv)
 		}
-		n := nw.Lookup(name)
-		if n == nil {
-			return 0, fmt.Errorf("-fix: no node named %q", name)
+		if d.Fix[name], err = switchsim.ParseValue(val); err != nil {
+			return 0, fmt.Errorf("-fix %s: %w", name, err)
 		}
-		switch val {
-		case "0":
-			a.SetFixed(n, switchsim.V0)
-		case "1":
-			a.SetFixed(n, switchsim.V1)
-		default:
-			return 0, fmt.Errorf("bad -fix value %q for %s", val, name)
-		}
-		fixedNames[name] = true
 	}
-
-	seeded := false
-	for _, name := range splitList(cfg.rise) {
-		if err := a.SetInputEventName(name, tech.Rise, 0, cfg.inSlope); err != nil {
-			return 0, err
-		}
-		seeded = true
-	}
-	for _, name := range splitList(cfg.fall) {
-		if err := a.SetInputEventName(name, tech.Fall, 0, cfg.inSlope); err != nil {
-			return 0, err
-		}
-		seeded = true
-	}
-	if !seeded {
-		for _, in := range nw.Inputs() {
-			if fixedNames[in.Name] {
-				continue
-			}
-			if err := a.SetInputEvent(in, tech.Rise, 0, cfg.inSlope); err != nil {
-				return 0, err
-			}
-			if err := a.SetInputEvent(in, tech.Fall, 0, cfg.inSlope); err != nil {
-				return 0, err
-			}
-		}
+	a, err := d.New(nw, m, opts)
+	if err != nil {
+		return 0, err
 	}
 
 	if err := a.Run(); err != nil {

@@ -147,6 +147,8 @@ func TestRunErrors(t *testing.T) {
 		{simFile: testdataPath + "dlatch.sim", techName: "nmos-4u", tables: "analytic", model: "rc", fix: "wr"},
 		{simFile: testdataPath + "dlatch.sim", techName: "nmos-4u", tables: "analytic", model: "rc", fix: "wr=7"},
 		{simFile: testdataPath + "dlatch.sim", techName: "nmos-4u", tables: "analytic", model: "rc", fix: "ghost=1"},
+		{simFile: testdataPath + "dlatch.sim", techName: "nmos-4u", tables: "analytic", model: "rc", fix: "wr=X"},
+		{simFile: testdataPath + "dlatch.sim", techName: "nmos-4u", tables: "analytic", model: "rc", loopbreak: "ghost"},
 		{simFile: testdataPath + "dlatch.sim", techName: "nmos-4u", tables: "analytic", model: "rc", rise: "ghost"},
 		{simFile: testdataPath + "dlatch.sim", techName: "nmos-4u", tables: "analytic", model: "rc", hier: "maybe"},
 	}

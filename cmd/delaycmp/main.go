@@ -91,16 +91,9 @@ func run(cfg config, w io.Writer) error {
 		return err
 	}
 
-	var tb *delay.Tables
-	switch cfg.tables {
-	case "char":
-		if tb, err = charlib.Default(p); err != nil {
-			return err
-		}
-	case "analytic":
-		tb = delay.AnalyticTables(p)
-	default:
-		return fmt.Errorf("unknown tables %q (want char or analytic)", cfg.tables)
+	tb, err := charlib.Tables(p, cfg.tables)
+	if err != nil {
+		return err
 	}
 
 	want := map[string]bool{}

@@ -87,35 +87,38 @@ func TestGoldenScripts(t *testing.T) {
 	}
 }
 
+// goldenVectors are TestGoldenVectors' cases, over the lattice showcase
+// netlists: a clocked latch, a precharged bus, and a ratioed-inverter/
+// pass-transistor tap.
+var goldenVectors = []struct {
+	name    string
+	sim     string
+	vectors string
+}{
+	{"dlatch-vectors", "dlatch.sim",
+		// Columns wr d: write both values, then leave the latch
+		// unwritten or the data unknown — from power-on state both
+		// leave the output unknown.
+		"inputs wr d\nwatch q out\n11\n10\n01\nX1\n1X\n"},
+	{"precharged-bus-vectors", "precharged-bus.sim",
+		// Columns prech en0 d0 en1 d1: precharge high, discharge
+		// through either stack, fight precharge against a stack,
+		// float the bus, and a maybe-on precharge against a
+		// definite pulldown.
+		"inputs prech en0 d0 en1 d1\nwatch bus out\n" +
+			"10X0X\n01100\n00011\n11100\n00X0X\nX1100\n"},
+	{"ratioed-inv-vectors", "ratioed-inv.sim",
+		// Columns a pass: the ratioed fight resolves through the
+		// depletion pullup (G2) vs enhancement pulldown (G1); the
+		// pass tap floats to X when its gate is low or unknown.
+		"01\n11\nX1\n10\n1X\n"},
+}
+
 // TestGoldenVectors pins the -vectors batch-mode transcript — column
 // headers, per-vector watch values, oscillation annotations and the sweep
-// summary — over the lattice showcase netlists: a clocked latch, a
-// precharged bus, and a ratioed-inverter/pass-transistor tap.
+// summary.
 func TestGoldenVectors(t *testing.T) {
-	cases := []struct {
-		name    string
-		sim     string
-		vectors string
-	}{
-		{"dlatch-vectors", "dlatch.sim",
-			// Columns wr d: write both values, then leave the latch
-			// unwritten or the data unknown — from power-on state both
-			// leave the output unknown.
-			"inputs wr d\nwatch q out\n11\n10\n01\nX1\n1X\n"},
-		{"precharged-bus-vectors", "precharged-bus.sim",
-			// Columns prech en0 d0 en1 d1: precharge high, discharge
-			// through either stack, fight precharge against a stack,
-			// float the bus, and a maybe-on precharge against a
-			// definite pulldown.
-			"inputs prech en0 d0 en1 d1\nwatch bus out\n" +
-				"10X0X\n01100\n00011\n11100\n00X0X\nX1100\n"},
-		{"ratioed-inv-vectors", "ratioed-inv.sim",
-			// Columns a pass: the ratioed fight resolves through the
-			// depletion pullup (G2) vs enhancement pulldown (G1); the
-			// pass tap floats to X when its gate is low or unknown.
-			"01\n11\nX1\n10\n1X\n"},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenVectors {
 		t.Run(tc.name, func(t *testing.T) {
 			nw := loadTestdataSim(t, tc.sim)
 			var out strings.Builder

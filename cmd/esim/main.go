@@ -98,19 +98,10 @@ func main() {
 // for testing. Every vector settles independently from power-on state.
 func runVectors(nw *netlist.Network, in io.Reader, out io.Writer) error {
 	b := switchsim.NewBatch(nw)
-	inputs := b.Inputs()
-	colOf := make(map[string]int, len(inputs))
-	for i, n := range inputs {
-		colOf[n.Name] = i
-	}
-	cols := make([]int, len(inputs)) // file column -> Inputs() column
-	for i := range cols {
-		cols[i] = i
-	}
-	colNames := b.InputNames()
+	cols, _ := b.Columns(nil) // every input: cannot fail
 	watch := nw.Outputs()
-	var rows [][]switchsim.Value // full-width rows in Inputs() order
-	var echo []string            // canonical per-row symbol echo
+	var vecs []switchsim.Value // full-width Run vectors
+	var echo []string          // canonical per-row symbol echo
 	sc := bufio.NewScanner(in)
 	lineno := 0
 	for sc.Scan() {
@@ -120,46 +111,22 @@ func runVectors(nw *netlist.Network, in io.Reader, out io.Writer) error {
 			continue
 		}
 		fields := strings.Fields(line)
+		var err error
 		switch fields[0] {
 		case "inputs":
-			if len(rows) > 0 {
+			if len(echo) > 0 {
 				return fmt.Errorf("line %d: inputs directive must precede vectors", lineno)
 			}
-			cols = cols[:0]
-			colNames = colNames[:0]
-			for _, name := range fields[1:] {
-				c, ok := colOf[name]
-				if !ok {
-					return fmt.Errorf("line %d: %q is not an input node", lineno, name)
-				}
-				cols = append(cols, c)
-				colNames = append(colNames, name)
-			}
+			cols, err = b.Columns(fields[1:])
 		case "watch":
-			watch = watch[:0]
-			for _, name := range fields[1:] {
-				n := nw.Lookup(name)
-				if n == nil {
-					return fmt.Errorf("line %d: no node named %q", lineno, name)
-				}
-				watch = append(watch, n)
-			}
+			watch, err = nw.LookupAll(fields[1:])
 		default:
-			vals, err := switchsim.ParseVector(line, len(cols))
-			if err != nil {
-				return fmt.Errorf("line %d: %w", lineno, err)
-			}
-			row := make([]switchsim.Value, len(inputs))
-			for i := range row {
-				row[i] = switchsim.VX // unmapped inputs stay released
-			}
-			var sb strings.Builder
-			for i, v := range vals {
-				row[cols[i]] = v
-				sb.WriteString(v.String())
-			}
-			rows = append(rows, row)
-			echo = append(echo, sb.String())
+			var e string
+			vecs, e, err = cols.AppendRow(vecs, line)
+			echo = append(echo, e)
+		}
+		if err != nil {
+			return fmt.Errorf("line %d: %w", lineno, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -168,16 +135,8 @@ func runVectors(nw *netlist.Network, in io.Reader, out io.Writer) error {
 	if len(watch) == 0 {
 		return fmt.Errorf("no nodes to watch: mark outputs in the netlist or add a watch directive")
 	}
-	fmt.Fprintf(out, "inputs: %s\n", strings.Join(colNames, " "))
-	names := make([]string, len(watch))
-	for i, n := range watch {
-		names[i] = n.Name
-	}
-	fmt.Fprintf(out, "watch: %s\n", strings.Join(names, " "))
-	vecs := make([]switchsim.Value, 0, len(rows)*len(inputs))
-	for _, row := range rows {
-		vecs = append(vecs, row...)
-	}
+	fmt.Fprintf(out, "inputs: %s\n", strings.Join(cols.Names, " "))
+	fmt.Fprintf(out, "watch: %s\n", strings.Join(netlist.Names(watch), " "))
 	res, err := b.Run(vecs, watch)
 	if err != nil {
 		return err
@@ -259,16 +218,9 @@ func run(nw *netlist.Network, in io.Reader, out io.Writer) error {
 				if !ok {
 					return fmt.Errorf("line %d: bad check %q", lineno, a)
 				}
-				var want switchsim.Value
-				switch val {
-				case "0":
-					want = switchsim.V0
-				case "1":
-					want = switchsim.V1
-				case "X", "x":
-					want = switchsim.VX
-				default:
-					return fmt.Errorf("line %d: bad value %q", lineno, val)
+				want, err := switchsim.ParseValue(val)
+				if err != nil {
+					return fmt.Errorf("line %d: %w", lineno, err)
 				}
 				if got := s.ValueName(name); got != want {
 					return fmt.Errorf("line %d: check failed: %s=%s, want %s", lineno, name, got, want)

@@ -291,3 +291,15 @@ func Default(p *tech.Params) (*delay.Tables, error) {
 	}
 	return nil, fmt.Errorf("charlib: no committed tables for technology %q", p.Name)
 }
+
+// Tables returns the delay tables a front end names: "char" (Default's
+// committed characterization) or "analytic" (delay.AnalyticTables).
+func Tables(p *tech.Params, name string) (*delay.Tables, error) {
+	switch name {
+	case "char":
+		return Default(p)
+	case "analytic":
+		return delay.AnalyticTables(p), nil
+	}
+	return nil, fmt.Errorf("unknown tables %q (want char or analytic)", name)
+}

@@ -374,6 +374,73 @@ func (a *Analyzer) SetInputEventName(name string, tr tech.Transition, t, slope f
 	return a.SetInputEvent(n, tr, t, slope)
 }
 
+// Directives are the analysis directives a Crystal user gives, by node
+// name: nodes pinned for sensitization, nodes whose fanout is cut, and the
+// inputs that switch. With neither Rise nor Fall every input not in Fix
+// rises and falls at t = 0, the vectorless worst case.
+type Directives struct {
+	// Fix pins nodes to 0 or 1.
+	Fix map[string]switchsim.Value
+	// LoopBreak names the nodes whose fanout is cut (Options.LoopBreak).
+	LoopBreak []string
+	// Rise and Fall name the inputs that rise and fall at t = 0.
+	Rise, Fall []string
+	// Slope is the seeded transition time in seconds (0 selects 1 ns).
+	Slope float64
+}
+
+// New builds an analyzer over nw under the directives: it resolves
+// LoopBreak into opts.LoopBreak, pins Fix in name order, then seeds Rise,
+// then Fall. Every error names its directive, as in `fix: no node named
+// "q"`.
+func (d Directives) New(nw *netlist.Network, m delay.Model, opts Options) (*Analyzer, error) {
+	lb, err := nw.LookupAll(d.LoopBreak)
+	if err != nil {
+		return nil, fmt.Errorf("loopbreak: %w", err)
+	}
+	opts.LoopBreak = slices.Concat(opts.LoopBreak, lb)
+	a := New(nw, m, opts)
+	names := make([]string, 0, len(d.Fix))
+	for name := range d.Fix {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	fixed, err := nw.LookupAll(names)
+	if err != nil {
+		return nil, fmt.Errorf("fix: %w", err)
+	}
+	for _, n := range fixed {
+		if d.Fix[n.Name] == switchsim.VX {
+			return nil, fmt.Errorf("fix: %s=X: want 0 or 1", n.Name)
+		}
+		a.SetFixed(n, d.Fix[n.Name])
+	}
+	if len(d.Rise) == 0 && len(d.Fall) == 0 {
+		for _, in := range nw.Inputs() {
+			if _, ok := d.Fix[in.Name]; !ok { // an input: seeding cannot fail
+				a.SetInputEvent(in, tech.Rise, 0, d.Slope)
+				a.SetInputEvent(in, tech.Fall, 0, d.Slope)
+			}
+		}
+	}
+	for _, seed := range []struct {
+		directive string
+		names     []string
+		tr        tech.Transition
+	}{{"rise", d.Rise, tech.Rise}, {"fall", d.Fall, tech.Fall}} {
+		ins, err := nw.LookupAll(seed.names)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", seed.directive, err)
+		}
+		for _, in := range ins {
+			if err := a.SetInputEvent(in, seed.tr, 0, d.Slope); err != nil {
+				return nil, fmt.Errorf("%s: %w", seed.directive, err)
+			}
+		}
+	}
+	return a, nil
+}
+
 // Arrival returns the worst-case event for node n and transition tr. It
 // reads one record and allocates nothing. For a node carrying stamped
 // timing (hierarchical analysis) Via is the class representative's stage,

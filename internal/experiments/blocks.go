@@ -20,13 +20,11 @@ import (
 type Block struct {
 	Name string
 	Net  *netlist.Network
-	// Fixed pins control inputs that do not toggle in the analyzed
-	// scenario (e.g. unaccessed register-file word lines): the same
-	// directives a Crystal user would give.
-	Fixed map[string]switchsim.Value
-	// LoopBreak names nodes whose fanout the analyzer cuts (latch
-	// internals) — Crystal's feedback directive.
-	LoopBreak []string
+	// Dir pins control inputs that do not toggle in the analyzed scenario
+	// (e.g. unaccessed register-file word lines) and cuts the fanout of
+	// latch internals: the directives a Crystal user would give. Every
+	// other input rises and falls.
+	Dir core.Directives
 }
 
 // StandardBlocks generates the E6/E7 circuit set for technology p. Sizes
@@ -68,13 +66,13 @@ func StandardBlocks(p *tech.Params) ([]Block, error) {
 			// sixteen toggling at once channel-connects every cell to
 			// the bit lines and the analysis degenerates (the same
 			// directive a Crystal user would supply).
-			b.Fixed = map[string]switchsim.Value{}
+			b.Dir.Fix = map[string]switchsim.Value{}
 			for w := 1; w < 16; w++ {
-				b.Fixed[fmt.Sprintf("w%d", w)] = switchsim.V0
+				b.Dir.Fix[fmt.Sprintf("w%d", w)] = switchsim.V0
 			}
 			for w := 0; w < 16; w++ {
 				for bit := 0; bit < 8; bit++ {
-					b.LoopBreak = append(b.LoopBreak, fmt.Sprintf("qb_%d_%d", w, bit))
+					b.Dir.LoopBreak = append(b.Dir.LoopBreak, fmt.Sprintf("qb_%d_%d", w, bit))
 				}
 			}
 		case "datapath-8":
@@ -82,13 +80,13 @@ func StandardBlocks(p *tech.Params) ([]Block, error) {
 			// upper address bits so at most two words are live, and
 			// break the storage-cell feedback loops (a Crystal user's
 			// standard latch directive).
-			b.Fixed = map[string]switchsim.Value{
+			b.Dir.Fix = map[string]switchsim.Value{
 				"addr1": switchsim.V0,
 				"addr2": switchsim.V0,
 			}
 			for wl := 0; wl < 8; wl++ {
 				for bit := 0; bit < 8; bit++ {
-					b.LoopBreak = append(b.LoopBreak, fmt.Sprintf("rf_qb_%d_%d", wl, bit))
+					b.Dir.LoopBreak = append(b.Dir.LoopBreak, fmt.Sprintf("rf_qb_%d_%d", wl, bit))
 				}
 			}
 		}
@@ -113,36 +111,12 @@ type ThroughputRow struct {
 // the same block (a different model, same sensitization); the analyzer's
 // database is reachable from the returned analyzer for further chaining.
 func analyzeBlock(b Block, m delay.Model, db *stage.DB) (*core.Analyzer, time.Duration, error) {
-	opts := core.Options{DB: db}
-	for _, name := range b.LoopBreak {
-		n := b.Net.Lookup(name)
-		if n == nil {
-			return nil, 0, fmt.Errorf("block %s: no loop-break node %q", b.Name, name)
-		}
-		opts.LoopBreak = append(opts.LoopBreak, n)
-	}
-	a := core.New(b.Net, m, opts)
-	for name, v := range b.Fixed {
-		n := b.Net.Lookup(name)
-		if n == nil {
-			return nil, 0, fmt.Errorf("block %s: no fixed node %q", b.Name, name)
-		}
-		a.SetFixed(n, v)
-	}
-	ins := b.Net.Inputs()
-	if len(ins) == 0 {
+	if len(b.Net.Inputs()) == 0 {
 		return nil, 0, fmt.Errorf("block %s has no inputs", b.Name)
 	}
-	for _, in := range ins {
-		if _, fixed := b.Fixed[in.Name]; fixed {
-			continue
-		}
-		if err := a.SetInputEvent(in, tech.Rise, 0, 0); err != nil {
-			return nil, 0, err
-		}
-		if err := a.SetInputEvent(in, tech.Fall, 0, 0); err != nil {
-			return nil, 0, err
-		}
+	a, err := b.Dir.New(b.Net, m, core.Options{DB: db})
+	if err != nil {
+		return nil, 0, fmt.Errorf("block %s: %w", b.Name, err)
 	}
 	start := time.Now()
 	if err := a.Run(); err != nil {

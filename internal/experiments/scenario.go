@@ -147,19 +147,17 @@ func (s *Scenario) ModelDelay(m delay.Model) (delay50, outSlope float64, err err
 // enumeration depends only on the sensitization — not the delay model —
 // so the models of one scenario use one database in turn.
 func (s *Scenario) modelDelay(m delay.Model, db *stage.DB) (delay50, outSlope float64, dbOut *stage.DB, err error) {
-	a := core.New(s.Net, m, core.Options{DB: db})
-	for name, v := range s.Fixed {
-		n := s.Net.Lookup(name)
-		if n == nil {
-			return 0, 0, nil, fmt.Errorf("experiments %s: no fixed node %q", s.Name, name)
-		}
-		a.SetFixed(n, v)
+	d := core.Directives{Fix: s.Fixed, Slope: s.InSlope}
+	if d.Slope <= 0 {
+		d.Slope = minRamp
 	}
-	slope := s.InSlope
-	if slope <= 0 {
-		slope = minRamp
+	if s.InTr == tech.Rise {
+		d.Rise = []string{s.Input}
+	} else {
+		d.Fall = []string{s.Input}
 	}
-	if err := a.SetInputEventName(s.Input, s.InTr, 0, slope); err != nil {
+	a, err := d.New(s.Net, m, core.Options{DB: db})
+	if err != nil {
 		return 0, 0, nil, fmt.Errorf("experiments %s: %w", s.Name, err)
 	}
 	if err := a.Run(); err != nil {

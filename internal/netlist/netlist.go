@@ -346,6 +346,27 @@ func (nw *Network) Lookup(name string) *Node {
 	return nil
 }
 
+// LookupAll resolves names to nodes, in order; the error names the first
+// name no node has.
+func (nw *Network) LookupAll(names []string) ([]*Node, error) {
+	nodes := make([]*Node, len(names))
+	for i, name := range names {
+		if nodes[i] = nw.Lookup(name); nodes[i] == nil {
+			return nil, fmt.Errorf("no node named %q", name)
+		}
+	}
+	return nodes, nil
+}
+
+// Names returns the nodes' names, in order.
+func Names(nodes []*Node) []string {
+	names := make([]string, len(nodes))
+	for i, n := range nodes {
+		names[i] = n.Name
+	}
+	return names
+}
+
 // AddTrans adds a transistor of type d with the given terminals and
 // geometry (meters). Zero or negative w/l are replaced by the technology
 // minima. It returns the new transistor.

@@ -653,3 +653,22 @@ func TestBodyLimit(t *testing.T) {
 		t.Errorf("MaxBodyBytes = %d: below the 189 MB .sim text of chip:64,40", MaxBodyBytes)
 	}
 }
+
+// TestFixErrorDeterministic: a session whose fix directive names two
+// unknown nodes fails every analyze with the same error, the first name in
+// sorted order, however Go orders the map.
+func TestFixErrorDeterministic(t *testing.T) {
+	c := newTestClient(t, Options{})
+	cfg := dlatchConfig(t)
+	cfg.Fix = map[string]string{"zz_nope": "1", "aa_nope": "0"}
+	id := c.create(cfg).Session
+	for i := 0; i < 20; i++ {
+		var e httpError
+		if st := c.do("POST", "/v1/sessions/"+id+"/analyze", analyzeRequest{}, &e); st != http.StatusBadRequest {
+			t.Fatalf("analyze %d: status %d, want 400", i, st)
+		}
+		if want := `fix: no node named "aa_nope"`; e.Error != want {
+			t.Fatalf("analyze %d: error %q, want %q", i, e.Error, want)
+		}
+	}
+}

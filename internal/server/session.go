@@ -97,18 +97,23 @@ func (c *SessionConfig) hash() string {
 	h := sha256.New()
 	enc := json.NewEncoder(h)
 	// Maps need a canonical order; everything else is already ordered.
-	fixKeys := make([]string, 0, len(c.Fix))
-	for k := range c.Fix {
-		fixKeys = append(fixKeys, k)
-	}
-	sort.Strings(fixKeys)
 	var fix []string
-	for _, k := range fixKeys {
+	for _, k := range c.fixNames() {
 		fix = append(fix, k+"="+c.Fix[k])
 	}
 	enc.Encode([]any{c.Name, c.Sim, c.Tech, c.Model, c.Tables,
 		c.Rise, c.Fall, fix, c.Slope, c.LoopBreak, c.Top})
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// fixNames returns Fix's node names in sorted order.
+func (c *SessionConfig) fixNames() []string {
+	names := make([]string, 0, len(c.Fix))
+	for name := range c.Fix {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // PathHop is one step of a traced critical path, times in seconds.
@@ -258,17 +263,8 @@ func newSession(id string, cfg SessionConfig, snapDir string, hier bool, arena *
 		return nil, err
 	}
 	s.params = p
-	switch cfg.Tables {
-	case "char":
-		tb, err := charlib.Default(s.params)
-		if err != nil {
-			return nil, fmt.Errorf("characterization failed: %v", err)
-		}
-		s.tables = tb
-	case "analytic":
-		s.tables = delay.AnalyticTables(s.params)
-	default:
-		return nil, fmt.Errorf("unknown tables %q (want char or analytic)", cfg.Tables)
+	if s.tables, err = charlib.Tables(s.params, cfg.Tables); err != nil {
+		return nil, err
 	}
 	m, err := delay.ByName(cfg.Model, s.tables)
 	if err != nil {
@@ -309,62 +305,25 @@ func networkFileKey(key arenaKey) string {
 // stage database from a previous analyzer over the same generation.
 // Callers are the session's job.
 func (s *session) buildAnalyzer(db *core.Analyzer) (*core.Analyzer, error) {
-	nw := s.nw
 	opts := core.Options{Hier: s.hier}
 	if db != nil {
 		opts.DB = db.StageDB()
 	}
-	for _, name := range s.cfg.LoopBreak {
-		n := nw.Lookup(name)
-		if n == nil {
-			return nil, fmt.Errorf("loopbreak: no node named %q", name)
-		}
-		opts.LoopBreak = append(opts.LoopBreak, n)
+	d := core.Directives{
+		Fix:       map[string]switchsim.Value{},
+		LoopBreak: s.cfg.LoopBreak,
+		Rise:      s.cfg.Rise,
+		Fall:      s.cfg.Fall,
+		Slope:     s.cfg.Slope,
 	}
-	a := core.New(nw, s.model, opts)
-	fixed := map[string]bool{}
-	for name, val := range s.cfg.Fix {
-		n := nw.Lookup(name)
-		if n == nil {
-			return nil, fmt.Errorf("fix: no node named %q", name)
+	for _, name := range s.cfg.fixNames() {
+		v, err := switchsim.ParseValue(s.cfg.Fix[name])
+		if err != nil {
+			return nil, fmt.Errorf("fix: %s: %w", name, err)
 		}
-		switch val {
-		case "0":
-			a.SetFixed(n, switchsim.V0)
-		case "1":
-			a.SetFixed(n, switchsim.V1)
-		default:
-			return nil, fmt.Errorf("fix: bad value %q for %s (want 0 or 1)", val, name)
-		}
-		fixed[name] = true
+		d.Fix[name] = v
 	}
-	seeded := false
-	for _, name := range s.cfg.Rise {
-		if err := a.SetInputEventName(name, tech.Rise, 0, s.cfg.Slope); err != nil {
-			return nil, err
-		}
-		seeded = true
-	}
-	for _, name := range s.cfg.Fall {
-		if err := a.SetInputEventName(name, tech.Fall, 0, s.cfg.Slope); err != nil {
-			return nil, err
-		}
-		seeded = true
-	}
-	if !seeded {
-		for _, in := range nw.Inputs() {
-			if fixed[in.Name] {
-				continue
-			}
-			if err := a.SetInputEvent(in, tech.Rise, 0, s.cfg.Slope); err != nil {
-				return nil, err
-			}
-			if err := a.SetInputEvent(in, tech.Fall, 0, s.cfg.Slope); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return a, nil
+	return d.New(s.nw, s.model, opts)
 }
 
 // buildSnapshot assembles the read view from the current analysis state.
@@ -375,9 +334,7 @@ func (s *session) buildSnapshot() *Snapshot {
 		Epoch:           a.StageDB().Epoch,
 		StagesEvaluated: a.StagesEvaluated(),
 		Truncated:       a.Truncated,
-	}
-	for _, n := range a.Unbounded {
-		snap.Unbounded = append(snap.Unbounded, n.Name)
+		Unbounded:       netlist.Names(a.Unbounded),
 	}
 	if a.Opts.Hier {
 		hs := a.HierStats()

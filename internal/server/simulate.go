@@ -73,43 +73,17 @@ func (sv *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 func (sv *Server) simulateSession(s *session, req simulateRequest) (int, any) {
 	start := time.Now()
 	b, compiled := s.batchEngine()
-	inputs := b.Inputs()
-	if len(inputs) == 0 {
+	if len(b.Inputs()) == 0 {
 		return fail(http.StatusUnprocessableEntity, "netlist has no input nodes")
 	}
-
-	// Resolve the vector columns (request order) onto engine input columns.
-	colOf := make(map[string]int, len(inputs))
-	for i, n := range inputs {
-		colOf[n.Name] = i
+	cols, err := b.Columns(req.Inputs)
+	if err != nil {
+		return fail(http.StatusBadRequest, "%v", err)
 	}
-	cols := make([]int, 0, len(inputs))
-	colNames := req.Inputs
-	if len(req.Inputs) == 0 {
-		colNames = b.InputNames()
-		for i := range inputs {
-			cols = append(cols, i)
-		}
-	} else {
-		for _, name := range req.Inputs {
-			c, ok := colOf[name]
-			if !ok {
-				return fail(http.StatusBadRequest, "%q is not an input node", name)
-			}
-			cols = append(cols, c)
-		}
-	}
-
-	nw := s.nw
-	watch := nw.Outputs()
+	watch := s.nw.Outputs()
 	if len(req.Watch) > 0 {
-		watch = watch[:0:0]
-		for _, name := range req.Watch {
-			n := nw.Lookup(name)
-			if n == nil {
-				return fail(http.StatusBadRequest, "no node named %q", name)
-			}
-			watch = append(watch, n)
+		if watch, err = s.nw.LookupAll(req.Watch); err != nil {
+			return fail(http.StatusBadRequest, "%v", err)
 		}
 	}
 	if len(watch) == 0 {
@@ -117,25 +91,12 @@ func (sv *Server) simulateSession(s *session, req simulateRequest) (int, any) {
 			"no nodes to watch: netlist marks no outputs, set \"watch\"")
 	}
 
-	// Parse the vectors into full-width rows; unmapped inputs stay released.
-	vecs := make([]switchsim.Value, 0, len(req.Vectors)*len(inputs))
+	vecs := make([]switchsim.Value, 0, len(req.Vectors)*len(b.Inputs()))
 	echo := make([]string, len(req.Vectors))
 	for vi, row := range req.Vectors {
-		vals, err := switchsim.ParseVector(row, len(cols))
-		if err != nil {
+		if vecs, echo[vi], err = cols.AppendRow(vecs, row); err != nil {
 			return fail(http.StatusBadRequest, "vector %d: %v", vi, err)
 		}
-		full := make([]switchsim.Value, len(inputs))
-		for i := range full {
-			full[i] = switchsim.VX
-		}
-		sym := make([]byte, 0, len(vals))
-		for i, v := range vals {
-			full[cols[i]] = v
-			sym = append(sym, v.String()[0])
-		}
-		vecs = append(vecs, full...)
-		echo[vi] = string(sym)
 	}
 
 	res, err := b.Run(vecs, watch)
@@ -154,7 +115,7 @@ func (sv *Server) simulateSession(s *session, req simulateRequest) (int, any) {
 
 	resp := simulateResponse{
 		Session: s.id, Compiled: compiled,
-		Inputs: colNames, Watch: nodeNames(watch),
+		Inputs: cols.Names, Watch: netlist.Names(watch),
 		Vectors: res.Vectors, Sweeps: res.Sweeps,
 		Results:    make([]simulateResult, res.Vectors),
 		DurationNs: dur.Nanoseconds(),
@@ -172,12 +133,4 @@ func (sv *Server) simulateSession(s *session, req simulateRequest) (int, any) {
 		}
 	}
 	return http.StatusOK, resp
-}
-
-func nodeNames(nodes []*netlist.Node) []string {
-	names := make([]string, len(nodes))
-	for i, n := range nodes {
-		names[i] = n.Name
-	}
-	return names
 }

@@ -138,13 +138,55 @@ func NewBatch(nw *netlist.Network) *Batch {
 // order.
 func (b *Batch) Inputs() []*netlist.Node { return b.inputs }
 
-// InputNames returns the vector column names in column order.
-func (b *Batch) InputNames() []string {
-	names := make([]string, len(b.inputs))
+// Columns maps the columns of a vector source onto the engine's input
+// columns (Inputs() order). Build with Batch.Columns.
+type Columns struct {
+	// Names are the mapped inputs, in vector column order.
+	Names []string
+	ni    int   // engine input columns
+	cols  []int // vector column -> engine input column
+}
+
+// Columns maps vector columns onto the named inputs, in order; with no
+// names every input maps, in Inputs() order. An input no column names
+// stays released in every row.
+func (b *Batch) Columns(names []string) (*Columns, error) {
+	c := &Columns{Names: names, ni: len(b.inputs)}
+	colOf := make(map[string]int, len(b.inputs))
 	for i, n := range b.inputs {
-		names[i] = n.Name
+		colOf[n.Name] = i
+		if len(names) == 0 {
+			c.Names = append(c.Names, n.Name)
+		}
 	}
-	return names
+	for _, name := range c.Names {
+		i, ok := colOf[name]
+		if !ok {
+			return nil, fmt.Errorf("%q is not an input node", name)
+		}
+		c.cols = append(c.cols, i)
+	}
+	return c, nil
+}
+
+// AppendRow parses one vector row (see ParseVector) and appends it to vecs
+// as a full-width Run vector, unmapped inputs released. echo is the row's
+// symbols in canonical form ("0", "1", "X", no blanks).
+func (c *Columns) AppendRow(vecs []Value, row string) (_ []Value, echo string, err error) {
+	vals, err := ParseVector(row, len(c.cols))
+	if err != nil {
+		return vecs, "", err
+	}
+	base := len(vecs)
+	for range c.ni {
+		vecs = append(vecs, VX)
+	}
+	sym := make([]byte, len(vals))
+	for i, v := range vals {
+		vecs[base+c.cols[i]] = v
+		sym[i] = v.String()[0]
+	}
+	return vecs, string(sym), nil
 }
 
 // ParseVector parses one row of 0/1/X symbols into ni values; blanks and

@@ -63,6 +63,19 @@ func (v Value) Bool() (b, ok bool) {
 	return false, false
 }
 
+// ParseValue parses a value written "0", "1" or "X" (or "x").
+func ParseValue(s string) (Value, error) {
+	switch s {
+	case "0":
+		return V0, nil
+	case "1":
+		return V1, nil
+	case "X", "x":
+		return VX, nil
+	}
+	return VX, fmt.Errorf("switchsim: bad value %q (want 0, 1 or X)", s)
+}
+
 // FromBool converts a bool to V0/V1.
 func FromBool(b bool) Value {
 	if b {
