@@ -683,55 +683,6 @@ func BenchmarkAblationTables(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPruning compares the verifier with and without static
-// sensitization pruning: cost (stage evaluations) and the arrival
-// inflation of the fully pessimistic analysis.
-func BenchmarkAblationPruning(b *testing.B) {
-	p := tech.NMOS4()
-	tb := delay.AnalyticTables(p)
-	for _, arm := range []struct {
-		name    string
-		noPrune bool
-	}{
-		{"pruned", false},
-		{"worst-case", true},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			var stages int
-			var worst float64
-			for i := 0; i < b.N; i++ {
-				nw, err := gen.ALU(p, 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				a := core.New(nw, delay.NewSlope(tb), core.Options{NoStaticPruning: arm.noPrune})
-				// Fix the function select so pruning has something to
-				// prune; data inputs toggle.
-				a.SetFixed(nw.Lookup("fadd"), switchsim.V1)
-				for _, f := range []string{"fand", "for", "fxor"} {
-					a.SetFixed(nw.Lookup(f), switchsim.V0)
-				}
-				for _, in := range nw.Inputs() {
-					switch in.Name {
-					case "fadd", "fand", "for", "fxor":
-						continue
-					}
-					a.SetInputEvent(in, tech.Rise, 0, 0)
-					a.SetInputEvent(in, tech.Fall, 0, 0)
-				}
-				if err := a.Run(); err != nil {
-					b.Fatal(err)
-				}
-				stages = a.StagesEvaluated()
-				ev, _ := a.MaxArrival()
-				worst = ev.T
-			}
-			b.ReportMetric(float64(stages), "stages")
-			b.ReportMetric(worst*1e9, "ns-worst")
-		})
-	}
-}
-
 // BenchmarkAblationIntegration compares the analog reference's two
 // integrators on a characterization fixture at a coarse timestep.
 func BenchmarkAblationIntegration(b *testing.B) {

@@ -29,19 +29,12 @@ func main() {
 	tables := delay.AnalyticTables(p)
 
 	// Scenario 1: ADD selected, operands toggle — the carry chain should
-	// dominate.
-	a := core.New(nw, delay.NewSlope(tables), core.Options{})
-	a.SetFixed(nw.Lookup("fadd"), switchsim.V1)
-	for _, f := range []string{"fand", "for", "fxor"} {
-		a.SetFixed(nw.Lookup(f), switchsim.V0)
-	}
-	for _, in := range nw.Inputs() {
-		switch in.Name {
-		case "fadd", "fand", "for", "fxor":
-			continue
-		}
-		a.SetInputEvent(in, tech.Rise, 0, 1e-9)
-		a.SetInputEvent(in, tech.Fall, 0, 1e-9)
+	// dominate. Naming no rise or fall toggles every input not fixed.
+	v0, v1 := switchsim.V0, switchsim.V1
+	add := core.Directives{Fix: map[string]switchsim.Value{"fadd": v1, "fand": v0, "for": v0, "fxor": v0}, Slope: 1e-9}
+	a, err := add.New(nw, delay.NewSlope(tables), core.Options{})
+	if err != nil {
+		log.Fatal(err)
 	}
 	if err := a.Run(); err != nil {
 		log.Fatal(err)
@@ -54,11 +47,11 @@ func main() {
 	// Scenario 2: operands stable, the function select switches from AND
 	// to ADD mid-cycle — how long until the result bus settles?
 	fmt.Println("\nscenario 2: function select switches (fand falls, fadd rises)")
-	b := core.New(nw, delay.NewSlope(tables), core.Options{})
-	b.SetFixed(nw.Lookup("for"), switchsim.V0)
-	b.SetFixed(nw.Lookup("fxor"), switchsim.V0)
-	b.SetInputEventName("fand", tech.Fall, 0, 1e-9)
-	b.SetInputEventName("fadd", tech.Rise, 0, 1e-9)
+	sel := core.Directives{Fix: map[string]switchsim.Value{"for": v0, "fxor": v0}, Rise: []string{"fadd"}, Fall: []string{"fand"}, Slope: 1e-9}
+	b, err := sel.New(nw, delay.NewSlope(tables), core.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := b.Run(); err != nil {
 		log.Fatal(err)
 	}

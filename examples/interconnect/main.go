@@ -28,12 +28,12 @@ func main() {
 		totalR/1e3, totalC*1e15, sections)
 
 	tables := delay.AnalyticTables(p)
-	wend := nw.Lookup("wend")
+	in, wend := nw.Lookup("in"), nw.Lookup("wend")
 
 	// Switch-level models.
 	for _, m := range delay.All(tables) {
 		a := core.New(nw, m, core.Options{})
-		a.SetInputEventName("in", tech.Rise, 0, 1e-9)
+		a.SetInputEvent(in, tech.Rise, 0, 1e-9)
 		if err := a.Run(); err != nil {
 			log.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func main() {
 
 	// RPH bounds on the driving stage's RC tree.
 	a := core.New(nw, &delay.Bounded{T: tables}, core.Options{})
-	a.SetInputEventName("in", tech.Rise, 0, 1e-9)
+	a.SetInputEvent(in, tech.Rise, 0, 1e-9)
 	if err := a.Run(); err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +59,6 @@ func main() {
 
 	// Analog reference: drive the input with a 1 ns ramp after a long
 	// settle, measure the 50% crossing at the wire end.
-	in := nw.Lookup("in")
 	c, nmap, err := analog.FromNetlist(nw, []analog.InputDrive{
 		{Node: in, W: analog.Ramp(0, p.Vdd, 600e-9, 1e-9)},
 	}, nil)

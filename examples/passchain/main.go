@@ -33,11 +33,11 @@ func main() {
 			log.Fatal(err)
 		}
 		arr := map[string]float64{}
+		// The chain control is on; the data input falls.
+		d := core.Directives{Fix: map[string]switchsim.Value{"ctl": switchsim.V1}, Fall: []string{"in"}, Slope: 1e-9}
 		for _, m := range []delay.Model{delay.NewLumped(tb), delay.NewRC(tb)} {
-			a := core.New(nw, m, core.Options{})
-			// The chain control is on; the data input falls.
-			a.SetFixed(nw.Lookup("ctl"), switchsim.V1)
-			if err := a.SetInputEventName("in", tech.Fall, 0, 1e-9); err != nil {
+			a, err := d.New(nw, m, core.Options{})
+			if err != nil {
 				log.Fatal(err)
 			}
 			if err := a.Run(); err != nil {

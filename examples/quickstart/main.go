@@ -32,13 +32,11 @@ func main() {
 	// Time it under each model with the closed-form analytic tables;
 	// charlib.Default(p) returns the committed characterized ones.
 	tables := delay.AnalyticTables(p)
+	// The input rises and falls at t=0 with a 1 ns transition.
+	seeds := core.Directives{Rise: []string{"in"}, Fall: []string{"in"}, Slope: 1e-9}
 	for _, m := range delay.All(tables) {
-		a := core.New(nw, m, core.Options{})
-		// The input rises and falls at t=0 with a 1 ns transition.
-		if err := a.SetInputEventName("in", tech.Rise, 0, 1e-9); err != nil {
-			log.Fatal(err)
-		}
-		if err := a.SetInputEventName("in", tech.Fall, 0, 1e-9); err != nil {
+		a, err := seeds.New(nw, m, core.Options{})
+		if err != nil {
 			log.Fatal(err)
 		}
 		if err := a.Run(); err != nil {
@@ -50,9 +48,10 @@ func main() {
 
 	// Full report under the slope model.
 	fmt.Println()
-	a := core.New(nw, delay.NewSlope(tables), core.Options{})
-	a.SetInputEventName("in", tech.Rise, 0, 1e-9)
-	a.SetInputEventName("in", tech.Fall, 0, 1e-9)
+	a, err := seeds.New(nw, delay.NewSlope(tables), core.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := a.Run(); err != nil {
 		log.Fatal(err)
 	}

@@ -63,8 +63,8 @@ func TestDLatchEndToEnd(t *testing.T) {
 	// still exist and trace to the input.
 	a := core.New(nw, delay.NewSlope(delay.AnalyticTables(p)), core.Options{})
 	a.SetFixed(nw.Lookup("wr"), switchsim.V1)
-	a.SetInputEventName("d", tech.Rise, 0, 1e-9)
-	a.SetInputEventName("d", tech.Fall, 0, 1e-9)
+	a.SetInputEvent(a.Net.Lookup("d"), tech.Rise, 0, 1e-9)
+	a.SetInputEvent(a.Net.Lookup("d"), tech.Fall, 0, 1e-9)
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,8 +113,8 @@ func TestMux2CMOSEndToEnd(t *testing.T) {
 	a := core.New(nw, delay.NewSlope(delay.AnalyticTables(p)), core.Options{})
 	a.SetFixed(nw.Lookup("sel"), switchsim.V1)
 	a.SetFixed(nw.Lookup("b"), switchsim.V0)
-	a.SetInputEventName("a", tech.Rise, 0, 1e-9)
-	a.SetInputEventName("a", tech.Fall, 0, 1e-9)
+	a.SetInputEvent(a.Net.Lookup("a"), tech.Rise, 0, 1e-9)
+	a.SetInputEvent(a.Net.Lookup("a"), tech.Fall, 0, 1e-9)
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestDynamicStageEndToEnd(t *testing.T) {
 	a := core.New(nw, delay.NewSlope(delay.AnalyticTables(p)), core.Options{})
 	a.SetFixed(nw.Lookup("phi"), switchsim.V0)
 	a.SetFixed(nw.Lookup("b"), switchsim.V1)
-	a.SetInputEventName("a", tech.Rise, 0, 1e-9)
+	a.SetInputEvent(a.Net.Lookup("a"), tech.Rise, 0, 1e-9)
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}

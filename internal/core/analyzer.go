@@ -56,7 +56,7 @@ type Event struct {
 type Options struct {
 	// DB optionally shares a precomputed stage database built by an
 	// earlier run over the same network with the same sensitization
-	// (fixed values, seeded inputs, pruning mode).
+	// (fixed values and seeded inputs).
 	// Run verifies the database's stamp against this analysis and falls
 	// back to a private database on any mismatch, so a stale DB can cost
 	// time but never correctness. Obtain one from Analyzer.StageDB after
@@ -73,9 +73,6 @@ type Options struct {
 	// deep ripple structures legitimately re-propagate tens of times
 	// during longest-path relaxation).
 	MaxEventsPerNode int
-	// NoStaticPruning disables the switch-level sensitization pruning,
-	// yielding the fully pessimistic analysis (ablation knob).
-	NoStaticPruning bool
 	// LoopBreak lists nodes whose events are recorded but not propagated
 	// further — the user directive Crystal required to cut combinational
 	// feedback (latch internals) out of the worst-case iteration. New reads
@@ -365,15 +362,6 @@ func (a *Analyzer) SetInputEvent(n *netlist.Node, tr tech.Transition, t, slope f
 	return nil
 }
 
-// SetInputEventName is SetInputEvent by node name.
-func (a *Analyzer) SetInputEventName(name string, tr tech.Transition, t, slope float64) error {
-	n := a.Net.Lookup(name)
-	if n == nil {
-		return fmt.Errorf("core: no node named %q", name)
-	}
-	return a.SetInputEvent(n, tr, t, slope)
-}
-
 // Directives are the analysis directives a Crystal user gives, by node
 // name: nodes pinned for sensitization, nodes whose fanout is cut, and the
 // inputs that switch. With neither Rise nor Fall every input not in Fix
@@ -389,17 +377,24 @@ type Directives struct {
 	Slope float64
 }
 
-// New builds an analyzer over nw under the directives: it resolves
-// LoopBreak into opts.LoopBreak, pins Fix in name order, then seeds Rise,
-// then Fall. Every error names its directive, as in `fix: no node named
-// "q"`.
-func (d Directives) New(nw *netlist.Network, m delay.Model, opts Options) (*Analyzer, error) {
-	lb, err := nw.LookupAll(d.LoopBreak)
-	if err != nil {
-		return nil, fmt.Errorf("loopbreak: %w", err)
-	}
-	opts.LoopBreak = slices.Concat(opts.LoopBreak, lb)
-	a := New(nw, m, opts)
+// Pin is a node held at a logic value.
+type Pin struct {
+	Node  *netlist.Node
+	Value switchsim.Value
+}
+
+// Resolved is Directives looked up in one network.
+type Resolved struct {
+	Fix                   []Pin // in name order
+	LoopBreak, Rise, Fall []*netlist.Node
+}
+
+// Resolve looks up every directive's nodes in nw: Fix in name order (an X
+// pin is an error), then LoopBreak, then Rise and Fall, which must name
+// inputs. The error is the first in that order and names its directive, as
+// in `fix: no node named "q"`.
+func (d Directives) Resolve(nw *netlist.Network) (Resolved, error) {
+	var r Resolved
 	names := make([]string, 0, len(d.Fix))
 	for name := range d.Fix {
 		names = append(names, name)
@@ -407,36 +402,60 @@ func (d Directives) New(nw *netlist.Network, m delay.Model, opts Options) (*Anal
 	slices.Sort(names)
 	fixed, err := nw.LookupAll(names)
 	if err != nil {
-		return nil, fmt.Errorf("fix: %w", err)
+		return r, fmt.Errorf("fix: %w", err)
 	}
-	for _, n := range fixed {
-		if d.Fix[n.Name] == switchsim.VX {
-			return nil, fmt.Errorf("fix: %s=X: want 0 or 1", n.Name)
+	for i, n := range fixed {
+		if d.Fix[names[i]] == switchsim.VX {
+			return r, fmt.Errorf("fix: %s=X: want 0 or 1", n.Name)
 		}
-		a.SetFixed(n, d.Fix[n.Name])
+		r.Fix = append(r.Fix, Pin{n, d.Fix[names[i]]})
 	}
-	if len(d.Rise) == 0 && len(d.Fall) == 0 {
+	for _, dir := range []struct {
+		name  string
+		names []string
+		nodes *[]*netlist.Node
+	}{{"loopbreak", d.LoopBreak, &r.LoopBreak}, {"rise", d.Rise, &r.Rise}, {"fall", d.Fall, &r.Fall}} {
+		nodes, err := nw.LookupAll(dir.names)
+		for _, n := range nodes {
+			if dir.name != "loopbreak" && n.Kind != netlist.KindInput && err == nil {
+				err = fmt.Errorf("core: %s is not marked as an input", n.Name) // as SetInputEvent says
+			}
+		}
+		if err != nil {
+			return r, fmt.Errorf("%s: %w", dir.name, err)
+		}
+		*dir.nodes = nodes
+	}
+	return r, nil
+}
+
+// New builds an analyzer over nw under the directives: it resolves them,
+// adds the loop breaks to opts.LoopBreak, pins Fix, then seeds Rise, then
+// Fall.
+func (d Directives) New(nw *netlist.Network, m delay.Model, opts Options) (*Analyzer, error) {
+	r, err := d.Resolve(nw)
+	if err != nil {
+		return nil, err
+	}
+	opts.LoopBreak = slices.Concat(opts.LoopBreak, r.LoopBreak)
+	a := New(nw, m, opts)
+	for _, p := range r.Fix {
+		a.SetFixed(p.Node, p.Value)
+	}
+	// Resolve checked that every seeded node is an input: seeding cannot fail.
+	if len(r.Rise) == 0 && len(r.Fall) == 0 {
 		for _, in := range nw.Inputs() {
-			if _, ok := d.Fix[in.Name]; !ok { // an input: seeding cannot fail
+			if _, ok := a.fixed[in.Index]; !ok {
 				a.SetInputEvent(in, tech.Rise, 0, d.Slope)
 				a.SetInputEvent(in, tech.Fall, 0, d.Slope)
 			}
 		}
 	}
-	for _, seed := range []struct {
-		directive string
-		names     []string
-		tr        tech.Transition
-	}{{"rise", d.Rise, tech.Rise}, {"fall", d.Fall, tech.Fall}} {
-		ins, err := nw.LookupAll(seed.names)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", seed.directive, err)
-		}
-		for _, in := range ins {
-			if err := a.SetInputEvent(in, seed.tr, 0, d.Slope); err != nil {
-				return nil, fmt.Errorf("%s: %w", seed.directive, err)
-			}
-		}
+	for _, in := range r.Rise {
+		a.SetInputEvent(in, tech.Rise, 0, d.Slope)
+	}
+	for _, in := range r.Fall {
+		a.SetInputEvent(in, tech.Fall, 0, d.Slope)
 	}
 	return a, nil
 }
@@ -462,9 +481,6 @@ func (a *Analyzer) StagesEvaluated() int { return a.stageEv }
 // reads. The stage database asks it once per device when it builds its
 // enumeration view, which keeps the answers in an array of its own.
 func (a *Analyzer) oracle() stage.Oracle {
-	if a.Opts.NoStaticPruning || a.static == nil {
-		return nil // worst case
-	}
 	static := a.static
 	return func(t *netlist.Trans) stage.Conduction {
 		if t.AlwaysOn() {
@@ -760,16 +776,14 @@ func (a *Analyzer) improve(node int, tr tech.Transition, ev Event) bool {
 	// Static pruning: a node pinned at a definite value cannot complete
 	// a transition to the opposite value... unless that value came from
 	// a precharge assumption (it is exactly what evaluation discharges).
-	if !a.Opts.NoStaticPruning {
-		sv := a.static[node]
-		want := switchsim.V1
-		if tr == tech.Fall {
-			want = switchsim.V0
-		}
-		if sv != switchsim.VX && sv != want && !a.cnet.Precharged[node] {
-			a.stats.Pruned++
-			return false
-		}
+	sv := a.static[node]
+	want := switchsim.V1
+	if tr == tech.Fall {
+		want = switchsim.V0
+	}
+	if sv != switchsim.VX && sv != want && !a.cnet.Precharged[node] {
+		a.stats.Pruned++
+		return false
 	}
 	a.stats.Improved++
 	// History: a superseded event that already propagated may still matter
@@ -883,9 +897,6 @@ func (a *Analyzer) StageDB() *stage.DB { return a.db }
 // for every analyzer). Two analyses with equal stamps over the same
 // network enumerate identical stages, so they may share one stage database.
 func (a *Analyzer) stageStamp() string {
-	if a.Opts.NoStaticPruning || a.static == nil {
-		return "worst"
-	}
 	b := make([]byte, len(a.static))
 	for i, v := range a.static {
 		b[i] = '0' + byte(v)
@@ -905,7 +916,7 @@ func (a *Analyzer) applyStage(st *stage.Stage, fromNode int, fromTr tech.Transit
 	}
 	// Source validity: an input-fed stage needs the source to plausibly
 	// hold the driving value; rails were filtered by the enumerator.
-	if si := st.SourceInputIndex(); si >= 0 && !a.Opts.NoStaticPruning {
+	if si := st.SourceInputIndex(); si >= 0 {
 		sv := a.static[si]
 		want := switchsim.V1
 		if st.Transition() == tech.Fall {

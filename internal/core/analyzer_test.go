@@ -28,10 +28,10 @@ func runChain(t *testing.T, p *tech.Params, n int, model string) float64 {
 		t.Fatal(err)
 	}
 	a := New(nw, analyticModel(p, model), Options{})
-	if err := a.SetInputEventName("in", tech.Rise, 0, 1e-9); err != nil {
+	if err := a.SetInputEvent(a.Net.Lookup("in"), tech.Rise, 0, 1e-9); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.SetInputEventName("in", tech.Fall, 0, 1e-9); err != nil {
+	if err := a.SetInputEvent(a.Net.Lookup("in"), tech.Fall, 0, 1e-9); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Run(); err != nil {
@@ -154,8 +154,8 @@ func TestLumpedPessimisticOnPassChain(t *testing.T) {
 		a := New(nw, analyticModel(p, model), Options{})
 		// Control already high; data transitions.
 		a.SetFixed(nw.Lookup("ctl"), switchsim.V1)
-		a.SetInputEventName("in", tech.Rise, 0, 0)
-		a.SetInputEventName("in", tech.Fall, 0, 0)
+		a.SetInputEvent(a.Net.Lookup("in"), tech.Rise, 0, 0)
+		a.SetInputEvent(a.Net.Lookup("in"), tech.Fall, 0, 0)
 		if err := a.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestSlopeModelRespondsToInputSlope(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := New(nw, analyticModel(p, model), Options{})
-		a.SetInputEventName("in", tech.Rise, 0, slope)
+		a.SetInputEvent(a.Net.Lookup("in"), tech.Rise, 0, slope)
 		if err := a.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func TestPrechargedBusDischarge(t *testing.T) {
 	for i := 1; i < 4; i++ {
 		a.SetFixed(nw.Lookup(busName("en", i)), switchsim.V0)
 	}
-	a.SetInputEventName("en0", tech.Rise, 0, 1e-9)
+	a.SetInputEvent(a.Net.Lookup("en0"), tech.Rise, 0, 1e-9)
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -281,13 +281,26 @@ func TestRunErrors(t *testing.T) {
 		t.Error("Run with no seeded events should fail")
 	}
 	a2 := New(nw, analyticModel(p, "rc"), Options{})
-	if err := a2.SetInputEventName("nope", tech.Rise, 0, 0); err == nil {
-		t.Error("seeding a missing node should fail")
+	for _, c := range []struct {
+		d    Directives
+		want string
+	}{
+		{Directives{Rise: []string{"nope"}}, `rise: no node named "nope"`},
+		{Directives{Fall: []string{"out"}}, `fall: core: out is not marked as an input`},
+		{Directives{Fix: map[string]switchsim.Value{"in": switchsim.VX}}, `fix: in=X: want 0 or 1`},
+		{Directives{LoopBreak: []string{"nope"}, Fix: map[string]switchsim.Value{"nada": switchsim.V0}}, `fix: no node named "nada"`},
+	} {
+		if _, err := c.d.Resolve(nw); err == nil || err.Error() != c.want {
+			t.Errorf("%+v: Resolve error %v, want %s", c.d, err, c.want)
+		}
+		if _, err := c.d.New(nw, a2.Model, Options{}); err == nil || err.Error() != c.want {
+			t.Errorf("%+v: New error %v, want %s", c.d, err, c.want)
+		}
 	}
-	if err := a2.SetInputEventName("out", tech.Rise, 0, 0); err == nil {
+	if err := a2.SetInputEvent(a2.Net.Lookup("out"), tech.Rise, 0, 0); err == nil {
 		t.Error("seeding a non-input should fail")
 	}
-	a2.SetInputEventName("in", tech.Rise, 0, 0)
+	a2.SetInputEvent(a2.Net.Lookup("in"), tech.Rise, 0, 0)
 	if err := a2.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +391,7 @@ func TestLoopBreakDirective(t *testing.T) {
 	}
 	nw, r1 := build()
 	a := New(nw, analyticModel(p, "rc"), Options{LoopBreak: []*netlist.Node{r1}})
-	a.SetInputEventName("en", tech.Rise, 0, 0)
+	a.SetInputEvent(a.Net.Lookup("en"), tech.Rise, 0, 0)
 	if err := a.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +404,7 @@ func TestLoopBreakDirective(t *testing.T) {
 	// And r2 (past the break) must have no arrival from this direction.
 	nwB, _ := build()
 	b := New(nwB, analyticModel(p, "rc"), Options{MaxEventsPerNode: 20})
-	b.SetInputEventName("en", tech.Rise, 0, 0)
+	b.SetInputEvent(b.Net.Lookup("en"), tech.Rise, 0, 0)
 	if err := b.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +457,7 @@ func TestPolyWireTiming(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := New(nw, analyticModel(p, model), Options{})
-		a.SetInputEventName("in", tech.Rise, 0, 1e-9)
+		a.SetInputEvent(a.Net.Lookup("in"), tech.Rise, 0, 1e-9)
 		if err := a.Run(); err != nil {
 			t.Fatal(err)
 		}

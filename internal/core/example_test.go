@@ -38,8 +38,8 @@ func ExampleAnalyzer_Slacks() {
 	p := tech.NMOS4()
 	nw, _ := gen.InverterChain(p, 3, 0)
 	a := core.New(nw, delay.NewRC(delay.AnalyticTables(p)), core.Options{})
-	a.SetInputEventName("in", tech.Rise, 0, 1e-9)
-	a.SetInputEventName("in", tech.Fall, 0, 1e-9)
+	a.SetInputEvent(a.Net.Lookup("in"), tech.Rise, 0, 1e-9)
+	a.SetInputEvent(a.Net.Lookup("in"), tech.Fall, 0, 1e-9)
 	if err := a.Run(); err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/delay"
 	"repro/internal/netlist"
@@ -44,7 +45,7 @@ type ClockedAnalysis struct {
 	Model  delay.Model
 	Opts   Options
 	Phases []Phase
-	// Fixed pins non-clock control inputs for the whole schedule.
+	// Fixed pins non-clock control inputs to 0 or 1 for the whole schedule.
 	Fixed map[string]switchsim.Value
 }
 
@@ -75,14 +76,14 @@ func (ca *ClockedAnalysis) Run() ([]PhaseResult, error) {
 		return nil, fmt.Errorf("core: no phases given")
 	}
 	nw := ca.Net
+	pins, err := Directives{Fix: ca.Fixed}.Resolve(nw)
+	if err != nil {
+		return nil, err
+	}
 	// Functional tracker: maintains the latched state across phases.
 	tracker := switchsim.New(nw)
-	for name, v := range ca.Fixed {
-		n := nw.Lookup(name)
-		if n == nil {
-			return nil, fmt.Errorf("core: no fixed node %q", name)
-		}
-		if err := tracker.SetInput(n, v); err != nil {
+	for _, p := range pins.Fix {
+		if err := tracker.SetInput(p.Node, p.Value); err != nil {
 			return nil, err
 		}
 	}
@@ -107,14 +108,10 @@ func (ca *ClockedAnalysis) Run() ([]PhaseResult, error) {
 	// depends on the previous settle — but capturing it is cheap. What
 	// falls out per phase is a self-contained setup: the state snapshot,
 	// the clocks held fixed, and the clocks that fire.
-	type clockFix struct {
-		n *netlist.Node
-		v switchsim.Value
-	}
 	type phaseSetup struct {
 		ph       Phase
 		snapshot []switchsim.Value
-		fixes    []clockFix
+		fixes    []Pin
 		rising   []*netlist.Node
 	}
 	setups := make([]phaseSetup, 0, len(ca.Phases))
@@ -138,7 +135,7 @@ func (ca *ClockedAnalysis) Run() ([]PhaseResult, error) {
 				before = now // not scheduled last phase: assume held
 			}
 			if now == before || now == 0 {
-				su.fixes = append(su.fixes, clockFix{n, switchsim.FromBool(now == 1)})
+				su.fixes = append(su.fixes, Pin{n, switchsim.FromBool(now == 1)})
 				continue
 			}
 			if n.Kind != netlist.KindInput {
@@ -169,16 +166,13 @@ func (ca *ClockedAnalysis) Run() ([]PhaseResult, error) {
 	// its own sensitization (different clock levels), so no stage database
 	// is shared between them; each inner analyzer runs serially.
 	out := make([]PhaseResult, len(setups))
-	err := RunMany(len(setups), func(i int) error {
+	err = RunMany(len(setups), func(i int) error {
 		su := setups[i]
 		a := New(nw, ca.Model, ca.Opts)
-		for name, v := range ca.Fixed {
-			a.SetFixed(nw.Lookup(name), v)
-		}
 		// Carry the settled state into the analyzer's sensitization.
 		a.initial = su.snapshot
-		for _, f := range su.fixes {
-			a.SetFixed(f.n, f.v)
+		for _, p := range slices.Concat(pins.Fix, su.fixes) {
+			a.SetFixed(p.Node, p.Value)
 		}
 		for _, n := range su.rising {
 			if err := a.SetInputEvent(n, tech.Rise, 0, su.ph.Slope); err != nil {

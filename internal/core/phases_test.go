@@ -140,6 +140,20 @@ func TestClockedAnalysisErrors(t *testing.T) {
 	if _, err := ca2.Run(); err == nil {
 		t.Error("unmarked clock should fail")
 	}
+	// Two unknown pins: the first in name order is named, however Go
+	// orders the map.
+	nw3, _ := gen.ShiftRegister(p, 2)
+	ca3 := &ClockedAnalysis{
+		Net:    nw3,
+		Model:  analyticModel(p, "rc"),
+		Phases: shiftRegPhases(nw3, 1e-9),
+		Fixed:  map[string]switchsim.Value{"zz_nope": switchsim.V1, "aa_nope": switchsim.V0},
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := ca3.Run(); err == nil || err.Error() != `fix: no node named "aa_nope"` {
+			t.Fatalf("run %d: error %v, want the first unknown pin, aa_nope", i, err)
+		}
+	}
 }
 
 func TestAnalyzerInitialValuesRespected(t *testing.T) {

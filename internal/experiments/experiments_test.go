@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/delay"
+	"repro/internal/switchsim"
 	"repro/internal/tech"
 )
 
@@ -61,6 +62,27 @@ func TestScenarioModelVsAnalogInverter(t *testing.T) {
 	}
 	if d < ref/4 || d > ref*4 {
 		t.Errorf("model %g vs analog %g: off by more than 4×", d, ref)
+	}
+}
+
+// TestScenarioPinErrors: the analog reference and the verifier reject a
+// scenario pinning two unknown nodes with one error, naming the first in
+// sorted order, however Go orders the map.
+func TestScenarioPinErrors(t *testing.T) {
+	p := tech.NMOS4()
+	sc, err := invScenario(p, 2, 0, "plumbing")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Fixed = map[string]switchsim.Value{"zz_nope": switchsim.V1, "aa_nope": switchsim.V0}
+	want := `experiments plumbing: fix: no node named "aa_nope"`
+	for i := 0; i < 20; i++ {
+		if _, _, err := sc.AnalogDelay(); err == nil || err.Error() != want {
+			t.Fatalf("AnalogDelay %d: error %v, want %s", i, err, want)
+		}
+		if _, _, err := sc.ModelDelay(delay.NewRC(delay.AnalyticTables(p))); err == nil || err.Error() != want {
+			t.Fatalf("ModelDelay %d: error %v, want %s", i, err, want)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/analog"
 	"repro/internal/core"
@@ -60,10 +61,12 @@ const settleTime = 80e-9
 // delay from input to output and the output's 10–90% transition time.
 func (s *Scenario) AnalogDelay() (delay50, outSlope float64, err error) {
 	p := s.Net.Tech
-	ramp := s.InSlope
-	if ramp <= 0 {
-		ramp = minRamp
+	dir := s.directives()
+	r, err := dir.Resolve(s.Net)
+	if err != nil {
+		return 0, 0, fmt.Errorf("experiments %s: %w", s.Name, err)
 	}
+	inNode, ramp := slices.Concat(r.Rise, r.Fall)[0], dir.Slope
 	v0, v1 := 0.0, p.Vdd
 	if s.InTr == tech.Fall {
 		v0, v1 = p.Vdd, 0
@@ -72,30 +75,17 @@ func (s *Scenario) AnalogDelay() (delay50, outSlope float64, err error) {
 	if settle <= 0 {
 		settle = settleTime
 	}
-	inNode := s.Net.Lookup(s.Input)
-	if inNode == nil {
-		return 0, 0, fmt.Errorf("experiments %s: no input node %q", s.Name, s.Input)
-	}
 	outNode := s.Net.Lookup(s.Output)
 	if outNode == nil {
 		return 0, 0, fmt.Errorf("experiments %s: no output node %q", s.Name, s.Output)
 	}
 	drives := []analog.InputDrive{{Node: inNode, W: analog.Ramp(v0, v1, settle, ramp)}}
-	for name, v := range s.Fixed {
-		n := s.Net.Lookup(name)
-		if n == nil {
-			return 0, 0, fmt.Errorf("experiments %s: no fixed node %q", s.Name, name)
-		}
-		var level float64
-		switch v {
-		case switchsim.V1:
+	for _, pin := range r.Fix { // 0 or 1: Resolve rejects an X pin
+		level := 0.0
+		if pin.Value == switchsim.V1 {
 			level = p.Vdd
-		case switchsim.V0:
-			level = 0
-		default:
-			return 0, 0, fmt.Errorf("experiments %s: fixed node %s must be 0 or 1", s.Name, name)
 		}
-		drives = append(drives, analog.InputDrive{Node: n, W: analog.DC(level)})
+		drives = append(drives, analog.InputDrive{Node: pin.Node, W: analog.DC(level)})
 	}
 	c, nmap, err := analog.FromNetlist(s.Net, drives, nil)
 	if err != nil {
@@ -133,6 +123,21 @@ func stageScale(nw *netlist.Network) float64 {
 	return 50000 * meanC * 4
 }
 
+// directives are the scenario's pins and input event, the event's ramp
+// near-step (minRamp) when InSlope is 0.
+func (s *Scenario) directives() core.Directives {
+	d := core.Directives{Fix: s.Fixed, Slope: s.InSlope}
+	if d.Slope <= 0 {
+		d.Slope = minRamp
+	}
+	if s.InTr == tech.Rise {
+		d.Rise = []string{s.Input}
+	} else {
+		d.Fall = []string{s.Input}
+	}
+	return d
+}
+
 // ModelDelay runs the timing verifier over the scenario with the given
 // model and returns the arrival time at the output (relative to the input
 // event) and the propagated output slope.
@@ -147,16 +152,7 @@ func (s *Scenario) ModelDelay(m delay.Model) (delay50, outSlope float64, err err
 // enumeration depends only on the sensitization — not the delay model —
 // so the models of one scenario use one database in turn.
 func (s *Scenario) modelDelay(m delay.Model, db *stage.DB) (delay50, outSlope float64, dbOut *stage.DB, err error) {
-	d := core.Directives{Fix: s.Fixed, Slope: s.InSlope}
-	if d.Slope <= 0 {
-		d.Slope = minRamp
-	}
-	if s.InTr == tech.Rise {
-		d.Rise = []string{s.Input}
-	} else {
-		d.Fall = []string{s.Input}
-	}
-	a, err := d.New(s.Net, m, core.Options{DB: db})
+	a, err := s.directives().New(s.Net, m, core.Options{DB: db})
 	if err != nil {
 		return 0, 0, nil, fmt.Errorf("experiments %s: %w", s.Name, err)
 	}

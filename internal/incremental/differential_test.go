@@ -40,7 +40,7 @@ func newAnalyzer(t testing.TB, nw *netlist.Network, seeds []string) *core.Analyz
 	a := core.New(nw, m, core.Options{})
 	for _, name := range seeds {
 		for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {
-			if err := a.SetInputEventName(name, tr, 0, 1e-9); err != nil {
+			if err := a.SetInputEvent(a.Net.Lookup(name), tr, 0, 1e-9); err != nil {
 				t.Fatalf("seed %s: %v", name, err)
 			}
 		}

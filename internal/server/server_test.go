@@ -556,9 +556,8 @@ func TestRequestErrors(t *testing.T) {
 	}
 	bad = dlatchConfig(t)
 	bad.Fix = map[string]string{"wr": "7"}
-	id := c.create(bad).Session
-	if st := c.do("POST", "/v1/sessions/"+id+"/analyze", nil, nil); st != http.StatusBadRequest {
-		t.Errorf("bad fix value surfaces at analyze: %d", st)
+	if st := c.do("POST", "/v1/sessions", bad, nil); st != http.StatusBadRequest {
+		t.Errorf("bad fix value: %d", st)
 	}
 
 	// Unknown session ids.
@@ -575,7 +574,7 @@ func TestRequestErrors(t *testing.T) {
 	}
 
 	// Script errors carry line positions; applied barriers are reported.
-	id = c.create(dlatchConfig(t)).Session
+	id := c.create(dlatchConfig(t)).Session
 	c.analyze(id)
 	var body struct {
 		Error    string          `json:"error"`
@@ -654,21 +653,52 @@ func TestBodyLimit(t *testing.T) {
 	}
 }
 
-// TestFixErrorDeterministic: a session whose fix directive names two
-// unknown nodes fails every analyze with the same error, the first name in
+// TestFixErrorDeterministic: a create whose fix directive names two
+// unknown nodes fails every time with the same error, the first name in
 // sorted order, however Go orders the map.
 func TestFixErrorDeterministic(t *testing.T) {
 	c := newTestClient(t, Options{})
 	cfg := dlatchConfig(t)
 	cfg.Fix = map[string]string{"zz_nope": "1", "aa_nope": "0"}
-	id := c.create(cfg).Session
 	for i := 0; i < 20; i++ {
 		var e httpError
-		if st := c.do("POST", "/v1/sessions/"+id+"/analyze", analyzeRequest{}, &e); st != http.StatusBadRequest {
-			t.Fatalf("analyze %d: status %d, want 400", i, st)
+		if st := c.do("POST", "/v1/sessions", cfg, &e); st != http.StatusBadRequest {
+			t.Fatalf("create %d: status %d, want 400", i, st)
 		}
 		if want := `fix: no node named "aa_nope"`; e.Error != want {
-			t.Fatalf("analyze %d: error %q, want %q", i, e.Error, want)
+			t.Fatalf("create %d: error %q, want %q", i, e.Error, want)
+		}
+	}
+}
+
+// TestCreateRejectsBadDirectives: a create whose directives cannot time
+// the netlist answers 400 and caches nothing, on a parse and on a
+// snapshot hit (whose shared network it hands back to the arena).
+func TestCreateRejectsBadDirectives(t *testing.T) {
+	dir := t.TempDir()
+	newTestClient(t, Options{SnapshotDir: dir}).create(dlatchConfig(t)) // seed the cache
+	for _, snapDir := range []string{"", dir} {
+		c := newTestClient(t, Options{SnapshotDir: snapDir})
+		for _, bad := range []struct {
+			edit func(*SessionConfig)
+			want string
+		}{
+			{func(c *SessionConfig) { c.Fix = map[string]string{"nope": "1"} }, `fix: no node named "nope"`},
+			{func(c *SessionConfig) { c.Fix = map[string]string{"wr": "7"} }, `fix: wr: switchsim: bad value "7" (want 0, 1 or X)`},
+			{func(c *SessionConfig) { c.LoopBreak = []string{"nope"} }, `loopbreak: no node named "nope"`},
+			{func(c *SessionConfig) { c.Rise = []string{"q"} }, `rise: core: q is not marked as an input`},
+		} {
+			cfg := dlatchConfig(t)
+			bad.edit(&cfg)
+			var e httpError
+			if st := c.do("POST", "/v1/sessions", cfg, &e); st != http.StatusBadRequest || e.Error != bad.want {
+				t.Errorf("snapshot dir %q: create: status %d, error %q; want 400, %q", snapDir, st, e.Error, bad.want)
+			}
+		}
+		m := c.metrics()
+		if m.Sessions.Live != 0 || m.Sessions.Created != 0 || m.NetArena.SharedSessions != 0 {
+			t.Errorf("snapshot dir %q: after rejected creates live %d, created %d, shared %d; want all 0",
+				snapDir, m.Sessions.Live, m.Sessions.Created, m.NetArena.SharedSessions)
 		}
 	}
 }

@@ -194,6 +194,7 @@ type session struct {
 	params *tech.Params
 	tables *delay.Tables
 	model  delay.Model
+	dir    core.Directives // cfg's directives, resolved against nw at create
 
 	nw        *netlist.Network         // current network; the job's alone
 	shape     atomic.Pointer[netShape] // nw's counts, published for readers
@@ -242,7 +243,8 @@ func (s *session) batchEngine() (b *switchsim.Batch, compiled bool) {
 // newSession loads the network through the arena — the shared network
 // of this chip if a session holds one, else netlist.LoadCached over the
 // snapshot file in snapDir (none when snapDir is empty), the build being
-// ReadSim — and prepares (but does not run) the analysis.
+// ReadSim — resolves the directives against it, and prepares (but does
+// not run) the analysis.
 //
 // Snapshot entries are keyed by the network identity (SHA-256 of the
 // .sim text, plus technology and name — the fields that determine the
@@ -271,6 +273,12 @@ func newSession(id string, cfg SessionConfig, snapDir string, hier bool, arena *
 		return nil, err
 	}
 	s.model = m
+	s.dir = core.Directives{Fix: map[string]switchsim.Value{}, LoopBreak: cfg.LoopBreak, Rise: cfg.Rise, Fall: cfg.Fall, Slope: cfg.Slope}
+	for _, name := range cfg.fixNames() {
+		if s.dir.Fix[name], err = switchsim.ParseValue(cfg.Fix[name]); err != nil {
+			return nil, fmt.Errorf("fix: %s: %w", name, err)
+		}
+	}
 	key := arenaKey{simHash: sha256.Sum256([]byte(cfg.Sim)), tech: s.params.Name, name: cfg.Name}
 	var snapPath string
 	if snapDir != "" {
@@ -282,7 +290,13 @@ func newSession(id string, cfg SessionConfig, snapDir string, hier bool, arena *
 	if nw == nil {
 		return nil, err
 	}
-	// With a network in hand the only possible error is the cache write,
+	if _, rerr := s.dir.Resolve(nw); rerr != nil {
+		if res.FromCache() {
+			arena.release(key)
+		}
+		return nil, rerr
+	}
+	// With a network in hand load's only possible error is the cache write,
 	// which is best effort: a full snapshot directory or permission
 	// problem must not fail the load.
 	s.setNet(nw)
@@ -309,21 +323,7 @@ func (s *session) buildAnalyzer(db *core.Analyzer) (*core.Analyzer, error) {
 	if db != nil {
 		opts.DB = db.StageDB()
 	}
-	d := core.Directives{
-		Fix:       map[string]switchsim.Value{},
-		LoopBreak: s.cfg.LoopBreak,
-		Rise:      s.cfg.Rise,
-		Fall:      s.cfg.Fall,
-		Slope:     s.cfg.Slope,
-	}
-	for _, name := range s.cfg.fixNames() {
-		v, err := switchsim.ParseValue(s.cfg.Fix[name])
-		if err != nil {
-			return nil, fmt.Errorf("fix: %s: %w", name, err)
-		}
-		d.Fix[name] = v
-	}
-	return d.New(s.nw, s.model, opts)
+	return s.dir.New(s.nw, s.model, opts)
 }
 
 // buildSnapshot assembles the read view from the current analysis state.
