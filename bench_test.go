@@ -1,13 +1,14 @@
-// The benchmark harness: one benchmark per reconstructed table/figure of
-// the paper's evaluation (E1–E8 in DESIGN.md), plus microbenchmarks of the
-// analysis hot paths. Each experiment benchmark reports its headline
-// numbers as custom metrics so `go test -bench` output doubles as the
-// experiment record; the full formatted tables come from cmd/delaycmp.
+// Benchmarks of the reconstructed evaluation (DESIGN.md, EXPERIMENTS.md)
+// and microbenchmarks of the analysis hot paths. The deterministic
+// experiments' numbers live in EXPERIMENTS.md's checked blocks, which
+// cmd/delaycmp's TestGoldenExperiments pins; what stays here times work:
+// one characterization sweep (E1), the verifier's throughput and capacity
+// (E6), hierarchical and incremental analysis, the batch switch-level
+// engine, and the hot paths.
 package repro
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -23,29 +24,6 @@ import (
 	"repro/internal/switchsim"
 	"repro/internal/tech"
 )
-
-// tables returns the committed characterized tables for nMOS.
-func tables(b *testing.B) *delay.Tables {
-	b.Helper()
-	tb, err := charlib.Default(tech.NMOS4())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return tb
-}
-
-// meanAbsErr computes the mean absolute percent error of one model over a
-// set of accuracy rows.
-func meanAbsErr(rows []experiments.AccuracyRow, model string) float64 {
-	if len(rows) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, r := range rows {
-		s += math.Abs(r.Err(model))
-	}
-	return s / float64(len(rows))
-}
 
 // BenchmarkE1SlopeTables regenerates the slope-model characterization
 // curves (figure E1): the cost of one full table build, with the measured
@@ -65,112 +43,17 @@ func BenchmarkE1SlopeTables(b *testing.B) {
 	b.ReportMetric(rmult, "rmult@16")
 }
 
-// BenchmarkE2ModelAccuracy reproduces the accuracy table (E2): all suite
-// circuits under all three models versus the analog reference. Reported
-// metrics are the per-model mean |error| in percent — the paper's headline
-// comparison (slope ≈ 10–15%, lumped several times worse).
-func BenchmarkE2ModelAccuracy(b *testing.B) {
-	p := tech.NMOS4()
-	tb := tables(b)
-	var rows []experiments.AccuracyRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E2ModelAccuracy(p, tb)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, m := range []string{"lumped", "rc", "slope"} {
-		b.ReportMetric(meanAbsErr(rows, m), "%err-"+m)
-	}
-}
-
-// BenchmarkE2ModelAccuracyCMOS repeats the accuracy table in the 3 µm
-// complementary process: the model ranking must be technology-independent.
-func BenchmarkE2ModelAccuracyCMOS(b *testing.B) {
-	p := tech.CMOS3()
-	tb, err := charlib.Default(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var rows []experiments.AccuracyRow
-	for i := 0; i < b.N; i++ {
-		rows, err = experiments.E2ModelAccuracy(p, tb)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, m := range []string{"lumped", "rc", "slope"} {
-		b.ReportMetric(meanAbsErr(rows, m), "%err-"+m)
-	}
-}
-
-// BenchmarkE3PassChains reproduces the pass-chain scaling table (E3).
-// The reported lumped/rc ratio at n=8 exhibits the lumped model's
-// quadratic pessimism (→ 2 as n grows).
-func BenchmarkE3PassChains(b *testing.B) {
-	p := tech.NMOS4()
-	tb := tables(b)
-	var rows []experiments.AccuracyRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E3PassChains(p, tb, []int{1, 2, 4, 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	last := rows[len(rows)-1]
-	b.ReportMetric(last.Model["lumped"]/last.Model["rc"], "lumped/rc@n8")
-	b.ReportMetric(meanAbsErr(rows, "rc"), "%err-rc")
-	b.ReportMetric(meanAbsErr(rows, "lumped"), "%err-lumped")
-}
-
-// BenchmarkE4Fanout reproduces the delay-versus-fanout figure (E4): delay
-// linear in load for models and reference alike. The linearity metric is
-// the reference delay-per-load between the extreme points.
-func BenchmarkE4Fanout(b *testing.B) {
-	p := tech.NMOS4()
-	tb := tables(b)
-	var rows []experiments.AccuracyRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E4Fanout(p, tb, []int{1, 4, 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	first, last := rows[0], rows[len(rows)-1]
-	slope := (last.Analog - first.Analog) / (last.X - first.X)
-	b.ReportMetric(slope*1e12, "ps-per-load")
-	b.ReportMetric(meanAbsErr(rows, "slope"), "%err-slope")
-}
-
-// BenchmarkE5InputSlope reproduces the delay-versus-input-slope figure
-// (E5): only the slope model follows the reference.
-func BenchmarkE5InputSlope(b *testing.B) {
-	p := tech.NMOS4()
-	tb := tables(b)
-	var rows []experiments.AccuracyRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E5InputSlope(p, tb, []float64{0.1e-9, 4e-9, 20e-9})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(meanAbsErr(rows, "slope"), "%err-slope")
-	b.ReportMetric(meanAbsErr(rows, "rc"), "%err-rc")
-}
-
 // BenchmarkE6Throughput reproduces the verifier capacity table (E6): the
 // standard block set analyzed under the slope model; reported metric is
 // aggregate transistors per second of analysis.
 func BenchmarkE6Throughput(b *testing.B) {
 	p := tech.NMOS4()
-	tb := tables(b)
+	tb, err := charlib.Default(p)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var rows []experiments.ThroughputRow
 	for i := 0; i < b.N; i++ {
-		var err error
 		rows, err = experiments.E6Throughput(p, tb, "slope")
 		if err != nil {
 			b.Fatal(err)
@@ -514,70 +397,6 @@ func BenchmarkE6Incremental(b *testing.B) {
 	b.ReportMetric(fullNs/incNs, "speedup-vs-full")
 }
 
-// BenchmarkE7CriticalPaths reproduces the per-model critical path table
-// (E7) on the datapath blocks; reported metric is the slope-model critical
-// arrival of the 16-bit ripple adder.
-func BenchmarkE7CriticalPaths(b *testing.B) {
-	p := tech.NMOS4()
-	tb := tables(b)
-	var rows []experiments.CriticalRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E7CriticalPaths(p, tb)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Block == "ripple-16" {
-			b.ReportMetric(r.Arrival["slope"]*1e9, "ns-ripple16-slope")
-			b.ReportMetric(r.Arrival["lumped"]/r.Arrival["rc"], "lumped/rc")
-		}
-	}
-}
-
-// BenchmarkE9PolyWire reproduces the resistive-interconnect scaling table
-// (E9): the lumped model's error grows with wire length while the
-// distributed estimate stays flat — the Penfield–Rubinstein motivation.
-func BenchmarkE9PolyWire(b *testing.B) {
-	p := tech.NMOS4()
-	tb := tables(b)
-	var rows []experiments.AccuracyRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E9PolyWire(p, tb, []int{1, 3, 5})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	first, last := rows[0], rows[len(rows)-1]
-	b.ReportMetric(last.Err("lumped")-first.Err("lumped"), "%err-growth-lumped")
-	b.ReportMetric(meanAbsErr(rows, "rc"), "%err-rc")
-}
-
-// BenchmarkE8RCBounds reproduces the RC-bound ablation (E8): RPH bound
-// containment of the analog reference on random trees, and the relative
-// width of the certificate interval.
-func BenchmarkE8RCBounds(b *testing.B) {
-	var rows []experiments.RCBoundsRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.E8RCBounds(12, 10, 2024)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	contained, width := 0.0, 0.0
-	for _, r := range rows {
-		if r.Contained {
-			contained++
-		}
-		width += (r.Upper - r.Lower) / r.Analog
-	}
-	b.ReportMetric(contained/float64(len(rows)), "containment")
-	b.ReportMetric(width/float64(len(rows)), "relwidth")
-}
-
 // --- Microbenchmarks of the analysis hot paths ------------------------------
 
 // BenchmarkStageExtraction measures worst-case stage enumeration through a
@@ -656,32 +475,6 @@ func BenchmarkAnalogInverter(b *testing.B) {
 }
 
 // --- Ablation benchmarks (the design choices DESIGN.md calls out) ----------
-
-// BenchmarkAblationTables compares E2 accuracy under characterized versus
-// analytic tables: the value of the characterization step itself.
-func BenchmarkAblationTables(b *testing.B) {
-	p := tech.NMOS4()
-	for _, arm := range []struct {
-		name string
-		tb   func(*testing.B) *delay.Tables
-	}{
-		{"characterized", tables},
-		{"analytic", func(*testing.B) *delay.Tables { return delay.AnalyticTables(p) }},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			tb := arm.tb(b)
-			var rows []experiments.AccuracyRow
-			for i := 0; i < b.N; i++ {
-				var err error
-				rows, err = experiments.E2ModelAccuracy(p, tb)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(meanAbsErr(rows, "slope"), "%err-slope")
-		})
-	}
-}
 
 // BenchmarkAblationIntegration compares the analog reference's two
 // integrators on a characterization fixture at a coarse timestep.

@@ -2,56 +2,115 @@ package main
 
 import (
 	"flag"
+	"fmt"
+	"io"
 	"os"
+	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// update rewrites the golden files instead of diffing against them:
+// update rewrites the EXPERIMENTS.md blocks instead of diffing against them:
 //
-//	go test ./cmd/delaycmp -run TestGolden -update
-var update = flag.Bool("update", false, "rewrite golden report files")
+//	go test ./cmd/delaycmp -run TestGoldenExperiments -update
+var update = flag.Bool("update", false, "rewrite the EXPERIMENTS.md blocks")
 
-// TestGoldenExperiments pins the exact experiment output — table layout
-// and every reported number — for the deterministic experiments over
-// analytic tables. E6 is excluded (it reports wall-clock throughput);
-// E8's random trees are seeded, so it is deterministic too. Numeric
-// regressions in the models, the analog reference or the RC-tree bounds
-// all show up as diffs here.
-func TestGoldenExperiments(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  config
-	}{
-		{"e1-e3-e8", config{techName: "nmos-4u", tables: "analytic", format: "table", expList: "e1,e3,e8"}},
-		{"e4-e5", config{techName: "nmos-4u", tables: "analytic", format: "table", expList: "e4,e5"}},
-		{"e9-csv", config{techName: "nmos-4u", tables: "analytic", format: "csv", expList: "e9"}},
-		{"e2-cmos", config{techName: "cmos-3u", tables: "analytic", format: "table", expList: "e2"}},
+// experimentsDoc is the golden file: each block in it sits under a marker
+// line naming the delaycmp command line whose output it is.
+const experimentsDoc = "../../EXPERIMENTS.md"
+
+var markerRE = regexp.MustCompile("^<!-- delaycmp (.*) -->$")
+
+// docBlock is one marked block of experimentsDoc: its marker's arguments
+// and the lines [from, to) between its fences.
+type docBlock struct {
+	args     string
+	from, to int
+}
+
+// docBlocks finds every marked block in lines. A marker must be followed
+// by an opening fence, and the block ends at the next fence.
+func docBlocks(lines []string) ([]docBlock, error) {
+	var blocks []docBlock
+	for i, line := range lines {
+		m := markerRE.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		if i+1 == len(lines) || lines[i+1] != "```" {
+			return nil, fmt.Errorf("line %d: marker %q is not followed by a ``` line", i+1, line)
+		}
+		n := slices.Index(lines[i+2:], "```")
+		if n < 0 {
+			return nil, fmt.Errorf("line %d: block under %q is not closed", i+2, line)
+		}
+		blocks = append(blocks, docBlock{m[1], i + 2, i + 2 + n})
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+	return blocks, nil
+}
+
+// TestGoldenExperiments pins every number EXPERIMENTS.md reports for the
+// deterministic experiments: each marked block must read exactly as its
+// command line's output, parsed by parseArgs so the defaults are the ones
+// a user gets. Numeric regressions in the models, the analog reference,
+// the shipped tables or the RC-tree bounds all show up as diffs here.
+// E6 reports wall-clock throughput, so it has no block; every other
+// experiment must have one.
+func TestGoldenExperiments(t *testing.T) {
+	data, err := os.ReadFile(experimentsDoc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(data), "\n")
+	blocks, err := docBlocks(lines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered := map[string]bool{}
+	outputs := make([][]string, len(blocks))
+	for i, b := range blocks {
+		t.Run(b.args, func(t *testing.T) {
+			fs := flag.NewFlagSet("delaycmp", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			cfg, err := parseArgs(fs, strings.Fields(b.args))
+			if err == nil && fs.NArg() > 0 {
+				err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+			}
+			if err != nil {
+				t.Fatalf("marker %q: %v", b.args, err)
+			}
+			for _, e := range strings.Split(cfg.expList, ",") {
+				covered[e] = true
+			}
 			var out strings.Builder
-			if err := run(tc.cfg, &out); err != nil {
+			if err := run(cfg, &out); err != nil {
 				t.Fatalf("%v\n%s", err, out.String())
 			}
-			got := out.String()
-			golden := "testdata/golden/" + tc.name + ".txt"
-			if *update {
-				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(golden)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create)", err)
-			}
-			if got != string(want) {
-				t.Errorf("golden mismatch for %s:\n--- want ---\n%s\n--- got ---\n%s",
-					golden, want, got)
+			outputs[i] = strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
+			if got, want := strings.Join(outputs[i], "\n"), strings.Join(lines[b.from:b.to], "\n"); !*update && got != want {
+				t.Errorf("%s line %d: block differs from `delaycmp %s`:\n--- want ---\n%s\n--- got ---\n%s",
+					experimentsDoc, b.from+1, b.args, want, got)
 			}
 		})
+	}
+	if covered["all"] || covered["e6"] {
+		t.Errorf("a block runs e6, whose wall-clock columns no golden text can pin")
+	}
+	for _, e := range experimentNames {
+		if e != "e6" && !covered[e] {
+			t.Errorf("no block in %s runs %s", experimentsDoc, e)
+		}
+	}
+	if !*update || t.Failed() {
+		return
+	}
+	for i := len(blocks) - 1; i >= 0; i-- {
+		lines = slices.Replace(lines, blocks[i].from, blocks[i].to, outputs[i]...)
+	}
+	if err := os.WriteFile(experimentsDoc, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -31,29 +31,37 @@ import (
 	"repro/internal/tech"
 )
 
-// config carries the parsed command line; run is pure over it.
+// config carries the parsed command line; run is pure over it. The
+// profile paths are main's alone.
 type config struct {
-	techName string
-	expList  string
-	tables   string
-	format   string
+	techName, expList, tables, format string
+	cpuProfile, memProfile            string
 }
 
 // experimentNames lists what -exp accepts besides "all".
 var experimentNames = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"}
 
-func main() {
+// parseArgs declares delaycmp's flags on fs and parses args, the command
+// line without the program name. main parses with flag.CommandLine; the
+// EXPERIMENTS.md check parses each block's command line here too, so a
+// block gets the defaults a user gets.
+func parseArgs(fs *flag.FlagSet, args []string) (config, error) {
 	var cfg config
-	flag.StringVar(&cfg.techName, "tech", "nmos-4u", "technology: nmos-4u or cmos-3u")
-	flag.StringVar(&cfg.expList, "exp", "all", "experiments to run: comma list of e1..e9, or all")
-	flag.StringVar(&cfg.tables, "tables", "char", "delay tables: char (characterized) or analytic")
-	flag.StringVar(&cfg.format, "format", "table", "output for accuracy experiments: table or csv")
-	cpuprof := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprof := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+	fs.StringVar(&cfg.techName, "tech", "nmos-4u", "technology: nmos-4u or cmos-3u")
+	fs.StringVar(&cfg.expList, "exp", "all", "experiments to run: comma list of e1..e9, or all")
+	fs.StringVar(&cfg.tables, "tables", "char", "delay tables: char (characterized) or analytic")
+	fs.StringVar(&cfg.format, "format", "table", "output for accuracy experiments: table or csv")
+	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&cfg.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	err := fs.Parse(args) // before cfg is read: the flags write into it
+	return cfg, err
+}
 
-	if *cpuprof != "" {
-		f, err := os.Create(*cpuprof)
+func main() {
+	cfg, _ := parseArgs(flag.CommandLine, os.Args[1:]) // CommandLine exits on a parse error
+
+	if cfg.cpuProfile != "" {
+		f, err := os.Create(cfg.cpuProfile)
 		if err != nil {
 			fatal(err)
 		}
@@ -65,9 +73,9 @@ func main() {
 			f.Close()
 		}()
 	}
-	if *memprof != "" {
+	if cfg.memProfile != "" {
 		defer func() {
-			f, err := os.Create(*memprof)
+			f, err := os.Create(cfg.memProfile)
 			if err != nil {
 				fatal(err)
 			}

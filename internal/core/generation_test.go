@@ -596,6 +596,63 @@ func TestFailedBatchLeavesAnalyzerUntouched(t *testing.T) {
 	requireMatchesFresh(t, "after the failed batches", a, fresh)
 }
 
+// TestRetypeOfSeededInputRejected: a batch that retypes a seeded input to
+// anything but input is refused before its first edit — on the first batch,
+// which would clone the caller's network, and on a later one, which edits
+// in place — and leaves the network, its generation, the snapshot, the
+// stage database and every arrival as they were. Retyping it to input
+// stays allowed.
+func TestRetypeOfSeededInputRejected(t *testing.T) {
+	p := tech.NMOS4()
+	nw, err := gen.Chip(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fix, lb := gen.ChipDirectives(4)
+	a := buildAnalyzer(t, nw, delay.NewSlope(delay.AnalyticTables(p)), fix, lb, Options{})
+	if err := a.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var seeded string
+	for _, in := range nw.Inputs() {
+		if _, ok := fix[in.Name]; !ok {
+			seeded = in.Name
+			break
+		}
+	}
+	ti := 0
+	for nw.Trans[ti].IsWire() {
+		ti++
+	}
+	reject := func(path string) {
+		t.Helper()
+		before, net := a.Net.Clone(), a.Net
+		generation, db, epoch, static := a.Net.Generation(), a.StageDB(), a.StageDB().Epoch, slices.Clone(a.static)
+		events := slices.Clone(a.events)
+		_, err := a.Reanalyze([]incremental.Edit{
+			{Kind: incremental.Resize, Index: ti, W: 7e-6},
+			{Kind: incremental.Retype, Node: seeded, NodeKind: netlist.KindNormal}})
+		if err == nil || !strings.Contains(err.Error(), seeded) {
+			t.Fatalf("%s: Reanalyze = %v, want an error naming %s", path, err, seeded)
+		}
+		if err := netlist.DiffNetworks(before, a.Net); err != nil {
+			t.Fatalf("%s: the rejected batch changed the network: %v", path, err)
+		}
+		if a.Net != net || a.Net.Generation() != generation || a.StageDB() != db || db.Epoch != epoch ||
+			!slices.Equal(a.static, static) || !slices.Equal(a.events, events) {
+			t.Fatalf("%s: the rejected batch moved the analyzer", path)
+		}
+	}
+	reject("first batch")
+	if _, err := a.Reanalyze([]incremental.Edit{{Kind: incremental.Resize, Index: ti, W: 6e-6}}); err != nil {
+		t.Fatal(err)
+	}
+	reject("in place")
+	if _, err := a.Reanalyze([]incremental.Edit{{Kind: incremental.Retype, Node: seeded, NodeKind: netlist.KindInput}}); err != nil {
+		t.Fatalf("retyping a seeded input to input: %v", err)
+	}
+}
+
 // TestKeptStateMatchesFreshBuild pins what an editing analyzer keeps between
 // batches against what a fresh build of the edited network gives. chip:8
 // goes through a mixed stream — loads on an existing and on a new net, a

@@ -83,7 +83,8 @@ const reanalyzeMaxDirty = 0.5
 // and later calls advance that one in place; the analyzer's compile and
 // the database's enumeration view are kept between calls and patched. A
 // batch that fails validation leaves the analyzer and its network
-// untouched.
+// untouched, and so does one that retypes a seeded input away from input:
+// no analyzer over the edited network could seed it.
 //
 // The incremental path is taken when the invalidation plan stays under
 // reanalyzeMaxDirty and nothing poisons the shortcut; otherwise
@@ -92,6 +93,9 @@ const reanalyzeMaxDirty = 0.5
 func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) {
 	if a.events == nil {
 		return nil, fmt.Errorf("core: Reanalyze before Run")
+	}
+	if err := a.checkSeedRetypes(edits); err != nil {
+		return nil, err
 	}
 	stats := &ReanalyzeStats{}
 	mark := time.Now()
@@ -218,6 +222,24 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 	stats.StagesEvaluated = a.stageEv - evBefore
 	lap(&stats.Phases.Drain)
 	return stats, nil
+}
+
+// checkSeedRetypes rejects a batch that retypes a seeded node to anything
+// but input, which SetInputEvent would refuse to seed. It compares names
+// rather than looking nodes up, so a shared network grows no name index
+// (see incremental.Apply).
+func (a *Analyzer) checkSeedRetypes(edits []incremental.Edit) error {
+	for i, e := range edits {
+		if e.Kind != incremental.Retype || e.NodeKind == netlist.KindInput {
+			continue
+		}
+		for _, s := range a.seeded {
+			if a.Net.Nodes[s.node].Name == e.Node {
+				return fmt.Errorf("core: edit %d (retype): %s is a seeded input and must stay one", i, e.Node)
+			}
+		}
+	}
+	return nil
 }
 
 // settleEdited brings the static snapshot up to date with the edited

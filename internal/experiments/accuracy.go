@@ -4,7 +4,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -31,31 +30,9 @@ func (r *AccuracyRow) Err(model string) float64 {
 	return (r.Model[model] - r.Analog) / r.Analog * 100
 }
 
-// ModelNames returns the models present, in fidelity order when they are
-// the standard three.
-func (r *AccuracyRow) ModelNames() []string {
-	std := []string{"lumped", "rc", "slope"}
-	var names []string
-	for _, s := range std {
-		if _, ok := r.Model[s]; ok {
-			names = append(names, s)
-		}
-	}
-	var extra []string
-	for k := range r.Model {
-		found := false
-		for _, s := range std {
-			if s == k {
-				found = true
-			}
-		}
-		if !found {
-			extra = append(extra, k)
-		}
-	}
-	sort.Strings(extra)
-	return append(names, extra...)
-}
+// modelNames lists, in fidelity order, the models every accuracy row
+// holds: runScenarios prices each row under delay.All.
+var modelNames = []string{"lumped", "rc", "slope"}
 
 // runScenarios evaluates scenarios under every model and the reference.
 // Scenarios are independent, so they fan out over the worker pool (the
@@ -107,16 +84,7 @@ func E3PassChains(p *tech.Params, tb *delay.Tables, lengths []int) ([]AccuracyRo
 	if len(lengths) == 0 {
 		lengths = []int{1, 2, 3, 4, 5, 6, 7, 8}
 	}
-	scs := make([]*Scenario, 0, len(lengths))
-	for _, n := range lengths {
-		sc, err := passScenario(p, n)
-		if err != nil {
-			return nil, err
-		}
-		sc.X = float64(n)
-		scs = append(scs, sc)
-	}
-	return runScenarios(scs, delay.All(tb))
+	return sweep(tb, lengths, func(n int) (*Scenario, error) { return passScenario(p, n) })
 }
 
 // E4Fanout sweeps capacitive fan-out on a single inverter (Figure E4):
@@ -125,16 +93,9 @@ func E4Fanout(p *tech.Params, tb *delay.Tables, fanouts []int) ([]AccuracyRow, e
 	if len(fanouts) == 0 {
 		fanouts = []int{1, 2, 4, 8, 16}
 	}
-	scs := make([]*Scenario, 0, len(fanouts))
-	for _, f := range fanouts {
-		sc, err := invScenario(p, f, 0, fmt.Sprintf("fanout-%d", f))
-		if err != nil {
-			return nil, err
-		}
-		sc.X = float64(f)
-		scs = append(scs, sc)
-	}
-	return runScenarios(scs, delay.All(tb))
+	return sweep(tb, fanouts, func(f int) (*Scenario, error) {
+		return invScenario(p, f, 0, fmt.Sprintf("fanout-%d", f))
+	})
 }
 
 // E5InputSlope sweeps the input transition time into a fixed inverter
@@ -144,16 +105,9 @@ func E5InputSlope(p *tech.Params, tb *delay.Tables, slopes []float64) ([]Accurac
 	if len(slopes) == 0 {
 		slopes = []float64{0.1e-9, 1e-9, 4e-9, 10e-9, 20e-9, 40e-9}
 	}
-	scs := make([]*Scenario, 0, len(slopes))
-	for _, s := range slopes {
-		sc, err := invScenario(p, 2, s, fmt.Sprintf("slope-%.3gns", s*1e9))
-		if err != nil {
-			return nil, err
-		}
-		sc.X = s
-		scs = append(scs, sc)
-	}
-	return runScenarios(scs, delay.All(tb))
+	return sweep(tb, slopes, func(s float64) (*Scenario, error) {
+		return invScenario(p, 2, s, fmt.Sprintf("slope-%.3gns", s*1e9))
+	})
 }
 
 // E9PolyWire sweeps the length of a resistive interconnect wire (the
@@ -164,21 +118,33 @@ func E9PolyWire(p *tech.Params, tb *delay.Tables, lengths []int) ([]AccuracyRow,
 	if len(lengths) == 0 {
 		lengths = []int{1, 2, 3, 4, 5}
 	}
-	scs := make([]*Scenario, 0, len(lengths))
-	for _, L := range lengths {
+	return sweep(tb, lengths, func(L int) (*Scenario, error) {
 		nw, err := gen.PolyWire(p, 10, 20e3*float64(L), 200e-15*float64(L))
 		if err != nil {
 			return nil, err
 		}
-		scs = append(scs, &Scenario{
+		return &Scenario{
 			Name:  fmt.Sprintf("wire-%dx", L),
 			Net:   nw,
 			Input: "in", InTr: tech.Rise,
 			Output: "wend", OutTr: tech.Fall,
 			// Long RC wires take several hundred ns to precharge.
 			Settle: 600e-9,
-			X:      float64(L),
-		})
+		}, nil
+	})
+}
+
+// sweep builds one scenario per sweep point, its X the point, and runs
+// them all.
+func sweep[T int | float64](tb *delay.Tables, points []T, build func(T) (*Scenario, error)) ([]AccuracyRow, error) {
+	scs := make([]*Scenario, len(points))
+	for i, x := range points {
+		sc, err := build(x)
+		if err != nil {
+			return nil, err
+		}
+		sc.X = float64(x)
+		scs[i] = sc
 	}
 	return runScenarios(scs, delay.All(tb))
 }
@@ -192,22 +158,21 @@ func FormatAccuracy(title string, rows []AccuracyRow) string {
 		b.WriteString("(no rows)\n")
 		return b.String()
 	}
-	models := rows[0].ModelNames()
 	fmt.Fprintf(&b, "%-14s %10s", "circuit", "analog")
-	for _, m := range models {
+	for _, m := range modelNames {
 		fmt.Fprintf(&b, " %10s %7s", m, "err%")
 	}
 	b.WriteString("\n")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-14s %9.2fns", r.Scenario, r.Analog*1e9)
-		for _, m := range models {
+		for _, m := range modelNames {
 			fmt.Fprintf(&b, " %9.2fns %+6.1f%%", r.Model[m]*1e9, r.Err(m))
 		}
 		b.WriteString("\n")
 	}
 	// Summary: mean |error| per model.
 	fmt.Fprintf(&b, "%-14s %10s", "mean |err|", "")
-	for _, m := range models {
+	for _, m := range modelNames {
 		sum := 0.0
 		for _, r := range rows {
 			sum += math.Abs(r.Err(m))
@@ -226,15 +191,14 @@ func CSVAccuracy(rows []AccuracyRow) string {
 	if len(rows) == 0 {
 		return ""
 	}
-	models := rows[0].ModelNames()
 	b.WriteString("scenario,x,analog_s")
-	for _, m := range models {
+	for _, m := range modelNames {
 		fmt.Fprintf(&b, ",%s_s,%s_err_pct", m, m)
 	}
 	b.WriteString("\n")
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%s,%g,%g", r.Scenario, r.X, r.Analog)
-		for _, m := range models {
+		for _, m := range modelNames {
 			fmt.Fprintf(&b, ",%g,%.2f", r.Model[m], r.Err(m))
 		}
 		b.WriteString("\n")

@@ -143,13 +143,17 @@ func E8RCBounds(nodes, trials int, seed uint64) ([]RCBoundsRow, error) {
 	return rows, nil
 }
 
-// FormatRCBounds renders E8 rows plus a containment summary.
+// FormatRCBounds renders E8 rows plus a summary: how many intervals
+// contain the analog crossing, their mean width relative to it, and the
+// mean relative error of the ln2·TDe point estimate.
 func FormatRCBounds(title string, rows []RCBoundsRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n%-6s %-8s %10s %10s %10s %10s %10s %6s\n",
 		title, "nodes", "leaf", "analog", "elmore", "ln2·TDe", "lower", "upper", "in?")
-	contained := 0
+	contained, width, estErr := 0, 0.0, 0.0
 	for _, r := range rows {
+		width += (r.Upper - r.Lower) / r.Analog
+		estErr += math.Abs(r.Elmore50/r.Analog - 1)
 		mark := "no"
 		if r.Contained {
 			mark = "yes"
@@ -159,6 +163,8 @@ func FormatRCBounds(title string, rows []RCBoundsRow) string {
 			r.Nodes, r.Leaf, r.Analog*1e9, r.Elmore*1e9, r.Elmore50*1e9,
 			r.Lower*1e9, r.Upper*1e9, mark)
 	}
-	fmt.Fprintf(&b, "containment: %d/%d\n", contained, len(rows))
+	n := float64(len(rows))
+	fmt.Fprintf(&b, "containment: %d/%d\nmean relative width (upper-lower)/analog: %.2f\nmean |ln2·TDe error| vs analog: %.1f%%\n",
+		contained, len(rows), width/n, 100*estErr/n)
 	return b.String()
 }

@@ -36,7 +36,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/incremental"
-	"repro/internal/netlist"
 )
 
 // Options tunes the server.
@@ -325,20 +324,10 @@ func (sv *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if sv.lookup(id) != nil { // hash prefix taken by a diverged session
 		id = fmt.Sprintf("%s.%d", hash[:12], seq)
 	}
-	s, err := newSession(id, cfg, sv.opts.SnapshotDir, sv.opts.Hier, sv.arena)
+	s, err := sv.newSession(id, cfg)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
-	}
-	if sv.opts.SnapshotDir != "" {
-		if s.source != netlist.SourceParse { // the cache served
-			sv.m.snapshotHits.Add(1)
-		} else {
-			sv.m.snapshotMisses.Add(1)
-		}
-		if s.snapWrote {
-			sv.m.snapshotWrites.Add(1)
-		}
 	}
 	sv.insert(s)
 	sv.m.sessionsCreated.Add(1)

@@ -599,6 +599,26 @@ func TestRequestErrors(t *testing.T) {
 	}
 }
 
+// TestEditsRejectRetypeOfSeededInput: an edit script that retypes a seeded
+// input away from input answers 422 and applies nothing, so a forced
+// analyze still builds an analyzer over the session's network.
+func TestEditsRejectRetypeOfSeededInput(t *testing.T) {
+	c := newTestClient(t, Options{})
+	id := c.create(dlatchConfig(t)).Session
+	c.analyze(id)
+	var body struct {
+		Error    string          `json:"error"`
+		Barriers []barrierResult `json:"barriers"`
+	}
+	st := c.do("POST", "/v1/sessions/"+id+"/edits", editsRequest{Script: "retype d normal\nrun\n"}, &body)
+	if st != http.StatusUnprocessableEntity || !strings.Contains(body.Error, "d is a seeded input") || len(body.Barriers) != 0 {
+		t.Fatalf("edits: status %d, error %q, %d barriers; want 422 naming d, none applied", st, body.Error, len(body.Barriers))
+	}
+	if st := c.do("POST", "/v1/sessions/"+id+"/analyze", analyzeRequest{Force: true}, nil); st != http.StatusOK {
+		t.Fatalf("forced analyze after the rejected retype: status %d, want 200", st)
+	}
+}
+
 // TestBodyLimit: every body-reading endpoint answers 413 to a body past
 // the limit and still serves one exactly at it. The limit is shrunk for
 // the test (the real one, MaxBodyBytes, is sized for a chip's .sim

@@ -183,8 +183,6 @@ type session struct {
 	// (the session shares the network arena's copy of a fresh .simx
 	// cache entry).
 	source string
-	// snapWrote reports that this load persisted a new snapshot.
-	snapWrote bool
 	// shared marks a session currently sharing an arena network under
 	// akey; cleared (with an arena release) on copy-on-edit detach and
 	// on removal from the cache, whichever comes first.
@@ -242,9 +240,11 @@ func (s *session) batchEngine() (b *switchsim.Batch, compiled bool) {
 
 // newSession loads the network through the arena — the shared network
 // of this chip if a session holds one, else netlist.LoadCached over the
-// snapshot file in snapDir (none when snapDir is empty), the build being
-// ReadSim — resolves the directives against it, and prepares (but does
-// not run) the analysis.
+// snapshot file in the snapshot directory (none when that is empty), the
+// build being ReadSim — counts the load's outcome in the snapshot
+// metrics, resolves the directives against the network, and prepares
+// (but does not run) the analysis. The load is counted even when the
+// directives are rejected: it parsed, and may have written a snapshot.
 //
 // Snapshot entries are keyed by the network identity (SHA-256 of the
 // .sim text, plus technology and name — the fields that determine the
@@ -252,8 +252,8 @@ func (s *session) batchEngine() (b *switchsim.Batch, compiled bool) {
 // that differ only in analysis directives (model, seeds, top-N) load
 // the same network, so they share one snapshot file and, through the
 // arena, one decoded network.
-func newSession(id string, cfg SessionConfig, snapDir string, hier bool, arena *netArena) (*session, error) {
-	s := &session{id: id, hash: cfg.hash(), cfg: cfg, hier: hier}
+func (sv *Server) newSession(id string, cfg SessionConfig) (*session, error) {
+	s := &session{id: id, hash: cfg.hash(), cfg: cfg, hier: sv.opts.Hier}
 	// The retained config drops the .sim source text: it is only needed
 	// below (identity hash + cold parse), and for a chip-scale netlist
 	// the text is tens of megabytes — cached per session, it would
@@ -281,28 +281,37 @@ func newSession(id string, cfg SessionConfig, snapDir string, hier bool, arena *
 	}
 	key := arenaKey{simHash: sha256.Sum256([]byte(cfg.Sim)), tech: s.params.Name, name: cfg.Name}
 	var snapPath string
-	if snapDir != "" {
-		snapPath = filepath.Join(snapDir, networkFileKey(key)+".simx")
+	if sv.opts.SnapshotDir != "" {
+		snapPath = filepath.Join(sv.opts.SnapshotDir, networkFileKey(key)+".simx")
 	}
-	nw, res, err := arena.load(snapPath, key, s.params, func() (*netlist.Network, error) {
+	nw, res, err := sv.arena.load(snapPath, key, s.params, func() (*netlist.Network, error) {
 		return netlist.ReadSim(cfg.Name, s.params, strings.NewReader(cfg.Sim))
 	})
 	if nw == nil {
 		return nil, err
 	}
-	if _, rerr := s.dir.Resolve(nw); rerr != nil {
-		if res.FromCache() {
-			arena.release(key)
-		}
-		return nil, rerr
-	}
 	// With a network in hand load's only possible error is the cache write,
 	// which is best effort: a full snapshot directory or permission
 	// problem must not fail the load.
+	switch {
+	case snapPath == "":
+	case res.FromCache():
+		sv.m.snapshotHits.Add(1)
+	case err == nil:
+		sv.m.snapshotMisses.Add(1)
+		sv.m.snapshotWrites.Add(1)
+	default:
+		sv.m.snapshotMisses.Add(1)
+	}
+	if _, err := s.dir.Resolve(nw); err != nil {
+		if res.FromCache() {
+			sv.arena.release(key)
+		}
+		return nil, err
+	}
 	s.setNet(nw)
 	s.source = res.Source
 	s.shared, s.akey = res.FromCache(), key
-	s.snapWrote = snapPath != "" && !res.FromCache() && err == nil
 	return s, nil
 }
 

@@ -158,3 +158,28 @@ func TestSnapshotDisabled(t *testing.T) {
 		t.Fatalf("snapshot metrics moved with cache disabled: %+v", m.Snapshots)
 	}
 }
+
+// TestRejectedCreateCountsItsLoad: a create whose directives are rejected
+// after its load still counts that load — on an empty cache it parsed and
+// wrote a snapshot, and the next such create is a hit that hands the
+// shared network back to the arena.
+func TestRejectedCreateCountsItsLoad(t *testing.T) {
+	dir := t.TempDir()
+	c := newTestClient(t, Options{SnapshotDir: dir})
+	cfg := dlatchConfig(t)
+	cfg.Fix = map[string]string{"wr": "x"}
+	type counts struct{ Hits, Misses, Writes int64 }
+	for i, want := range []counts{{Misses: 1, Writes: 1}, {Hits: 1, Misses: 1, Writes: 1}} {
+		if st := c.do("POST", "/v1/sessions", cfg, nil); st != http.StatusBadRequest {
+			t.Fatalf("create %d: status %d, want 400", i, st)
+		}
+		m := c.metrics()
+		if got := counts(m.Snapshots); got != want || m.NetArena.SharedSessions != 0 {
+			t.Fatalf("after rejected create %d: snapshots %+v, shared %d; want %+v, 0",
+				i, got, m.NetArena.SharedSessions, want)
+		}
+	}
+	if files := snapshotFiles(t, dir); len(files) != 1 {
+		t.Fatalf("snapshot files after the rejected creates: %v", files)
+	}
+}
