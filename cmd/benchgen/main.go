@@ -42,6 +42,11 @@ func main() {
 	flag.StringVar(&cfg.snapshot, "snapshot", "", "also write a binary .simx snapshot of the circuit to this file")
 	flag.BoolVar(&cfg.list, "list", false, "list available circuits")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "benchgen: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	w := os.Stdout
 	if *out != "" {

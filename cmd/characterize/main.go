@@ -43,6 +43,11 @@ func main() {
 	flag.Float64Var(&cfg.load, "load", 100e-15, "fixture load capacitance in farads")
 	flag.BoolVar(&cfg.compare, "compare", false, "also print the analytic tables for comparison")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "characterize: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if err := run(cfg, os.Stdout); err != nil {
 		fatal(err)

@@ -119,6 +119,11 @@ func main() {
 	flag.StringVar(&cfg.cpuprof, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&cfg.memprof, "memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "crystal: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	stopCPU, err := profileStart(cfg.cpuprof)
 	if err != nil {

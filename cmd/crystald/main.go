@@ -75,6 +75,11 @@ func main() {
 	jobWorkers := flag.Int("job-workers", 2, "job plane worker-pool size: analyzes, edit scripts and simulates running at once, sync or async")
 	jobQueue := flag.Int("job-queue", 32, "job queue bound; a full queue answers 429 + Retry-After, sync or async")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "crystald: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *hier != "on" && *hier != "off" {
 		fmt.Fprintf(os.Stderr, "crystald: -hier: want on or off, got %q\n", *hier)
 		os.Exit(1)

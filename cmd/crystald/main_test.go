@@ -394,3 +394,28 @@ func TestSIGKILLDuringCreates(t *testing.T) {
 	}
 	reopenAll(t, dir, reference(t), all, 0)
 }
+
+// TestStrayArgumentRejected: a positional argument is a usage error that
+// names it and exits 2 before the daemon binds anything.
+func TestStrayArgumentRejected(t *testing.T) {
+	var stderr bytes.Buffer
+	cmd := &exec.Cmd{Path: os.Args[0], Args: []string{daemonArg0, "-addr", "127.0.0.1:0", "stray"}, Stderr: &stderr}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		if code := cmd.ProcessState.ExitCode(); code != 2 {
+			t.Errorf("exit code %d (%v), want 2", code, err)
+		}
+		if !strings.Contains(stderr.String(), `unexpected argument "stray"`) {
+			t.Errorf("stderr does not name the stray argument:\n%s", stderr.String())
+		}
+	case <-time.After(10 * time.Second):
+		cmd.Process.Kill()
+		<-done
+		t.Fatalf("crystald still running 10s after a stray argument:\n%s", stderr.String())
+	}
+}

@@ -54,11 +54,19 @@ func parseArgs(fs *flag.FlagSet, args []string) (config, error) {
 	fs.StringVar(&cfg.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	fs.StringVar(&cfg.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	err := fs.Parse(args) // before cfg is read: the flags write into it
+	if err == nil && fs.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	return cfg, err
 }
 
 func main() {
-	cfg, _ := parseArgs(flag.CommandLine, os.Args[1:]) // CommandLine exits on a parse error
+	cfg, err := parseArgs(flag.CommandLine, os.Args[1:]) // CommandLine exits on a bad flag
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "delaycmp:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if cfg.cpuProfile != "" {
 		f, err := os.Create(cfg.cpuProfile)

@@ -52,6 +52,11 @@ func main() {
 	snapshot := flag.String("snapshot", "", "binary .simx netlist cache: load it when fresh, rewrite it after a parse")
 	vectors := flag.String("vectors", "", "vector file: stream input vectors through the batch engine instead of a script")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "esim: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *simFile == "" {
 		fatal(fmt.Errorf("missing -sim file"))

@@ -73,9 +73,11 @@ type Batch struct {
 	// Per-transistor per-sweep conduction lane masks.
 	onm, mbm []uint64
 
-	// Inner-relaxation worklist scratch.
-	wq  []int32
-	inq []bool
+	// Sweep scratch: the next sweep's seeds, the region-then-relaxation
+	// worklist, and region and worklist membership marks.
+	seeds    []int32
+	wq       []int32
+	inr, inq []bool
 }
 
 // BatchResult is the outcome of one Run.
@@ -117,6 +119,7 @@ func NewBatch(nw *netlist.Network) *Batch {
 		onm:    make([]uint64, len(nw.Trans)),
 		mbm:    make([]uint64, len(nw.Trans)),
 		wq:     make([]int32, 0, n),
+		inr:    make([]bool, n),
 		inq:    make([]bool, n),
 	}
 	for i, t := range nw.Trans {
@@ -287,10 +290,28 @@ func (b *Batch) loadSlab(vecs []Value, lanes int) {
 // Sim.Settle sweep for sweep: identical iteration bounds, identical
 // oscillation recovery, with the per-lane trajectory of every node equal
 // to the scalar engine's.
+//
+// Like Sim.Settle, a sweep re-resolves only what the previous sweep could
+// have moved. The first sweep decodes every device and seeds every node; a
+// later sweep seeds the nodes that changed in some lane, re-decodes the
+// devices they gate and seeds those devices' channel terminals. Any other
+// channel component kept its node values and device masks, so its stored
+// planes are still its least fixed point and it would commit no change.
 func (b *Batch) settleSlab() int {
 	numNodes := len(b.nw.Nodes)
 	limit := 20 + 2*numNodes
 	hard := 2*limit + 2*numNodes
+	b.seeds = b.seeds[:0]
+	for n := range numNodes {
+		if b.driven[n] == allLanes {
+			b.resetPlanes(n) // a source in every lane: constant planes
+		} else {
+			b.seeds = append(b.seeds, int32(n))
+		}
+	}
+	for t := range b.tGate {
+		b.decode(t)
+	}
 	sweeps := 0
 	for {
 		sweeps++
@@ -305,10 +326,12 @@ func (b *Batch) settleSlab() int {
 			}
 			break
 		}
-		b.conductionMasks()
-		b.relaxPlanes()
 		changed := uint64(0)
-		for n := 0; n < numNodes; n++ {
+		region := b.relax()
+		b.seeds = b.seeds[:0]
+		for _, r := range region {
+			n := int(r)
+			b.inr[n] = false
 			n1, n0 := b.finalize(n)
 			n1 = (n1 &^ b.driven[n]) | (b.driven[n] & b.dval[n])
 			n0 = (n0 &^ b.driven[n]) | (b.driven[n] &^ b.dval[n])
@@ -326,7 +349,20 @@ func (b *Batch) settleSlab() int {
 			b.chm[n] = ch
 			b.p1[n] = n1
 			b.p0[n] = n0
+			if ch == 0 {
+				continue
+			}
 			changed |= ch
+			b.seeds = append(b.seeds, r)
+			for _, g := range b.c.Gates(n) {
+				t, _ := netlist.UnpackGateRef(g)
+				b.decode(t)
+				for _, e := range [2]int32{b.c.TransA[t], b.c.TransB[t]} {
+					if b.driven[e] != allLanes {
+						b.seeds = append(b.seeds, e)
+					}
+				}
+			}
 		}
 		if changed == 0 {
 			break
@@ -335,100 +371,137 @@ func (b *Batch) settleSlab() int {
 	return sweeps
 }
 
-// conductionMasks decodes per-lane channel conduction for every device
-// from its gate's value planes.
-func (b *Batch) conductionMasks() {
-	for t := range b.tGate {
-		g := b.tGate[t]
-		gx := b.p0[g] & b.p1[g]
-		switch b.tClass[t] {
-		case condClassAlways:
-			b.onm[t] = ^uint64(0)
-			b.mbm[t] = 0
-		case condClassOn1:
-			b.onm[t] = b.p1[g] &^ b.p0[g]
-			b.mbm[t] = gx
-		default:
-			b.onm[t] = b.p0[g] &^ b.p1[g]
-			b.mbm[t] = gx
-		}
+// allLanes is a lane mask with every lane set.
+const allLanes = ^uint64(0)
+
+// decode sets device t's per-lane conduction masks from its gate's value
+// planes.
+func (b *Batch) decode(t int) {
+	g := b.tGate[t]
+	gx := b.p0[g] & b.p1[g]
+	switch b.tClass[t] {
+	case condClassAlways:
+		b.onm[t] = allLanes
+		b.mbm[t] = 0
+	case condClassOn1:
+		b.onm[t] = b.p1[g] &^ b.p0[g]
+		b.mbm[t] = gx
+	default:
+		b.onm[t] = b.p0[g] &^ b.p1[g]
+		b.mbm[t] = gx
 	}
 }
 
-// relaxPlanes initializes every node's resolution planes from its base
-// contribution, then runs the monotone worklist relaxation over the
-// channel CSR to the least fixed point. Bits only ever turn on, so the
-// iteration terminates, and the fixed point is order-independent — the
-// property that pins this engine to the scalar reference.
-func (b *Batch) relaxPlanes() {
-	numNodes := len(b.nw.Nodes)
-	for n := 0; n < numNodes; n++ {
-		drivenHi := b.driven[n] & b.dval[n]
-		drivenLo := b.driven[n] &^ b.dval[n]
-		chargeHi := b.p1[n] &^ b.driven[n]
-		chargeLo := b.p0[n] &^ b.driven[n]
-		sz := b.size[n]
-		for s := Strength(1); s <= SOmega; s++ {
-			dh, dl := drivenHi, drivenLo
-			if s <= sz {
-				dh |= chargeHi
-				dl |= chargeLo
-			}
-			i := 5*n + int(s) - 1
-			b.dh[i] = dh
-			b.dl[i] = dl
-			b.ph[i] = dh
-			b.pl[i] = dl
+// resetPlanes sets node n's resolution planes to its base contribution.
+func (b *Batch) resetPlanes(n int) {
+	drivenHi := b.driven[n] & b.dval[n]
+	drivenLo := b.driven[n] &^ b.dval[n]
+	chargeHi := b.p1[n] &^ b.driven[n]
+	chargeLo := b.p0[n] &^ b.driven[n]
+	sz := b.size[n]
+	for s := Strength(1); s <= SOmega; s++ {
+		dh, dl := drivenHi, drivenLo
+		if s <= sz {
+			dh |= chargeHi
+			dl |= chargeLo
+		}
+		i := 5*n + int(s) - 1
+		b.dh[i] = dh
+		b.dl[i] = dl
+		b.ph[i] = dh
+		b.pl[i] = dl
+	}
+}
+
+// relax grows the seeds into the region they can move — their channel
+// components through devices active in some lane, bounded by nodes driven
+// in every lane — resets the region's planes to their base and runs the
+// monotone worklist relaxation over it to the least fixed point. Bits only
+// ever turn on, so the iteration terminates, and the fixed point is
+// order-independent — the property that pins this engine to the scalar
+// reference. The region is returned, each node marked in inr.
+func (b *Batch) relax() []int32 {
+	b.wq = b.wq[:0]
+	for _, s := range b.seeds {
+		if !b.inr[s] {
+			b.inr[s] = true
+			b.wq = append(b.wq, s)
 		}
 	}
-	// Seed the worklist with every node: each propagates its base out,
-	// and nodes re-enter when a neighbor's contribution grows them.
-	b.wq = b.wq[:0]
-	for n := 0; n < numNodes; n++ {
-		b.wq = append(b.wq, int32(n))
+	// Grow: a boundary node's planes are its constant base, pulled in
+	// here once; nodes inside propagate among themselves below.
+	for head := 0; head < len(b.wq); head++ {
+		n := int(b.wq[head])
+		b.resetPlanes(n)
+		for _, ref := range b.c.Terms(n) {
+			t, o := b.across(ref, n)
+			switch {
+			case o == n:
+			case b.driven[o] == allLanes:
+				b.spread(t, o, n)
+			case !b.inr[o]:
+				b.inr[o] = true
+				b.wq = append(b.wq, int32(o))
+			}
+		}
+	}
+	region := b.wq
+	for _, n := range region {
 		b.inq[n] = true
 	}
 	for head := 0; head < len(b.wq); head++ {
 		n := int(b.wq[head])
 		b.inq[n] = false
 		for _, ref := range b.c.Terms(n) {
-			t, _ := netlist.UnpackTermRef(ref)
-			on, mb := b.onm[t], b.mbm[t]
-			act := on | mb
-			if act == 0 {
-				continue
-			}
-			o := int(b.c.TransA[t])
-			if o == n {
-				o = int(b.c.TransB[t])
-			}
-			if o == n {
-				continue // self-loop channel: no effect
-			}
-			notSrc := ^b.driven[o]
-			grow := uint64(0)
-			for s := Strength(1); s <= b.tCap[t]; s++ {
-				i := 5*o + int(s) - 1
-				j := 5*n + int(s) - 1
-				add := b.dh[j] & on & notSrc &^ b.dh[i]
-				b.dh[i] |= add
-				grow |= add
-				add = b.dl[j] & on & notSrc &^ b.dl[i]
-				b.dl[i] |= add
-				grow |= add
-				add = b.ph[j] & act & notSrc &^ b.ph[i]
-				b.ph[i] |= add
-				grow |= add
-				add = b.pl[j] & act & notSrc &^ b.pl[i]
-				b.pl[i] |= add
-				grow |= add
-			}
-			if grow != 0 && !b.inq[o] {
+			t, o := b.across(ref, n)
+			if o != n && b.driven[o] != allLanes && b.spread(t, n, o) && !b.inq[o] {
 				b.inq[o] = true
 				b.wq = append(b.wq, int32(o))
 			}
 		}
 	}
+	return region
+}
+
+// across returns the device of channel ref of node n and its other
+// terminal; an inactive device (off in every lane) returns o == n, like a
+// self-loop channel, which has no effect.
+func (b *Batch) across(ref int32, n int) (t, o int) {
+	t, _ = netlist.UnpackTermRef(ref)
+	if b.onm[t]|b.mbm[t] == 0 {
+		return t, n
+	}
+	o = int(b.c.TransA[t])
+	if o == n {
+		o = int(b.c.TransB[t])
+	}
+	return t, o
+}
+
+// spread propagates node n's planes across device t into node o, levels
+// 1..cap(t), in the lanes where t conducts (definitely, for the definite
+// planes) and o is not a source. It reports whether o grew.
+func (b *Batch) spread(t, n, o int) bool {
+	on, act := b.onm[t], b.onm[t]|b.mbm[t]
+	notSrc := ^b.driven[o]
+	grow := uint64(0)
+	for s := Strength(1); s <= b.tCap[t]; s++ {
+		i := 5*o + int(s) - 1
+		j := 5*n + int(s) - 1
+		add := b.dh[j] & on & notSrc &^ b.dh[i]
+		b.dh[i] |= add
+		grow |= add
+		add = b.dl[j] & on & notSrc &^ b.dl[i]
+		b.dl[i] |= add
+		grow |= add
+		add = b.ph[j] & act & notSrc &^ b.ph[i]
+		b.ph[i] |= add
+		grow |= add
+		add = b.pl[j] & act & notSrc &^ b.pl[i]
+		b.pl[i] |= add
+		grow |= add
+	}
+	return grow != 0
 }
 
 // finalize reduces node n's resolved planes to new value planes: at each

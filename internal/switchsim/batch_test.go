@@ -10,9 +10,10 @@ import (
 	"repro/internal/tech"
 )
 
-// scalarReference settles one vector on a fresh scalar Sim — the batch
-// engine's per-lane semantics by definition.
-func scalarReference(nw *netlist.Network, inputs []*netlist.Node, vec []Value) ([]Value, bool) {
+// scalarSettle settles one vector on a fresh scalar Sim — the batch
+// engine's per-lane semantics by definition — and returns it with
+// Settle's sweep count.
+func scalarSettle(nw *netlist.Network, inputs []*netlist.Node, vec []Value) (*Sim, int) {
 	s := New(nw)
 	for i, in := range inputs {
 		if vec[i] != VX {
@@ -21,7 +22,13 @@ func scalarReference(nw *netlist.Network, inputs []*netlist.Node, vec []Value) (
 			}
 		}
 	}
-	s.Settle()
+	return s, s.Settle()
+}
+
+// scalarReference returns one vector's settled values and oscillation
+// flag from a fresh scalar Sim.
+func scalarReference(nw *netlist.Network, inputs []*netlist.Node, vec []Value) ([]Value, bool) {
+	s, _ := scalarSettle(nw, inputs, vec)
 	return s.Snapshot(), s.Oscillated()
 }
 
@@ -44,7 +51,10 @@ func randomVectors(rng *rand.Rand, ni, k int) []Value {
 
 // checkBatchIdentity runs vecs through the batch engine and a fresh
 // scalar Sim per vector and requires per-vector per-node identity,
-// including the oscillation flag.
+// including the oscillation flag. It also requires the batch's sweep
+// count: a slab sweeps until its slowest lane is stable, so each slab
+// counts the most sweeps Sim.Settle takes over its vectors — and over an
+// all-released vector, which the unused lanes of a partial last slab run.
 func checkBatchIdentity(t *testing.T, nw *netlist.Network, vecs []Value) {
 	t.Helper()
 	b := NewBatch(nw)
@@ -54,9 +64,16 @@ func checkBatchIdentity(t *testing.T, nw *netlist.Network, vecs []Value) {
 		t.Fatalf("batch run: %v", err)
 	}
 	ni := len(inputs)
+	released := make([]Value, ni)
+	for i := range released {
+		released[i] = VX
+	}
+	_, padSweeps := scalarSettle(nw, inputs, released)
+	wantSweeps, slabSweeps := 0, 0
 	for v := 0; v < res.Vectors; v++ {
 		row := vecs[v*ni : (v+1)*ni]
-		want, wantOsc := scalarReference(nw, inputs, row)
+		s, sweeps := scalarSettle(nw, inputs, row)
+		want, wantOsc := s.Snapshot(), s.Oscillated()
 		got := res.Out[v]
 		if len(got) != len(want) {
 			t.Fatalf("vector %d: %d values, want %d", v, len(got), len(want))
@@ -70,6 +87,18 @@ func checkBatchIdentity(t *testing.T, nw *netlist.Network, vecs []Value) {
 		if res.Osc[v] != wantOsc {
 			t.Errorf("vector %d (%v): oscillated=%v, scalar reference %v", v, row, res.Osc[v], wantOsc)
 		}
+		slabSweeps = max(slabSweeps, sweeps)
+		switch {
+		case v == res.Vectors-1 && (v+1)%Lanes != 0:
+			slabSweeps = max(slabSweeps, padSweeps)
+			fallthrough
+		case v%Lanes == Lanes-1:
+			wantSweeps += slabSweeps
+			slabSweeps = 0
+		}
+	}
+	if res.Sweeps != wantSweeps {
+		t.Errorf("%d vectors: %d sweeps, scalar reference %d", res.Vectors, res.Sweeps, wantSweeps)
 	}
 }
 

@@ -13,10 +13,11 @@ import (
 // families (internal/incremental): distinct stage shapes — static ratioed
 // gates, charge-sharing pass chains, precharged bus, wide fan-in decode,
 // carry chains — so the fuzzer exercises every lattice mechanism, not just
-// driven logic.
+// driven logic. A seventh, the composed chip, is large enough that a
+// sweep after the first re-resolves a small part of the network.
 func fuzzCircuit(sel byte) (*netlist.Network, error) {
 	p := tech.NMOS4()
-	switch sel % 6 {
+	switch sel % 7 {
 	case 0:
 		return gen.InverterChain(p, 6, 2)
 	case 1:
@@ -27,8 +28,10 @@ func fuzzCircuit(sel byte) (*netlist.Network, error) {
 		return gen.Decoder(p, 2)
 	case 4:
 		return gen.PrechargedBus(p, 3)
-	default:
+	case 5:
 		return gen.ALU(p, 2)
+	default:
+		return gen.Chip(p, 4)
 	}
 }
 
@@ -73,6 +76,8 @@ func FuzzBatchSim(f *testing.F) {
 	f.Add([]byte{3, 0, 2, 2, 3, 1, 4, 0, 2, 3, 1})
 	// ALU plus a long tail: crosses the 64-lane slab boundary.
 	f.Add(append([]byte{5}, bytes.Repeat([]byte{2, 0, 3, 1, 4, 2, 0, 3}, 90)...))
+	// Composed chip: later sweeps touch a few blocks of a 630-node network.
+	f.Add(append([]byte{6}, bytes.Repeat([]byte{1, 3, 0, 2, 2, 4, 0}, 30)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
