@@ -73,11 +73,9 @@ type Batch struct {
 	// Per-transistor per-sweep conduction lane masks.
 	onm, mbm []uint64
 
-	// Sweep scratch: the next sweep's seeds, the region-then-relaxation
-	// worklist, and region and worklist membership marks.
-	seeds    []int32
-	wq       []int32
-	inr, inq []bool
+	// Sweep scratch: seeds, the region they grow into, the worklist.
+	seeds, region, wq []int32
+	inr, inq          []bool
 }
 
 // BatchResult is the outcome of one Run.
@@ -291,23 +289,18 @@ func (b *Batch) loadSlab(vecs []Value, lanes int) {
 // oscillation recovery, with the per-lane trajectory of every node equal
 // to the scalar engine's.
 //
-// Like Sim.Settle, a sweep re-resolves only what the previous sweep could
-// have moved. The first sweep decodes every device and seeds every node; a
-// later sweep seeds the nodes that changed in some lane, re-decodes the
-// devices they gate and seeds those devices' channel terminals. Any other
-// channel component kept its node values and device masks, so its stored
-// planes are still its least fixed point and it would commit no change.
+// Like Sim.Settle, a sweep after the first seeds only the nodes that changed
+// in some lane and the channel terminals of the devices they gate: any other
+// component kept its values and device masks, so its stored planes are
+// still its least fixed point and it would commit no change.
 func (b *Batch) settleSlab() int {
 	numNodes := len(b.nw.Nodes)
 	limit := 20 + 2*numNodes
 	hard := 2*limit + 2*numNodes
 	b.seeds = b.seeds[:0]
 	for n := range numNodes {
-		if b.driven[n] == allLanes {
-			b.resetPlanes(n) // a source in every lane: constant planes
-		} else {
-			b.seeds = append(b.seeds, int32(n))
-		}
+		b.resetPlanes(n) // a node driven in every lane keeps these planes
+		b.seeds = append(b.seeds, int32(n))
 	}
 	for t := range b.tGate {
 		b.decode(t)
@@ -327,9 +320,9 @@ func (b *Batch) settleSlab() int {
 			break
 		}
 		changed := uint64(0)
-		region := b.relax()
+		b.relax()
 		b.seeds = b.seeds[:0]
-		for _, r := range region {
+		for _, r := range b.region {
 			n := int(r)
 			b.inr[n] = false
 			n1, n0 := b.finalize(n)
@@ -357,11 +350,7 @@ func (b *Batch) settleSlab() int {
 			for _, g := range b.c.Gates(n) {
 				t, _ := netlist.UnpackGateRef(g)
 				b.decode(t)
-				for _, e := range [2]int32{b.c.TransA[t], b.c.TransB[t]} {
-					if b.driven[e] != allLanes {
-						b.seeds = append(b.seeds, e)
-					}
-				}
+				b.seeds = append(b.seeds, b.c.TransA[t], b.c.TransB[t])
 			}
 		}
 		if changed == 0 {
@@ -371,8 +360,7 @@ func (b *Batch) settleSlab() int {
 	return sweeps
 }
 
-// allLanes is a lane mask with every lane set.
-const allLanes = ^uint64(0)
+const allLanes = ^uint64(0) // a lane mask with every lane set
 
 // decode sets device t's per-lane conduction masks from its gate's value
 // planes.
@@ -413,59 +401,53 @@ func (b *Batch) resetPlanes(n int) {
 	}
 }
 
-// relax grows the seeds into the region they can move — their channel
-// components through devices active in some lane, bounded by nodes driven
-// in every lane — resets the region's planes to their base and runs the
-// monotone worklist relaxation over it to the least fixed point. Bits only
-// ever turn on, so the iteration terminates, and the fixed point is
-// order-independent — the property that pins this engine to the scalar
-// reference. The region is returned, each node marked in inr.
-func (b *Batch) relax() []int32 {
-	b.wq = b.wq[:0]
+// relax grows the seeds into b.region, their channel components through
+// devices active in some lane, and relaxes it to the least fixed point.
+// Bits only ever turn on, so this terminates, and the fixed point is
+// order-independent — the property that pins this engine to Sim.
+func (b *Batch) relax() {
+	b.region, b.wq = b.region[:0], b.wq[:0]
 	for _, s := range b.seeds {
-		if !b.inr[s] {
-			b.inr[s] = true
-			b.wq = append(b.wq, s)
-		}
-	}
-	// Grow: a boundary node's planes are its constant base, pulled in
-	// here once; nodes inside propagate among themselves below.
-	for head := 0; head < len(b.wq); head++ {
-		n := int(b.wq[head])
-		b.resetPlanes(n)
-		for _, ref := range b.c.Terms(n) {
-			t, o := b.across(ref, n)
-			switch {
-			case o == n:
-			case b.driven[o] == allLanes:
-				b.spread(t, o, n)
-			case !b.inr[o]:
-				b.inr[o] = true
-				b.wq = append(b.wq, int32(o))
-			}
-		}
-	}
-	region := b.wq
-	for _, n := range region {
-		b.inq[n] = true
+		b.enter(int(s))
 	}
 	for head := 0; head < len(b.wq); head++ {
 		n := int(b.wq[head])
 		b.inq[n] = false
 		for _, ref := range b.c.Terms(n) {
 			t, o := b.across(ref, n)
-			if o != n && b.driven[o] != allLanes && b.spread(t, n, o) && !b.inq[o] {
+			if o == n || b.driven[o] == allLanes {
+				continue
+			}
+			b.enter(o)
+			if b.spread(t, n, o) && !b.inq[o] {
 				b.inq[o] = true
 				b.wq = append(b.wq, int32(o))
 			}
 		}
 	}
-	return region
 }
 
-// across returns the device of channel ref of node n and its other
-// terminal; an inactive device (off in every lane) returns o == n, like a
-// self-loop channel, which has no effect.
+// enter adds node n to the region and the worklist, reset to its base plus
+// what neighbors driven in every lane (the region's bound) drive in.
+func (b *Batch) enter(n int) {
+	if b.inr[n] || b.driven[n] == allLanes {
+		return
+	}
+	b.inr[n] = true
+	b.region = append(b.region, int32(n))
+	b.resetPlanes(n)
+	for _, ref := range b.c.Terms(n) {
+		if t, o := b.across(ref, n); o != n && b.driven[o] == allLanes {
+			b.spread(t, o, n)
+		}
+	}
+	b.inq[n] = true
+	b.wq = append(b.wq, int32(n))
+}
+
+// across returns the device of node n's channel ref and its other
+// terminal, or n itself for a device off in every lane, which like a
+// self-loop channel has no effect.
 func (b *Batch) across(ref int32, n int) (t, o int) {
 	t, _ = netlist.UnpackTermRef(ref)
 	if b.onm[t]|b.mbm[t] == 0 {
