@@ -20,6 +20,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/incremental"
+	"repro/internal/netlist"
 	"repro/internal/stage"
 	"repro/internal/switchsim"
 	"repro/internal/tech"
@@ -526,8 +527,8 @@ func BenchmarkModelEvaluate(b *testing.B) {
 
 // BenchmarkBatchSim is the vectorized functional-regression record
 // (BENCH_6): a 1024-vector sweep over the composed E6 processor chip
-// through the 64-lane bit-plane engine, against the same vectors run one
-// at a time on the scalar engine. The batch arm reports vectors per
+// through the 64-lane batch front, against the same vectors run one at a
+// time on the one-state front (Sim). The batch arm reports vectors per
 // second and settled-state throughput (the two bit-planes of node state
 // the engine produces: nodes × vectors / 4 bytes); the scalar arm runs a
 // 64-vector subsample of the same rows (a full serial 1k sweep would
@@ -591,9 +592,10 @@ func BenchmarkBatchSim(b *testing.B) {
 	})
 	b.Run("scalar", func(b *testing.B) {
 		const sample = 64
+		c := netlist.Compile(nw)
 		for i := 0; i < b.N; i++ {
 			for v := 0; v < sample; v++ {
-				s := switchsim.New(nw)
+				s := switchsim.NewCompiled(nw, c)
 				row := vecs[v*len(inputs) : (v+1)*len(inputs)]
 				for j, in := range inputs {
 					if row[j] != switchsim.VX {

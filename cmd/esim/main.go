@@ -163,11 +163,8 @@ func runVectors(nw *netlist.Network, in io.Reader, out io.Writer) error {
 // run executes the command stream; split out for testing.
 func run(nw *netlist.Network, in io.Reader, out io.Writer) error {
 	s := switchsim.New(nw)
-	var watch []string
 	// Default watch list: marked outputs.
-	for _, n := range nw.Outputs() {
-		watch = append(watch, n.Name)
-	}
+	watch := nw.Outputs()
 	sc := bufio.NewScanner(in)
 	lineno := 0
 	for sc.Scan() {
@@ -201,15 +198,21 @@ func run(nw *netlist.Network, in io.Reader, out io.Writer) error {
 				return err
 			}
 		case "w":
-			watch = append(watch, args...)
+			for _, name := range args {
+				n, err := s.Node(name)
+				if err != nil {
+					return fmt.Errorf("line %d: %w", lineno, err)
+				}
+				watch = append(watch, n)
+			}
 		case "s":
 			sweeps := s.Settle()
 			fmt.Fprintf(out, "settled (%d sweeps)", sweeps)
 			if s.Oscillated() {
 				fmt.Fprintf(out, " [oscillation → X]")
 			}
-			for _, name := range watch {
-				fmt.Fprintf(out, " %s=%s", name, s.ValueName(name))
+			for _, n := range watch {
+				fmt.Fprintf(out, " %s=%s", n.Name, s.Value(n))
 			}
 			fmt.Fprintln(out)
 		case "d":
@@ -227,7 +230,11 @@ func run(nw *netlist.Network, in io.Reader, out io.Writer) error {
 				if err != nil {
 					return fmt.Errorf("line %d: %w", lineno, err)
 				}
-				if got := s.ValueName(name); got != want {
+				n, err := s.Node(name)
+				if err != nil {
+					return fmt.Errorf("line %d: %w", lineno, err)
+				}
+				if got := s.Value(n); got != want {
 					return fmt.Errorf("line %d: check failed: %s=%s, want %s", lineno, name, got, want)
 				}
 			}

@@ -39,17 +39,21 @@ func TestRunScriptFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []string{
-		"h nope\n",
-		"check out\n",
-		"h in\ns\ncheck out=1\n", // inverter: out should be 0
-		"check out=q\n",
-		"frobnicate\n",
-	}
-	for _, script := range cases {
+	// An absent node name fails on its line, whatever the command.
+	const absent = `line 1: switchsim: no node named "nosuch"`
+	for script, want := range map[string]string{
+		"h nope\n":               "",
+		"check out\n":            "",
+		"h in\ns\ncheck out=1\n": "", // inverter: out should be 0
+		"check out=q\n":          "",
+		"frobnicate\n":           "",
+		"w nosuch\n":             absent,
+		"check nosuch=X\n":       absent,
+	} {
 		var out strings.Builder
-		if err := run(nw, strings.NewReader(script), &out); err == nil {
-			t.Errorf("script %q should fail", script)
+		err := run(nw, strings.NewReader(script), &out)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("script %q: error %v, want one reading %q", script, err, want)
 		}
 	}
 }

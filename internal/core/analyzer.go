@@ -606,10 +606,12 @@ func (a *Analyzer) buildGates() (fresh []int) {
 // settleStatic computes the static sensitization snapshot for the current
 // a.Net generation, from power-on: settle the network with fixed values;
 // nodes that receive events are left at X (they change during analysis). It
-// replaces a.static; the simulator itself does not outlive the call.
+// replaces a.static; the simulator itself does not outlive the call. It
+// reads a.cnet, so the generation must be bound (Run's buildGates, or
+// Reanalyze's rebind) first.
 func (a *Analyzer) settleStatic() error {
 	nw := a.Net
-	sim := switchsim.New(nw)
+	sim := switchsim.NewCompiled(nw, a.cnet)
 	for idx, v := range a.fixed {
 		if err := sim.SetInput(nw.Nodes[idx], v); err != nil {
 			return err

@@ -129,6 +129,14 @@ func coneBatch(nw *netlist.Network, rng *rand.Rand, cmos bool) []incremental.Edi
 	return batch
 }
 
+// bindForSettle compiles a's network and sizes its per-node state, as Run
+// does before its settle, so the settle step can run alone; Reanalyze's
+// rebind then binds each edited generation before settleEdited reads it.
+func bindForSettle(a *Analyzer) {
+	a.resetDrain()
+	a.buildGates()
+}
+
 func boolInt(b bool) int {
 	if b {
 		return 1
@@ -178,6 +186,7 @@ func TestConeSettleMatchesPowerOn(t *testing.T) {
 				// The analyzer owns a clone and edits it in place, as Reanalyze
 				// does from its second call on.
 				a := buildAnalyzer(t, nw.Clone(), m, fix, nil, Options{})
+				bindForSettle(a)
 				if err := a.settleStatic(); err != nil {
 					t.Fatal(err)
 				}
@@ -189,6 +198,7 @@ func TestConeSettleMatchesPowerOn(t *testing.T) {
 					if err != nil {
 						continue // a drawn removal ran past the end; nothing was applied
 					}
+					a.rebind(res.Net, a.compileReason(res) != "")
 					resettled, reason, err := a.settleEdited(res)
 					if err != nil {
 						t.Fatal(err)
@@ -203,6 +213,7 @@ func TestConeSettleMatchesPowerOn(t *testing.T) {
 						coneNodes += resettled
 					}
 					ref := buildAnalyzer(t, a.Net, m, fix, nil, Options{})
+					bindForSettle(ref)
 					if err := ref.settleStatic(); err != nil {
 						t.Fatal(err)
 					}
@@ -257,6 +268,7 @@ func TestSettleFallbacks(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a := buildAnalyzer(t, nw.Clone(), m, nil, nil, Options{})
+			bindForSettle(a)
 			if err := a.settleStatic(); err != nil {
 				t.Fatal(err)
 			}
@@ -267,6 +279,7 @@ func TestSettleFallbacks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			a.rebind(res.Net, a.compileReason(res) != "")
 			n, reason, err := a.settleEdited(res)
 			if err != nil {
 				t.Fatal(err)

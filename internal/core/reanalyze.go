@@ -42,8 +42,9 @@ type ReanalyzeStats struct {
 	// Resettled counts the nodes the static sensitization snapshot was
 	// settled again for: 0 when the batch changed nothing the switch-level
 	// lattice reads and the previous snapshot stands, the forward lattice
-	// cone of the batch (switchsim.Sim.Resume) normally, every node when
-	// the settle fell back to power-on; SettleReason then says why.
+	// cone of the batch (the nodes switchsim.Sim.Resume releases) normally,
+	// every node when the settle fell back to power-on; SettleReason then
+	// says why.
 	Resettled    int
 	SettleReason string
 	// CompileReason is empty when the analyzer's compile of the network
@@ -248,8 +249,9 @@ func (a *Analyzer) checkSeedRetypes(edits []incremental.Edit) error {
 //
 // The switch-level lattice settles from all-X to its least fixed point, so
 // only the forward lattice cone of the batch's lattice seeds can move:
-// Resume releases that cone and settles it against the previous snapshot,
-// which is bit-identical to a power-on settle (switchsim.Sim.Resume has the
+// Resume releases that cone, computed over the analyzer's compile, and the
+// next Settle re-resolves it against the previous snapshot, which is
+// bit-identical to a power-on settle (switchsim.Sim.Resume has the
 // argument). With no seeds the snapshot stands. The argument needs the
 // previous snapshot to be a power-on settle of the same nodes and sources
 // that did not oscillate, so a retype, a created node, carried clocked
@@ -279,10 +281,10 @@ func (a *Analyzer) settleEdited(res *incremental.Result) (resettled int, reason 
 
 // settleCone re-settles the forward lattice cone of seeds against the
 // current snapshot and, unless the settle oscillated, installs the result.
-// It reports the cone's size.
+// It reports the cone's size. Like settleStatic it reads a.cnet.
 func (a *Analyzer) settleCone(seeds []int) (cone int, ok bool, err error) {
 	nw := a.Net
-	sim := switchsim.New(nw)
+	sim := switchsim.NewCompiled(nw, a.cnet)
 	for idx, v := range a.fixed {
 		if err := sim.SetInput(nw.Nodes[idx], v); err != nil {
 			return 0, false, err

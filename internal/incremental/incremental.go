@@ -158,7 +158,9 @@ func ApplyInPlace(nw *netlist.Network, edits []Edit) (*Result, error) {
 // moved. Retypes and created nodes are the caller's to check (Retyped, the
 // node count): the static settle redoes those from power-on. Empty means
 // the previous generation's settled values stand; otherwise the forward
-// lattice cone of these nodes is what can change (switchsim.Sim.Resume).
+// lattice cone of these nodes is what can change: the cone
+// switchsim.Sim.Resume releases, over channels and the gates of devices
+// that respond to them.
 func (r *Result) LatticeSeeds() []int { return r.lattice }
 
 // Retyped reports that the batch changed a node's kind.

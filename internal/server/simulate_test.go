@@ -84,7 +84,7 @@ func TestSimulateEndpoint(t *testing.T) {
 	}
 }
 
-// TestSimulateMatchesScalar cross-checks the endpoint against a scalar Sim
+// TestSimulateMatchesScalar cross-checks the endpoint against a one-state Sim
 // built from the same source — the HTTP path must add nothing to (or lose
 // nothing from) the engine identity pinned in internal/switchsim.
 func TestSimulateMatchesScalar(t *testing.T) {

@@ -10,11 +10,11 @@ import (
 	"repro/internal/tech"
 )
 
-// scalarSettle settles one vector on a fresh scalar Sim — the batch
-// engine's per-lane semantics by definition — and returns it with
+// scalarSettle settles one vector on a fresh reference resolver — the
+// batch engine's per-lane semantics by definition — and returns it with
 // Settle's sweep count.
-func scalarSettle(nw *netlist.Network, inputs []*netlist.Node, vec []Value) (*Sim, int) {
-	s := New(nw)
+func scalarSettle(nw *netlist.Network, inputs []*netlist.Node, vec []Value) (*refSim, int) {
+	s := newRef(nw)
 	for i, in := range inputs {
 		if vec[i] != VX {
 			if err := s.SetInput(in, vec[i]); err != nil {
@@ -23,13 +23,6 @@ func scalarSettle(nw *netlist.Network, inputs []*netlist.Node, vec []Value) (*Si
 		}
 	}
 	return s, s.Settle()
-}
-
-// scalarReference returns one vector's settled values and oscillation
-// flag from a fresh scalar Sim.
-func scalarReference(nw *netlist.Network, inputs []*netlist.Node, vec []Value) ([]Value, bool) {
-	s, _ := scalarSettle(nw, inputs, vec)
-	return s.Snapshot(), s.Oscillated()
 }
 
 // randomVectors draws k vectors over ni inputs with a sprinkling of X
@@ -50,10 +43,10 @@ func randomVectors(rng *rand.Rand, ni, k int) []Value {
 }
 
 // checkBatchIdentity runs vecs through the batch engine and a fresh
-// scalar Sim per vector and requires per-vector per-node identity,
+// reference resolver per vector and requires per-vector per-node identity,
 // including the oscillation flag. It also requires the batch's sweep
 // count: a slab sweeps until its slowest lane is stable, so each slab
-// counts the most sweeps Sim.Settle takes over its vectors — and over an
+// counts the most sweeps the reference's Settle takes over its vectors — and over an
 // all-released vector, which the unused lanes of a partial last slab run.
 func checkBatchIdentity(t *testing.T, nw *netlist.Network, vecs []Value) {
 	t.Helper()

@@ -63,7 +63,7 @@ func fuzzVectors(data []byte, ni int) []Value {
 // FuzzBatchSim is the batch/scalar differential fuzzer: every decoded
 // vector batch must settle bit-identically — per vector, per node,
 // including the oscillation flag — between the vectorized engine and a
-// fresh scalar Sim per vector.
+// fresh reference resolver per vector (reference_test.go).
 func FuzzBatchSim(f *testing.F) {
 	// Precharged bus: precharge-vs-pulldown fights and K2 storage.
 	f.Add([]byte{4, 2, 0, 4, 1, 3, 2, 2, 4, 0, 0, 1, 4, 4, 3})

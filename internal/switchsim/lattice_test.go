@@ -63,8 +63,8 @@ func TestStrengthLadder(t *testing.T) {
 		nw.AddCap(bus, 2*K2CapFloor)
 		nw.AddTrans(tech.NDep, bus, nw.Vdd(), bus, 2*um, 8*um)
 		s := New(nw)
-		if s.NodeSize(bus) != SK2 {
-			t.Fatalf("bus size = %s, want K2", s.NodeSize(bus))
+		if size := NodeSizes(nw)[bus.Index]; size != SK2 {
+			t.Fatalf("bus size = %s, want K2", size)
 		}
 		if err := s.SetValue(bus, V0); err != nil {
 			t.Fatal(err)
@@ -86,8 +86,8 @@ func TestStrengthLadder(t *testing.T) {
 			nw.AddCap(bus, 2*K2CapFloor)
 			nw.AddTrans(tech.NEnh, en, bus, tap, 2*um, 2*um)
 			s := New(nw)
-			if s.NodeSize(bus) != SK2 || s.NodeSize(tap) != SK1 {
-				t.Fatalf("sizes = %s/%s, want K2/K1", s.NodeSize(bus), s.NodeSize(tap))
+			if sizes := NodeSizes(nw); sizes[bus.Index] != SK2 || sizes[tap.Index] != SK1 {
+				t.Fatalf("sizes = %s/%s, want K2/K1", sizes[bus.Index], sizes[tap.Index])
 			}
 			if err := s.SetValue(bus, busVal); err != nil {
 				t.Fatal(err)
@@ -135,10 +135,10 @@ func TestStrengthLadder(t *testing.T) {
 	})
 }
 
-// TestSizesAndReset covers the size-assignment table and the power-on
-// reset: rails and inputs are Ω, precharged and high-cap nodes K2,
-// everything else K1; Reset erases drives and restores unknown charge.
-func TestSizesAndReset(t *testing.T) {
+// TestSizesAndPowerOn covers the size-assignment table and the power-on
+// state: rails and inputs are Ω, precharged and high-cap nodes K2,
+// everything else K1; a new simulator holds no drives and unknown charge.
+func TestSizesAndPowerOn(t *testing.T) {
 	p := tech.NMOS4()
 	nw := netlist.New("sizes", p)
 	in := nw.Node("in")
@@ -150,7 +150,7 @@ func TestSizesAndReset(t *testing.T) {
 	nw.AddCap(big, 2*K2CapFloor)
 	nw.AddTrans(tech.NEnh, in, out, big, 2*um, 2*um)
 
-	s := New(nw)
+	sizes := NodeSizes(nw)
 	for _, tc := range []struct {
 		n    *netlist.Node
 		want Strength
@@ -158,7 +158,7 @@ func TestSizesAndReset(t *testing.T) {
 		{nw.Vdd(), SOmega}, {nw.GND(), SOmega}, {in, SOmega},
 		{big, SK2}, {out, SK1},
 	} {
-		if got := s.NodeSize(tc.n); got != tc.want {
+		if got := sizes[tc.n.Index]; got != tc.want {
 			t.Errorf("size(%s) = %s, want %s", tc.n.Name, got, tc.want)
 		}
 	}
@@ -168,6 +168,7 @@ func TestSizesAndReset(t *testing.T) {
 		}
 	}
 
+	s := New(nw)
 	if err := s.SetInput(in, V1); err != nil {
 		t.Fatal(err)
 	}
@@ -175,17 +176,32 @@ func TestSizesAndReset(t *testing.T) {
 	if got := s.Value(out); got != V0 {
 		t.Fatalf("driven settle: out = %s, want 0", got)
 	}
-	s.Reset()
+	s = New(nw)
 	if got := s.Value(out); got != VX {
-		t.Errorf("after Reset: out = %s, want X (unknown charge)", got)
+		t.Errorf("at power-on: out = %s, want X (unknown charge)", got)
 	}
 	if got := s.Value(nw.Vdd()); got != V1 {
-		t.Errorf("after Reset: Vdd = %s, want 1", got)
+		t.Errorf("at power-on: Vdd = %s, want 1", got)
 	}
 	s.Settle()
 	if got := s.Value(out); got != VX {
-		t.Errorf("after Reset+Settle with released input: out = %s, want X", got)
+		t.Errorf("power-on settle with released input: out = %s, want X", got)
 	}
+}
+
+// settleVector returns one vector's settled values and oscillation flag
+// from a fresh Sim, VX symbols left released.
+func settleVector(nw *netlist.Network, inputs []*netlist.Node, vec []Value) ([]Value, bool) {
+	s := New(nw)
+	for i, in := range inputs {
+		if vec[i] != VX {
+			if err := s.SetInput(in, vec[i]); err != nil {
+				panic(err)
+			}
+		}
+	}
+	s.Settle()
+	return s.Snapshot(), s.Oscillated()
 }
 
 // latticeFamilies are the generator circuits the randomized relations run
@@ -212,7 +228,7 @@ func TestMetamorphicXMonotonicity(t *testing.T) {
 			for i := range vec {
 				vec[i] = FromBool(rng.Intn(2) == 1)
 			}
-			definite, _ := scalarReference(nw, inputs, vec)
+			definite, _ := settleVector(nw, inputs, vec)
 			degraded := make([]Value, len(vec))
 			copy(degraded, vec)
 			for i := range degraded {
@@ -220,7 +236,7 @@ func TestMetamorphicXMonotonicity(t *testing.T) {
 					degraded[i] = VX
 				}
 			}
-			relaxed, _ := scalarReference(nw, inputs, degraded)
+			relaxed, _ := settleVector(nw, inputs, degraded)
 			for n := range relaxed {
 				if relaxed[n] != VX && relaxed[n] != definite[n] {
 					t.Errorf("%s trial %d: node %s = %s under degraded inputs, %s under definite — X-monotonicity violated",
@@ -355,8 +371,8 @@ func TestMetamorphicCapInvariance(t *testing.T) {
 			}
 		}
 		// Scalar spot-check on the first vector.
-		sBase, _ := scalarReference(nw, inputs, vecs[:len(inputs)])
-		sMoved, _ := scalarReference(bumped, bumped.Inputs(), vecs[:len(inputs)])
+		sBase, _ := settleVector(nw, inputs, vecs[:len(inputs)])
+		sMoved, _ := settleVector(bumped, bumped.Inputs(), vecs[:len(inputs)])
 		for n := range sBase {
 			if sBase[n] != sMoved[n] {
 				t.Errorf("%s scalar: node %s = %s → %s under sub-threshold cap bump",

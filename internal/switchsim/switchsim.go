@@ -12,17 +12,19 @@
 // sharing, ratioed logic, and X-propagation all fall out of joining
 // (strength, value) pairs over this lattice — there are no ad-hoc rules.
 //
-// The timing verifier uses the simulator to establish steady-state node
-// values (which transistors definitely conduct, which definitely do not),
-// and the test suite uses it to verify the functional correctness of every
-// generated circuit — an ALU that doesn't add is not worth timing. The
-// vectorized Batch engine (batch.go) streams thousands of vectors through
-// the same lattice in bit-plane form and is pinned bit-identical to this
-// scalar engine, which is the reference implementation.
+// One kernel (kernel.go) solves the lattice, in bit-plane form over a word
+// of lanes, behind two fronts: Sim holds one circuit state with incremental
+// settles, stored-state writes and Resume — what the timing verifier's
+// sensitization and esim scripts drive — and Batch streams 64 input vectors
+// at a time through it. The test suite uses both to verify the functional
+// correctness of every generated circuit — an ALU that doesn't add is not
+// worth timing — and pins the kernel to an independent scalar resolver kept
+// in reference_test.go.
 package switchsim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/netlist"
 	"repro/internal/tech"
@@ -169,105 +171,37 @@ func DeviceStrength(t *netlist.Trans) Strength {
 	return SG1
 }
 
-// sig is a strength/value pair, the element of the resolution lattice.
-type sig struct {
-	s Strength
-	v Value
-}
-
-// combine joins two contributions: higher strength wins, equal strengths
-// with disagreeing values yield X.
-func combine(a, b sig) sig {
-	switch {
-	case a.s > b.s:
-		return a
-	case b.s > a.s:
-		return b
-	case a.v == b.v:
-		return a
-	default:
-		return sig{a.s, VX}
-	}
-}
-
-// conduction describes whether a transistor's channel conducts under the
-// current gate value.
-type conduction uint8
-
-const (
-	condOff conduction = iota
-	condOn
-	condMaybe
-)
-
-// Sim is a simulator instance bound to one network. Create with New, set
-// inputs, call Settle, read values.
+// Sim is a simulator of one circuit state bound to one network: set inputs,
+// call Settle, read values. It runs the kernel (kernel.go) on 8-lane words
+// with its one state copied into every lane, so "driven in every lane", the
+// kernel's region bound, is exactly the set of rails and driven inputs.
 type Sim struct {
-	nw     *netlist.Network
-	size   []Strength // build-time node size per index
-	val    []Value    // current value per node index
-	fixed  []bool     // rails and driven inputs
-	osc    []bool     // nodes forced to X by oscillation detection
-	settle int        // settle calls, for diagnostics
-
-	// scratch reused across Settle calls
-	dirty      []bool
-	queue      []int
-	work       []int // the queue of the sweep being resolved
-	seeds      []int
-	stack      []int
-	groupID    []int // epoch stamp per node; == groupEpoch means visited this sweep
-	groupEpoch int
-
-	// Dense resolution scratch: sigs[i] is node i's state in the group being
-	// resolved, valid while sigID[i] == sigEpoch (one epoch per group, so
-	// nothing is cleared between groups); group and changed are the member
-	// list and the proposed changes, rebuilt per group and per sweep.
-	sigs     []nodeSig
-	sigID    []int
-	sigEpoch int
-	group    []int
-	changed  []change
+	k       kernel[uint8]
+	settled int    // Settle calls; 1 after a Resume
+	dirty   []int  // nodes set from outside since the last Settle
+	isDirty []bool // membership of dirty
 }
 
-// New creates a simulator with rails at their fixed values and every other
-// node at X.
-func New(nw *netlist.Network) *Sim {
-	s := &Sim{
-		nw:      nw,
-		size:    NodeSizes(nw),
-		val:     make([]Value, len(nw.Nodes)),
-		fixed:   make([]bool, len(nw.Nodes)),
-		osc:     make([]bool, len(nw.Nodes)),
-		dirty:   make([]bool, len(nw.Nodes)),
-		groupID: make([]int, len(nw.Nodes)),
-		sigs:    make([]nodeSig, len(nw.Nodes)),
-		sigID:   make([]int, len(nw.Nodes)),
+// New compiles nw and creates a simulator with rails at their fixed values
+// and every other node at X.
+func New(nw *netlist.Network) *Sim { return NewCompiled(nw, netlist.Compile(nw)) }
+
+// NewCompiled is New over c, a compile of nw's current generation, for
+// callers that already hold one.
+func NewCompiled(nw *netlist.Network, c *netlist.Compact) *Sim {
+	return &Sim{k: newKernel[uint8](nw, c), isDirty: make([]bool, len(nw.Nodes))}
+}
+
+// planes returns value v's value planes, in every lane.
+func planes(v Value) (p0, p1 uint8) {
+	if v != V1 {
+		p0 = ^uint8(0)
 	}
-	s.Reset()
-	return s
-}
-
-// Reset restores the power-on state: rails at their values, every other
-// node released to X, no oscillation flags. The next Settle evaluates the
-// whole network, exactly like a freshly constructed Sim.
-func (s *Sim) Reset() {
-	for i := range s.val {
-		s.val[i] = VX
-		s.fixed[i] = false
-		s.osc[i] = false
-		s.dirty[i] = false
+	if v != V0 {
+		p1 = ^uint8(0)
 	}
-	s.queue = s.queue[:0]
-	s.settle = 0
-	s.val[s.nw.Vdd().Index] = V1
-	s.fixed[s.nw.Vdd().Index] = true
-	s.val[s.nw.GND().Index] = V0
-	s.fixed[s.nw.GND().Index] = true
+	return p0, p1
 }
-
-// NodeSize returns the build-time size of node n.
-func (s *Sim) NodeSize(n *netlist.Node) Strength { return s.size[n.Index] }
 
 // SetInput drives node n to value v as an Ω source. Rails cannot be
 // overridden. Passing VX releases the node back to undriven unknown.
@@ -275,14 +209,16 @@ func (s *Sim) SetInput(n *netlist.Node, v Value) error {
 	if n.IsRail() {
 		return fmt.Errorf("switchsim: cannot drive rail %s", n.Name)
 	}
-	if v == VX {
-		s.fixed[n.Index] = false
-		s.val[n.Index] = VX
-	} else {
-		s.fixed[n.Index] = true
-		s.val[n.Index] = v
+	i := n.Index
+	s.k.driven[i], s.k.dval[i] = 0, 0
+	if v != VX {
+		s.k.driven[i] = ^uint8(0)
 	}
-	s.markDirty(n.Index)
+	if v == V1 {
+		s.k.dval[i] = ^uint8(0)
+	}
+	s.k.p0[i], s.k.p1[i] = planes(v)
+	s.markDirty(i)
 	return nil
 }
 
@@ -294,34 +230,36 @@ func (s *Sim) SetValue(n *netlist.Node, v Value) error {
 	if n.IsRail() {
 		return fmt.Errorf("switchsim: cannot overwrite rail %s", n.Name)
 	}
-	if s.fixed[n.Index] {
+	if s.k.driven[n.Index] != 0 {
 		return fmt.Errorf("switchsim: %s is driven; release it before SetValue", n.Name)
 	}
-	s.val[n.Index] = v
+	s.k.p0[n.Index], s.k.p1[n.Index] = planes(v)
 	s.markDirty(n.Index)
 	return nil
 }
 
+// Node returns the node named name.
+func (s *Sim) Node(name string) (*netlist.Node, error) {
+	if n := s.k.nw.Lookup(name); n != nil {
+		return n, nil
+	}
+	return nil, fmt.Errorf("switchsim: no node named %q", name)
+}
+
 // SetInputName is SetInput by node name.
 func (s *Sim) SetInputName(name string, v Value) error {
-	n := s.nw.Lookup(name)
-	if n == nil {
-		return fmt.Errorf("switchsim: no node named %q", name)
+	n, err := s.Node(name)
+	if err != nil {
+		return err
 	}
 	return s.SetInput(n, v)
 }
 
 // Value returns the current value of node n.
-func (s *Sim) Value(n *netlist.Node) Value { return s.val[n.Index] }
+func (s *Sim) Value(n *netlist.Node) Value { return s.k.value(n.Index, 1) }
 
-// ValueName returns the value of the named node, or VX if absent.
-func (s *Sim) ValueName(name string) Value {
-	n := s.nw.Lookup(name)
-	if n == nil {
-		return VX
-	}
-	return s.val[n.Index]
-}
+// ValueName returns the value of the named node, which must exist.
+func (s *Sim) ValueName(name string) Value { return s.Value(s.k.nw.Lookup(name)) }
 
 // Resume loads a settled state in place of the power-on one, so that the
 // next Settle re-evaluates only what an edit can have changed. prev holds
@@ -331,12 +269,12 @@ func (s *Sim) ValueName(name string) Value {
 // terminals of every device it added or removed, and every node whose size
 // it moved. Resume releases to X the forward lattice cone of the seeds: the
 // closure over channel neighbours, through any device whatever its
-// conduction, and over the terminals of every device a cone node gates,
-// stopping only at rails and fixed nodes — the boundary collectGroup stops
-// at. Every other node takes its value from prev, and the cone is marked
-// dirty; whatever was queued before (the SetInput calls fixing the sources)
-// is dropped, since prev already settled it. It returns the cone (a fresh
-// slice, in visit order).
+// conduction, and over the terminals of every device a cone node gates
+// (always-on devices do not read their gate), stopping only at rails and
+// fixed nodes, where a settle's regions stop. Every other node takes its
+// value from prev, and the cone is marked dirty; whatever was queued before
+// (the SetInput calls fixing the sources) is dropped, since prev already
+// settled it. It returns the cone (a fresh slice, in visit order).
 //
 // The following Settle reaches exactly what a power-on Settle of the edited
 // network reaches, unless either settle oscillates. A node outside the cone
@@ -347,409 +285,112 @@ func (s *Sim) ValueName(name string) Value {
 // least fixed point and already stable outside the cone ends at that least
 // fixed point, as the iteration up from all-X does.
 func (s *Sim) Resume(prev []Value, seeds []int) []int {
-	for _, i := range s.queue {
-		s.dirty[i] = false
+	k, c := &s.k, s.k.c
+	for _, i := range s.dirty {
+		s.isDirty[i] = false
 	}
-	s.queue = s.queue[:0]
-	s.groupEpoch++
-	var cone []int
-	visit := func(i int) {
-		if s.groupID[i] != s.groupEpoch && !s.fixed[i] {
-			s.groupID[i] = s.groupEpoch
-			cone = append(cone, i)
+	s.dirty = s.dirty[:0]
+	visit := func(i int32) {
+		if k.driven[i] == 0 {
+			s.markDirty(int(i))
 		}
 	}
 	for _, i := range seeds {
-		visit(i)
+		visit(int32(i))
 	}
-	for qi := 0; qi < len(cone); qi++ {
-		n := s.nw.Nodes[cone[qi]]
-		for _, t := range n.Terms {
-			if o := t.Other(n); o != nil {
-				visit(o.Index)
-			}
+	for qi := 0; qi < len(s.dirty); qi++ {
+		n := s.dirty[qi]
+		for _, ref := range c.Terms(n) {
+			t, _ := netlist.UnpackTermRef(ref)
+			visit(c.TransA[t])
+			visit(c.TransB[t])
 		}
-		for _, t := range n.Gates {
-			visit(t.A.Index)
-			visit(t.B.Index)
+		for _, ref := range c.Gates(n) {
+			t, _ := netlist.UnpackGateRef(ref)
+			visit(c.TransA[t])
+			visit(c.TransB[t])
 		}
 	}
 	for i, v := range prev {
-		if !s.fixed[i] {
-			s.val[i] = v
+		if k.driven[i] == 0 {
+			k.p0[i], k.p1[i] = planes(v)
 		}
 	}
-	for _, i := range cone {
-		s.val[i] = VX
-		s.markDirty(i)
+	for _, i := range s.dirty {
+		k.p0[i], k.p1[i] = planes(VX)
 	}
+	k.rebase()
 	// The loaded state stands in for the first Settle's: the next one is
 	// incremental from the cone.
-	s.settle = max(s.settle, 1)
-	return cone
+	s.settled = max(s.settled, 1)
+	return slices.Clone(s.dirty)
 }
 
 // Oscillated reports whether the last Settle forced any node to X because
 // it failed to stabilize (combinational feedback).
 func (s *Sim) Oscillated() bool {
-	for _, o := range s.osc {
-		if o {
+	for _, o := range s.k.oscm {
+		if o != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-func (s *Sim) markDirty(idx int) {
-	if !s.dirty[idx] {
-		s.dirty[idx] = true
-		s.queue = append(s.queue, idx)
+func (s *Sim) markDirty(i int) {
+	if !s.isDirty[i] {
+		s.isDirty[i] = true
+		s.dirty = append(s.dirty, i)
 	}
-}
-
-// conducts classifies transistor t's channel under current node values.
-func (s *Sim) conducts(t *netlist.Trans) conduction {
-	if t.AlwaysOn() {
-		return condOn
-	}
-	g := s.val[t.Gate.Index]
-	on := FromBool(t.ConductsOn() == 1)
-	switch g {
-	case on:
-		return condOn
-	case VX:
-		return condMaybe
-	default:
-		return condOff
-	}
-}
-
-// change is a value update proposed by a sweep, committed only after every
-// group in the sweep has resolved.
-type change struct {
-	idx int
-	v   Value
 }
 
 // Settle iterates until all node values are stable, or until the
 // iteration bound is reached, in which case still-changing nodes are
 // forced to X and marked as oscillating. It returns the number of sweeps
 // performed. The first call evaluates everything; later calls are
-// incremental from dirty nodes.
+// incremental from the nodes set since the last one.
 //
 // Each sweep is synchronous (Jacobi): conduction states and stored values
 // are frozen at the start of the sweep, every affected channel group is
 // resolved to its lattice fixed point against that frozen state, and all
-// new values commit together at the end of the sweep. The batch engine
-// performs exactly the same global synchronous sweep per vector lane,
-// which is what makes the two engines bit-identical sweep by sweep.
+// new values commit together at the end of the sweep.
 func (s *Sim) Settle() int {
-	s.settle++
-	if s.settle == 1 {
-		// First settle: evaluate everything, including subnetworks not
-		// reachable from any input (tied pullups, constant stages).
-		for i := range s.nw.Nodes {
-			s.markDirty(i)
-		}
-	}
-	for i := range s.osc {
-		s.osc[i] = false
-	}
-	limit := 20 + 2*len(s.nw.Nodes)
-	hard := 2*limit + 2*len(s.nw.Nodes)
-	sweeps := 0
-	for len(s.queue) > 0 {
-		sweeps++
-		xmode := sweeps > limit
-		if sweeps > hard {
-			// Safety net: abandon whatever still ping-pongs.
-			for _, idx := range s.queue {
-				s.dirty[idx] = false
-				if !s.fixed[idx] && s.val[idx] != VX {
-					s.val[idx] = VX
-					s.osc[idx] = true
+	k := &s.k
+	s.settled++
+	if s.settled == 1 {
+		// Everything, including subnetworks not reachable from any input
+		// (tied pullups, constant stages).
+		k.seedAll()
+	} else {
+		// A node set from outside re-resolves its group and, with their
+		// conduction re-decoded, the groups of the devices it gates. A
+		// source bounds the groups around it, so its base planes are
+		// reset and its channel neighbours' groups re-resolve instead.
+		k.seeds = k.seeds[:0]
+		for _, n := range s.dirty {
+			if k.driven[n] != 0 {
+				k.resetPlanes(n)
+				for _, ref := range k.c.Terms(n) {
+					t, _ := netlist.UnpackTermRef(ref)
+					k.seeds = append(k.seeds, k.c.TransA[t], k.c.TransB[t])
 				}
 			}
-			s.queue = s.queue[:0]
-			break
-		}
-		// A dirty node re-resolves (a) channel groups containing or
-		// adjacent to it and (b) the channels of every transistor it
-		// gates, whose conduction may have changed. A gated channel
-		// endpoint that is itself a strong source (a pullup's rail side)
-		// contributes no group of its own — the affected group is reached
-		// through the device's other terminal, so only that side seeds.
-		// Seeding the rail instead would re-scan the rail's entire
-		// terminal list, which is nearly the whole chip, every sweep.
-		s.work, s.queue = s.queue, s.work[:0]
-		seeds := s.seeds[:0]
-		for _, idx := range s.work {
-			s.dirty[idx] = false
-			seeds = append(seeds, idx)
-			for _, t := range s.nw.Nodes[idx].Gates {
-				a, b := t.A.Index, t.B.Index
-				if !s.nw.Nodes[a].IsRail() && !s.fixed[a] {
-					seeds = append(seeds, a)
-				}
-				if !s.nw.Nodes[b].IsRail() && !s.fixed[b] {
-					seeds = append(seeds, b)
-				}
-			}
-		}
-		s.seeds = seeds
-		for _, ch := range s.resolveGroups(seeds) {
-			nv := ch.v
-			if xmode && !s.fixed[ch.idx] {
-				// Oscillation recovery: a node still changing after the
-				// sweep limit has no stable value — it becomes X, and X
-				// then spreads monotonically until the loop quiesces.
-				if nv != VX {
-					s.osc[ch.idx] = true
-				}
-				nv = VX
-			}
-			if nv != s.val[ch.idx] {
-				s.val[ch.idx] = nv
-				s.markDirty(ch.idx)
-			}
+			k.decodeGated(n)
+			k.seedGated(n)
 		}
 	}
-	return sweeps
-}
-
-// resolveGroups collects the channel-connected groups containing the seed
-// nodes (through non-off transistors), resolves each against the frozen
-// sweep state, and returns the proposed value changes. Nothing is written
-// back here — the caller commits after the whole sweep resolves. The
-// returned slice is the simulator's own and is rewritten by the next call.
-func (s *Sim) resolveGroups(seeds []int) []change {
-	// Visited marks are epoch-stamped: bumping the epoch invalidates every
-	// mark from the previous sweep in O(1), where clearing the array would
-	// cost a full-network scan per sweep.
-	s.groupEpoch++
-	s.changed = s.changed[:0]
-	for _, seed := range seeds {
-		n := s.nw.Nodes[seed]
-		if n.IsRail() || s.fixed[seed] {
-			// Strong sources are group boundaries, so a changed source
-			// seeds the groups of its channel neighbors instead of its
-			// own (which would be just itself).
-			for _, t := range n.Terms {
-				o := t.Other(n)
-				if o == nil || s.groupID[o.Index] == s.groupEpoch ||
-					o.IsRail() || s.fixed[o.Index] {
-					continue
-				}
-				s.resolveGroup(s.collectGroup(o.Index))
-			}
-			continue
-		}
-		if s.groupID[seed] == s.groupEpoch {
-			continue
-		}
-		s.resolveGroup(s.collectGroup(seed))
+	for _, n := range s.dirty {
+		s.isDirty[n] = false
 	}
-	return s.changed
-}
-
-// collectGroup gathers the channel-connected component of seed through
-// transistors that are not definitely off, stamping members with the
-// current epoch so overlapping seeds resolve each group once per sweep.
-// The member list is the simulator's own and is rewritten by the next call.
-func (s *Sim) collectGroup(seed int) []int {
-	stack := append(s.stack[:0], seed)
-	s.groupID[seed] = s.groupEpoch
-	group := s.group[:0]
-	for len(stack) > 0 {
-		idx := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		group = append(group, idx)
-		n := s.nw.Nodes[idx]
-		if n.IsRail() || s.fixed[idx] {
-			// Strong sources terminate the group: values do not need
-			// to propagate *through* them, only from them.
-			continue
-		}
-		for _, t := range n.Terms {
-			if s.conducts(t) == condOff {
-				continue
-			}
-			o := t.Other(n)
-			if o == nil || s.groupID[o.Index] == s.groupEpoch {
-				continue
-			}
-			s.groupID[o.Index] = s.groupEpoch
-			stack = append(stack, o.Index)
-		}
-	}
-	s.stack, s.group = stack, group
-	return group
-}
-
-// nodeSig is the full resolution state of one node: what definitely
-// drives it, plus the strongest *possible* high and low contributions
-// reaching it through maybe-conducting paths. Tracking the potential
-// strengths separately — and propagating them through the channel graph —
-// is what makes NAND(X, X) = X while keeping NOR(1, X) = 0: a possible
-// path only forces X when it is strong enough to overturn the definite
-// result with the opposite value.
-type nodeSig struct {
-	def    sig
-	potHi  Strength // strongest possible contribution of value 1 or X
-	potLo  Strength // strongest possible contribution of value 0 or X
-	source bool     // rails and fixed inputs: immutable during resolution
-}
-
-// value reduces the resolved state to a ternary node value.
-func (ns nodeSig) value() Value {
-	v := ns.def.v
-	if v == V1 && ns.potLo >= ns.def.s {
-		return VX
-	}
-	if v == V0 && ns.potHi >= ns.def.s {
-		return VX
-	}
-	return v
-}
-
-// baseSig returns the node's intrinsic contribution: its input value at Ω
-// for sources, its stored charge at the node's size otherwise.
-func (s *Sim) baseSig(idx int) nodeSig {
-	n := s.nw.Nodes[idx]
-	st := s.size[idx]
-	src := false
-	if n.IsRail() || s.fixed[idx] {
-		st = SOmega
-		src = true
-	}
-	v := s.val[idx]
-	ns := nodeSig{def: sig{st, v}, source: src}
-	if v != V0 {
-		ns.potHi = st
-	}
-	if v != V1 {
-		ns.potLo = st
-	}
-	return ns
-}
-
-func minStrength(a, b Strength) Strength {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxStrength(a, b Strength) Strength {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// resolveGroup computes the least fixed point of the strength/value
-// lattice on one channel group against the frozen sweep state, in the
-// standard two passes: first driven signals (sources spreading through the
-// channel graph at G-or-better strength), then stored charge joined in and
-// relaxed again. Because the join is monotone the staging never changes
-// the result — the least fixed point is unique — but it mirrors the
-// standard presentation and lets charge sharing be read directly off the
-// second pass. Proposed changes are appended to s.changed; the caller
-// commits them.
-func (s *Sim) resolveGroup(group []int) {
-	// A fresh epoch per group: a member's entry in s.sigs is this group's,
-	// anything else is a neighbour outside it.
-	s.sigEpoch++
-	sigs := s.sigs
-	// Pass 1 — driven: only sources contribute their base signals; every
-	// storage node starts empty and receives drive through the graph.
-	for _, idx := range group {
-		base := s.baseSig(idx)
-		if !base.source {
-			base = nodeSig{def: sig{SNone, VX}}
-		}
-		sigs[idx] = base
-		s.sigID[idx] = s.sigEpoch
-	}
-	s.relaxGroup(group)
-	// Pass 2 — charged: join each storage node's stored charge (at its
-	// size) into the driven solution and relax to the full fixed point.
-	for _, idx := range group {
-		cur := sigs[idx]
-		if cur.source {
-			continue
-		}
-		base := s.baseSig(idx)
-		cur.def = combine(cur.def, base.def)
-		cur.potHi = maxStrength(cur.potHi, base.potHi)
-		cur.potLo = maxStrength(cur.potLo, base.potLo)
-		sigs[idx] = cur
-	}
-	s.relaxGroup(group)
-	for _, idx := range group {
-		ns := sigs[idx]
-		if ns.source {
-			continue
-		}
-		if nv := ns.value(); nv != s.val[idx] {
-			s.changed = append(s.changed, change{idx, nv})
-		}
-	}
-}
-
-// relaxGroup runs the monotone relaxation to its fixed point: each pass
-// joins every node's current state with its neighbors' contributions,
-// attenuated by the connecting device's strength. Each pass propagates at
-// least one transistor hop, so the group size bounds the iteration count.
-func (s *Sim) relaxGroup(group []int) {
-	sigs := s.sigs
-	for pass := 0; pass <= len(group)+1; pass++ {
-		anyChange := false
-		for _, idx := range group {
-			cur := sigs[idx]
-			if cur.source {
-				continue
-			}
-			acc := cur
-			n := s.nw.Nodes[idx]
-			for _, t := range n.Terms {
-				cond := s.conducts(t)
-				if cond == condOff {
-					continue
-				}
-				o := t.Other(n)
-				if o == nil {
-					continue
-				}
-				src := sigs[o.Index]
-				if s.sigID[o.Index] != s.sigEpoch {
-					// Neighbor outside the group (beyond a source
-					// boundary, or another component).
-					src = s.baseSig(o.Index)
-				}
-				cap := DeviceStrength(t)
-				if cond == condOn {
-					acc.def = combine(acc.def, sig{minStrength(src.def.s, cap), src.def.v})
-				}
-				// Potential strengths flow through both on and
-				// maybe-on channels.
-				acc.potHi = maxStrength(acc.potHi, minStrength(src.potHi, cap))
-				acc.potLo = maxStrength(acc.potLo, minStrength(src.potLo, cap))
-			}
-			if acc != cur {
-				sigs[idx] = acc
-				anyChange = true
-			}
-		}
-		if !anyChange {
-			break
-		}
-	}
+	s.dirty = s.dirty[:0]
+	return k.settle()
 }
 
 // Snapshot returns a copy of all node values indexed like Network.Nodes.
 func (s *Sim) Snapshot() []Value {
-	out := make([]Value, len(s.val))
-	copy(out, s.val)
+	out := make([]Value, len(s.k.p0))
+	for n := range out {
+		out[n] = s.k.value(n, 1)
+	}
 	return out
 }
