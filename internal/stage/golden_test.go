@@ -59,9 +59,12 @@ func settledOracle(nw *netlist.Network) Oracle {
 	return func(t *netlist.Trans) Conduction { return conduct[t.Index] }
 }
 
-// slabHash feeds every bit of a slab a consumer can observe into h: each
-// record's identity and derived fields, its path, side loads and path
-// capacitances (floats by bit pattern), and the truncation flag.
+// slabHash feeds into h every value a consumer can read of a slab through
+// its accessors: each record's identity (Source, Target, Trigger), its
+// derived fields (SourceInputIndex, Transition, Driver, DriverType), its
+// path, side loads and path capacitances (floats by bit pattern), and the
+// truncation flag. How the records lay their parts out in memory is not
+// part of it.
 func slabHash(h hash.Hash, s *Slab) {
 	var buf []byte
 	u := func(v uint64) { buf = binary.LittleEndian.AppendUint64(buf, v) }
@@ -72,27 +75,23 @@ func slabHash(h hash.Hash, s *Slab) {
 	}
 	u(b)
 	u(uint64(len(s.Stages)))
-	u(uint64(len(s.f)))
 	for i := range s.Stages {
 		st := &s.Stages[i]
 		u(uint64(uint32(st.Source)))
 		u(uint64(uint32(st.Target)))
 		u(uint64(uint32(st.Trigger)))
-		u(uint64(uint32(st.srcInput)))
-		u(st.pathBloom)
-		u(uint64(st.capOff))
-		u(uint64(st.pathOff))
-		u(uint64(st.sideOff))
-		u(uint64(st.nSide))
-		u(uint64(st.nPath))
-		u(uint64(st.driver))
-		u(uint64(st.driverType))
-		u(uint64(st.transition))
+		u(uint64(st.SourceInputIndex()))
+		u(uint64(st.Transition()))
+		u(uint64(st.Driver()))
+		u(uint64(st.DriverType()))
+		u(uint64(len(st.Low())))
+		u(uint64(len(st.Path())))
 		for _, e := range st.Path() {
 			u(uint64(uint32(e.Trans)))
 			u(uint64(uint32(e.From)))
 			u(uint64(uint32(e.To)))
 		}
+		u(uint64(len(st.Side())))
 		for _, sl := range st.Side() {
 			u(uint64(uint32(sl.Node)))
 			u(uint64(uint32(sl.Attach)))
