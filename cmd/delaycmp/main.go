@@ -12,7 +12,8 @@
 //
 // Independent rows fan out over GOMAXPROCS goroutines; the report is the
 // same at every setting. E6 times its blocks one after another, so each
-// row's wall time is that block's alone.
+// row's wall time is that block's alone: the median of five analyses
+// after an untimed one.
 package main
 
 import (

@@ -23,6 +23,7 @@ package core
 
 import (
 	"cmp"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"slices"
@@ -894,17 +895,28 @@ func (a *Analyzer) applySlab(sl *stage.Slab, without, fromNode int, fromTr tech.
 // this one.
 func (a *Analyzer) StageDB() *stage.DB { return a.db }
 
-// stageStamp encodes everything stage enumeration depends on: the static
+// stageStamp digests everything stage enumeration depends on: the static
 // sensitization values (the enumeration bounds are stage.Options' defaults
 // for every analyzer). Two analyses with equal stamps over the same
 // network enumerate identical stages, so they may share one stage database.
-func (a *Analyzer) stageStamp() string {
-	b := make([]byte, len(a.static))
-	for i, v := range a.static {
-		b[i] = '0' + byte(v)
+func (a *Analyzer) stageStamp() (stamp [sha256.Size]byte) {
+	h := sha256.New()
+	var buf [512]byte
+	for rest := a.static; len(rest) > 0; {
+		n := min(len(rest), len(buf))
+		for i, v := range rest[:n] {
+			buf[i] = byte(v)
+		}
+		h.Write(buf[:n])
+		rest = rest[n:]
 	}
-	return string(b)
+	h.Sum(stamp[:0])
+	return stamp
 }
+
+// StaticValue returns the settled static value of n that the analysis
+// sensitized its stages with (available after Run).
+func (a *Analyzer) StaticValue(n *netlist.Node) switchsim.Value { return a.static[n.Index] }
 
 // applyStage evaluates one stage against the triggering event and offers
 // the resulting arrival to the stage target.

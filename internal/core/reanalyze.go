@@ -192,7 +192,7 @@ func (a *Analyzer) Reanalyze(edits []incremental.Edit) (*ReanalyzeStats, error) 
 		a.db.Advance(a.Net, opt, ch)
 	}
 	a.db.SetCompiled(a.cnet)
-	// The stamp spells out the snapshot; a snapshot that stands keeps its stamp.
+	// The stamp digests the snapshot; a snapshot that stands keeps its stamp.
 	if stats.Resettled == 0 {
 		a.db.Stamp = oldDB.Stamp
 	} else {

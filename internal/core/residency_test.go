@@ -318,8 +318,9 @@ func TestRecordSizes(t *testing.T) {
 // their inverses): it owns a clone of the network, and keeps its compile
 // and its stage database's enumeration view for the next batch. The
 // ceilings are 1.05× the values measured when they were set (go1.24,
-// linux/amd64: 1,152, 883 and 1,189; the commit before the first two
-// measured 1,251 and 978 with 48-byte arrivals, a 112-byte stage record
+// linux/amd64: 1,084, 838 and 1,122, with each stage body stored once per
+// channel group; one copy per record measured 1,151, 882 and 1,188, and
+// before that 1,251 and 978 with 48-byte arrivals, a 112-byte stage record
 // and the compile kept after the drain). Run with -v for the table.
 func TestResidentFootprint(t *testing.T) {
 	p := tech.NMOS4()
@@ -332,9 +333,9 @@ func TestResidentFootprint(t *testing.T) {
 		edited  bool
 		ceiling float64
 	}{
-		{"chip:8 flat", 1, false, false, 1209},
-		{"chip:8,3 hier", 3, true, false, 927},
-		{"chip:8 edited", 1, false, true, 1248},
+		{"chip:8 flat", 1, false, false, 1138},
+		{"chip:8,3 hier", 3, true, false, 880},
+		{"chip:8 edited", 1, false, true, 1178},
 	} {
 		before := liveHeap()
 		fix, lb := gen.ChipGridDirectives(8, c.tiles)

@@ -153,7 +153,7 @@ var treePool = sync.Pool{New: func() any { return rctree.New(0, "") }}
 // raw technology numbers), so characterized tables flow through every
 // model identically.
 func stageTree(tb *Tables, nw *netlist.Network, st *stage.Stage, rscale []float64) (*rctree.Tree, []int) {
-	return stageTreeInto(rctree.New(0, nw.Nodes[st.Source].Name), tb, nw, st, rscale)
+	return stageTreeInto(rctree.New(0, nw.Nodes[st.Source()].Name), tb, nw, st, rscale)
 }
 
 // stageTreeInto is stageTree over a caller-supplied (possibly recycled)
@@ -247,7 +247,7 @@ func (m *Bounded) Bounds(nw *netlist.Network, st *stage.Stage) (lo, hi float64, 
 	}
 	t := treePool.Get().(*rctree.Tree)
 	defer treePool.Put(t)
-	t.Reset(0, nw.Nodes[st.Source].Name)
+	t.Reset(0, nw.Nodes[st.Source()].Name)
 	t, idx := stageTreeInto(t, m.T, nw, st, nil)
 	if err := t.Validate(); err != nil {
 		return 0, 0, fmt.Errorf("stage tree: %w", err)

@@ -205,7 +205,7 @@ func checkRatios(nw *netlist.Network, db *stage.DB, opt Options) []Finding {
 		falls := db.Release(n.Index).Stages
 		for i := range falls {
 			st := &falls[i]
-			if st.Transition() != tech.Fall || nw.Nodes[st.Source].Kind != netlist.KindGnd {
+			if st.Transition() != tech.Fall || nw.Nodes[st.Source()].Kind != netlist.KindGnd {
 				continue
 			}
 			r := st.SeriesR(nw)

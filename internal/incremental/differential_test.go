@@ -60,19 +60,23 @@ func sameEvent(x, y core.Event) bool {
 }
 
 // checkAgainstFull runs a fresh full analysis of a.Net and fails the test
-// on the first arrival that differs from a's state. The fresh run settles
-// the static snapshot from power-on, and the stage database's stamp spells
-// the snapshot out node by node, so equal stamps cross-check whatever
-// Reanalyze's settle step did — keep, cone settle or fallback — against
-// the full settle.
+// on the first static value or arrival that differs from a's state. The
+// fresh run settles the static snapshot from power-on, so equal snapshots
+// cross-check whatever Reanalyze's settle step did — keep, cone settle or
+// fallback — against the full settle.
 func checkAgainstFull(t *testing.T, a *core.Analyzer, seeds []string, label string) {
 	t.Helper()
 	ref := newAnalyzer(t, a.Net, seeds)
 	if err := ref.Run(); err != nil {
 		t.Fatalf("%s: reference run: %v", label, err)
 	}
-	if got, want := a.StageDB().Stamp, ref.StageDB().Stamp; got != want {
-		t.Fatalf("%s: static snapshot %s, a power-on settle gives %s", label, got, want)
+	for _, n := range a.Net.Nodes {
+		if got, want := a.StaticValue(n), ref.StaticValue(n); got != want {
+			t.Fatalf("%s: static value of %s is %v, a power-on settle gives %v", label, n.Name, got, want)
+		}
+	}
+	if a.StageDB().Stamp != ref.StageDB().Stamp {
+		t.Fatalf("%s: equal static snapshots, unequal stage stamps", label)
 	}
 	for _, n := range a.Net.Nodes {
 		for _, tr := range []tech.Transition{tech.Rise, tech.Fall} {

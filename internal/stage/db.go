@@ -11,11 +11,14 @@
 // the batch's index map, and a kept enumeration view re-reads only what
 // the batch changed. Derive is the same step applied to a copy, for a
 // database other analyses may still read; the original is left as it was.
-// Slabs hold indexes, not pointers into a network, so a slab a reset drops
+// Slabs hold indexes, not pointers into a network. A Through or Release
+// slab may share record bodies with the other slabs of its channel-connected
+// group, and a reset drops a group's slots together, so a slab a reset drops
 // is collectable as soon as its readers finish.
 package stage
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"slices"
 
@@ -36,9 +39,10 @@ type DB struct {
 	opt Options
 
 	// Stamp identifies the sensitization state the database was built
-	// under (the caller encodes static node values and enumeration
-	// bounds). Consumers must not share a DB across different stamps.
-	Stamp string
+	// under: a digest the caller computes of static node values and
+	// enumeration bounds. Consumers must not share a DB across different
+	// stamps.
+	Stamp [sha256.Size]byte
 	// Epoch counts edit generations: 0 for a fresh database, one more for
 	// each Advance (or Derive). Diagnostics only — which network state a
 	// database describes is its network and Generation.
@@ -128,7 +132,7 @@ func (db *DB) Through(ti int) *Slab {
 	if s := db.through[ti]; s != nil {
 		return s
 	}
-	return db.install(&db.through[ti], db.view().enumerate((*builder).through, int32(ti), tech.Rise, tech.Fall))
+	return db.install(&db.through[ti], db.view().enumerate(db, (*builder).through, int32(ti), tech.Rise, tech.Fall))
 }
 
 // Release returns the stages that could drive node ni (the paths a
@@ -137,7 +141,7 @@ func (db *DB) Release(ni int) *Slab {
 	if s := db.release[ni]; s != nil {
 		return s
 	}
-	return db.install(&db.release[ni], db.view().enumerate((*builder).toNode, int32(ni), tech.Rise, tech.Fall))
+	return db.install(&db.release[ni], db.view().enumerate(db, (*builder).toNode, int32(ni), tech.Rise, tech.Fall))
 }
 
 // From returns the stages created when node ni itself transitions (an
@@ -147,7 +151,7 @@ func (db *DB) From(ni int, tr tech.Transition) *Slab {
 	if s := *slot; s != nil {
 		return s
 	}
-	return db.install(slot, db.view().enumerate((*builder).fromNode, int32(ni), tr))
+	return db.install(slot, db.view().enumerate(nil, (*builder).fromNode, int32(ni), tr))
 }
 
 // TurnOnIdx lists the stages created when transistor ti becomes conducting,
@@ -169,7 +173,7 @@ func (db *DB) Group(ti int) []int32 {
 	if g := db.groups[ti]; g != nil {
 		return *g
 	}
-	g := newBuilder(db.view()).group(int32(ti))
+	g := newBuilder(db.view(), nil).group(int32(ti))
 	db.groups[ti] = &g
 	return g
 }
@@ -185,7 +189,9 @@ type Changes struct {
 	OldTrans []int
 	// Trans and Nodes list the transistors and nodes whose entries are
 	// stale: their channel-connected group's structure or sensitization
-	// changed. New indexes need not be listed.
+	// changed. A group goes stale whole — every device and node of it —
+	// because enumeration reuses the bodies a kept slot of the group holds.
+	// New indexes need not be listed.
 	Trans, Nodes []int
 	// Conduction lists the devices the new oracle may answer differently
 	// for, and Loaded the nodes whose loading (Network.NodeCap) may have

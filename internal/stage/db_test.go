@@ -329,6 +329,119 @@ func TestAdvancePatchesView(t *testing.T) {
 	}
 }
 
+// recordOf returns the record of s that Format renders as want.
+func recordOf(t *testing.T, nw *netlist.Network, s *Slab, want string) *Stage {
+	t.Helper()
+	for i := range s.Stages {
+		if s.Stages[i].Format(nw) == want {
+			return &s.Stages[i]
+		}
+	}
+	t.Fatalf("no record %s", want)
+	return nil
+}
+
+// TestRecordsShareBodies: the Through and Release records of one
+// (transition, path) share one body, whichever slab is built first, and so
+// do the Through records of one path's devices. Their path, side loads and
+// path capacitances are the same arrays, not equal copies; what depends on
+// the trigger stays the record's own.
+func TestRecordsShareBodies(t *testing.T) {
+	nw, _, out := passNet()
+	sameBody := func(a, b *Stage) bool {
+		return &a.Path()[0] == &b.Path()[0] && &a.PathCap()[0] == &b.PathCap()[0] &&
+			len(a.Side()) == len(b.Side()) && (len(a.Side()) == 0 || &a.Side()[0] == &b.Side()[0])
+	}
+	const pull, chain = "GND -(e g=g2)-> out [fall]", "GND -(e g=in)-> mid -(e g=g1)-> out [fall]"
+	for _, releaseFirst := range []bool{false, true} {
+		db := NewDB(nw, Options{})
+		if releaseFirst {
+			db.Release(out.Index)
+		}
+		thr := recordOf(t, nw, db.Through(3), pull)
+		rel := recordOf(t, nw, db.Release(out.Index), pull)
+		if len(thr.Side()) == 0 || !sameBody(thr, rel) {
+			t.Errorf("release first %v: the Through and Release records of %s hold separate bodies", releaseFirst, pull)
+		}
+		if thr.Trigger() != 3 || rel.Trigger() != NoTrans || thr.Source() != rel.Source() {
+			t.Errorf("release first %v: triggers %d/%d, sources %d/%d", releaseFirst,
+				thr.Trigger(), rel.Trigger(), thr.Source(), rel.Source())
+		}
+		a, b := recordOf(t, nw, db.Through(0), chain), recordOf(t, nw, db.Through(2), chain)
+		if !sameBody(a, b) || !sameBody(a, recordOf(t, nw, db.Release(out.Index), chain)) {
+			t.Errorf("release first %v: the records of %s hold separate bodies", releaseFirst, chain)
+		}
+		if a.Driver() != 0 || b.Driver() != 1 || len(b.Low()) != 1 || b.Trigger() != 2 {
+			t.Errorf("release first %v: drivers %d/%d, Low %d, trigger %d", releaseFirst,
+				a.Driver(), b.Driver(), len(b.Low()), b.Trigger())
+		}
+	}
+}
+
+// TestAdvanceCapEditReenumeratesGroup: a capacitance edit on a side-load
+// node makes its channel-connected group stale, and every record of the
+// group, built again, reports the new capacitance: no body built under the
+// old loads is reused, although the new slabs share bodies among
+// themselves.
+func TestAdvanceCapEditReenumeratesGroup(t *testing.T) {
+	nw, _, _ := passNet()
+	mid := nw.Lookup("mid")
+	db := NewDB(nw, Options{})
+	db.SetCompiled(netlist.Compile(nw))
+	db.Prewarm(1)
+	// The stale lists an edit plan gives for the group: its nodes and every
+	// device with a channel terminal among them.
+	group := db.Group(2)
+	ch := Changes{Loaded: []int{mid.Index}}
+	for _, m := range group {
+		ch.Nodes = append(ch.Nodes, int(m))
+	}
+	for i, tx := range nw.Trans {
+		if slices.Contains(group, int32(tx.A.Index)) || slices.Contains(group, int32(tx.B.Index)) {
+			ch.Trans = append(ch.Trans, i)
+		}
+	}
+	mid.Cap += 20e-15
+	nw.NextGeneration()
+	db.Advance(nw, Options{}, ch)
+	db.Prewarm(1)
+	want := nw.NodeCap(mid)
+	var sides, caps, shared int
+	check := func(s *Slab) {
+		for i := range s.Stages {
+			st := &s.Stages[i]
+			if st.body != s {
+				shared++
+			}
+			for _, sl := range st.Side() {
+				if sl.Node == int32(mid.Index) {
+					sides++
+					if sl.C != want {
+						t.Errorf("%s: side load on mid C = %g, want %g", st.Format(nw), sl.C, want)
+					}
+				}
+			}
+			for j, e := range st.Path() {
+				if e.To == int32(mid.Index) {
+					caps++
+					if c := st.PathCap()[j]; c != want {
+						t.Errorf("%s: path capacitance of mid %g, want %g", st.Format(nw), c, want)
+					}
+				}
+			}
+		}
+	}
+	for _, i := range ch.Trans {
+		check(db.Through(i))
+	}
+	for _, m := range ch.Nodes {
+		check(db.Release(m))
+	}
+	if sides == 0 || caps == 0 || shared == 0 {
+		t.Fatalf("checked %d side loads and %d path capacitances on mid, %d shared records", sides, caps, shared)
+	}
+}
+
 // TestRecordsHoldNoNetworkPointers walks the types a database keeps per
 // entry: a pointer into a network anywhere in them would let one surviving
 // slab pin a whole superseded generation.

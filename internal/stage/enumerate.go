@@ -1,7 +1,10 @@
 // Stage enumeration: the three queries the analyzer asks (stages driving a
 // node, stages through a device, stages fanning out of a source), each
-// producing one Slab — the stage records plus every path element, side
-// load and path capacitance they reference, packed into four arrays.
+// producing one Slab — the stage records plus the path elements, side
+// loads and path capacitances they reference, packed into four arrays.
+// A database's Through and Release slabs store each (transition, path)
+// body once per channel-connected group: a record whose body an earlier
+// slab of the group holds refers to it instead of copying it.
 //
 // Every query walks the compiled network (netlist.Compact): channel
 // adjacency is a CSR row scan, a device's conduction and flow hint and a
@@ -56,12 +59,30 @@ type Slab struct {
 	// Truncated is true if MaxPaths or MaxDepth pruned the enumeration.
 	Truncated bool
 
-	// What the records' offsets index: every path element, every side load,
-	// and per stage its path capacitances followed by its split-replay
+	// What the records' offsets index: the path elements and side loads of
+	// the bodies this slab owns, and in f first each path element's
+	// capacitance (f[i] loads path[i].To), then every record's split-replay
 	// slots.
 	path []Element
 	side []SideLoad
 	f    []float64
+}
+
+// find returns the record of s, if any, with transition tr along path,
+// whose bloom is bloom; s may be nil.
+func (s *Slab) find(tr tech.Transition, bloom uint64, path []Element) *Stage {
+	if s == nil {
+		return nil
+	}
+	target := path[len(path)-1].To
+	for i := range s.Stages {
+		st := &s.Stages[i]
+		if st.pathBloom == bloom && st.Target == target && st.transition == uint8(tr) &&
+			int(st.nPath) == len(path) && slices.Equal(st.Path(), path) {
+			return st
+		}
+	}
+	return nil
 }
 
 // emptySlab is every untruncated enumeration that found nothing.
@@ -157,12 +178,15 @@ func (v *view) sources(n int32, tr tech.Transition) bool {
 	return v.cn.IsInput[n] || (n == v.vdd) == (tr == tech.Rise)
 }
 
-// rec is one stage under construction: its identity and how much of the
-// builder's packed arrays it owns.
+// rec is one stage under construction: its identity, its path's bloom, and
+// either the record of a built slab whose body it shares or how much of the
+// builder's packed arrays its body owns.
 type rec struct {
 	source, target, trigger int32
 	nPath, nSide            int32
 	tr                      tech.Transition
+	bloom                   uint64
+	shared                  *Stage
 }
 
 // slQent is one pending BFS visit of the side-load walk.
@@ -190,6 +214,9 @@ type treeEnt struct {
 // slices — so a recycled builder holds no reference into any network.
 type builder struct {
 	v *view
+	// db, when not nil, is the database whose built Through and Release
+	// slabs may already hold a body this enumeration would repeat.
+	db *DB
 	// tr is the target transition of the pass in progress and base the
 	// number of stages earlier passes recorded (MaxPaths bounds each pass).
 	tr   tech.Transition
@@ -222,14 +249,15 @@ type builder struct {
 
 var builderPool sync.Pool
 
-// newBuilder readies a (recycled) builder for one enumeration over v. Each
-// target transition is one pass, opened with begin.
-func newBuilder(v *view) *builder {
+// newBuilder readies a (recycled) builder for one enumeration over v that
+// shares bodies with db's built slabs (nil: none). Each target transition
+// is one pass, opened with begin.
+func newBuilder(v *view, db *DB) *builder {
 	b, _ := builderPool.Get().(*builder)
 	if b == nil {
 		b = &builder{}
 	}
-	b.v = v
+	b.v, b.db = v, db
 	b.recs, b.path, b.side, b.caps = b.recs[:0], b.path[:0], b.side[:0], b.caps[:0]
 	b.trunc = false
 	if n := len(v.caps); len(b.nodeStamp) < n {
@@ -238,9 +266,9 @@ func newBuilder(v *view) *builder {
 	return b
 }
 
-// recycle returns the builder to the pool, dropping its view.
+// recycle returns the builder to the pool, dropping its view and database.
 func (b *builder) recycle() {
-	b.v = nil
+	b.v, b.db = nil, nil
 	builderPool.Put(b)
 }
 
@@ -260,19 +288,51 @@ func (b *builder) newWalk() uint32 {
 	return b.walk
 }
 
-// add records one stage along path (copied) and computes its loading.
+// add records one stage along path. When the database already holds a
+// record of this transition along this path, the new one shares its body;
+// otherwise the path is copied and its loading computed.
 func (b *builder) add(source, target, trigger int32, path []Element) {
-	s0 := len(b.side)
-	b.path = append(b.path, path...)
-	b.sideLoads(source, path)
-	// Sorting the side loads by attach position lets evaluators merge
-	// them into a single backwards path walk with no scratch allocation.
-	side := b.side[s0:]
-	slices.SortFunc(side, func(x, y SideLoad) int { return cmp.Compare(x.Attach, y.Attach) })
+	r := rec{source: source, target: target, trigger: trigger, nPath: int32(len(path)), tr: b.tr}
 	for _, e := range path {
-		b.caps = append(b.caps, b.v.caps[e.To])
+		r.bloom |= 1 << (uint(e.Trans) & 63)
 	}
-	b.recs = append(b.recs, rec{source, target, trigger, int32(len(path)), int32(len(side)), b.tr})
+	if r.shared = b.sharedBody(r.bloom, path); r.shared == nil {
+		s0 := len(b.side)
+		b.path = append(b.path, path...)
+		b.sideLoads(source, path)
+		// Sorting the side loads by attach position lets evaluators merge
+		// them into a single backwards path walk with no scratch allocation.
+		side := b.side[s0:]
+		slices.SortFunc(side, func(x, y SideLoad) int { return cmp.Compare(x.Attach, y.Attach) })
+		for _, e := range path {
+			b.caps = append(b.caps, b.v.caps[e.To])
+		}
+		r.nSide = int32(len(side))
+	}
+	b.recs = append(b.recs, r)
+}
+
+// sharedBody returns a record of the database's built slabs with the pass's
+// transition along path, or nil. Such a record can only be in a slab of
+// the path's own channel-connected group: the Release slab of its target
+// or the Through slab of one of its devices. A slot the database holds
+// describes its current generation (Advance resets a group's slots
+// together), so the record's side loads and capacitances are the ones this
+// enumeration would compute.
+func (b *builder) sharedBody(bloom uint64, path []Element) *Stage {
+	db := b.db
+	if db == nil {
+		return nil
+	}
+	if st := db.release[path[len(path)-1].To].find(b.tr, bloom, path); st != nil {
+		return st
+	}
+	for _, e := range path {
+		if st := db.through[e.Trans].find(b.tr, bloom, path); st != nil {
+			return st
+		}
+	}
+	return nil
 }
 
 // sideLoads walks outward from every path node through conducting
@@ -327,7 +387,8 @@ func (b *builder) sideLoads(source int32, path []Element) {
 }
 
 // slab packs what the builder accumulated into exactly-sized arrays,
-// derives each stage's cached fields, and recycles the builder.
+// points each stage at its body, derives its cached fields, and recycles
+// the builder.
 func (b *builder) slab() *Slab {
 	defer b.recycle()
 	if len(b.recs) == 0 {
@@ -345,44 +406,45 @@ func (b *builder) slab() *Slab {
 		path:      append(make([]Element, 0, len(b.path)), b.path...),
 		side:      append(make([]SideLoad, 0, len(b.side)), b.side...),
 	}
-	var pathOff, sideOff, nf uint32
+	var pathOff, sideOff uint32
+	nf := uint32(len(b.path)) // the owned bodies' path capacitances come first
 	for i := range s.Stages {
 		st, r := &s.Stages[i], &b.recs[i]
-		st.slab = s
-		st.Source, st.Target, st.Trigger, st.transition = r.source, r.target, r.trigger, uint8(r.tr)
-		st.pathOff, st.nPath = pathOff, uint16(r.nPath)
-		st.sideOff, st.nSide = sideOff, uint32(r.nSide)
-		st.capOff = nf
-		pathOff += uint32(r.nPath)
-		sideOff += uint32(r.nSide)
-		path := st.Path()
-		for _, e := range path {
-			st.pathBloom |= 1 << (uint(e.Trans) & 63)
+		st.slab, st.pathBloom = s, r.bloom
+		st.Target, st.transition, st.nPath = r.target, uint8(r.tr), uint16(r.nPath)
+		if sh := r.shared; sh != nil {
+			st.body, st.pathOff, st.sideOff, st.nSide = sh.body, sh.pathOff, sh.sideOff, sh.nSide
+		} else {
+			st.body, st.pathOff, st.sideOff, st.nSide = s, pathOff, sideOff, uint32(r.nSide)
+			pathOff += uint32(r.nPath)
+			sideOff += uint32(r.nSide)
 		}
-		for j, e := range path {
-			if e.Trans == r.trigger {
-				st.driver = uint16(j)
-				break
+		path := st.Path()
+		if r.trigger != NoTrans {
+			st.triggered = true
+			for j, e := range path {
+				if e.Trans == r.trigger {
+					st.driver = uint16(j)
+					break
+				}
 			}
 		}
 		st.driverType = cn.TransType[path[st.driver].Trans]
 		if cn.IsInput[r.source] {
 			st.srcInput = r.source + 1
 		}
-		nf += uint32(r.nPath) + uint32(st.driver)
+		st.lowOff = nf
+		nf += uint32(st.driver)
 	}
 	s.f = make([]float64, nf)
-	caps := b.caps
-	for i := range s.Stages {
-		caps = caps[copy(s.Stages[i].PathCap(), caps):]
-	}
+	copy(s.f, b.caps)
 	return s
 }
 
 // enumerate runs pass over key once per transition of trs, in order, into
-// one slab.
-func (v *view) enumerate(pass func(*builder, int32), key int32, trs ...tech.Transition) *Slab {
-	b := newBuilder(v)
+// one slab, sharing bodies with db's built slabs (nil: none).
+func (v *view) enumerate(db *DB, pass func(*builder, int32), key int32, trs ...tech.Transition) *Slab {
+	b := newBuilder(v, db)
 	for _, tr := range trs {
 		b.begin(tr)
 		pass(b, key)
@@ -446,7 +508,7 @@ func (b *builder) sourcePaths(end, skip int32) (trunc bool) {
 // transistors the oracle does not rule out, respecting flow hints. Side
 // loading is computed per stage.
 func ToNode(nw *netlist.Network, target *netlist.Node, tr tech.Transition, opt Options) Result {
-	return newView(nw, nil, opt.Fill()).enumerate((*builder).toNode, int32(target.Index), tr).result()
+	return newView(nw, nil, opt.Fill()).enumerate(nil, (*builder).toNode, int32(target.Index), tr).result()
 }
 
 func (b *builder) toNode(target int32) {
@@ -465,7 +527,7 @@ func (b *builder) toNode(target int32) {
 // Source-side paths are enumerated exhaustively (bounded by MaxPaths);
 // the far side is expanded as a spanning tree, one stage per reached node.
 func Through(nw *netlist.Network, trig *netlist.Trans, tr tech.Transition, opt Options) Result {
-	return newView(nw, nil, opt.Fill()).enumerate((*builder).through, int32(trig.Index), tr).result()
+	return newView(nw, nil, opt.Fill()).enumerate(nil, (*builder).through, int32(trig.Index), tr).result()
 }
 
 func (b *builder) through(trig int32) {
@@ -509,7 +571,7 @@ func (b *builder) through(trig int32) {
 // a spanning tree of the conducting channel graph rooted at src, one stage
 // per reachable node, each with Source = src and no trigger.
 func FromNode(nw *netlist.Network, src *netlist.Node, tr tech.Transition, opt Options) Result {
-	return newView(nw, nil, opt.Fill()).enumerate((*builder).fromNode, int32(src.Index), tr).result()
+	return newView(nw, nil, opt.Fill()).enumerate(nil, (*builder).fromNode, int32(src.Index), tr).result()
 }
 
 func (b *builder) fromNode(src int32) {

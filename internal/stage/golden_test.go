@@ -77,9 +77,9 @@ func slabHash(h hash.Hash, s *Slab) {
 	u(uint64(len(s.Stages)))
 	for i := range s.Stages {
 		st := &s.Stages[i]
-		u(uint64(uint32(st.Source)))
+		u(uint64(uint32(st.Source())))
 		u(uint64(uint32(st.Target)))
-		u(uint64(uint32(st.Trigger)))
+		u(uint64(uint32(st.Trigger())))
 		u(uint64(st.SourceInputIndex()))
 		u(uint64(st.Transition()))
 		u(uint64(st.Driver()))

@@ -23,13 +23,10 @@ func (s *Stage) Remap(nodeFn, transFn func(int32) int32) *Stage {
 		f:      make([]float64, int(s.nPath)+len(s.Low())),
 	}
 	out := &sl.Stages[0]
-	out.slab = sl
-	out.Source, out.Target, out.Trigger = nodeFn(s.Source), nodeFn(s.Target), NoTrans
+	out.slab, out.body, out.lowOff = sl, sl, uint32(s.nPath)
+	out.Target = nodeFn(s.Target)
 	out.nPath, out.nSide = s.nPath, s.nSide
-	out.driver, out.driverType, out.transition = s.driver, s.driverType, s.transition
-	if s.Trigger != NoTrans {
-		out.Trigger = transFn(s.Trigger)
-	}
+	out.driver, out.driverType, out.transition, out.triggered = s.driver, s.driverType, s.transition, s.triggered
 	for i, e := range s.Path() {
 		t := transFn(e.Trans)
 		sl.path[i] = Element{Trans: t, From: nodeFn(e.From), To: nodeFn(e.To)}
@@ -40,7 +37,7 @@ func (s *Stage) Remap(nodeFn, transFn func(int32) int32) *Stage {
 	}
 	copy(sl.f, s.PathCap())
 	if s.srcInput > 0 {
-		out.srcInput = out.Source + 1
+		out.srcInput = out.Source() + 1
 	}
 	return out
 }

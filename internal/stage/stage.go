@@ -83,9 +83,14 @@ type Consts struct {
 }
 
 // Stage is a driving path plus its loading: one fixed-size record of an
-// enumeration result. The variable-length parts — Path, Side, PathCap and
-// the split-replay slots — live in the packed arrays of the Slab the record
-// belongs to, addressed by offset.
+// enumeration result. The variable-length parts live in packed slab
+// arrays addressed by offset. The body — path, side loads and path
+// capacitances, all fixed by the transition and the path — lives in the
+// body slab: the record's own, or, when an earlier slab of the same
+// channel-connected group already holds the record's (transition, path),
+// that slab, so every Through and Release record of one path shares one
+// copy. The driver's split-replay slots depend on the trigger and always
+// live in the record's own slab.
 type Stage struct {
 	// The fields an evaluation from the record's constants reads come
 	// first, so the drain's walk over a slab touches the head of each
@@ -104,44 +109,53 @@ type Stage struct {
 	// evaluates the record.
 	constsKey uint64
 	consts    Consts
-	// slab owns the arrays the record's variable-length parts live in: in
-	// slab.f from capOff the nPath path capacitances, then driver
-	// split-replay slots; nPath elements of slab.path from pathOff; nSide
-	// side loads of slab.side from sideOff.
-	slab                            *Slab
-	capOff, pathOff, sideOff, nSide uint32
+	// body owns the body: nPath elements of body.path from pathOff, their
+	// capacitances at the same offsets of body.f, and nSide side loads of
+	// body.side from sideOff. slab owns the record and its driver
+	// split-replay slots, slab.f from lowOff.
+	body, slab                      *Slab
+	pathOff, sideOff, nSide, lowOff uint32
 	nPath                           uint16
 	// driver is the path index of the element whose device governs the
 	// stage's slope behaviour (the trigger if on the path, else the
 	// source-adjacent element), driverType that device's type and
 	// transition the direction Target moves (Rise when Source is high).
+	// triggered reports that the driver is the trigger.
 	driver                 uint16
 	driverType, transition uint8
+	triggered              bool
+}
 
-	// Source is the strong node supplying the transition (rail or input).
-	Source int32
-	// Trigger is the path transistor whose gate transition initiates the
-	// stage, or NoTrans when the stage is initiated by a channel-side event
-	// (an input transition propagating through already-on devices) or by
-	// another device turning off (load pullup stages).
-	Trigger int32
+// Source is the strong node supplying the transition (rail or input): the
+// first path element's From.
+func (s *Stage) Source() int32 { return s.body.path[s.pathOff].From }
+
+// Trigger is the path transistor whose gate transition initiates the
+// stage, or NoTrans when the stage is initiated by a channel-side event (an
+// input transition propagating through already-on devices) or by another
+// device turning off (load pullup stages).
+func (s *Stage) Trigger() int32 {
+	if !s.triggered {
+		return NoTrans
+	}
+	return s.body.path[s.pathOff+uint32(s.driver)].Trans
 }
 
 // Path runs source→target; never empty.
 func (s *Stage) Path() []Element {
-	return s.slab.path[s.pathOff : s.pathOff+uint32(s.nPath)]
+	return s.body.path[s.pathOff : s.pathOff+uint32(s.nPath)]
 }
 
 // Side holds off-path capacitive loading, ordered by ascending Attach —
 // the invariant the delay models' allocation-free Elmore merge relies on.
 func (s *Stage) Side() []SideLoad {
-	return s.slab.side[s.sideOff : s.sideOff+s.nSide]
+	return s.body.side[s.sideOff : s.sideOff+s.nSide]
 }
 
 // PathCap is the total capacitance of each path node (PathCap()[i] loads
 // Path()[i].To), so delay models never re-walk adjacency lists.
 func (s *Stage) PathCap() []float64 {
-	return s.slab.f[s.capOff : s.capOff+uint32(s.nPath)]
+	return s.body.f[s.pathOff : s.pathOff+uint32(s.nPath)]
 }
 
 // Transition is the direction Target moves.
@@ -164,8 +178,7 @@ func (s *Stage) Low() []float64 {
 	if s.driver == 0 {
 		return nil // the common case: the driver is the source-adjacent element
 	}
-	lo := s.capOff + uint32(s.nPath)
-	return s.slab.f[lo : lo+uint32(s.driver)]
+	return s.slab.f[s.lowOff : s.lowOff+uint32(s.driver)]
 }
 
 // Driver returns the path index of the element whose slope curve governs
@@ -201,7 +214,7 @@ func (s *Stage) UsesTrans(ti int) bool {
 // the nets.
 func (s *Stage) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "n%d", s.Source)
+	fmt.Fprintf(&b, "n%d", s.Source())
 	for _, e := range s.Path() {
 		fmt.Fprintf(&b, " -(t%d)-> n%d", e.Trans, e.To)
 	}
@@ -213,7 +226,7 @@ func (s *Stage) String() string {
 // "Vdd -(d g=out)-> out [rise]".
 func (s *Stage) Format(nw *netlist.Network) string {
 	var b strings.Builder
-	b.WriteString(nw.Nodes[s.Source].Name)
+	b.WriteString(nw.Nodes[s.Source()].Name)
 	for _, e := range s.Path() {
 		t := nw.Trans[e.Trans]
 		fmt.Fprintf(&b, " -(%s g=%s)-> %s", t.Type, t.Gate.Name, nw.Nodes[e.To].Name)
@@ -257,14 +270,11 @@ func (s *Stage) TotalC() float64 {
 }
 
 // Validate checks structural sanity of a stage: non-empty contiguous path
-// from source to target with sane loading.
+// to its target with sane loading.
 func (s *Stage) Validate() error {
 	path := s.Path()
 	if len(path) == 0 {
 		return fmt.Errorf("stage: empty path")
-	}
-	if path[0].From != s.Source {
-		return fmt.Errorf("stage: path starts at n%d, source is n%d", path[0].From, s.Source)
 	}
 	if path[len(path)-1].To != s.Target {
 		return fmt.Errorf("stage: path ends at n%d, target is n%d", path[len(path)-1].To, s.Target)

@@ -30,7 +30,7 @@ func TestToNodeInverter(t *testing.T) {
 		t.Fatalf("fall stages = %d, want 1", len(fall.Stages))
 	}
 	st := fall.Stages[0]
-	if st.Source != idx(nw.GND()) || st.Target != idx(out) || len(st.Path()) != 1 {
+	if st.Source() != idx(nw.GND()) || st.Target != idx(out) || len(st.Path()) != 1 {
 		t.Errorf("bad fall stage: %v", st)
 	}
 	if err := st.Validate(); err != nil {
@@ -40,8 +40,8 @@ func TestToNodeInverter(t *testing.T) {
 	if len(rise.Stages) != 1 {
 		t.Fatalf("rise stages = %d, want 1", len(rise.Stages))
 	}
-	if rise.Stages[0].Source != idx(nw.Vdd()) {
-		t.Errorf("rise source = %v, want Vdd", rise.Stages[0].Source)
+	if rise.Stages[0].Source() != idx(nw.Vdd()) {
+		t.Errorf("rise source = %v, want Vdd", rise.Stages[0].Source())
 	}
 	if nw.Trans[rise.Stages[0].Path()[0].Trans].Type != tech.NDep {
 		t.Error("rise should go through the depletion load")
@@ -85,10 +85,10 @@ func TestThroughStack(t *testing.T) {
 	// Expect at least a stage targeting out (GND→mid→out) with trigger ta.
 	var found *Stage
 	for _, st := range res.Stages {
-		if st.Target == idx(out) && st.Source == idx(nw.GND()) {
+		if st.Target == idx(out) && st.Source() == idx(nw.GND()) {
 			found = st
 		}
-		if int(st.Trigger) != ta.Index {
+		if int(st.Trigger()) != ta.Index {
 			t.Errorf("stage %v has wrong trigger", st)
 		}
 		if err := st.Validate(); err != nil {
@@ -156,7 +156,7 @@ func TestFromNodePassChain(t *testing.T) {
 		t.Fatalf("stages = %d, want 2 (n1 and n2)", len(res.Stages))
 	}
 	for _, st := range res.Stages {
-		if st.Source != idx(in) || st.Trigger != NoTrans {
+		if st.Source() != idx(in) || st.Trigger() != NoTrans {
 			t.Errorf("bad channel stage: %v", st)
 		}
 		if err := st.Validate(); err != nil {
@@ -268,7 +268,7 @@ func TestValidateCatchesBrokenStages(t *testing.T) {
 	broken := func(path []Element, side []SideLoad) *Stage {
 		sl := &Slab{Stages: make([]Stage, 1), path: path, side: side}
 		b := &sl.Stages[0]
-		b.slab, b.Source, b.Target, b.transition = sl, st.Source, st.Target, st.transition
+		b.slab, b.body, b.Target, b.transition = sl, sl, st.Target, st.transition
 		b.nPath, b.nSide = uint16(len(path)), uint32(len(side))
 		return b
 	}
@@ -302,8 +302,8 @@ func TestRemap(t *testing.T) {
 		}
 	}
 	got := st.Remap(func(n int32) int32 { return n + 100 }, func(t int32) int32 { return t + 10 })
-	if got.Source != st.Source+100 || got.Target != st.Target+100 || got.Trigger != st.Trigger+10 {
-		t.Errorf("remapped identity = %d/%d/%d", got.Source, got.Target, got.Trigger)
+	if got.Source() != st.Source()+100 || got.Target != st.Target+100 || got.Trigger() != st.Trigger()+10 {
+		t.Errorf("remapped identity = %d/%d/%d", got.Source(), got.Target, got.Trigger())
 	}
 	if err := got.Validate(); err != nil {
 		t.Error(err)
